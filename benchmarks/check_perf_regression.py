@@ -14,12 +14,10 @@ never fails.  Gated metrics:
 - ``two_speed.wallclock_speedup`` — the fast-forward engine's edge over
   full-detail simulation (a same-machine ratio, so it transfers across
   hardware much better than the absolute figure does);
-- ``event_loop.instructions_per_second`` — the event-driven scheduler's
-  serial throughput (absolute, machine-dependent);
-- ``event_loop.speedup_vs_legacy`` — the event engine vs the legacy
-  polled scheduler on the same machine and traces (a ratio; transfers).
 - ``sampling.wallclock_speedup`` — a checkpoint-hit interval-sampled
-  sweep vs the two-speed single window (a ratio; transfers).
+  sweep vs the two-speed single window (a ratio; transfers);
+- ``batch_warm.speedup_vs_scalar_w8`` — the batched warmer vs the scalar
+  warmer at width 8 (a ratio; transfers).
 
 The default tolerance is deliberately wide (25%): the committed
 reference comes from the development machine, and hosted CI runners are
@@ -28,7 +26,7 @@ overrides it, e.g. for a quiet dedicated runner.
 
 A note on the absolute figures: every ``instructions_per_second`` in the
 committed reference is machine-dependent *and* run-dependent — the same
-development machine has recorded serial event-loop figures anywhere from
+development machine has recorded serial figures anywhere from
 ~160k to ~230k instr/s across runs depending on thermal state and
 co-resident load (which is how a stale 233k figure once outlived the
 committed 163k baseline in the docs).  Regenerate the committed
@@ -49,18 +47,10 @@ DEFAULT_TOLERANCE = 0.25
 #: (json path, human label) for every gated metric.  A metric missing
 #: from the *reference* is skipped (old references predate it); missing
 #: from the *new* record it is a failure (the benchmark stopped
-#: measuring something the gate relies on) — unless the metric's whole
-#: top-level section is in OPTIONAL_SECTIONS and absent from the new
-#: record, which means the benchmark ran a profile that skips that
-#: (expensive) section entirely rather than silently dropping a metric.
+#: measuring something the gate relies on).
 GATED_METRICS = [
     (("serial", "instructions_per_second"), "serial instr/s"),
     (("two_speed", "wallclock_speedup"), "two-speed wall-clock ratio"),
-    (("event_loop", "instructions_per_second"), "event-loop serial instr/s"),
-    # Same-machine ratio (event engine vs the legacy polled scheduler on
-    # identical traces), so it transfers across hardware like the
-    # two-speed ratio does.
-    (("event_loop", "speedup_vs_legacy"), "event-loop speedup vs legacy"),
     # Same-machine ratio: a checkpoint-hit sampled sweep vs the two-speed
     # single window over the same validation workloads.  The benchmark
     # itself asserts a hard 2x floor; the gate additionally catches the
@@ -70,20 +60,7 @@ GATED_METRICS = [
     # 8-config sweep shape) vs the scalar FunctionalWarmer, interleaved.
     # The benchmark asserts a hard 3x floor; the gate catches erosion.
     (("batch_warm", "speedup_vs_scalar_w8"), "batched-warm speedup (w=8)"),
-    # Same-machine ratio: the lockstep batched *detailed* core at width 8
-    # (8-config sweep x validation workloads) vs the scalar event-driven
-    # core, interleaved.  The benchmark asserts a hard 1.2x floor; the
-    # gate catches the batched path eroding back toward scalar speed.
-    (("batch_detail", "speedup_vs_scalar_w8"),
-     "batched-detail speedup (w=8)"),
 ]
-
-
-#: Sections a benchmark run may legitimately omit wholesale (e.g. a
-#: quick CI profile that skips the batched-detail sweep).  An absent
-#: section is a clear skip; a *present* section missing one of its gated
-#: metrics is still a failure.
-OPTIONAL_SECTIONS = frozenset(["batch_detail"])
 
 
 def _lookup(record, path):
@@ -105,11 +82,6 @@ def check(reference, new, tolerance):
             continue
         new_value = _lookup(new, path)
         if new_value is None:
-            if path[0] in OPTIONAL_SECTIONS and path[0] not in new:
-                print("skip  %-28s (optional section %r absent from the "
-                      "new record — benchmark profile skipped it)"
-                      % (label, path[0]))
-                continue
             failures.append("%s missing from the new record" % label)
             continue
         floor = ref_value * (1.0 - tolerance)

@@ -10,10 +10,8 @@ at the repo root:
    IPC error and end-to-end wall-clock speedup versus full-detail
    simulation over an 8-workload validation subset at the shipped
    defaults.
-4. The event-driven vs legacy polled detailed core (interleaved).
-5. Checkpointed interval sampling vs the two-speed window.
-6. The batched SoA functional warmer at widths 1/8/32.
-7. The lockstep batched detailed core at width 8 (config sweeps).
+4. Checkpointed interval sampling vs the two-speed window.
+5. The batched SoA functional warmer at widths 1/8/32.
 
 Every cross-engine ratio is measured same-machine and interleaved, so it
 transfers across hardware; every *absolute* instr/s figure in the JSON is
@@ -102,20 +100,6 @@ SAMPLING_SAMPLES = 4
 SAMPLING_INTERVAL_LENGTH = 800
 MIN_SAMPLING_SPEEDUP = 2.0
 
-#: Serial instr/s the engine recorded when the two-speed PR landed (the
-#: polled scheduler before this PR's shared-path tuning, on the
-#: development machine).  The event-loop section reports its gain over
-#: this figure; the absolute number only transfers to that machine, so
-#: the *asserted* bound below is the same-machine event-vs-legacy ratio,
-#: which holds anywhere.
-PRE_EVENT_LOOP_INSTR_PER_SECOND = 137873.6
-
-#: Fixed workload/length for the event-vs-legacy comparison: always the
-#: serial quartet at the shipped defaults (like the two-speed section),
-#: so the recorded ratio means the same thing in CI quick mode.
-EVENT_BENCH_WORKLOADS = ["spec06_perlbench", "spec06_bzip2", "spec06_gcc",
-                         "spec06_mcf"]
-
 #: Batched-warm acceptance: the SoA engine (:mod:`repro.emu.batch`) at
 #: batch width >= 8 must functionally warm at least 3x the scalar
 #: warmer's instr/s over the validation subset.  Width 8 is the sweep
@@ -126,31 +110,6 @@ EVENT_BENCH_WORKLOADS = ["spec06_perlbench", "spec06_bzip2", "spec06_gcc",
 #: interleaved with the scalar passes, so it transfers across hardware.
 BATCH_WARM_WIDTHS = (1, 8, 32)
 MIN_BATCH_WARM_SPEEDUP = 3.0
-
-#: Batched-detail acceptance shape: 8 detail-relevant config variants
-#: (RFP on/off, hit-miss predictor sizes) sharing each validation
-#: workload's trace through the lockstep detailed engine at width 8 —
-#: the config-sweep pattern :func:`run_interval_lanes` is built for.
-#: Pure engine throughput (no checkpoint store, traces and SoA columns
-#: prebuilt), interleaved with the scalar event-driven core per round.
-#: The issue targeted 2x; the lockstep engine lands at ~1.5x on the
-#: development machine (the scalar core's fully-inlined issue loop is
-#: already the dominant cost and batching cannot amortise it further),
-#: so the *gate* is a conservative regression floor — it catches the
-#: batched path falling back toward scalar speed without flaking on
-#: machine noise.  The achieved ratio is recorded alongside the floor.
-BATCH_DETAIL_LENGTH = 6000
-BATCH_DETAIL_WIDTH = 8
-MIN_BATCH_DETAIL_SPEEDUP = 1.2
-
-#: Hard floor on the same-machine event-vs-legacy serial ratio.  Most of
-#: this PR's speedup lives in engine-agnostic paths (dispatch/commit/
-#: issue inlining), which the in-tree legacy scheduler also enjoys, so
-#: the remaining scheduler-only edge at baseline window sizes is
-#: ~1.1-1.15x.  The floor asserts the event engine never falls behind
-#: the polled scan; the interleaved best-of-N below keeps machine drift
-#: out of the ratio.
-MIN_EVENT_LOOP_SPEEDUP = 1.0
 
 
 def _count_instructions(result):
@@ -175,41 +134,6 @@ def _measure_serial(workloads, length, warmup, rounds=3):
         if elapsed > 0:
             best = max(best, instructions / elapsed)
     return best
-
-
-def _measure_event_vs_legacy(monkeypatch, rounds=3):
-    """Best-of-N serial instr/s for the event-driven and legacy polled
-    engines, interleaved round by round.
-
-    Interleaving matters: machine speed drifts over a bench run, and two
-    sequential best-of-N blocks would fold that drift into the ratio.
-    Alternating passes samples both engines across the same machine
-    states, so the best-vs-best ratio isolates the scheduler change.
-    Always runs at the shipped defaults (quick-mode knobs ignored), like
-    the two-speed section, so the recorded ratio is comparable across
-    runs.
-    """
-    length, warmup = DEFAULT_LENGTH, DEFAULT_WARMUP
-    config = baseline()
-    traces = [build_workload(name, length=length)
-              for name in EVENT_BENCH_WORKLOADS]
-
-    def one_pass():
-        instructions = 0
-        started = time.perf_counter()
-        for trace in traces:
-            result = simulate(trace, config, length=length, warmup=warmup)
-            instructions += _count_instructions(result)
-        return instructions / (time.perf_counter() - started)
-
-    best_event = best_legacy = 0.0
-    for _ in range(rounds):
-        monkeypatch.delenv("REPRO_EVENT_LOOP", raising=False)
-        best_event = max(best_event, one_pass())
-        monkeypatch.setenv("REPRO_EVENT_LOOP", "0")
-        best_legacy = max(best_legacy, one_pass())
-    monkeypatch.delenv("REPRO_EVENT_LOOP", raising=False)
-    return best_event, best_legacy
 
 
 def _measure_engine(workloads, length, warmup):
@@ -348,9 +272,8 @@ def _measure_batch_warm(rounds=3):
     :data:`DEFAULT_LENGTH` with no checkpoint store (pure engine
     throughput; the trace builds and SoA column builds are excluded —
     columns are cached on the trace, exactly as in a real sweep).  The
-    scalar and batched passes are interleaved per round, like the
-    event-vs-legacy section, so machine drift lands on both sides of the
-    best-of-N ratio.
+    scalar and batched passes are interleaved per round, so machine
+    drift lands on both sides of the best-of-N ratio.
     """
     from repro.emu.batch import columns_for, warm_batch
     from repro.emu.warmup import FunctionalWarmer
@@ -416,72 +339,6 @@ def _measure_batch_warm(rounds=3):
     }
 
 
-def _measure_batch_detail(rounds=3):
-    """Scalar vs lockstep-batched detailed simulation at width 8.
-
-    Each round runs the full 8-config x 8-workload sweep twice — once
-    through the scalar :func:`simulate_interval` loop, once through
-    :func:`run_interval_lanes` at :data:`BATCH_DETAIL_WIDTH` — over the
-    same prebuilt traces with no checkpoint store, interleaved so machine
-    drift lands on both sides of the best-of-N ratio.  Per-lane results
-    are byte-identical to scalar by construction (tests/test_batch_core.py
-    asserts it); this section measures only throughput.
-    """
-    from repro.core.batch_core import run_interval_lanes
-    from repro.emu.batch import columns_for
-    from repro.sim.runner import simulate_interval
-
-    length = BATCH_DETAIL_LENGTH
-    base = baseline()
-    sweep = [base.evolve(name="bd%d" % i, rfp={"enabled": i % 2 == 1},
-                         hit_miss_entries=512 << (i % 4))
-             for i in range(8)]
-    traces = {name: build_workload(name, length=length)
-              for name in VALIDATION_WORKLOADS}
-    for trace in traces.values():
-        columns_for(trace)
-
-    def scalar_pass():
-        instructions = 0
-        started = time.perf_counter()
-        for trace in traces.values():
-            for config in sweep:
-                result = simulate_interval(
-                    trace, config, length=length, start=0, measure=length,
-                    ramp=0, checkpoint_store=None)
-                instructions += result.data["total_instructions"]
-        return instructions / (time.perf_counter() - started)
-
-    def batch_pass():
-        instructions = 0
-        started = time.perf_counter()
-        for name, trace in traces.items():
-            specs = [{"config": config, "start": 0, "measure": length,
-                      "ramp": 0, "index": i}
-                     for i, config in enumerate(sweep)]
-            outs = run_interval_lanes(trace, name, "bench", specs,
-                                      checkpoint_store=None,
-                                      width=BATCH_DETAIL_WIDTH)
-            for out in outs:
-                instructions += out.data["total_instructions"]
-        return instructions / (time.perf_counter() - started)
-
-    best_scalar = best_batch = 0.0
-    for _ in range(rounds):
-        best_scalar = max(best_scalar, scalar_pass())
-        best_batch = max(best_batch, batch_pass())
-    return {
-        "length": length,
-        "workloads": VALIDATION_WORKLOADS,
-        "sweep_configs": len(sweep),
-        "width": BATCH_DETAIL_WIDTH,
-        "scalar_instructions_per_second": round(best_scalar, 1),
-        "instructions_per_second": round(best_batch, 1),
-        "speedup_vs_scalar_w8": round(best_batch / best_scalar, 3),
-        "speedup_floor_w8": MIN_BATCH_DETAIL_SPEEDUP,
-    }
-
-
 def test_perf_smoke(benchmark, monkeypatch):
     # Tracing must be off for the figure to mean anything: a stray
     # REPRO_TRACE in the environment would bypass the result cache and
@@ -514,11 +371,9 @@ def test_perf_smoke(benchmark, monkeypatch):
     two_speed = _measure_two_speed()
     sampling = _measure_sampling(two_speed)
     batch_warm = _measure_batch_warm()
-    batch_detail = _measure_batch_detail()
     serial_ips = benchmark.pedantic(
         _measure_serial, args=(workloads, length, warmup),
         rounds=1, iterations=1)
-    event_ips, legacy_ips = _measure_event_vs_legacy(monkeypatch)
     engine_report = _measure_engine(workloads, length, warmup)
 
     record = {
@@ -531,29 +386,12 @@ def test_perf_smoke(benchmark, monkeypatch):
             "gain_vs_reference": round(
                 serial_ips / REFERENCE_INSTR_PER_SECOND - 1, 4),
         },
-        "event_loop": {
-            # Always measured at the shipped defaults over the serial
-            # quartet (quick-mode knobs do not apply), interleaved with
-            # the legacy polled scheduler on the same traces.
-            "workloads": EVENT_BENCH_WORKLOADS,
-            "length": DEFAULT_LENGTH,
-            "warmup": DEFAULT_WARMUP,
-            "instructions_per_second": round(event_ips, 1),
-            "legacy_instructions_per_second": round(legacy_ips, 1),
-            "speedup_vs_legacy": round(event_ips / legacy_ips, 3),
-            "speedup_vs_legacy_floor": MIN_EVENT_LOOP_SPEEDUP,
-            "pre_event_loop_instructions_per_second":
-                PRE_EVENT_LOOP_INSTR_PER_SECOND,
-            "gain_vs_pre_event_loop": round(
-                event_ips / PRE_EVENT_LOOP_INSTR_PER_SECOND - 1, 4),
-        },
         "parallel": dict(engine_report.as_dict(),
                          start_method=start_method(),
                          default_jobs=default_jobs()),
         "two_speed": two_speed,
         "sampling": sampling,
         "batch_warm": batch_warm,
-        "batch_detail": batch_detail,
     }
     with open(BENCH_PATH, "w") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
@@ -562,12 +400,6 @@ def test_perf_smoke(benchmark, monkeypatch):
     print("\nserial fast path : %.0f instr/s (reference %.0f, %+.1f%%)"
           % (serial_ips, REFERENCE_INSTR_PER_SECOND,
              100 * record["serial"]["gain_vs_reference"]))
-    print("event loop       : %.2fx vs legacy polled scheduler "
-          "(%.0f vs %.0f instr/s, same machine, interleaved); "
-          "%+.1f%% vs pre-event-loop reference"
-          % (record["event_loop"]["speedup_vs_legacy"], event_ips,
-             legacy_ips,
-             100 * record["event_loop"]["gain_vs_pre_event_loop"]))
     print("parallel engine  : %s" % engine_report.format())
     print("two-speed engine : %.2fx wall-clock, max IPC error %.2f%% "
           "over %d workloads at %d/%d"
@@ -588,17 +420,8 @@ def test_perf_smoke(benchmark, monkeypatch):
                        for w in BATCH_WARM_WIDTHS),
              batch_warm["scalar_instructions_per_second"],
              "/".join(str(w) for w in BATCH_WARM_WIDTHS)))
-    print("batched detail   : %.2fx vs scalar at width %d "
-          "(%.0f vs %.0f instr/s, %d configs x %d workloads, interleaved)"
-          % (batch_detail["speedup_vs_scalar_w8"], BATCH_DETAIL_WIDTH,
-             batch_detail["instructions_per_second"],
-             batch_detail["scalar_instructions_per_second"],
-             batch_detail["sweep_configs"], len(VALIDATION_WORKLOADS)))
 
     assert serial_ips > FLOOR_INSTR_PER_SECOND
-    # Same-machine, interleaved ratio: the event-driven engine must
-    # never fall behind the polled scan it replaced.
-    assert event_ips / legacy_ips >= MIN_EVENT_LOOP_SPEEDUP
     assert engine_report.jobs_simulated == len(workloads)
     # The engine only runs the detailed region through the cycle core;
     # the functionally fast-forwarded prefix is not in its instruction
@@ -621,7 +444,3 @@ def test_perf_smoke(benchmark, monkeypatch):
     # warmer on the validation subset (same machine, interleaved).
     assert batch_warm["speedup_vs_scalar_w8"] >= MIN_BATCH_WARM_SPEEDUP, \
         batch_warm
-    # Batched-detail acceptance: the lockstep detailed engine at width 8
-    # must clear the regression floor on the config-sweep shape.
-    assert batch_detail["speedup_vs_scalar_w8"] >= \
-        MIN_BATCH_DETAIL_SPEEDUP, batch_detail

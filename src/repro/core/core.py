@@ -20,7 +20,6 @@ the paper describes):
 """
 
 import heapq
-import os
 from bisect import bisect_left, insort
 
 from repro.core import dyninstr as D
@@ -39,19 +38,6 @@ from repro.memory.ports import LoadPortArbiter
 from repro.rfp.engine import RFPEngine
 from repro.stats.counters import SimStats
 from repro.vp import build_predictor
-
-
-def event_loop_env_disabled(environ=None):
-    """True when ``REPRO_EVENT_LOOP`` selects the legacy polled loop.
-
-    The event-driven scheduler is bit-exact with the polled scan, so this
-    kill-switch exists for one release as a validation lever (the
-    ``tests/test_event_driven.py`` harness and the CI equality job compare
-    the two).  It is mixed into the result-cache fingerprint so runs under
-    either engine never share cache entries.
-    """
-    environ = environ if environ is not None else os.environ
-    return environ.get("REPRO_EVENT_LOOP", "") in ("0", "off", "false")
 
 
 class OOOCore(object):
@@ -79,14 +65,9 @@ class OOOCore(object):
         self.prf = PhysicalRegisterFile(config.prf_entries)
         self.rename = RenameUnit(NUM_ARCH_REGS, self.prf)
         self.rob = ReorderBuffer(config.rob_entries)
-        #: Scheduling engine: event-driven wakeup by default, the legacy
-        #: polled scan under ``REPRO_EVENT_LOOP=0`` (bit-exact either way).
-        self.event_loop = not event_loop_env_disabled()
-        self.rs = ReservationStation(config, self.prf,
-                                     event_driven=self.event_loop)
-        #: Per-cycle select entry point, bound once (``rs.select`` would
-        #: re-check the engine flag every cycle).
-        self._select = self.rs._select_event if self.event_loop else self.rs.select
+        self.rs = ReservationStation(config, self.prf)
+        #: Per-cycle select entry point, bound once.
+        self._select = self.rs._select_event
         self.lq = LoadQueue(config.lq_entries)
         self.sq = StoreQueue(config.sq_entries)
         self.md = MemDepPredictor()
@@ -135,7 +116,7 @@ class OOOCore(object):
         #: rebound by compaction/drain, so they are re-read per call).
         self._dispatch_inv = (
             self.stats, self.rob.entries, self.rob.num_entries, self.rs,
-            self.event_loop, self.rs._rs_entries, self.rs._min_delay,
+            self.rs._rs_entries, self.rs._min_delay,
             self.rs.ready, self.rs.wheel.slots, self.rs.wheel.cycles,
             self.rename.rat, self.rename.free_list, self.prf.ready_cycle,
             self.prf.value, self.prf.waiters, self.prf, self.lq.entries,
@@ -273,21 +254,16 @@ class OOOCore(object):
         sched_latency = self.config.sched_latency
         DISPATCHED = D.DISPATCHED
         rs = self.rs
-        if rs.event_driven:
-            # The scheduler's own timing wheel holds every entry with a
-            # known future wake; a slot is a lower bound on the true wake
-            # (a re-timed producer re-parks the entry on pop), so jumping
-            # to it is conservative — at worst the loop re-skips from
-            # there.  Waiting entries (producer still executing) need no
-            # bound of their own: the producer's wake covers them.  Only
-            # the ready heap — entries parked as issuable — needs the
-            # per-entry analysis the polled loop ran over the window.
-            if rs.wheel.cycles:
-                candidates.append(rs.wheel.cycles[0])
-            pool = [item[1] for item in rs.ready]
-        else:
-            pool = rs.entries
-        for dyn in pool:
+        # The scheduler's own timing wheel holds every entry with a known
+        # future wake; a slot is a lower bound on the true wake (a
+        # re-timed producer re-parks the entry on pop), so jumping to it
+        # is conservative — at worst the loop re-skips from there.
+        # Waiting entries (producer still executing) need no bound of
+        # their own: the producer's wake covers them.  Only the ready
+        # heap — entries parked as issuable — needs per-entry analysis.
+        if rs.wheel.cycles:
+            candidates.append(rs.wheel.cycles[0])
+        for _seq, dyn in rs.ready:
             if dyn.state != DISPATCHED or not dyn.in_rs:
                 continue
             wake = dyn.dispatch_cycle + sched_latency
@@ -559,7 +535,7 @@ class OOOCore(object):
         buffer = frontend.buffer
         if not buffer or buffer[0][0] > cycle:
             return 0
-        (stats, rob_entries, rob_capacity, rs, event_rs, rs_capacity,
+        (stats, rob_entries, rob_capacity, rs, rs_capacity,
          min_delay, rs_ready, wheel_slots, wheel_cycles, rat, free_list,
          ready_cycle, prf_value, waiters, prf, lq_entries, lq_capacity,
          sq, rfp, vp, hit_miss, preg_producer, tracer, width,
@@ -578,7 +554,7 @@ class OOOCore(object):
             if len(rob_entries) >= rob_capacity:
                 stats.stall_rob += 1
                 break
-            if (rs.live if event_rs else len(rs_entries)) >= rs_capacity:
+            if rs.live >= rs_capacity:
                 stats.stall_rs += 1
                 break
             is_load = instr.is_load
@@ -616,7 +592,7 @@ class OOOCore(object):
                 rat[dst] = new_preg
                 ready_cycle[new_preg] = INFINITY
                 prf_value[new_preg] = 0
-                if waiters is not None and waiters[new_preg]:
+                if waiters[new_preg]:
                     waiters[new_preg] = []
             # -- rob.allocate ------------------------------------------
             if tracer is not None:
@@ -625,28 +601,27 @@ class OOOCore(object):
             # -- rs.allocate (incl. the initial _evaluate parking) -----
             dyn.in_rs = True
             rs_entries.append(dyn)
-            if event_rs:
-                rs.live += 1
-                wake = cycle + min_delay
-                parked = False
-                for preg in src_pregs:
-                    when = ready_cycle[preg]
-                    if when > wake:
-                        if when == INFINITY:
-                            waiters[preg].append(dyn)
-                            parked = True
-                            break
-                        wake = when
-                if not parked:
-                    if wake <= rs_now:
-                        heappush(rs_ready, (dyn.seq, dyn))
+            rs.live += 1
+            wake = cycle + min_delay
+            parked = False
+            for preg in src_pregs:
+                when = ready_cycle[preg]
+                if when > wake:
+                    if when == INFINITY:
+                        waiters[preg].append(dyn)
+                        parked = True
+                        break
+                    wake = when
+            if not parked:
+                if wake <= rs_now:
+                    heappush(rs_ready, (dyn.seq, dyn))
+                else:
+                    slot = wheel_slots.get(wake)
+                    if slot is not None:
+                        slot.append(dyn)
                     else:
-                        slot = wheel_slots.get(wake)
-                        if slot is not None:
-                            slot.append(dyn)
-                        else:
-                            wheel_slots[wake] = [dyn]
-                            heappush(wheel_cycles, wake)
+                        wheel_slots[wake] = [dyn]
+                        heappush(wheel_cycles, wake)
             if rfp is not None and (is_load or instr.is_branch):
                 # Criticality extension: remember load PCs feeding address
                 # computations or branch conditions.

@@ -169,8 +169,7 @@ def _check_scheduler(core, out):
     rs = core.rs
     out.extend(rs.invariant_violations())
     _check_wheel("core timing wheel", core.events, core.cycle, out)
-    if rs.event_driven:
-        _check_wheel("scheduler timing wheel", rs.wheel, core.cycle, out)
+    _check_wheel("scheduler timing wheel", rs.wheel, core.cycle, out)
 
 
 def _check_rfp(core, out):
@@ -193,7 +192,7 @@ def format_report(core):
     """A one-glance structural snapshot (used by the deadlock diagnostic)."""
     head = core.rob.entries[0] if core.rob.entries else None
     events_next = core.events.next_cycle()
-    rs_next = core.rs.wheel.next_cycle() if core.rs.event_driven else None
+    rs_next = core.rs.wheel.next_cycle()
     lines = [
         "invariant-net snapshot @ cycle %d:" % core.cycle,
         "  ROB: %d/%d occupancy, head %s"

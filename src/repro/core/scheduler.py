@@ -13,26 +13,21 @@ and re-dispatched.  That consumes scheduler bandwidth, so each such
 dependent burns one future issue slot (paper §2.5: "this takes some
 additional scheduler bandwidth for re-dispatches").
 
-Two selection engines share this class:
+Selection is event-driven: each waiting instruction lives in exactly one
+of three places — a *wakeup list* on the physical register whose producer
+has not finished (``prf.waiters``), a :class:`~repro.core.wheel.TimingWheel`
+slot when every operand has a known future ready cycle, or the seq-ordered
+*ready heap* once it is issuable.  Completions push consumers along that
+chain (``prf.write`` -> :meth:`wake_consumers`), so a cycle's select pops
+ready work instead of re-scanning the window; cost scales with activity,
+not occupancy.  The ready heap orders by seq, so selection is oldest-first.
 
-- **event-driven** (default): each waiting instruction lives in exactly one
-  of three places — a *wakeup list* on the physical register whose producer
-  has not finished (``prf.waiters``), a :class:`~repro.core.wheel.TimingWheel`
-  slot when every operand has a known future ready cycle, or the seq-ordered
-  *ready heap* once it is issuable.  Completions push consumers along that
-  chain (``prf.write`` -> :meth:`wake_consumers`), so a cycle's select pops
-  ready work instead of re-scanning the window; cost scales with activity,
-  not occupancy.  Oldest-first selection is preserved exactly because the
-  ready queue orders by seq, the same order the polled scan visited entries.
-- **legacy polled** (``REPRO_EVENT_LOOP=0``): the original full-window scan,
-  kept verbatim for one release as the bit-exactness reference.
-
-One wrinkle keeps the two engines identical: a register's ready cycle can
-move *later* after consumers were parked (a value-mispredicted load
-rewrites its destination at validation; a hit-predicted load that missed
-completes late).  Ready-heap pops therefore re-verify operand readiness
-against the live PRF and re-park the entry when it turns out stale — the
-wheel slot is a lower bound on the true wake cycle, never a promise.
+One wrinkle: a register's ready cycle can move *later* after consumers
+were parked (a value-mispredicted load rewrites its destination at
+validation; a hit-predicted load that missed completes late).  Ready-heap
+pops therefore re-verify operand readiness against the live PRF and
+re-park the entry when it turns out stale — the wheel slot is a lower
+bound on the true wake cycle, never a promise.
 """
 
 import heapq
@@ -45,37 +40,29 @@ from repro.core.wheel import TimingWheel
 class ReservationStation(object):
     """Bounded pool of waiting instructions with oldest-first select."""
 
-    def __init__(self, config, prf, event_driven=True):
+    def __init__(self, config, prf):
         self.config = config
         self.prf = prf
+        #: The window in allocation order.  Departures are lazy (``in_rs``
+        #: flips) and the list is compacted in one pass once dead entries
+        #: pile up.
         self.entries = []
         self.replay_debt = 0
         self.issued_total = 0
         self.replay_issues_total = 0
         #: Observability hook; set by the core when tracing is enabled.
         self.tracer = None
-        # Hoisted per-cycle constants (config is immutable for a run).
-        self._budget_base = {
-            "alu": config.alu_units,
-            "mul": config.mul_units,
-            "fp": config.fp_units,
-            "load": config.load_ports + config.rfp_dedicated_ports,
-            "store": config.store_ports,
-        }
-        #: Dense-index view of the budget (order fixed by D.FU_INDEX); the
-        #: event select copies this with a slice instead of a dict() per
-        #: busy cycle.
+        #: Per-cycle FU budget, indexed by D.FU_INDEX (config is immutable
+        #: for a run); select copies it with a slice.
         self._budget_list = [
-            self._budget_base["alu"], self._budget_base["mul"],
-            self._budget_base["fp"], self._budget_base["load"],
-            self._budget_base["store"],
+            config.alu_units, config.mul_units, config.fp_units,
+            config.load_ports + config.rfp_dedicated_ports,
+            config.store_ports,
         ]
         self._rs_entries = config.rs_entries
         self._issue_width = config.issue_width
         self._min_delay = config.sched_latency
-        self.event_driven = event_driven
-        #: Entries currently waiting in the window (event mode tracks this
-        #: explicitly because departures are lazy).
+        #: Entries currently waiting in the window.
         self.live = 0
         self._dead = 0
         #: Cycle of the most recent select — the boundary between "issuable
@@ -85,8 +72,7 @@ class ReservationStation(object):
         self.ready = []
         #: Future wakeups: cycle -> entries whose operands become ready then.
         self.wheel = TimingWheel()
-        if event_driven:
-            prf.attach_scheduler(self)
+        prf.attach_scheduler(self)
         #: Invariant locals of the wakeup/select hot paths, packed once
         #: (all containers are mutated in place, never rebound).
         self._wake_inv = (
@@ -96,49 +82,29 @@ class ReservationStation(object):
 
     @property
     def full(self):
-        if self.event_driven:
-            return self.live >= self._rs_entries
-        return len(self.entries) >= self._rs_entries
+        return self.live >= self._rs_entries
 
     @property
     def occupancy(self):
-        if self.event_driven:
-            return self.live
-        return len(self.entries)
+        return self.live
 
     def allocate(self, dyn):
-        if self.event_driven:
-            if self.live >= self._rs_entries:
-                raise RuntimeError("RS overflow")
-            dyn.in_rs = True
-            self.live += 1
-            self.entries.append(dyn)
-            self._evaluate(dyn)
-            return
-        if len(self.entries) >= self._rs_entries:
+        if self.live >= self._rs_entries:
             raise RuntimeError("RS overflow")
         dyn.in_rs = True
+        self.live += 1
         self.entries.append(dyn)
+        self._evaluate(dyn)
 
     def discard(self, dyn):
         """Remove an entry if present (squash path)."""
-        if self.event_driven:
-            if dyn.in_rs:
-                dyn.in_rs = False
-                self.live -= 1
-                self._dead += 1
-            return
-        dyn.in_rs = False
-        try:
-            self.entries.remove(dyn)
-        except ValueError:
-            pass
-
-    def _fu_budget(self):
-        return dict(self._budget_base)
+        if dyn.in_rs:
+            dyn.in_rs = False
+            self.live -= 1
+            self._dead += 1
 
     # ------------------------------------------------------------------
-    # event-driven wakeup
+    # wakeup
 
     def _evaluate(self, dyn):
         """Park ``dyn`` wherever its operand state says it belongs.
@@ -203,7 +169,17 @@ class ReservationStation(object):
                     wheel_slots[wake] = [dyn]
                     heappush(wheel_cycles, wake)
 
+    # ------------------------------------------------------------------
+    # select
+
     def _select_event(self, cycle, try_issue):
+        """Issue up to ``issue_width`` ready instructions, oldest first.
+
+        ``try_issue(dyn, cycle)`` performs the operation-specific issue work
+        and returns True when the instruction actually left the window
+        (False = structural hazard such as a missing load port or a memory
+        dependence the instruction must wait out; the entry stays).
+        """
         issued = 0
         width = self._issue_width
         self.now = cycle
@@ -276,86 +252,16 @@ class ReservationStation(object):
             self._dead = 0
         return issued
 
-    # ------------------------------------------------------------------
-    # select
-
-    def select(self, cycle, try_issue):
-        """Issue up to ``issue_width`` ready instructions, oldest first.
-
-        ``try_issue(dyn, cycle)`` performs the operation-specific issue work
-        and returns True when the instruction actually left the window
-        (False = structural hazard such as a missing load port or a memory
-        dependence the instruction must wait out; the entry stays).
-        """
-        if self.event_driven:
-            return self._select_event(cycle, try_issue)
-        issued = 0
-        width = self._issue_width
-        while self.replay_debt > 0 and issued < width:
-            self.replay_debt -= 1
-            self.replay_issues_total += 1
-            issued += 1
-        if issued >= width or not self.entries:
-            return issued
-        budget = dict(self._budget_base)
-        ready_cycle = self.prf.ready_cycle
-        earliest_dispatch = cycle - self._min_delay
-        left = None
-        DISPATCHED = D.DISPATCHED
-        # Iterate a snapshot: try_issue may squash younger entries (memory-
-        # ordering violation found at a store's execution), which mutates
-        # ``self.entries`` via discard().
-        for dyn in list(self.entries):
-            if issued >= width:
-                break
-            if dyn.state != DISPATCHED:
-                continue
-            # Even an instruction whose operands are ready at allocation must
-            # traverse the wakeup/select/RF-read pipe (paper §3: "at least 3
-            # cycles ... a modest run-ahead window" for the RFP packet).
-            if dyn.dispatch_cycle > earliest_dispatch:
-                continue
-            ready = True
-            for preg in dyn.src_pregs:
-                if ready_cycle[preg] > cycle:
-                    ready = False
-                    break
-            if not ready:
-                continue
-            fu_class = dyn.fu_class
-            if budget[fu_class] <= 0:
-                continue
-            if try_issue(dyn, cycle):
-                budget[fu_class] -= 1
-                issued += 1
-                self.issued_total += 1
-                if left is None:
-                    left = {id(dyn)}
-                else:
-                    left.add(id(dyn))
-        if left is not None:
-            # Compact every entry that left the window this cycle in one
-            # pass instead of one O(n) list.remove() per issue.
-            self.entries = [d for d in self.entries if id(d) not in left]
-        return issued
-
     def invariant_violations(self):
         """Window-bookkeeping findings for :mod:`repro.core.invariants`.
 
-        The event-driven engine departs entries lazily (``in_rs`` flips,
-        ``live``/``_dead`` counters move, the list compacts later) — this
-        re-derives the counters from the window and reports any drift.
+        Entries depart lazily (``in_rs`` flips, ``live``/``_dead`` counters
+        move, the list compacts later) — this re-derives the counters from
+        the window and reports any drift.
         """
         out = []
         if self.replay_debt < 0:
             out.append("RS replay debt negative: %d" % self.replay_debt)
-        if not self.event_driven:
-            if len(self.entries) > self._rs_entries:
-                out.append(
-                    "RS over capacity: %d/%d"
-                    % (len(self.entries), self._rs_entries)
-                )
-            return out
         alive = sum(1 for dyn in self.entries if dyn.in_rs)
         if alive != self.live:
             out.append(
@@ -381,23 +287,16 @@ class ReservationStation(object):
         """
         count = 0
         tracer = self.tracer
-        if self.event_driven:
-            # The lazily compacted window still holds departed entries;
-            # only live waiting consumers are chargeable.  (An entry that
-            # issued this very cycle cannot source ``dest_preg``: every
-            # charge site fires before the charged register is written.)
-            DISPATCHED = D.DISPATCHED
-            for dyn in self.entries:
-                if dyn.state == DISPATCHED and dest_preg in dyn.src_pregs:
-                    count += 1
-                    if tracer is not None:
-                        tracer.replay(dyn, dest_preg)
-        else:
-            for dyn in self.entries:
-                if dest_preg in dyn.src_pregs:
-                    count += 1
-                    if tracer is not None:
-                        tracer.replay(dyn, dest_preg)
+        # The lazily compacted window still holds departed entries; only
+        # live waiting consumers are chargeable.  (An entry that issued
+        # this very cycle cannot source ``dest_preg``: every charge site
+        # fires before the charged register is written.)
+        DISPATCHED = D.DISPATCHED
+        for dyn in self.entries:
+            if dyn.state == DISPATCHED and dest_preg in dyn.src_pregs:
+                count += 1
+                if tracer is not None:
+                    tracer.replay(dyn, dest_preg)
         self.replay_debt += count
         return count
 

@@ -81,9 +81,6 @@ from repro.obs.export import sort_events, write_jsonl
 from repro.obs.tracer import trace_spec_from_env
 from repro.sim import faults
 from repro.sim.cache import default_cache
-from repro.core.batch_core import (
-    batch_detail_env_enabled, batch_detail_supported, run_interval_lanes,
-)
 from repro.emu.batch import batch_warm_env_enabled
 from repro.sim.checkpoint import (
     CheckpointStore, default_checkpoint_store, ensure_checkpoints,
@@ -93,7 +90,6 @@ from repro.sim.runner import SimResult, simulate, simulate_interval
 from repro.sim.sampling import (
     SamplingPlan, aggregate_intervals, normalize_spec, sampling_suffix,
 )
-from repro.workloads.suite import build_workload, workload_category
 
 #: Failure-manifest classifications.
 CLASS_CRASH = "crash"              # worker process died / injected crash
@@ -453,7 +449,7 @@ class _SignalGuard(object):
 
 def run_jobs(jobs, cache=None, max_workers=None, progress=None,
              job_timeout=None, retries=None, keep_going=False,
-             batch_warm=None, batch_detail=None):
+             batch_warm=None):
     """Run (workload, config, length, warmup) jobs through the cache and
     the serial loop or the supervised shard pool.
 
@@ -487,15 +483,6 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
             lockstep engine run instead of one scalar pass per
             (workload, warm-fingerprint).  Bit-exact with the scalar
             prewarm.  ``None`` (default) defers to ``REPRO_BATCH_WARM``.
-        batch_detail: run sampled-interval cache misses through the batched
-            detailed core (:mod:`repro.core.batch_core`) — same-trace
-            interval jobs become lockstep lanes executed in the parent
-            (K intervals x M configs of one workload are natural
-            lanemates), with per-lane payloads byte-identical to the
-            scalar path.  Jobs the batched core cannot model (VP
-            configs, whole-trace runs) fall through to the serial loop or
-            the shard pool unchanged.  ``None`` defers to
-            ``REPRO_BATCH_DETAIL``.
 
     Returns:
         ``(results, report)`` — ``results`` is a list of
@@ -511,8 +498,6 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
         retries = default_retries()
     if batch_warm is None:
         batch_warm = batch_warm_env_enabled()
-    if batch_detail is None:
-        batch_detail = batch_detail_env_enabled()
     backoff = retry_backoff_base()
     if progress is None and _env_progress_enabled():
         progress = _stderr_progress
@@ -671,30 +656,6 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
                 for incident in store.pop_evictions():
                     _warm_incident(name, config.name, incident["reason"])
 
-    # Batched detailed lane: sampled-interval misses whose config the
-    # batched core can model leave the shard fan-out and regroup into
-    # same-trace lockstep lanes executed in the parent.  (Tracing never
-    # reaches here: sampling specs are dropped under REPRO_TRACE above.)
-    batch_groups = {}   # (name, length) -> [(key, job, trace), ...]
-    if batch_detail:
-        for key, job in list(work.items()):
-            workload, config, length, warmup, spec = job
-            if not (spec and "interval" in spec):
-                continue
-            if isinstance(workload, str):
-                try:
-                    trace = build_workload(workload, length=length)
-                except Exception:
-                    continue  # let the worker fail with (workload, config)
-                name = workload
-            else:
-                trace, name = workload, workload.name
-            if not batch_detail_supported(config, trace):
-                continue
-            batch_groups.setdefault((name, length), []).append(
-                (key, job, trace))
-            del work[key]
-
     trace_dir = None
     if trace_spec is not None and work:
         trace_dir = tempfile.mkdtemp(prefix="repro-trace-")
@@ -708,16 +669,10 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
         _PendingJob(key, job, index, _trace_path(index))
         for index, (key, job) in enumerate(work.items())
     ]
-    batch_pjs = []
-    for (name, _length), entries in sorted(batch_groups.items()):
-        for key, job, _trace in entries:
-            batch_pjs.append(
-                _PendingJob(key, job, len(miss_jobs) + len(batch_pjs), None))
 
     # Corrupt entries evicted during the scan above: record the incident,
     # flip it to recovered once the re-simulation lands.
     by_miss_key = {pj.key: pj for pj in miss_jobs}
-    by_miss_key.update({pj.key: pj for pj in batch_pjs})
     for incident in cache.pop_evictions():
         pj = by_miss_key.get(incident["key"])
         if pj is None:
@@ -802,45 +757,6 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
     workers = max(1, min(max_workers, len(miss_jobs)))
     drained = False
     try:
-        # Parent-side batched detailed lanes: one lockstep engine call per
-        # trace group.  Lane failures are deterministic (the scalar core
-        # would deadlock identically), so they are terminal — never
-        # retried — and classified through the same message keys as
-        # worker failures.
-        batch_index = {pj.key: pj for pj in batch_pjs}
-        for (name, _length), entries in sorted(batch_groups.items()):
-            trace = entries[0][2]
-            category = (workload_category(name)
-                        if isinstance(entries[0][1][0], str)
-                        else trace.category)
-            specs = []
-            for key, job, _trace in entries:
-                interval = job[4]["interval"]
-                specs.append({
-                    "config": job[1],
-                    "start": interval["start"],
-                    "measure": interval["measure"],
-                    "ramp": interval["ramp"],
-                    "index": interval["index"],
-                })
-            group_started = time.perf_counter()
-            outs = run_interval_lanes(trace, name, category, specs,
-                                      checkpoint_store=store)
-            seconds = (time.perf_counter() - group_started) / len(entries)
-            for (key, job, _trace), out in zip(entries, outs):
-                pj = batch_index[key]
-                if isinstance(out, Exception):
-                    detail = "%s: %s" % (type(out).__name__, out)
-                    pj.tries = 1
-                    pj.last_class = classify_failure(detail)
-                    pj.last_detail = detail
-                    pj.last_root = type(out).__name__
-                    if keep_going:
-                        _record_terminal(pj)
-                        continue
-                    raise WorkerError(pj.workload_name, pj.config_name,
-                                      detail, root_cause=pj.last_root)
-                _record_success(pj, out.data, seconds)
         if workers > 1:
             # Shard pool: long-lived supervised shard processes with
             # heartbeat health checks and trace-affine dispatch (see
@@ -944,13 +860,13 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
     report = TimingReport(
         wall_seconds=time.perf_counter() - started,
         jobs_total=total,
-        jobs_simulated=len(miss_jobs) + len(batch_pjs),
+        jobs_simulated=len(miss_jobs),
         jobs_deduplicated=deduplicated,
         cache_hits=cache_hits,
         workers=workers if miss_jobs else 0,
         instructions_simulated=sum(
             by_key[pj.key].data["total_instructions"]
-            for pj in miss_jobs + batch_pjs
+            for pj in miss_jobs
             if by_key.get(pj.key) is not None
         ),
         jobs_failed=sum(1 for r in failures if not r["recovered"]
@@ -966,7 +882,7 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
 def run_suite_parallel(config, workloads, length, warmup,
                        cache=None, max_workers=None, progress=None,
                        job_timeout=None, retries=None, keep_going=False,
-                       sampling=None, batch_warm=None, batch_detail=None):
+                       sampling=None, batch_warm=None):
     """Fan one config across ``workloads``; returns ``({name: SimResult},
     TimingReport)``.  Under ``keep_going``, failed workloads are simply
     absent from the mapping (the report's manifest names them).
@@ -979,8 +895,7 @@ def run_suite_parallel(config, workloads, length, warmup,
     results, report = run_jobs(jobs, cache=cache, max_workers=max_workers,
                                progress=progress, job_timeout=job_timeout,
                                retries=retries, keep_going=keep_going,
-                               batch_warm=batch_warm,
-                               batch_detail=batch_detail)
+                               batch_warm=batch_warm)
     return {name: result for name, result in zip(workloads, results)
             if result is not None}, report
 
@@ -988,7 +903,7 @@ def run_suite_parallel(config, workloads, length, warmup,
 def run_matrix(configs, workloads, length, warmup,
                cache=None, max_workers=None, progress=None,
                job_timeout=None, retries=None, keep_going=False,
-               sampling=None, batch_warm=None, batch_detail=None):
+               sampling=None, batch_warm=None):
     """Fan the full (config x workload) cross-product through one engine.
 
     Submitting every cell at once keeps all workers busy across config
@@ -1011,8 +926,7 @@ def run_matrix(configs, workloads, length, warmup,
     results, report = run_jobs(jobs, cache=cache, max_workers=max_workers,
                                progress=progress, job_timeout=job_timeout,
                                retries=retries, keep_going=keep_going,
-                               batch_warm=batch_warm,
-                               batch_detail=batch_detail)
+                               batch_warm=batch_warm)
     per_config = []
     for i in range(len(configs)):
         chunk = results[i * len(workloads):(i + 1) * len(workloads)]

@@ -67,12 +67,6 @@ class TestHealthyRuns:
                           check_invariants=1)
         assert result.data["instructions"] > 0
 
-    def test_legacy_engine_passes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVENT_LOOP", "0")
-        result = simulate(WORKLOAD, quiet_config(rfp={"enabled": True}),
-                          length=LENGTH, warmup=WARMUP, check_invariants=1)
-        assert result.data["instructions"] > 0
-
     def test_clean_mid_flight_core_has_no_violations(self):
         core = stepped_core(quiet_config(rfp={"enabled": True}))
         assert invariants.violations(core) == []

@@ -29,9 +29,9 @@ class TestSelect:
         d = dyn_of(Op.ADD, 0, dispatch_cycle=0)
         rs.allocate(d)
         issued = []
-        rs.select(config.sched_latency - 1, lambda dyn, cycle: issued.append(dyn) or True)
+        rs._select_event(config.sched_latency - 1, lambda dyn, cycle: issued.append(dyn) or True)
         assert not issued
-        rs.select(config.sched_latency, lambda dyn, cycle: issued.append(dyn) or True)
+        rs._select_event(config.sched_latency, lambda dyn, cycle: issued.append(dyn) or True)
         assert issued == [d]
 
     def test_not_ready_source_blocks(self):
@@ -39,10 +39,10 @@ class TestSelect:
         prf.mark_pending(7)
         d = dyn_of(Op.ADD, 0, srcs=(7,))
         rs.allocate(d)
-        rs.select(100, lambda dyn, cycle: True)
+        rs._select_event(100, lambda dyn, cycle: True)
         assert rs.occupancy == 1
         prf.write(7, 1, 100)
-        rs.select(100, lambda dyn, cycle: True)
+        rs._select_event(100, lambda dyn, cycle: True)
         assert rs.occupancy == 0
 
     def test_source_ready_cycle_respected(self):
@@ -50,16 +50,16 @@ class TestSelect:
         prf.write(7, 1, ready_cycle=50)
         d = dyn_of(Op.ADD, 0, srcs=(7,))
         rs.allocate(d)
-        rs.select(49, lambda dyn, cycle: True)
+        rs._select_event(49, lambda dyn, cycle: True)
         assert rs.occupancy == 1
-        rs.select(50, lambda dyn, cycle: True)
+        rs._select_event(50, lambda dyn, cycle: True)
         assert rs.occupancy == 0
 
     def test_issue_width_cap(self):
         rs, prf, config = make_rs(issue_width=2)
         for k in range(5):
             rs.allocate(dyn_of(Op.ADD, k))
-        issued = rs.select(100, lambda dyn, cycle: True)
+        issued = rs._select_event(100, lambda dyn, cycle: True)
         assert issued == 2
         assert rs.occupancy == 3
 
@@ -70,20 +70,20 @@ class TestSelect:
         rs.allocate(old)
         rs.allocate(young)
         picked = []
-        rs.select(100, lambda dyn, cycle: picked.append(dyn.seq) or True)
+        rs._select_event(100, lambda dyn, cycle: picked.append(dyn.seq) or True)
         assert picked == [1]
 
     def test_fu_class_budget(self):
         rs, prf, config = make_rs(mul_units=1)
         for k in range(3):
             rs.allocate(dyn_of(Op.MUL, k))
-        issued = rs.select(100, lambda dyn, cycle: True)
+        issued = rs._select_event(100, lambda dyn, cycle: True)
         assert issued == 1
 
     def test_callback_false_keeps_entry(self):
         rs, prf, config = make_rs()
         rs.allocate(dyn_of(Op.LOAD, 0))
-        rs.select(100, lambda dyn, cycle: False)
+        rs._select_event(100, lambda dyn, cycle: False)
         assert rs.occupancy == 1
 
     def test_structural_reject_frees_slot_for_others(self):
@@ -93,7 +93,7 @@ class TestSelect:
         rs.allocate(blocked)
         rs.allocate(ok)
         picked = []
-        rs.select(100, lambda dyn, cycle: (dyn is ok) and (picked.append(dyn.seq) or True))
+        rs._select_event(100, lambda dyn, cycle: (dyn is ok) and (picked.append(dyn.seq) or True))
         assert picked == [1]
 
     def test_full_and_discard(self):
@@ -121,7 +121,7 @@ class TestReplayDebt:
         rs.replay_debt = 2
         for k in range(3):
             rs.allocate(dyn_of(Op.ADD, k))
-        issued = rs.select(100, lambda dyn, cycle: True)
+        issued = rs._select_event(100, lambda dyn, cycle: True)
         assert issued == 3          # 2 replays + 1 real
         assert rs.occupancy == 2    # only one real instruction left
         assert rs.replay_debt == 0
@@ -130,7 +130,7 @@ class TestReplayDebt:
         rs, prf, config = make_rs(issue_width=2)
         rs.replay_debt = 5
         rs.allocate(dyn_of(Op.ADD, 0))
-        issued = rs.select(100, lambda dyn, cycle: True)
+        issued = rs._select_event(100, lambda dyn, cycle: True)
         assert issued == 2
         assert rs.replay_debt == 3
         assert rs.occupancy == 1
