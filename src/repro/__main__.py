@@ -225,10 +225,12 @@ def cmd_suite(args):
 
 def cmd_cache_stats(_args):
     stats = default_cache().stats()
+    # Like ``checkpoint stats``: entries/size are post-eviction totals.
     rows = [
         ("directory", stats["directory"]),
         ("entries", str(stats["entries"])),
         ("size", "%.1f KB" % (stats["bytes"] / 1024.0)),
+        ("corrupt evicted", str(stats["corrupt_evicted"])),
     ]
     print(format_table(["metric", "value"], rows, title="result cache"))
     return 0

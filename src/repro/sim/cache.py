@@ -21,14 +21,18 @@ automatically the next time any process opens the store, removing orphaned
 temp files and evicting torn finals.  ``REPRO_JOURNAL=0`` falls back to
 the bare tmp+replace discipline.
 
-Integrity: every entry is stored as ``{"checksum": ..., "data": ...}``
-where the checksum hashes the canonical JSON of the payload.  A truncated
-file, malformed JSON, a legacy (pre-envelope) entry, or a payload that no
-longer matches its checksum is classified, **evicted** (the file is
-removed with a warning naming the key), and the job re-simulated — a
-flipped bit on disk costs one redundant simulation, never a wrong figure.
-Evictions are recorded on :attr:`ResultCache.eviction_log` so the parallel
-engine can fold them into its failure manifest.
+Integrity: every entry is the envelope text
+``{"checksum": "<hex>", "data": <payload>}`` written and read through the
+codec in :mod:`repro.sim.journal`; the checksum hashes the payload bytes
+exactly as they sit on disk.  A truncated file, malformed JSON, a legacy
+(pre-envelope) entry, or a payload whose bytes no longer match its
+checksum (any byte edit, whitespace included) is classified, **evicted**
+(the file is removed with a warning naming the key), and the job
+re-simulated — a flipped bit on disk costs one redundant simulation, never
+a wrong figure.  Every :meth:`ResultCache.get` and :meth:`ResultCache.stats`
+validates the file on disk.  Evictions are recorded on
+:attr:`ResultCache.eviction_log` so the parallel engine can fold them into
+its failure manifest.
 """
 
 import dataclasses
@@ -39,7 +43,12 @@ import warnings
 
 from repro.sim import faults
 from repro.sim.defaults import DEFAULT_LENGTH, DEFAULT_WARMUP
-from repro.sim.journal import JournaledDir, journaling_env_disabled
+from repro.sim.journal import (
+    JournaledDir,
+    encode_envelope,
+    journaling_env_disabled,
+    read_envelope,
+)
 from repro.sim.runner import (
     SCHEMA_VERSION,
     SimResult,
@@ -48,9 +57,10 @@ from repro.sim.runner import (
 )
 
 #: On-disk envelope version.  Mixed into every fingerprint so entries
-#: written in the pre-checksum format become cache misses (and are then
+#: written in an older format (pre-checksum, or checksummed over canonical
+#: JSON rather than the payload bytes) become cache misses (and are then
 #: simply unreferenced files) instead of eviction warnings on every read.
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 
 def config_fingerprint(config):
@@ -98,7 +108,7 @@ class ResultCache(object):
         if journaling_env_disabled():
             return None
         if self._journaled is None:
-            self._journaled = JournaledDir(self.directory, self.checksum)
+            self._journaled = JournaledDir(self.directory)
         return self._journaled
 
     def _recover(self):
@@ -111,12 +121,6 @@ class ResultCache(object):
     def key(self, workload, config, length, warmup):
         return "%s-%d-%d-%s" % (workload, length, warmup, config_fingerprint(config))
 
-    @staticmethod
-    def checksum(data):
-        """Content hash of a result payload (canonical-JSON sha256)."""
-        text = json.dumps(data, sort_keys=True, default=str)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
     def get(self, key):
         path = self._path(key)
         self._recover()
@@ -126,27 +130,13 @@ class ResultCache(object):
         if not os.path.exists(path):
             self.misses += 1
             return None
-        reason = None
-        try:
-            with open(path) as handle:
-                envelope = json.load(handle)
-        except (OSError, ValueError):
-            reason = "unreadable (truncated or malformed JSON)"
-        else:
-            if (
-                not isinstance(envelope, dict)
-                or "checksum" not in envelope
-                or not isinstance(envelope.get("data"), dict)
-            ):
-                reason = "not a checksummed cache envelope"
-            elif self.checksum(envelope["data"]) != envelope["checksum"]:
-                reason = "checksum mismatch (payload altered on disk)"
+        reason, data = read_envelope(path, "cache")
         if reason is not None:
             self._evict(key, path, reason)
             self.misses += 1
             return None
         self.hits += 1
-        return SimResult(envelope["data"])
+        return SimResult(data)
 
     def _evict(self, key, path, reason):
         """Remove a corrupt entry, warn, and log the incident."""
@@ -170,21 +160,20 @@ class ResultCache(object):
     def put(self, key, result):
         os.makedirs(self.directory, exist_ok=True)
         path = self._path(key)
-        data = result.as_dict()
-        envelope = {"checksum": self.checksum(data), "data": data}
+        checksum, text = encode_envelope(result.as_dict())
         journaled = self._journal()
         if journaled is not None:
             self._recover()
             # Locked, journaled commit: intent record, fsync'd payload via
             # atomic os.replace, commit record (see repro.sim.journal).
-            journaled.commit(key, path, envelope)
+            journaled.commit(key, path, checksum, text)
             return
         # REPRO_JOURNAL=0 fallback: per-process temp name so concurrent
         # fillers never clobber each other's in-progress write; os.replace
         # is atomic on POSIX.
         tmp = "%s.%d.tmp" % (path, os.getpid())
         with open(tmp, "w") as handle:
-            json.dump(envelope, handle)
+            handle.write(text)
         os.replace(tmp, path)
 
     # -- maintenance (the CLI's cache-clear / cache-stats) ---------------
@@ -200,19 +189,34 @@ class ResultCache(object):
         )
 
     def stats(self):
-        """On-disk entry count/bytes plus this process's hit/miss counters."""
+        """On-disk entry count/bytes plus this process's hit/miss counters.
+
+        Every entry is validated first and corrupt ones are evicted, so
+        ``entries``/``bytes`` are *post-eviction* totals and an entry
+        evicted during this call is counted in ``corrupt_evicted`` only.
+        An interrupted journaled commit is replayed before that.
+        """
         self._recover()
-        paths = self.entry_paths()
         total_bytes = 0
-        for path in paths:
+        surviving = 0
+        corrupt = 0
+        for path in self.entry_paths():
+            reason, _ = read_envelope(path, "cache")
+            if reason is not None:
+                key = os.path.basename(path)[: -len(".json")]
+                self._evict(key, path, reason)
+                corrupt += 1
+                continue
+            surviving += 1
             try:
                 total_bytes += os.path.getsize(path)
             except OSError:
                 pass
         return {
             "directory": self.directory,
-            "entries": len(paths),
+            "entries": surviving,
             "bytes": total_bytes,
+            "corrupt_evicted": corrupt,
             "hits": self.hits,
             "misses": self.misses,
         }

@@ -46,7 +46,6 @@ import sys
 import time
 
 from repro.core.config import baseline, baseline_2x
-from repro.sim.cache import ResultCache
 from repro.sim.journal import Journal, validate_envelope
 from repro.workloads.suite import workload_names
 
@@ -335,8 +334,7 @@ class _Campaign(object):
         for name in sorted(os.listdir(self.chaos_cache)):
             if not name.endswith(".json"):
                 continue
-            reason = validate_envelope(
-                os.path.join(self.chaos_cache, name), ResultCache.checksum)
+            reason = validate_envelope(os.path.join(self.chaos_cache, name))
             if reason is not None:
                 invalid.append((name, reason))
         if invalid:

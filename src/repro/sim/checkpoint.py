@@ -20,10 +20,13 @@ everywhere else:
   determinism tests).
 - :class:`CheckpointStore` is the content-addressed on-disk store, keyed by
   ``(workload, trace length, functional position, warm-relevant config
-  fingerprint)`` and wrapped in the same checksummed envelopes as the
-  result cache: a corrupt checkpoint is classified, evicted with a warning,
-  logged for the failure manifest, and the workload re-warmed — never
-  silently restored.
+  fingerprint)`` and written and read through the same envelope codec as
+  the result cache (:mod:`repro.sim.journal`): the file is
+  ``{"checksum": "<hex>", "data": <payload>}`` and the checksum hashes the
+  payload bytes exactly as they sit on disk, so any byte edit is caught.
+  Every :meth:`~CheckpointStore.get` validates the file on disk; a corrupt
+  checkpoint is classified, evicted with a warning, logged for the failure
+  manifest, and the workload re-warmed — never silently restored.
 
 ``REPRO_CHECKPOINT_DIR`` overrides the store location (default
 ``<repo>/benchmarks/.checkpoints``); ``REPRO_CHECKPOINTS=0`` disables the
@@ -38,12 +41,18 @@ import warnings
 
 from repro.emu.warmup import FunctionalWarmer
 from repro.sim import faults
-from repro.sim.journal import JournaledDir, journaling_env_disabled
+from repro.sim.journal import (
+    JournaledDir,
+    encode_envelope,
+    journaling_env_disabled,
+    read_envelope,
+)
 from repro.sim.runner import SCHEMA_VERSION
 
 #: On-disk checkpoint format version.  Mixed into every fingerprint so a
-#: layout change turns old entries into misses, not wrong warm state.
-CHECKPOINT_FORMAT = 1
+#: layout or checksum change turns old entries into misses, not wrong warm
+#: state or eviction warnings.  2: the checksum hashes the payload bytes.
+CHECKPOINT_FORMAT = 2
 
 #: CoreConfig fields the functional warmer's behaviour depends on.  Timing
 #: parameters (latencies, widths, queue depths) are deliberately absent:
@@ -360,7 +369,7 @@ class CheckpointStore(object):
         if journaling_env_disabled():
             return None
         if self._journaled is None:
-            self._journaled = JournaledDir(self.directory, self.checksum)
+            self._journaled = JournaledDir(self.directory)
         return self._journaled
 
     def _recover(self):
@@ -375,37 +384,10 @@ class CheckpointStore(object):
             workload, length, functional, warm_fingerprint(config)
         )
 
-    @staticmethod
-    def checksum(data):
-        """Content hash of a checkpoint payload (canonical-JSON sha256)."""
-        text = json.dumps(data, sort_keys=True, default=str)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
     def contains(self, key):
         """Presence probe without reading/validating the entry."""
         self._recover()
         return os.path.exists(self._path(key))
-
-    def _read_envelope(self, path):
-        """Read and classify the entry at ``path``.
-
-        Returns ``(reason, envelope)`` — ``reason`` is None for a valid
-        checksummed envelope, else a human-readable corruption class.
-        """
-        try:
-            with open(path) as handle:
-                envelope = json.load(handle)
-        except (OSError, ValueError):
-            return "unreadable (truncated or malformed JSON)", None
-        if (
-            not isinstance(envelope, dict)
-            or "checksum" not in envelope
-            or not isinstance(envelope.get("data"), dict)
-        ):
-            return "not a checksummed checkpoint envelope", None
-        if self.checksum(envelope["data"]) != envelope["checksum"]:
-            return "checksum mismatch (payload altered on disk)", None
-        return None, envelope
 
     def get(self, key):
         """Return the checkpoint state dict for ``key``, or None."""
@@ -416,7 +398,7 @@ class CheckpointStore(object):
         if not os.path.exists(path):
             self.misses += 1
             return None
-        reason, envelope = self._read_envelope(path)
+        reason, state = read_envelope(path, "checkpoint")
         if reason is not None:
             self._evict(key, path, reason)
             self.misses += 1
@@ -427,7 +409,7 @@ class CheckpointStore(object):
             os.utime(path, None)
         except OSError:
             pass
-        return envelope["data"]
+        return state
 
     def _evict(self, key, path, reason):
         try:
@@ -450,16 +432,16 @@ class CheckpointStore(object):
     def put(self, key, state):
         os.makedirs(self.directory, exist_ok=True)
         path = self._path(key)
-        envelope = {"checksum": self.checksum(state), "data": state}
+        checksum, text = encode_envelope(state)
         journaled = self._journal()
         if journaled is not None:
             self._recover()
             # Locked, journaled commit (see repro.sim.journal).
-            journaled.commit(key, path, envelope)
+            journaled.commit(key, path, checksum, text)
             return
         tmp = "%s.%d.tmp" % (path, os.getpid())
         with open(tmp, "w") as handle:
-            json.dump(envelope, handle)
+            handle.write(text)
         os.replace(tmp, path)
 
     # -- maintenance (the CLI's ``repro checkpoint`` subcommand) ---------
@@ -489,7 +471,7 @@ class CheckpointStore(object):
         surviving = 0
         corrupt = 0
         for path in self.entry_paths():
-            reason, _ = self._read_envelope(path)
+            reason, _ = read_envelope(path, "checkpoint")
             if reason is not None:
                 key = os.path.basename(path)[: -len(".ckpt.json")]
                 self._evict(key, path, reason)

@@ -1,13 +1,23 @@
-"""Crash-safe commits for the on-disk stores: write-ahead journal + lock.
+"""Crash-safe commits for the on-disk stores: envelope codec, journal, lock.
 
 The result cache and the checkpoint store both follow the same commit
 discipline — write a checksummed ``{"checksum", "data"}`` envelope to a
 per-process temp file, then ``os.replace`` it into place.  That is atomic
 against *readers*, but a ``kill -9`` mid-commit can still strand temp
 files, and two unrelated ``repro suite`` processes filling one directory
-interleave commits with no coordination at all.  This module closes both
-gaps:
+interleave commits with no coordination at all.  This module owns the
+envelope format and closes both gaps:
 
+- :func:`encode_envelope` / :func:`read_envelope` — the one codec both
+  stores write and read through.  A file is exactly the text
+  ``{"checksum": "<hex>", "data": <payload>}`` where ``<payload>`` is one
+  ``json.dumps`` of the data and ``<hex>`` is the first 16 hex digits of
+  the sha256 of those payload bytes.  A read hashes the ``data`` bytes as
+  they sit on disk, so any byte edit — whitespace included — is a
+  checksum mismatch; nothing is re-serialised to check it.  The read
+  pauses cyclic GC around ``json.loads`` (the decoded JSON is acyclic and
+  a checkpoint decodes into tens of thousands of small lists) and puts
+  the caller's GC state back afterwards.
 - :class:`FileLock` — an inter-process mutex built from an ``O_EXCL``
   lockfile containing the holder's PID.  A lockfile whose PID is no longer
   alive (the holder was SIGKILLed mid-commit) is taken over; a live holder
@@ -41,6 +51,8 @@ commit waits for the directory lock (seconds, default 30).
 """
 
 import errno
+import gc
+import hashlib
 import json
 import os
 import time
@@ -201,27 +213,77 @@ def _fsync_file(handle):
     os.fsync(handle.fileno())
 
 
-def validate_envelope(path, checksum):
-    """Classify the file at ``path`` as a checksummed envelope.
+UNREADABLE = "unreadable (truncated or malformed JSON)"
+CHECKSUM_MISMATCH = "checksum mismatch (payload altered on disk)"
 
-    Returns None when the file is a fully-written, self-consistent
-    ``{"checksum", "data"}`` envelope, else a human-readable reason —
-    the same classifications the stores use on read.
+
+def _head(checksum):
+    """Envelope text up to the payload; the file ends with ``}`` after it."""
+    return '{"checksum": "%s", "data": ' % checksum
+
+
+_HEAD_LEN = len(_head("0" * 16))
+
+
+def _digest(payload):
+    """Envelope checksum of the payload bytes."""
+    return hashlib.sha256(payload).hexdigest()[:16]
+
+
+def encode_envelope(data):
+    """``(checksum, text)`` of the envelope file holding ``data``.
+
+    ``text`` is written verbatim; ``checksum`` hashes its payload bytes
+    and is also quoted in the journal's intent record.
+    """
+    payload = json.dumps(data)
+    checksum = _digest(payload.encode("utf-8"))
+    return checksum, _head(checksum) + payload + "}"
+
+
+def read_envelope(path, kind=None):
+    """Read and classify the envelope file at ``path``.
+
+    Returns ``(reason, data)``: ``(None, payload dict)`` for a valid
+    envelope, else ``(reason, None)`` with one of the store's corruption
+    classes — unreadable, not an envelope (worded ``"not a checksummed
+    <kind> envelope"``), or checksum mismatch.
     """
     try:
-        with open(path) as handle:
-            envelope = json.load(handle)
-    except (OSError, ValueError):
-        return "unreadable (truncated or malformed JSON)"
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    except OSError:
+        return UNREADABLE, None
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        envelope = json.loads(raw)
+    except ValueError:
+        return UNREADABLE, None
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     if (
         not isinstance(envelope, dict)
         or "checksum" not in envelope
         or not isinstance(envelope.get("data"), dict)
     ):
-        return "not a checksummed envelope"
-    if checksum(envelope["data"]) != envelope["checksum"]:
-        return "checksum mismatch (payload altered on disk)"
-    return None
+        return "not a checksummed %senvelope" % (
+            kind + " " if kind else ""), None
+    checksum = _digest(memoryview(raw)[_HEAD_LEN:-1])
+    if (
+        envelope["checksum"] != checksum
+        or not raw.startswith(_head(checksum).encode("ascii"))
+        or not raw.endswith(b"}")
+    ):
+        return CHECKSUM_MISMATCH, None
+    return None, envelope["data"]
+
+
+def validate_envelope(path):
+    """None when the file at ``path`` is a fully-written, self-consistent
+    envelope, else the :func:`read_envelope` corruption reason."""
+    return read_envelope(path)[0]
 
 
 class Journal(object):
@@ -293,7 +355,7 @@ class Journal(object):
                 records.append(record)
         return records, torn_tail
 
-    def replay(self, checksum):
+    def replay(self):
         """Roll the directory forward to a clean state.
 
         For every intent with no commit record: the orphaned temp file is
@@ -331,7 +393,7 @@ class Journal(object):
             final = os.path.join(self.directory, final_name)
             if not os.path.exists(final):
                 continue
-            reason = validate_envelope(final, checksum)
+            reason = validate_envelope(final)
             if reason is None:
                 summary["kept"] += 1
                 continue
@@ -351,17 +413,12 @@ class Journal(object):
 
 
 class JournaledDir(object):
-    """Lock + journal for one store directory; owns the commit sequence.
-
-    ``checksum`` is the store's canonical payload hash (both stores use
-    canonical-JSON sha256), reused to validate final files during replay.
-    """
+    """Lock + journal for one store directory; owns the commit sequence."""
 
     LOCK_FILENAME = ".lock"
 
-    def __init__(self, directory, checksum):
+    def __init__(self, directory):
         self.directory = directory
-        self.checksum = checksum
         self.journal = Journal(directory)
         self.lock = FileLock(os.path.join(directory, self.LOCK_FILENAME))
         #: Most recent non-trivial :meth:`recover` summary (diagnostics).
@@ -374,37 +431,36 @@ class JournaledDir(object):
         if not self.journal.needs_replay():
             return []
         with self.lock:
-            summary = self.journal.replay(self.checksum)
+            summary = self.journal.replay()
         if summary is None:
             return []
         self.last_replay = summary
         return summary["evicted"]
 
-    def commit(self, key, path, envelope):
+    def commit(self, key, path, checksum, text):
         """The full journaled commit sequence for one envelope.
 
         lock -> intent (fsync) -> temp payload (fsync) -> ``os.replace``
-        -> commit record -> journal truncate.  The ``kill_commit`` /
+        -> commit record -> journal truncate.  ``checksum`` and ``text``
+        are :func:`encode_envelope`'s output; the text goes to the temp
+        file in one ``write``.  The ``kill_commit`` /
         ``torn_write`` fault hooks between the stages are no-ops (one env
         lookup) unless ``REPRO_FAULT`` requests them.
         """
         tmp = "%s.%d.tmp" % (path, os.getpid())
         with self.lock:
             seq = self.journal.begin(key, os.path.basename(path),
-                                     os.path.basename(tmp),
-                                     envelope["checksum"])
+                                     os.path.basename(tmp), checksum)
             faults.fire_commit_faults(key, "intent")
             with open(tmp, "w") as handle:
-                json.dump(envelope, handle)
+                handle.write(text)
                 _fsync_file(handle)
             faults.fire_commit_faults(key, "payload")
             if faults.torn_write_requested(key):
                 # Simulate a crash that left a half-written final file and
                 # no commit record: replay must evict it.
-                with open(tmp, "rb") as handle:
-                    blob = handle.read()
-                with open(path, "wb") as handle:
-                    handle.write(blob[: max(1, len(blob) // 2)])
+                with open(path, "w") as handle:
+                    handle.write(text[: max(1, len(text) // 2)])
                 try:
                     os.remove(tmp)
                 except OSError:

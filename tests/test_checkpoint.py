@@ -36,7 +36,7 @@ from repro.sim.checkpoint import (
     warm_or_restore,
 )
 from repro.sim.parallel import run_matrix
-from repro.sim.runner import simulate_sampled
+from repro.sim.runner import SimResult, simulate_sampled
 from repro.workloads.suite import build_workload
 from test_two_speed import hierarchy_state, pt_state
 
@@ -205,6 +205,28 @@ class TestCheckpointStore:
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert store.clear() == 1
         assert store.entry_paths() == []
+
+    def test_put_get_roundtrip_restores_like_a_fresh_warm(self, tmp_path):
+        """The envelope round trip changes no data: ``get`` returns the
+        captured dict (same values, same key order) and a core restored
+        from it measures the same SimResult as the freshly warmed one."""
+        store = CheckpointStore(str(tmp_path))
+        config = quiet_config(rfp={"enabled": True})
+        trace = build_workload(WORKLOAD, length=LENGTH)
+        warmed = OOOCore(trace, config)
+        state = capture(warmed, FunctionalWarmer(warmed).warm(WARM))
+        key = store.key(WORKLOAD, config, LENGTH, WARM)
+        store.put(key, state)
+        loaded = store.get(key)
+        assert loaded == state
+        assert json.dumps(loaded) == json.dumps(state)
+        restored = restore(OOOCore(trace, config), loaded)
+        results = []
+        for core in (warmed, restored):
+            core.warmup_instructions = 0
+            core.run()
+            results.append(SimResult.from_core(core, WORKLOAD, "test").data)
+        assert results[0] == results[1]
 
     def test_truncation_is_classified_and_evicted(self, tmp_path):
         store = CheckpointStore(str(tmp_path))

@@ -8,6 +8,7 @@ inter-process file lock serializes writers and survives holder death via
 stale-PID takeover.
 """
 
+import gc
 import json
 import os
 import signal
@@ -24,6 +25,8 @@ from repro.sim.journal import (
     Journal,
     JournaledDir,
     LockTimeout,
+    encode_envelope,
+    read_envelope,
     validate_envelope,
 )
 
@@ -40,14 +43,10 @@ def scrub_fault_env(monkeypatch):
     faults._torn_fired.clear()
 
 
-def envelope_for(data):
-    return {"checksum": ResultCache.checksum(data), "data": data}
-
-
 def write_entry(directory, key, data):
     path = os.path.join(directory, key + ".json")
     with open(path, "w") as handle:
-        json.dump(envelope_for(data), handle)
+        handle.write(encode_envelope(data)[1])
     return path
 
 
@@ -111,7 +110,7 @@ class TestJournalReplay:
             handle.write('{"half')
         with open(os.path.join(directory, "k1.json"), "w") as handle:
             handle.write('{"checksum": "abcd", "data": {"tor')
-        summary = journal.replay(ResultCache.checksum)
+        summary = journal.replay()
         assert summary["pending"] == 1
         assert summary["removed_tmp"] == 1
         assert [e["key"] for e in summary["evicted"]] == ["k1"]
@@ -126,7 +125,7 @@ class TestJournalReplay:
         path = write_entry(directory, "k1", {"v": 1})
         journal = Journal(directory)
         journal.begin("k1", "k1.json", "k1.json.tmp", "different-checksum")
-        summary = journal.replay(ResultCache.checksum)
+        summary = journal.replay()
         assert summary["kept"] == 1
         assert summary["evicted"] == []
         with open(path) as handle:
@@ -139,46 +138,92 @@ class TestJournalReplay:
         journal.commit(seq)
         with open(journal.path, "a") as handle:
             handle.write('{"op": "intent", "seq": "torn')  # crash mid-append
-        summary = journal.replay(ResultCache.checksum)
+        summary = journal.replay()
         assert summary["torn_tail"] is True
         assert not journal.needs_replay()
 
     def test_journaled_dir_recover_cheap_at_rest(self, tmp_path):
         directory = str(tmp_path)
-        journaled = JournaledDir(directory, ResultCache.checksum)
+        journaled = JournaledDir(directory)
         journaled.commit("k1", os.path.join(directory, "k1.json"),
-                         envelope_for({"v": 1}))
+                         *encode_envelope({"v": 1}))
         assert journaled.recover() == []
         # At rest: journal empty, no lock left behind, entry valid.
         assert os.path.getsize(os.path.join(directory,
                                             Journal.FILENAME)) == 0
         assert not os.path.exists(os.path.join(directory,
                                                JournaledDir.LOCK_FILENAME))
-        assert validate_envelope(os.path.join(directory, "k1.json"),
-                                 ResultCache.checksum) is None
+        assert validate_envelope(os.path.join(directory, "k1.json")) is None
 
 
 class TestValidateEnvelope:
     def test_classifications(self, tmp_path):
         directory = str(tmp_path)
         good = write_entry(directory, "good", {"v": 1})
-        assert validate_envelope(good, ResultCache.checksum) is None
+        assert validate_envelope(good) is None
         torn = os.path.join(directory, "torn.json")
         with open(torn, "w") as handle:
             handle.write('{"checksum": "x", "data": {"tor')
-        assert "unreadable" in validate_envelope(torn, ResultCache.checksum)
+        assert "unreadable" in validate_envelope(torn)
         legacy = os.path.join(directory, "legacy.json")
         with open(legacy, "w") as handle:
             json.dump({"v": 1}, handle)
-        assert "envelope" in validate_envelope(legacy, ResultCache.checksum)
+        assert "envelope" in validate_envelope(legacy)
         altered = write_entry(directory, "altered", {"v": 1})
         with open(altered) as handle:
             env = json.load(handle)
         env["data"]["v"] = 2
         with open(altered, "w") as handle:
             json.dump(env, handle)
-        assert "checksum mismatch" in validate_envelope(
-            altered, ResultCache.checksum)
+        assert "checksum mismatch" in validate_envelope(altered)
+
+    def test_committed_bytes_are_the_encoded_text(self, tmp_path):
+        directory = str(tmp_path)
+        data = {"workload": "w", "ipc": 1.25, "nested": {"b": [1, 2], "a": None}}
+        path = os.path.join(directory, "k1.json")
+        JournaledDir(directory).commit("k1", path, *encode_envelope(data))
+        checksum, text = encode_envelope(data)
+        with open(path, "rb") as handle:
+            assert handle.read() == text.encode("utf-8")
+        with open(path) as handle:
+            assert json.load(handle) == {"checksum": checksum, "data": data}
+        assert read_envelope(path) == (None, data)
+
+    def test_whitespace_only_edit_is_a_checksum_mismatch(self, tmp_path):
+        # Still valid JSON with an equal payload: only the bytes differ.
+        path = write_entry(str(tmp_path), "k1", {"a": 1, "b": [1, 2]})
+        with open(path) as handle:
+            text = handle.read()
+        assert '"b": [1, 2]' in text
+        with open(path, "w") as handle:
+            handle.write(text.replace('"b": [1, 2]', '"b": [1,  2]'))
+        with open(path) as handle:
+            assert json.load(handle)["data"] == {"a": 1, "b": [1, 2]}
+        assert validate_envelope(path) == \
+            "checksum mismatch (payload altered on disk)"
+
+    def test_read_restores_the_callers_gc_state(self, tmp_path):
+        good = write_entry(str(tmp_path), "good", {"v": [[1], [2]]})
+        torn = os.path.join(str(tmp_path), "torn.json")
+        with open(torn, "w") as handle:
+            handle.write('{"checksum": "x", "data": {"tor')
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable()
+            assert read_envelope(good) == (None, {"v": [[1], [2]]})
+            assert gc.isenabled()
+            assert "unreadable" in read_envelope(torn)[0]  # ValueError path
+            assert gc.isenabled()
+            gc.disable()
+            assert read_envelope(good)[0] is None
+            assert not gc.isenabled()
+            assert "unreadable" in read_envelope(torn)[0]
+            assert not gc.isenabled()
+        finally:
+            if was_enabled:
+                gc.enable()
+            else:
+                gc.disable()
 
 
 class FakeResult(object):

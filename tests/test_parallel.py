@@ -8,6 +8,7 @@ keys.
 
 import json
 import os
+import re
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.core.config import baseline
 from repro.sim import cache as cache_mod
 from repro.sim.cache import ResultCache, config_fingerprint, simulate_cached
 from repro.sim.experiments import run_suite
+from repro.sim.journal import encode_envelope
 from repro.sim.parallel import (
     TimingReport,
     WorkerError,
@@ -135,7 +137,9 @@ class TestCorruptedCache:
         with open(path) as handle:
             envelope = json.load(handle)  # safely rewritten, checksummed
         assert envelope["data"] == good.data
-        assert envelope["checksum"] == cache.checksum(good.data)
+        assert envelope["checksum"] == encode_envelope(good.data)[0]
+        with open(path) as handle:
+            assert handle.read() == encode_envelope(good.data)[1]
 
     def test_checksum_mismatch_is_evicted(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -261,6 +265,29 @@ class TestCacheMaintenance:
         assert "removed 1" in capsys.readouterr().out
         assert main(["cache-stats"]) == 0
         assert cache_mod.default_cache().stats()["entries"] == 0
+
+    def test_stats_validates_and_evicts_corrupt_entries(self, tmp_path,
+                                                        monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cache_mod, "_default_cache", None)
+        from repro.__main__ import main
+        cache = cache_mod.default_cache()
+        good = simulate_cached(WORKLOADS[0], quiet_config(), length=LENGTH,
+                               warmup=WARMUP)
+        bad_key = cache.key(WORKLOADS[1], quiet_config(), LENGTH, WARMUP)
+        cache.put(bad_key, good)
+        with open(cache._path(bad_key), "a") as handle:
+            handle.write(" ")  # one byte appended: still valid JSON
+        with pytest.warns(RuntimeWarning, match="checksum mismatch"):
+            assert main(["cache-stats"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"corrupt evicted *\| *1 *$", out, re.M), out
+        assert re.search(r"entries *\| *1 *$", out, re.M), out
+        assert not os.path.exists(cache._path(bad_key))
+        [incident] = cache.pop_evictions()
+        assert incident["key"] == bad_key
+        stats = cache.stats()
+        assert (stats["entries"], stats["corrupt_evicted"]) == (1, 0)
 
 
 class TestWorkerErrors:
