@@ -12,22 +12,17 @@ Suite runs fan uncached (workload, config) pairs out over the
 scales with the core count.  Environment knobs: ``REPRO_WORKLOADS`` (int or
 "all"), ``REPRO_LENGTH``, ``REPRO_WARMUP``, ``REPRO_JOBS`` (workers; 1 =
 serial), ``REPRO_PROGRESS`` (stream per-job lines to stderr) — see
-:mod:`repro.sim.experiments`.
+:mod:`repro.sim.settings`.
 """
 
 import os
 
 from repro.core.config import baseline
-from repro.sim.experiments import (
-    default_length,
-    default_warmup,
-    default_workloads,
-    mean_fraction,
-    run_suite,
-    suite_speedup,
-)
+from repro.sim import settings
+from repro.sim.experiments import mean_fraction, run_suite, suite_speedup
 from repro.sim.parallel import run_matrix
 from repro.stats.report import format_table, geomean
+from repro.workloads.suite import workload_names
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
 
@@ -53,7 +48,10 @@ def suite_matrix(*configs):
     SimResult}`` dict per config, in argument order.
     """
     results, _ = run_matrix(
-        list(configs), default_workloads(), default_length(), default_warmup()
+        list(configs),
+        workload_names()[: settings.get("REPRO_WORKLOADS")],
+        settings.get("REPRO_LENGTH"),
+        settings.get("REPRO_WARMUP"),
     )
     return results
 

@@ -41,14 +41,10 @@ import time
 
 from repro.core.config import baseline
 from repro.sim.defaults import DEFAULT_LENGTH, DEFAULT_WARMUP
-from repro.sim.experiments import (
-    default_length,
-    default_warmup,
-    default_workloads,
-)
-from repro.sim.parallel import default_jobs, run_jobs, start_method
-from repro.sim.runner import fast_forward_env_disabled, fast_forward_split, simulate
-from repro.workloads.suite import build_workload
+from repro.sim import settings
+from repro.sim.parallel import run_jobs
+from repro.sim.runner import fast_forward_split, simulate
+from repro.workloads.suite import build_workload, workload_names
 
 BENCH_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -357,11 +353,11 @@ def test_perf_smoke(benchmark, monkeypatch):
     monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
     monkeypatch.delenv("REPRO_JOB_TIMEOUT", raising=False)
     monkeypatch.delenv("REPRO_JOB_RETRIES", raising=False)
-    assert not fast_forward_env_disabled()
+    assert settings.get("REPRO_FF")
 
-    workloads = default_workloads()[:4]
-    length = default_length()
-    warmup = default_warmup()
+    workloads = workload_names()[: settings.get("REPRO_WORKLOADS")][:4]
+    length = settings.get("REPRO_LENGTH")
+    warmup = settings.get("REPRO_WARMUP")
 
     # The two-speed validation runs first: the serial/parallel sections
     # leave hundreds of thousands of live trace objects behind, and on
@@ -387,8 +383,8 @@ def test_perf_smoke(benchmark, monkeypatch):
                 serial_ips / REFERENCE_INSTR_PER_SECOND - 1, 4),
         },
         "parallel": dict(engine_report.as_dict(),
-                         start_method=start_method(),
-                         default_jobs=default_jobs()),
+                         start_method=settings.get("REPRO_MP_START"),
+                         default_jobs=settings.get("REPRO_JOBS")),
         "two_speed": two_speed,
         "sampling": sampling,
         "batch_warm": batch_warm,

@@ -22,8 +22,9 @@ from repro.core.config import RFPConfig, baseline, baseline_2x
 from repro.obs.export import dump_jsonl, pipeline_view, sort_events, write_jsonl
 from repro.obs.tracer import TraceSpec, parse_cycle_range
 from repro.rfp.storage import storage_report
+from repro.sim import settings
 from repro.sim.cache import default_cache
-from repro.sim.checkpoint import CheckpointStore, checkpoints_env_disabled
+from repro.sim.checkpoint import CheckpointStore
 from repro.sim.defaults import DEFAULT_LENGTH, DEFAULT_WARMUP
 from repro.sim.experiments import suite_speedup
 from repro.sim.parallel import (
@@ -263,8 +264,8 @@ def cmd_checkpoint(args):
             ("entries", str(stats["entries"])),
             ("size", "%.1f KB" % (stats["bytes"] / 1024.0)),
             ("corrupt evicted", str(stats["corrupt_evicted"])),
-            ("enabled", "no (REPRO_CHECKPOINTS)"
-             if checkpoints_env_disabled() else "yes"),
+            ("enabled", "yes" if settings.get("REPRO_CHECKPOINTS")
+             else "no (REPRO_CHECKPOINTS)"),
         ]
         print(format_table(["metric", "value"], rows,
                            title="warm-state checkpoint store"))

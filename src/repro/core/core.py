@@ -26,7 +26,7 @@ from repro.core import dyninstr as D
 from repro.core.dyninstr import DynInstr
 from repro.core.frontend import Frontend
 from repro.core.hit_miss import HitMissPredictor
-from repro.core.invariants import check_core, format_report, interval_from_env
+from repro.core.invariants import check_core, format_report
 from repro.core.lsq import LoadQueue, MemDepPredictor, StoreQueue
 from repro.core.rename import INFINITY, PhysicalRegisterFile, RenameUnit
 from repro.core.rob import ReorderBuffer
@@ -51,10 +51,12 @@ class OOOCore(object):
         #: Invariant-net sweep interval in cycles (0 = off).  ``None``
         #: defers to ``REPRO_CHECK_INVARIANTS`` so CLI flags and parallel
         #: workers pick the knob up from the environment.
-        self.invariant_interval = (
-            check_invariants if check_invariants is not None
-            else interval_from_env()
-        )
+        if check_invariants is None:
+            # Imported here: the repro.sim package imports this module.
+            from repro.sim import settings
+
+            check_invariants = settings.get("REPRO_CHECK_INVARIANTS")
+        self.invariant_interval = check_invariants
         #: Observability hook (:class:`~repro.obs.tracer.Tracer`) or None.
         #: Every use is guarded by ``if tracer is not None`` so the disabled
         #: path costs one pointer test per hook site.

@@ -33,27 +33,9 @@ diagnostic so a hang killed by the parallel engine's watchdog is
 actionable from the failure manifest alone.
 """
 
-import os
-
 
 class InvariantViolation(RuntimeError):
     """The invariant net found corrupted microarchitectural state."""
-
-
-def interval_from_env(environ=None):
-    """Check interval requested by ``REPRO_CHECK_INVARIANTS`` (0 = off)."""
-    environ = environ if environ is not None else os.environ
-    value = environ.get("REPRO_CHECK_INVARIANTS", "")
-    if value in ("", "0", "off", "false"):
-        return 0
-    try:
-        interval = int(value)
-    except ValueError:
-        raise ValueError(
-            "REPRO_CHECK_INVARIANTS must be an integer cycle interval, "
-            "got %r" % value
-        )
-    return max(0, interval)
 
 
 def _check_rob(core, out):

@@ -42,13 +42,13 @@ equivalence harness in ``tests/test_batch_warm.py`` and the CI
 caps how many lanes advance in one lockstep cohort (default 8).
 """
 
-import os
 from array import array
 
 from repro.core.frontend import PATH_MASK
 from repro.emu.warmup import note_warm_pass
 from repro.isa.opcodes import EVALUATORS, Op
 from repro.memory.tlb import PAGE_SHIFT
+from repro.sim import settings
 
 try:  # numpy accelerates column building; the fallback is pure Python.
     import numpy as _np
@@ -62,26 +62,8 @@ _GOLDEN = 0x9E3779B1
 _PAGE_MASK = (1 << PAGE_SHIFT) - 1
 _HISTORY_BITS = PATH_MASK.bit_length()
 
-#: Lanes advanced per lockstep cohort unless REPRO_BATCH_WIDTH overrides.
-DEFAULT_BATCH_WIDTH = 8
 #: Instructions each lane advances per interpreter dispatch.
 DEFAULT_CHUNK = 4096
-
-
-def batch_warm_env_enabled(environ=None):
-    """True when ``REPRO_BATCH_WARM`` asks for the batched warm lane."""
-    environ = environ if environ is not None else os.environ
-    return environ.get("REPRO_BATCH_WARM", "") in ("1", "on", "true")
-
-
-def batch_width_default(environ=None):
-    """Lockstep cohort width: ``REPRO_BATCH_WIDTH`` or the default."""
-    environ = environ if environ is not None else os.environ
-    try:
-        width = int(environ.get("REPRO_BATCH_WIDTH", ""))
-    except ValueError:
-        width = 0
-    return width if width > 0 else DEFAULT_BATCH_WIDTH
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +279,7 @@ def columns_for(trace):
     re-decoded (its derived columns are stale); a budget of 0 disables
     caching entirely, like the trace memo.
     """
-    from repro.workloads.suite import trace_cache_capacity
-
-    capacity = trace_cache_capacity()
+    capacity = settings.get("REPRO_TRACE_CACHE")
     if capacity <= 0:
         _COLUMNS_CACHE.clear()
         return TraceColumns(trace)
@@ -1526,7 +1506,7 @@ class BatchWarmEngine(object):
     def __init__(self, jobs, store=None, width=None, chunk=None):
         self.jobs = list(jobs)
         self.store = store
-        self.width = width if width and width > 0 else batch_width_default()
+        self.width = width if width and width > 0 else settings.get("REPRO_BATCH_WIDTH")
         self.chunk = chunk if chunk and chunk > 0 else DEFAULT_CHUNK
 
     def run(self):

@@ -23,10 +23,9 @@ and receives its seqnum.  Wrong-path fetches that never dispatch therefore
 produce no events — they have no seqnum to key by.
 """
 
-import os
-
 from repro.obs import events as E
 from repro.obs.metrics import MetricsRegistry
+from repro.sim import settings
 
 
 def parse_cycle_range(text):
@@ -82,13 +81,12 @@ def trace_spec_from_env(environ=None):
     - ``REPRO_TRACE_FILTER=loads`` (optional): per-instruction events for
       loads only (RFP events are always load events).
     """
-    environ = environ if environ is not None else os.environ
-    value = environ.get("REPRO_TRACE", "")
+    value = settings.get("REPRO_TRACE", environ)
     if value in ("", "0"):
         return None
     path = "repro_trace.jsonl" if value == "1" else value
-    cycle_range = parse_cycle_range(environ.get("REPRO_TRACE_CYCLES", ""))
-    loads_only = environ.get("REPRO_TRACE_FILTER", "") == "loads"
+    cycle_range = parse_cycle_range(settings.get("REPRO_TRACE_CYCLES", environ))
+    loads_only = settings.get("REPRO_TRACE_FILTER", environ) == "loads"
     return TraceSpec(path, cycle_range=cycle_range, loads_only=loads_only)
 
 

@@ -4,20 +4,8 @@ from repro.sim.runner import SCHEMA_VERSION, SimResult, simulate
 from repro.sim.cache import ResultCache, default_cache, simulate_cached
 from repro.sim.defaults import DEFAULT_LENGTH, DEFAULT_WARMUP
 from repro.sim.oracle import oracle_config, ORACLE_MODES
-from repro.sim.parallel import (
-    TimingReport,
-    default_jobs,
-    run_jobs,
-    run_matrix,
-    run_suite_parallel,
-)
-from repro.sim.experiments import (
-    run_suite,
-    suite_speedup,
-    default_workloads,
-    default_length,
-    default_warmup,
-)
+from repro.sim.parallel import TimingReport, run_jobs, run_matrix
+from repro.sim.experiments import run_suite, suite_speedup
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -31,13 +19,8 @@ __all__ = [
     "oracle_config",
     "ORACLE_MODES",
     "TimingReport",
-    "default_jobs",
     "run_jobs",
     "run_matrix",
-    "run_suite_parallel",
     "run_suite",
     "suite_speedup",
-    "default_workloads",
-    "default_length",
-    "default_warmup",
 ]

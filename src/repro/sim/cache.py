@@ -41,20 +41,10 @@ import json
 import os
 import warnings
 
-from repro.sim import faults
+from repro.sim import faults, settings
 from repro.sim.defaults import DEFAULT_LENGTH, DEFAULT_WARMUP
-from repro.sim.journal import (
-    JournaledDir,
-    encode_envelope,
-    journaling_env_disabled,
-    read_envelope,
-)
-from repro.sim.runner import (
-    SCHEMA_VERSION,
-    SimResult,
-    fast_forward_env_disabled,
-    simulate,
-)
+from repro.sim.journal import JournaledDir, encode_envelope, read_envelope
+from repro.sim.runner import SCHEMA_VERSION, SimResult, simulate
 
 #: On-disk envelope version.  Mixed into every fingerprint so entries
 #: written in an older format (pre-checksum, or checksummed over canonical
@@ -67,14 +57,16 @@ def config_fingerprint(config):
     """Stable hash of the result schema version plus every field of a
     CoreConfig (incl. nested rfp/vp).
 
-    The ``REPRO_FF`` kill-switch lives outside the config dataclass, yet
-    it changes how results are produced — mix it in so full-detail
-    validation runs and two-speed runs can never share cache entries."""
+    Settings flagged ``result_affecting`` in :mod:`repro.sim.settings`
+    (the ``REPRO_FF`` kill-switch) live outside the config dataclass, yet
+    change how results are produced — their effective values are mixed in
+    so, e.g., full-detail validation runs and two-speed runs can never
+    share cache entries."""
     payload = {
         "schema": SCHEMA_VERSION,
         "cache_format": CACHE_FORMAT,
         "config": dataclasses.asdict(config),
-        "ff_env_disabled": fast_forward_env_disabled(),
+        "settings": settings.result_affecting(),
     }
     text = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
@@ -85,12 +77,7 @@ class ResultCache(object):
 
     def __init__(self, directory=None):
         if directory is None:
-            directory = os.environ.get("REPRO_CACHE_DIR") or os.path.join(
-                os.path.dirname(os.path.dirname(os.path.dirname(
-                    os.path.dirname(os.path.abspath(__file__))))),
-                "benchmarks",
-                ".cache",
-            )
+            directory = settings.get("REPRO_CACHE_DIR")
         self.directory = directory
         self.hits = 0
         self.misses = 0
@@ -105,7 +92,7 @@ class ResultCache(object):
 
     def _journal(self):
         """The directory's :class:`JournaledDir`, or None when disabled."""
-        if journaling_env_disabled():
+        if not settings.get("REPRO_JOURNAL"):
             return None
         if self._journaled is None:
             self._journaled = JournaledDir(self.directory)

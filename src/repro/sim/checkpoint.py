@@ -40,13 +40,8 @@ import os
 import warnings
 
 from repro.emu.warmup import FunctionalWarmer
-from repro.sim import faults
-from repro.sim.journal import (
-    JournaledDir,
-    encode_envelope,
-    journaling_env_disabled,
-    read_envelope,
-)
+from repro.sim import faults, settings
+from repro.sim.journal import JournaledDir, encode_envelope, read_envelope
 from repro.sim.runner import SCHEMA_VERSION
 
 #: On-disk checkpoint format version.  Mixed into every fingerprint so a
@@ -79,12 +74,6 @@ WARM_RFP_FIELDS = (
     "use_pat", "pat_entries", "pat_assoc",
     "context_enabled", "context_entries",
 )
-
-
-def checkpoints_env_disabled(environ=None):
-    """True when ``REPRO_CHECKPOINTS`` explicitly disables the store."""
-    environ = environ if environ is not None else os.environ
-    return environ.get("REPRO_CHECKPOINTS", "") in ("0", "off", "false")
 
 
 def warm_fingerprint(config):
@@ -347,12 +336,7 @@ class CheckpointStore(object):
 
     def __init__(self, directory=None):
         if directory is None:
-            directory = os.environ.get("REPRO_CHECKPOINT_DIR") or os.path.join(
-                os.path.dirname(os.path.dirname(os.path.dirname(
-                    os.path.dirname(os.path.abspath(__file__))))),
-                "benchmarks",
-                ".checkpoints",
-            )
+            directory = settings.get("REPRO_CHECKPOINT_DIR")
         self.directory = directory
         self.hits = 0
         self.misses = 0
@@ -366,7 +350,7 @@ class CheckpointStore(object):
 
     def _journal(self):
         """The directory's :class:`JournaledDir`, or None when disabled."""
-        if journaling_env_disabled():
+        if not settings.get("REPRO_JOURNAL"):
             return None
         if self._journaled is None:
             self._journaled = JournaledDir(self.directory)
@@ -542,13 +526,11 @@ _default_store = None
 def default_checkpoint_store():
     """The shared store, or None when ``REPRO_CHECKPOINTS`` disables it."""
     global _default_store
-    if checkpoints_env_disabled():
+    if not settings.get("REPRO_CHECKPOINTS"):
         return None
-    if _default_store is None or (
-        os.environ.get("REPRO_CHECKPOINT_DIR")
-        and _default_store.directory != os.environ["REPRO_CHECKPOINT_DIR"]
-    ):
-        _default_store = CheckpointStore()
+    directory = settings.get("REPRO_CHECKPOINT_DIR")
+    if _default_store is None or _default_store.directory != directory:
+        _default_store = CheckpointStore(directory)
     return _default_store
 
 

@@ -1,60 +1,33 @@
 """Shared experiment plumbing for the benchmark harness.
 
-Environment knobs (all optional):
-
-- ``REPRO_WORKLOADS`` — "all" (default) or an integer N to run only the
-  first N suite workloads (quick mode).
-- ``REPRO_LENGTH`` — trace length in instructions (default
-  :data:`~repro.sim.defaults.DEFAULT_LENGTH` = 40000).
-- ``REPRO_WARMUP`` — warmup instructions excluded from measurement
-  (default :data:`~repro.sim.defaults.DEFAULT_WARMUP` = 20000; the
-  warmup region runs through the functional fast-forward engine unless
-  ``--no-ff`` / ``REPRO_FF=0``).
-- ``REPRO_JOBS`` — worker processes for suite runs (default
-  ``os.cpu_count()``; 1 forces fully serial execution).
-- ``REPRO_PROGRESS`` — stream per-job progress lines to stderr.
+:func:`run_suite` runs one config over a suite slice; its defaults come
+from ``REPRO_WORKLOADS``, ``REPRO_LENGTH``, ``REPRO_WARMUP`` and
+``REPRO_JOBS`` (see :mod:`repro.sim.settings` and the README's settings
+table).
 """
 
-import os
-
-from repro.sim.defaults import DEFAULT_LENGTH, DEFAULT_WARMUP
-from repro.sim.parallel import default_jobs, run_suite_parallel
+from repro.sim import settings
+from repro.sim.parallel import run_matrix
 from repro.stats.report import geomean, speedup
 from repro.workloads.suite import workload_names
 
 
-def default_workloads():
-    spec = os.environ.get("REPRO_WORKLOADS", "all")
-    names = workload_names()
-    if spec == "all":
-        return names
-    return names[: max(1, int(spec))]
-
-
-def default_length():
-    return int(os.environ.get("REPRO_LENGTH", str(DEFAULT_LENGTH)))
-
-
-def default_warmup():
-    return int(os.environ.get("REPRO_WARMUP", str(DEFAULT_WARMUP)))
-
-
 def run_suite(config, workloads=None, length=None, warmup=None,
-              parallel=None, jobs=None, cache=None, progress=None,
+              jobs=None, cache=None, progress=None,
               job_timeout=None, retries=None, keep_going=False,
               sampling=None):
     """Run (cache-backed) every workload under ``config``.
 
-    Uncached (workload, config) pairs are fanned out over the
-    :mod:`repro.sim.parallel` worker pool; results are identical to serial
+    Uncached (workload, config) pairs go through
+    :func:`repro.sim.parallel.run_jobs`; results are identical to serial
     execution regardless of worker count.
 
     Args:
-        parallel: ``True`` forces the pool, ``False`` forces in-process
-            serial execution, ``None`` (default) uses the pool whenever
-            more than one worker is available (``REPRO_JOBS`` /
-            ``os.cpu_count()``).
-        jobs: worker count override (else ``REPRO_JOBS``).
+        workloads: suite workload names (else the first
+            ``REPRO_WORKLOADS`` of the suite).
+        length, warmup: trace length and warmup (else ``REPRO_LENGTH`` /
+            ``REPRO_WARMUP``).
+        jobs: worker count (else ``REPRO_JOBS``); 1 runs in-process.
         sampling: optional interval-sampling spec (``{"samples": K, ...}``,
             see :func:`~repro.sim.sampling.normalize_spec`): measure K
             short detailed intervals per workload from shared warm-state
@@ -63,17 +36,13 @@ def run_suite(config, workloads=None, length=None, warmup=None,
 
     Returns {workload_name: SimResult}.
     """
-    workloads = workloads if workloads is not None else default_workloads()
-    length = length if length is not None else default_length()
-    warmup = warmup if warmup is not None else default_warmup()
-    max_workers = jobs if jobs is not None else default_jobs()
-    if parallel is False:
-        max_workers = 1
-    elif parallel is True:
-        max_workers = max(2, max_workers)
-    results, _ = run_suite_parallel(
-        config, workloads, length, warmup,
-        cache=cache, max_workers=max_workers, progress=progress,
+    if workloads is None:
+        workloads = workload_names()[:settings.get("REPRO_WORKLOADS")]
+    length = length if length is not None else settings.get("REPRO_LENGTH")
+    warmup = warmup if warmup is not None else settings.get("REPRO_WARMUP")
+    (results,), _ = run_matrix(
+        [config], workloads, length, warmup,
+        cache=cache, max_workers=jobs, progress=progress,
         job_timeout=job_timeout, retries=retries, keep_going=keep_going,
         sampling=sampling,
     )

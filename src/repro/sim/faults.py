@@ -59,6 +59,8 @@ import random
 import signal
 import time
 
+from repro.sim import settings
+
 _VALID_KINDS = ("crash", "hang", "corrupt_cache", "corrupt_checkpoint",
                 "rand", "kill_shard", "hang_heartbeat", "torn_write",
                 "kill_commit")
@@ -127,11 +129,7 @@ def parse_faults(text):
 
 def active_faults(environ=None):
     """The faults requested by ``REPRO_FAULT`` (empty list when unset)."""
-    environ = environ if environ is not None else os.environ
-    text = environ.get("REPRO_FAULT", "")
-    if not text:
-        return []
-    return parse_faults(text)
+    return parse_faults(settings.get("REPRO_FAULT", environ))
 
 
 def _rand_fires(spec, job_index, attempt):
@@ -159,9 +157,6 @@ def fire_worker_faults(job_index, attempt, in_child, environ=None):
     worker, which produces *no* Python traceback), while in-process it
     raises :class:`InjectedCrash` so the host survives.
     """
-    environ = environ if environ is not None else os.environ
-    if not environ.get("REPRO_FAULT"):
-        return
     for spec in active_faults(environ):
         kind = spec.kind
         if kind in _NON_WORKER_KINDS:
@@ -204,9 +199,6 @@ def _corrupt_envelope_file(kind, flip_field, key, path, environ):
     file per process, so the subsequent rewrite (re-simulation or re-warm)
     is not re-corrupted within the same run.
     """
-    environ = environ if environ is not None else os.environ
-    if not environ.get("REPRO_FAULT"):
-        return None
     for spec in active_faults(environ):
         if spec.kind != kind:
             continue
@@ -264,9 +256,6 @@ def shard_kill_after(shard_id, incarnation, environ=None):
     ``attempts=K`` bounds the shard's *incarnation* (1-based), defaulting
     to 1 so the supervisor's respawn is what recovers the sweep.
     """
-    environ = environ if environ is not None else os.environ
-    if not environ.get("REPRO_FAULT"):
-        return None
     for spec in active_faults(environ):
         if spec.kind != "kill_shard":
             continue
@@ -284,9 +273,6 @@ def shard_heartbeat_hang(shard_id, incarnation, environ=None):
     """``(after, seconds)`` for a ``hang_heartbeat`` fault aimed at this
     shard incarnation, or None.  The shard wedges (no heartbeats, no
     progress) for ``seconds`` once it has finished ``after`` jobs."""
-    environ = environ if environ is not None else os.environ
-    if not environ.get("REPRO_FAULT"):
-        return None
     for spec in active_faults(environ):
         if spec.kind != "hang_heartbeat":
             continue
@@ -313,9 +299,6 @@ def torn_write_requested(key, environ=None):
     Each matching spec fires ``attempts`` times (default 1) per process,
     so the eventual re-commit of the same key lands intact.
     """
-    environ = environ if environ is not None else os.environ
-    if not environ.get("REPRO_FAULT"):
-        return False
     for spec in active_faults(environ):
         if spec.kind != "torn_write":
             continue
@@ -337,9 +320,6 @@ def fire_commit_faults(key, stage, environ=None):
     A real SIGKILL — no atexit, no finally blocks — so the journal replay
     exercised afterwards is recovering from a genuine mid-commit death.
     """
-    environ = environ if environ is not None else os.environ
-    if not environ.get("REPRO_FAULT"):
-        return
     for spec in active_faults(environ):
         if spec.kind != "kill_commit":
             continue

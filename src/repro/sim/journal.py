@@ -44,10 +44,10 @@ SIGKILLs the process at a chosen point inside the commit sequence and
 commit record — both exist so CI can prove the recovery path, not assume
 it.
 
-Knobs: ``REPRO_JOURNAL=0`` disables journaling and locking (plain
-tmp+replace, the pre-journal behaviour); ``REPRO_FSYNC=0`` skips fsyncs
-(benchmarking on throwaway dirs); ``REPRO_LOCK_TIMEOUT`` bounds how long a
-commit waits for the directory lock (seconds, default 30).
+``REPRO_JOURNAL=0`` (:mod:`repro.sim.settings`) disables journaling and
+locking in both stores (plain tmp+replace, the pre-journal behaviour).
+A commit waits at most :data:`LOCK_TIMEOUT` seconds for the directory
+lock.
 """
 
 import errno
@@ -60,28 +60,8 @@ import time
 from repro.sim import faults
 
 
-def journaling_env_disabled(environ=None):
-    """True when ``REPRO_JOURNAL`` explicitly disables journaled commits."""
-    environ = environ if environ is not None else os.environ
-    return environ.get("REPRO_JOURNAL", "") in ("0", "off", "false")
-
-
-def fsync_env_disabled(environ=None):
-    """True when ``REPRO_FSYNC`` explicitly disables commit fsyncs."""
-    environ = environ if environ is not None else os.environ
-    return environ.get("REPRO_FSYNC", "") in ("0", "off", "false")
-
-
-def lock_timeout_default(environ=None):
-    """Seconds a commit waits for the directory lock (REPRO_LOCK_TIMEOUT)."""
-    environ = environ if environ is not None else os.environ
-    value = environ.get("REPRO_LOCK_TIMEOUT")
-    if value:
-        try:
-            return max(0.0, float(value))
-        except ValueError:
-            pass
-    return 30.0
+#: Seconds a commit waits for the directory lock before LockTimeout.
+LOCK_TIMEOUT = 30.0
 
 
 class LockTimeout(RuntimeError):
@@ -121,7 +101,7 @@ class FileLock(object):
 
     def __init__(self, path, timeout=None, poll_interval=0.01):
         self.path = path
-        self.timeout = timeout if timeout is not None else lock_timeout_default()
+        self.timeout = timeout if timeout is not None else LOCK_TIMEOUT
         self.poll_interval = poll_interval
         self._held = False
 
@@ -207,8 +187,6 @@ class FileLock(object):
 
 
 def _fsync_file(handle):
-    if fsync_env_disabled():
-        return
     handle.flush()
     os.fsync(handle.fileno())
 

@@ -1,11 +1,16 @@
-"""Parallel suite execution engine with watchdog, retry, and keep-going.
+"""The sweep pipeline: every suite run goes through :func:`run_jobs`.
 
 Per-(workload, config) simulations are embarrassingly parallel — nothing is
-shared between two runs except the on-disk result cache.  This module runs
-a list of jobs either in-process (one worker: the serial reference path)
-or on the supervised, trace-affine shard pool of
-:mod:`repro.sim.scheduler`, while keeping every cache interaction in the
-parent process:
+shared between two runs except the on-disk result cache.  :func:`run_jobs`
+is a short driver over module-level stages that share one ``_Sweep``
+state object: plan (normalise, key, dedup) -> lookup (result cache,
+interval expansion) -> prewarm (checkpoints) -> execute -> assemble
+(trace merge, sampled cells) -> report.  The execute stage hands the
+misses to one of two :class:`Executor` implementations — the in-process
+:class:`SerialExecutor` (one worker: the serial reference path) or the
+supervised, trace-affine shard pool of :mod:`repro.sim.scheduler` — which
+share one retry decision (:meth:`Executor._fail_attempt`).  Every cache
+interaction stays in the parent process:
 
 - the parent checks the :class:`~repro.sim.cache.ResultCache` first, so
   workers only ever simulate genuine misses (corrupt entries are evicted
@@ -22,10 +27,10 @@ Resilience (the parent supervises every shard):
   / ``REPRO_JOB_TIMEOUT``; default derived from the instruction count; 0
   disables).  A shard that blows its deadline is killed and respawned.
 - **Retry with backoff**: crashed or timed-out jobs are retried on a
-  healthy shard up to ``retries`` times (``REPRO_JOB_RETRIES``, default
-  2), with exponential backoff (``REPRO_RETRY_BACKOFF`` base seconds,
-  default 0.5).  Deterministic Python exceptions are *not* retried — the
-  same input would fail the same way.
+  healthy shard (or in place, serially) up to ``retries`` times
+  (``REPRO_JOB_RETRIES``), with exponential backoff
+  (``REPRO_RETRY_BACKOFF`` base seconds).  Deterministic Python
+  exceptions are *not* retried — the same input would fail the same way.
 - **Keep-going**: with ``keep_going=True`` a terminal failure is recorded
   in the :class:`TimingReport`'s failure manifest (workload, config,
   classification ``crash``/``timeout``/``deadlock``/``corrupt_cache``/
@@ -37,8 +42,8 @@ Resilience (the parent supervises every shard):
   shutdown — every completed job is already committed to the cache, so a
   re-run (``repro suite --resume``) simulates only the remainder.
 - **SIGTERM graceful drain**: a service manager's stop signal finishes
-  the in-flight chunks (bounded by ``REPRO_DRAIN_TIMEOUT`` seconds,
-  default 30), journals their results to the cache, records every
+  the in-flight chunks (bounded by ``REPRO_DRAIN_TIMEOUT`` seconds),
+  journals their results to the cache, records every
   not-started or timed-out job as ``aborted`` in the manifest, and
   returns normally with ``report.drained`` set — the CLI maps that to
   exit code 4.
@@ -48,26 +53,17 @@ Resilience (the parent supervises every shard):
 The job body :func:`_run_job` is a module-level function and every job
 payload is picklable, so the engine is safe under the ``spawn`` start
 method (macOS / Windows); on platforms that offer ``fork`` it is used by
-default because shard start-up is substantially cheaper.  Override with
-``REPRO_MP_START=spawn|fork|forkserver``.
+default because shard start-up is substantially cheaper.
 
-Knobs:
-
-- ``REPRO_JOBS`` — worker count, i.e. the shard-pool width (also
-  ``--jobs`` on the CLI, ``max_workers`` here); default
-  ``os.cpu_count()``.
-- ``REPRO_MP_START`` — multiprocessing start method.
-- ``REPRO_PROGRESS`` — when set (non-empty, not "0"), stream per-job
-  progress lines to stderr even if no explicit callback is given.
-- ``REPRO_JOB_TIMEOUT`` / ``REPRO_JOB_RETRIES`` / ``REPRO_RETRY_BACKOFF``
-  — watchdog deadline seconds, retry budget, backoff base seconds.
+Every ``REPRO_*`` setting the engine reads (worker count, start method,
+progress, watchdog, retries, backoff, drain) is declared in
+:mod:`repro.sim.settings` and listed in the README's settings table.
 
 Results are deterministic and byte-identical to serial execution: each
 simulation is seeded purely by (workload name, config), and the returned
 mapping is assembled in job order, not completion order.
 """
 
-import multiprocessing
 import os
 import shutil
 import signal
@@ -76,12 +72,12 @@ import tempfile
 import threading
 import time
 import traceback
+from collections import deque
 
 from repro.obs.export import sort_events, write_jsonl
 from repro.obs.tracer import trace_spec_from_env
-from repro.sim import faults
+from repro.sim import faults, settings
 from repro.sim.cache import default_cache
-from repro.emu.batch import batch_warm_env_enabled
 from repro.sim.checkpoint import (
     CheckpointStore, default_checkpoint_store, ensure_checkpoints,
     ensure_checkpoints_batch, warm_fingerprint,
@@ -139,50 +135,6 @@ class WorkerError(RuntimeError):
                 (self.workload, self.config_name, self.detail, self.root_cause))
 
 
-def default_jobs():
-    """Worker count: ``REPRO_JOBS`` env override, else ``os.cpu_count()``."""
-    env = os.environ.get("REPRO_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def start_method():
-    """The multiprocessing start method the engine will use."""
-    env = os.environ.get("REPRO_MP_START")
-    if env:
-        return env
-    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-
-
-def default_retries():
-    """Retry budget per job: ``REPRO_JOB_RETRIES``, default 2."""
-    env = os.environ.get("REPRO_JOB_RETRIES")
-    if env:
-        return max(0, int(env))
-    return 2
-
-
-def retry_backoff_base():
-    """Backoff base seconds (doubles per retry): ``REPRO_RETRY_BACKOFF``."""
-    env = os.environ.get("REPRO_RETRY_BACKOFF")
-    if env:
-        return max(0.0, float(env))
-    return 0.5
-
-
-def drain_timeout_default():
-    """Seconds a SIGTERM drain waits for in-flight jobs
-    (``REPRO_DRAIN_TIMEOUT``, default 30; 0 aborts immediately)."""
-    env = os.environ.get("REPRO_DRAIN_TIMEOUT")
-    if env:
-        try:
-            return max(0.0, float(env))
-        except ValueError:
-            pass
-    return 30.0
-
-
 def resolve_job_timeout(job_timeout, length):
     """Watchdog deadline in seconds for one job, or None (disabled).
 
@@ -191,16 +143,11 @@ def resolve_job_timeout(job_timeout, length):
     healthy run never trips it, tight enough that a deadlocked event loop
     is killed in minutes, not hours.  Zero or negative disables.
     """
-    if job_timeout is not None:
-        return job_timeout if job_timeout > 0 else None
-    env = os.environ.get("REPRO_JOB_TIMEOUT")
-    if env:
-        try:
-            value = float(env)
-        except ValueError:
-            value = 0.0
-        return value if value > 0 else None
-    return max(60.0, length / 500.0)
+    if job_timeout is None:
+        job_timeout = settings.get("REPRO_JOB_TIMEOUT")
+        if job_timeout is None:
+            return max(60.0, length / 500.0)
+    return job_timeout if job_timeout > 0 else None
 
 
 def classify_failure(detail, root_cause=None):
@@ -210,11 +157,6 @@ def classify_failure(detail, root_cause=None):
     if detail and "likely deadlock" in detail:
         return CLASS_DEADLOCK
     return CLASS_ERROR
-
-
-def _env_progress_enabled():
-    value = os.environ.get("REPRO_PROGRESS", "")
-    return value not in ("", "0")
 
 
 def _stderr_progress(done, total, workload, config_name, seconds, source):
@@ -327,8 +269,8 @@ def _run_job(item):
 
     ``item`` is ``(key, job, trace_path, job_index, attempt, in_child)``.
     Module-level (not a closure) so it can be pickled by reference under
-    the ``spawn`` start method; the serial loop and every shard look it up
-    on this module at call time.  Returns the JSON-friendly result payload —
+    the ``spawn`` start method; the serial executor and every shard look
+    it up on this module at call time.  Returns the JSON-friendly result payload —
     never a :class:`SimResult` — to keep the IPC surface minimal.
 
     When ``trace_path`` is set (REPRO_TRACE enabled), the worker attaches a
@@ -402,6 +344,11 @@ class _PendingJob(object):
     def config_name(self):
         return self.job[1].name
 
+    def item(self, in_child):
+        """The :func:`_run_job` payload for this job's next attempt."""
+        return (self.key, self.job, self.trace_path, self.index,
+                self.tries + 1, in_child)
+
 
 class _SignalGuard(object):
     """Turn SIGINT/SIGTERM into flags so run_jobs controls the shutdown.
@@ -447,124 +394,246 @@ class _SignalGuard(object):
         return False
 
 
-def run_jobs(jobs, cache=None, max_workers=None, progress=None,
-             job_timeout=None, retries=None, keep_going=False,
-             batch_warm=None):
-    """Run (workload, config, length, warmup) jobs through the cache and
-    the serial loop or the supervised shard pool.
+def _incident(workload, config_name, job_index, classification, attempts,
+              recovered, detail, root_cause=None):
+    """One failure-manifest record; every incident is built here."""
+    return {
+        "workload": workload,
+        "config": config_name,
+        "job_index": job_index,
+        "classification": classification,
+        "attempts": attempts,
+        "recovered": recovered,
+        "detail": detail,
+        "root_cause": root_cause,
+    }
 
-    Args:
-        jobs: sequence of ``(workload, config, length, warmup)`` tuples.
-        cache: a :class:`~repro.sim.cache.ResultCache`; defaults to the
-            shared on-disk cache.  Completed jobs are committed to it
-            incrementally (checkpointing), so an interrupted run resumes
-            from where it stopped.
-        max_workers: concurrent worker cap; defaults to
-            :func:`default_jobs`.  Above one, cache misses run on a
-            :class:`repro.sim.scheduler.ShardPool` of that many shards
-            (heartbeat health checks, quarantine, crash-loop backoff,
-            trace-affine dispatch).  The pool is skipped entirely (plain
-            in-process loop) when one worker suffices, so
-            ``REPRO_JOBS=1`` gives the exact serial behaviour.
-        progress: optional callback
-            ``(done, total, workload, config_name, seconds, source)`` with
-            ``source`` one of ``"cache"``, ``"run"``, ``"dedup"``,
-            ``"retry"``, ``"fail"``.  When omitted, ``REPRO_PROGRESS=1``
-            enables a stderr printer.
-        job_timeout: watchdog deadline seconds per attempt (None = env /
-            derived default, 0 = disabled); see :func:`resolve_job_timeout`.
-        retries: extra attempts for crashed/timed-out jobs (None = env
-            default 2).  Deterministic exceptions are never retried.
-        keep_going: record terminal failures in the report's manifest and
-            return ``None`` in their result slots instead of raising.
-        batch_warm: perform the parent-side prewarm through the batched
-            SoA engine (:mod:`repro.emu.batch`) — all missing interval
-            checkpoints across the whole job matrix are written by one
-            lockstep engine run instead of one scalar pass per
-            (workload, warm-fingerprint).  Bit-exact with the scalar
-            prewarm.  ``None`` (default) defers to ``REPRO_BATCH_WARM``.
 
-    Returns:
-        ``(results, report)`` — ``results`` is a list of
-        :class:`~repro.sim.runner.SimResult` (or ``None`` for failed jobs
-        under ``keep_going``) in job order, ``report`` a
-        :class:`TimingReport` carrying the failure manifest.
+class Executor(object):
+    """What both executors share: the completion callbacks and the
+    retry decision for a failed attempt (:meth:`_fail_attempt`).
+
+    ``execute(pending, guard, on_success, on_terminal, on_aborted,
+    on_retry)`` runs every pending job to completion, firing the
+    callbacks in the caller's thread, and raises the terminal
+    :class:`WorkerError` when ``keep_going`` is off.  ``traps_sigint``
+    says whether the executor wants SIGINT turned into a flag (the pool
+    must stop its shards first) or left to raise in place.
     """
-    jobs = list(jobs)
-    cache = cache if cache is not None else default_cache()
-    if max_workers is None:
-        max_workers = default_jobs()
-    if retries is None:
-        retries = default_retries()
-    if batch_warm is None:
-        batch_warm = batch_warm_env_enabled()
-    backoff = retry_backoff_base()
-    if progress is None and _env_progress_enabled():
-        progress = _stderr_progress
-    started = time.perf_counter()
-    total = len(jobs)
 
-    # REPRO_TRACE: bypass the result cache so every job actually simulates
-    # (a cache hit would silently produce no events), making the merged
-    # event log a pure function of the job list — byte-identical between
-    # serial and parallel runs, whatever the cache held beforehand.
-    trace_spec = trace_spec_from_env()
+    traps_sigint = True
 
-    # Normalize to 5-tuples (workload, config, length, warmup, sampling).
-    # Sampling is silently dropped where it cannot apply: under tracing
-    # (the event log must cover the whole trace) and for VP configs (VP
-    # tables train on pipeline events the functional gaps do not model).
-    normalized = []
+    def __init__(self, retries=None, keep_going=False):
+        self.retries = (settings.get("REPRO_JOB_RETRIES") if retries is None
+                        else retries)
+        self.keep_going = keep_going
+        self.backoff = settings.get("REPRO_RETRY_BACKOFF")
+        self._fatal = None
+        self._on_success = None
+        self._on_terminal = None
+        self._on_aborted = None
+        self._on_retry = None
+
+    def _bind(self, on_success, on_terminal, on_aborted, on_retry):
+        self._on_success = on_success
+        self._on_terminal = on_terminal
+        self._on_aborted = on_aborted
+        self._on_retry = on_retry
+
+    def _requeue(self, pj):
+        raise NotImplementedError
+
+    def _fail_attempt(self, pj, classification, detail, root_cause, now):
+        """Account one failed attempt: a retryable failure with budget
+        left is requeued behind an exponential backoff; otherwise the job
+        is terminal under keep-going, else the run's fatal error."""
+        pj.tries += 1
+        pj.last_class = classification
+        pj.last_detail = detail
+        pj.last_root = root_cause
+        if classification in RETRYABLE and pj.tries <= self.retries:
+            pj.next_start = now + self.backoff * (2 ** (pj.tries - 1))
+            self._requeue(pj)
+            if self._on_retry is not None:
+                self._on_retry(pj)
+        elif self.keep_going:
+            self._on_terminal(pj)
+        else:
+            self._fatal = WorkerError(pj.workload_name, pj.config_name,
+                                      detail, root_cause)
+
+    def _abort(self, pj):
+        """A SIGTERM drain reached ``pj`` before its next attempt."""
+        self._on_aborted(
+            pj, "SIGTERM drain: job never started" if pj.tries == 0 else
+            "SIGTERM drain: retry abandoned after attempt %d" % pj.tries)
+
+
+class SerialExecutor(Executor):
+    """The in-process executor: identical results, no supervisor.
+
+    Crashes injected here raise InjectedCrash (never ``os._exit``) and
+    are retried in place, after sleeping out the backoff.  There is no
+    watchdog — a hang hangs the caller, which is the serial contract —
+    and SIGINT keeps its default immediate ``KeyboardInterrupt``.  A
+    SIGTERM drain lets the in-flight job finish and commit; the rest is
+    aborted.
+    """
+
+    traps_sigint = False
+
+    def __init__(self, retries=None, keep_going=False):
+        super(SerialExecutor, self).__init__(retries, keep_going)
+        self._queue = deque()
+
+    def _requeue(self, pj):
+        self._queue.appendleft(pj)  # a retry runs before the next job
+
+    def execute(self, pending, guard=None, on_success=None, on_terminal=None,
+                on_aborted=None, on_retry=None):
+        self._bind(on_success, on_terminal, on_aborted, on_retry)
+        self._queue.extend(pending)
+        while self._queue:
+            pj = self._queue.popleft()
+            if guard is not None and guard.draining:
+                self._abort(pj)
+                continue
+            delay = pj.next_start - time.monotonic()
+            if delay > 0:
+                time.sleep(delay)
+            try:
+                # Looked up per call: a wrapper installed on the module
+                # attribute must see every job.
+                _key, data, seconds = _run_job(pj.item(False))
+            except WorkerError as err:
+                self._fail_attempt(pj, classify_failure(err.detail,
+                                                        err.root_cause),
+                                   err.detail, err.root_cause,
+                                   time.monotonic())
+            else:
+                self._on_success(pj, data, seconds)
+            if self._fatal is not None:
+                raise self._fatal
+
+
+class _Sweep(object):
+    """The state the stages of one :func:`run_jobs` call share, and the
+    completion callbacks every executor reports through."""
+
+    def __init__(self, cache, progress):
+        self.cache = cache
+        self.progress = progress
+        # REPRO_TRACE: bypass the result cache so every job actually
+        # simulates (a cache hit would silently produce no events), making
+        # the merged event log a pure function of the job list.
+        self.trace_spec = trace_spec_from_env()
+        self.total = 0           # progress denominator (interval units)
+        self.done = 0
+        self.cache_hits = 0
+        self.deduplicated = 0
+        self.by_key = {}         # key -> SimResult (None = failed)
+        self.cells = {}          # sampled cell key -> (spec, interval keys)
+        self.failures = []       # the failure manifest
+        self.drained = False
+
+    def tick(self, workload, config_name, seconds, source):
+        if source != "retry":
+            self.done += 1
+        if self.progress:
+            self.progress(self.done, self.total, workload, config_name,
+                          seconds, source)
+
+    def on_success(self, pj, data, seconds):
+        result = SimResult(data)
+        if self.trace_spec is None:
+            self.cache.put(pj.key, result)  # parent-only, incremental commit
+        self.by_key[pj.key] = result
+        if pj.corrupt_record is not None:
+            pj.corrupt_record["recovered"] = True
+            pj.corrupt_record["attempts"] = pj.tries + 1
+        if pj.tries:
+            # Recovered after failed attempts: an incident worth a record,
+            # but not a terminal failure.
+            self.failures.append(_incident(
+                pj.workload_name, pj.config_name, pj.index, pj.last_class,
+                pj.tries + 1, True, pj.last_detail, pj.last_root))
+        self.tick(data["workload"], data["config"], seconds, "run")
+
+    def on_terminal(self, pj):
+        self._failed(pj, pj.last_class, pj.last_detail, pj.last_root)
+
+    def on_aborted(self, pj, detail):
+        self._failed(pj, CLASS_ABORTED, detail, None)
+
+    def on_retry(self, pj):
+        self.tick(pj.workload_name, pj.config_name, 0.0, "retry")
+
+    def _failed(self, pj, classification, detail, root_cause):
+        self.failures.append(_incident(
+            pj.workload_name, pj.config_name, pj.index, classification,
+            pj.tries, False, detail, root_cause))
+        self.by_key[pj.key] = None
+        self.tick(pj.workload_name, pj.config_name, 0.0, "fail")
+
+
+def _plan(sweep, jobs):
+    """Normalise jobs to ``(workload, config, length, warmup, sampling)``,
+    key them, and deduplicate.  Returns ``(keys, unique)``: the key of
+    every job in order, and each distinct key's first job.
+
+    Sampling is silently dropped where it cannot apply: under tracing (the
+    event log must cover the whole trace) and for VP configs (VP tables
+    train on pipeline events the functional gaps do not model).
+    """
+    keys, unique = [], {}
     for job in jobs:
         workload, config, length, warmup = job[:4]
         spec = job[4] if len(job) > 4 else None
-        if spec is not None and (trace_spec is not None or config.vp.enabled):
+        if spec is not None and (sweep.trace_spec is not None
+                                 or config.vp.enabled):
             spec = None
         if spec is not None:
             spec = normalize_spec(spec)
-        normalized.append((workload, config, length, warmup, spec))
+        key = sweep.cache.key(workload, config, length, warmup)
+        if spec is not None:
+            key += sampling_suffix(spec)
+        keys.append(key)
+        unique.setdefault(key, (workload, config, length, warmup, spec))
+    sweep.total = len(keys)
+    sweep.deduplicated = len(keys) - len(unique)
+    return keys, unique
 
-    keys = [
-        cache.key(w, c, lgth, wrm)
-        + (sampling_suffix(spec) if spec is not None else "")
-        for (w, c, lgth, wrm, spec) in normalized
-    ]
-    by_key = {}        # key -> SimResult (hits now, fills later; None=failed)
-    pending = {}       # key -> job: deduplicated in-flight misses
-    cache_hits = 0
-    deduplicated = 0
-    done = 0
+
+def _lookup(sweep, keys, unique, store):
+    """Serve what the result cache holds, and expand each sampled miss
+    into its interval jobs.  Returns ``(misses, prewarm)``: the pending
+    jobs, and the checkpoint positions to warm per (workload, trace,
+    length, warm fingerprint).
+
+    Each interval is an independently schedulable, independently cached
+    job keyed ``<cell-key>-iNNN``; the cell's aggregate is assembled after
+    the fan-out drains.  ``total`` grows so the progress denominator
+    counts interval units, not cells.
+    """
+    cache = sweep.cache
     cache.pop_evictions()  # stale incidents from earlier runs are not ours
-    for key, job in zip(keys, normalized):
-        if key in by_key:
-            deduplicated += 1
-            done += 1
-            if progress:
-                progress(done, total, job[0], job[1].name, 0.0, "dedup")
-            continue
-        if key in pending:
-            deduplicated += 1
-            continue
-        cached = cache.get(key) if trace_spec is None else None
-        if cached is not None:
-            by_key[key] = cached
-            cache_hits += 1
-            done += 1
-            if progress:
-                progress(done, total, job[0], job[1].name, 0.0, "cache")
-        else:
+    pending = {}
+    for key, job in unique.items():
+        cached = cache.get(key) if sweep.trace_spec is None else None
+        if cached is None:
             pending[key] = job
+            continue
+        sweep.by_key[key] = cached
+        sweep.cache_hits += 1
+        sweep.tick(job[0], job[1].name, 0.0, "cache")
+    seen = set()
+    for key in keys:
+        if key in seen and sweep.by_key.get(key) is not None:
+            sweep.tick(unique[key][0], unique[key][1].name, 0.0, "dedup")
+        seen.add(key)
 
-    # Expand sampled cells into per-interval work units.  Each interval is
-    # an independently schedulable, independently cached job keyed
-    # ``<cell-key>-iNNN``; the cell's aggregate is assembled (and cached
-    # under the cell key) after the fan-out drains.  ``total`` grows so the
-    # progress denominator counts interval units, not cells.
-    store = default_checkpoint_store()
-    failures = []
-    interval_cells = {}  # cell_key -> {"spec", "interval_keys"}
-    work = {}            # key -> 5-tuple handed to _PendingJob
-    prewarm = {}         # (name, trace-or-None, length, fp) -> set(positions)
+    work = {}     # key -> 5-tuple job
+    prewarm = {}  # (name, trace-or-None, length, fp) -> (config, positions)
     for key, job in pending.items():
         workload, config, length, warmup, spec = job
         if spec is None:
@@ -572,19 +641,14 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
             continue
         trace_length = length if isinstance(workload, str) else len(workload)
         plan = SamplingPlan(config, trace_length, warmup, spec)
-        interval_keys = []
-        for i in range(plan.samples):
-            interval_key = key + "-i%03d" % i
-            interval_keys.append(interval_key)
+        interval_keys = [key + "-i%03d" % i for i in range(plan.samples)]
+        sweep.total += plan.samples - 1  # the cell becomes its intervals
+        for i, interval_key in enumerate(interval_keys):
             cached = cache.get(interval_key)
             if cached is not None:
-                by_key[interval_key] = cached
-                done += 1
-                total += 1
-                if progress:
-                    progress(done, total, job[0], config.name, 0.0, "cache")
+                sweep.by_key[interval_key] = cached
+                sweep.tick(workload, config.name, 0.0, "cache")
                 continue
-            total += 1
             work[interval_key] = (workload, config, length, warmup, {
                 "interval": {
                     "index": i,
@@ -595,309 +659,205 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
                 "checkpoint_dir": store.directory if store is not None
                 else None,
             })
-            functional = plan.functionals[i]
-            if store is not None and functional > 0:
+            if store is not None and plan.functionals[i] > 0:
                 name = workload if isinstance(workload, str) else workload.name
                 trace = None if isinstance(workload, str) else workload
                 group = prewarm.setdefault(
                     (name, trace, trace_length, warm_fingerprint(config)),
-                    (config, set()),
-                )
-                group[1].add(functional)
-        total -= 1  # the cell itself is replaced by its interval units
-        interval_cells[key] = {"spec": spec, "interval_keys": interval_keys}
+                    (config, set()))
+                group[1].add(plan.functionals[i])
+        sweep.cells[key] = (spec, interval_keys)
 
-    # Parent-side prewarm: ONE resumable functional pass per (workload,
-    # warm-fingerprint) writes every missing interval checkpoint before the
-    # fan-out, so shards only ever restore — a 9-config sweep warms each
-    # workload once, a repeat sweep zero times.
-    if store is not None:
-        store.pop_evictions()
-        ordered = sorted(prewarm.items(),
-                         key=lambda item: (item[0][0], item[0][3]))
-
-        def _warm_incident(name, config_name, reason):
-            failures.append({
-                "workload": name,
-                "config": config_name,
-                "job_index": -1,
-                "classification": CLASS_CORRUPT_CHECKPOINT,
-                "attempts": 1,
-                "recovered": True,  # re-warmed on the spot
-                "detail": reason,
-                "root_cause": None,
-            })
-
-        if batch_warm and ordered:
-            # Batched lane: every prewarm group becomes one lane of a
-            # single SoA engine run — groups sharing a trace advance in
-            # lockstep, lanes sharing cache geometry share one cache
-            # advance.  Incidents are attributed back through the store
-            # key (workload-length-functional-fingerprint).
-            config_by_fp = {
-                (name, fp): config.name
-                for (name, _t, _l, fp), (config, _p) in ordered
-            }
-            ensure_checkpoints_batch(
-                [(trace, name, config, trace_length, sorted(positions))
-                 for (name, trace, trace_length, _fp), (config, positions)
-                 in ordered],
-                store,
-            )
-            for incident in store.pop_evictions():
-                name, _length, _pos, fp = incident["key"].rsplit("-", 3)
-                _warm_incident(name, config_by_fp.get((name, fp), "?"),
-                               incident["reason"])
-        else:
-            for (name, trace, trace_length, _fp), (config, positions) \
-                    in ordered:
-                ensure_checkpoints(trace, name, config, trace_length,
-                                   sorted(positions), store)
-                for incident in store.pop_evictions():
-                    _warm_incident(name, config.name, incident["reason"])
-
-    trace_dir = None
-    if trace_spec is not None and work:
-        trace_dir = tempfile.mkdtemp(prefix="repro-trace-")
-
-    def _trace_path(index):
-        if trace_dir is None:
-            return None
-        return os.path.join(trace_dir, "job-%06d.jsonl" % index)
-
-    miss_jobs = [
-        _PendingJob(key, job, index, _trace_path(index))
-        for index, (key, job) in enumerate(work.items())
-    ]
-
-    # Corrupt entries evicted during the scan above: record the incident,
+    misses = [_PendingJob(key, job, index, None)
+              for index, (key, job) in enumerate(work.items())]
+    # Corrupt entries evicted by the lookups above: record the incident,
     # flip it to recovered once the re-simulation lands.
-    by_miss_key = {pj.key: pj for pj in miss_jobs}
+    by_key = {pj.key: pj for pj in misses}
     for incident in cache.pop_evictions():
-        pj = by_miss_key.get(incident["key"])
-        if pj is None:
-            continue
-        record = {
-            "workload": pj.workload_name,
-            "config": pj.config_name,
-            "job_index": pj.index,
-            "classification": CLASS_CORRUPT_CACHE,
-            "attempts": 0,
-            "recovered": False,
-            "detail": incident["reason"],
-            "root_cause": None,
-        }
-        pj.corrupt_record = record
-        failures.append(record)
+        pj = by_key.get(incident["key"])
+        if pj is not None:
+            pj.corrupt_record = _incident(
+                pj.workload_name, pj.config_name, pj.index,
+                CLASS_CORRUPT_CACHE, 0, False, incident["reason"])
+            sweep.failures.append(pj.corrupt_record)
+    return misses, prewarm
 
-    def _record_success(pj, data, seconds):
-        nonlocal done
-        result = SimResult(data)
-        if trace_spec is None:
-            cache.put(pj.key, result)  # parent-only, incremental commit
-        by_key[pj.key] = result
-        done += 1
-        if pj.corrupt_record is not None:
-            pj.corrupt_record["recovered"] = True
-            pj.corrupt_record["attempts"] = pj.tries + 1
-        if pj.tries:
-            # Recovered after failed attempts: an incident worth a record,
-            # but not a terminal failure.
-            failures.append({
-                "workload": pj.workload_name,
-                "config": pj.config_name,
-                "job_index": pj.index,
-                "classification": pj.last_class,
-                "attempts": pj.tries + 1,
-                "recovered": True,
-                "detail": pj.last_detail,
-                "root_cause": pj.last_root,
-            })
-        if progress:
-            progress(done, total, data["workload"], data["config"],
-                     seconds, "run")
 
-    def _record_terminal(pj):
-        nonlocal done
-        failures.append({
-            "workload": pj.workload_name,
-            "config": pj.config_name,
-            "job_index": pj.index,
-            "classification": pj.last_class,
-            "attempts": pj.tries,
-            "recovered": False,
-            "detail": pj.last_detail,
-            "root_cause": pj.last_root,
-        })
-        by_key[pj.key] = None
-        done += 1
-        if progress:
-            progress(done, total, pj.workload_name, pj.config_name,
-                     0.0, "fail")
+def _prewarm(sweep, store, prewarm, batch_warm):
+    """ONE resumable functional pass per (workload, warm fingerprint)
+    writes every missing interval checkpoint before the fan-out, so jobs
+    only ever restore — a 9-config sweep warms each workload once, a
+    repeat sweep zero times.  A corrupt checkpoint met on the way is
+    re-warmed on the spot and recorded as a recovered incident.
 
-    def _record_aborted(pj, detail):
-        """A SIGTERM drain stopped this job before it could finish."""
-        nonlocal done
-        failures.append({
-            "workload": pj.workload_name,
-            "config": pj.config_name,
-            "job_index": pj.index,
-            "classification": CLASS_ABORTED,
-            "attempts": pj.tries,
-            "recovered": False,
-            "detail": detail,
-            "root_cause": None,
-        })
-        by_key[pj.key] = None
-        done += 1
-        if progress:
-            progress(done, total, pj.workload_name, pj.config_name,
-                     0.0, "fail")
+    ``batch_warm`` makes every group one lane of a single batched SoA
+    engine run (:mod:`repro.emu.batch`); its incidents are attributed
+    back through the store key (workload-length-functional-fingerprint).
+    """
+    if store is None:
+        return
+    store.pop_evictions()
+    ordered = sorted(prewarm.items(), key=lambda item: (item[0][0], item[0][3]))
+    if batch_warm and ordered:
+        # Module attributes, looked up per call like _run_job.
+        ensure_checkpoints_batch(
+            [(trace, name, config, trace_length, sorted(positions))
+             for (name, trace, trace_length, _fp), (config, positions)
+             in ordered],
+            store,
+        )
+        config_by_fp = {(name, fp): config.name
+                        for (name, _t, _l, fp), (config, _p) in ordered}
+        incidents = []
+        for incident in store.pop_evictions():
+            name, _length, _pos, fp = incident["key"].rsplit("-", 3)
+            incidents.append((name, config_by_fp.get((name, fp), "?"),
+                              incident["reason"]))
+    else:
+        incidents = []
+        for (name, trace, trace_length, _fp), (config, positions) in ordered:
+            ensure_checkpoints(trace, name, config, trace_length,
+                               sorted(positions), store)
+            incidents.extend((name, config.name, incident["reason"])
+                             for incident in store.pop_evictions())
+    for name, config_name, reason in incidents:
+        sweep.failures.append(_incident(
+            name, config_name, -1, CLASS_CORRUPT_CHECKPOINT, 1, True, reason))
 
-    workers = max(1, min(max_workers, len(miss_jobs)))
-    drained = False
-    try:
-        if workers > 1:
-            # Shard pool: long-lived supervised shard processes with
-            # heartbeat health checks and trace-affine dispatch (see
-            # repro.sim.scheduler).  Imported lazily — the scheduler
-            # imports this module's job body.
-            from repro.sim.scheduler import ShardPool
 
-            def _on_retry(pj):
-                if progress:
-                    progress(done, total, pj.workload_name, pj.config_name,
-                             0.0, "retry")
+def _execute(sweep, misses, max_workers, job_timeout, retries, keep_going):
+    """Run the misses in-process (one worker) or on the shard pool, with
+    SIGINT/SIGTERM turned into an orderly stop or drain.  Returns the
+    worker count."""
+    if max_workers is None:
+        max_workers = settings.get("REPRO_JOBS")
+    workers = max(1, min(max_workers, len(misses)))
+    if workers > 1:
+        # Imported lazily: the scheduler imports this module.
+        from repro.sim.scheduler import ShardPool
 
-            pool = ShardPool(workers, job_timeout=job_timeout,
+        executor = ShardPool(workers, job_timeout=job_timeout,
                              retries=retries, keep_going=keep_going)
-            with _SignalGuard() as guard:
-                pool.execute(miss_jobs, guard=guard,
-                             on_success=_record_success,
-                             on_terminal=_record_terminal,
-                             on_aborted=_record_aborted,
-                             on_retry=_on_retry)
-                drained = guard.draining
-                if guard.triggered:
-                    raise KeyboardInterrupt
-        else:
-            # In-process path: no supervisor, identical results.  Crashes
-            # injected here raise InjectedCrash (never os._exit) and are
-            # retried in place; there is no watchdog — a hang would hang
-            # the caller, which is exactly the serial contract.  SIGINT
-            # keeps its default immediate KeyboardInterrupt (the serial
-            # contract again); SIGTERM drains — the in-flight job finishes
-            # and commits, the rest is marked aborted.
-            with _SignalGuard(sigint=False) as guard:
-                for pj in miss_jobs:
-                    if guard.draining:
-                        _record_aborted(
-                            pj, "SIGTERM drain: job never started")
-                        continue
-                    while True:
-                        item = (pj.key, pj.job, pj.trace_path,
-                                pj.index, pj.tries + 1, False)
-                        try:
-                            _key, data, seconds = _run_job(item)
-                        except WorkerError as err:
-                            pj.tries += 1
-                            pj.last_class = classify_failure(err.detail,
-                                                             err.root_cause)
-                            pj.last_detail = err.detail
-                            pj.last_root = err.root_cause
-                            if guard.draining:
-                                _record_aborted(
-                                    pj, "SIGTERM drain: retry abandoned "
-                                    "after attempt %d" % pj.tries)
-                                break
-                            if (pj.last_class in RETRYABLE
-                                    and pj.tries <= retries):
-                                if progress:
-                                    progress(done, total, pj.workload_name,
-                                             pj.config_name, 0.0, "retry")
-                                time.sleep(backoff * (2 ** (pj.tries - 1)))
-                                continue
-                            if keep_going:
-                                _record_terminal(pj)
-                                break
-                            raise
-                        else:
-                            _record_success(pj, data, seconds)
-                            break
-                drained = guard.draining
-        if trace_dir is not None:
-            # Merge per-job event logs in job (not completion) order; the
-            # result is byte-identical however many workers ran.
-            with open(trace_spec.path, "wb") as merged:
-                for pj in miss_jobs:
-                    if os.path.exists(pj.trace_path):
-                        with open(pj.trace_path, "rb") as part:
-                            shutil.copyfileobj(part, merged)
-        # Assemble sampled cells from their interval results.  Aggregation
-        # consumes intervals in index order with a deterministic early-stop
-        # rule, so the cell result is identical however many workers ran
-        # (and identical to a serial simulate_sampled that stopped early).
-        for cell_key, cell in interval_cells.items():
-            datas = []
-            for interval_key in cell["interval_keys"]:
-                result = by_key.get(interval_key)
-                if result is None:
-                    datas = None  # an interval failed terminally
-                    break
-                datas.append(result.data)
-            if datas is None:
-                by_key[cell_key] = None
-                continue
-            result = SimResult(aggregate_intervals(datas, cell["spec"]))
-            cache.put(cell_key, result)
-            by_key[cell_key] = result
+    else:
+        executor = SerialExecutor(retries=retries, keep_going=keep_going)
+    with _SignalGuard(sigint=executor.traps_sigint) as guard:
+        executor.execute(misses, guard, on_success=sweep.on_success,
+                         on_terminal=sweep.on_terminal,
+                         on_aborted=sweep.on_aborted,
+                         on_retry=sweep.on_retry)
+        sweep.drained = guard.draining
+        if guard.triggered:
+            raise KeyboardInterrupt
+    return workers
+
+
+def _assemble(sweep, misses):
+    """Merge per-job event logs and aggregate sampled cells.
+
+    Both consume their parts in job / interval-index order, so the bytes
+    and the cell results are identical however many workers ran (a cell
+    equals a serial simulate_sampled that stopped at the same interval).
+    """
+    if sweep.trace_spec is not None and misses:
+        with open(sweep.trace_spec.path, "wb") as merged:
+            for pj in misses:
+                if os.path.exists(pj.trace_path):
+                    with open(pj.trace_path, "rb") as part:
+                        shutil.copyfileobj(part, merged)
+    for cell_key, (spec, interval_keys) in sweep.cells.items():
+        datas = [sweep.by_key.get(key) for key in interval_keys]
+        if any(result is None for result in datas):
+            sweep.by_key[cell_key] = None  # an interval failed terminally
+            continue
+        result = SimResult(aggregate_intervals([r.data for r in datas], spec))
+        sweep.cache.put(cell_key, result)
+        sweep.by_key[cell_key] = result
+
+
+def _report(sweep, misses, workers, wall_seconds):
+    sweep.failures.sort(key=lambda record: (record["job_index"],
+                                            record["recovered"]))
+    return TimingReport(
+        wall_seconds=wall_seconds,
+        jobs_total=sweep.total,
+        jobs_simulated=len(misses),
+        jobs_deduplicated=sweep.deduplicated,
+        cache_hits=sweep.cache_hits,
+        workers=workers if misses else 0,
+        instructions_simulated=sum(
+            sweep.by_key[pj.key].data["total_instructions"]
+            for pj in misses if sweep.by_key.get(pj.key) is not None),
+        jobs_failed=sum(1 for r in sweep.failures if not r["recovered"]
+                        and r["classification"] not in (CLASS_CORRUPT_CACHE,
+                                                        CLASS_ABORTED)),
+        failures=sweep.failures,
+        drained=sweep.drained,
+    )
+
+
+def run_jobs(jobs, cache=None, max_workers=None, progress=None,
+             job_timeout=None, retries=None, keep_going=False,
+             batch_warm=None):
+    """Run (workload, config, length, warmup[, sampling]) jobs through the
+    result cache and an executor: plan, lookup, prewarm, execute,
+    assemble, report.
+
+    Args:
+        jobs: sequence of ``(workload, config, length, warmup)`` tuples,
+            optionally with a fifth interval-sampling spec.
+        cache: a :class:`~repro.sim.cache.ResultCache`; defaults to the
+            shared on-disk cache.  Completed jobs are committed to it
+            incrementally, so an interrupted run resumes where it stopped.
+        max_workers: worker cap (None = ``REPRO_JOBS``).  Above one,
+            misses run on a :class:`repro.sim.scheduler.ShardPool`;
+            otherwise on the in-process :class:`SerialExecutor`.
+        progress: optional callback
+            ``(done, total, workload, config_name, seconds, source)`` with
+            ``source`` one of ``"cache"``, ``"run"``, ``"dedup"``,
+            ``"retry"``, ``"fail"``.  When omitted, ``REPRO_PROGRESS=1``
+            enables a stderr printer.
+        job_timeout: watchdog deadline seconds per attempt (None = env /
+            derived default, 0 = disabled); see :func:`resolve_job_timeout`.
+        retries: extra attempts for crashed/timed-out jobs (None =
+            ``REPRO_JOB_RETRIES``).  Deterministic exceptions are never
+            retried.
+        keep_going: record terminal failures in the report's manifest and
+            return ``None`` in their result slots instead of raising.
+        batch_warm: prewarm through the batched SoA engine, bit-exact with
+            the scalar prewarm (None = ``REPRO_BATCH_WARM``).
+
+    Returns:
+        ``(results, report)`` — ``results`` is a list of
+        :class:`~repro.sim.runner.SimResult` (or ``None`` for failed jobs
+        under ``keep_going``) in job order, ``report`` a
+        :class:`TimingReport` carrying the failure manifest.
+    """
+    started = time.perf_counter()
+    if progress is None and settings.get("REPRO_PROGRESS"):
+        progress = _stderr_progress
+    if batch_warm is None:
+        batch_warm = settings.get("REPRO_BATCH_WARM")
+    sweep = _Sweep(cache if cache is not None else default_cache(), progress)
+    keys, unique = _plan(sweep, jobs)
+    store = default_checkpoint_store()
+    misses, prewarm = _lookup(sweep, keys, unique, store)
+    _prewarm(sweep, store, prewarm, batch_warm)
+    trace_dir = None
+    if sweep.trace_spec is not None and misses:
+        trace_dir = tempfile.mkdtemp(prefix="repro-trace-")
+        for pj in misses:
+            pj.trace_path = os.path.join(trace_dir, "job-%06d.jsonl" % pj.index)
+    try:
+        workers = _execute(sweep, misses, max_workers, job_timeout, retries,
+                           keep_going)
+        _assemble(sweep, misses)
     finally:
         if trace_dir is not None:
             shutil.rmtree(trace_dir, ignore_errors=True)
-
-    failures.sort(key=lambda record: (record["job_index"],
-                                      record["recovered"]))
-    report = TimingReport(
-        wall_seconds=time.perf_counter() - started,
-        jobs_total=total,
-        jobs_simulated=len(miss_jobs),
-        jobs_deduplicated=deduplicated,
-        cache_hits=cache_hits,
-        workers=workers if miss_jobs else 0,
-        instructions_simulated=sum(
-            by_key[pj.key].data["total_instructions"]
-            for pj in miss_jobs
-            if by_key.get(pj.key) is not None
-        ),
-        jobs_failed=sum(1 for r in failures if not r["recovered"]
-                        and r["classification"] not in (CLASS_CORRUPT_CACHE,
-                                                        CLASS_ABORTED)),
-        failures=failures,
-        drained=drained,
-    )
+    report = _report(sweep, misses, workers,
+                     time.perf_counter() - started)
     # Job order, not completion order: deterministic output.
-    return [by_key.get(key) for key in keys], report
-
-
-def run_suite_parallel(config, workloads, length, warmup,
-                       cache=None, max_workers=None, progress=None,
-                       job_timeout=None, retries=None, keep_going=False,
-                       sampling=None, batch_warm=None):
-    """Fan one config across ``workloads``; returns ``({name: SimResult},
-    TimingReport)``.  Under ``keep_going``, failed workloads are simply
-    absent from the mapping (the report's manifest names them).
-
-    ``sampling`` is an optional interval-sampling spec (see
-    :func:`~repro.sim.sampling.normalize_spec`); each workload's intervals
-    then run as independent jobs sharing one warm-state checkpoint.
-    """
-    jobs = [(name, config, length, warmup, sampling) for name in workloads]
-    results, report = run_jobs(jobs, cache=cache, max_workers=max_workers,
-                               progress=progress, job_timeout=job_timeout,
-                               retries=retries, keep_going=keep_going,
-                               batch_warm=batch_warm)
-    return {name: result for name, result in zip(workloads, results)
-            if result is not None}, report
+    return [sweep.by_key.get(key) for key in keys], report
 
 
 def run_matrix(configs, workloads, length, warmup,

@@ -17,13 +17,12 @@ is disabled under tracing (``REPRO_TRACE`` / an explicit tracer), for
 pipeline events the warmer does not model), and by ``REPRO_FF=0``.
 """
 
-import os
-
 from repro.core.config import baseline
 from repro.core.core import OOOCore
 from repro.emu.warmup import FunctionalWarmer
 from repro.obs.export import sort_events, write_jsonl
 from repro.obs.tracer import trace_spec_from_env
+from repro.sim import settings
 from repro.sim.defaults import DEFAULT_LENGTH, DEFAULT_WARMUP
 from repro.workloads.suite import build_workload, workload_category
 
@@ -32,17 +31,6 @@ from repro.workloads.suite import build_workload, workload_category
 #: or the core's timing semantics change, so stale on-disk results from an
 #: older simulator become cache misses instead of wrong answers.
 SCHEMA_VERSION = 4
-
-
-def fast_forward_env_disabled(environ=None):
-    """True when ``REPRO_FF`` explicitly disables fast-forward.
-
-    The env knob is a kill-switch for validation runs (like ``--no-ff``);
-    it is mixed into the result-cache fingerprint so a run with the switch
-    thrown can never poison fast-forward cache entries.
-    """
-    environ = environ if environ is not None else os.environ
-    return environ.get("REPRO_FF", "") in ("0", "off", "false")
 
 
 def fast_forward_split(config, trace_length, warmup):
@@ -58,7 +46,7 @@ def fast_forward_split(config, trace_length, warmup):
     if (
         not config.fast_forward
         or config.vp.enabled
-        or fast_forward_env_disabled()
+        or not settings.get("REPRO_FF")
     ):
         return 0, effective
     detailed = min(config.ff_detail_ramp, effective)
@@ -393,9 +381,7 @@ def simulate_sampled(
     if checkpoint_store == "default":
         checkpoint_store = checkpoint.default_checkpoint_store()
     if batch_warm is None:
-        from repro.emu.batch import batch_warm_env_enabled
-
-        batch_warm = batch_warm_env_enabled()
+        batch_warm = settings.get("REPRO_BATCH_WARM")
     if checkpoint_store is not None:
         checkpoint.ensure_checkpoints(
             trace, name, config, len(trace), plan.checkpoint_positions(),

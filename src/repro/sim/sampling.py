@@ -29,7 +29,7 @@ workers in ``repro.sim.parallel``.
 
 import math
 
-from repro.sim.runner import fast_forward_env_disabled
+from repro.sim import settings
 
 #: Default relative CI half-width target for adaptive mode (1%).
 DEFAULT_CI_TARGET = 0.01
@@ -214,7 +214,7 @@ class SamplingPlan(object):
         ff_ok = (
             config.fast_forward
             and not config.vp.enabled
-            and not fast_forward_env_disabled()
+            and settings.get("REPRO_FF")
         )
         self.samples = samples
         self.warmup_effective = warmup_effective

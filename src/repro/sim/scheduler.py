@@ -13,7 +13,7 @@ long-lived **shard** processes otherwise.  The pool has three parts:
   ``("stop",)`` down and ``("ok", key, data, seconds)`` /
   ``("err", workload, config_name, detail, root_cause)`` up, with
   ``("hb", shard_id)`` liveness beats every ``REPRO_HEARTBEAT_INTERVAL``
-  seconds (default 0.25) from a daemon thread.
+  seconds from a daemon thread.
 - **Trace affinity** (:meth:`ShardPool._next_ready`): the queue is one
   lane per trace key ``(workload, length)``.  A free shard takes a job on
   the trace it already holds; else a job on a trace no other shard
@@ -25,15 +25,16 @@ long-lived **shard** processes otherwise.  The pool has three parts:
   pipes.  A job that outlives its watchdog deadline (see
   :func:`repro.sim.parallel.resolve_job_timeout`) has its shard killed
   and respawned.  A shard that misses ``REPRO_HEARTBEAT_MISSES``
-  consecutive heartbeats (default 20) or whose pipe hits EOF is killed
-  and its in-flight job requeued; a replacement is spawned with
-  exponential backoff (``REPRO_RESPAWN_BACKOFF`` base seconds, doubling
-  per consecutive failure), and a shard that crash-loops
-  ``REPRO_CRASH_LOOP`` times (default 3) within ``REPRO_CRASH_WINDOW``
-  seconds (default 30) is **quarantined**: benched for the backoff
-  period with an event on :attr:`ShardPool.events`.  Job-level retry
-  accounting (attempts, backoff, keep-going manifests, SIGTERM drain)
-  matches the serial path, so results are byte-identical to it.
+  consecutive heartbeats or whose pipe hits EOF is killed and its
+  in-flight job requeued; a replacement is spawned with exponential
+  backoff (``REPRO_RESPAWN_BACKOFF`` base seconds, doubling per
+  consecutive failure), and a shard that dies :data:`CRASH_LOOP_LIMIT`
+  times within :data:`CRASH_LOOP_WINDOW` seconds is **quarantined**:
+  benched for the backoff period with an event on
+  :attr:`ShardPool.events`.  Job-level retry accounting (attempts,
+  backoff, keep-going manifests) is the one
+  :meth:`repro.sim.parallel.Executor._fail_attempt` the serial executor
+  uses too, so results and manifests match it.
 
 Fault injection (``REPRO_FAULT``): ``crash``/``hang`` target jobs by
 index as on the serial path (a crash hard-exits the shard), and
@@ -52,73 +53,18 @@ import time
 from collections import deque
 from multiprocessing.connection import wait as _wait_connections
 
-from repro.sim import faults
-from repro.sim import parallel
+from repro.sim import faults, parallel, settings
 from repro.sim.parallel import (
-    CLASS_CRASH, CLASS_TIMEOUT, RETRYABLE, WorkerError, classify_failure,
-    default_retries, drain_timeout_default, resolve_job_timeout,
-    retry_backoff_base, start_method,
+    CLASS_CRASH, CLASS_TIMEOUT, Executor, WorkerError, classify_failure,
+    resolve_job_timeout,
 )
 from repro.workloads.suite import build_workload
 
 
-def heartbeat_interval_default():
-    """Seconds between shard heartbeats (``REPRO_HEARTBEAT_INTERVAL``)."""
-    env = os.environ.get("REPRO_HEARTBEAT_INTERVAL")
-    if env:
-        try:
-            return max(0.01, float(env))
-        except ValueError:
-            pass
-    return 0.25
-
-
-def heartbeat_miss_limit_default():
-    """Consecutive missed heartbeats before quarantine
-    (``REPRO_HEARTBEAT_MISSES``)."""
-    env = os.environ.get("REPRO_HEARTBEAT_MISSES")
-    if env:
-        try:
-            return max(2, int(env))
-        except ValueError:
-            pass
-    return 20
-
-
-def crash_loop_limit_default():
-    """Shard deaths within the window that trigger a crash-loop
-    quarantine (``REPRO_CRASH_LOOP``)."""
-    env = os.environ.get("REPRO_CRASH_LOOP")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 3
-
-
-def crash_loop_window_default():
-    """Sliding window seconds for crash-loop detection
-    (``REPRO_CRASH_WINDOW``)."""
-    env = os.environ.get("REPRO_CRASH_WINDOW")
-    if env:
-        try:
-            return max(1.0, float(env))
-        except ValueError:
-            pass
-    return 30.0
-
-
-def respawn_backoff_default():
-    """Respawn delay base seconds, doubling per consecutive failure
-    (``REPRO_RESPAWN_BACKOFF``)."""
-    env = os.environ.get("REPRO_RESPAWN_BACKOFF")
-    if env:
-        try:
-            return max(0.0, float(env))
-        except ValueError:
-            pass
-    return 0.25
+#: Shard deaths within :data:`CRASH_LOOP_WINDOW` seconds that turn a
+#: respawn into a crash-loop quarantine.
+CRASH_LOOP_LIMIT = 3
+CRASH_LOOP_WINDOW = 30.0
 
 
 def trace_key(job):
@@ -240,7 +186,7 @@ class _ShardSlot(object):
         self.trace_key = None    # the trace this shard holds, if any
 
 
-class ShardPool(object):
+class ShardPool(Executor):
     """N supervised long-lived shards with trace-affine dispatch.
 
     :meth:`execute` runs a list of pending jobs to completion for
@@ -249,37 +195,21 @@ class ShardPool(object):
     """
 
     def __init__(self, shards, job_timeout=None, retries=None,
-                 keep_going=True, heartbeat_interval=None, miss_limit=None,
-                 crash_loop_limit=None, crash_loop_window=None,
-                 respawn_backoff=None):
+                 keep_going=True):
+        super(ShardPool, self).__init__(retries, keep_going)
         self.shards = max(1, int(shards))
         self.job_timeout = job_timeout
-        self.retries = retries if retries is not None else default_retries()
-        self.keep_going = keep_going
-        self.hb_interval = (heartbeat_interval if heartbeat_interval
-                            is not None else heartbeat_interval_default())
-        self.miss_limit = (miss_limit if miss_limit is not None
-                           else heartbeat_miss_limit_default())
-        self.crash_loop_limit = (crash_loop_limit if crash_loop_limit
-                                 is not None else crash_loop_limit_default())
-        self.crash_loop_window = (crash_loop_window if crash_loop_window
-                                  is not None else crash_loop_window_default())
-        self.respawn_backoff = (respawn_backoff if respawn_backoff
-                                is not None else respawn_backoff_default())
-        self.backoff = retry_backoff_base()
+        self.hb_interval = settings.get("REPRO_HEARTBEAT_INTERVAL")
+        self.miss_limit = settings.get("REPRO_HEARTBEAT_MISSES")
+        self.respawn_backoff = settings.get("REPRO_RESPAWN_BACKOFF")
         #: Supervision events (spawn/death/quarantine/watchdog), in order.
         self.events = []
-        self._ctx = multiprocessing.get_context(start_method())
+        self._ctx = multiprocessing.get_context(settings.get("REPRO_MP_START"))
         self._slots = [_ShardSlot(i) for i in range(self.shards)]
         #: trace key -> lane of queued jobs; keys in first-queued order,
         #: and a key leaves the map when its lane empties.
         self._lanes = {}
         self._tick = min(0.05, self.hb_interval)
-        self._fatal = None
-        self._on_success = None
-        self._on_terminal = None
-        self._on_aborted = None
-        self._on_retry = None
 
     def _event(self, kind, slot, **extra):
         record = {"event": kind, "shard": slot.index,
@@ -338,9 +268,9 @@ class ShardPool(object):
         slot.consecutive_failures += 1
         slot.crash_times.append(now)
         while slot.crash_times and \
-                slot.crash_times[0] < now - self.crash_loop_window:
+                slot.crash_times[0] < now - CRASH_LOOP_WINDOW:
             slot.crash_times.popleft()
-        crash_looping = len(slot.crash_times) >= self.crash_loop_limit
+        crash_looping = len(slot.crash_times) >= CRASH_LOOP_LIMIT
         delay = self.respawn_backoff * (
             2 ** min(slot.consecutive_failures - 1, 8))
         slot.down_until = now + delay
@@ -416,22 +346,7 @@ class ShardPool(object):
         else:
             lane.append(pj)
 
-    def _fail_attempt(self, pj, classification, detail, root_cause, now):
-        pj.tries += 1
-        pj.last_class = classification
-        pj.last_detail = detail
-        pj.last_root = root_cause
-        if classification in RETRYABLE and pj.tries <= self.retries:
-            pj.next_start = now + self.backoff * (2 ** (pj.tries - 1))
-            self._enqueue(pj)
-            if self._on_retry is not None:
-                self._on_retry(pj)
-            return
-        if self.keep_going:
-            self._on_terminal(pj)
-            return
-        self._fatal = WorkerError(pj.workload_name, pj.config_name,
-                                  detail, root_cause)
+    _requeue = _enqueue
 
     # -- dispatch --------------------------------------------------------
 
@@ -458,9 +373,8 @@ class ShardPool(object):
         return None
 
     def _dispatch(self, slot, pj, now):
-        item = (pj.key, pj.job, pj.trace_path, pj.index, pj.tries + 1, True)
         try:
-            slot.conn.send(("job", item))
+            slot.conn.send(("job", pj.item(True)))
         except (OSError, ValueError):
             self._enqueue(pj, front=True)
             self._shard_died(slot, now)
@@ -503,14 +417,11 @@ class ShardPool(object):
             draining = guard is not None and guard.draining
             if draining:
                 if drain_deadline is None:
-                    drain_deadline = now + drain_timeout_default()
+                    drain_timeout = settings.get("REPRO_DRAIN_TIMEOUT")
+                    drain_deadline = now + drain_timeout
                 for lane in self._lanes.values():
                     for pj in lane:
-                        self._on_aborted(
-                            pj, "SIGTERM drain: job never started"
-                            if pj.tries == 0 else
-                            "SIGTERM drain: retry abandoned after attempt %d"
-                            % pj.tries)
+                        self._abort(pj)
                 self._lanes.clear()
                 busy = self._busy_slots()
                 if not busy:
@@ -523,7 +434,7 @@ class ShardPool(object):
                         self._on_aborted(
                             pj, "SIGTERM drain: in-flight chunk exceeded "
                             "the %.1fs drain deadline; shard killed"
-                            % drain_timeout_default())
+                            % drain_timeout)
                     break
             if not self._lanes and not self._busy_slots():
                 break
@@ -605,10 +516,7 @@ class ShardPool(object):
         ``KeyboardInterrupt``) and SIGTERM (graceful drain — in-flight
         chunks finish, queued jobs abort).
         """
-        self._on_success = on_success
-        self._on_terminal = on_terminal
-        self._on_aborted = on_aborted
-        self._on_retry = on_retry
+        self._bind(on_success, on_terminal, on_aborted, on_retry)
         pending = list(pending)
         for pj in pending:
             self._enqueue(pj)

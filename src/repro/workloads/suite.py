@@ -18,27 +18,11 @@ spec17_xalancbmk and hadoop carry latency-critical chains (top gains).
 """
 
 import hashlib
-import os
 from functools import lru_cache
 
+from repro.sim import settings
 from repro.workloads.generator import WorkloadProfile, generate_trace
 
-
-def _trace_cache_size():
-    """Trace-memo capacity: ``REPRO_TRACE_CACHE`` (entries), default 96.
-
-    The default holds the full 65-workload suite plus headroom for ad-hoc
-    lengths.  Long-running sweeps over many (name, length) pairs can bound
-    the resident set lower; ``0`` disables caching entirely (every call
-    regenerates).  Invalid values fall back to the default rather than
-    failing at import time.
-    """
-    raw = os.environ.get("REPRO_TRACE_CACHE", "")
-    try:
-        size = int(raw)
-    except ValueError:
-        return 96
-    return size if size >= 0 else 96
 
 CATEGORIES = ("ISPEC06", "FSPEC06", "ISPEC17", "FSPEC17", "Cloud", "Client")
 
@@ -195,15 +179,6 @@ def workload_category(name):
     return WORKLOADS[name]
 
 
-def trace_cache_capacity():
-    """The ``REPRO_TRACE_CACHE`` budget (entries) other trace-keyed memos
-    share.  :func:`build_workload` reads it once at import (``lru_cache``
-    is sized at decoration time); derived-column caches like
-    :func:`repro.emu.batch.columns_for` re-read it per miss, so a test can
-    lower the budget with ``monkeypatch.setenv`` and watch evictions."""
-    return _trace_cache_size()
-
-
 def _seed_for(name):
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
@@ -225,7 +200,7 @@ def profile_for(name, length=20000):
     )
 
 
-@lru_cache(maxsize=_trace_cache_size())
+@lru_cache(maxsize=settings.get("REPRO_TRACE_CACHE"))
 def build_workload(name, length=20000):
     """Generate (and memoise) the trace for a suite workload.
 

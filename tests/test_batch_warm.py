@@ -24,8 +24,6 @@ import pytest
 from repro.core.config import baseline
 from repro.core.core import OOOCore
 from repro.emu.batch import (
-    batch_warm_env_enabled,
-    batch_width_default,
     columns_for,
     warm_batch,
 )
@@ -40,6 +38,7 @@ from repro.sim.checkpoint import (
     ensure_checkpoints,
     ensure_checkpoints_batch,
 )
+from repro.sim import settings
 from repro.workloads.suite import build_workload
 
 LENGTH = 6000
@@ -248,14 +247,14 @@ class TestParallelBatchLane:
 class TestEngineKnobs:
     def test_env_gates(self, monkeypatch):
         monkeypatch.delenv("REPRO_BATCH_WARM", raising=False)
-        assert not batch_warm_env_enabled()
+        assert not settings.get("REPRO_BATCH_WARM")
         for value in ("1", "on", "true"):
             monkeypatch.setenv("REPRO_BATCH_WARM", value)
-            assert batch_warm_env_enabled()
+            assert settings.get("REPRO_BATCH_WARM")
         monkeypatch.setenv("REPRO_BATCH_WARM", "0")
-        assert not batch_warm_env_enabled()
+        assert not settings.get("REPRO_BATCH_WARM")
         monkeypatch.setenv("REPRO_BATCH_WIDTH", "17")
-        assert batch_width_default() == 17
+        assert settings.get("REPRO_BATCH_WIDTH") == 17
 
     def test_unknown_engine_rejected(self, tmp_path):
         store = CheckpointStore(str(tmp_path))

@@ -28,13 +28,13 @@ from repro.sim.cache import ResultCache
 from repro.sim.checkpoint import (
     CheckpointStore,
     capture,
-    checkpoints_env_disabled,
     default_checkpoint_store,
     ensure_checkpoints,
     restore,
     warm_fingerprint,
     warm_or_restore,
 )
+from repro.sim import settings
 from repro.sim.parallel import run_matrix
 from repro.sim.runner import SimResult, simulate_sampled
 from repro.workloads.suite import build_workload
@@ -284,10 +284,10 @@ class TestCheckpointStore:
 
     def test_kill_switch(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHECKPOINTS", raising=False)
-        assert not checkpoints_env_disabled()
+        assert settings.get("REPRO_CHECKPOINTS")
         for value in ("0", "off", "false"):
             monkeypatch.setenv("REPRO_CHECKPOINTS", value)
-            assert checkpoints_env_disabled()
+            assert not settings.get("REPRO_CHECKPOINTS")
             assert default_checkpoint_store() is None
 
     def test_disabled_store_is_bit_exact(self, tmp_path, monkeypatch):

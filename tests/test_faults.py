@@ -63,6 +63,20 @@ def jobs4(config=None):
     return [(name, config, LENGTH, WARMUP) for name in WORKLOADS]
 
 
+#: Worker counts that select each executor: in-process serial, shard pool.
+EXECUTORS = (1, 2)
+
+
+def manifest(report):
+    """The manifest fields both executors must agree on.  ``detail`` and
+    ``root_cause`` of a crash differ by design: in-process it raises
+    InjectedCrash with a traceback, in a shard it is a silent exit."""
+    return [{name: record[name] for name in
+             ("workload", "config", "job_index", "classification",
+              "attempts", "recovered")}
+            for record in report.failures]
+
+
 class TestFaultSpecs:
     def test_parse_single(self):
         (spec,) = faults.parse_faults("crash:job=3")
@@ -191,24 +205,34 @@ class TestCrashRecovery:
 
     def test_persistent_crash_is_terminal_under_keep_going(self, tmp_path):
         os.environ["REPRO_FAULT"] = "crash:job=1"
-        results, report = run_jobs(jobs4(), cache=ResultCache(str(tmp_path)),
-                                   max_workers=2, retries=1, keep_going=True)
-        assert results[1] is None
-        assert all(r is not None for i, r in enumerate(results) if i != 1)
-        assert report.jobs_failed == 1
-        (record,) = report.failures
-        assert record["classification"] == "crash"
-        assert record["recovered"] is False
-        assert record["attempts"] == 2  # first try + one retry
-        assert record["workload"] == WORKLOADS[1]
-        assert "TERMINAL" in format_failures(report.failures)
+        manifests = []
+        for max_workers in EXECUTORS:
+            results, report = run_jobs(
+                jobs4(), cache=ResultCache(str(tmp_path / str(max_workers))),
+                max_workers=max_workers, retries=1, keep_going=True)
+            assert results[1] is None
+            assert all(r is not None for i, r in enumerate(results) if i != 1)
+            assert report.jobs_failed == 1
+            (record,) = report.failures
+            assert record["classification"] == "crash"
+            assert record["recovered"] is False
+            assert record["attempts"] == 2  # first try + one retry
+            assert record["workload"] == WORKLOADS[1]
+            assert "TERMINAL" in format_failures(report.failures)
+            manifests.append(manifest(report))
+        assert manifests[0] == manifests[1]
 
     def test_crash_raises_without_keep_going(self, tmp_path):
         os.environ["REPRO_FAULT"] = "crash:job=0"
-        with pytest.raises(WorkerError) as excinfo:
-            run_jobs(jobs4(), cache=ResultCache(str(tmp_path)),
-                     max_workers=2, retries=0)
-        assert excinfo.value.workload == WORKLOADS[0]
+        raised = []
+        for max_workers in EXECUTORS:
+            with pytest.raises(WorkerError) as excinfo:
+                run_jobs(jobs4(),
+                         cache=ResultCache(str(tmp_path / str(max_workers))),
+                         max_workers=max_workers, retries=0)
+            assert excinfo.value.workload == WORKLOADS[0]
+            raised.append((excinfo.value.workload, excinfo.value.config_name))
+        assert raised[0] == raised[1]
 
     def test_serial_path_recovers_from_injected_crash(self, tmp_path):
         os.environ["REPRO_FAULT"] = "crash:job=2:attempts=1"
@@ -220,14 +244,19 @@ class TestCrashRecovery:
 
     def test_deterministic_error_is_not_retried(self, tmp_path):
         jobs = jobs4() + [("no_such_workload", quiet_config(), LENGTH, WARMUP)]
-        results, report = run_jobs(jobs, cache=ResultCache(str(tmp_path)),
-                                   max_workers=2, retries=3, keep_going=True)
-        assert results[-1] is None
-        (record,) = report.failures
-        assert record["classification"] == "error"
-        assert record["attempts"] == 1  # no retry burned on a KeyError
-        assert record["root_cause"] == "KeyError"
-        assert "KeyError" in record["detail"]
+        manifests = []
+        for max_workers in EXECUTORS:
+            results, report = run_jobs(
+                jobs, cache=ResultCache(str(tmp_path / str(max_workers))),
+                max_workers=max_workers, retries=3, keep_going=True)
+            assert results[-1] is None
+            (record,) = report.failures
+            assert record["classification"] == "error"
+            assert record["attempts"] == 1  # no retry burned on a KeyError
+            assert record["root_cause"] == "KeyError"
+            assert "KeyError" in record["detail"]
+            manifests.append(manifest(report))
+        assert manifests[0] == manifests[1]
 
 
 class TestHangWatchdog:

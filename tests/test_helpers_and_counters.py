@@ -7,28 +7,31 @@ from conftest import quiet_config
 
 from repro.core.config import baseline
 from repro.rfp.engine import RFPStats
-from repro.sim import experiments
+from repro.sim import experiments, settings
 from repro.sim.oracle import oracle_config
 from repro.stats.counters import SimStats
 from repro.vp.base import ConfidenceCounter, ValuePredictor
+from repro.workloads.suite import workload_names
 
 
 class TestExperimentKnobs:
     def test_default_workloads_all(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKLOADS", raising=False)
-        assert len(experiments.default_workloads()) == 65
+        assert len(workload_names()[:settings.get("REPRO_WORKLOADS")]) == 65
+        monkeypatch.setenv("REPRO_WORKLOADS", "all")
+        assert settings.get("REPRO_WORKLOADS") is None
 
     def test_default_workloads_limited(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKLOADS", "5")
-        assert len(experiments.default_workloads()) == 5
+        assert len(workload_names()[:settings.get("REPRO_WORKLOADS")]) == 5
 
     def test_default_length_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_LENGTH", "4242")
-        assert experiments.default_length() == 4242
+        assert settings.get("REPRO_LENGTH") == 4242
 
     def test_default_warmup_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WARMUP", "7")
-        assert experiments.default_warmup() == 7
+        assert settings.get("REPRO_WARMUP") == 7
 
     def test_mean_fraction_empty(self):
         assert experiments.mean_fraction({}, "useful") == 0.0

@@ -11,6 +11,7 @@ from conftest import quiet_config
 
 from repro.core import invariants
 from repro.core.core import OOOCore
+from repro.sim import settings
 from repro.sim.runner import simulate
 from repro.workloads.suite import build_workload
 
@@ -30,19 +31,19 @@ def stepped_core(config=None, cycles=80, length=400):
 class TestIntervalKnob:
     def test_unset_means_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
-        assert invariants.interval_from_env() == 0
+        assert settings.get("REPRO_CHECK_INVARIANTS") == 0
 
     @pytest.mark.parametrize("value", ["", "0", "off", "false"])
     def test_disabling_values(self, value):
-        assert invariants.interval_from_env({"REPRO_CHECK_INVARIANTS": value}) == 0
+        assert settings.get("REPRO_CHECK_INVARIANTS", {"REPRO_CHECK_INVARIANTS": value}) == 0
 
     def test_integer_interval(self):
-        assert invariants.interval_from_env({"REPRO_CHECK_INVARIANTS": "64"}) == 64
-        assert invariants.interval_from_env({"REPRO_CHECK_INVARIANTS": "1"}) == 1
+        assert settings.get("REPRO_CHECK_INVARIANTS", {"REPRO_CHECK_INVARIANTS": "64"}) == 64
+        assert settings.get("REPRO_CHECK_INVARIANTS", {"REPRO_CHECK_INVARIANTS": "1"}) == 1
 
     def test_garbage_raises(self):
         with pytest.raises(ValueError, match="REPRO_CHECK_INVARIANTS"):
-            invariants.interval_from_env({"REPRO_CHECK_INVARIANTS": "always"})
+            settings.get("REPRO_CHECK_INVARIANTS", {"REPRO_CHECK_INVARIANTS": "always"})
 
     def test_core_reads_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "16")

@@ -19,15 +19,8 @@ from repro.sim import cache as cache_mod
 from repro.sim.cache import ResultCache, config_fingerprint, simulate_cached
 from repro.sim.experiments import run_suite
 from repro.sim.journal import encode_envelope
-from repro.sim.parallel import (
-    TimingReport,
-    WorkerError,
-    default_jobs,
-    run_jobs,
-    run_matrix,
-    run_suite_parallel,
-    start_method,
-)
+from repro.sim import settings
+from repro.sim.parallel import TimingReport, WorkerError, run_jobs, run_matrix
 
 WORKLOADS = ["spec06_bzip2", "spec06_mcf", "spec06_perlbench"]
 LENGTH = 1200
@@ -41,12 +34,12 @@ def small_jobs(config=None):
 
 class TestDeterminism:
     def test_parallel_matches_serial(self, tmp_path):
-        """run_suite(parallel=True) and serial produce identical data."""
+        """run_suite on the shard pool and in-process: identical data."""
         serial = run_suite(quiet_config(), workloads=WORKLOADS, length=LENGTH,
-                           warmup=WARMUP, parallel=False,
+                           warmup=WARMUP, jobs=1,
                            cache=ResultCache(str(tmp_path / "serial")))
         parallel = run_suite(quiet_config(), workloads=WORKLOADS, length=LENGTH,
-                             warmup=WARMUP, parallel=True, jobs=3,
+                             warmup=WARMUP, jobs=3,
                              cache=ResultCache(str(tmp_path / "par")))
         assert set(serial) == set(parallel)
         for name in WORKLOADS:
@@ -65,9 +58,10 @@ class TestDeterminism:
                     open(os.path.join(d2, name)) as h2:
                 assert h1.read() == h2.read()
 
-    def test_run_suite_parallel_returns_mapping_and_report(self, tmp_path):
-        results, report = run_suite_parallel(
-            quiet_config(), WORKLOADS, LENGTH, WARMUP,
+    def test_run_matrix_single_config_returns_mapping_and_report(
+            self, tmp_path):
+        (results,), report = run_matrix(
+            [quiet_config()], WORKLOADS, LENGTH, WARMUP,
             cache=ResultCache(str(tmp_path)), max_workers=2)
         assert list(results) == WORKLOADS
         assert report.jobs_total == len(WORKLOADS)
@@ -212,17 +206,17 @@ class TestSchemaVersion:
 class TestKnobs:
     def test_default_jobs_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "7")
-        assert default_jobs() == 7
+        assert settings.get("REPRO_JOBS") == 7
         monkeypatch.setenv("REPRO_JOBS", "0")
-        assert default_jobs() == 1
+        assert settings.get("REPRO_JOBS") == 1
         monkeypatch.delenv("REPRO_JOBS")
-        assert default_jobs() >= 1
+        assert settings.get("REPRO_JOBS") >= 1
 
     def test_start_method_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_MP_START", "spawn")
-        assert start_method() == "spawn"
+        assert settings.get("REPRO_MP_START") == "spawn"
         monkeypatch.delenv("REPRO_MP_START")
-        assert start_method() in ("fork", "spawn")
+        assert settings.get("REPRO_MP_START") in ("fork", "spawn")
 
     def test_timing_report_format(self):
         report = TimingReport(wall_seconds=2.0, jobs_total=10,

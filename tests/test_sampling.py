@@ -17,7 +17,7 @@ import pytest
 from conftest import quiet_config
 
 from repro.sim.cache import ResultCache
-from repro.sim.parallel import run_jobs, run_suite_parallel
+from repro.sim.parallel import run_jobs, run_matrix
 from repro.sim.runner import (
     fast_forward_split,
     simulate,
@@ -250,8 +250,8 @@ class TestSampledRuns:
         assert once.data["ipc_ci"]["intervals_used"] <= 6
         # The parallel engine simulates every interval but aggregates with
         # the same deterministic truncation rule.
-        results, _report = run_suite_parallel(
-            config, [WORKLOAD], LENGTH, WARM,
+        (results,), _report = run_matrix(
+            [config], [WORKLOAD], LENGTH, WARM,
             cache=ResultCache(str(tmp_path / "cache")), max_workers=2,
             sampling=spec)
         assert results[WORKLOAD].data == once.data
@@ -263,12 +263,12 @@ class TestSampledRuns:
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
         config = quiet_config(rfp={"enabled": True})
         spec = {"samples": 4, "interval_length": 300}
-        serial, _ = run_suite_parallel(
-            config, [WORKLOAD, "tpce"], LENGTH, WARM,
+        (serial,), _ = run_matrix(
+            [config], [WORKLOAD, "tpce"], LENGTH, WARM,
             cache=ResultCache(str(tmp_path / "c1")), max_workers=1,
             sampling=spec)
-        parallel, _ = run_suite_parallel(
-            config, [WORKLOAD, "tpce"], LENGTH, WARM,
+        (parallel,), _ = run_matrix(
+            [config], [WORKLOAD, "tpce"], LENGTH, WARM,
             cache=ResultCache(str(tmp_path / "c2")), max_workers=4,
             sampling=spec)
         for name in (WORKLOAD, "tpce"):
@@ -294,8 +294,8 @@ class TestSampledRuns:
 
     def test_vp_config_silently_runs_full_detail(self, tmp_path):
         config = quiet_config(vp={"enabled": True, "kind": "eves"})
-        results, _report = run_suite_parallel(
-            config, [WORKLOAD], LENGTH, WARM,
+        (results,), _report = run_matrix(
+            [config], [WORKLOAD], LENGTH, WARM,
             cache=ResultCache(str(tmp_path / "cache")), max_workers=1,
             sampling={"samples": 4})
         data = results[WORKLOAD].data

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import quiet_config
 
+from repro.sim import scheduler
 from repro.sim.cache import ResultCache
 from repro.sim.parallel import _PendingJob, run_jobs
 from repro.sim.scheduler import ShardPool, _ShardSlot, trace_key
@@ -98,13 +99,14 @@ class TestShardSupervision:
                        if "quarantined" in (f.get("detail") or "")]
         assert quarantined and quarantined[0]["classification"] == "timeout"
 
-    def test_crash_loop_emits_quarantine_event(self, tmp_path):
+    def test_crash_loop_emits_quarantine_event(self, tmp_path, monkeypatch):
         # Every incarnation of shard 0 dies on its first job: attempts=99
         # keeps the fault alive across respawns, so the slot crash-loops.
         os.environ["REPRO_FAULT"] = "kill_shard:shard=0:after=0:attempts=99"
-        pool = ShardPool(1, keep_going=True, retries=5,
-                         crash_loop_limit=2, crash_loop_window=60.0,
-                         respawn_backoff=0.02)
+        monkeypatch.setattr(scheduler, "CRASH_LOOP_LIMIT", 2)
+        monkeypatch.setattr(scheduler, "CRASH_LOOP_WINDOW", 60.0)
+        monkeypatch.setenv("REPRO_RESPAWN_BACKOFF", "0.02")
+        pool = ShardPool(1, keep_going=True, retries=5)
         pj = _PendingJob(
             "k0", (WORKLOADS[0], quiet_config(), LENGTH, WARMUP, None),
             0, None)

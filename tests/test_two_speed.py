@@ -19,9 +19,9 @@ from repro.core.core import OOOCore
 from repro.emu.emulator import ArchEmulator
 from repro.emu.warmup import FunctionalWarmer
 from repro.sim.cache import config_fingerprint
+from repro.sim import settings
 from repro.sim.runner import (
     SimResult,
-    fast_forward_env_disabled,
     fast_forward_split,
     simulate,
 )
@@ -177,13 +177,13 @@ class TestFastForwardSplit:
     def test_env_kill_switch(self, monkeypatch):
         for value in ("0", "off", "false"):
             monkeypatch.setenv("REPRO_FF", value)
-            assert fast_forward_env_disabled()
+            assert not settings.get("REPRO_FF")
             assert fast_forward_split(quiet_config(), 40000, 20000) == \
                 (0, 20000)
         monkeypatch.setenv("REPRO_FF", "1")
-        assert not fast_forward_env_disabled()
+        assert settings.get("REPRO_FF")
         monkeypatch.delenv("REPRO_FF")
-        assert not fast_forward_env_disabled()
+        assert settings.get("REPRO_FF")
 
     def test_kill_switch_changes_cache_fingerprint(self, monkeypatch):
         config = quiet_config()

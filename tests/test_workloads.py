@@ -218,13 +218,16 @@ class TestTraceCacheBound:
         assert "evicted" in proc.stdout
 
     def test_invalid_env_value_falls_back_to_default(self, monkeypatch):
-        from repro.workloads.suite import _trace_cache_size
+        # One settings policy: a malformed value names the knob, a value
+        # below the bound is clamped to it, unset means the default.
+        from repro.sim import settings
 
         monkeypatch.setenv("REPRO_TRACE_CACHE", "not-a-number")
-        assert _trace_cache_size() == 96
+        with pytest.raises(ValueError, match="REPRO_TRACE_CACHE"):
+            settings.get("REPRO_TRACE_CACHE")
         monkeypatch.setenv("REPRO_TRACE_CACHE", "-5")
-        assert _trace_cache_size() == 96
+        assert settings.get("REPRO_TRACE_CACHE") == 0
         monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-        assert _trace_cache_size() == 0
+        assert settings.get("REPRO_TRACE_CACHE") == 0
         monkeypatch.delenv("REPRO_TRACE_CACHE")
-        assert _trace_cache_size() == 96
+        assert settings.get("REPRO_TRACE_CACHE") == 96
