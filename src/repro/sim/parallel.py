@@ -4,13 +4,15 @@ Per-(workload, config) simulations are embarrassingly parallel — nothing is
 shared between two runs except the on-disk result cache.  :func:`run_jobs`
 is a short driver over module-level stages that share one ``_Sweep``
 state object: plan (normalise, key, dedup) -> lookup (result cache,
-interval expansion) -> prewarm (checkpoints) -> execute -> assemble
-(trace merge, sampled cells) -> report.  The execute stage hands the
-misses to one of two :class:`Executor` implementations — the in-process
-:class:`SerialExecutor` (one worker: the serial reference path) or the
-supervised, trace-affine shard pool of :mod:`repro.sim.scheduler` — which
-share one retry decision (:meth:`Executor._fail_attempt`).  Every cache
-interaction stays in the parent process:
+interval expansion) -> execute (per-lane checkpoint prewarm, jobs) ->
+assemble (trace merge, sampled cells) -> report.  The execute stage
+hands the misses to one of two :class:`Executor` implementations — the
+in-process :class:`SerialExecutor` (one worker: the serial reference
+path) or the supervised shard pool of :mod:`repro.sim.scheduler` —
+which share one lane queue keyed by trace, one resident-trace rule
+(:meth:`Executor.hold_trace`) and one retry decision
+(:meth:`Executor._fail_attempt`).  Every cache interaction stays in the
+parent process:
 
 - the parent checks the :class:`~repro.sim.cache.ResultCache` first, so
   workers only ever simulate genuine misses (corrupt entries are evicted
@@ -86,6 +88,7 @@ from repro.sim.runner import SimResult, simulate, simulate_interval
 from repro.sim.sampling import (
     SamplingPlan, aggregate_intervals, normalize_spec, sampling_suffix,
 )
+from repro.workloads.suite import build_workload
 
 #: Failure-manifest classifications.
 CLASS_CRASH = "crash"              # worker process died / injected crash
@@ -409,16 +412,30 @@ def _incident(workload, config_name, job_index, classification, attempts,
     }
 
 
+def trace_key(job):
+    """The ``(workload name, length)`` trace a job runs on: its lane."""
+    workload = job[0]
+    name = workload if isinstance(workload, str) else workload.name
+    return name, job[2]
+
+
 class Executor(object):
-    """What both executors share: the completion callbacks and the
-    retry decision for a failed attempt (:meth:`_fail_attempt`).
+    """What both executors share: the completion callbacks, the lane
+    queue, the one-resident-trace rule and the retry decision for a
+    failed attempt (:meth:`_fail_attempt`).
 
     ``execute(pending, guard, on_success, on_terminal, on_aborted,
-    on_retry)`` runs every pending job to completion, firing the
+    on_retry, on_lane)`` runs every pending job to completion, firing the
     callbacks in the caller's thread, and raises the terminal
-    :class:`WorkerError` when ``keep_going`` is off.  ``traps_sigint``
-    says whether the executor wants SIGINT turned into a flag (the pool
-    must stop its shards first) or left to raise in place.
+    :class:`WorkerError` when ``keep_going`` is off.  ``on_lane(key)``
+    fires once per trace lane before any of its jobs run (the sweep's
+    checkpoint prewarm).  ``traps_sigint`` says whether the executor
+    wants SIGINT turned into a flag (the pool must stop its shards
+    first) or left to raise in place.
+
+    The queue is one lane per :func:`trace_key`, keys in first-queued
+    order; a key leaves the map when its lane empties.  A process that
+    runs jobs holds one trace at a time (:meth:`hold_trace`).
     """
 
     traps_sigint = True
@@ -433,15 +450,51 @@ class Executor(object):
         self._on_terminal = None
         self._on_aborted = None
         self._on_retry = None
+        self._on_lane = None
+        #: trace key -> deque of queued jobs.
+        self._lanes = {}
+        #: The trace key this process last entered (see :meth:`hold_trace`).
+        self._resident = None
 
-    def _bind(self, on_success, on_terminal, on_aborted, on_retry):
+    def _bind(self, on_success, on_terminal, on_aborted, on_retry, on_lane):
         self._on_success = on_success
         self._on_terminal = on_terminal
         self._on_aborted = on_aborted
         self._on_retry = on_retry
+        self._on_lane = on_lane
+
+    @staticmethod
+    def hold_trace(resident, key):
+        """The one-resident-trace rule: a process moving from trace
+        ``resident`` to a different trace ``key`` drops its
+        ``build_workload`` memo, so it holds one trace plus one core
+        however many traces it visits.  Returns ``key``, the new
+        resident."""
+        if resident is not None and key != resident:
+            build_workload.cache_clear()
+        return key
+
+    def _enter_lane(self, key):
+        self._resident = self.hold_trace(self._resident, key)
+        if self._on_lane is not None:
+            self._on_lane(key)
+
+    def _enqueue(self, pj, front=False):
+        lane = self._lanes.setdefault(trace_key(pj.job), deque())
+        if front:
+            lane.appendleft(pj)
+        else:
+            lane.append(pj)
 
     def _requeue(self, pj):
-        raise NotImplementedError
+        self._enqueue(pj, front=True)  # a retry runs before its lane's rest
+
+    def _take(self, key, pj):
+        """Remove queued job ``pj`` from lane ``key``."""
+        lane = self._lanes[key]
+        lane.remove(pj)
+        if not lane:
+            del self._lanes[key]
 
     def _fail_attempt(self, pj, classification, detail, root_cause, now):
         """Account one failed attempt: a retryable failure with budget
@@ -462,42 +515,49 @@ class Executor(object):
             self._fatal = WorkerError(pj.workload_name, pj.config_name,
                                       detail, root_cause)
 
-    def _abort(self, pj):
-        """A SIGTERM drain reached ``pj`` before its next attempt."""
-        self._on_aborted(
-            pj, "SIGTERM drain: job never started" if pj.tries == 0 else
-            "SIGTERM drain: retry abandoned after attempt %d" % pj.tries)
+    def _abort_queued(self):
+        """A SIGTERM drain reached every queued job before its next
+        attempt."""
+        for lane in self._lanes.values():
+            for pj in lane:
+                self._on_aborted(
+                    pj, "SIGTERM drain: job never started" if pj.tries == 0
+                    else "SIGTERM drain: retry abandoned after attempt %d"
+                    % pj.tries)
+        self._lanes.clear()
 
 
 class SerialExecutor(Executor):
     """The in-process executor: identical results, no supervisor.
 
-    Crashes injected here raise InjectedCrash (never ``os._exit``) and
-    are retried in place, after sleeping out the backoff.  There is no
-    watchdog — a hang hangs the caller, which is the serial contract —
-    and SIGINT keeps its default immediate ``KeyboardInterrupt``.  A
-    SIGTERM drain lets the in-flight job finish and commit; the rest is
-    aborted.
+    Trace-affine like a shard: it runs one lane to completion before
+    entering the next, prewarms each lane (``on_lane``) just before its
+    first job, and drops the ``build_workload`` memo on a lane change, so
+    the caller's process holds one trace plus one core.  Crashes injected
+    here raise InjectedCrash (never ``os._exit``) and are retried in
+    place, after sleeping out the backoff.  There is no watchdog — a
+    hang hangs the caller, which is the serial contract — and SIGINT
+    keeps its default immediate ``KeyboardInterrupt``.  A SIGTERM drain
+    lets the in-flight job finish and commit; the rest is aborted.
     """
 
     traps_sigint = False
 
-    def __init__(self, retries=None, keep_going=False):
-        super(SerialExecutor, self).__init__(retries, keep_going)
-        self._queue = deque()
-
-    def _requeue(self, pj):
-        self._queue.appendleft(pj)  # a retry runs before the next job
-
     def execute(self, pending, guard=None, on_success=None, on_terminal=None,
-                on_aborted=None, on_retry=None):
-        self._bind(on_success, on_terminal, on_aborted, on_retry)
-        self._queue.extend(pending)
-        while self._queue:
-            pj = self._queue.popleft()
+                on_aborted=None, on_retry=None, on_lane=None):
+        self._bind(on_success, on_terminal, on_aborted, on_retry, on_lane)
+        for pj in pending:
+            self._enqueue(pj)
+        while self._lanes:
             if guard is not None and guard.draining:
-                self._abort(pj)
-                continue
+                self._abort_queued()
+                break
+            key = (self._resident if self._resident in self._lanes
+                   else next(iter(self._lanes)))
+            if key != self._resident:
+                self._enter_lane(key)
+            pj = self._lanes[key][0]
+            self._take(key, pj)
             delay = pj.next_start - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
@@ -607,8 +667,8 @@ def _plan(sweep, jobs):
 def _lookup(sweep, keys, unique, store):
     """Serve what the result cache holds, and expand each sampled miss
     into its interval jobs.  Returns ``(misses, prewarm)``: the pending
-    jobs, and the checkpoint positions to warm per (workload, trace,
-    length, warm fingerprint).
+    jobs, and per trace lane (:func:`trace_key`) the checkpoint
+    positions to warm per (workload, trace, length, warm fingerprint).
 
     Each interval is an independently schedulable, independently cached
     job keyed ``<cell-key>-iNNN``; the cell's aggregate is assembled after
@@ -633,7 +693,8 @@ def _lookup(sweep, keys, unique, store):
         seen.add(key)
 
     work = {}     # key -> 5-tuple job
-    prewarm = {}  # (name, trace-or-None, length, fp) -> (config, positions)
+    prewarm = {}  # lane -> {(name, trace-or-None, length, fp):
+    #                         (config, positions)}
     for key, job in pending.items():
         workload, config, length, warmup, spec = job
         if spec is None:
@@ -662,7 +723,7 @@ def _lookup(sweep, keys, unique, store):
             if store is not None and plan.functionals[i] > 0:
                 name = workload if isinstance(workload, str) else workload.name
                 trace = None if isinstance(workload, str) else workload
-                group = prewarm.setdefault(
+                group = prewarm.setdefault(trace_key(job), {}).setdefault(
                     (name, trace, trace_length, warm_fingerprint(config)),
                     (config, set()))
                 group[1].add(plan.functionals[i])
@@ -683,21 +744,24 @@ def _lookup(sweep, keys, unique, store):
     return misses, prewarm
 
 
-def _prewarm(sweep, store, prewarm, batch_warm):
-    """ONE resumable functional pass per (workload, warm fingerprint)
-    writes every missing interval checkpoint before the fan-out, so jobs
-    only ever restore — a 9-config sweep warms each workload once, a
-    repeat sweep zero times.  A corrupt checkpoint met on the way is
-    re-warmed on the spot and recorded as a recovered incident.
+def _prewarm(sweep, store, groups, batch_warm):
+    """Warm one trace lane: ONE resumable functional pass per (workload,
+    warm fingerprint) writes every missing interval checkpoint before the
+    lane's jobs run, so jobs only ever restore — a 9-config sweep warms
+    each workload once, a repeat sweep zero times.  A corrupt checkpoint
+    met on the way is re-warmed on the spot and recorded as a recovered
+    incident.  The executor calls this per lane (``on_lane``): the
+    serial one just before the lane's first job, the shard pool for
+    every lane before fan-out.
 
     ``batch_warm`` makes every group one lane of a single batched SoA
     engine run (:mod:`repro.emu.batch`); its incidents are attributed
     back through the store key (workload-length-functional-fingerprint).
     """
-    if store is None:
+    if store is None or not groups:
         return
     store.pop_evictions()
-    ordered = sorted(prewarm.items(), key=lambda item: (item[0][0], item[0][3]))
+    ordered = sorted(groups.items(), key=lambda item: (item[0][0], item[0][3]))
     if batch_warm and ordered:
         # Module attributes, looked up per call like _run_job.
         ensure_checkpoints_batch(
@@ -725,10 +789,11 @@ def _prewarm(sweep, store, prewarm, batch_warm):
             name, config_name, -1, CLASS_CORRUPT_CHECKPOINT, 1, True, reason))
 
 
-def _execute(sweep, misses, max_workers, job_timeout, retries, keep_going):
+def _execute(sweep, misses, on_lane, max_workers, job_timeout, retries,
+             keep_going):
     """Run the misses in-process (one worker) or on the shard pool, with
-    SIGINT/SIGTERM turned into an orderly stop or drain.  Returns the
-    worker count."""
+    SIGINT/SIGTERM turned into an orderly stop or drain; ``on_lane(key)``
+    prewarms a trace lane.  Returns the worker count."""
     if max_workers is None:
         max_workers = settings.get("REPRO_JOBS")
     workers = max(1, min(max_workers, len(misses)))
@@ -744,7 +809,7 @@ def _execute(sweep, misses, max_workers, job_timeout, retries, keep_going):
         executor.execute(misses, guard, on_success=sweep.on_success,
                          on_terminal=sweep.on_terminal,
                          on_aborted=sweep.on_aborted,
-                         on_retry=sweep.on_retry)
+                         on_retry=sweep.on_retry, on_lane=on_lane)
         sweep.drained = guard.draining
         if guard.triggered:
             raise KeyboardInterrupt
@@ -775,8 +840,11 @@ def _assemble(sweep, misses):
 
 
 def _report(sweep, misses, workers, wall_seconds):
-    sweep.failures.sort(key=lambda record: (record["job_index"],
-                                            record["recovered"]))
+    # Prewarm incidents (job index -1) are recorded lane by lane; order
+    # them by workload so the manifest does not depend on lane order.
+    sweep.failures.sort(key=lambda record: (
+        record["job_index"], record["recovered"],
+        record["workload"] if record["job_index"] < 0 else ""))
     return TimingReport(
         wall_seconds=wall_seconds,
         jobs_total=sweep.total,
@@ -799,8 +867,8 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
              job_timeout=None, retries=None, keep_going=False,
              batch_warm=None):
     """Run (workload, config, length, warmup[, sampling]) jobs through the
-    result cache and an executor: plan, lookup, prewarm, execute,
-    assemble, report.
+    result cache and an executor: plan, lookup, execute (prewarming each
+    trace lane's checkpoints), assemble, report.
 
     Args:
         jobs: sequence of ``(workload, config, length, warmup)`` tuples,
@@ -841,15 +909,16 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
     keys, unique = _plan(sweep, jobs)
     store = default_checkpoint_store()
     misses, prewarm = _lookup(sweep, keys, unique, store)
-    _prewarm(sweep, store, prewarm, batch_warm)
     trace_dir = None
     if sweep.trace_spec is not None and misses:
         trace_dir = tempfile.mkdtemp(prefix="repro-trace-")
         for pj in misses:
             pj.trace_path = os.path.join(trace_dir, "job-%06d.jsonl" % pj.index)
     try:
-        workers = _execute(sweep, misses, max_workers, job_timeout, retries,
-                           keep_going)
+        workers = _execute(
+            sweep, misses,
+            lambda key: _prewarm(sweep, store, prewarm.get(key), batch_warm),
+            max_workers, job_timeout, retries, keep_going)
         _assemble(sweep, misses)
     finally:
         if trace_dir is not None:

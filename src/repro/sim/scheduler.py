@@ -14,13 +14,17 @@ long-lived **shard** processes otherwise.  The pool has three parts:
   ``("err", workload, config_name, detail, root_cause)`` up, with
   ``("hb", shard_id)`` liveness beats every ``REPRO_HEARTBEAT_INTERVAL``
   seconds from a daemon thread.
-- **Trace affinity** (:meth:`ShardPool._next_ready`): the queue is one
-  lane per trace key ``(workload, length)``.  A free shard takes a job on
-  the trace it already holds; else a job on a trace no other shard
-  holds; else the queue head.  A shard keeps one trace resident: it drops
-  its ``build_workload`` memo when the trace key of its next job differs
+- **Trace affinity** (:meth:`ShardPool._next_ready`): the queue is the
+  :class:`~repro.sim.parallel.Executor` lane queue, one lane per trace
+  key ``(workload, length)``.  A free shard takes a job on the trace it
+  already holds; else a job on a trace no other shard holds; else the
+  queue head.  A shard keeps one trace resident by the executors' one
+  rule, :meth:`~repro.sim.parallel.Executor.hold_trace`: it drops its
+  ``build_workload`` memo when the trace key of its next job differs
   from the last one.  A sweep of C configs x K intervals over W
-  workloads therefore builds about W traces, not C x K x W.
+  workloads therefore builds about W traces, not C x K x W.  The parent
+  prewarms every lane's checkpoints before fan-out, under the same rule,
+  so it too holds one trace at a time.
 - **Supervision** (:class:`ShardPool`): a selector loop over all shard
   pipes.  A job that outlives its watchdog deadline (see
   :func:`repro.sim.parallel.resolve_job_timeout`) has its shard killed
@@ -56,22 +60,14 @@ from multiprocessing.connection import wait as _wait_connections
 from repro.sim import faults, parallel, settings
 from repro.sim.parallel import (
     CLASS_CRASH, CLASS_TIMEOUT, Executor, WorkerError, classify_failure,
-    resolve_job_timeout,
+    resolve_job_timeout, trace_key,
 )
-from repro.workloads.suite import build_workload
 
 
 #: Shard deaths within :data:`CRASH_LOOP_WINDOW` seconds that turn a
 #: respawn into a crash-loop quarantine.
 CRASH_LOOP_LIMIT = 3
 CRASH_LOOP_WINDOW = 30.0
-
-
-def trace_key(job):
-    """The ``(workload name, length)`` trace a job runs on."""
-    workload = job[0]
-    name = workload if isinstance(workload, str) else workload.name
-    return name, job[2]
 
 
 def _shard_main(shard_id, incarnation, conn, hb_interval, parent_fd=None):
@@ -119,7 +115,7 @@ def _shard_main(shard_id, incarnation, conn, hb_interval, parent_fd=None):
 
     threading.Thread(target=_heartbeats, daemon=True).start()
     jobs_done = 0
-    resident = None  # trace key of the last suite-workload job
+    resident = None  # trace key of the last job
     kill_after = faults.shard_kill_after(shard_id, incarnation)
     hang = faults.shard_heartbeat_hang(shard_id, incarnation)
     try:
@@ -137,13 +133,7 @@ def _shard_main(shard_id, incarnation, conn, hb_interval, parent_fd=None):
                 time.sleep(hang[1])
                 hang = None
             item = message[1]
-            if isinstance(item[1][0], str):
-                wanted = trace_key(item[1])
-                if resident is not None and wanted != resident:
-                    # One resident trace per shard: peak memory stays at
-                    # one trace plus one core however many keys it visits.
-                    build_workload.cache_clear()
-                resident = wanted
+            resident = Executor.hold_trace(resident, trace_key(item[1]))
             try:
                 # Looked up per call, never bound at import: a wrapper
                 # installed on the module attribute must see every job.
@@ -206,9 +196,6 @@ class ShardPool(Executor):
         self.events = []
         self._ctx = multiprocessing.get_context(settings.get("REPRO_MP_START"))
         self._slots = [_ShardSlot(i) for i in range(self.shards)]
-        #: trace key -> lane of queued jobs; keys in first-queued order,
-        #: and a key leaves the map when its lane empties.
-        self._lanes = {}
         self._tick = min(0.05, self.hb_interval)
 
     def _event(self, kind, slot, **extra):
@@ -337,17 +324,6 @@ class ShardPool(Executor):
                    resolve_job_timeout(self.job_timeout, pj.job[2])),
                 None, now)
 
-    # -- job accounting --------------------------------------------------
-
-    def _enqueue(self, pj, front=False):
-        lane = self._lanes.setdefault(trace_key(pj.job), deque())
-        if front:
-            lane.appendleft(pj)
-        else:
-            lane.append(pj)
-
-    _requeue = _enqueue
-
     # -- dispatch --------------------------------------------------------
 
     def _next_ready(self, slot, now):
@@ -363,12 +339,9 @@ class ShardPool(Executor):
         order += [key for key in self._lanes if key not in held]
         order += list(self._lanes)
         for key in order:
-            lane = self._lanes[key]
-            for pj in lane:
+            for pj in self._lanes[key]:
                 if pj.next_start <= now:
-                    lane.remove(pj)
-                    if not lane:
-                        del self._lanes[key]
+                    self._take(key, pj)
                     return pj
         return None
 
@@ -419,10 +392,7 @@ class ShardPool(Executor):
                 if drain_deadline is None:
                     drain_timeout = settings.get("REPRO_DRAIN_TIMEOUT")
                     drain_deadline = now + drain_timeout
-                for lane in self._lanes.values():
-                    for pj in lane:
-                        self._abort(pj)
-                self._lanes.clear()
+                self._abort_queued()
                 busy = self._busy_slots()
                 if not busy:
                     break
@@ -506,9 +476,11 @@ class ShardPool(Executor):
             self._kill_slot(slot)
 
     def execute(self, pending, guard=None, on_success=None, on_terminal=None,
-                on_aborted=None, on_retry=None):
+                on_aborted=None, on_retry=None, on_lane=None):
         """Run ``pending`` jobs (pending-job protocol objects) to
         completion, firing the completion callbacks in this thread.
+        ``on_lane`` fires for every lane, one resident trace at a time,
+        before any shard starts.
 
         Raises the terminal :class:`WorkerError` after shutting the
         shards down when ``keep_going`` is False; with a ``guard``,
@@ -516,10 +488,14 @@ class ShardPool(Executor):
         ``KeyboardInterrupt``) and SIGTERM (graceful drain — in-flight
         chunks finish, queued jobs abort).
         """
-        self._bind(on_success, on_terminal, on_aborted, on_retry)
+        self._bind(on_success, on_terminal, on_aborted, on_retry, on_lane)
         pending = list(pending)
         for pj in pending:
             self._enqueue(pj)
+        for key in list(self._lanes):
+            if guard is not None and (guard.triggered or guard.draining):
+                break  # the run loop stops or drains at once
+            self._enter_lane(key)
         # Never hold more shards than jobs: trim the pool so the respawn
         # path can't resurrect slots the workload cannot use.
         self._slots = self._slots[: max(1, min(self.shards, len(pending)))]

@@ -98,7 +98,8 @@ SETTINGS = (
     _setting("REPRO_JOURNAL", bool, True,
              "journaled, locked store commits (0 = plain tmp + rename)"),
     _setting("REPRO_TRACE_CACHE", int, 96,
-             "trace-memo capacity in entries (0 = no memo)", lower=0),
+             "trace-memo capacity in entries (0 = no memo); a sweep "
+             "holds one trace whatever the size", lower=0),
     # warming
     _setting("REPRO_BATCH_WARM", bool, False,
              "write missing checkpoints through the batched warmer"),

@@ -204,14 +204,13 @@ def profile_for(name, length=20000):
 def build_workload(name, length=20000):
     """Generate (and memoise) the trace for a suite workload.
 
-    The cache is sized (``REPRO_TRACE_CACHE``, default 96) to hold the
-    full 65-workload suite plus headroom for ad-hoc lengths, so a
-    multi-config matrix run builds each trace once, not once per config.
-    A shard of :class:`repro.sim.scheduler.ShardPool` clears it whenever
-    its next job names a different trace, so it holds one trace at a
-    time.  Each trace holds ``length`` instruction
-    objects, so bounding the cache bounds peak memory on sweeps that
-    visit many distinct (name, length) pairs.
+    A sweep through :func:`repro.sim.parallel.run_jobs` needs one entry:
+    both executors run it one trace lane at a time and clear this memo
+    on every lane change (:meth:`repro.sim.parallel.Executor.hold_trace`),
+    so each trace is built once and a sweep process holds one trace.
+    The capacity (``REPRO_TRACE_CACHE``, default 96) serves direct
+    callers that revisit traces; each trace holds ``length`` instruction
+    objects, so bounding the memo bounds their peak memory.
     """
     return generate_trace(profile_for(name, length=length))
 

@@ -63,8 +63,19 @@ def jobs4(config=None):
     return [(name, config, LENGTH, WARMUP) for name in WORKLOADS]
 
 
+def jobs8():
+    """Two configs x four workloads, config-major as run_matrix builds
+    them: the in-process executor reorders these into per-trace lanes."""
+    configs = (quiet_config(), quiet_config(rfp={"enabled": True}))
+    return [job for config in configs for job in jobs4(config)]
+
+
 #: Worker counts that select each executor: in-process serial, shard pool.
 EXECUTORS = (1, 2)
+
+#: Job lists the both-executor cases run: one config, and two configs
+#: whose job order differs from the serial executor's lane order.
+JOB_LISTS = (jobs4, jobs8)
 
 
 def manifest(report):
@@ -193,46 +204,58 @@ class TestKnobs:
 class TestCrashRecovery:
     def test_transient_crash_is_retried_and_recovers(self, tmp_path):
         os.environ["REPRO_FAULT"] = "crash:job=1:attempts=1"
-        results, report = run_jobs(jobs4(), cache=ResultCache(str(tmp_path)),
-                                   max_workers=2, retries=2, keep_going=True)
-        assert all(r is not None for r in results)
-        assert report.jobs_failed == 0
-        (incident,) = report.failures
-        assert incident["classification"] == "crash"
-        assert incident["recovered"] is True
-        assert incident["attempts"] == 2
-        assert incident["workload"] == WORKLOADS[1]
+        for jobs in JOB_LISTS:
+            manifests = []
+            for max_workers in EXECUTORS:
+                results, report = run_jobs(
+                    jobs(), cache=ResultCache(
+                        str(tmp_path / jobs.__name__ / str(max_workers))),
+                    max_workers=max_workers, retries=2, keep_going=True)
+                assert all(r is not None for r in results)
+                assert report.jobs_failed == 0
+                (incident,) = report.failures
+                assert incident["classification"] == "crash"
+                assert incident["recovered"] is True
+                assert incident["attempts"] == 2
+                assert incident["workload"] == WORKLOADS[1]
+                manifests.append(manifest(report))
+            assert manifests[0] == manifests[1], jobs.__name__
 
     def test_persistent_crash_is_terminal_under_keep_going(self, tmp_path):
         os.environ["REPRO_FAULT"] = "crash:job=1"
-        manifests = []
-        for max_workers in EXECUTORS:
-            results, report = run_jobs(
-                jobs4(), cache=ResultCache(str(tmp_path / str(max_workers))),
-                max_workers=max_workers, retries=1, keep_going=True)
-            assert results[1] is None
-            assert all(r is not None for i, r in enumerate(results) if i != 1)
-            assert report.jobs_failed == 1
-            (record,) = report.failures
-            assert record["classification"] == "crash"
-            assert record["recovered"] is False
-            assert record["attempts"] == 2  # first try + one retry
-            assert record["workload"] == WORKLOADS[1]
-            assert "TERMINAL" in format_failures(report.failures)
-            manifests.append(manifest(report))
-        assert manifests[0] == manifests[1]
+        for jobs in JOB_LISTS:
+            manifests = []
+            for max_workers in EXECUTORS:
+                results, report = run_jobs(
+                    jobs(), cache=ResultCache(
+                        str(tmp_path / jobs.__name__ / str(max_workers))),
+                    max_workers=max_workers, retries=1, keep_going=True)
+                assert results[1] is None
+                assert all(r is not None
+                           for i, r in enumerate(results) if i != 1)
+                assert report.jobs_failed == 1
+                (record,) = report.failures
+                assert record["classification"] == "crash"
+                assert record["recovered"] is False
+                assert record["attempts"] == 2  # first try + one retry
+                assert record["workload"] == WORKLOADS[1]
+                assert "TERMINAL" in format_failures(report.failures)
+                manifests.append(manifest(report))
+            assert manifests[0] == manifests[1], jobs.__name__
 
     def test_crash_raises_without_keep_going(self, tmp_path):
         os.environ["REPRO_FAULT"] = "crash:job=0"
-        raised = []
-        for max_workers in EXECUTORS:
-            with pytest.raises(WorkerError) as excinfo:
-                run_jobs(jobs4(),
-                         cache=ResultCache(str(tmp_path / str(max_workers))),
-                         max_workers=max_workers, retries=0)
-            assert excinfo.value.workload == WORKLOADS[0]
-            raised.append((excinfo.value.workload, excinfo.value.config_name))
-        assert raised[0] == raised[1]
+        for jobs in JOB_LISTS:
+            raised = []
+            for max_workers in EXECUTORS:
+                with pytest.raises(WorkerError) as excinfo:
+                    run_jobs(jobs(), cache=ResultCache(
+                        str(tmp_path / jobs.__name__ / str(max_workers))),
+                        max_workers=max_workers, retries=0)
+                assert excinfo.value.workload == WORKLOADS[0]
+                raised.append((excinfo.value.workload,
+                               excinfo.value.config_name))
+            assert raised[0] == raised[1], jobs.__name__
 
     def test_serial_path_recovers_from_injected_crash(self, tmp_path):
         os.environ["REPRO_FAULT"] = "crash:job=2:attempts=1"
@@ -243,20 +266,23 @@ class TestCrashRecovery:
         assert report.failures[0]["recovered"] is True
 
     def test_deterministic_error_is_not_retried(self, tmp_path):
-        jobs = jobs4() + [("no_such_workload", quiet_config(), LENGTH, WARMUP)]
-        manifests = []
-        for max_workers in EXECUTORS:
-            results, report = run_jobs(
-                jobs, cache=ResultCache(str(tmp_path / str(max_workers))),
-                max_workers=max_workers, retries=3, keep_going=True)
-            assert results[-1] is None
-            (record,) = report.failures
-            assert record["classification"] == "error"
-            assert record["attempts"] == 1  # no retry burned on a KeyError
-            assert record["root_cause"] == "KeyError"
-            assert "KeyError" in record["detail"]
-            manifests.append(manifest(report))
-        assert manifests[0] == manifests[1]
+        bad = ("no_such_workload", quiet_config(), LENGTH, WARMUP)
+        for jobs in JOB_LISTS:
+            manifests = []
+            for max_workers in EXECUTORS:
+                results, report = run_jobs(
+                    jobs() + [bad], cache=ResultCache(
+                        str(tmp_path / jobs.__name__ / str(max_workers))),
+                    max_workers=max_workers, retries=3, keep_going=True)
+                assert results[-1] is None
+                assert all(r is not None for r in results[:-1])
+                (record,) = report.failures
+                assert record["classification"] == "error"
+                assert record["attempts"] == 1  # no retry burned on a KeyError
+                assert record["root_cause"] == "KeyError"
+                assert "KeyError" in record["detail"]
+                manifests.append(manifest(report))
+            assert manifests[0] == manifests[1], jobs.__name__
 
 
 class TestHangWatchdog:

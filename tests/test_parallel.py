@@ -19,8 +19,9 @@ from repro.sim import cache as cache_mod
 from repro.sim.cache import ResultCache, config_fingerprint, simulate_cached
 from repro.sim.experiments import run_suite
 from repro.sim.journal import encode_envelope
-from repro.sim import settings
+from repro.sim import parallel, settings
 from repro.sim.parallel import TimingReport, WorkerError, run_jobs, run_matrix
+from repro.workloads import suite
 
 WORKLOADS = ["spec06_bzip2", "spec06_mcf", "spec06_perlbench"]
 LENGTH = 1200
@@ -325,6 +326,55 @@ class TestWorkerErrors:
         clone = pickle.loads(pickle.dumps(err))
         assert clone.root_cause is None
         assert clone.detail == "detail"
+
+
+class TestTraceAffinity:
+    """The in-process executor holds one trace at a time, like a shard."""
+
+    def test_serial_sweep_holds_one_trace(self, tmp_path, monkeypatch):
+        """A config-major 2-config x 3-workload matrix, full-window and
+        sampled: each trace is generated once per mode, and the trace
+        memo holds at most one trace when any job or lane prewarm
+        starts."""
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
+        monkeypatch.delenv("REPRO_CHECKPOINTS", raising=False)
+        generated, memo_sizes, prewarms = [], [], []
+        real_generate = suite.generate_trace
+        real_run_job = parallel._run_job
+        real_ensure = parallel.ensure_checkpoints
+
+        def generate(profile):
+            generated.append(profile.name)
+            return real_generate(profile)
+
+        def run_job(item):
+            memo_sizes.append(suite.build_workload.cache_info().currsize)
+            return real_run_job(item)
+
+        def ensure(*args, **kwargs):
+            memo_sizes.append(suite.build_workload.cache_info().currsize)
+            prewarms.append(args[1])
+            return real_ensure(*args, **kwargs)
+
+        monkeypatch.setattr(suite, "generate_trace", generate)
+        monkeypatch.setattr(parallel, "_run_job", run_job)
+        monkeypatch.setattr(parallel, "ensure_checkpoints", ensure)
+        configs = [quiet_config(), quiet_config(rfp={"enabled": True})]
+        modes = (("full", LENGTH, WARMUP, None),
+                 ("sampled", 4000, 1000, {"samples": 2}))
+        for mode, length, warmup, sampling in modes:
+            suite.build_workload.cache_clear()
+            del generated[:], memo_sizes[:], prewarms[:]
+            per_config, report = run_matrix(
+                configs, WORKLOADS, length, warmup,
+                cache=ResultCache(str(tmp_path / mode)), max_workers=1,
+                sampling=sampling)
+            assert report.workers == 1 and report.jobs_failed == 0
+            assert all(set(r) == set(WORKLOADS) for r in per_config)
+            assert sorted(generated) == sorted(WORKLOADS), mode
+            assert len(memo_sizes) == report.jobs_simulated + len(prewarms)
+            assert max(memo_sizes) <= 1, (mode, memo_sizes)
+        assert sorted(set(prewarms)) == sorted(WORKLOADS)  # prewarm ran
 
 
 class TestTraceMerge:
