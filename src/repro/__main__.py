@@ -224,16 +224,25 @@ def cmd_suite(args):
     return 3 if report.jobs_failed else 0
 
 
-def cmd_cache_stats(_args):
-    stats = default_cache().stats()
-    # Like ``checkpoint stats``: entries/size are post-eviction totals.
-    rows = [
+def _store_rows(store):
+    """The rows ``cache-stats`` and ``checkpoint stats`` share.
+
+    ``stats()`` validates every entry and evicts corrupt ones first, so
+    the entries/size rows are post-eviction totals — a corrupt entry
+    shows up under "corrupt evicted", never in both.
+    """
+    stats = store.stats()
+    return [
         ("directory", stats["directory"]),
         ("entries", str(stats["entries"])),
         ("size", "%.1f KB" % (stats["bytes"] / 1024.0)),
         ("corrupt evicted", str(stats["corrupt_evicted"])),
     ]
-    print(format_table(["metric", "value"], rows, title="result cache"))
+
+
+def cmd_cache_stats(_args):
+    print(format_table(["metric", "value"], _store_rows(default_cache()),
+                       title="result cache"))
     return 0
 
 
@@ -250,20 +259,12 @@ def cmd_checkpoint(args):
     if args.action == "list":
         paths = store.entry_paths()
         for path in paths:
-            name = os.path.basename(path)[: -len(".ckpt.json")]
+            name = os.path.basename(path)[: -len(store.SUFFIX)]
             print("%s  %.1f KB" % (name, os.path.getsize(path) / 1024.0))
         print("%d checkpoint%s in %s"
               % (len(paths), "" if len(paths) == 1 else "s", store.directory))
     elif args.action == "stats":
-        stats = store.stats()
-        # stats() validates every entry and evicts corrupt ones first,
-        # so the entries/size rows are post-eviction totals — a corrupt
-        # entry shows up under "corrupt evicted", never in both.
-        rows = [
-            ("directory", stats["directory"]),
-            ("entries", str(stats["entries"])),
-            ("size", "%.1f KB" % (stats["bytes"] / 1024.0)),
-            ("corrupt evicted", str(stats["corrupt_evicted"])),
+        rows = _store_rows(store) + [
             ("enabled", "yes" if settings.get("REPRO_CHECKPOINTS")
              else "no (REPRO_CHECKPOINTS)"),
         ]

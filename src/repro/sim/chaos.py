@@ -22,8 +22,8 @@ merely "no exception".  This module runs that campaign:
 3. **Recovery pass** — ``repro cache-stats`` + ``repro checkpoint stats``
    open both stores, which replays the journal (evicting torn finals,
    removing orphan temps) and validates every entry.  The acceptance bar
-   is ``corrupt evicted: 0``: replay must have already restored
-   integrity, leaving validation nothing to clean up.
+   is ``corrupt evicted: 0`` in *both* stores: replay must have already
+   restored integrity, leaving validation nothing to clean up.
 4. **Convergence launch** — the sweep runs once more, fault-free, over
    the recovered stores and must exit 0 with an ``--out`` file
    **byte-identical** to the reference (including an empty failure
@@ -190,6 +190,15 @@ class CampaignFailure(RuntimeError):
     bytes, or corrupt entries surviving recovery)."""
 
 
+def _corrupt_evicted(label, stdout):
+    """The ``corrupt evicted`` count in a store-stats table."""
+    for line in stdout.splitlines():
+        if "corrupt evicted" in line:
+            return int(line.split("|")[-1].strip())
+    raise CampaignFailure("%s: output missing 'corrupt evicted' row:\n%s"
+                          % (label, stdout))
+
+
 class _Campaign(object):
     """One seeded chaos campaign over a sharded sweep (see module doc)."""
 
@@ -299,25 +308,19 @@ class _Campaign(object):
         journal, validates every entry, and must report zero corrupt."""
         self._log("recovery pass (cache-stats + checkpoint stats)")
         env = self._env(self.chaos_cache, self.chaos_ckpt)
-        self._launch("recover-cache",
-                     [sys.executable, "-m", "repro", "cache-stats"], env)
-        proc = self._launch(
-            "recover-checkpoint",
-            [sys.executable, "-m", "repro", "checkpoint", "stats"], env)
-        for line in proc.stdout.splitlines():
-            if "corrupt evicted" in line:
-                count = int(line.split("|")[-1].strip())
-                self.incidents.append(
-                    {"launch": "recover-checkpoint", "corrupt_evicted": count})
-                if count != 0:
-                    raise CampaignFailure(
-                        "journal recovery left %d corrupt checkpoint "
-                        "entries (expected 0)" % count)
-                break
-        else:
+        dirty = []
+        for label, command in (("recover-cache", ["cache-stats"]),
+                               ("recover-checkpoint", ["checkpoint", "stats"])):
+            proc = self._launch(label,
+                                [sys.executable, "-m", "repro"] + command, env)
+            count = _corrupt_evicted(label, proc.stdout)
+            self.incidents.append({"launch": label, "corrupt_evicted": count})
+            if count:
+                dirty.append("%s %d" % (label, count))
+        if dirty:
             raise CampaignFailure(
-                "checkpoint stats output missing 'corrupt evicted' row:\n%s"
-                % proc.stdout)
+                "journal recovery left corrupt entries (expected 0): %s"
+                % ", ".join(dirty))
 
     def _verify_stores(self):
         """In-process audit of the chaos cache: journal at rest, no stray

@@ -20,13 +20,9 @@ everywhere else:
   determinism tests).
 - :class:`CheckpointStore` is the content-addressed on-disk store, keyed by
   ``(workload, trace length, functional position, warm-relevant config
-  fingerprint)`` and written and read through the same envelope codec as
-  the result cache (:mod:`repro.sim.journal`): the file is
-  ``{"checksum": "<hex>", "data": <payload>}`` and the checksum hashes the
-  payload bytes exactly as they sit on disk, so any byte edit is caught.
-  Every :meth:`~CheckpointStore.get` validates the file on disk; a corrupt
-  checkpoint is classified, evicted with a warning, logged for the failure
-  manifest, and the workload re-warmed — never silently restored.
+  fingerprint)``.  It is an :class:`~repro.sim.journal.EnvelopeStore`, like
+  the result cache: a corrupt checkpoint is evicted with a warning and the
+  workload re-warmed — never silently restored.
 
 ``REPRO_CHECKPOINT_DIR`` overrides the store location (default
 ``<repo>/benchmarks/.checkpoints``); ``REPRO_CHECKPOINTS=0`` disables the
@@ -37,11 +33,10 @@ store entirely (restore is bit-exact versus a fresh warm, so the switch is
 import hashlib
 import json
 import os
-import warnings
 
 from repro.emu.warmup import FunctionalWarmer
-from repro.sim import faults, settings
-from repro.sim.journal import JournaledDir, encode_envelope, read_envelope
+from repro.sim import settings
+from repro.sim.journal import EnvelopeStore
 from repro.sim.runner import SCHEMA_VERSION
 
 #: On-disk checkpoint format version.  Mixed into every fingerprint so a
@@ -322,46 +317,18 @@ def resume_warmer(core, state):
 # the on-disk store
 
 
-class CheckpointStore(object):
-    """JSON-file-per-checkpoint store with checksummed envelopes.
+class CheckpointStore(EnvelopeStore):
+    """JSON-file-per-checkpoint store; adds presence probes and LRU
+    pruning to the :class:`~repro.sim.journal.EnvelopeStore` it shares
+    with :class:`~repro.sim.cache.ResultCache`."""
 
-    Mirrors :class:`~repro.sim.cache.ResultCache`: entries are
-    ``{"checksum", "data"}`` envelopes, corruption is classified and
-    evicted with a warning (the workload is then re-warmed), and every
-    write is a locked, journaled commit (:mod:`repro.sim.journal`) —
-    crash-safe against ``kill -9`` mid-commit and serialized against
-    concurrent sweeps filling the same directory.  ``REPRO_JOURNAL=0``
-    falls back to the bare per-process tmp + atomic rename discipline.
-    """
-
-    def __init__(self, directory=None):
-        if directory is None:
-            directory = settings.get("REPRO_CHECKPOINT_DIR")
-        self.directory = directory
-        self.hits = 0
-        self.misses = 0
-        #: Corruption incidents seen by this process (dicts with ``key``
-        #: and ``reason``), drained via :meth:`pop_evictions`.
-        self.eviction_log = []
-        self._journaled = None
-
-    def _path(self, key):
-        return os.path.join(self.directory, key + ".ckpt.json")
-
-    def _journal(self):
-        """The directory's :class:`JournaledDir`, or None when disabled."""
-        if not settings.get("REPRO_JOURNAL"):
-            return None
-        if self._journaled is None:
-            self._journaled = JournaledDir(self.directory)
-        return self._journaled
-
-    def _recover(self):
-        """Replay an interrupted commit; free (one stat) when at rest."""
-        journaled = self._journal()
-        if journaled is None:
-            return
-        self.eviction_log.extend(journaled.recover())
+    SUFFIX = ".ckpt.json"
+    DIR_SETTING = "REPRO_CHECKPOINT_DIR"
+    KIND = "checkpoint"
+    LABEL = "checkpoint"
+    CONSEQUENCE = "the workload will be re-warmed functionally"
+    FAULT = "corrupt_checkpoint"
+    FLIP_FIELD = "functional"
 
     def key(self, workload, config, length, functional):
         return "%s-%d-%d-%s" % (
@@ -375,121 +342,17 @@ class CheckpointStore(object):
 
     def get(self, key):
         """Return the checkpoint state dict for ``key``, or None."""
-        path = self._path(key)
-        self._recover()
-        # Deterministic fault injection (REPRO_FAULT=corrupt_checkpoint:...)
-        faults.corrupt_checkpoint_file(key, path)
-        if not os.path.exists(path):
-            self.misses += 1
-            return None
-        reason, state = read_envelope(path, "checkpoint")
-        if reason is not None:
-            self._evict(key, path, reason)
-            self.misses += 1
-            return None
-        self.hits += 1
-        # Refresh recency for prune()'s LRU ordering.
-        try:
-            os.utime(path, None)
-        except OSError:
-            pass
+        state = self._read(key)
+        if state is not None:
+            # Refresh recency for prune()'s LRU ordering.
+            try:
+                os.utime(self._path(key), None)
+            except OSError:
+                pass
         return state
 
-    def _evict(self, key, path, reason):
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-        self.eviction_log.append({"key": key, "reason": reason})
-        warnings.warn(
-            "evicted corrupt checkpoint %s: %s — the workload will be "
-            "re-warmed functionally" % (key, reason),
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-    def pop_evictions(self):
-        """Drain and return the corruption incidents seen so far."""
-        log, self.eviction_log = self.eviction_log, []
-        return log
-
     def put(self, key, state):
-        os.makedirs(self.directory, exist_ok=True)
-        path = self._path(key)
-        checksum, text = encode_envelope(state)
-        journaled = self._journal()
-        if journaled is not None:
-            self._recover()
-            # Locked, journaled commit (see repro.sim.journal).
-            journaled.commit(key, path, checksum, text)
-            return
-        tmp = "%s.%d.tmp" % (path, os.getpid())
-        with open(tmp, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-
-    # -- maintenance (the CLI's ``repro checkpoint`` subcommand) ---------
-
-    def entry_paths(self):
-        """Paths of all checkpoint files currently in the store."""
-        if not os.path.isdir(self.directory):
-            return []
-        return sorted(
-            os.path.join(self.directory, name)
-            for name in os.listdir(self.directory)
-            if name.endswith(".ckpt.json")
-        )
-
-    def stats(self):
-        """On-disk entry count/bytes plus this process's hit/miss counters.
-
-        Every entry is checksum-validated first and corrupt ones are
-        evicted, so ``entries``/``bytes`` are *post-eviction* totals: an
-        entry evicted during this call appears in ``corrupt_evicted`` (and
-        the eviction log) but never also in ``entries``.  An interrupted
-        journaled commit is replayed first, so a mid-commit ``kill -9``
-        never shows up here as corruption — replay already resolved it.
-        """
-        self._recover()
-        total_bytes = 0
-        surviving = 0
-        corrupt = 0
-        for path in self.entry_paths():
-            reason, _ = read_envelope(path, "checkpoint")
-            if reason is not None:
-                key = os.path.basename(path)[: -len(".ckpt.json")]
-                self._evict(key, path, reason)
-                corrupt += 1
-                continue
-            surviving += 1
-            try:
-                total_bytes += os.path.getsize(path)
-            except OSError:
-                pass
-        return {
-            "directory": self.directory,
-            "entries": surviving,
-            "bytes": total_bytes,
-            "corrupt_evicted": corrupt,
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-    def clear(self):
-        """Delete every checkpoint (and stray temp files); returns the
-        number of entries removed."""
-        removed = 0
-        if not os.path.isdir(self.directory):
-            return removed
-        for name in os.listdir(self.directory):
-            if not (name.endswith(".ckpt.json") or ".ckpt.json." in name):
-                continue
-            try:
-                os.remove(os.path.join(self.directory, name))
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        self._write(key, state)
 
     def prune(self, max_bytes):
         """LRU-evict entries until the store fits in ``max_bytes``.

@@ -1,10 +1,10 @@
 """Deterministic fault injection for the resilience subsystem.
 
 The recovery machinery in :mod:`repro.sim.parallel` (watchdog, retry with
-backoff, keep-going manifests) and :mod:`repro.sim.cache` (checksum
-eviction) is itself code that can rot; this module makes every error path
-reachable on demand so CI exercises the recovery logic, not just the happy
-path.  Faults are requested through the ``REPRO_FAULT`` environment
+backoff, keep-going manifests) and :class:`repro.sim.journal.EnvelopeStore`
+(checksum eviction, journal replay) is itself code that can rot; this
+module makes every error path reachable on demand so CI exercises the
+recovery logic, not just the happy path.  Faults are requested through the ``REPRO_FAULT`` environment
 variable — a comma-separated list of specs, each ``kind:param=value:...``:
 
 - ``crash:job=3`` — worker for job index 3 dies (hard ``os._exit`` in a
@@ -191,13 +191,15 @@ def fire_worker_faults(job_index, attempt, in_child, environ=None):
 _corrupted_paths = set()
 
 
-def _corrupt_envelope_file(kind, flip_field, key, path, environ):
-    """Shared body of the ``corrupt_cache`` / ``corrupt_checkpoint``
-    flavours: corrupt ``path`` when a ``kind`` fault targets ``key``.
+def corrupt_envelope_file(kind, flip_field, key, path, environ=None):
+    """Corrupt the store entry at ``path`` when a ``kind`` fault
+    (``corrupt_cache`` / ``corrupt_checkpoint``) targets ``key``; the
+    ``how=flip`` mode alters the payload's ``flip_field``.
 
-    Returns the corruption flavour applied or None.  Runs at most once per
-    file per process, so the subsequent rewrite (re-simulation or re-warm)
-    is not re-corrupted within the same run.
+    :class:`~repro.sim.journal.EnvelopeStore` calls this immediately
+    before every read.  Returns the corruption flavour applied or None.
+    Runs at most once per file per process, so the subsequent rewrite
+    (re-simulation or re-warm) is not re-corrupted within the same run.
     """
     for spec in active_faults(environ):
         if spec.kind != kind:
@@ -229,20 +231,6 @@ def _corrupt_envelope_file(kind, flip_field, key, path, environ):
                 handle.write(blob[: max(1, len(blob) // 2)])
         return how
     return None
-
-
-def corrupt_cache_file(key, path, environ=None):
-    """Corrupt a result-cache entry targeted by a ``corrupt_cache`` fault;
-    runs in the parent immediately before a cache read."""
-    return _corrupt_envelope_file("corrupt_cache", "cycles", key, path,
-                                  environ)
-
-
-def corrupt_checkpoint_file(key, path, environ=None):
-    """Corrupt a warm-state checkpoint targeted by a ``corrupt_checkpoint``
-    fault; runs immediately before a checkpoint read."""
-    return _corrupt_envelope_file("corrupt_checkpoint", "functional", key,
-                                  path, environ)
 
 
 # ---------------------------------------------------------------------------

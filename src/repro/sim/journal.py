@@ -1,12 +1,13 @@
-"""Crash-safe commits for the on-disk stores: envelope codec, journal, lock.
+"""The on-disk store: envelope codec, journal, lock, and :class:`EnvelopeStore`.
 
-The result cache and the checkpoint store both follow the same commit
-discipline — write a checksummed ``{"checksum", "data"}`` envelope to a
-per-process temp file, then ``os.replace`` it into place.  That is atomic
-against *readers*, but a ``kill -9`` mid-commit can still strand temp
-files, and two unrelated ``repro suite`` processes filling one directory
-interleave commits with no coordination at all.  This module owns the
-envelope format and closes both gaps:
+The result cache and the checkpoint store are two instances of one store
+class, :class:`EnvelopeStore`: a directory of checksummed
+``{"checksum", "data"}`` envelopes, one file per key.  A write goes to a
+per-process temp file and is then ``os.replace``d into place.  That is
+atomic against *readers*, but a ``kill -9`` mid-commit can still strand
+temp files, and two unrelated ``repro suite`` processes filling one
+directory interleave commits with no coordination at all.  This module
+owns the envelope format and the store and closes both gaps:
 
 - :func:`encode_envelope` / :func:`read_envelope` — the one codec both
   stores write and read through.  A file is exactly the text
@@ -35,8 +36,17 @@ envelope format and closes both gaps:
   new version or the untouched old one; both are correct, and deleting the
   old version on an early crash would turn a non-loss into a loss).
 - :class:`JournaledDir` — the bundle of both, exposing the
-  :meth:`~JournaledDir.commit` sequence the stores call:
+  :meth:`~JournaledDir.commit` sequence every store write goes through:
   ``lock -> intent -> payload (fsync) -> os.replace -> commit -> truncate``.
+- :class:`EnvelopeStore` — the store itself.  Every read replays an
+  interrupted commit, then validates the file on disk; a truncated,
+  malformed, non-envelope or checksum-mismatched entry is **evicted**
+  (removed with a warning naming the key and reason, and logged on
+  :attr:`~EnvelopeStore.eviction_log` for the failure manifest), so a
+  corrupt file costs one redundant simulation or warm, never a wrong
+  figure.  Subclasses declare only the file suffix, the wording of their
+  warnings, their ``REPRO_FAULT`` corruption flavour, the key, and the
+  payload conversions.
 
 Fault hooks (:mod:`repro.sim.faults`): ``kill_commit:key=K:at=STAGE``
 SIGKILLs the process at a chosen point inside the commit sequence and
@@ -44,8 +54,6 @@ SIGKILLs the process at a chosen point inside the commit sequence and
 commit record — both exist so CI can prove the recovery path, not assume
 it.
 
-``REPRO_JOURNAL=0`` (:mod:`repro.sim.settings`) disables journaling and
-locking in both stores (plain tmp+replace, the pre-journal behaviour).
 A commit waits at most :data:`LOCK_TIMEOUT` seconds for the directory
 lock.
 """
@@ -56,8 +64,9 @@ import hashlib
 import json
 import os
 import time
+import warnings
 
-from repro.sim import faults
+from repro.sim import faults, settings
 
 
 #: Seconds a commit waits for the directory lock before LockTimeout.
@@ -447,3 +456,152 @@ class JournaledDir(object):
             os.replace(tmp, path)
             faults.fire_commit_faults(key, "replace")
             self.journal.commit(seq)
+
+
+class EnvelopeStore(object):
+    """A directory of checksummed envelopes, one ``<key><SUFFIX>`` file
+    per entry, every write a journaled commit (see the module doc).
+
+    Subclasses declare the class attributes below, ``key()``, and the
+    public ``get`` / ``put``, which convert payloads around
+    :meth:`_read` / :meth:`_write`.
+    """
+
+    #: File-name suffix of an entry.
+    SUFFIX = None
+    #: Setting that names the default directory.
+    DIR_SETTING = None
+    #: :func:`read_envelope` kind ("not a checksummed <kind> envelope").
+    KIND = None
+    #: Eviction warning: "evicted corrupt <LABEL> <key>: <reason> — <CONSEQUENCE>".
+    LABEL = None
+    CONSEQUENCE = None
+    #: ``REPRO_FAULT`` corruption flavour and the payload field that its
+    #: ``how=flip`` mode alters.
+    FAULT = None
+    FLIP_FIELD = None
+
+    def __init__(self, directory=None):
+        if directory is None:
+            directory = settings.get(self.DIR_SETTING)
+        self.directory = directory
+        self.hits = 0
+        self.misses = 0
+        #: Corruption incidents seen by this process (dicts with ``key``
+        #: and ``reason``), drained via :meth:`pop_evictions`.
+        self.eviction_log = []
+        self.journaled = JournaledDir(directory)
+
+    def _path(self, key):
+        return os.path.join(self.directory, key + self.SUFFIX)
+
+    def _recover(self):
+        """Replay an interrupted commit; free (one stat) when at rest."""
+        self.eviction_log.extend(self.journaled.recover())
+
+    def _read(self, key):
+        """The payload stored under ``key``, or None on a miss (a corrupt
+        entry is evicted and counts as a miss)."""
+        path = self._path(key)
+        self._recover()
+        # Deterministic fault injection (REPRO_FAULT=<FAULT>:key=...):
+        # no-op — a single env lookup — unless faults are requested.
+        faults.corrupt_envelope_file(self.FAULT, self.FLIP_FIELD, key, path)
+        if not os.path.exists(path):
+            self.misses += 1
+            return None
+        reason, data = read_envelope(path, self.KIND)
+        if reason is not None:
+            self._evict(key, path, reason, stacklevel=4)
+            self.misses += 1
+            return None
+        self.hits += 1
+        return data
+
+    def _write(self, key, data):
+        """Commit ``data`` under ``key`` through the journal."""
+        os.makedirs(self.directory, exist_ok=True)
+        checksum, text = encode_envelope(data)
+        self._recover()
+        self.journaled.commit(key, self._path(key), checksum, text)
+
+    def _evict(self, key, path, reason, stacklevel=3):
+        """Remove a corrupt entry, warn, and log the incident."""
+        try:
+            os.remove(path)
+        except OSError:
+            pass
+        self.eviction_log.append({"key": key, "reason": reason})
+        warnings.warn(
+            "evicted corrupt %s %s: %s — %s"
+            % (self.LABEL, key, reason, self.CONSEQUENCE),
+            RuntimeWarning,
+            stacklevel=stacklevel,
+        )
+
+    def pop_evictions(self):
+        """Drain and return the corruption incidents seen so far."""
+        log, self.eviction_log = self.eviction_log, []
+        return log
+
+    # -- maintenance (``repro cache-*`` and ``repro checkpoint``) ---------
+
+    def entry_paths(self):
+        """Paths of all entry files currently in the directory."""
+        if not os.path.isdir(self.directory):
+            return []
+        return sorted(
+            os.path.join(self.directory, name)
+            for name in os.listdir(self.directory)
+            if name.endswith(self.SUFFIX)
+        )
+
+    def stats(self):
+        """On-disk entry count/bytes plus this process's hit/miss counters.
+
+        An interrupted commit is replayed first, so a mid-commit
+        ``kill -9`` never shows up here as corruption.  Then every entry
+        is validated and corrupt ones are evicted, so ``entries``/``bytes``
+        are *post-eviction* totals: an entry evicted during this call
+        appears in ``corrupt_evicted`` (and the eviction log) only.
+        """
+        self._recover()
+        total_bytes = 0
+        surviving = 0
+        corrupt = 0
+        for path in self.entry_paths():
+            reason, _ = read_envelope(path, self.KIND)
+            if reason is not None:
+                key = os.path.basename(path)[: -len(self.SUFFIX)]
+                self._evict(key, path, reason)
+                corrupt += 1
+                continue
+            surviving += 1
+            try:
+                total_bytes += os.path.getsize(path)
+            except OSError:
+                pass
+        return {
+            "directory": self.directory,
+            "entries": surviving,
+            "bytes": total_bytes,
+            "corrupt_evicted": corrupt,
+            "hits": self.hits,
+            "misses": self.misses,
+        }
+
+    def clear(self):
+        """Delete every entry (and stray temp files); returns the number
+        of files removed."""
+        removed = 0
+        if not os.path.isdir(self.directory):
+            return removed
+        for name in os.listdir(self.directory):
+            if not (name.endswith(self.SUFFIX) or self.SUFFIX + "." in name):
+                continue
+            try:
+                os.remove(os.path.join(self.directory, name))
+                removed += 1
+            except OSError:
+                pass
+        return removed

@@ -95,8 +95,6 @@ SETTINGS = (
              "warm-state checkpoint directory"),
     _setting("REPRO_CHECKPOINTS", bool, True,
              "use the checkpoint store (0 = re-warm every run)"),
-    _setting("REPRO_JOURNAL", bool, True,
-             "journaled, locked store commits (0 = plain tmp + rename)"),
     _setting("REPRO_TRACE_CACHE", int, 96,
              "trace-memo capacity in entries (0 = no memo); a sweep "
              "holds one trace whatever the size", lower=0),

@@ -6,13 +6,17 @@ journal vandalism over a (2 workload x 3 config) sampled sweep, ending
 byte-identical to a fault-free reference with zero corrupt entries.
 """
 
+import argparse
 import json
 import os
 import signal
 import subprocess
 import sys
+import types
 
-from repro.sim.chaos import build_schedule
+import pytest
+
+from repro.sim.chaos import CampaignFailure, _Campaign, build_schedule
 
 SRC_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -53,6 +57,26 @@ class TestSchedule:
 
 
 class TestCampaign:
+    def test_recovery_fails_on_a_corrupt_cache_count(self, tmp_path,
+                                                     monkeypatch):
+        """Both stores' ``corrupt evicted`` rows are checked, not only the
+        checkpoint store's."""
+        args = argparse.Namespace(dir=str(tmp_path))
+        campaign = _Campaign(args)
+
+        def launch(label, cmd, env, expect_signal=None, fault=None):
+            count = 1 if label == "recover-cache" else 0
+            return types.SimpleNamespace(
+                stdout="corrupt evicted | %d\n" % count)
+
+        monkeypatch.setattr(campaign, "_launch", launch)
+        with pytest.raises(CampaignFailure, match="recover-cache 1"):
+            campaign._recover()
+        assert [i for i in campaign.incidents if "corrupt_evicted" in i] == [
+            {"launch": "recover-cache", "corrupt_evicted": 1},
+            {"launch": "recover-checkpoint", "corrupt_evicted": 0},
+        ]
+
     def test_small_campaign_converges_byte_identical(self, tmp_path):
         campaign_dir = str(tmp_path / "campaign")
         env = dict(os.environ)
@@ -76,9 +100,9 @@ class TestCampaign:
         assert by_launch["fault-3-kill_commit"]["returncode"] == \
             -signal.SIGKILL
         assert by_launch["convergence"]["returncode"] == 0
-        corrupt = [i for i in report["incidents"]
-                   if "corrupt_evicted" in i]
-        assert corrupt and corrupt[0]["corrupt_evicted"] == 0
+        corrupt = {i["launch"]: i["corrupt_evicted"]
+                   for i in report["incidents"] if "corrupt_evicted" in i}
+        assert corrupt == {"recover-cache": 0, "recover-checkpoint": 0}
         with open(os.path.join(campaign_dir, "ref.json"), "rb") as handle:
             ref = handle.read()
         with open(os.path.join(campaign_dir, "final.json"), "rb") as handle:

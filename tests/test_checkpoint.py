@@ -191,6 +191,26 @@ class TestWarmFingerprint:
 # the store
 
 
+#: The two EnvelopeStore instances, each with the corruption-reason kind
+#: and the eviction-warning consequence its wording must keep.
+STORES = pytest.mark.parametrize("store_cls, kind, consequence", [
+    pytest.param(ResultCache, "cache", "re-simulated", id="cache"),
+    pytest.param(CheckpointStore, "checkpoint", "re-warmed", id="checkpoint"),
+])
+
+
+def put_payload(store, key):
+    data = {"functional": WARM, "cycles": 1}
+    store.put(key, SimResult(data) if isinstance(store, ResultCache) else data)
+
+
+def truncate(path):
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    with open(path, "wb") as handle:
+        handle.write(blob[: len(blob) // 2])
+
+
 class TestCheckpointStore:
     def test_roundtrip_contains_stats_clear(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
@@ -228,43 +248,60 @@ class TestCheckpointStore:
             results.append(SimResult.from_core(core, WORKLOAD, "test").data)
         assert results[0] == results[1]
 
-    def test_truncation_is_classified_and_evicted(self, tmp_path):
-        store = CheckpointStore(str(tmp_path))
+    @STORES
+    def test_truncation_is_classified_and_evicted(self, tmp_path, store_cls,
+                                                  kind, consequence):
+        """A truncated entry is evicted by ``get`` and by ``stats``, whose
+        totals are post-eviction; ``clear`` also removes stray temps."""
+        store = store_cls(str(tmp_path))
         key = store.key(WORKLOAD, quiet_config(), LENGTH, WARM)
-        store.put(key, {"functional": WARM})
+        survivor = store.key(WORKLOAD, quiet_config(), LENGTH, WARM + 1)
         path = store._path(key)
-        with open(path, "rb") as handle:
-            blob = handle.read()
-        with open(path, "wb") as handle:
-            handle.write(blob[: len(blob) // 2])
-        with pytest.warns(RuntimeWarning, match="re-warmed"):
+        for name in (key, survivor):
+            put_payload(store, name)
+        truncate(path)
+        with pytest.warns(RuntimeWarning, match=consequence):
             assert store.get(key) is None
         assert not os.path.exists(path)
         [incident] = store.pop_evictions()
         assert incident["reason"] == "unreadable (truncated or malformed JSON)"
+        put_payload(store, key)
+        truncate(path)
+        with pytest.warns(RuntimeWarning, match=consequence):
+            stats = store.stats()
+        assert (stats["entries"], stats["corrupt_evicted"]) == (1, 1)
+        assert stats["bytes"] == os.path.getsize(store._path(survivor))
+        assert [e["key"] for e in store.pop_evictions()] == [key]
+        with open(path + ".123.tmp", "w") as handle:
+            handle.write("half-written")
+        assert store.clear() == 2  # the survivor and the stray temp
+        assert not [name for name in os.listdir(str(tmp_path))
+                    if name.endswith(".tmp") or name.endswith(".json")]
 
-    def test_checksum_mismatch_and_bad_envelope(self, tmp_path):
-        store = CheckpointStore(str(tmp_path))
+    @STORES
+    def test_checksum_mismatch_and_bad_envelope(self, tmp_path, store_cls,
+                                                kind, consequence):
+        store = store_cls(str(tmp_path))
         key = store.key(WORKLOAD, quiet_config(), LENGTH, WARM)
-        store.put(key, {"functional": WARM})
+        put_payload(store, key)
         path = store._path(key)
         with open(path) as handle:
             envelope = json.load(handle)
         envelope["data"]["functional"] += 1
         with open(path, "w") as handle:
             json.dump(envelope, handle)
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning, match=consequence):
             assert store.get(key) is None
         [incident] = store.pop_evictions()
         assert incident["reason"] == \
             "checksum mismatch (payload altered on disk)"
-        store.put(key, {"functional": WARM})
+        put_payload(store, key)
         with open(path, "w") as handle:
             json.dump({"no": "envelope"}, handle)
         with pytest.warns(RuntimeWarning):
             assert store.get(key) is None
         [incident] = store.pop_evictions()
-        assert incident["reason"] == "not a checksummed checkpoint envelope"
+        assert incident["reason"] == "not a checksummed %s envelope" % kind
 
     def test_prune_evicts_least_recently_used(self, tmp_path):
         store = CheckpointStore(str(tmp_path))

@@ -259,14 +259,6 @@ class TestCacheJournalIntegration:
         fresh.put("victim-key", FakeResult({"v": 2}))
         assert fresh.get("victim-key").data == {"v": 2}
 
-    def test_journal_disabled_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_JOURNAL", "0")
-        cache_dir = str(tmp_path)
-        cache = ResultCache(cache_dir)
-        cache.put("k1", FakeResult({"v": 1}))
-        assert cache.get("k1").data == {"v": 1}
-        assert not os.path.exists(os.path.join(cache_dir, Journal.FILENAME))
-
 
 _KILL_COMMIT_CHILD = """\
 import sys

@@ -247,9 +247,16 @@ class TestCacheMaintenance:
         assert cache.clear() == 0
         assert cache.stats()["entries"] == 0
 
+    def test_default_cache_follows_the_cache_dir_setting(self, tmp_path,
+                                                         monkeypatch):
+        """Like the default checkpoint store: a changed REPRO_CACHE_DIR
+        yields a cache over the new directory."""
+        for name in ("a", "b"):
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / name))
+            assert cache_mod.default_cache().directory == str(tmp_path / name)
+
     def test_cli_cache_commands(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(cache_mod, "_default_cache", None)
         from repro.__main__ import main
         simulate_cached(WORKLOADS[0], quiet_config(), length=LENGTH,
                         warmup=WARMUP)
@@ -264,7 +271,6 @@ class TestCacheMaintenance:
     def test_stats_validates_and_evicts_corrupt_entries(self, tmp_path,
                                                         monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(cache_mod, "_default_cache", None)
         from repro.__main__ import main
         cache = cache_mod.default_cache()
         good = simulate_cached(WORKLOADS[0], quiet_config(), length=LENGTH,

@@ -31,7 +31,6 @@ EXAMPLES = {
     "REPRO_CACHE_DIR": "elsewhere-cache",
     "REPRO_CHECKPOINT_DIR": "elsewhere-checkpoints",
     "REPRO_CHECKPOINTS": "0",
-    "REPRO_JOURNAL": "off",
     "REPRO_TRACE_CACHE": "3",
     "REPRO_BATCH_WARM": "1",
     "REPRO_BATCH_WIDTH": "4",

@@ -77,7 +77,7 @@ class TestShardEngineEquivalence:
 
 class TestShardSupervision:
     def test_killed_shard_requeues_and_recovers(self, tmp_path):
-        os.environ["REPRO_FAULT"] = "kill_shard:shard=0:after=1"
+        os.environ["REPRO_FAULT"] = "kill_shard:shard=0:after=0"
         results, report = run_jobs(jobs4(), cache=ResultCache(str(tmp_path)),
                                    max_workers=2, retries=2, keep_going=True)
         assert all(r is not None for r in results)
@@ -90,7 +90,7 @@ class TestShardSupervision:
     def test_wedged_shard_is_quarantined(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_HEARTBEAT_INTERVAL", "0.05")
         monkeypatch.setenv("REPRO_HEARTBEAT_MISSES", "5")
-        os.environ["REPRO_FAULT"] = "hang_heartbeat:shard=0:seconds=30:after=1"
+        os.environ["REPRO_FAULT"] = "hang_heartbeat:shard=0:seconds=30:after=0"
         results, report = run_jobs(jobs4(), cache=ResultCache(str(tmp_path)),
                                    max_workers=2, retries=2, keep_going=True)
         assert all(r is not None for r in results)
