@@ -365,7 +365,7 @@ def simulate_sampled(
     """
     from repro.sim import checkpoint
     from repro.sim.sampling import (
-        SamplingPlan, aggregate_intervals, mean_ci, normalize_spec,
+        SamplingPlan, aggregate_intervals, ci_target_met, normalize_spec,
     )
 
     config = config or baseline()
@@ -389,14 +389,6 @@ def simulate_sampled(
             engine="batch" if batch_warm else "scalar",
         )
 
-    def _stop(datas):
-        """The deterministic adaptive-stop rule."""
-        if spec["ci_target"] is None or len(datas) < spec["min_samples"]:
-            return False
-        mean, half = mean_ci([d["ipc"] for d in datas], spec["confidence"])
-        return (half is not None and mean > 0
-                and half <= spec["ci_target"] * mean)
-
     interval_datas = []
     for i in range(plan.samples):
         interval = simulate_interval(
@@ -410,6 +402,6 @@ def simulate_sampled(
             max_cycles=max_cycles,
         )
         interval_datas.append(interval.data)
-        if _stop(interval_datas):
+        if ci_target_met([d["ipc"] for d in interval_datas], spec):
             break
     return SimResult(aggregate_intervals(interval_datas, spec))

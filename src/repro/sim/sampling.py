@@ -245,16 +245,28 @@ class SamplingPlan(object):
         }
 
 
+def ci_target_met(ipcs, spec):
+    """The deterministic adaptive-stop rule over per-interval ``ipcs``.
+
+    True when ``spec`` sets a ``ci_target``, at least ``min_samples``
+    intervals are in, and the CI half-width is at most ``ci_target`` times
+    the mean.  A serial run stops simulating on the first prefix that
+    meets it; aggregation truncates a run-them-all sweep to that prefix.
+    """
+    if spec["ci_target"] is None or len(ipcs) < spec["min_samples"]:
+        return False
+    mean, half = mean_ci(ipcs, spec["confidence"])
+    return half is not None and mean > 0 and half <= spec["ci_target"] * mean
+
+
 def aggregate_intervals(interval_datas, spec):
     """Fold per-interval result dicts into one sampled cell result.
 
     ``interval_datas`` must be in interval-index order (each carries the
     ``interval`` metadata attached by ``simulate_interval``).  Adaptive
-    mode (``ci_target`` set) includes intervals in that order and stops as
-    soon as, with at least ``min_samples`` intervals, the CI half-width
-    drops to ``ci_target * mean`` — a deterministic rule, so a serial
-    early-stopped run and a parallel run-them-all sweep aggregate to the
-    identical result.
+    mode (``ci_target`` set) keeps the shortest prefix that meets
+    :func:`ci_target_met`, so a serial early-stopped run and a parallel
+    run-them-all sweep aggregate to the identical result.
 
     The aggregate is result-shaped (same keys a plain ``simulate`` result
     has) plus ``ipc_ci``, ``intervals`` and ``sampling`` fields.  Reported
@@ -264,18 +276,10 @@ def aggregate_intervals(interval_datas, spec):
     spec = normalize_spec(spec)
     if not interval_datas:
         raise ValueError("aggregate_intervals needs at least one interval")
-    ci_target = spec["ci_target"]
-    confidence = spec["confidence"]
-    used = list(interval_datas)
-    if ci_target is not None:
-        ipcs = [d["ipc"] for d in interval_datas]
-        for k in range(spec["min_samples"], len(ipcs) + 1):
-            mean, half = mean_ci(ipcs[:k], confidence)
-            if half is not None and mean > 0 and half <= ci_target * mean:
-                used = list(interval_datas[:k])
-                break
-    ipcs = [d["ipc"] for d in used]
-    mean, half = mean_ci(ipcs, confidence)
+    ipcs = [d["ipc"] for d in interval_datas]
+    used = next((interval_datas[:k] for k in range(1, len(ipcs))
+                 if ci_target_met(ipcs[:k], spec)), interval_datas)
+    mean, half = mean_ci([d["ipc"] for d in used], spec["confidence"])
     first = used[0]
     cycles = sum(d["cycles"] for d in used)
     instructions = sum(d["instructions"] for d in used)
@@ -323,10 +327,10 @@ def aggregate_intervals(interval_datas, spec):
         "half_width": half,
         "relative_half_width": (half / mean) if half is not None and mean > 0
         else None,
-        "confidence": confidence,
+        "confidence": spec["confidence"],
         "intervals_used": len(used),
         "intervals_planned": spec["samples"],
-        "ci_target": ci_target,
+        "ci_target": spec["ci_target"],
     }
     data["intervals"] = [
         {

@@ -21,6 +21,7 @@ from repro.sim.experiments import run_suite
 from repro.sim.journal import encode_envelope
 from repro.sim import parallel, settings
 from repro.sim.parallel import TimingReport, WorkerError, run_jobs, run_matrix
+from repro.sim.runner import fast_forward_split
 from repro.workloads import suite
 
 WORKLOADS = ["spec06_bzip2", "spec06_mcf", "spec06_perlbench"]
@@ -59,14 +60,21 @@ class TestDeterminism:
                     open(os.path.join(d2, name)) as h2:
                 assert h1.read() == h2.read()
 
+    @pytest.mark.parametrize("warmup", [WARMUP, LENGTH // 2],
+                             ids=["detailed-warmup", "fast-forward"])
     def test_run_matrix_single_config_returns_mapping_and_report(
-            self, tmp_path):
+            self, tmp_path, warmup):
         (results,), report = run_matrix(
-            [quiet_config()], WORKLOADS, LENGTH, WARMUP,
+            [quiet_config()], WORKLOADS, LENGTH, warmup,
             cache=ResultCache(str(tmp_path)), max_workers=2)
         assert list(results) == WORKLOADS
         assert report.jobs_total == len(WORKLOADS)
-        assert report.instructions_simulated == LENGTH * len(WORKLOADS)
+        assert report.jobs_simulated == len(WORKLOADS)
+        # The report counts only what the detailed core ran: the
+        # functionally fast-forwarded prefix is in neither IPC nor instr/s.
+        functional, _ = fast_forward_split(quiet_config(), LENGTH, warmup)
+        assert report.instructions_simulated == \
+            (LENGTH - functional) * len(WORKLOADS)
 
     def test_results_in_job_order(self, tmp_path):
         results, _ = run_jobs(small_jobs(), cache=ResultCache(str(tmp_path)),

@@ -237,17 +237,22 @@ class TestSampledRuns:
             assert sampled.data[key] == full.data[key], key
         assert sampled.data["ipc_ci"]["half_width"] is None
 
+    @pytest.mark.parametrize("ci_target, intervals_used", [
+        (0.2, 4),    # met after 4 of the 6 planned intervals
+        (0.01, 6),   # never met: every planned interval is used
+    ])
     def test_adaptive_early_stop_is_deterministic(self, tmp_path,
-                                                  monkeypatch):
+                                                  monkeypatch, ci_target,
+                                                  intervals_used):
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
         config = quiet_config()
-        spec = dict(samples=6, interval_length=400, ci_target=0.5)
+        spec = dict(samples=6, interval_length=400, ci_target=ci_target)
         once = simulate_sampled(WORKLOAD, config, length=LENGTH, warmup=WARM,
                                 **spec)
         again = simulate_sampled(WORKLOAD, config, length=LENGTH, warmup=WARM,
                                  **spec)
         assert once.data == again.data
-        assert once.data["ipc_ci"]["intervals_used"] <= 6
+        assert once.data["ipc_ci"]["intervals_used"] == intervals_used
         # The parallel engine simulates every interval but aggregates with
         # the same deterministic truncation rule.
         (results,), _report = run_matrix(
