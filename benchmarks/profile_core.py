@@ -1,11 +1,13 @@
-"""Profile the detailed core over suite workloads.
+"""cProfile one config's two-speed runs over suite workloads.
 
 A thin cProfile driver around :func:`repro.sim.runner.simulate` for engine
-work: it answers "where do the cycles go" without the result cache or the
-pytest-benchmark machinery getting in the way.  The same report is
-available on any single run via ``python -m repro run <workload> --profile``;
-this script exists for multi-workload aggregate profiles and for dumping
-raw stats files.
+work: each profiled run functionally warms the first ``--warmup``
+instructions (``FunctionalWarmer.warm``) and simulates the rest on the
+detailed core (``OOOCore.run``), with no result cache in the way.  Traces
+are built before profiling starts, so trace generation is not in the
+profile.  The same report is available on any single run via
+``python -m repro run <workload> --profile``; this script exists for
+multi-workload aggregate profiles and for dumping raw stats files.
 
 Usage::
 
@@ -35,8 +37,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         description="cProfile the detailed core over suite workloads")
     parser.add_argument("--workloads", nargs="+", default=DEFAULT_WORKLOADS,
-                        help="suite workload names (default: the serial "
-                             "bench quartet)")
+                        help="suite workload names (default: %s)"
+                             % " ".join(DEFAULT_WORKLOADS))
     parser.add_argument("--length", type=int, default=40000)
     parser.add_argument("--warmup", type=int, default=20000)
     parser.add_argument("--core-2x", action="store_true",

@@ -21,6 +21,7 @@ the paper describes):
 
 import heapq
 from bisect import bisect_left, insort
+from itertools import chain
 
 from repro.core import dyninstr as D
 from repro.core.dyninstr import DynInstr
@@ -104,7 +105,11 @@ class OOOCore(object):
         #: Timed pipeline events (branch resolutions, VP flushes), keyed by
         #: fire cycle; same-cycle events fire in schedule order.
         self.events = TimingWheel()
+        #: Criticality extension: the in-flight producer of each physical
+        #: register.  Only the criticality filter reads it (through the
+        #: critical-PC table), so it is kept only when that filter is on.
         self.preg_producer = {}
+        track_critical = self.rfp is not None and config.rfp.criticality_filter
         self.warmup_instructions = 0
         self.warmup_snapshot = None
         #: Cycles elided by idle-cycle skipping (not a SimStats counter:
@@ -119,18 +124,19 @@ class OOOCore(object):
         self._dispatch_inv = (
             self.stats, self.rob.entries, self.rob.num_entries, self.rs,
             self.rs._rs_entries, self.rs._min_delay,
-            self.rs.ready, self.rs.wheel.slots, self.rs.wheel.cycles,
+            self.rs.ready, self.rs.ready_loads, self.rs.wheel.slots,
+            self.rs.wheel.cycles,
             self.rename.rat, self.rename.free_list, self.prf.ready_cycle,
             self.prf.value, self.prf.waiters, self.prf, self.lq.entries,
             self.lq.num_entries, self.sq, self.rfp, self.vp, self.hit_miss,
             self.preg_producer, self.tracer, config.rename_width,
-            heapq.heappush,
+            heapq.heappush, track_critical,
         )
         self._commit_inv = (
             self.stats, self.rob.entries, config.retire_width, self.vp,
             self.rfp, self.tracer, self.rename.free_list,
-            self.preg_producer, record_commits, self.lq, self.md,
-            self.frontend, self.memory, self.hierarchy,
+            self.preg_producer if track_critical else None, record_commits,
+            self.lq, self.md, self.frontend, self.memory, self.hierarchy,
         )
 
     # ==================================================================
@@ -262,10 +268,11 @@ class OOOCore(object):
         # is conservative — at worst the loop re-skips from there.
         # Waiting entries (producer still executing) need no bound of
         # their own: the producer's wake covers them.  Only the ready
-        # heap — entries parked as issuable — needs per-entry analysis.
+        # heaps — entries parked as issuable, or drained from the wheel
+        # and possibly stale — need per-entry analysis.
         if rs.wheel.cycles:
             candidates.append(rs.wheel.cycles[0])
-        for _seq, dyn in rs.ready:
+        for _seq, dyn in chain(rs.ready, rs.ready_loads):
             if dyn.state != DISPATCHED or not dyn.in_rs:
                 continue
             wake = dyn.dispatch_cycle + sched_latency
@@ -471,7 +478,7 @@ class OOOCore(object):
             if dest_preg is not None:
                 # -- rename.commit_free --------------------------------
                 free_list.append(dyn.prev_preg)
-                if preg_producer.get(dest_preg) is dyn:
+                if preg_producer is not None and preg_producer.get(dest_preg) is dyn:
                     del preg_producer[dest_preg]
             if dyn.is_load:
                 stats.loads += 1
@@ -538,10 +545,10 @@ class OOOCore(object):
         if not buffer or buffer[0][0] > cycle:
             return 0
         (stats, rob_entries, rob_capacity, rs, rs_capacity,
-         min_delay, rs_ready, wheel_slots, wheel_cycles, rat, free_list,
-         ready_cycle, prf_value, waiters, prf, lq_entries, lq_capacity,
-         sq, rfp, vp, hit_miss, preg_producer, tracer, width,
-         heappush) = self._dispatch_inv
+         min_delay, rs_ready, rs_ready_loads, wheel_slots, wheel_cycles,
+         rat, free_list, ready_cycle, prf_value, waiters, prf, lq_entries,
+         lq_capacity, sq, rfp, vp, hit_miss, preg_producer, tracer, width,
+         heappush, track_critical) = self._dispatch_inv
         rs_entries = rs.entries
         rs_now = rs.now
         seq = self.next_seq
@@ -616,7 +623,8 @@ class OOOCore(object):
                     wake = when
             if not parked:
                 if wake <= rs_now:
-                    heappush(rs_ready, (dyn.seq, dyn))
+                    heappush(rs_ready_loads if is_load else rs_ready,
+                             (dyn.seq, dyn))
                 else:
                     slot = wheel_slots.get(wake)
                     if slot is not None:
@@ -624,7 +632,7 @@ class OOOCore(object):
                     else:
                         wheel_slots[wake] = [dyn]
                         heappush(wheel_cycles, wake)
-            if rfp is not None and (is_load or instr.is_branch):
+            if track_critical and (is_load or instr.is_branch):
                 # Criticality extension: remember load PCs feeding address
                 # computations or branch conditions.
                 for preg in src_pregs:
@@ -661,7 +669,7 @@ class OOOCore(object):
                     )
             elif is_store:
                 sq.allocate(dyn)
-            if dst is not None:
+            if track_critical and dst is not None:
                 preg_producer[dyn.dest_preg] = dyn
             if tracer is not None:
                 # Emitted after the VP/RFP dispatch hooks so the event
@@ -728,10 +736,11 @@ class OOOCore(object):
 
         Loads are the biggest slice of the dispatched mix, so the helpers
         on the common path (memory-dependence gate, store-forward probe,
-        port claim, hit-miss predict/train, and the DTLB-hit/L1-hit
-        hierarchy access) are inlined; each block names the method it
-        mirrors.  Uncommon shapes (TLB miss, L1 miss, in-flight MSHR
-        fills) fall back to the full :meth:`MemoryHierarchy.load`.
+        port claim, hit-miss predict/train, and
+        :meth:`MemoryHierarchy.l1_hit`) are inlined; each block names the
+        method it mirrors.  The other hierarchy shapes (DTLB miss, L1
+        miss, a fill of this very line in flight) fall back to the full
+        :meth:`MemoryHierarchy.load`.
         """
         pc = dyn.pc
         sq = self.sq
@@ -824,7 +833,7 @@ class OOOCore(object):
         else:
             ports.demand_denies += 1
             return False
-        if rfp is not None:
+        if rfp is not None and dyn.rfp_state == D.RFP_QUEUED:
             rfp.note_load_issued_first(dyn)
         if store is not None:
             value = store.value
@@ -844,7 +853,7 @@ class OOOCore(object):
                 predicted_hit = hm_table[hm_index] >= 2
             else:
                 predicted_hit = True
-            # -- hierarchy.load: DTLB-hit + L1-hit fast path -----------
+            # -- hierarchy.l1_hit -------------------------------------
             # Both presence probes are side-effect free, so the LRU
             # touches and counters commit only when the whole fast path
             # is taken; otherwise MemoryHierarchy.load runs untouched.
@@ -854,23 +863,25 @@ class OOOCore(object):
             page = addr >> 12
             tlb_set = dtlb.sets[page & dtlb.set_mask]
             level = None
-            if page in tlb_set and not hier.mshr.inflight:
+            if page in tlb_set:
                 l1 = hier.l1
                 line = addr >> l1.line_shift
                 l1_set = l1.sets[line & l1.set_mask]
                 if line in l1_set:
-                    tlb_set.pop(page)
-                    tlb_set[page] = True
-                    dtlb.hits += 1
-                    l1_set[line] = l1_set.pop(line)
-                    l1.stats.hits += 1
-                    hier.loads_served["L1"] += 1
-                    complete = cycle + hier._l1_serve
-                    level = "L1"
+                    mshr = hier.mshr
+                    if cycle >= mshr.next_fill:
+                        mshr.expire(cycle)
+                    if line not in mshr.inflight:
+                        tlb_set.pop(page)
+                        tlb_set[page] = True
+                        dtlb.hits += 1
+                        l1_set[line] = l1_set.pop(line)
+                        l1.stats.hits += 1
+                        hier.loads_served["L1"] += 1
+                        complete = cycle + hier._l1_serve
+                        level = "L1"
             if level is None:
-                result = self.hierarchy.load(dyn.addr, pc, cycle)
-                complete = result[0]
-                level = result[1]
+                complete, level = hier.load(addr, pc, cycle)
             dyn.served_level = level
             hit = level == "L1"
             if hm is not None:

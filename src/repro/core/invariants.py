@@ -1,7 +1,7 @@
 """Microarchitectural invariant net for the detailed core.
 
 The event-driven engine (PR 4) replaced per-cycle scans with lazily
-maintained indexes — wakeup lists, a ready heap, per-word LSQ maps, live
+maintained indexes — wakeup lists, ready heaps, per-word LSQ maps, live
 counters — which makes silent state corruption possible in principle: a
 counter that drifts or an index entry that outlives its instruction would
 not crash, it would quietly change timing three PRs later.  This module
@@ -19,8 +19,10 @@ human-readable findings (empty when healthy):
   and the RFP queue respects its configured bound;
 - LSQ per-word (seq, dyn) indexes are sorted and agree with the
   instructions they point at (seq, word address, residency flag);
-- scheduler bookkeeping: the live counter matches the window, and both
-  timing wheels' next events are not in the past.
+- scheduler bookkeeping: the live counter matches the window, each
+  ready heap holds only its class (loads in ``ready_loads``, the rest in
+  ``ready``) under its own seq, and both timing wheels' next events are
+  not in the past.
 
 Checking is driven by ``REPRO_CHECK_INVARIANTS=K`` (or the CLI's
 ``--check-invariants``): the core sweeps every K cycles and raises
@@ -147,9 +149,27 @@ def _check_wheel(name, wheel, cycle, out):
         )
 
 
+def _check_ready_heap(name, heap, loads, out):
+    for seq, dyn in heap:
+        if dyn.is_load != loads:
+            out.append(
+                "RS %s heap holds a %s: seq=%d pc=%#x"
+                % (name, "load" if dyn.is_load else "non-load", seq, dyn.pc)
+            )
+            return
+        if dyn.seq != seq:
+            out.append(
+                "RS %s heap key mismatch: keyed %d, instruction is seq=%d"
+                % (name, seq, dyn.seq)
+            )
+            return
+
+
 def _check_scheduler(core, out):
     rs = core.rs
     out.extend(rs.invariant_violations())
+    _check_ready_heap("ready", rs.ready, False, out)
+    _check_ready_heap("ready_loads", rs.ready_loads, True, out)
     _check_wheel("core timing wheel", core.events, core.cycle, out)
     _check_wheel("scheduler timing wheel", rs.wheel, core.cycle, out)
 
@@ -185,11 +205,13 @@ def format_report(core):
             if head is not None
             else "<empty>",
         ),
-        "  RS: %d/%d occupancy, ready heap %d, wheel next event %s"
+        "  RS: %d/%d occupancy, ready heaps %d + %d loads, wheel next "
+        "event %s"
         % (
             core.rs.occupancy,
             core.rs.config.rs_entries,
             len(core.rs.ready),
+            len(core.rs.ready_loads),
             rs_next if rs_next is not None else "<none>",
         ),
         "  LQ: %d/%d occupancy  SQ: %d active + %d senior / %d"

@@ -16,18 +16,31 @@ additional scheduler bandwidth for re-dispatches").
 Selection is event-driven: each waiting instruction lives in exactly one
 of three places — a *wakeup list* on the physical register whose producer
 has not finished (``prf.waiters``), a :class:`~repro.core.wheel.TimingWheel`
-slot when every operand has a known future ready cycle, or the seq-ordered
+slot when every operand has a known future ready cycle, or a seq-ordered
 *ready heap* once it is issuable.  Completions push consumers along that
 chain (``prf.write`` -> :meth:`wake_consumers`), so a cycle's select pops
 ready work instead of re-scanning the window; cost scales with activity,
-not occupancy.  The ready heap orders by seq, so selection is oldest-first.
+not occupancy.
+
+There are two ready heaps: loads wait in ``ready_loads``, everything else
+in ``ready``.  Select merges them by seq, so selection is oldest-first
+across both, and once the cycle's load budget (``load_ports +
+rfp_dedicated_ports``) is spent it stops popping loads altogether: a load
+popped then could only be pushed back, so leaving it in its heap is the
+same schedule with fewer heap operations (a stale or departed load it
+would have re-parked or dropped is handled by whichever later pop reaches
+it).
 
 One wrinkle: a register's ready cycle can move *later* after consumers
 were parked (a value-mispredicted load rewrites its destination at
 validation; a hit-predicted load that missed completes late).  Ready-heap
 pops therefore re-verify operand readiness against the live PRF and
 re-park the entry when it turns out stale — the wheel slot is a lower
-bound on the true wake cycle, never a promise.
+bound on the true wake cycle, never a promise.  The same check lets a due
+wheel slot drain straight onto the ready heaps without re-deriving each
+entry's wake cycle: an entry whose producer was re-timed meanwhile waits
+stale in its ready heap until a pop re-checks it and re-parks it.  Being
+stale, it cannot issue any earlier than it would from the wheel.
 """
 
 import heapq
@@ -35,6 +48,9 @@ import heapq
 from repro.core import dyninstr as D
 from repro.core.rename import INFINITY
 from repro.core.wheel import TimingWheel
+
+#: Budget index of the load class, whose ready entries have their own heap.
+LOAD_FU = D.FU_INDEX["load"]
 
 
 class ReservationStation(object):
@@ -68,8 +84,11 @@ class ReservationStation(object):
         #: Cycle of the most recent select — the boundary between "issuable
         #: now" (ready heap) and "issuable later" (timing wheel).
         self.now = -1
-        #: Min-heap of (seq, dyn) whose operands were all ready at park time.
+        #: Min-heaps of (seq, dyn) parked as issuable, or drained from a
+        #: due wheel slot (possibly stale; see the module docstring):
+        #: loads in ``ready_loads``, every other class in ``ready``.
         self.ready = []
+        self.ready_loads = []
         #: Future wakeups: cycle -> entries whose operands become ready then.
         self.wheel = TimingWheel()
         prf.attach_scheduler(self)
@@ -77,7 +96,7 @@ class ReservationStation(object):
         #: (all containers are mutated in place, never rebound).
         self._wake_inv = (
             prf.ready_cycle, prf.waiters, self._min_delay, self.ready,
-            self.wheel.slots, self.wheel.cycles,
+            self.ready_loads, self.wheel.slots, self.wheel.cycles,
         )
 
     @property
@@ -111,7 +130,7 @@ class ReservationStation(object):
 
         Exactly one destination: the wakeup list of the first operand whose
         producer has no completion time yet, the timing wheel at the cycle
-        every operand becomes readable, or the ready heap when that cycle
+        every operand becomes readable, or its ready heap when that cycle
         has already passed.
         """
         ready_cycle = self.prf.ready_cycle
@@ -124,7 +143,9 @@ class ReservationStation(object):
                     return
                 wake = when
         if wake <= self.now:
-            heapq.heappush(self.ready, (dyn.seq, dyn))
+            heapq.heappush(
+                self.ready_loads if dyn.is_load else self.ready, (dyn.seq, dyn)
+            )
         else:
             self.wheel.schedule(wake, dyn)
 
@@ -134,12 +155,12 @@ class ReservationStation(object):
         Called by :meth:`~repro.core.rename.PhysicalRegisterFile.write`.
         All simulation-time writes carry a ready cycle in the future, so
         the consumers land in the timing wheel (or another wakeup list),
-        never directly in the current cycle's ready heap.
+        never directly in the current cycle's ready heaps.
 
         The body is :meth:`_evaluate` inlined per consumer — this runs for
         every dependence edge in the window, so the call overhead matters.
         """
-        (ready_cycle, waiters, min_delay, ready, wheel_slots,
+        (ready_cycle, waiters, min_delay, ready, ready_loads, wheel_slots,
          wheel_cycles) = self._wake_inv
         now = self.now
         heappush = heapq.heappush
@@ -160,7 +181,7 @@ class ReservationStation(object):
             if parked:
                 continue
             if wake <= now:
-                heappush(ready, (dyn.seq, dyn))
+                heappush(ready_loads if dyn.is_load else ready, (dyn.seq, dyn))
             else:
                 slot = wheel_slots.get(wake)
                 if slot is not None:
@@ -183,33 +204,47 @@ class ReservationStation(object):
         issued = 0
         width = self._issue_width
         self.now = cycle
-        (ready_cycle, _waiters, _min_delay, ready, wheel_slots,
+        (ready_cycle, _waiters, _min_delay, ready, ready_loads, wheel_slots,
          wheel_cycles) = self._wake_inv
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        DISPATCHED = D.DISPATCHED
         if wheel_cycles and wheel_cycles[0] <= cycle:
-            # Drain due wheel slots; wake_consumers re-parks each live
-            # entry (ready heap, a later wheel slot, or a wakeup list if a
-            # producer was re-timed to INFINITY — impossible in practice,
-            # but the shared code path keeps the invariant airtight).
-            # Slots are drained whole (wheel.pop_due without the generator
-            # machinery): re-parks always land strictly after ``cycle``
+            # Drain due wheel slots straight onto the ready heaps.  An
+            # entry whose producer was re-timed after it was parked here
+            # is stale: it waits in its ready heap until a pop re-checks
+            # it and re-parks it (see the module docstring).  Slots are
+            # drained whole; nothing re-parks at or before ``cycle``
             # because ``now == cycle`` here, so a drained slot never
-            # regrows and slot-at-a-time iteration sees every due entry.
-            heappop = heapq.heappop
+            # regrows.
             while wheel_cycles and wheel_cycles[0] <= cycle:
-                due = heappop(wheel_cycles)
-                self.wake_consumers(wheel_slots.pop(due))
+                for dyn in wheel_slots.pop(heappop(wheel_cycles)):
+                    if dyn.in_rs and dyn.state == DISPATCHED:
+                        heappush(
+                            ready_loads if dyn.is_load else ready,
+                            (dyn.seq, dyn),
+                        )
         while self.replay_debt > 0 and issued < width:
             self.replay_debt -= 1
             self.replay_issues_total += 1
             issued += 1
-        if issued >= width or not ready:
+        if issued >= width or not (ready or ready_loads):
             return issued
         budget = self._budget_list[:]
-        heappop = heapq.heappop
-        DISPATCHED = D.DISPATCHED
         deferred = None
-        while ready and issued < width:
-            item = heappop(ready)
+        departed = 0
+        while issued < width:
+            # Merge the two heaps by seq; loads only while the cycle's
+            # load budget lasts (a load popped past it would be deferred).
+            if ready_loads and budget[LOAD_FU] > 0:
+                if ready and ready[0][0] < ready_loads[0][0]:
+                    item = heappop(ready)
+                else:
+                    item = heappop(ready_loads)
+            elif ready:
+                item = heappop(ready)
+            else:
+                break
             dyn = item[1]
             if not dyn.in_rs or dyn.state != DISPATCHED:
                 continue
@@ -233,10 +268,8 @@ class ReservationStation(object):
             if try_issue(dyn, cycle):
                 budget[fu] -= 1
                 issued += 1
-                self.issued_total += 1
+                departed += 1
                 dyn.in_rs = False
-                self.live -= 1
-                self._dead += 1
             else:
                 # Structural hazard (no load port / memory-dependence gate):
                 # stays issuable, competes again next cycle.
@@ -244,9 +277,13 @@ class ReservationStation(object):
                     deferred = []
                 deferred.append(item)
         if deferred is not None:
-            heappush = heapq.heappush
             for item in deferred:
-                heappush(ready, item)
+                heappush(ready_loads if item[1].is_load else ready, item)
+        # The window counters move by deltas (a flush inside try_issue may
+        # discard entries meanwhile), so one update per cycle is exact.
+        self.issued_total += departed
+        self.live -= departed
+        self._dead += departed
         if self._dead > 256 and self._dead * 2 > len(self.entries):
             self.entries = [d for d in self.entries if d.in_rs]
             self._dead = 0

@@ -411,7 +411,8 @@ class _CacheState(object):
 
     __slots__ = ("dtlb", "l1", "l2", "llc", "line_shift", "next_line",
                  "pf_pages", "pf_entries", "pf_degree", "pf_threshold",
-                 "pf_cap", "pf_issued", "pf_trainings", "tick", "hit_buf")
+                 "pf_cap", "pf_issued", "pf_trainings", "tick", "hit_buf",
+                 "dumps")
 
     def __init__(self, hierarchy, columns):
         tick = 0
@@ -442,23 +443,34 @@ class _CacheState(object):
         else:
             self.pf_pages = None
         self.hit_buf = bytearray(len(columns.loads()[0]))
+        #: Per-set dicts of the DTLB, L1, L2 and LLC as of the last
+        #: advance, built by the first lane that materialises them and
+        #: reused by the rest of the cohort (None: not built yet).
+        self.dumps = None
 
     def materialize_into(self, hierarchy):
         """Write the cohort's cache state into one lane's hierarchy."""
+        dumps = self.dumps
+        if dumps is None:
+            dumps = self.dumps = (
+                [dict.fromkeys([page for page, _dirty in pairs], True)
+                 for pairs in self.dtlb.dump_sets()],
+                [dict(pairs) for pairs in self.l1.dump_sets()],
+                [dict(pairs) for pairs in self.l2.dump_sets()],
+                [dict(pairs) for pairs in self.llc.dump_sets()],
+            )
         dtlb = hierarchy.dtlb
-        for tlb_set, pairs in zip(dtlb.sets, self.dtlb.dump_sets()):
+        for tlb_set, entries in zip(dtlb.sets, dumps[0]):
             tlb_set.clear()
-            for page, _dirty in pairs:
-                tlb_set[page] = True
+            tlb_set.update(entries)
         dtlb.hits = self.dtlb.hits
         dtlb.misses = self.dtlb.misses
-        for cache, columns in ((hierarchy.l1, self.l1),
-                               (hierarchy.l2, self.l2),
-                               (hierarchy.llc, self.llc)):
-            for cache_set, pairs in zip(cache.sets, columns.dump_sets()):
+        for cache, columns, sets in ((hierarchy.l1, self.l1, dumps[1]),
+                                     (hierarchy.l2, self.l2, dumps[2]),
+                                     (hierarchy.llc, self.llc, dumps[3])):
+            for cache_set, entries in zip(cache.sets, sets):
                 cache_set.clear()
-                for line, dirty in pairs:
-                    cache_set[line] = dirty
+                cache_set.update(entries)
             stats = cache.stats
             stats.hits = columns.hits
             stats.misses = columns.misses
@@ -742,6 +754,7 @@ def _advance_caches(cs, columns, start, end):
     (DTLB/L1) are reconstructed per chunk from the memory-op count
     instead of being incremented per access.
     """
+    cs.dumps = None  # the state moves on: the materialised view is stale
     k0 = columns.mem_pos[start]
     k1 = columns.mem_pos[end]
     if k0 == k1:

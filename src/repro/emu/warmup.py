@@ -183,8 +183,7 @@ class FunctionalWarmer(ArchEmulator):
                         md_table[index] -= 1
                 if pt is not None:
                     pt.on_allocate(pc)
-                    pt.on_commit(pc)
-                    pt.train(pc, addr)
+                    pt.train(pc, addr, commit=True)
                     if context is not None:
                         context.train(pc, frontend.path_history, addr)
             elif op == STORE:

@@ -2,6 +2,9 @@
 
 from repro.isa.opcodes import Op
 
+# Hoisted: the constructor runs once per generated trace instruction.
+_LOAD, _STORE, _BRANCH = Op.LOAD, Op.STORE, Op.BRANCH
+
 
 class Instruction(object):
     """One dynamic instruction in a trace.
@@ -69,17 +72,17 @@ class Instruction(object):
         self.pc = pc
         self.op = op
         self.dst = dst
-        self.srcs = tuple(srcs)
+        self.srcs = srcs if type(srcs) is tuple else tuple(srcs)
         self.imm = imm
         self.addr = addr
         self.size = size
         self.taken = taken
         self.mispredicted = mispredicted
         self.index = -1
-        self.is_load = op == Op.LOAD
-        self.is_store = op == Op.STORE
-        self.is_mem = self.is_load or self.is_store
-        self.is_branch = op == Op.BRANCH
+        self.is_load = is_load = op == _LOAD
+        self.is_store = is_store = op == _STORE
+        self.is_mem = is_load or is_store
+        self.is_branch = op == _BRANCH
         self._static = None
 
     def __repr__(self):

@@ -21,7 +21,7 @@ from repro.memory.cache import Cache
 from repro.memory.dram import DRAM
 from repro.memory.mshr import MSHRFile
 from repro.memory.prefetcher import L2StridePrefetcher
-from repro.memory.tlb import DTLB
+from repro.memory.tlb import DTLB, PAGE_SHIFT
 
 #: Result of a hierarchy access: absolute completion cycle plus the level
 #: that served the data ("L1", "L2", "LLC", "DRAM", "MSHR").
@@ -93,6 +93,42 @@ class MemoryHierarchy(object):
 
     # ------------------------------------------------------------------
     # loads
+
+    def l1_hit(self, addr, cycle):
+        """The fast case of :meth:`load`: a DTLB hit and an L1 hit whose
+        own line has no fill in flight.
+
+        Returns the completion cycle after making exactly the changes
+        :meth:`load` makes for that case (DTLB and L1 LRU touches, hit
+        counts, the MSHR expiry at ``cycle`` — a DTLB hit adds no walk),
+        except the load-distribution count, which is the caller's.
+        Returns None for any other case; the caller then runs
+        :meth:`load`, and the only change made here, an expiry ``load``
+        would run at ``cycle`` or later anyway, leaves its outcome as it
+        was.  The RFP pump calls this first; the core's demand-load path
+        inlines it.
+        """
+        dtlb = self.dtlb
+        page = addr >> PAGE_SHIFT
+        tlb_set = dtlb.sets[page & dtlb.set_mask]
+        if page not in tlb_set:
+            return None
+        l1 = self.l1
+        line = addr >> l1.line_shift
+        l1_set = l1.sets[line & l1.set_mask]
+        if line not in l1_set:
+            return None
+        mshr = self.mshr
+        if cycle >= mshr.next_fill:
+            mshr.expire(cycle)
+        if line in mshr.inflight:
+            return None  # an MSHR hit
+        tlb_set.pop(page)
+        tlb_set[page] = True
+        dtlb.hits += 1
+        l1_set[line] = l1_set.pop(line)
+        l1.stats.hits += 1
+        return cycle + self._l1_serve
 
     def load(self, addr, pc, cycle, fill_tlb=True, count_distribution=True):
         """Perform a demand (or RFP) load access starting at ``cycle``.
@@ -248,6 +284,23 @@ class MemoryHierarchy(object):
         Returns the cycle at which the store-queue entry can be released.
         """
         self.store_accesses += 1
+        # DTLB hit + L1 hit, the case nearly every committed store takes:
+        # the dtlb.lookup, l1.lookup and mark_dirty calls below, inlined.
+        dtlb = self.dtlb
+        page = addr >> PAGE_SHIFT
+        tlb_set = dtlb.sets[page & dtlb.set_mask]
+        if page in tlb_set:
+            l1 = self.l1
+            line = addr >> l1.line_shift
+            l1_set = l1.sets[line & l1.set_mask]
+            if line in l1_set:
+                tlb_set.pop(page)
+                tlb_set[page] = True
+                dtlb.hits += 1
+                del l1_set[line]  # LRU touch, then the dirty bit
+                l1_set[line] = True
+                l1.stats.hits += 1
+                return cycle + 1
         _, walk = self.dtlb.lookup(addr, fill=True)
         start = cycle + walk
         line = self.line_of(addr)

@@ -6,7 +6,14 @@ these out separately): it completes when the existing fill returns rather
 than launching a second request.  When all entries are busy, a new miss is
 queued behind the earliest-completing entry, which models miss-bandwidth
 back-pressure without a separate retry engine.
+
+Entries expire lazily: every access first drops the fills that have
+landed by its cycle.  The file keeps its earliest fill time, so that
+expiry is one comparison until some fill is actually due — the core's
+L1-hit fast path runs it on every load.
 """
+
+INFINITY = float("inf")
 
 
 class MSHRFile(object):
@@ -20,16 +27,22 @@ class MSHRFile(object):
         self.num_entries = num_entries
         # line -> fill completion cycle
         self.inflight = {}
+        #: Earliest fill time in ``inflight`` (infinity when empty); only
+        #: :meth:`expire`, :meth:`allocate` and :meth:`reset` move it.
+        self.next_fill = INFINITY
         self.mshr_hits = 0
         self.allocations = 0
         self.full_stalls = 0
 
-    def _expire(self, cycle):
-        if not self.inflight:
+    def expire(self, cycle):
+        """Drop every fill that has completed by ``cycle``."""
+        if cycle < self.next_fill:
             return
-        done = [line for line, t in self.inflight.items() if t <= cycle]
+        inflight = self.inflight
+        done = [line for line, t in inflight.items() if t <= cycle]
         for line in done:
-            del self.inflight[line]
+            del inflight[line]
+        self.next_fill = min(inflight.values()) if inflight else INFINITY
 
     def probe(self, line, cycle):
         """Return the completion cycle of an in-flight fill of ``line``.
@@ -37,7 +50,7 @@ class MSHRFile(object):
         Returns ``None`` when no fill for the line is outstanding.  Counts
         an MSHR hit when one is.
         """
-        self._expire(cycle)
+        self.expire(cycle)
         fill_time = self.inflight.get(line)
         if fill_time is not None:
             self.mshr_hits += 1
@@ -51,21 +64,25 @@ class MSHRFile(object):
         completion time is returned.  Otherwise ``fill_time`` is returned
         unchanged.
         """
-        self._expire(cycle)
-        if line in self.inflight:
-            return self.inflight[line]
-        if len(self.inflight) >= self.num_entries:
-            earliest = min(self.inflight.values())
+        self.expire(cycle)
+        inflight = self.inflight
+        if line in inflight:
+            return inflight[line]
+        if len(inflight) >= self.num_entries:
+            earliest = self.next_fill
             delay = max(0, earliest - cycle)
             fill_time += delay
             self.full_stalls += 1
             # Free the earliest entry to make room; it has completed by the
             # time the new fill is considered issued.
-            for line_key, t in list(self.inflight.items()):
+            for line_key, t in list(inflight.items()):
                 if t == earliest:
-                    del self.inflight[line_key]
+                    del inflight[line_key]
                     break
-        self.inflight[line] = fill_time
+            self.next_fill = min(inflight.values()) if inflight else INFINITY
+        inflight[line] = fill_time
+        if fill_time < self.next_fill:
+            self.next_fill = fill_time
         self.allocations += 1
         return fill_time
 
@@ -75,6 +92,7 @@ class MSHRFile(object):
 
     def reset(self):
         self.inflight.clear()
+        self.next_fill = INFINITY
 
     def __repr__(self):
         return "<MSHRFile %d/%d inflight>" % (len(self.inflight), self.num_entries)

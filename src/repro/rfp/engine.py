@@ -128,6 +128,8 @@ class RFPEngine(object):
         #: sched_latency cycles before an L1 hit completes.
         self.bit_set_offset = config.l1_latency - config.sched_latency
         #: Criticality extension: PCs of loads that feed addresses/branches.
+        #: The core marks them only when ``criticality_filter`` is on:
+        #: nothing else reads the table.
         self.critical_pcs = {}
         self._critical_cap = 4096
         #: MSHR entries kept free for demand misses: an RFP request that
@@ -175,8 +177,7 @@ class RFPEngine(object):
 
     def on_load_commit(self, dyn, path_history=0):
         """Train the PT (and context table) with the retiring load."""
-        self.pt.on_commit(dyn.pc)
-        self.pt.train(dyn.pc, dyn.addr)
+        self.pt.train(dyn.pc, dyn.addr, commit=True)
         if self.context is not None:
             self.context.train(dyn.pc, path_history, dyn.addr)
         tracer = self.tracer
@@ -253,7 +254,11 @@ class RFPEngine(object):
                 self.stats.forwarded += 1
                 queue.popleft()
                 continue
-            if self.md.predict_conflict(dyn.pc) and self.store_queue.has_older_unexecuted(dyn.seq):
+            md = self.md
+            if (
+                md.table[(dyn.pc >> 2) % md.num_entries] >= 2  # md.predict_conflict
+                and self.store_queue.has_older_unexecuted(dyn.seq)
+            ):
                 self.stats.blocked_cycles += 1
                 break  # FIFO head blocks until the store resolves
             if self.rfp_config.drop_on_tlb_miss and not self.hierarchy.dtlb.probe(addr):
@@ -263,29 +268,33 @@ class RFPEngine(object):
                     self.tracer.rfp_drop(dyn, "tlb_miss")
                 queue.popleft()
                 continue
+            mshr = self.hierarchy.mshr
             if (
-                self.hierarchy.mshr.occupancy
-                >= self.hierarchy.mshr.num_entries - self.mshr_reserve
+                len(mshr.inflight) >= mshr.num_entries - self.mshr_reserve  # occupancy
                 and self.hierarchy.probe_level(addr) not in ("L1", "MSHR")
             ):
                 self.stats.blocked_cycles += 1
                 break  # would flood the MSHRs demand misses need; hold
             if not self.ports.claim_rfp():
                 break  # no bandwidth this cycle; lowest priority means we wait
-            result = self.hierarchy.load(
-                addr, dyn.pc, cycle, fill_tlb=False, count_distribution=False
-            )
+            hier = self.hierarchy
+            complete = hier.l1_hit(addr, cycle)
+            level = "L1"
+            if complete is None:
+                complete, level = hier.load(
+                    addr, dyn.pc, cycle, fill_tlb=False, count_distribution=False
+                )
             if self.hit_miss is not None:
-                self.hit_miss.train(dyn.pc, result.level == "L1")
-            if result.level != "L1" and not self.rfp_config.prefetch_on_l1_miss:
+                self.hit_miss.train(dyn.pc, level == "L1")
+            if level != "L1" and not self.rfp_config.prefetch_on_l1_miss:
                 dyn.rfp_state = D.RFP_DROPPED
                 self.stats.dropped_l1_miss += 1
                 if self.tracer is not None:
                     self.tracer.rfp_drop(dyn, "l1_miss")
                 queue.popleft()
                 continue
-            self._complete(dyn, addr, cycle, result.complete, value_seq=None,
-                           source=result.level)
+            self._complete(dyn, addr, cycle, complete, value_seq=None,
+                           source=level)
             queue.popleft()
 
     def _complete(self, dyn, addr, grant_cycle, complete_cycle, value_seq,

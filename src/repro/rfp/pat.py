@@ -53,24 +53,21 @@ class PageAddressTable(object):
         Evicts the LRU way when the set is full, which silently invalidates
         any PT pointers into that way.
         """
-        set_index = self._set_of(page)
-        pointer = self.find(page)
-        if pointer is not None:
-            self._touch(set_index, pointer[1])
-            return pointer
-        lru_order = self.lru[set_index]
-        way = lru_order[0]
-        if self.ways[set_index][way] is not None:
-            self.evictions += 1
-        self.ways[set_index][way] = page
-        self._touch(set_index, way)
-        self.insertions += 1
-        return (set_index, way)
-
-    def _touch(self, set_index, way):
+        set_index = page % self.num_sets
+        ways = self.ways[set_index]
         order = self.lru[set_index]
-        order.remove(way)
-        order.append(way)
+        if page in ways:
+            way = ways.index(page)  # find
+        else:
+            way = order[0]
+            if ways[way] is not None:
+                self.evictions += 1
+            ways[way] = page
+            self.insertions += 1
+        if order[-1] != way:  # the most recently used way goes last
+            order.remove(way)
+            order.append(way)
+        return (set_index, way)
 
     def occupancy(self):
         """Number of ways currently holding a page frame number."""

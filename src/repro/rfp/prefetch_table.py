@@ -21,7 +21,7 @@ Training protocol (paper, verbatim semantics):
 
 import random
 
-from repro.rfp.pat import PageAddressTable
+from repro.rfp.pat import PAGE_MASK, PAGE_SHIFT, PageAddressTable
 
 
 class PTEntry(object):
@@ -112,14 +112,6 @@ class PrefetchTable(object):
     # ------------------------------------------------------------------
     # base-address storage (full or PAT-compressed)
 
-    def _record_address(self, entry, addr):
-        if self.pat is None:
-            entry.base_addr = addr
-        else:
-            page, offset = PageAddressTable.split(addr)
-            entry.pat_pointer = self.pat.insert(page)
-            entry.page_offset = offset
-
     def _read_address(self, entry):
         if self.pat is None:
             return entry.base_addr
@@ -133,38 +125,58 @@ class PrefetchTable(object):
     # ------------------------------------------------------------------
     # training at retirement
 
-    def train(self, pc, addr):
-        """Train the table with a retiring load's (pc, address)."""
+    def train(self, pc, addr, commit=False):
+        """Train the table with a retiring load's (pc, address).
+
+        ``commit=True`` first applies :meth:`on_commit` for the same load
+        on the same set/tag lookup — the retirement protocol of the core
+        and the functional warmer, which always run the two back to back.
+        Runs once per retiring load, so the lookup and
+        :meth:`_read_address` are inlined.
+        """
         self.trainings += 1
-        pt_set = self.sets[self._set_of(pc)]
-        tag = self._tag_of(pc)
+        # -- lookup ----------------------------------------------------------
+        index = pc >> 2
+        pt_set = self.sets[index % self.num_sets]
+        tag = index & 0xFFFF
         entry = pt_set.get(tag)
+        pat = self.pat
+        base = None
         if entry is None:
             entry = self._allocate(pt_set, tag)
-            self._record_address(entry, addr)
-            return entry
-        base = self._read_address(entry)
-        if base is None:
-            self._record_address(entry, addr)
-            return entry
-        new_stride = addr - base
-        if new_stride == entry.stride and -self.stride_limit <= new_stride < self.stride_limit:
-            if entry.confidence < self.confidence_max:
-                if self._rng.random() < self.confidence_increment_prob:
-                    entry.confidence += 1
-                    if entry.confidence == self.confidence_max:
-                        self.confidence_saturations += 1
-            if entry.utility < self.utility_max:
-                entry.utility += 1
         else:
-            entry.confidence = 0
-            entry.utility = 0
-            entry.stride = (
-                new_stride
-                if -self.stride_limit <= new_stride < self.stride_limit
-                else 0
-            )
-        self._record_address(entry, addr)
+            if commit and entry.inflight > 0:
+                entry.inflight -= 1
+            # -- _read_address -------------------------------------------
+            if pat is None:
+                base = entry.base_addr
+            else:
+                pointer = entry.pat_pointer
+                if pointer is not None:
+                    page = pat.ways[pointer[0]][pointer[1]]
+                    if page is not None:
+                        base = (page << PAGE_SHIFT) | entry.page_offset
+        if base is not None:
+            new_stride = addr - base
+            limit = self.stride_limit
+            if new_stride == entry.stride and -limit <= new_stride < limit:
+                if entry.confidence < self.confidence_max:
+                    if self._rng.random() < self.confidence_increment_prob:
+                        entry.confidence += 1
+                        if entry.confidence == self.confidence_max:
+                            self.confidence_saturations += 1
+                if entry.utility < self.utility_max:
+                    entry.utility += 1
+            else:
+                entry.confidence = 0
+                entry.utility = 0
+                entry.stride = new_stride if -limit <= new_stride < limit else 0
+        # Record the new base: in full, or as a PAT page pointer + offset.
+        if pat is None:
+            entry.base_addr = addr
+        else:
+            entry.pat_pointer = pat.insert(addr >> PAGE_SHIFT)
+            entry.page_offset = addr & PAGE_MASK
         return entry
 
     def _allocate(self, pt_set, tag):
@@ -193,9 +205,13 @@ class PrefetchTable(object):
         retirement would leave a permanent skew of one OOO-window's worth
         of instances that allocated before the entry existed.
         """
-        entry = self.lookup(pc)
+        # -- lookup (inlined: runs once per dispatched load) ---------------
+        index = pc >> 2
+        pt_set = self.sets[index % self.num_sets]
+        tag = index & 0xFFFF
+        entry = pt_set.get(tag)
         if entry is None:
-            entry = self._allocate(self.sets[self._set_of(pc)], self._tag_of(pc))
+            entry = self._allocate(pt_set, tag)
         if entry.inflight < self.inflight_max:
             entry.inflight += 1
         if entry.confidence < self.confidence_max:

@@ -144,15 +144,14 @@ def generate_trace(profile):
         raise ValueError("profile %r produced no kernels" % profile.name)
 
     generators = [k.run(profile.chunk_iters) for k in kernels]
-    emitted = 0
+    emit = builder.instructions.append  # builder.emit, without the call
+    width = len(generators)
     slot = 0
-    while emitted < profile.length:
-        gen = generators[slot]
-        instr = next(gen, None)
+    for _ in range(profile.length):
+        instr = next(generators[slot], None)
         if instr is None:
             generators[slot] = kernels[slot].run(profile.chunk_iters)
             instr = next(generators[slot])
-        builder.emit(instr)
-        emitted += 1
-        slot = (slot + 1) % len(generators)
+        emit(instr)
+        slot = (slot + 1) % width
     return builder.build()

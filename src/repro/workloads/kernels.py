@@ -29,6 +29,13 @@ from repro.isa.opcodes import Op
 
 MASK64 = (1 << 64) - 1
 
+# Opcode members bound once: reading an IntEnum member off its class costs
+# several times a global read on CPython 3.11, and every yielded
+# instruction names one.
+ADD, SUB, XOR, MOV = Op.ADD, Op.SUB, Op.XOR, Op.MOV
+FPADD, FPMUL, FMA = Op.FPADD, Op.FPMUL, Op.FMA
+LOAD, STORE, BRANCH = Op.LOAD, Op.STORE, Op.BRANCH
+
 
 class KernelBase(object):
     """Common state: registers, code addresses, loop-branch behaviour."""
@@ -57,7 +64,7 @@ class KernelBase(object):
         (loop exits, data-dependent trip counts)."""
         mispredicted = self.rng.random() < self.mispredict_rate
         return Instruction(
-            pc, Op.BRANCH, srcs=(src,), taken=True, mispredicted=mispredicted
+            pc, BRANCH, srcs=(src,), taken=True, mispredicted=mispredicted
         )
 
     def run(self, iters):
@@ -88,8 +95,8 @@ class StridedSumKernel(KernelBase):
         pc_load, pc_add, pc_branch = self.pcs
         for _ in range(iters):
             addr = self.base + 8 * self.position
-            yield Instruction(pc_load, Op.LOAD, dst=r_val, srcs=(r_idx,), addr=addr)
-            yield Instruction(pc_add, Op.ADD, dst=r_acc, srcs=(r_acc, r_val))
+            yield Instruction(pc_load, LOAD, dst=r_val, srcs=(r_idx,), addr=addr)
+            yield Instruction(pc_add, ADD, dst=r_acc, srcs=(r_acc, r_val))
             if self._iteration % self.loop_len == self.loop_len - 1:
                 yield self._loop_branch(pc_branch, r_acc)
             self._advance(self.stride_words)
@@ -124,10 +131,10 @@ class PointerChaseKernel(KernelBase):
         for _ in range(iters):
             addr = self.current
             if self._iteration % self.chain_len == 0:
-                yield Instruction(pc_root, Op.MOV, dst=r_ptr, imm=addr)
-            yield Instruction(pc_load, Op.LOAD, dst=r_ptr, srcs=(r_ptr,), addr=addr)
+                yield Instruction(pc_root, MOV, dst=r_ptr, imm=addr)
+            yield Instruction(pc_load, LOAD, dst=r_ptr, srcs=(r_ptr,), addr=addr)
             self.current = memory[addr & ~7]
-            yield Instruction(pc_add, Op.XOR, dst=r_acc, srcs=(r_acc, r_ptr))
+            yield Instruction(pc_add, XOR, dst=r_acc, srcs=(r_acc, r_ptr))
             if self._iteration % self.loop_len == self.loop_len - 1:
                 yield self._loop_branch(pc_branch, r_ptr)
             self._advance()
@@ -173,9 +180,9 @@ class SequentialChaseKernel(KernelBase):
             addr = self.base + 8 * self.position
             if self._iteration % self.chain_len == 0:
                 # Fresh root pointer: breaks the load-to-load dependence.
-                yield Instruction(pc_root, Op.MOV, dst=r_ptr, imm=addr)
-            yield Instruction(pc_load, Op.LOAD, dst=r_ptr, srcs=(r_ptr,), addr=addr)
-            yield Instruction(pc_add, Op.ADD, dst=r_acc, srcs=(r_acc, r_ptr))
+                yield Instruction(pc_root, MOV, dst=r_ptr, imm=addr)
+            yield Instruction(pc_load, LOAD, dst=r_ptr, srcs=(r_ptr,), addr=addr)
+            yield Instruction(pc_add, ADD, dst=r_acc, srcs=(r_acc, r_ptr))
             if self._iteration % self.loop_len == self.loop_len - 1:
                 yield self._loop_branch(pc_branch, r_ptr)
             self._advance(self.stride_words)
@@ -199,17 +206,17 @@ class StencilKernel(KernelBase):
         pcs = self.pcs
         for _ in range(iters):
             i = self.position
-            yield Instruction(pcs[0], Op.LOAD, dst=r_a, srcs=(), addr=self.src + 8 * i)
+            yield Instruction(pcs[0], LOAD, dst=r_a, srcs=(), addr=self.src + 8 * i)
             yield Instruction(
-                pcs[1], Op.LOAD, dst=r_b, srcs=(), addr=self.src + 8 * (i + 1)
+                pcs[1], LOAD, dst=r_b, srcs=(), addr=self.src + 8 * (i + 1)
             )
             yield Instruction(
-                pcs[2], Op.LOAD, dst=r_c, srcs=(), addr=self.src + 8 * (i + 2)
+                pcs[2], LOAD, dst=r_c, srcs=(), addr=self.src + 8 * (i + 2)
             )
-            yield Instruction(pcs[3], Op.FPADD, dst=r_t, srcs=(r_a, r_b))
-            yield Instruction(pcs[4], Op.FPADD, dst=r_u, srcs=(r_t, r_c))
+            yield Instruction(pcs[3], FPADD, dst=r_t, srcs=(r_a, r_b))
+            yield Instruction(pcs[4], FPADD, dst=r_u, srcs=(r_t, r_c))
             yield Instruction(
-                pcs[5], Op.STORE, srcs=(r_u,), addr=self.dst + 8 * i
+                pcs[5], STORE, srcs=(r_u,), addr=self.dst + 8 * i
             )
             if self._iteration % self.loop_len == self.loop_len - 1:
                 yield self._loop_branch(pcs[6], r_u)
@@ -255,15 +262,15 @@ class HashLookupKernel(KernelBase):
             # The probe address derives from the key stream only (a 1-cycle
             # chain), so independent probes overlap — hash tables have high
             # memory-level parallelism, unlike pointer chasing.
-            yield Instruction(pcs[0], Op.ADD, dst=r_key, srcs=(r_key,), imm=0x9E37)
-            yield Instruction(pcs[1], Op.XOR, dst=r_hash, srcs=(r_key,), imm=0x85EB)
-            yield Instruction(pcs[2], Op.LOAD, dst=r_val, srcs=(r_hash,), addr=slot_addr)
-            yield Instruction(pcs[3], Op.ADD, dst=r_acc, srcs=(r_acc, r_val))
+            yield Instruction(pcs[0], ADD, dst=r_key, srcs=(r_key,), imm=0x9E37)
+            yield Instruction(pcs[1], XOR, dst=r_hash, srcs=(r_key,), imm=0x85EB)
+            yield Instruction(pcs[2], LOAD, dst=r_val, srcs=(r_hash,), addr=slot_addr)
+            yield Instruction(pcs[3], ADD, dst=r_acc, srcs=(r_acc, r_val))
             if self._iteration % 4 == 3:
                 mispredicted = rng.random() < max(0.05, self.mispredict_rate)
                 yield Instruction(
                     pcs[4],
-                    Op.BRANCH,
+                    BRANCH,
                     srcs=(r_val,),
                     taken=bool(rng.getrandbits(1)),
                     mispredicted=mispredicted,
@@ -300,12 +307,12 @@ class StoreForwardKernel(KernelBase):
         for _ in range(iters):
             slot = self.position % self.buffer_words
             addr = self.base + 8 * slot
-            yield Instruction(pcs[0], Op.ADD, dst=r_v, srcs=(r_v,), imm=13)
-            yield Instruction(pcs[1], Op.STORE, srcs=(r_v,), addr=addr)
+            yield Instruction(pcs[0], ADD, dst=r_v, srcs=(r_v,), imm=13)
+            yield Instruction(pcs[1], STORE, srcs=(r_v,), addr=addr)
             for g in range(self.gap_ops):
-                yield Instruction(pcs[2 + g], Op.ADD, dst=r_tmp, srcs=(r_tmp,), imm=1)
+                yield Instruction(pcs[2 + g], ADD, dst=r_tmp, srcs=(r_tmp,), imm=1)
             yield Instruction(
-                pcs[2 + self.gap_ops], Op.LOAD, dst=r_acc, srcs=(), addr=addr
+                pcs[2 + self.gap_ops], LOAD, dst=r_acc, srcs=(), addr=addr
             )
             if self._iteration % self.loop_len == self.loop_len - 1:
                 yield self._loop_branch(pcs[3 + self.gap_ops], r_acc)
@@ -334,16 +341,16 @@ class BranchyReduceKernel(KernelBase):
         memory = self.builder.memory
         for _ in range(iters):
             addr = self.base + 8 * self.position
-            yield Instruction(pcs[0], Op.LOAD, dst=r_val, srcs=(), addr=addr)
+            yield Instruction(pcs[0], LOAD, dst=r_val, srcs=(), addr=addr)
             taken = bool(memory[addr & ~7] & 1)
             mispredicted = rng.random() < self.branch_mispredict
             yield Instruction(
-                pcs[1], Op.BRANCH, srcs=(r_val,), taken=taken, mispredicted=mispredicted
+                pcs[1], BRANCH, srcs=(r_val,), taken=taken, mispredicted=mispredicted
             )
             if taken:
-                yield Instruction(pcs[2], Op.ADD, dst=r_acc, srcs=(r_acc, r_val))
+                yield Instruction(pcs[2], ADD, dst=r_acc, srcs=(r_acc, r_val))
             else:
-                yield Instruction(pcs[3], Op.SUB, dst=r_acc, srcs=(r_acc, r_val))
+                yield Instruction(pcs[3], SUB, dst=r_acc, srcs=(r_acc, r_val))
             self._advance()
 
 
@@ -368,10 +375,10 @@ class MatmulTileKernel(KernelBase):
         pcs = self.pcs
         for _ in range(iters):
             i = self.position
-            yield Instruction(pcs[0], Op.LOAD, dst=r_a, srcs=(), addr=self.a + 8 * i)
-            yield Instruction(pcs[1], Op.LOAD, dst=r_b, srcs=(), addr=self.b + 8 * i)
-            yield Instruction(pcs[2], Op.FMA, dst=r_acc, srcs=(r_a, r_b, r_acc))
-            yield Instruction(pcs[3], Op.FPMUL, dst=r_acc2, srcs=(r_acc2, r_a))
+            yield Instruction(pcs[0], LOAD, dst=r_a, srcs=(), addr=self.a + 8 * i)
+            yield Instruction(pcs[1], LOAD, dst=r_b, srcs=(), addr=self.b + 8 * i)
+            yield Instruction(pcs[2], FMA, dst=r_acc, srcs=(r_a, r_b, r_acc))
+            yield Instruction(pcs[3], FPMUL, dst=r_acc2, srcs=(r_acc2, r_a))
             if self._iteration % self.loop_len == self.loop_len - 1:
                 yield self._loop_branch(pcs[4], r_acc)
             self._advance()
@@ -403,15 +410,15 @@ class IndirectGatherKernel(KernelBase):
             if index_addr not in memory:
                 # Lazy init: index words hold random offsets into the target.
                 memory[index_addr] = rng.randrange(self.target_words)
-            yield Instruction(pcs[0], Op.LOAD, dst=r_idx, srcs=(), addr=index_addr)
+            yield Instruction(pcs[0], LOAD, dst=r_idx, srcs=(), addr=index_addr)
             offset = memory[index_addr & ~7] % self.target_words
             target_addr = self.target_base + 8 * offset
             if target_addr not in memory:
                 memory[target_addr] = (17 + 5 * offset) & MASK64
             yield Instruction(
-                pcs[1], Op.LOAD, dst=r_val, srcs=(r_idx,), addr=target_addr
+                pcs[1], LOAD, dst=r_val, srcs=(r_idx,), addr=target_addr
             )
-            yield Instruction(pcs[2], Op.ADD, dst=r_acc, srcs=(r_acc, r_val))
+            yield Instruction(pcs[2], ADD, dst=r_acc, srcs=(r_acc, r_val))
             if self._iteration % self.loop_len == self.loop_len - 1:
                 yield self._loop_branch(pcs[3], r_acc)
             self._advance()
@@ -433,8 +440,8 @@ class ConstantPollKernel(KernelBase):
         r_flag, r_acc, _ = self.regs[:3]
         pcs = self.pcs
         for _ in range(iters):
-            yield Instruction(pcs[0], Op.LOAD, dst=r_flag, srcs=(), addr=self.base)
-            yield Instruction(pcs[1], Op.ADD, dst=r_acc, srcs=(r_acc, r_flag))
+            yield Instruction(pcs[0], LOAD, dst=r_flag, srcs=(), addr=self.base)
+            yield Instruction(pcs[1], ADD, dst=r_acc, srcs=(r_acc, r_flag))
             if self._iteration % self.loop_len == self.loop_len - 1:
                 yield self._loop_branch(pcs[2], r_flag)
             self._advance()
@@ -458,9 +465,9 @@ class CopyStreamKernel(KernelBase):
         pcs = self.pcs
         for _ in range(iters):
             i = self.position
-            yield Instruction(pcs[0], Op.LOAD, dst=r_val, srcs=(), addr=self.src + 8 * i)
-            yield Instruction(pcs[1], Op.STORE, srcs=(r_val,), addr=self.dst + 8 * i)
-            yield Instruction(pcs[2], Op.ADD, dst=r_acc, srcs=(r_acc,), imm=1)
+            yield Instruction(pcs[0], LOAD, dst=r_val, srcs=(), addr=self.src + 8 * i)
+            yield Instruction(pcs[1], STORE, srcs=(r_val,), addr=self.dst + 8 * i)
+            yield Instruction(pcs[2], ADD, dst=r_acc, srcs=(r_acc,), imm=1)
             if self._iteration % self.loop_len == self.loop_len - 1:
                 yield self._loop_branch(pcs[3], r_acc)
             self._advance()

@@ -6,6 +6,9 @@ branch-redirect stalls, store-to-load forwarding, memory-ordering flushes,
 and resource-stall accounting.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from conftest import ADD, BR, LOAD, MOV, STORE, make_trace, quiet_config, run_core
@@ -221,3 +224,45 @@ class TestWarmupSnapshot:
         core.run()
         assert core.warmup_snapshot is not None
         assert core.warmup_snapshot["stats"]["instructions"] == 10
+
+
+class TestCoreLifetime:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            quiet_config(name="baseline"),
+            quiet_config(name="rfp", rfp={"enabled": True}),
+            quiet_config(name="vp-composite", vp={"enabled": True, "kind": "composite"}),
+        ],
+        ids=lambda c: c.name,
+    )
+    def test_finished_core_is_freed_by_refcount(self, config, monkeypatch):
+        """A finished OOOCore, and the trace it holds, must die the moment
+        its run returns — without the cyclic collector.  A reference
+        cycle through the core (e.g. its own bound methods stored on it)
+        keeps every finished core alive until a GC pass and inflates a
+        serial sweep's peak memory."""
+        from repro.core.core import OOOCore
+        from repro.sim import runner
+
+        cores = []
+
+        class Tracked(OOOCore):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                cores.append(weakref.ref(self))
+
+        monkeypatch.setattr(runner, "OOOCore", Tracked)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            runner.simulate("spec06_mcf", config, length=2000, warmup=500)
+            runner.simulate_interval(
+                "spec06_mcf", config, length=2000, start=1000, measure=300,
+                ramp=200, checkpoint_store=None,
+            )
+            assert len(cores) == 2
+            assert [ref() is None for ref in cores] == [True, True]
+        finally:
+            if was_enabled:
+                gc.enable()

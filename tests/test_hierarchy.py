@@ -1,9 +1,17 @@
 """Memory hierarchy composition: level latencies, MSHR merges, oracles."""
 
+import copy
+
 import pytest
 
+from conftest import LOAD, make_trace, quiet_config
+
+from repro.core import dyninstr as D
 from repro.core.config import baseline
+from repro.core.core import OOOCore
+from repro.core.dyninstr import DynInstr
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.rfp.engine import _Packet
 from repro.sim.oracle import ORACLE_MODES, oracle_config
 
 
@@ -139,3 +147,95 @@ class TestL2PrefetcherIntegration:
         # Lines ahead of the stream should now be in L2.
         ahead = base + 64 * 8
         assert hierarchy.probe_level(ahead) in ("L2", "L1")
+
+
+def _memory_state(hierarchy):
+    """Everything a load or store commit may touch, LRU order included."""
+    mshr = hierarchy.mshr
+    return {
+        "dtlb": [list(s) for s in hierarchy.dtlb.sets],
+        "dtlb_counts": (hierarchy.dtlb.hits, hierarchy.dtlb.misses),
+        "l1": [list(s.items()) for s in hierarchy.l1.sets],
+        "l1_stats": hierarchy.l1.stats.as_dict(),
+        "l2_stats": hierarchy.l2.stats.as_dict(),
+        "loads_served": dict(hierarchy.loads_served),
+        "store_accesses": hierarchy.store_accesses,
+        "mshr": (list(mshr.inflight.items()), mshr.next_fill, mshr.mshr_hits,
+                 mshr.allocations, mshr.full_stalls),
+    }
+
+
+class TestFastPaths:
+    """The DTLB-hit + L1-hit fast cases: ``l1_hit``, which the core's
+    demand loads and the RFP pump try before ``load``, must leave exactly
+    the state ``load`` leaves, with fills of other lines in flight; and
+    ``store_commit``'s inlined hit case the state of the calls it skips."""
+
+    ADDR = 0x10000
+    OTHER = 0x10200  # same page (a DTLB hit), another line
+
+    #: case -> (OTHER's miss issue cycle, then the probed cycle), both
+    #: relative to the completion of ADDR's own fill.
+    CASES = {
+        "own_fill_landed": (-10, 5),
+        "own_fill_due_now": (-10, 0),
+        "own_fill_pending": (-10, -3),  # an MSHR hit, not a fast-path hit
+        # ADDR's fill already expired; OTHER's lands on the probed cycle,
+        # so the fast path must retire it exactly as load() would.
+        "unrelated_fill_due_now": (5, None),
+    }
+
+    def _setup(self, instrs, case, **overrides):
+        config = quiet_config(hit_miss_predictor=False, **overrides)
+        core = OOOCore(make_trace(instrs), config)
+        hier = core.hierarchy
+        first = hier.load(self.ADDR, 0x400, 0)  # DRAM miss: line + page in
+        other_at, probe_at = self.CASES[case]
+        other = hier.load(self.OTHER, 0x404, first.complete + other_at)
+        assert other.complete > first.complete + 10
+        cycle = other.complete if probe_at is None else first.complete + probe_at
+        assert hier.mshr.inflight  # some fill is in flight at the probe
+        return core, copy.deepcopy(hier), cycle
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_demand_load(self, case):
+        core, reference, cycle = self._setup([LOAD(0x40, dst=1, addr=self.ADDR)], case)
+        dyn = DynInstr(core.trace.instructions[0], 0, 0)
+        assert core._issue_load(dyn, cycle)
+        expected = reference.load(self.ADDR, 0x40, cycle)
+        assert (dyn.complete_cycle, dyn.served_level) == tuple(expected)
+        assert expected.level == ("MSHR" if case == "own_fill_pending" else "L1")
+        assert _memory_state(core.hierarchy) == _memory_state(reference)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rfp_pump(self, case):
+        """No load distribution is counted and the DTLB is probed without
+        a fill: ``load(..., fill_tlb=False, count_distribution=False)``."""
+        core, reference, cycle = self._setup(
+            [LOAD(0x40, dst=1, addr=self.ADDR)], case, rfp={"enabled": True}
+        )
+        dyn = DynInstr(core.trace.instructions[0], 0, 0)
+        dyn.rfp_state = D.RFP_QUEUED
+        core.rfp.queue.append(_Packet(dyn, self.ADDR, 0))
+        core.ports.begin_cycle(cycle)
+        core.rfp.step(cycle)
+        expected = reference.load(
+            self.ADDR, 0x40, cycle, fill_tlb=False, count_distribution=False
+        )
+        assert dyn.rfp_state == D.RFP_INFLIGHT
+        assert dyn.rfp_complete_cycle == expected.complete
+        assert _memory_state(core.hierarchy) == _memory_state(reference)
+
+    def test_store_commit_hit_matches_the_calls_it_inlines(self):
+        """``store_commit``'s DTLB-hit + L1-hit case, against the
+        ``dtlb.lookup`` / ``l1.lookup`` / ``mark_dirty`` chain it inlines."""
+        core, reference, cycle = self._setup([], "own_fill_landed")
+        hier = core.hierarchy
+        addr = self.ADDR + 8
+        assert hier.store_commit(addr, cycle) == cycle + 1
+        reference.store_accesses += 1
+        assert reference.dtlb.lookup(addr, fill=True) == (True, 0)
+        line = reference.line_of(addr)
+        assert reference.l1.lookup(line)
+        reference.l1.mark_dirty(line)
+        assert _memory_state(hier) == _memory_state(reference)

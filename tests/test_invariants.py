@@ -5,6 +5,8 @@ byte-identical results with checking on or off; (2) each invariant class
 actually fires when its structure is corrupted, with a located diagnostic.
 """
 
+import heapq
+
 import pytest
 
 from conftest import quiet_config
@@ -119,6 +121,24 @@ class TestViolationDetection:
         core.rs.live += 1
         assert any("RS live counter" in v for v in invariants.violations(core))
 
+    @pytest.mark.parametrize("heap", ["ready", "ready_loads"])
+    def test_ready_heap_holds_the_wrong_class(self, heap):
+        """Loads wait in ``ready_loads``, everything else in ``ready``; an
+        entry in the wrong heap would escape the load-budget cut-off."""
+        core = stepped_core()
+        wrong = next(
+            dyn for dyn in core.rob.entries if dyn.is_load == (heap == "ready")
+        )
+        heapq.heappush(getattr(core.rs, heap), (wrong.seq, wrong))
+        found = invariants.violations(core)
+        assert any("RS %s heap holds a" % heap in v for v in found)
+
+    def test_ready_heap_key_mismatch(self):
+        core = stepped_core()
+        load = next(dyn for dyn in core.rob.entries if dyn.is_load)
+        core.rs.ready_loads.append((load.seq + 1000, load))
+        assert any("heap key mismatch" in v for v in invariants.violations(core))
+
     def test_wheel_event_in_the_past(self):
         core = stepped_core()
         core.events.schedule(core.cycle - 10, ("branch", None))
@@ -178,6 +198,9 @@ class TestReport:
         text = invariants.format_report(core)
         assert "ROB:" in text
         assert "RS:" in text
+        assert "ready heaps %d + %d loads" % (
+            len(core.rs.ready), len(core.rs.ready_loads)
+        ) in text
         assert "PRF:" in text
         assert "RFP: queue" in text
         assert "@ cycle %d" % core.cycle in text

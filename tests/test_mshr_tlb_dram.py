@@ -1,5 +1,7 @@
 """MSHR merge/backpressure, DTLB, and DRAM bandwidth model."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.memory.dram import DRAM
 from repro.memory.mshr import MSHRFile
 from repro.memory.tlb import DTLB, PAGE_SHIFT
@@ -43,6 +45,106 @@ class TestMSHR:
         assert mshr.occupancy == 1
         mshr.reset()
         assert mshr.occupancy == 0
+
+
+    def test_next_fill_tracks_earliest(self):
+        mshr = MSHRFile(4)
+        assert mshr.next_fill == float("inf")
+        mshr.allocate(1, 0, 100)
+        mshr.allocate(2, 0, 60)
+        assert mshr.next_fill == 60
+        mshr.expire(59)
+        assert mshr.occupancy == 2
+        mshr.expire(60)
+        assert mshr.inflight == {1: 100} and mshr.next_fill == 100
+        mshr.reset()
+        assert mshr.next_fill == float("inf")
+
+
+class NaiveMSHR(object):
+    """The pre-bound MSHR file: every access sweeps every entry."""
+
+    def __init__(self, num_entries):
+        self.num_entries = num_entries
+        self.inflight = {}
+        self.mshr_hits = 0
+        self.allocations = 0
+        self.full_stalls = 0
+
+    def expire(self, cycle):
+        for line in [line for line, t in self.inflight.items() if t <= cycle]:
+            del self.inflight[line]
+
+    def probe(self, line, cycle):
+        self.expire(cycle)
+        fill_time = self.inflight.get(line)
+        if fill_time is not None:
+            self.mshr_hits += 1
+        return fill_time
+
+    def allocate(self, line, cycle, fill_time):
+        self.expire(cycle)
+        if line in self.inflight:
+            return self.inflight[line]
+        if len(self.inflight) >= self.num_entries:
+            earliest = min(self.inflight.values())
+            fill_time += max(0, earliest - cycle)
+            self.full_stalls += 1
+            for line_key, t in list(self.inflight.items()):
+                if t == earliest:
+                    del self.inflight[line_key]
+                    break
+        self.inflight[line] = fill_time
+        self.allocations += 1
+        return fill_time
+
+    def reset(self):
+        self.inflight.clear()
+
+
+MSHR_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("allocate"),
+            st.integers(0, 12),  # line: few enough to merge and to fill up
+            st.integers(0, 300),  # cycle: not monotone, like start = cycle + walk
+            st.integers(-5, 120),  # fill time minus cycle
+        ),
+        st.tuples(st.just("probe"), st.integers(0, 12), st.integers(0, 300)),
+        st.tuples(st.just("expire"), st.integers(0, 300)),
+        st.tuples(st.just("reset")),
+    ),
+    max_size=60,
+)
+
+
+class TestMSHRBound:
+    @settings(max_examples=300, deadline=None)
+    @given(num_entries=st.integers(1, 4), ops=MSHR_OPS)
+    def test_matches_sweep_every_call(self, num_entries, ops):
+        """The earliest-fill bound only skips sweeps that would find
+        nothing due: every return value, the entries in insertion order
+        (the full-file eviction picks the first earliest one) and every
+        counter match a file that sweeps on every call."""
+        fast, naive = MSHRFile(num_entries), NaiveMSHR(num_entries)
+        for op in ops:
+            if op[0] == "allocate":
+                _, line, cycle, delta = op
+                got = fast.allocate(line, cycle, cycle + delta)
+                assert got == naive.allocate(line, cycle, cycle + delta)
+            elif op[0] == "probe":
+                assert fast.probe(op[1], op[2]) == naive.probe(op[1], op[2])
+            elif op[0] == "expire":
+                fast.expire(op[1])
+                naive.expire(op[1])
+            else:
+                fast.reset()
+                naive.reset()
+            assert list(fast.inflight.items()) == list(naive.inflight.items())
+            assert fast.next_fill == min(fast.inflight.values(), default=float("inf"))
+            assert (fast.mshr_hits, fast.allocations, fast.full_stalls) == (
+                naive.mshr_hits, naive.allocations, naive.full_stalls,
+            )
 
 
 class TestDTLB:

@@ -161,6 +161,15 @@ class TestConfigurationVariants:
         core = run_core(strided_trace(80), rfp_config(context_enabled=True))
         assert core.rfp.context is not None
 
+    def test_critical_pcs_tracked_only_under_the_filter(self):
+        """The chase load feeds its own next address, so the criticality
+        extension marks it; with the filter off nothing reads the marks,
+        and the core keeps neither the marks nor the producer map."""
+        on = run_core(chase_trace(60), rfp_config(criticality_filter=True))
+        assert 0x504 in on.rfp.critical_pcs
+        off = run_core(chase_trace(60), rfp_config())
+        assert off.rfp.critical_pcs == {} and off.preg_producer == {}
+
     def test_drop_on_l1_miss_config(self):
         # Stride of one line: every prefetch is an L1 first-touch miss.
         # Generous MSHRs so the miss-file throttle does not hold packets.

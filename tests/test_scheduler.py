@@ -134,3 +134,113 @@ class TestReplayDebt:
         assert issued == 2
         assert rs.replay_debt == 3
         assert rs.occupancy == 1
+
+
+def recorder(calls, accept=lambda dyn: True):
+    """A ``try_issue`` that logs every (seq, is_load) it is offered."""
+
+    def try_issue(dyn, cycle):
+        calls.append((dyn.seq, dyn.is_load))
+        return accept(dyn)
+
+    return try_issue
+
+
+class TestLoadHeap:
+    def test_loads_past_budget_leave_alu_slots_free(self):
+        """Four ready loads on two load ports: the two oldest issue, the
+        younger ALU ops still issue the same cycle, and the two deferred
+        loads are never offered to ``try_issue``."""
+        rs, prf, config = make_rs(issue_width=6, load_ports=2)
+        for k in range(4):
+            rs.allocate(dyn_of(Op.LOAD, k))
+        rs.allocate(dyn_of(Op.ADD, 4))
+        rs.allocate(dyn_of(Op.ADD, 5))
+        calls = []
+        assert rs._select_event(100, recorder(calls)) == 4
+        assert calls == [(0, True), (1, True), (4, False), (5, False)]
+        assert len(rs.ready_loads) == 2 and not rs.ready
+
+    def test_deferred_loads_issue_oldest_first_later(self):
+        rs, prf, config = make_rs(issue_width=4, load_ports=2)
+        for k in range(5):
+            rs.allocate(dyn_of(Op.LOAD, k))
+        order = []
+        for cycle in (100, 101, 102):
+            calls = []
+            rs._select_event(cycle, recorder(calls))
+            # Never offered a load once the cycle's two ports are spent.
+            assert len(calls) <= 2
+            order.extend(seq for seq, _ in calls)
+        assert order == [0, 1, 2, 3, 4]
+        assert rs.occupancy == 0
+
+    def test_rejected_load_returns_to_its_heap(self):
+        """A load refused by ``try_issue`` (port or memory-dependence gate)
+        does not spend budget and competes again next cycle."""
+        rs, prf, config = make_rs(issue_width=4, load_ports=2)
+        for k in range(3):
+            rs.allocate(dyn_of(Op.LOAD, k))
+        calls = []
+        rs._select_event(100, recorder(calls, accept=lambda d: d.seq != 0))
+        assert [seq for seq, _ in calls] == [0, 1, 2]
+        assert [item[0] for item in rs.ready_loads] == [0]
+
+    def test_dedicated_rfp_ports_widen_the_budget(self):
+        rs, prf, config = make_rs(issue_width=6, load_ports=2, rfp_dedicated_ports=1)
+        for k in range(5):
+            rs.allocate(dyn_of(Op.LOAD, k))
+        rs.allocate(dyn_of(Op.ADD, 5))
+        calls = []
+        rs._select_event(100, recorder(calls))
+        assert [seq for seq, _ in calls] == [0, 1, 2, 5]
+
+    def test_merge_is_oldest_first_across_heaps(self):
+        rs, prf, config = make_rs(issue_width=8)
+        for k, op in enumerate((Op.ADD, Op.LOAD, Op.ADD, Op.LOAD, Op.ADD)):
+            rs.allocate(dyn_of(op, k))
+        calls = []
+        rs._select_event(100, recorder(calls))
+        assert [seq for seq, _ in calls] == [0, 1, 2, 3, 4]
+
+
+class TestWheelDrain:
+    def test_retimed_entry_is_reparked_not_issued(self):
+        """A wheel slot drains straight onto the ready heaps; an entry
+        whose producer was re-timed after it was parked is stale there,
+        and its pop re-parks it at the corrected cycle."""
+        rs, prf, config = make_rs()
+        prf.write(7, 1, ready_cycle=50)
+        d = dyn_of(Op.ADD, 0, srcs=(7,))
+        rs._select_event(10, recorder([]))
+        rs.allocate(d)
+        assert rs.wheel.slots == {50: [d]}
+        prf.write(7, 2, ready_cycle=60)  # e.g. a VP validation rewrite
+        calls = []
+        assert rs._select_event(50, recorder(calls)) == 0
+        assert calls == []
+        assert rs.wheel.slots == {60: [d]} and not rs.ready
+        assert rs._select_event(60, recorder(calls)) == 1
+        assert calls == [(0, False)]
+
+    def test_stale_entry_waits_in_ready_heap_until_popped(self):
+        """When the cycle's issue width runs out before the stale entry is
+        reached, it stays in its ready heap; a later pop re-checks it."""
+        rs, prf, config = make_rs(issue_width=1)
+        rs._select_event(10, recorder([]))
+        prf.write(7, 1, ready_cycle=50)
+        old = dyn_of(Op.ADD, 0)
+        stale = dyn_of(Op.LOAD, 1, srcs=(7,))
+        rs.allocate(old)  # wheel slot 13
+        rs.allocate(stale)  # wheel slot 50
+        prf.write(7, 2, ready_cycle=70)
+        rs._select_event(49, recorder([], accept=lambda d: False))  # old stays ready
+        calls = []
+        rs._select_event(50, recorder(calls))
+        assert calls == [(0, False)]
+        assert [item[1] for item in rs.ready_loads] == [stale]
+        rs._select_event(51, recorder(calls))
+        assert calls == [(0, False)]
+        assert rs.wheel.slots == {70: [stale]} and not rs.ready_loads
+        rs._select_event(70, recorder(calls))
+        assert calls == [(0, False), (1, True)]
