@@ -15,7 +15,6 @@ paper-vs-measured record of every table and figure.
 from repro.core.config import CoreConfig, RFPConfig, VPConfig, baseline, baseline_2x
 from repro.core.core import OOOCore
 from repro.sim.runner import SimResult, simulate
-from repro.sim.cache import simulate_cached
 from repro.sim.oracle import oracle_config, ORACLE_MODES
 from repro.workloads.suite import (
     build_workload,
@@ -34,7 +33,6 @@ __all__ = [
     "OOOCore",
     "SimResult",
     "simulate",
-    "simulate_cached",
     "oracle_config",
     "ORACLE_MODES",
     "build_workload",

@@ -1,7 +1,7 @@
 """Simulation drivers: single runs, cached experiment sweeps, oracles."""
 
 from repro.sim.runner import SCHEMA_VERSION, SimResult, simulate
-from repro.sim.cache import ResultCache, default_cache, simulate_cached
+from repro.sim.cache import ResultCache, default_cache
 from repro.sim.defaults import DEFAULT_LENGTH, DEFAULT_WARMUP
 from repro.sim.oracle import oracle_config, ORACLE_MODES
 from repro.sim.parallel import TimingReport, run_jobs, run_matrix
@@ -13,7 +13,6 @@ __all__ = [
     "simulate",
     "ResultCache",
     "default_cache",
-    "simulate_cached",
     "DEFAULT_LENGTH",
     "DEFAULT_WARMUP",
     "oracle_config",

@@ -21,9 +21,8 @@ import hashlib
 import json
 
 from repro.sim import settings
-from repro.sim.defaults import DEFAULT_LENGTH, DEFAULT_WARMUP
 from repro.sim.journal import EnvelopeStore
-from repro.sim.runner import SCHEMA_VERSION, SimResult, simulate
+from repro.sim.runner import SCHEMA_VERSION, SimResult
 
 #: On-disk envelope version.  Mixed into every fingerprint so entries
 #: written in an older format (pre-checksum, or checksummed over canonical
@@ -84,16 +83,3 @@ def default_cache():
     if _default_cache is None or _default_cache.directory != directory:
         _default_cache = ResultCache(directory)
     return _default_cache
-
-
-def simulate_cached(workload, config, length=DEFAULT_LENGTH,
-                    warmup=DEFAULT_WARMUP, cache=None):
-    """Like :func:`repro.sim.runner.simulate` but memoised on disk."""
-    cache = cache or default_cache()
-    key = cache.key(workload, config, length, warmup)
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-    result = simulate(workload, config, length=length, warmup=warmup)
-    cache.put(key, result)
-    return result

@@ -1,11 +1,10 @@
 """The single source of truth for simulation-length defaults.
 
 Every layer that needs a default trace length or warmup — the CLI, the
-benchmark harness, :func:`repro.sim.runner.simulate`,
-:func:`repro.sim.cache.simulate_cached`, and the experiment drivers —
-imports these constants, so the documented defaults cannot drift from the
-implemented ones (they once did: the experiments docstring said 20000
-while ``default_length()`` returned 12000).
+benchmark harness, :func:`repro.sim.runner.simulate`, and the experiment
+drivers — imports these constants, so the documented defaults cannot
+drift from the implemented ones (they once did: the experiments docstring
+said 20000 while ``default_length()`` returned 12000).
 
 The split follows the sampled-simulation methodology (EXPERIMENTS.md):
 the warmup region is executed by the functional fast-forward engine

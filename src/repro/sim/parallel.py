@@ -86,7 +86,8 @@ from repro.sim.checkpoint import (
 )
 from repro.sim.runner import SimResult, simulate, simulate_interval
 from repro.sim.sampling import (
-    SamplingPlan, aggregate_intervals, normalize_spec, sampling_suffix,
+    SamplingPlan, aggregate_intervals, normalize_spec, sampling_applies,
+    sampling_suffix,
 )
 from repro.workloads.suite import build_workload
 
@@ -641,16 +642,17 @@ def _plan(sweep, jobs):
     key them, and deduplicate.  Returns ``(keys, unique)``: the key of
     every job in order, and each distinct key's first job.
 
-    Sampling is silently dropped where it cannot apply: under tracing (the
-    event log must cover the whole trace) and for VP configs (VP tables
-    train on pipeline events the functional gaps do not model).
+    Sampling is silently dropped where
+    :func:`~repro.sim.sampling.sampling_applies` refuses it (VP configs,
+    tracing): such a job runs the full window, as ``simulate_sampled``
+    does.
     """
     keys, unique = [], {}
     for job in jobs:
         workload, config, length, warmup = job[:4]
         spec = job[4] if len(job) > 4 else None
-        if spec is not None and (sweep.trace_spec is not None
-                                 or config.vp.enabled):
+        if spec is not None and not sampling_applies(
+                config, sweep.trace_spec is not None):
             spec = None
         if spec is not None:
             spec = normalize_spec(spec)

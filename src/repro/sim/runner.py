@@ -5,25 +5,35 @@ have committed, and the reported ("measured") numbers are deltas over the
 post-warmup window — predictors and caches are warm, matching how
 architecture papers measure region IPC.
 
-Two-speed execution (sampled simulation): when ``config.fast_forward`` is
-on, most of the warmup window is executed by the in-order
+How a run is split is decided only in :mod:`repro.sim.sampling`:
+:func:`simulate` runs the one-sample
+:class:`~repro.sim.sampling.SamplingPlan`, :func:`simulate_interval` one
+interval of a K-sample plan, and :func:`simulate_sampled` a K-sample plan
+it then aggregates.  One private tail, :func:`_run_window`, runs every
+window: warm or restore, detailed ramp, fetch limit, run, result.
+
+Two-speed execution: when ``config.fast_forward`` is on, most of the
+warmup window is executed by the in-order
 :class:`~repro.emu.warmup.FunctionalWarmer` (which warms caches, TLB,
 hit-miss predictor, RFP tables and the memory-dependence predictor), the
 detailed core re-simulates the last ``config.ff_detail_ramp`` warmup
 instructions to refill the pipeline, and only then does measurement start —
-at exactly the same instruction count as a full-detail run.  Fast-forward
-is disabled under tracing (``REPRO_TRACE`` / an explicit tracer), for
-``record_commits`` runs, for value-predictor configs (VP tables train on
-pipeline events the warmer does not model), and by ``REPRO_FF=0``.
+at exactly the same instruction count as a full-detail run.  The plan
+runs value-predictor configs and ``REPRO_FF=0`` in full detail; so does a
+tracer (``REPRO_TRACE`` or an explicit one) or ``record_commits``, whose
+output must cover the whole trace.
 """
 
 from repro.core.config import baseline
 from repro.core.core import OOOCore
-from repro.emu.warmup import FunctionalWarmer
 from repro.obs.export import sort_events, write_jsonl
 from repro.obs.tracer import trace_spec_from_env
 from repro.sim import settings
 from repro.sim.defaults import DEFAULT_LENGTH, DEFAULT_WARMUP
+from repro.sim.sampling import (
+    SamplingPlan, aggregate_intervals, ci_target_met, normalize_spec,
+    sampling_applies,
+)
 from repro.workloads.suite import build_workload, workload_category
 
 #: Result-schema / core-semantics version, mixed into every ResultCache
@@ -31,26 +41,6 @@ from repro.workloads.suite import build_workload, workload_category
 #: or the core's timing semantics change, so stale on-disk results from an
 #: older simulator become cache misses instead of wrong answers.
 SCHEMA_VERSION = 4
-
-
-def fast_forward_split(config, trace_length, warmup):
-    """Resolve the two-speed split for one run.
-
-    Returns ``(functional, detailed_warmup)``: instructions executed by the
-    functional warmer, and warmup instructions the detailed core simulates
-    before measurement starts.  ``functional + detailed_warmup`` always
-    equals the effective warmup window (``warmup`` clamped to half the
-    trace), so the measured region is the same instructions either way.
-    """
-    effective = min(warmup, max(0, trace_length // 2))
-    if (
-        not config.fast_forward
-        or config.vp.enabled
-        or not settings.get("REPRO_FF")
-    ):
-        return 0, effective
-    detailed = min(config.ff_detail_ramp, effective)
-    return effective - detailed, detailed
 
 
 class SimResult(object):
@@ -207,36 +197,20 @@ def simulate(
     are identical with checking on or off.
     """
     config = config or baseline()
-    if isinstance(workload, str):
-        trace = build_workload(workload, length=length)
-        name = workload
-        category = workload_category(workload)
-    else:
-        trace = workload
-        name = trace.name
-        category = trace.category
+    trace, name, category = _resolve_trace(workload, length)
     env_spec = None
     if tracer is None:
         env_spec = trace_spec_from_env()
         if env_spec is not None:
             tracer = env_spec.build_tracer()
+    plan = SamplingPlan(config, len(trace), warmup, {"samples": 1})
+    start = plan.starts[0]
+    # Commit logs and event traces must cover the whole trace.
+    ramp = start if record_commits or tracer is not None else plan.ramps[0]
     core = OOOCore(trace, config, record_commits=record_commits, tracer=tracer,
                    check_invariants=check_invariants)
-    functional, detailed_warmup = fast_forward_split(config, len(trace), warmup)
-    if record_commits or tracer is not None:
-        # Commit logs and event traces must cover the whole trace.
-        functional, detailed_warmup = 0, min(warmup, max(0, len(trace) // 2))
-    if functional > 0:
-        FunctionalWarmer(core).warm(functional)
-    core.warmup_instructions = detailed_warmup
-    core.run(max_cycles=max_cycles)
-    result = SimResult.from_core(core, name, category)
-    result.data["fast_forward"] = {
-        "enabled": functional > 0,
-        "functional_instructions": functional,
-        "detailed_warmup": detailed_warmup,
-    }
-    result.data["idle_skipped_cycles"] = core.idle_cycles_skipped
+    result, _outcome = _run_window(core, name, category, start, plan.measure,
+                                   ramp, None, max_cycles)
     if record_commits:
         result.data["committed"] = core.committed
     if tracer is not None:
@@ -251,6 +225,35 @@ def _resolve_trace(workload, length):
         return (build_workload(workload, length=length), workload,
                 workload_category(workload))
     return workload, workload.name, workload.category
+
+
+def _run_window(core, name, category, start, measure, ramp, store,
+                max_cycles):
+    """Run one measurement window on a freshly built ``core``.
+
+    The first ``start - ramp`` instructions are warmed functionally
+    (restored from ``store`` when it holds them), the detailed core
+    re-simulates the ``ramp`` instructions before ``start``, and the
+    fetch limit ``start + measure`` lets the pipeline drain after exactly
+    the measured instructions.  Returns ``(result, checkpoint outcome)``.
+    """
+    from repro.sim import checkpoint
+
+    functional = start - ramp
+    outcome = checkpoint.warm_or_restore(
+        core, name, core.config, len(core.trace), functional, store
+    )
+    core.warmup_instructions = ramp
+    core.frontend.cursor.limit = start + measure
+    core.run(max_cycles=max_cycles)
+    result = SimResult.from_core(core, name, category)
+    result.data["fast_forward"] = {
+        "enabled": functional > 0,
+        "functional_instructions": functional,
+        "detailed_warmup": ramp,
+    }
+    result.data["idle_skipped_cycles"] = core.idle_cycles_skipped
+    return result, outcome
 
 
 def simulate_interval(
@@ -298,29 +301,17 @@ def simulate_interval(
         )
     if checkpoint_store == "default":
         checkpoint_store = checkpoint.default_checkpoint_store()
-    core = OOOCore(trace, config)
-    functional = start - ramp
-    outcome = checkpoint.warm_or_restore(
-        core, name, config, len(trace), functional, checkpoint_store
-    )
-    core.warmup_instructions = ramp
-    core.frontend.cursor.limit = start + measure
-    core.run(max_cycles=max_cycles)
-    result = SimResult.from_core(core, name, category)
+    result, outcome = _run_window(OOOCore(trace, config), name, category,
+                                  start, measure, ramp, checkpoint_store,
+                                  max_cycles)
     result.data["interval"] = {
         "index": index,
         "start": start,
         "measure": measure,
         "ramp": ramp,
-        "functional": functional,
+        "functional": start - ramp,
         "checkpoint": outcome,
     }
-    result.data["fast_forward"] = {
-        "enabled": functional > 0,
-        "functional_instructions": functional,
-        "detailed_warmup": ramp,
-    }
-    result.data["idle_skipped_cycles"] = core.idle_cycles_skipped
     return result
 
 
@@ -357,6 +348,12 @@ def simulate_sampled(
     the standard two-speed single-window run and the result's measured
     counters match :func:`simulate` exactly.
 
+    A request :func:`~repro.sim.sampling.sampling_applies` refuses (a
+    value-predictor config, or ``REPRO_TRACE`` set) returns the
+    full-window :func:`simulate` result instead — the same result, and
+    the same event log, that :func:`repro.sim.parallel.run_jobs` gives
+    the sampled job.
+
     ``batch_warm`` routes the shared functional pass through the batched
     SoA engine (:mod:`repro.emu.batch`) instead of the scalar warmer —
     bit-exact, and faster whenever several positions (or, via
@@ -364,11 +361,11 @@ def simulate_sampled(
     ``None`` defers to ``REPRO_BATCH_WARM``.
     """
     from repro.sim import checkpoint
-    from repro.sim.sampling import (
-        SamplingPlan, aggregate_intervals, ci_target_met, normalize_spec,
-    )
 
     config = config or baseline()
+    if not sampling_applies(config, trace_spec_from_env() is not None):
+        return simulate(workload, config, length=length, warmup=warmup,
+                        max_cycles=max_cycles)
     trace, name, _category = _resolve_trace(workload, length)
     spec = {"samples": samples, "interval_length": interval_length,
             "ci_target": ci_target}

@@ -13,7 +13,11 @@ This module is pure planning and arithmetic — no simulation:
   stride ``(length - warmup) // K``, each interval preceded by a detailed
   pipeline-refill ramp (``config.ff_detail_ramp``) and reached by
   functional fast-forward from instruction zero (restored from the
-  checkpoint store when possible).
+  checkpoint store when possible).  A one-sample plan is also the
+  warmup split of every plain :func:`~repro.sim.runner.simulate` run, so
+  the effective-warmup clamp and fast-forward eligibility live only here.
+- :func:`sampling_applies` decides whether a sampled request is run as
+  sampled at all (not for VP configs, not under tracing).
 - :func:`t_critical` / :func:`mean_ci` are a scipy-free Student-t: a
   hardcoded two-sided critical-value table (the classic printed table) with
   conservative round-down for untabulated degrees of freedom.
@@ -176,25 +180,40 @@ def sampling_suffix(spec):
     )
 
 
+def sampling_applies(config, traced):
+    """Whether a sampled request for ``config`` is run as sampled.
+
+    Not for value-predictor configs (VP tables train on pipeline events
+    the functional warmer does not model) and not when ``traced`` (the
+    event log must cover the whole trace).  A refused request runs the
+    full window instead — :func:`~repro.sim.runner.simulate_sampled` and
+    :func:`~repro.sim.parallel.run_jobs` both ask here, so a sampled
+    ``run`` and a sampled ``suite`` cell give the same result.  The same
+    rule makes :class:`SamplingPlan` keep a VP config's warmup detailed.
+    """
+    return not (traced or config.vp.enabled)
+
+
 class SamplingPlan(object):
     """Where the K measurement intervals of one cell sit in the trace.
 
     Systematic placement over the measured region (everything past the
-    effective warmup window): interval ``i`` measures ``measure``
-    instructions starting at instruction ``starts[i]``, reached by
-    functionally fast-forwarding ``functionals[i]`` instructions (the
-    checkpointable position) and then re-simulating a ``ramps[i]``-long
-    detailed pipeline-refill ramp.  The fetch limit ``limits[i]`` makes the
-    interval drain naturally after exactly ``measure`` measured
-    instructions.
+    effective warmup window — ``warmup`` clamped to half the trace):
+    interval ``i`` measures ``measure`` instructions starting at
+    instruction ``starts[i]``, reached by functionally fast-forwarding
+    ``functionals[i]`` instructions (the checkpointable position) and
+    then re-simulating a ``ramps[i]``-long detailed pipeline-refill ramp.
+    Fast-forward needs ``config.fast_forward``, ``REPRO_FF`` and
+    :func:`sampling_applies`; without it every ramp reaches back to
+    instruction zero (full detail, no checkpoints).
 
-    With ``samples == 1`` and no ``interval_length`` the plan degenerates
-    to today's two-speed single-window run: one interval covering the whole
-    measured region with the standard warmup split.
+    With ``samples == 1`` and no ``interval_length`` the plan is the
+    two-speed single-window split :func:`~repro.sim.runner.simulate`
+    runs: one interval covering the whole measured region.
     """
 
     __slots__ = ("samples", "warmup_effective", "stride", "measure",
-                 "starts", "ramps", "functionals", "limits")
+                 "starts", "ramps", "functionals")
 
     def __init__(self, config, length, warmup, spec):
         spec = normalize_spec(spec)
@@ -207,42 +226,28 @@ class SamplingPlan(object):
                 "measured region (trace length %d, warmup %d)"
                 % (samples, length - warmup_effective, length, warmup)
             )
-        measure = min(spec["interval_length"] or stride, stride)
-        # Fast-forward eligibility matches fast_forward_split(): VP configs
-        # and the kill-switch force every gap to full detail (ramp extends
-        # back to instruction zero, no checkpoints).
         ff_ok = (
             config.fast_forward
-            and not config.vp.enabled
+            and sampling_applies(config, traced=False)
             and settings.get("REPRO_FF")
         )
         self.samples = samples
         self.warmup_effective = warmup_effective
         self.stride = stride
-        self.measure = measure
+        self.measure = min(spec["interval_length"] or stride, stride)
         self.starts = []
         self.ramps = []
         self.functionals = []
-        self.limits = []
         for i in range(samples):
             start = warmup_effective + i * stride
             ramp = min(config.ff_detail_ramp, start) if ff_ok else start
             self.starts.append(start)
             self.ramps.append(ramp)
             self.functionals.append(start - ramp)
-            self.limits.append(start + measure)
 
     def checkpoint_positions(self):
         """Distinct nonzero functional positions (checkpoint keys)."""
         return sorted({f for f in self.functionals if f > 0})
-
-    def describe(self):
-        return {
-            "samples": self.samples,
-            "stride": self.stride,
-            "interval_length": self.measure,
-            "warmup_effective": self.warmup_effective,
-        }
 
 
 def ci_target_met(ipcs, spec):

@@ -5,7 +5,6 @@ from repro.stats.report import (
     format_table,
     geomean,
     speedup,
-    category_summary,
 )
 
-__all__ = ["SimStats", "format_table", "geomean", "speedup", "category_summary"]
+__all__ = ["SimStats", "format_table", "geomean", "speedup"]

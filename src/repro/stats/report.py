@@ -1,8 +1,9 @@
 """Reporting helpers: geometric means, speedups, ASCII tables.
 
 The paper reports geometric-mean IPC speedups over the baseline, per
-workload category and overall; these helpers reproduce that arithmetic and
-render the rows the benchmark harness prints.
+workload category and overall; :func:`repro.sim.experiments.suite_speedup`
+folds results with these helpers, which also render the rows the
+benchmark harness prints.
 """
 
 import math
@@ -46,31 +47,6 @@ def format_ipc_ci(data, digits=3):
         digits, ci["mean"], digits, ci["half_width"],
         100 * ci["confidence"], ci["intervals_used"],
     )
-
-
-def category_summary(results_by_workload, baseline_by_workload, categories):
-    """Per-category and overall geomean speedups.
-
-    Args:
-        results_by_workload: {workload_name: ipc} for the feature config.
-        baseline_by_workload: {workload_name: ipc} for the baseline.
-        categories: {workload_name: category_name}.
-
-    Returns:
-        (per_category, overall) where per_category maps category ->
-        geomean speedup and overall is the all-workload geomean.
-    """
-    per_category_values = {}
-    all_values = []
-    for name, ipc in results_by_workload.items():
-        base = baseline_by_workload[name]
-        ratio = speedup(ipc, base)
-        all_values.append(ratio)
-        per_category_values.setdefault(categories[name], []).append(ratio)
-    per_category = {
-        category: geomean(values) for category, values in per_category_values.items()
-    }
-    return per_category, geomean(all_values)
 
 
 def format_table(headers, rows, title=None):

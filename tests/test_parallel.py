@@ -7,6 +7,7 @@ keys.
 """
 
 import json
+import multiprocessing
 import os
 import re
 
@@ -16,12 +17,12 @@ from conftest import quiet_config
 
 from repro.core.config import baseline
 from repro.sim import cache as cache_mod
-from repro.sim.cache import ResultCache, config_fingerprint, simulate_cached
+from repro.sim.cache import ResultCache, config_fingerprint
 from repro.sim.experiments import run_suite
 from repro.sim.journal import encode_envelope
 from repro.sim import parallel, settings
 from repro.sim.parallel import TimingReport, WorkerError, run_jobs, run_matrix
-from repro.sim.runner import fast_forward_split
+from repro.sim.sampling import SamplingPlan
 from repro.workloads import suite
 
 WORKLOADS = ["spec06_bzip2", "spec06_mcf", "spec06_perlbench"]
@@ -32,6 +33,13 @@ WARMUP = 200
 def small_jobs(config=None):
     config = config or quiet_config()
     return [(name, config, LENGTH, WARMUP) for name in WORKLOADS]
+
+
+def run_first(config, cache=None):
+    """The first workload's result through the one cached path (``cache``
+    None = the shared cache over ``REPRO_CACHE_DIR``)."""
+    [result], _ = run_jobs(small_jobs(config)[:1], cache=cache, max_workers=1)
+    return result
 
 
 class TestDeterminism:
@@ -72,9 +80,36 @@ class TestDeterminism:
         assert report.jobs_simulated == len(WORKLOADS)
         # The report counts only what the detailed core ran: the
         # functionally fast-forwarded prefix is in neither IPC nor instr/s.
-        functional, _ = fast_forward_split(quiet_config(), LENGTH, warmup)
+        [functional] = SamplingPlan(quiet_config(), LENGTH, warmup,
+                                    {"samples": 1}).functionals
         assert report.instructions_simulated == \
             (LENGTH - functional) * len(WORKLOADS)
+
+    def test_spawn_pool_matches_serial(self, tmp_path, monkeypatch):
+        """The shard pool under the ``spawn`` start method (fresh
+        interpreters, every payload pickled) gives a sampled sweep the
+        in-process bytes."""
+        monkeypatch.setenv("REPRO_MP_START", "spawn")
+        methods = []
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: (
+            methods.append(method) or get_context(method)))
+        configs = [quiet_config(), quiet_config(rfp={"enabled": True})]
+        datas = {}
+        for workers in (1, 2):
+            monkeypatch.setenv("REPRO_CHECKPOINT_DIR",
+                               str(tmp_path / ("ckpt%d" % workers)))
+            per_config, report = run_matrix(
+                configs, WORKLOADS, 3000, 1500,
+                cache=ResultCache(str(tmp_path / ("cache%d" % workers))),
+                max_workers=workers, sampling={"samples": 2})
+            assert report.jobs_failed == 0
+            assert report.workers == workers
+            datas[workers] = [
+                json.dumps(results[name].data)
+                for results in per_config for name in WORKLOADS]
+        assert methods == ["spawn"]  # one pool, and it spawned
+        assert datas[1] == datas[2]
 
     def test_results_in_job_order(self, tmp_path):
         results, _ = run_jobs(small_jobs(), cache=ResultCache(str(tmp_path)),
@@ -122,8 +157,7 @@ class TestCorruptedCache:
     def test_corrupted_entry_is_evicted_and_rewritten(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         config = quiet_config()
-        good = simulate_cached(WORKLOADS[0], config, length=LENGTH,
-                               warmup=WARMUP, cache=cache)
+        good = run_first(config, cache)
         key = cache.key(WORKLOADS[0], config, LENGTH, WARMUP)
         path = cache._path(key)
         with open(path, "w") as handle:
@@ -134,8 +168,7 @@ class TestCorruptedCache:
         assert cache.pop_evictions() == [
             {"key": key, "reason": "unreadable (truncated or malformed JSON)"}
         ]
-        again = simulate_cached(WORKLOADS[0], config, length=LENGTH,
-                                warmup=WARMUP, cache=cache)
+        again = run_first(config, cache)
         assert again.data == good.data
         with open(path) as handle:
             envelope = json.load(handle)  # safely rewritten, checksummed
@@ -147,8 +180,7 @@ class TestCorruptedCache:
     def test_checksum_mismatch_is_evicted(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         config = quiet_config()
-        simulate_cached(WORKLOADS[0], config, length=LENGTH, warmup=WARMUP,
-                        cache=cache)
+        run_first(config, cache)
         key = cache.key(WORKLOADS[0], config, LENGTH, WARMUP)
         path = cache._path(key)
         with open(path) as handle:
@@ -194,8 +226,7 @@ class TestCorruptedCache:
     def test_put_tmp_file_is_per_process(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         config = quiet_config()
-        simulate_cached(WORKLOADS[0], config, length=LENGTH, warmup=WARMUP,
-                        cache=cache)
+        run_first(config, cache)
         leftovers = [n for n in os.listdir(str(tmp_path)) if ".tmp" in n]
         assert leftovers == []
 
@@ -266,8 +297,7 @@ class TestCacheMaintenance:
     def test_cli_cache_commands(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         from repro.__main__ import main
-        simulate_cached(WORKLOADS[0], quiet_config(), length=LENGTH,
-                        warmup=WARMUP)
+        run_first(quiet_config())
         assert main(["cache-stats"]) == 0
         out = capsys.readouterr().out
         assert "entries" in out and "1" in out
@@ -281,8 +311,7 @@ class TestCacheMaintenance:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         from repro.__main__ import main
         cache = cache_mod.default_cache()
-        good = simulate_cached(WORKLOADS[0], quiet_config(), length=LENGTH,
-                               warmup=WARMUP)
+        good = run_first(quiet_config())
         bad_key = cache.key(WORKLOADS[1], quiet_config(), LENGTH, WARMUP)
         cache.put(bad_key, good)
         with open(cache._path(bad_key), "a") as handle:

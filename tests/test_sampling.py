@@ -16,18 +16,16 @@ import pytest
 
 from conftest import quiet_config
 
+from repro.core.config import baseline
 from repro.sim.cache import ResultCache
 from repro.sim.parallel import run_jobs, run_matrix
-from repro.sim.runner import (
-    fast_forward_split,
-    simulate,
-    simulate_sampled,
-)
+from repro.sim.runner import simulate, simulate_interval, simulate_sampled
 from repro.sim.sampling import (
     SamplingPlan,
     aggregate_intervals,
     mean_ci,
     normalize_spec,
+    sampling_applies,
     sampling_suffix,
     t_critical,
 )
@@ -124,16 +122,7 @@ class TestSamplingPlan:
         assert plan.ramps == [config.ff_detail_ramp] * 4
         assert plan.functionals == [19500, 24500, 29500, 34500]
         assert plan.measure == 5000
-        assert plan.limits == [25000, 30000, 35000, 40000]
         assert plan.checkpoint_positions() == [19500, 24500, 29500, 34500]
-
-    def test_sample_one_matches_two_speed_split(self):
-        config = quiet_config()
-        plan = SamplingPlan(config, LENGTH, WARM, {"samples": 1})
-        functional, detailed = fast_forward_split(config, LENGTH, WARM)
-        assert plan.functionals == [functional]
-        assert plan.ramps == [detailed]
-        assert plan.limits == [LENGTH]
 
     def test_interval_length_clamped_to_stride(self):
         plan = SamplingPlan(quiet_config(), 40000, 20000,
@@ -146,6 +135,12 @@ class TestSamplingPlan:
         assert plan.functionals == [0, 0]
         assert plan.ramps == plan.starts
         assert plan.checkpoint_positions() == []
+
+    def test_sampling_applies(self):
+        assert sampling_applies(quiet_config(), traced=False)
+        assert not sampling_applies(quiet_config(), traced=True)
+        assert not sampling_applies(
+            quiet_config(vp={"enabled": True, "kind": "eves"}), traced=False)
 
     def test_env_kill_switch_forces_full_detail(self, monkeypatch):
         monkeypatch.setenv("REPRO_FF", "0")
@@ -237,6 +232,23 @@ class TestSampledRuns:
             assert sampled.data[key] == full.data[key], key
         assert sampled.data["ipc_ci"]["half_width"] is None
 
+    @pytest.mark.parametrize("overrides", [
+        {}, {"rfp": {"enabled": True}},
+        {"vp": {"enabled": True, "kind": "composite"}},
+        {"fast_forward": False},
+    ], ids=["baseline", "rfp", "vp-composite", "no-ff"])
+    def test_simulate_is_its_one_sample_interval(self, overrides):
+        """simulate runs the one-sample plan through the same window tail
+        as simulate_interval: equal data but for the interval field."""
+        config = quiet_config(**overrides)
+        plan = SamplingPlan(config, LENGTH, WARM, {"samples": 1})
+        interval = simulate_interval(
+            WORKLOAD, config, length=LENGTH, start=plan.starts[0],
+            measure=plan.measure, ramp=plan.ramps[0], checkpoint_store=None)
+        assert interval.data.pop("interval")["checkpoint"] == "off"
+        full = simulate(WORKLOAD, config, length=LENGTH, warmup=WARM)
+        assert interval.data == full.data
+
     @pytest.mark.parametrize("ci_target, intervals_used", [
         (0.2, 4),    # met after 4 of the 6 planned intervals
         (0.01, 6),   # never met: every planned interval is used
@@ -307,6 +319,52 @@ class TestSampledRuns:
         assert "ipc_ci" not in data
         assert data == simulate(WORKLOAD, config, length=LENGTH,
                                 warmup=WARM).data
+
+
+class TestRefusedSampling:
+    """A sampled request that ``sampling_applies`` refuses (a VP config, or
+    ``REPRO_TRACE`` set) runs the full window on every path: a sampled
+    ``repro run`` and a sampled ``repro suite`` cell agree byte for byte."""
+
+    VP = {"enabled": True, "kind": "eves"}
+
+    def test_vp_request_is_the_full_window_on_every_path(self, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
+        config = baseline(vp=self.VP)
+        sampled = simulate_sampled(WORKLOAD, config, length=LENGTH,
+                                   warmup=WARM, samples=4)
+        [swept], _ = run_jobs(
+            [(WORKLOAD, config, LENGTH, WARM, {"samples": 4})],
+            cache=ResultCache(str(tmp_path / "cache")), max_workers=1)
+        full = simulate(WORKLOAD, config, length=LENGTH, warmup=WARM)
+        assert "ipc_ci" not in full.data
+        assert json.dumps(sampled.data) == json.dumps(full.data)
+        assert json.dumps(swept.data) == json.dumps(full.data)
+
+    @pytest.mark.parametrize("vp", [False, True], ids=["baseline", "vp"])
+    def test_traced_request_writes_the_run_jobs_event_log(
+            self, tmp_path, monkeypatch, vp):
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
+        config = baseline(vp=self.VP) if vp else baseline()
+        length, warmup = 2000, 1000
+        logs, datas = {}, {}
+        for path in ("sampled", "swept"):
+            logs[path] = tmp_path / (path + ".jsonl")
+            monkeypatch.setenv("REPRO_TRACE", str(logs[path]))
+            if path == "sampled":
+                result = simulate_sampled(WORKLOAD, config, length=length,
+                                          warmup=warmup, samples=4)
+            else:
+                [result], _ = run_jobs(
+                    [(WORKLOAD, config, length, warmup, {"samples": 4})],
+                    cache=ResultCache(str(tmp_path / "cache")),
+                    max_workers=1)
+            assert "ipc_ci" not in result.data and "obs" in result.data
+            datas[path] = json.dumps(result.data)
+        assert datas["sampled"] == datas["swept"]
+        assert logs["sampled"].stat().st_size > 0
+        assert logs["sampled"].read_bytes() == logs["swept"].read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ from conftest import quiet_config
 
 from repro.core.config import RFPConfig, baseline, baseline_2x
 from repro.rfp.storage import pt_entry_bits, storage_report
-from repro.sim.cache import ResultCache, config_fingerprint, simulate_cached
+from repro.sim.cache import ResultCache, config_fingerprint
+from repro.sim.experiments import suite_speedup
+from repro.sim.parallel import run_jobs
 from repro.sim.runner import SimResult, simulate
-from repro.stats.report import category_summary, format_table, geomean, percent, speedup
+from repro.stats.report import format_table, geomean, percent, speedup
 
 
 class TestConfig:
@@ -87,13 +89,12 @@ class TestResultCache:
 
     def test_roundtrip(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        config = quiet_config()
-        first = simulate_cached("spec06_bzip2", config, length=1200,
-                                warmup=100, cache=cache)
-        second = simulate_cached("spec06_bzip2", config, length=1200,
-                                 warmup=100, cache=cache)
+        jobs = [("spec06_bzip2", quiet_config(), 1200, 100)]
+        [first], _ = run_jobs(jobs, cache=cache, max_workers=1)
+        [second], report = run_jobs(jobs, cache=cache, max_workers=1)
         assert cache.hits == 1 and cache.misses == 1
-        assert first.ipc == second.ipc
+        assert report.cache_hits == 1 and report.jobs_simulated == 0
+        assert first.data == second.data
 
     def test_distinct_configs_distinct_keys(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -119,15 +120,34 @@ class TestReport:
     def test_percent(self):
         assert percent(1.031) == "+3.10%"
 
-    def test_category_summary(self):
-        per_cat, overall = category_summary(
-            {"a": 1.1, "b": 1.2, "c": 2.0},
-            {"a": 1.0, "b": 1.0, "c": 1.0},
-            {"a": "X", "b": "X", "c": "Y"},
+    @staticmethod
+    def results(ipcs, categories):
+        return {name: SimResult({"ipc": ipc, "category": categories[name]})
+                for name, ipc in ipcs.items()}
+
+    def test_suite_speedup(self):
+        categories = {"a": "X", "b": "X", "c": "Y"}
+        per_workload, per_cat, overall = suite_speedup(
+            self.results({"a": 1.1, "b": 1.2, "c": 2.0}, categories),
+            self.results({"a": 1.0, "b": 1.0, "c": 1.0}, categories),
         )
+        assert per_workload == {"a": 1.1, "b": 1.2, "c": 2.0}
+        assert list(per_cat) == ["X", "Y"]
         assert abs(per_cat["X"] - math.sqrt(1.1 * 1.2)) < 1e-12
         assert per_cat["Y"] == 2.0
         assert abs(overall - (1.1 * 1.2 * 2.0) ** (1 / 3)) < 1e-12
+
+    def test_suite_speedup_skips_one_sided_workloads(self):
+        """A workload on only one side (a keep-going run dropped the other
+        cell) is left out of every figure, whichever side it is on."""
+        categories = {"a": "X", "b": "X", "c": "Y", "d": "Y"}
+        per_workload, per_cat, overall = suite_speedup(
+            self.results({"a": 1.1, "b": 1.2, "c": 2.0}, categories),
+            self.results({"a": 1.0, "b": 1.0, "d": 1.0}, categories),
+        )
+        assert per_workload == {"a": 1.1, "b": 1.2}
+        assert list(per_cat) == ["X"]
+        assert abs(overall - math.sqrt(1.1 * 1.2)) < 1e-12
 
     def test_format_table(self):
         text = format_table(["a", "bb"], [[1, 22], [333, 4]], title="T")

@@ -20,11 +20,8 @@ from repro.emu.emulator import ArchEmulator
 from repro.emu.warmup import FunctionalWarmer
 from repro.sim.cache import config_fingerprint
 from repro.sim import settings
-from repro.sim.runner import (
-    SimResult,
-    fast_forward_split,
-    simulate,
-)
+from repro.sim.runner import SimResult, simulate
+from repro.sim.sampling import SamplingPlan
 from repro.workloads.suite import build_workload
 
 WORKLOAD = "spec06_mcf"
@@ -150,36 +147,44 @@ class TestWarmEquivalence:
 # ---------------------------------------------------------------------------
 # the split
 
+def split(config, length, warmup):
+    """``(functional, detailed warmup)`` of the one-sample plan — the
+    split a plain :func:`simulate` runs."""
+    plan = SamplingPlan(config, length, warmup, {"samples": 1})
+    assert plan.starts == [plan.warmup_effective]
+    assert plan.measure == length - plan.warmup_effective
+    return plan.functionals[0], plan.ramps[0]
+
+
 class TestFastForwardSplit:
     def test_default_split(self):
         config = quiet_config()
-        functional, detailed = fast_forward_split(config, 40000, 20000)
+        functional, detailed = split(config, 40000, 20000)
         assert (functional, detailed) == (20000 - config.ff_detail_ramp,
                                           config.ff_detail_ramp)
 
     def test_warmup_clamped_to_half_the_trace(self):
         config = quiet_config()
-        functional, detailed = fast_forward_split(config, 4000, 3000)
+        functional, detailed = split(config, 4000, 3000)
         assert functional + detailed == 2000
 
     def test_short_warmup_stays_detailed(self):
         config = quiet_config()
-        assert fast_forward_split(config, 4000, 300) == (0, 300)
+        assert split(config, 4000, 300) == (0, 300)
 
     def test_disabled_by_config(self):
         config = quiet_config(fast_forward=False)
-        assert fast_forward_split(config, 40000, 20000) == (0, 20000)
+        assert split(config, 40000, 20000) == (0, 20000)
 
     def test_disabled_for_value_predictor_configs(self):
         config = quiet_config(vp={"enabled": True, "kind": "eves"})
-        assert fast_forward_split(config, 40000, 20000) == (0, 20000)
+        assert split(config, 40000, 20000) == (0, 20000)
 
     def test_env_kill_switch(self, monkeypatch):
         for value in ("0", "off", "false"):
             monkeypatch.setenv("REPRO_FF", value)
             assert not settings.get("REPRO_FF")
-            assert fast_forward_split(quiet_config(), 40000, 20000) == \
-                (0, 20000)
+            assert split(quiet_config(), 40000, 20000) == (0, 20000)
         monkeypatch.setenv("REPRO_FF", "1")
         assert settings.get("REPRO_FF")
         monkeypatch.delenv("REPRO_FF")
