@@ -224,14 +224,14 @@ def cmd_suite(args):
     return 3 if report.jobs_failed else 0
 
 
-def _store_rows(store):
-    """The rows ``cache-stats`` and ``checkpoint stats`` share.
+def _store_rows(stats):
+    """The rows ``cache-stats`` and ``checkpoint stats`` share, from a
+    store's ``stats()``.
 
     ``stats()`` validates every entry and evicts corrupt ones first, so
     the entries/size rows are post-eviction totals — a corrupt entry
     shows up under "corrupt evicted", never in both.
     """
-    stats = store.stats()
     return [
         ("directory", stats["directory"]),
         ("entries", str(stats["entries"])),
@@ -241,7 +241,8 @@ def _store_rows(store):
 
 
 def cmd_cache_stats(_args):
-    print(format_table(["metric", "value"], _store_rows(default_cache()),
+    rows = _store_rows(default_cache().stats())
+    print(format_table(["metric", "value"], rows,
                        title="result cache"))
     return 0
 
@@ -264,7 +265,12 @@ def cmd_checkpoint(args):
         print("%d checkpoint%s in %s"
               % (len(paths), "" if len(paths) == 1 else "s", store.directory))
     elif args.action == "stats":
-        rows = _store_rows(store) + [
+        stats = store.stats()
+        rows = _store_rows(stats) + [
+            ("%s parts" % label, "%d (%.1f KB)" % (
+                stats[kind + "_entries"], stats[kind + "_bytes"] / 1024.0))
+            for kind, label in (("hierarchy", "hierarchy"), ("rfp", "RFP"))
+        ] + [
             ("enabled", "yes" if settings.get("REPRO_CHECKPOINTS")
              else "no (REPRO_CHECKPOINTS)"),
         ]

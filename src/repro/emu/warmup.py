@@ -75,12 +75,21 @@ class FunctionalWarmer(ArchEmulator):
     The warmer shares the core's committed-memory dict (the core's private
     copy — never the trace's lru_cache-shared ``memory_image``), so stores
     executed functionally are visible to detailed-region loads.
+
+    ``rfps`` lists the :class:`~repro.rfp.engine.RFPEngine` objects whose
+    PT/PAT/context tables the pass trains; the default is the core's own
+    (none without RFP).  The checkpoint layer passes one engine per RFP
+    config that shares the core's cache geometry, so a config sweep walks
+    the hierarchy once and trains every table set in the same loop.
     """
 
-    def __init__(self, core):
+    def __init__(self, core, rfps=None):
         super().__init__(core.trace)
         self.core = core
         self.memory = core.memory
+        if rfps is None:
+            rfps = [core.rfp] if core.rfp is not None else []
+        self.rfps = rfps
         #: Instructions functionally executed so far.
         self.warmed = 0
         self._counted = False  # ticked _warm_passes already
@@ -105,9 +114,11 @@ class FunctionalWarmer(ArchEmulator):
             _warm_passes += 1
         core = self.core
         hit_miss = core.hit_miss
-        rfp = core.rfp
-        pt = rfp.pt if rfp is not None else None
-        context = rfp.context if rfp is not None else None
+        trainers = [
+            (rfp.pt.on_allocate, rfp.pt.train,
+             rfp.context.train if rfp.context is not None else None)
+            for rfp in self.rfps
+        ]
         frontend = core.frontend
         # Local bindings: this loop runs once per fast-forwarded instruction
         # (the bulk of the trace under the default split), so shave every
@@ -181,11 +192,11 @@ class FunctionalWarmer(ArchEmulator):
                     index = (pc >> 2) % md_entries
                     if md_table[index] > 0:
                         md_table[index] -= 1
-                if pt is not None:
-                    pt.on_allocate(pc)
-                    pt.train(pc, addr, commit=True)
-                    if context is not None:
-                        context.train(pc, frontend.path_history, addr)
+                for on_allocate, train, context_train in trainers:
+                    on_allocate(pc)
+                    train(pc, addr, True)
+                    if context_train is not None:
+                        context_train(pc, frontend.path_history, addr)
             elif op == STORE:
                 s = instr.srcs
                 n = len(s)

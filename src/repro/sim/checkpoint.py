@@ -18,11 +18,19 @@ everywhere else:
   :class:`~repro.core.core.OOOCore`, leaving it indistinguishable from one
   warmed functionally over the same region (proven bit-exact by the
   determinism tests).
-- :class:`CheckpointStore` is the content-addressed on-disk store, keyed by
-  ``(workload, trace length, functional position, warm-relevant config
-  fingerprint)``.  It is an :class:`~repro.sim.journal.EnvelopeStore`, like
-  the result cache: a corrupt checkpoint is evicted with a warning and the
-  workload re-warmed — never silently restored.
+- :class:`CheckpointStore` is the content-addressed on-disk store.  It
+  keeps every checkpoint as two parts along the line the warmer already
+  respects: a **hierarchy part** (everything but the RFP tables; it
+  depends only on :data:`WARM_CONFIG_FIELDS`, see
+  :func:`hierarchy_fingerprint`) and, for an RFP config, an **RFP part**
+  (the PT/PAT/context tables and the PT's RNG; it depends only on
+  :data:`WARM_RFP_FIELDS` plus ``seed``, see :func:`rfp_fingerprint`).
+  Every config of a sweep that shares the cache geometry shares one
+  hierarchy part per position, and :func:`ensure_checkpoints` writes all
+  of them in one warm pass.  The store is an
+  :class:`~repro.sim.journal.EnvelopeStore`, like the result cache: a
+  corrupt part is evicted with a warning and the workload re-warmed —
+  never silently restored.
 
 ``REPRO_CHECKPOINT_DIR`` overrides the store location (default
 ``<repo>/benchmarks/.checkpoints``); ``REPRO_CHECKPOINTS=0`` disables the
@@ -42,7 +50,9 @@ from repro.sim.runner import SCHEMA_VERSION
 #: On-disk checkpoint format version.  Mixed into every fingerprint so a
 #: layout or checksum change turns old entries into misses, not wrong warm
 #: state or eviction warnings.  2: the checksum hashes the payload bytes.
-CHECKPOINT_FORMAT = 2
+#: 3: a checkpoint is a hierarchy part plus an RFP part, and the MD table
+#: is stored sparsely.
+CHECKPOINT_FORMAT = 3
 
 #: CoreConfig fields the functional warmer's behaviour depends on.  Timing
 #: parameters (latencies, widths, queue depths) are deliberately absent:
@@ -71,21 +81,46 @@ WARM_RFP_FIELDS = (
 )
 
 
+def _fingerprint(kind, fields):
+    payload = {
+        "schema": SCHEMA_VERSION,
+        "checkpoint_format": CHECKPOINT_FORMAT,
+        kind: fields,
+    }
+    text = json.dumps(payload, sort_keys=True, default=str)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def hierarchy_fingerprint(config):
+    """Stable hash of :data:`WARM_CONFIG_FIELDS`: everything a hierarchy
+    part depends on.  RFP and timing fields do not enter it."""
+    return _fingerprint(
+        "config", {name: getattr(config, name) for name in WARM_CONFIG_FIELDS}
+    )
+
+
+def rfp_fingerprint(config):
+    """Stable hash of :data:`WARM_RFP_FIELDS` plus ``seed`` (the PT's RNG
+    seed): everything an RFP part depends on.  Cache geometry and timing
+    fields do not enter it.  None for a config without RFP."""
+    if not config.rfp.enabled:
+        return None
+    fields = {name: getattr(config.rfp, name) for name in WARM_RFP_FIELDS}
+    fields["seed"] = config.seed
+    return _fingerprint("rfp", fields)
+
+
 def warm_fingerprint(config):
-    """Stable hash of the warmup-relevant config subset.
+    """Fingerprint of a config's whole warm state: the hierarchy
+    fingerprint, joined by ``+`` to the RFP fingerprint for an RFP config.
 
     Two configs with equal fingerprints produce byte-identical warm state
     over the same (workload, length, functional count) by construction, so
     they share checkpoints.
     """
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "checkpoint_format": CHECKPOINT_FORMAT,
-        "config": {name: getattr(config, name) for name in WARM_CONFIG_FIELDS},
-        "rfp": {name: getattr(config.rfp, name) for name in WARM_RFP_FIELDS},
-    }
-    text = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    rfp = rfp_fingerprint(config)
+    hierarchy = hierarchy_fingerprint(config)
+    return hierarchy if rfp is None else hierarchy + "+" + rfp
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +217,10 @@ def capture(core, warmer):
             },
         },
         "md": {
-            "table": list(core.md.table),
+            # Sparse: the functional warmer never trains a violation.
+            "table": [[index, counter]
+                      for index, counter in enumerate(core.md.table)
+                      if counter],
             "commit_tick": core.md._commit_tick,
             "violations": core.md.violations,
         },
@@ -204,27 +242,54 @@ def capture(core, warmer):
             "predictions": core.hit_miss.predictions,
             "mispredicts": core.hit_miss.mispredicts,
         }
-    rfp = core.rfp
-    if rfp is not None:
-        state["rfp"] = {"pt": _pt_dump(rfp.pt)}
-        if rfp.pat is not None:
-            state["rfp"]["pat"] = {
-                "ways": [list(ways) for ways in rfp.pat.ways],
-                "lru": [list(order) for order in rfp.pat.lru],
-                "insertions": rfp.pat.insertions,
-                "evictions": rfp.pat.evictions,
-            }
-        if rfp.context is not None:
-            state["rfp"]["context"] = {
-                "table": [
-                    [index, [entry.tag, entry.last_addr, entry.stride,
-                             entry.confidence]]
-                    for index, entry in rfp.context.table.items()
-                ],
-                "predictions": rfp.context.predictions,
-                "trainings": rfp.context.trainings,
-            }
+    if core.rfp is not None:
+        state["rfp"] = _rfp_dump(core.rfp)
     return state
+
+
+def _rfp_dump(rfp):
+    """The ``"rfp"`` entry of a :func:`capture` dict: the PT (with its RNG
+    stream), PAT and context tables of one RFP engine."""
+    dump = {"pt": _pt_dump(rfp.pt)}
+    if rfp.pat is not None:
+        dump["pat"] = {
+            "ways": [list(ways) for ways in rfp.pat.ways],
+            "lru": [list(order) for order in rfp.pat.lru],
+            "insertions": rfp.pat.insertions,
+            "evictions": rfp.pat.evictions,
+        }
+    if rfp.context is not None:
+        dump["context"] = {
+            "table": [
+                [index, [entry.tag, entry.last_addr, entry.stride,
+                         entry.confidence]]
+                for index, entry in rfp.context.table.items()
+            ],
+            "predictions": rfp.context.predictions,
+            "trainings": rfp.context.trainings,
+        }
+    return dump
+
+
+def _rfp_load(rfp, dump):
+    _pt_load(rfp.pt, dump["pt"])
+    if rfp.pat is not None and "pat" in dump:
+        pat = rfp.pat
+        pat.ways = [list(ways) for ways in dump["pat"]["ways"]]
+        pat.lru = [list(order) for order in dump["pat"]["lru"]]
+        pat.insertions = dump["pat"]["insertions"]
+        pat.evictions = dump["pat"]["evictions"]
+    if rfp.context is not None and "context" in dump:
+        from repro.rfp.context import _ContextEntry
+
+        context = rfp.context
+        context.table.clear()
+        for index, fields in dump["context"]["table"]:
+            entry = _ContextEntry(fields[0], fields[1])
+            entry.stride, entry.confidence = fields[2], fields[3]
+            context.table[index] = entry
+        context.predictions = dump["context"]["predictions"]
+        context.trainings = dump["context"]["trainings"]
 
 
 def restore(core, state):
@@ -270,57 +335,39 @@ def restore(core, state):
         core.hit_miss.table[:] = state["hit_miss"]["table"]
         core.hit_miss.predictions = state["hit_miss"]["predictions"]
         core.hit_miss.mispredicts = state["hit_miss"]["mispredicts"]
-    core.md.table[:] = state["md"]["table"]
+    md_table = core.md.table
+    md_table[:] = [0] * len(md_table)
+    for index, counter in state["md"]["table"]:
+        md_table[index] = counter
     core.md._commit_tick = state["md"]["commit_tick"]
     core.md.violations = state["md"]["violations"]
     if core.rfp is not None and "rfp" in state:
-        _pt_load(core.rfp.pt, state["rfp"]["pt"])
-        if core.rfp.pat is not None and "pat" in state["rfp"]:
-            pat = core.rfp.pat
-            pat.ways = [list(ways) for ways in state["rfp"]["pat"]["ways"]]
-            pat.lru = [list(order) for order in state["rfp"]["pat"]["lru"]]
-            pat.insertions = state["rfp"]["pat"]["insertions"]
-            pat.evictions = state["rfp"]["pat"]["evictions"]
-        if core.rfp.context is not None and "context" in state["rfp"]:
-            from repro.rfp.context import _ContextEntry
-
-            context = core.rfp.context
-            context.table.clear()
-            for index, fields in state["rfp"]["context"]["table"]:
-                entry = _ContextEntry(fields[0], fields[1])
-                entry.stride, entry.confidence = fields[2], fields[3]
-                context.table[index] = entry
-            context.predictions = state["rfp"]["context"]["predictions"]
-            context.trainings = state["rfp"]["context"]["trainings"]
+        _rfp_load(core.rfp, state["rfp"])
     core.frontend.path_history = state["path_history"]
     core.rename.seed_architectural(list(state["registers"]))
     core.frontend.cursor.rewind(state["functional"])
     return core
 
 
-def resume_warmer(core, state):
-    """A :class:`FunctionalWarmer` positioned at a restored checkpoint.
-
-    :func:`restore` is applied to ``core`` first; the returned warmer's
-    emulator state (registers, memory, position) matches the end of the
-    checkpointed region, so ``warm(count)`` continues from there without
-    replaying the prefix.
-    """
-    restore(core, state)
-    warmer = FunctionalWarmer(core)
-    warmer.registers.values[:] = state["registers"]
-    warmer.warmed = state["functional"]
-    return warmer
-
-
 # ---------------------------------------------------------------------------
 # the on-disk store
 
+#: Infix of an RFP part's key, ``<workload>-<length>-<functional>-rfp-<fp>``
+#: (a hierarchy part's key is ``<workload>-<length>-<functional>-<fp>``).
+RFP_PART = "-rfp-"
+
 
 class CheckpointStore(EnvelopeStore):
-    """JSON-file-per-checkpoint store; adds presence probes and LRU
-    pruning to the :class:`~repro.sim.journal.EnvelopeStore` it shares
-    with :class:`~repro.sim.cache.ResultCache`."""
+    """JSON-file-per-part checkpoint store; adds the two-part layout,
+    presence probes and LRU pruning to the
+    :class:`~repro.sim.journal.EnvelopeStore` it shares with
+    :class:`~repro.sim.cache.ResultCache`.
+
+    A key (``<workload>-<length>-<functional>-<warm fingerprint>``) names
+    one hierarchy part and, for an RFP config, one RFP part
+    (:meth:`parts`).  ``get`` merges the two back into the
+    :func:`capture` dict; a missing or corrupt part is a miss.
+    """
 
     SUFFIX = ".ckpt.json"
     DIR_SETTING = "REPRO_CHECKPOINT_DIR"
@@ -335,24 +382,68 @@ class CheckpointStore(EnvelopeStore):
             workload, length, functional, warm_fingerprint(config)
         )
 
+    @staticmethod
+    def parts(key):
+        """``(hierarchy part key, RFP part key or None)`` named by ``key``."""
+        hierarchy, _, rfp = key.partition("+")
+        if not rfp:
+            return hierarchy, None
+        return hierarchy, hierarchy.rsplit("-", 1)[0] + RFP_PART + rfp
+
     def contains(self, key):
-        """Presence probe without reading/validating the entry."""
+        """Presence probe (every part) without reading/validating."""
         self._recover()
-        return os.path.exists(self._path(key))
+        return all(os.path.exists(self._path(part))
+                   for part in self.parts(key) if part is not None)
 
     def get(self, key):
         """Return the checkpoint state dict for ``key``, or None."""
-        state = self._read(key)
-        if state is not None:
-            # Refresh recency for prune()'s LRU ordering.
-            try:
-                os.utime(self._path(key), None)
-            except OSError:
-                pass
+        hierarchy_key, rfp_key = self.parts(key)
+        state = self._read(hierarchy_key)
+        if state is None:
+            return None
+        if rfp_key is not None:
+            part = self._read(rfp_key)
+            if part is None:
+                return None
+            state["rfp"] = part["rfp"]
+        # Refresh recency for prune()'s LRU ordering.
+        for part_key in (hierarchy_key, rfp_key):
+            if part_key is not None:
+                try:
+                    os.utime(self._path(part_key), None)
+                except OSError:
+                    pass
         return state
 
     def put(self, key, state):
-        self._write(key, state)
+        """File ``state`` under ``key``: the RFP part always, the
+        hierarchy part only when it is absent (the configs sharing it
+        would write the same bytes)."""
+        hierarchy_key, rfp_key = self.parts(key)
+        if not os.path.exists(self._path(hierarchy_key)):
+            self._write(hierarchy_key, {name: value
+                                        for name, value in state.items()
+                                        if name != "rfp"})
+        if rfp_key is not None:
+            self._write(rfp_key, {"functional": state["functional"],
+                                  "rfp": state["rfp"]})
+
+    def stats(self):
+        """:meth:`EnvelopeStore.stats` plus entries and bytes per part
+        kind (``hierarchy_*`` and ``rfp_*``)."""
+        stats = super().stats()
+        for kind in ("hierarchy", "rfp"):
+            stats[kind + "_entries"] = stats[kind + "_bytes"] = 0
+        for path in self.entry_paths():
+            kind = "rfp" if RFP_PART in os.path.basename(path) else "hierarchy"
+            try:
+                size = os.path.getsize(path)
+            except OSError:
+                continue
+            stats[kind + "_entries"] += 1
+            stats[kind + "_bytes"] += size
+        return stats
 
     def prune(self, max_bytes):
         """LRU-evict entries until the store fits in ``max_bytes``.
@@ -425,63 +516,109 @@ def warm_or_restore(core, workload, config, length, functional, store):
 
 def ensure_checkpoints(trace, workload, config, length, positions, store,
                        engine="scalar"):
-    """Write every missing checkpoint among ``positions`` in ONE warm pass.
+    """Write every missing checkpoint among ``positions`` in ONE warm pass
+    per hierarchy fingerprint.
+
+    ``config`` is one :class:`~repro.core.config.CoreConfig` or a list of
+    them; every config gets a checkpoint at every position.  Configs that
+    share a :func:`hierarchy_fingerprint` share one
+    :class:`FunctionalWarmer` pass: it walks the cache hierarchy once,
+    trains each distinct RFP table set in the same loop, and at each
+    position captures the hierarchy part once and each RFP part once.
 
     ``positions`` are functional instruction counts (ascending order not
-    required; zeros are skipped).  The pass resumes from the deepest
-    already-stored position preceding the first gap, so a partially-filled
-    store is completed without replaying its prefix, and a fully-filled
-    store costs only presence probes — zero functional warms.
+    required; zeros are skipped).  A pass resumes from the deepest
+    position stored for every config below the first gap, so a
+    partially-filled store is completed without replaying its prefix, and
+    a fully-filled store costs only presence probes — zero functional
+    warms.  A resume checkpoint that fails its checksum is evicted and
+    re-written by the same pass.
 
     ``trace`` may be None; it is built lazily only if a warm is needed.
     ``engine`` selects who performs the pass: ``"scalar"`` (the
     :class:`FunctionalWarmer` loop below) or ``"batch"`` (the SoA engine in
-    :mod:`repro.emu.batch` — bit-exact with scalar, and the natural entry
-    point when several configs share this trace; see
+    :mod:`repro.emu.batch` — bit-exact with scalar; see
     :func:`ensure_checkpoints_batch` for the multi-job form).
-    Returns ``{position: "hit" | "warmed"}``.
+    Returns ``{position: "hit" | "warmed"}``; a position is a hit when
+    every config's checkpoint there was already stored.
     """
+    configs = config if isinstance(config, (list, tuple)) else [config]
+    # One config per distinct warm state, grouped by hierarchy part.
+    groups = {}
+    for each in configs:
+        groups.setdefault(hierarchy_fingerprint(each), {}).setdefault(
+            warm_fingerprint(each), each)
+    wanted = sorted({int(p) for p in positions if p > 0})
+    outcome = dict.fromkeys(wanted, "hit")
     if engine == "batch":
-        [outcome] = ensure_checkpoints_batch(
-            [(trace, workload, config, length, positions)], store
-        )
+        jobs = [(trace, workload, each, length, wanted)
+                for group in groups.values() for each in group.values()]
+        for job_outcome in ensure_checkpoints_batch(jobs, store):
+            outcome.update((position, "warmed")
+                           for position, how in job_outcome.items()
+                           if how == "warmed")
         return outcome
     if engine != "scalar":
         raise ValueError("unknown warm engine %r" % (engine,))
-    from repro.workloads.suite import build_workload
+    for group in groups.values():
+        trace = _warm_pass(trace, workload, list(group.values()), length,
+                           wanted, store, outcome)
+    return outcome
 
-    wanted = sorted({int(p) for p in positions if p > 0})
-    outcome = {}
-    missing = []
-    for position in wanted:
-        if store.contains(store.key(workload, config, length, position)):
-            outcome[position] = "hit"
-        else:
-            missing.append(position)
+
+def _warm_pass(trace, workload, configs, length, wanted, store, outcome):
+    """One functional pass for ``configs`` (one hierarchy fingerprint):
+    write every missing checkpoint among ``wanted`` and mark its position
+    ``"warmed"`` in ``outcome``.  Returns the trace (built if needed)."""
+    keys = {position: [store.key(workload, each, length, position)
+                       for each in configs]
+            for position in wanted}
+    missing = [position for position in wanted
+               if not all(store.contains(key) for key in keys[position])]
     if not missing:
-        return outcome
+        return trace
     if trace is None:
+        from repro.workloads.suite import build_workload
+
         trace = build_workload(workload, length=length)
     from repro.core.core import OOOCore
+    from repro.rfp.engine import RFPEngine
 
-    core = OOOCore(trace, config)
-    warmer = None
-    # Resume from the deepest stored position below the first gap.
-    resume_from = [p for p in wanted if p < missing[0]
-                   and outcome.get(p) == "hit"]
-    if resume_from:
-        state = store.get(store.key(workload, config, length,
-                                    resume_from[-1]))
-        if state is not None:
-            warmer = resume_warmer(core, state)
-    if warmer is None:
-        warmer = FunctionalWarmer(core)
+    # The lead core carries the shared hierarchy; each RFP config trains
+    # its own tables (they depend on nothing the hierarchy part holds).
+    core = OOOCore(trace, configs[0].evolve(rfp={"enabled": False}))
+    engines = [RFPEngine(each, core.hierarchy, core.sq, core.md, core.ports)
+               if each.rfp.enabled else None for each in configs]
+    warmer = FunctionalWarmer(
+        core, [engine for engine in engines if engine is not None])
+    # Resume from the deepest stored position below the first gap.  One
+    # whose part fails its checksum was evicted by get(): re-warm it here.
+    for position in reversed([p for p in wanted if p < missing[0]]):
+        states = []
+        for key in keys[position]:
+            state = store.get(key)
+            if state is None:
+                break
+            states.append(state)
+        else:
+            restore(core, states[0])
+            for engine, state in zip(engines, states):
+                if engine is not None:
+                    _rfp_load(engine, state["rfp"])
+            warmer.registers.values[:] = states[0]["registers"]
+            warmer.warmed = position
+            break
+        missing.insert(0, position)
     for position in missing:
         warmer.warm(position)
-        store.put(store.key(workload, config, length, position),
-                  capture(core, warmer))
+        hierarchy = capture(core, warmer)
+        for key, engine in zip(keys[position], engines):
+            if store.contains(key):
+                continue
+            store.put(key, hierarchy if engine is None
+                      else dict(hierarchy, rfp=_rfp_dump(engine)))
         outcome[position] = "warmed"
-    return outcome
+    return trace
 
 
 def ensure_checkpoints_batch(jobs, store, width=None, chunk=None):

@@ -695,8 +695,8 @@ def _lookup(sweep, keys, unique, store):
         seen.add(key)
 
     work = {}     # key -> 5-tuple job
-    prewarm = {}  # lane -> {(name, trace-or-None, length, fp):
-    #                         (config, positions)}
+    prewarm = {}  # lane -> {(name, trace-or-None, length):
+    #                         ({warm fingerprint: config}, positions)}
     for key, job in pending.items():
         workload, config, length, warmup, spec = job
         if spec is None:
@@ -725,10 +725,11 @@ def _lookup(sweep, keys, unique, store):
             if store is not None and plan.functionals[i] > 0:
                 name = workload if isinstance(workload, str) else workload.name
                 trace = None if isinstance(workload, str) else workload
-                group = prewarm.setdefault(trace_key(job), {}).setdefault(
-                    (name, trace, trace_length, warm_fingerprint(config)),
-                    (config, set()))
-                group[1].add(plan.functionals[i])
+                configs, positions = prewarm.setdefault(
+                    trace_key(job), {}).setdefault(
+                    (name, trace, trace_length), ({}, set()))
+                configs.setdefault(warm_fingerprint(config), config)
+                positions.add(plan.functionals[i])
         sweep.cells[key] = (spec, interval_keys)
 
     misses = [_PendingJob(key, job, index, None)
@@ -747,48 +748,54 @@ def _lookup(sweep, keys, unique, store):
 
 
 def _prewarm(sweep, store, groups, batch_warm):
-    """Warm one trace lane: ONE resumable functional pass per (workload,
-    warm fingerprint) writes every missing interval checkpoint before the
-    lane's jobs run, so jobs only ever restore — a 9-config sweep warms
-    each workload once, a repeat sweep zero times.  A corrupt checkpoint
-    met on the way is re-warmed on the spot and recorded as a recovered
-    incident.  The executor calls this per lane (``on_lane``): the
-    serial one just before the lane's first job, the shard pool for
-    every lane before fan-out.
+    """Warm one trace lane before its jobs run, so jobs only ever restore.
 
-    ``batch_warm`` makes every group one lane of a single batched SoA
-    engine run (:mod:`repro.emu.batch`); its incidents are attributed
-    back through the store key (workload-length-functional-fingerprint).
+    Each (workload, length) group makes ONE resumable functional pass per
+    hierarchy fingerprint (:func:`ensure_checkpoints` with every config of
+    the group): the pass walks the cache hierarchy once, trains every
+    distinct RFP table set alongside, and writes each missing hierarchy
+    and RFP part at every position any config's intervals need.  A
+    sweep whose configs share the cache geometry warms each workload
+    once, a repeat sweep zero times.  A corrupt checkpoint met on the
+    way is evicted, re-warmed on the spot and recorded as a recovered
+    incident against the config whose part it was.  The executor calls
+    this per lane (``on_lane``): the serial one just before the lane's
+    first job, the shard pool for every lane before fan-out.
+
+    ``batch_warm`` makes every config one lane of a single batched SoA
+    engine run (:mod:`repro.emu.batch`) instead.
     """
     if store is None or not groups:
         return
     store.pop_evictions()
-    ordered = sorted(groups.items(), key=lambda item: (item[0][0], item[0][3]))
-    if batch_warm and ordered:
-        # Module attributes, looked up per call like _run_job.
+    ordered = sorted(groups.items(), key=lambda item: (item[0][0], item[0][2]))
+    # Module attributes, looked up per call like _run_job.
+    if batch_warm:
         ensure_checkpoints_batch(
             [(trace, name, config, trace_length, sorted(positions))
-             for (name, trace, trace_length, _fp), (config, positions)
-             in ordered],
+             for (name, trace, trace_length), (configs, positions) in ordered
+             for config in configs.values()],
             store,
         )
-        config_by_fp = {(name, fp): config.name
-                        for (name, _t, _l, fp), (config, _p) in ordered}
-        incidents = []
-        for incident in store.pop_evictions():
-            name, _length, _pos, fp = incident["key"].rsplit("-", 3)
-            incidents.append((name, config_by_fp.get((name, fp), "?"),
-                              incident["reason"]))
     else:
-        incidents = []
-        for (name, trace, trace_length, _fp), (config, positions) in ordered:
-            ensure_checkpoints(trace, name, config, trace_length,
-                               sorted(positions), store)
-            incidents.extend((name, config.name, incident["reason"])
-                             for incident in store.pop_evictions())
-    for name, config_name, reason in incidents:
+        for (name, trace, trace_length), (configs, positions) in ordered:
+            ensure_checkpoints(trace, name, list(configs.values()),
+                               trace_length, sorted(positions), store)
+    incidents = store.pop_evictions()
+    if not incidents:
+        return
+    owner = {}  # part key -> (workload, config name), first config wins
+    for (name, _trace, trace_length), (configs, positions) in ordered:
+        for config in configs.values():
+            for position in positions:
+                for part in store.parts(store.key(name, config, trace_length,
+                                                  position)):
+                    owner.setdefault(part, (name, config.name))
+    for incident in incidents:
+        name, config_name = owner.get(incident["key"], ("?", "?"))
         sweep.failures.append(_incident(
-            name, config_name, -1, CLASS_CORRUPT_CHECKPOINT, 1, True, reason))
+            name, config_name, -1, CLASS_CORRUPT_CHECKPOINT, 1, True,
+            incident["reason"]))
 
 
 def _execute(sweep, misses, on_lane, max_workers, job_timeout, retries,
@@ -943,9 +950,12 @@ def run_matrix(configs, workloads, length, warmup,
     TimingReport)``; under ``keep_going``, failed cells are absent from
     their config's mapping and named in the report's failure manifest.
 
-    ``sampling`` applies interval sampling to every non-VP cell; configs
-    sharing warm-relevant parameters share checkpoints, so the whole
-    matrix costs one functional warm per workload.
+    ``sampling`` applies interval sampling to every non-VP cell.  Warm
+    state comes from the checkpoint store, one functional pass per
+    (workload, cache geometry): configs that differ only in timing or RFP
+    table parameters share that pass and its hierarchy parts, and each
+    distinct RFP table set adds only a small RFP part.  A repeat sweep
+    warms nothing.
     """
     configs = list(configs)
     workloads = list(workloads)

@@ -7,7 +7,9 @@ including their RNG stream) and end to end (a restored run's measured
 counters equal a freshly warmed run's).  On top of that, the store itself:
 checksummed envelopes with classified corruption eviction, LRU pruning,
 the kill-switch, and the warm-once accounting — a 9-config timing sweep
-performs one functional warm per workload, a repeat sweep zero.
+or the six-config RFP sweep performs one functional warm per workload, a
+repeat sweep zero — and the split into one shared hierarchy part and
+small RFP-table parts.
 """
 
 import json
@@ -17,7 +19,8 @@ import pytest
 
 from conftest import quiet_config
 
-from repro.core.config import baseline
+from repro.__main__ import main
+from repro.core.config import RFPConfig, baseline, baseline_2x
 from repro.core.core import OOOCore
 from repro.emu.warmup import (
     FunctionalWarmer,
@@ -26,11 +29,15 @@ from repro.emu.warmup import (
 )
 from repro.sim.cache import ResultCache
 from repro.sim.checkpoint import (
+    RFP_PART,
+    WARM_RFP_FIELDS,
     CheckpointStore,
     capture,
     default_checkpoint_store,
     ensure_checkpoints,
+    hierarchy_fingerprint,
     restore,
+    rfp_fingerprint,
     warm_fingerprint,
     warm_or_restore,
 )
@@ -185,6 +192,76 @@ class TestWarmFingerprint:
             baseline(rfp={"enabled": True})) != base
         assert warm_fingerprint(
             baseline(l2_prefetcher_enabled=False)) != base
+
+    def test_hierarchy_fingerprint_ignores_rfp_and_timing(self):
+        base = hierarchy_fingerprint(baseline())
+        for config in (baseline(rfp={"enabled": True}),
+                       baseline(rfp={"enabled": True, "pt_entries": 256,
+                                     "use_pat": False,
+                                     "context_enabled": True}),
+                       baseline(rob_entries=64, dram_latency=400),
+                       baseline_2x()):
+            assert hierarchy_fingerprint(config) == base
+        assert hierarchy_fingerprint(baseline(l1_size=16 * 1024)) != base
+        assert hierarchy_fingerprint(baseline(hit_miss_entries=512)) != base
+        assert hierarchy_fingerprint(baseline(seed=1)) != base
+
+    def test_rfp_fingerprint_ignores_hierarchy_and_timing(self):
+        rfp = {"enabled": True}
+        assert rfp_fingerprint(baseline()) is None
+        base = rfp_fingerprint(baseline(rfp=rfp))
+        for config in (baseline(rfp=rfp, l1_size=16 * 1024,
+                                l2_prefetcher_enabled=False,
+                                hit_miss_predictor=False),
+                       baseline(rfp=dict(rfp, queue_entries=16),
+                                rfp_dedicated_ports=2),
+                       baseline_2x(rfp=rfp)):
+            assert rfp_fingerprint(config) == base
+        assert rfp_fingerprint(baseline(seed=1, rfp=rfp)) != base
+        for config in RFP_VARIANTS[2:]:
+            assert rfp_fingerprint(config) != base, config.name
+
+    def test_key_names_a_shared_hierarchy_part(self):
+        store = CheckpointStore()
+        plain = store.key(WORKLOAD, baseline(), LENGTH, WARM)
+        rfp = store.key(WORKLOAD, baseline(rfp={"enabled": True}), LENGTH,
+                        WARM)
+        assert store.parts(plain) == (plain, None)
+        hierarchy, rfp_part = store.parts(rfp)
+        assert hierarchy == plain
+        assert rfp_part == "%s-%d-%d%s%s" % (
+            WORKLOAD, LENGTH, WARM, RFP_PART,
+            rfp_fingerprint(baseline(rfp={"enabled": True})))
+
+
+#: One config per ``WARM_RFP_FIELDS`` field moved off the RFP default,
+#: after RFP off and RFP at its defaults.
+RFP_VARIANTS = [quiet_config(name="off"),
+                quiet_config(name="rfp", rfp={"enabled": True})] + [
+    quiet_config(name=field, rfp=dict(overrides, enabled=True))
+    for field, overrides in (
+        ("pt_entries", {"pt_entries": 256}),
+        ("pt_assoc", {"pt_assoc": 4}),
+        ("confidence_bits", {"confidence_bits": 2}),
+        ("confidence_increment_prob", {"confidence_increment_prob": 0.5}),
+        ("utility_bits", {"utility_bits": 1}),
+        ("stride_bits", {"stride_bits": 6}),
+        ("inflight_bits", {"inflight_bits": 5}),
+        ("use_pat", {"use_pat": False}),
+        ("pat_entries", {"pat_entries": 32}),
+        ("pat_assoc", {"pat_assoc": 2}),
+        ("context_enabled", {"context_enabled": True}),
+        ("context_entries", {"context_enabled": True,
+                             "context_entries": 256}),
+    )
+]
+
+
+def test_rfp_variants_cover_every_warm_rfp_field():
+    default = RFPConfig(enabled=True)
+    moved = {field for config in RFP_VARIANTS[1:] for field in WARM_RFP_FIELDS
+             if getattr(config.rfp, field) != getattr(default, field)}
+    assert moved | {"enabled"} == set(WARM_RFP_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +485,182 @@ class TestWarmOnce:
         for block_a, block_b in zip(per_config, repeat):
             for name in workloads:
                 assert block_a[name].data == block_b[name].data
+
+    def test_corrupt_resume_checkpoint_is_rewritten(self, tmp_path):
+        """Regression: the deepest stored position below the first gap
+        fails its checksum.  The pass evicts it, resumes from the next
+        one down, writes it back and reports it warmed — no hole left
+        for an interval job to fill with a second warm."""
+        store = CheckpointStore(str(tmp_path))
+        config = quiet_config()
+        positions = [1000, 2000, 3000]
+        ensure_checkpoints(None, WORKLOAD, config, LENGTH, positions, store)
+        paths = {p: store._path(store.key(WORKLOAD, config, LENGTH, p))
+                 for p in positions}
+        with open(paths[2000]) as handle:
+            before = handle.read()
+        os.remove(paths[3000])
+        truncate(paths[2000])
+        reset_warm_pass_count()
+        with pytest.warns(RuntimeWarning, match="re-warmed"):
+            outcome = ensure_checkpoints(None, WORKLOAD, config, LENGTH,
+                                         positions, store)
+        assert outcome == {1000: "hit", 2000: "warmed", 3000: "warmed"}
+        assert warm_pass_count() == 1
+        assert all(store.contains(store.key(WORKLOAD, config, LENGTH, p))
+                   for p in positions)
+        with open(paths[2000]) as handle:
+            assert handle.read() == before
+
+    def test_sweep6_configs_warm_each_workload_once(self, tmp_path,
+                                                    monkeypatch):
+        """The benchmark's six paper configs differ in RFP tables, ports
+        and core width, never in cache geometry: one hierarchy
+        fingerprint, so the sampled matrix costs one functional warm per
+        workload, with two RFP parts (default and 256-entry PT) beside
+        each hierarchy part — and a repeat sweep warms zero times."""
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
+        rfp = {"enabled": True}
+        configs = [
+            baseline(name="baseline"),
+            baseline(name="rfp", rfp=rfp),
+            baseline(name="rfp-ded2", rfp=rfp, rfp_dedicated_ports=2),
+            baseline(name="rfp-pt256", rfp={"enabled": True,
+                                            "pt_entries": 256}),
+            baseline_2x(name="baseline-2x"),
+            baseline_2x(name="baseline-2x-rfp", rfp=rfp),
+        ]
+        assert len({hierarchy_fingerprint(c) for c in configs}) == 1
+        assert len({warm_fingerprint(c) for c in configs}) == 3
+        workloads = [WORKLOAD, "tpce"]
+        sampling = {"samples": 2}
+        reset_warm_pass_count()
+        per_config, _report = run_matrix(
+            configs, workloads, LENGTH, WARM,
+            cache=ResultCache(str(tmp_path / "cache")), max_workers=1,
+            sampling=sampling)
+        assert warm_pass_count() == len(workloads)
+        stats = CheckpointStore(str(tmp_path / "ckpt")).stats()
+        assert stats["hierarchy_entries"] == 2 * len(workloads)
+        assert stats["rfp_entries"] == 2 * stats["hierarchy_entries"]
+        reset_warm_pass_count()
+        repeat, _report = run_matrix(
+            configs, workloads, LENGTH, WARM,
+            cache=ResultCache(str(tmp_path / "cache2")), max_workers=1,
+            sampling=sampling)
+        assert warm_pass_count() == 0
+        for block_a, block_b in zip(per_config, repeat):
+            for name in workloads:
+                assert block_a[name].data == block_b[name].data
+
+
+# ---------------------------------------------------------------------------
+# the split store: one hierarchy part, small RFP parts
+
+
+class TestSplitStore:
+    def test_split_restore_equals_a_lone_warm(self, tmp_path):
+        """One pass over every ``RFP_VARIANTS`` config; each restored core
+        captures the same JSON as a core warmed alone."""
+        store = CheckpointStore(str(tmp_path))
+        reset_warm_pass_count()
+        ensure_checkpoints(None, WORKLOAD, RFP_VARIANTS, LENGTH, [1000, WARM],
+                           store)
+        assert warm_pass_count() == 1
+        trace = build_workload(WORKLOAD, length=LENGTH)
+        for config in RFP_VARIANTS:
+            alone = OOOCore(trace, config)
+            expected = capture(alone, FunctionalWarmer(alone).warm(WARM))
+            state = store.get(store.key(WORKLOAD, config, LENGTH, WARM))
+            restored = restore(OOOCore(trace, config), state)
+            warmer = FunctionalWarmer(restored)
+            warmer.registers.values[:] = state["registers"]
+            warmer.warmed = state["functional"]
+            assert json.dumps(capture(restored, warmer)) == \
+                json.dumps(expected), config.name
+            assert restored.rename.architectural_values() == \
+                alone.rename.architectural_values()
+
+    def test_one_hierarchy_file_per_position_and_geometry(self, tmp_path):
+        store = CheckpointStore(str(tmp_path))
+        positions = [1000, 2000, 3000]
+        configs = RFP_VARIANTS[:4] + [
+            quiet_config(name="small-l1", l1_size=24 * 1024),
+            quiet_config(name="small-l1-rfp", l1_size=24 * 1024,
+                         rfp={"enabled": True}),
+        ]
+        reset_warm_pass_count()
+        ensure_checkpoints(None, WORKLOAD, configs, LENGTH, positions, store)
+        assert warm_pass_count() == 2  # one pass per cache geometry
+        names = sorted(os.path.basename(path)
+                       for path in store.entry_paths())
+        hierarchy = [name for name in names if RFP_PART not in name]
+        expected = sorted(
+            "%s-%d-%d-%s%s" % (WORKLOAD, LENGTH, position,
+                               hierarchy_fingerprint(config), store.SUFFIX)
+            for position in positions for config in (configs[0], configs[4]))
+        assert hierarchy == expected
+        # RFP parts: default, pt_entries and pt_assoc tables; the
+        # small-L1 RFP config shares the default table's part.
+        assert len(names) - len(hierarchy) == 3 * len(positions)
+
+    def test_batch_engine_writes_the_same_parts(self, tmp_path):
+        files = {}
+        for engine in ("scalar", "batch"):
+            store = CheckpointStore(str(tmp_path / engine))
+            outcome = ensure_checkpoints(None, WORKLOAD, RFP_VARIANTS[:4],
+                                         LENGTH, [1000, WARM], store,
+                                         engine=engine)
+            assert outcome == {1000: "warmed", WARM: "warmed"}
+            files[engine] = {}
+            for path in store.entry_paths():
+                with open(path) as handle:
+                    files[engine][os.path.basename(path)] = handle.read()
+        assert len(files["scalar"]) == 2 * 4  # 1 hierarchy + 3 RFP parts
+        assert files["batch"] == files["scalar"]
+
+    def test_stats_split_by_part_kind(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
+        store = CheckpointStore(str(tmp_path))
+        ensure_checkpoints(None, WORKLOAD, RFP_VARIANTS[:3], LENGTH, [WARM],
+                           store)
+        stats = store.stats()
+        assert (stats["hierarchy_entries"], stats["rfp_entries"]) == (1, 2)
+        assert stats["hierarchy_bytes"] + stats["rfp_bytes"] == stats["bytes"]
+        assert stats["rfp_bytes"] < stats["hierarchy_bytes"]
+        assert main(["checkpoint", "stats"]) == 0
+        rows = {line.split("|")[0].strip(): line.split("|")[1].strip()
+                for line in capsys.readouterr().out.splitlines()
+                if "|" in line}
+        for kind, label, count in (("hierarchy", "hierarchy", 1),
+                                   ("rfp", "RFP", 2)):
+            assert rows[label + " parts"] == "%d (%.1f KB)" % (
+                count, stats[kind + "_bytes"] / 1024.0)
+
+    def test_corrupt_rfp_part_rewarms_byte_identical(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
+        config = quiet_config(rfp={"enabled": True})
+        clean = simulate_sampled(WORKLOAD, config, length=LENGTH,
+                                 warmup=WARM, samples=3)
+        store = CheckpointStore(str(tmp_path))
+        before = {}
+        for path in store.entry_paths():
+            with open(path) as handle:
+                before[path] = handle.read()
+        rfp_path = [path for path in before if RFP_PART in path][-1]
+        truncate(rfp_path)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        with pytest.warns(RuntimeWarning, match="re-warmed") as caught:
+            again = simulate_sampled(WORKLOAD, config, length=LENGTH,
+                                     warmup=WARM, samples=3)
+        assert len([w for w in caught if "re-warmed" in str(w.message)]) == 1
+        assert again.data == clean.data
+        after = {}
+        for path in store.entry_paths():
+            with open(path) as handle:
+                after[path] = handle.read()
+        assert after == before
 
 
 # ---------------------------------------------------------------------------
