@@ -454,7 +454,8 @@ def build_parser():
     chaos_parser.add_argument("--kills", type=int, default=3,
                               help="kill_shard launches")
     chaos_parser.add_argument("--hangs", type=int, default=1,
-                              help="hang_heartbeat launches")
+                              help="stop_shard launches (a SIGSTOPped "
+                                   "busy shard the watchdog must catch)")
     chaos_parser.add_argument("--torn", type=int, default=1,
                               help="torn_write launches")
     chaos_parser.add_argument("--sigkills", type=int, default=1,

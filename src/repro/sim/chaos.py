@@ -2,7 +2,7 @@
 
 A reproduction pipeline that *tolerates* faults is only trustworthy if
 the tolerance is exercised the way real faults arrive — processes dying
-mid-commit, shards wedging silently, half-written journal lines — and if
+mid-commit, shards freezing silently, half-written journal lines — and if
 the recovered end state is **byte-identical** to a fault-free run, not
 merely "no exception".  This module runs that campaign:
 
@@ -12,8 +12,8 @@ merely "no exception".  This module runs that campaign:
 2. **Fault launches** — the same sweep re-runs against a second pair of
    stores while a seeded schedule (:func:`build_schedule`, pure
    ``random.Random(seed)``) injects one fault per launch via
-   ``REPRO_FAULT``: shard kills (``kill_shard``), heartbeat wedges
-   (``hang_heartbeat``), torn store writes (``torn_write``), and a real
+   ``REPRO_FAULT``: shard kills (``kill_shard``), SIGSTOPped busy shards
+   (``stop_shard``), torn store writes (``torn_write``), and a real
    ``SIGKILL`` mid-journal-commit (``kill_commit`` — the launch is
    *expected* to die; its exit code is asserted to be the signal).
    A **journal-truncation** launch skips the sweep and instead vandalises
@@ -80,8 +80,8 @@ def build_schedule(seed, shards, kills=3, hangs=1, torn=1, sigkills=1,
         })
     for _ in range(hangs):
         schedule.append({
-            "kind": "hang_heartbeat",
-            "fault": "hang_heartbeat:shard=%d:seconds=30:after=%d"
+            "kind": "stop_shard",
+            "fault": "stop_shard:shard=%d:after=%d"
                      % (rng.randrange(shards), rng.randint(1, 2)),
             "clear": "all",
         })
@@ -219,15 +219,17 @@ class _Campaign(object):
         env = dict(os.environ)
         env["REPRO_CACHE_DIR"] = cache_dir
         env["REPRO_CHECKPOINT_DIR"] = ckpt_dir
-        # Tight supervision knobs: quarantine in ~0.25s, respawn in ~50ms,
-        # so a campaign of a dozen launches stays CI-sized.
-        env.setdefault("REPRO_HEARTBEAT_INTERVAL", "0.05")
-        env.setdefault("REPRO_HEARTBEAT_MISSES", "5")
+        # Tight supervision knobs: a failed attempt is retried in ~50ms,
+        # and under a fault a frozen shard's job is killed after 5s, so a
+        # campaign of a dozen launches stays CI-sized.  A healthy job the
+        # short deadline kills is retried; the fault-free reference and
+        # convergence launches keep the default deadline, so their
+        # failure manifests stay empty.
         env.setdefault("REPRO_RETRY_BACKOFF", "0.05")
-        env.setdefault("REPRO_RESPAWN_BACKOFF", "0.05")
         env.pop("REPRO_FAULT", None)
         if fault:
             env["REPRO_FAULT"] = fault
+            env.setdefault("REPRO_JOB_TIMEOUT", "5")
         return env
 
     def _sweep_cmd(self, out):

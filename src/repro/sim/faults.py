@@ -28,9 +28,10 @@ Shard-pool flavours (:mod:`repro.sim.scheduler`):
   respawn the shard.  The ``attempts=K`` bound counts shard *incarnations*
   here: the default ``attempts=1`` kills only the first incarnation, so
   the respawned shard survives.
-- ``hang_heartbeat:shard=N:seconds=S:after=C`` — shard ``N`` stops
-  heartbeating (and working) for ``S`` seconds starting at its ``C+1``-th
-  job, so the supervisor's heartbeat-miss quarantine must fire.
+- ``stop_shard:shard=N:after=C`` — shard ``N`` sends itself ``SIGSTOP``
+  when it receives its ``C+1``-th job: the process stays alive and its
+  pipe open, so only the job's watchdog deadline can catch it.
+  ``attempts=K`` bounds the incarnation as for ``kill_shard``.
 
 Store-commit flavours (:mod:`repro.sim.journal`):
 
@@ -62,14 +63,14 @@ import time
 from repro.sim import settings
 
 _VALID_KINDS = ("crash", "hang", "corrupt_cache", "corrupt_checkpoint",
-                "rand", "kill_shard", "hang_heartbeat", "torn_write",
+                "rand", "kill_shard", "stop_shard", "torn_write",
                 "kill_commit")
 
 #: Kinds that never fire from fire_worker_faults (they have their own
 #: call sites in the journal and the shard scheduler).
 _NON_WORKER_KINDS = frozenset((
     "corrupt_cache", "corrupt_checkpoint",
-    "kill_shard", "hang_heartbeat", "torn_write", "kill_commit",
+    "kill_shard", "stop_shard", "torn_write", "kill_commit",
 ))
 
 
@@ -237,15 +238,16 @@ def corrupt_envelope_file(kind, flip_field, key, path, environ=None):
 # shard-pool flavours (consumed by repro.sim.scheduler inside shard children)
 
 
-def shard_kill_after(shard_id, incarnation, environ=None):
-    """Jobs shard ``shard_id`` may finish before a ``kill_shard`` fault
-    hard-exits it, or None when no such fault targets this incarnation.
+def shard_fault(shard_id, incarnation, environ=None):
+    """``(kind, after)`` for the ``kill_shard`` or ``stop_shard`` fault
+    aimed at this shard incarnation, or None.  The fault fires when the
+    shard receives a job after finishing ``after`` jobs (default 1).
 
     ``attempts=K`` bounds the shard's *incarnation* (1-based), defaulting
     to 1 so the supervisor's respawn is what recovers the sweep.
     """
     for spec in active_faults(environ):
-        if spec.kind != "kill_shard":
+        if spec.kind not in ("kill_shard", "stop_shard"):
             continue
         target = spec.params.get("shard")
         if target is None or int(target) != shard_id:
@@ -253,25 +255,7 @@ def shard_kill_after(shard_id, incarnation, environ=None):
         limit = int(spec.params.get("attempts", "1"))
         if incarnation > limit:
             continue
-        return int(spec.params.get("after", "1"))
-    return None
-
-
-def shard_heartbeat_hang(shard_id, incarnation, environ=None):
-    """``(after, seconds)`` for a ``hang_heartbeat`` fault aimed at this
-    shard incarnation, or None.  The shard wedges (no heartbeats, no
-    progress) for ``seconds`` once it has finished ``after`` jobs."""
-    for spec in active_faults(environ):
-        if spec.kind != "hang_heartbeat":
-            continue
-        target = spec.params.get("shard")
-        if target is None or int(target) != shard_id:
-            continue
-        limit = int(spec.params.get("attempts", "1"))
-        if incarnation > limit:
-            continue
-        return (int(spec.params.get("after", "1")),
-                float(spec.params.get("seconds", "30")))
+        return spec.kind, int(spec.params.get("after", "1"))
     return None
 
 

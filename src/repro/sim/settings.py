@@ -112,7 +112,8 @@ SETTINGS = (
     _setting("REPRO_PROGRESS", bool, False,
              "stream per-job progress lines to stderr"),
     _setting("REPRO_JOB_TIMEOUT", float, None,
-             "watchdog seconds per job (0 = off; default from the length)",
+             "watchdog seconds per job (0 = off, and then nothing detects "
+             "a frozen shard; default from the length)",
              lower=0.0),
     _setting("REPRO_JOB_RETRIES", int, 2,
              "extra attempts for a crashed or timed-out job", lower=0),
@@ -120,12 +121,6 @@ SETTINGS = (
              "retry backoff base seconds, doubling per retry", lower=0.0),
     _setting("REPRO_DRAIN_TIMEOUT", float, 30.0,
              "seconds a SIGTERM drain waits for in-flight jobs", lower=0.0),
-    _setting("REPRO_HEARTBEAT_INTERVAL", float, 0.25,
-             "seconds between shard heartbeats", lower=0.01),
-    _setting("REPRO_HEARTBEAT_MISSES", int, 20,
-             "missed heartbeats before a shard is quarantined", lower=2),
-    _setting("REPRO_RESPAWN_BACKOFF", float, 0.25,
-             "shard respawn backoff base seconds", lower=0.0),
     # diagnostics
     _setting("REPRO_CHECK_INVARIANTS", int, 0,
              "invariant-net sweep interval in cycles (0 = off)", lower=0,

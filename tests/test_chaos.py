@@ -1,7 +1,7 @@
 """The chaos harness: seeded schedules and a small end-to-end campaign.
 
 The campaign test is the tentpole's acceptance criterion in miniature:
-shard kill + heartbeat hang + torn write + mid-commit SIGKILL + direct
+shard kill + SIGSTOPped shard + torn write + mid-commit SIGKILL + direct
 journal vandalism over a (2 workload x 3 config) sampled sweep, ending
 byte-identical to a fault-free reference with zero corrupt entries.
 """
@@ -35,7 +35,7 @@ class TestSchedule:
             workloads=["spec06_mcf"])
         kinds = [launch["kind"] for launch in schedule]
         assert kinds.count("kill_shard") == 2
-        assert kinds.count("hang_heartbeat") == 1
+        assert kinds.count("stop_shard") == 1
         assert kinds.count("torn_write") == 1
         assert kinds.count("kill_commit") == 1
         assert kinds[-1] == "journal_truncation"
@@ -77,6 +77,21 @@ class TestCampaign:
             {"launch": "recover-checkpoint", "corrupt_evicted": 0},
         ]
 
+    def test_short_job_deadline_only_under_a_fault(self, tmp_path,
+                                                   monkeypatch):
+        """Fault launches get a 5 s watchdog so a stopped shard recovers
+        fast; fault-free launches keep the default, so a spurious kill
+        cannot put a recovered failure in the byte-compared manifest."""
+        monkeypatch.delenv("REPRO_JOB_TIMEOUT", raising=False)
+        campaign = _Campaign(argparse.Namespace(dir=str(tmp_path)))
+        faulted = campaign._env("cache", "ckpt",
+                                fault="stop_shard:shard=0:after=1")
+        assert faulted["REPRO_JOB_TIMEOUT"] == "5"
+        assert faulted["REPRO_FAULT"] == "stop_shard:shard=0:after=1"
+        clean = campaign._env("cache", "ckpt")
+        assert "REPRO_JOB_TIMEOUT" not in clean
+        assert "REPRO_FAULT" not in clean
+
     def test_small_campaign_converges_byte_identical(self, tmp_path):
         campaign_dir = str(tmp_path / "campaign")
         env = dict(os.environ)
@@ -97,6 +112,7 @@ class TestCampaign:
         assert report["verdict"] == "converged byte-identical"
         by_launch = {i["launch"]: i for i in report["incidents"]
                      if "returncode" in i}
+        assert by_launch["fault-1-stop_shard"]["returncode"] == 0
         assert by_launch["fault-3-kill_commit"]["returncode"] == \
             -signal.SIGKILL
         assert by_launch["convergence"]["returncode"] == 0

@@ -133,33 +133,40 @@ class TestFaultSpecs:
 
 
 class TestShardFaultSpecs:
-    """The service-layer fault grammar: kill_shard, hang_heartbeat,
+    """The service-layer fault grammar: kill_shard, stop_shard,
     torn_write and kill_commit (see README resilience docs)."""
 
     def test_parse_shard_kinds(self):
         specs = faults.parse_faults(
-            "kill_shard:shard=1:after=2, hang_heartbeat:shard=0:seconds=9, "
+            "kill_shard:shard=1:after=2, stop_shard:shard=0:after=1, "
             "torn_write:key=mcf, kill_commit:key=gcc:at=payload")
         assert [s.kind for s in specs] == [
-            "kill_shard", "hang_heartbeat", "torn_write", "kill_commit"]
+            "kill_shard", "stop_shard", "torn_write", "kill_commit"]
+
+    def test_retired_heartbeat_fault_is_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            faults.parse_faults("hang_heartbeat:shard=0:seconds=9")
 
     def test_kill_shard_targets_shard_and_incarnation(self):
         env = {"REPRO_FAULT": "kill_shard:shard=1:after=2"}
-        assert faults.shard_kill_after(1, 1, environ=env) == 2
-        assert faults.shard_kill_after(0, 1, environ=env) is None  # other shard
+        assert faults.shard_fault(1, 1, environ=env) == ("kill_shard", 2)
+        assert faults.shard_fault(0, 1, environ=env) is None  # other shard
         # attempts=K bounds the incarnation (default 1): the respawned
         # shard is healthy, which is what lets the sweep converge.
-        assert faults.shard_kill_after(1, 2, environ=env) is None
+        assert faults.shard_fault(1, 2, environ=env) is None
         env = {"REPRO_FAULT": "kill_shard:shard=1:attempts=3"}
-        assert faults.shard_kill_after(1, 3, environ=env) == 1  # after default
-        assert faults.shard_kill_after(1, 4, environ=env) is None
+        assert faults.shard_fault(1, 3, environ=env) == ("kill_shard", 1)
+        assert faults.shard_fault(1, 4, environ=env) is None
 
-    def test_hang_heartbeat_spec(self):
-        env = {"REPRO_FAULT": "hang_heartbeat:shard=2:seconds=7:after=3"}
-        assert faults.shard_heartbeat_hang(2, 1, environ=env) == (3, 7.0)
-        assert faults.shard_heartbeat_hang(1, 1, environ=env) is None
-        assert faults.shard_heartbeat_hang(2, 2, environ=env) is None
-        assert faults.shard_kill_after(2, 1, environ=env) is None
+    def test_stop_shard_spec(self):
+        env = {"REPRO_FAULT": "stop_shard:shard=2:after=3"}
+        assert faults.shard_fault(2, 1, environ=env) == ("stop_shard", 3)
+        assert faults.shard_fault(1, 1, environ=env) is None
+        assert faults.shard_fault(2, 2, environ=env) is None
+        env = {"REPRO_FAULT": "stop_shard:shard=2:attempts=2"}
+        assert faults.shard_fault(2, 2, environ=env) == ("stop_shard", 1)
+        # A stop fault never fires as a job-level worker fault.
+        faults.fire_worker_faults(0, 1, in_child=False, environ=env)
 
     def test_torn_write_fires_attempts_times_per_process(self):
         env = {"REPRO_FAULT": "torn_write:key=mcf:attempts=2"}

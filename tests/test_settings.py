@@ -41,9 +41,6 @@ EXAMPLES = {
     "REPRO_JOB_RETRIES": "5",
     "REPRO_RETRY_BACKOFF": "0.1",
     "REPRO_DRAIN_TIMEOUT": "5",
-    "REPRO_HEARTBEAT_INTERVAL": "0.1",
-    "REPRO_HEARTBEAT_MISSES": "7",
-    "REPRO_RESPAWN_BACKOFF": "0.1",
     "REPRO_CHECK_INVARIANTS": "64",
     "REPRO_FAULT": "crash:job=99",
     "REPRO_TRACE": "trace.jsonl",

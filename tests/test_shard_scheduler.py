@@ -2,18 +2,21 @@
 
 Byte-identity with the serial in-process engine is the core contract —
 results must not depend on how many shards ran them — plus trace-affine
-dispatch and the supervision paths: shard death recovery, heartbeat
-quarantine and crash-loop detection.
+dispatch and the supervision paths: shard death recovery, the per-job
+watchdog catching a frozen shard, and the job-retry cap bounding a shard
+that dies on every incarnation.
 """
 
+import contextlib
 import json
 import os
+import signal
+import time
 
 import pytest
 
 from conftest import quiet_config
 
-from repro.sim import scheduler
 from repro.sim.cache import ResultCache
 from repro.sim.parallel import _PendingJob, run_jobs
 from repro.sim.scheduler import ShardPool, _ShardSlot, trace_key
@@ -26,7 +29,6 @@ WARMUP = 200
 @pytest.fixture(autouse=True)
 def shard_env(monkeypatch):
     monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.01")
-    monkeypatch.setenv("REPRO_RESPAWN_BACKOFF", "0.05")
     for name in ("REPRO_FAULT", "REPRO_JOBS", "REPRO_JOB_TIMEOUT",
                  "REPRO_JOB_RETRIES"):
         monkeypatch.delenv(name, raising=False)
@@ -37,6 +39,21 @@ def shard_env(monkeypatch):
 def jobs4(config=None):
     config = config or quiet_config()
     return [(name, config, LENGTH, WARMUP) for name in WORKLOADS]
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail, rather than hang, when a supervision path never ends the run;
+    the pool's shutdown then SIGKILLs the shards."""
+    def expire(signum, frame):
+        raise AssertionError("the run did not end within %ds" % seconds)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def payload(results):
@@ -87,39 +104,56 @@ class TestShardSupervision:
         assert crashes and crashes[0]["recovered"] is True
         assert "died" in crashes[0]["detail"]
 
-    def test_wedged_shard_is_quarantined(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_HEARTBEAT_INTERVAL", "0.05")
-        monkeypatch.setenv("REPRO_HEARTBEAT_MISSES", "5")
-        os.environ["REPRO_FAULT"] = "hang_heartbeat:shard=0:seconds=30:after=0"
-        results, report = run_jobs(jobs4(), cache=ResultCache(str(tmp_path)),
-                                   max_workers=2, retries=2, keep_going=True)
+    def test_stopped_shard_is_caught_by_the_watchdog(self, tmp_path,
+                                                     monkeypatch):
+        # A SIGSTOPped shard keeps its pipe open, so no EOF ever arrives:
+        # only the job's watchdog deadline can recover its job.
+        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "2")
+        os.environ["REPRO_FAULT"] = "stop_shard:shard=0:after=0"
+        with deadline(60):
+            results, report = run_jobs(
+                jobs4(), cache=ResultCache(str(tmp_path)), max_workers=2,
+                retries=2, keep_going=True)
         assert all(r is not None for r in results)
         assert report.jobs_failed == 0
-        quarantined = [f for f in report.failures
-                       if "quarantined" in (f.get("detail") or "")]
-        assert quarantined and quarantined[0]["classification"] == "timeout"
+        timeouts = [f for f in report.failures
+                    if f["classification"] == "timeout"]
+        assert len(timeouts) == 1 and timeouts[0]["recovered"] is True
+        assert "watchdog" in timeouts[0]["detail"]
 
-    def test_crash_loop_emits_quarantine_event(self, tmp_path, monkeypatch):
+    def test_job_retry_cap_bounds_a_shard_that_always_dies(self):
         # Every incarnation of shard 0 dies on its first job: attempts=99
-        # keeps the fault alive across respawns, so the slot crash-loops.
+        # keeps the fault alive across respawns.  The job's own retry
+        # budget is the only bound, and execute must still return.
         os.environ["REPRO_FAULT"] = "kill_shard:shard=0:after=0:attempts=99"
-        monkeypatch.setattr(scheduler, "CRASH_LOOP_LIMIT", 2)
-        monkeypatch.setattr(scheduler, "CRASH_LOOP_WINDOW", 60.0)
-        monkeypatch.setenv("REPRO_RESPAWN_BACKOFF", "0.02")
-        pool = ShardPool(1, keep_going=True, retries=5)
+        retries = 3
+        pool = ShardPool(1, keep_going=True, retries=retries)
         pj = _PendingJob(
             "k0", (WORKLOADS[0], quiet_config(), LENGTH, WARMUP, None),
             0, None)
         done = []
-        pool.execute([pj], on_success=lambda p, d, s: done.append(d),
-                     on_terminal=lambda p: done.append(None),
-                     on_aborted=lambda p, detail: done.append(None),
-                     on_retry=lambda p: None)
-        assert len(done) == 1 and done[0] is None  # retries exhausted
-        kinds = [e["event"] for e in pool.events]
-        assert "quarantine" in kinds
-        assert any(e.get("crash_loop") for e in pool.events
-                   if e["event"] == "quarantine")
+        with deadline(60):
+            pool.execute([pj], on_success=lambda p, d, s: done.append(d),
+                         on_terminal=lambda p: done.append(None),
+                         on_aborted=lambda p, detail: done.append(None),
+                         on_retry=lambda p: None)
+        assert done == [None]  # terminal, not aborted or succeeded
+        assert pj.tries == retries + 1
+        assert pj.last_class == "crash"
+        deaths = [e for e in pool.events if e["event"] == "shard_died"]
+        assert len(deaths) == retries + 1
+
+    def test_kill_slot_reaps_a_stopped_shard_with_one_sigkill(self):
+        pool = ShardPool(1)
+        slot = pool._slots[0]
+        pool._spawn(slot)
+        process = slot.process
+        os.kill(process.pid, signal.SIGSTOP)
+        started = time.monotonic()
+        pool._kill_slot(slot)
+        assert time.monotonic() - started < 1.0
+        assert process.exitcode == -signal.SIGKILL
+        assert slot.process is None and slot.conn is None
 
 
 class TestLanesAndAdmission:
