@@ -5,9 +5,9 @@ work: each profiled run functionally warms the first ``--warmup``
 instructions (``FunctionalWarmer.warm``) and simulates the rest on the
 detailed core (``OOOCore.run``), with no result cache in the way.  Traces
 are built before profiling starts, so trace generation is not in the
-profile.  The same report is available on any single run via
-``python -m repro run <workload> --profile``; this script exists for
-multi-workload aggregate profiles and for dumping raw stats files.
+profile.  For a single run, ``python -m cProfile -o FILE -m repro run
+<workload> ...`` gives the same report; this script exists for
+multi-workload aggregate profiles.
 
 Usage::
 

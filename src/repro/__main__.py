@@ -19,10 +19,11 @@ import os
 import sys
 
 from repro.core.config import RFPConfig, baseline, baseline_2x
-from repro.obs.export import dump_jsonl, pipeline_view, sort_events, write_jsonl
+from repro.obs.export import (
+    dump_jsonl, pipeline_view, sort_events, window_events, write_jsonl,
+)
 from repro.obs.tracer import TraceSpec, parse_cycle_range
 from repro.rfp.storage import storage_report
-from repro.sim import settings
 from repro.sim.cache import default_cache
 from repro.sim.checkpoint import CheckpointStore
 from repro.sim.defaults import DEFAULT_LENGTH, DEFAULT_WARMUP
@@ -72,31 +73,14 @@ def cmd_run(args):
     config = _config_from_args(args)
     sampling = _sampling_from_args(args)
 
-    def _simulate():
-        if sampling is not None:
-            return simulate_sampled(
-                args.workload, config, length=args.length,
-                warmup=args.warmup,
-                batch_warm=getattr(args, "batch_warm", None), **sampling
-            )
-        return simulate(args.workload, config, length=args.length,
-                        warmup=args.warmup)
-
-    if args.profile:
-        import cProfile
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        result = _simulate()
-        profiler.disable()
-        stats = pstats.Stats(profiler, stream=sys.stderr)
-        stats.sort_stats("cumulative").print_stats(args.profile_limit)
-        if args.profile_out:
-            stats.dump_stats(args.profile_out)
-            print("profile -> %s" % args.profile_out, file=sys.stderr)
+    if sampling is not None:
+        result = simulate_sampled(
+            args.workload, config, length=args.length, warmup=args.warmup,
+            batch_warm=getattr(args, "batch_warm", None), **sampling
+        )
     else:
-        result = _simulate()
+        result = simulate(args.workload, config, length=args.length,
+                          warmup=args.warmup)
     rows = [
         ("workload", result.workload),
         ("category", result.category),
@@ -136,11 +120,7 @@ def cmd_trace(args):
                       warmup=args.warmup, tracer=tracer)
     events = sort_events(tracer.events)
     if args.format == "jsonl":
-        if cycle_range is not None:
-            lo, hi = cycle_range
-            events = [e for e in events
-                      if e["cycle"] >= lo
-                      and (hi is None or e["cycle"] <= hi)]
+        events = window_events(events, cycle_range)
         text = dump_jsonl(events)
     else:
         text = pipeline_view(events, cycle_range=cycle_range)
@@ -254,8 +234,6 @@ def cmd_cache_clear(_args):
 
 
 def cmd_checkpoint(args):
-    # Operate on the store even when REPRO_CHECKPOINTS=0 disables its use
-    # by the runner — maintenance must work on a disabled store too.
     store = CheckpointStore()
     if args.action == "list":
         paths = store.entry_paths()
@@ -270,9 +248,6 @@ def cmd_checkpoint(args):
             ("%s parts" % label, "%d (%.1f KB)" % (
                 stats[kind + "_entries"], stats[kind + "_bytes"] / 1024.0))
             for kind, label in (("hierarchy", "hierarchy"), ("rfp", "RFP"))
-        ] + [
-            ("enabled", "yes" if settings.get("REPRO_CHECKPOINTS")
-             else "no (REPRO_CHECKPOINTS)"),
         ]
         print(format_table(["metric", "value"], rows,
                            title="warm-state checkpoint store"))
@@ -375,15 +350,6 @@ def build_parser():
 
     run_parser = sub.add_parser("run", help="simulate one workload")
     run_parser.add_argument("workload")
-    run_parser.add_argument("--profile", action="store_true",
-                            help="run under cProfile and print a "
-                                 "cumulative-time report to stderr")
-    run_parser.add_argument("--profile-limit", type=int, default=30,
-                            metavar="N",
-                            help="rows in the --profile report (default 30)")
-    run_parser.add_argument("--profile-out", default=None, metavar="FILE",
-                            help="also dump raw --profile stats to FILE "
-                                 "(snakeviz/pstats compatible)")
     add_sim_args(run_parser)
     add_sampling_args(run_parser)
     run_parser.set_defaults(func=cmd_run)

@@ -411,9 +411,6 @@ class OOOCore(object):
     # ==================================================================
     # events
 
-    def _schedule_event(self, cycle, kind, dyn):
-        self.events.schedule(cycle, (kind, dyn))
-
     def _process_events(self, cycle):
         for kind, dyn in self.events.pop_due(cycle):
             if dyn.state == D.SQUASHED:

@@ -80,9 +80,6 @@ class Cache(object):
         """Return the line address (full address >> line shift)."""
         return addr >> self.line_shift
 
-    def _set_and_tag(self, line):
-        return self.sets[line & self.set_mask], line >> 0
-
     def lookup(self, line):
         """Probe for a line; updates LRU and hit/miss stats.
 

@@ -31,9 +31,6 @@ class DTLB(object):
         self.hits = 0
         self.misses = 0
 
-    def page_of(self, addr):
-        return addr >> PAGE_SHIFT
-
     def lookup(self, addr, fill=True):
         """Translate ``addr``.
 

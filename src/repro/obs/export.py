@@ -76,6 +76,16 @@ def sort_events(events):
     )
 
 
+def window_events(events, cycle_range):
+    """The events inside the inclusive ``(lo, hi)`` cycle window from
+    :func:`~repro.obs.tracer.parse_cycle_range` (None = all of them)."""
+    if cycle_range is None:
+        return events
+    lo, hi = cycle_range
+    return [e for e in events
+            if e["cycle"] >= lo and (hi is None or e["cycle"] <= hi)]
+
+
 def dump_jsonl(events):
     """Serialize events to deterministic JSONL text."""
     lines = [

@@ -49,26 +49,18 @@ def parse_cycle_range(text):
 class TraceSpec(object):
     """Where and what to trace, as resolved from the environment or CLI."""
 
-    __slots__ = ("path", "cycle_range", "loads_only")
+    __slots__ = ("path", "loads_only")
 
-    def __init__(self, path, cycle_range=None, loads_only=False):
+    def __init__(self, path, loads_only=False):
         self.path = path
-        self.cycle_range = cycle_range
         self.loads_only = loads_only
 
     def build_tracer(self):
-        return Tracer(
-            metrics=MetricsRegistry(),
-            cycle_range=self.cycle_range,
-            loads_only=self.loads_only,
-        )
+        return Tracer(metrics=MetricsRegistry(), loads_only=self.loads_only)
 
     def __repr__(self):
-        return "<TraceSpec path=%r cycles=%r loads_only=%r>" % (
-            self.path,
-            self.cycle_range,
-            self.loads_only,
-        )
+        return "<TraceSpec path=%r loads_only=%r>" % (self.path,
+                                                      self.loads_only)
 
 
 def trace_spec_from_env(environ=None):
@@ -77,17 +69,14 @@ def trace_spec_from_env(environ=None):
     - ``REPRO_TRACE`` unset, empty, or ``0``: tracing disabled.
     - ``REPRO_TRACE=1``: enabled, JSONL written to ``repro_trace.jsonl``.
     - ``REPRO_TRACE=<path>``: enabled, JSONL written to ``<path>``.
-    - ``REPRO_TRACE_CYCLES=A:B`` (optional): restrict to a cycle window.
-    - ``REPRO_TRACE_FILTER=loads`` (optional): per-instruction events for
-      loads only (RFP events are always load events).
+
+    A suite trace records every event of every job; ``repro trace
+    --cycles/--filter`` windows and filters a single run.
     """
     value = settings.get("REPRO_TRACE", environ)
     if value in ("", "0"):
         return None
-    path = "repro_trace.jsonl" if value == "1" else value
-    cycle_range = parse_cycle_range(settings.get("REPRO_TRACE_CYCLES", environ))
-    loads_only = settings.get("REPRO_TRACE_FILTER", environ) == "loads"
-    return TraceSpec(path, cycle_range=cycle_range, loads_only=loads_only)
+    return TraceSpec("repro_trace.jsonl" if value == "1" else value)
 
 
 class Tracer(object):
@@ -101,8 +90,6 @@ class Tracer(object):
     __slots__ = (
         "events",
         "metrics",
-        "cycle_lo",
-        "cycle_hi",
         "loads_only",
         "now",
         "_fetch_cycles",
@@ -113,13 +100,9 @@ class Tracer(object):
         "_h_rob_occ",
     )
 
-    def __init__(self, metrics=None, cycle_range=None, loads_only=False):
+    def __init__(self, metrics=None, loads_only=False):
         self.events = []
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        if cycle_range is not None:
-            self.cycle_lo, self.cycle_hi = cycle_range
-        else:
-            self.cycle_lo, self.cycle_hi = 0, None
         self.loads_only = loads_only
         self.now = 0
         self._fetch_cycles = {}
@@ -133,12 +116,8 @@ class Tracer(object):
     # event plumbing
 
     def _emit(self, cycle, seq, ev, extra=None):
-        """Record one event (counted in metrics even when filtered out)."""
+        """Record one event and count it in the metrics."""
         self.metrics.inc("events." + ev)
-        if cycle < self.cycle_lo:
-            return
-        if self.cycle_hi is not None and cycle > self.cycle_hi:
-            return
         event = {"cycle": cycle, "seq": seq, "ev": ev}
         if extra:
             event.update(extra)

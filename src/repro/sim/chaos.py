@@ -219,13 +219,11 @@ class _Campaign(object):
         env = dict(os.environ)
         env["REPRO_CACHE_DIR"] = cache_dir
         env["REPRO_CHECKPOINT_DIR"] = ckpt_dir
-        # Tight supervision knobs: a failed attempt is retried in ~50ms,
-        # and under a fault a frozen shard's job is killed after 5s, so a
-        # campaign of a dozen launches stays CI-sized.  A healthy job the
-        # short deadline kills is retried; the fault-free reference and
-        # convergence launches keep the default deadline, so their
-        # failure manifests stay empty.
-        env.setdefault("REPRO_RETRY_BACKOFF", "0.05")
+        # A tight watchdog under a fault: a frozen shard's job is killed
+        # after 5s, so a campaign of a dozen launches stays CI-sized.  A
+        # healthy job the short deadline kills is retried; the fault-free
+        # reference and convergence launches keep the default deadline,
+        # so their failure manifests stay empty.
         env.pop("REPRO_FAULT", None)
         if fault:
             env["REPRO_FAULT"] = fault

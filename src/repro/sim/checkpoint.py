@@ -33,9 +33,13 @@ everywhere else:
   never silently restored.
 
 ``REPRO_CHECKPOINT_DIR`` overrides the store location (default
-``<repo>/benchmarks/.checkpoints``); ``REPRO_CHECKPOINTS=0`` disables the
-store entirely (restore is bit-exact versus a fresh warm, so the switch is
-*not* mixed into result fingerprints — results are identical either way).
+``<repo>/benchmarks/.checkpoints``).  Sweeps always use the store, like the
+result cache beside it; only a direct
+:func:`~repro.sim.runner.simulate_sampled` or
+:func:`~repro.sim.runner.simulate_interval` call can pass
+``checkpoint_store=None`` and warm every interval.  Restore is
+bit-exact versus a fresh warm, so the store is *not* mixed into
+result fingerprints.
 """
 
 import hashlib
@@ -478,10 +482,8 @@ _default_store = None
 
 
 def default_checkpoint_store():
-    """The shared store, or None when ``REPRO_CHECKPOINTS`` disables it."""
+    """The shared store at ``REPRO_CHECKPOINT_DIR``."""
     global _default_store
-    if not settings.get("REPRO_CHECKPOINTS"):
-        return None
     directory = settings.get("REPRO_CHECKPOINT_DIR")
     if _default_store is None or _default_store.directory != directory:
         _default_store = CheckpointStore(directory)

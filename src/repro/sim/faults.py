@@ -1,7 +1,7 @@
 """Deterministic fault injection for the resilience subsystem.
 
-The recovery machinery in :mod:`repro.sim.parallel` (watchdog, retry with
-backoff, keep-going manifests) and :class:`repro.sim.journal.EnvelopeStore`
+The recovery machinery in :mod:`repro.sim.parallel` (watchdog, retries,
+keep-going manifests) and :class:`repro.sim.journal.EnvelopeStore`
 (checksum eviction, journal replay) is itself code that can rot; this
 module makes every error path reachable on demand so CI exercises the
 recovery logic, not just the happy path.  Faults are requested through the ``REPRO_FAULT`` environment

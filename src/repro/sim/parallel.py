@@ -28,10 +28,9 @@ Resilience (the parent supervises every shard):
 - **Watchdog**: every job gets a soft wall-clock deadline (``job_timeout``
   / ``REPRO_JOB_TIMEOUT``; default derived from the instruction count; 0
   disables).  A shard that blows its deadline is killed and respawned.
-- **Retry with backoff**: crashed or timed-out jobs are retried on a
-  healthy shard (or in place, serially) up to ``retries`` times
-  (``REPRO_JOB_RETRIES``), with exponential backoff
-  (``REPRO_RETRY_BACKOFF`` base seconds).  Deterministic Python
+- **Retry**: crashed or timed-out jobs are requeued at the front of
+  their lane and retried on the next free shard (or in place, serially)
+  up to ``retries`` times (``REPRO_JOB_RETRIES``).  Deterministic Python
   exceptions are *not* retried — the same input would fail the same way.
 - **Keep-going**: with ``keep_going=True`` a terminal failure is recorded
   in the :class:`TimingReport`'s failure manifest (workload, config,
@@ -58,7 +57,7 @@ method (macOS / Windows); on platforms that offer ``fork`` it is used by
 default because shard start-up is substantially cheaper.
 
 Every ``REPRO_*`` setting the engine reads (worker count, start method,
-progress, watchdog, retries, backoff, drain) is declared in
+progress, watchdog, retries, drain) is declared in
 :mod:`repro.sim.settings` and listed in the README's settings table.
 
 Results are deterministic and byte-identical to serial execution: each
@@ -295,15 +294,11 @@ def _run_job(item):
             # builds its own store handle from the directory in the spec
             # (a plain string, so the payload pickles under spawn).
             interval = sampling["interval"]
-            store = (
-                CheckpointStore(sampling["checkpoint_dir"])
-                if sampling.get("checkpoint_dir") else None
-            )
             result = simulate_interval(
                 workload, config, length=length,
                 start=interval["start"], measure=interval["measure"],
                 ramp=interval["ramp"], index=interval["index"],
-                checkpoint_store=store,
+                checkpoint_store=CheckpointStore(sampling["checkpoint_dir"]),
             )
             return key, result.data, time.perf_counter() - started
         tracer = None
@@ -324,8 +319,8 @@ def _run_job(item):
 class _PendingJob(object):
     """Supervisor-side state for one deduplicated cache miss."""
 
-    __slots__ = ("key", "job", "index", "trace_path", "tries", "next_start",
-                 "last_class", "last_detail", "last_root", "corrupt_record")
+    __slots__ = ("key", "job", "index", "trace_path", "tries", "last_class",
+                 "last_detail", "last_root", "corrupt_record")
 
     def __init__(self, key, job, index, trace_path):
         self.key = key
@@ -333,7 +328,6 @@ class _PendingJob(object):
         self.index = index
         self.trace_path = trace_path
         self.tries = 0          # completed (failed) attempts so far
-        self.next_start = 0.0   # backoff eligibility (time.monotonic)
         self.last_class = None
         self.last_detail = None
         self.last_root = None
@@ -445,7 +439,6 @@ class Executor(object):
         self.retries = (settings.get("REPRO_JOB_RETRIES") if retries is None
                         else retries)
         self.keep_going = keep_going
-        self.backoff = settings.get("REPRO_RETRY_BACKOFF")
         self._fatal = None
         self._on_success = None
         self._on_terminal = None
@@ -497,16 +490,16 @@ class Executor(object):
         if not lane:
             del self._lanes[key]
 
-    def _fail_attempt(self, pj, classification, detail, root_cause, now):
+    def _fail_attempt(self, pj, classification, detail, root_cause):
         """Account one failed attempt: a retryable failure with budget
-        left is requeued behind an exponential backoff; otherwise the job
-        is terminal under keep-going, else the run's fatal error."""
+        left is requeued at the front of its lane, to run on the next
+        free slot; otherwise the job is terminal under keep-going, else
+        the run's fatal error."""
         pj.tries += 1
         pj.last_class = classification
         pj.last_detail = detail
         pj.last_root = root_cause
         if classification in RETRYABLE and pj.tries <= self.retries:
-            pj.next_start = now + self.backoff * (2 ** (pj.tries - 1))
             self._requeue(pj)
             if self._on_retry is not None:
                 self._on_retry(pj)
@@ -536,9 +529,9 @@ class SerialExecutor(Executor):
     first job, and drops the ``build_workload`` memo on a lane change, so
     the caller's process holds one trace plus one core.  Crashes injected
     here raise InjectedCrash (never ``os._exit``) and are retried in
-    place, after sleeping out the backoff.  There is no watchdog — a
-    hang hangs the caller, which is the serial contract — and SIGINT
-    keeps its default immediate ``KeyboardInterrupt``.  A SIGTERM drain
+    place at once.  There is no watchdog — a hang hangs the caller,
+    which is the serial contract — and SIGINT keeps its default
+    immediate ``KeyboardInterrupt``.  A SIGTERM drain
     lets the in-flight job finish and commit; the rest is aborted.
     """
 
@@ -559,9 +552,6 @@ class SerialExecutor(Executor):
                 self._enter_lane(key)
             pj = self._lanes[key][0]
             self._take(key, pj)
-            delay = pj.next_start - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
             try:
                 # Looked up per call: a wrapper installed on the module
                 # attribute must see every job.
@@ -569,8 +559,7 @@ class SerialExecutor(Executor):
             except WorkerError as err:
                 self._fail_attempt(pj, classify_failure(err.detail,
                                                         err.root_cause),
-                                   err.detail, err.root_cause,
-                                   time.monotonic())
+                                   err.detail, err.root_cause)
             else:
                 self._on_success(pj, data, seconds)
             if self._fatal is not None:
@@ -719,10 +708,9 @@ def _lookup(sweep, keys, unique, store):
                     "measure": plan.measure,
                     "ramp": plan.ramps[i],
                 },
-                "checkpoint_dir": store.directory if store is not None
-                else None,
+                "checkpoint_dir": store.directory,
             })
-            if store is not None and plan.functionals[i] > 0:
+            if plan.functionals[i] > 0:
                 name = workload if isinstance(workload, str) else workload.name
                 trace = None if isinstance(workload, str) else workload
                 configs, positions = prewarm.setdefault(
@@ -765,7 +753,7 @@ def _prewarm(sweep, store, groups, batch_warm):
     ``batch_warm`` makes every config one lane of a single batched SoA
     engine run (:mod:`repro.emu.batch`) instead.
     """
-    if store is None or not groups:
+    if not groups:
         return
     store.pop_evictions()
     ordered = sorted(groups.items(), key=lambda item: (item[0][0], item[0][2]))

@@ -30,7 +30,7 @@ long-lived **shard** processes otherwise.  The pool has three parts:
   stopped or stuck process never answers its job.  A shard whose pipe
   hits EOF has died.  Either way the slot respawns on the next loop
   pass and the in-flight attempt is charged to its job.  Job-level
-  retry accounting (attempts, backoff, keep-going manifests) is the one
+  retry accounting (attempts, keep-going manifests) is the one
   :meth:`repro.sim.parallel.Executor._fail_attempt` the serial executor
   uses too, so results and manifests match it, and a shard that dies
   on every incarnation is bounded by ``REPRO_JOB_RETRIES`` alone.
@@ -208,7 +208,7 @@ class ShardPool(Executor):
                 process.kill()
             process.join()
 
-    def _shard_died(self, slot, now):
+    def _shard_died(self, slot):
         """Pipe EOF: the shard process is gone; requeue its job."""
         pj = slot.job
         slot.job = None
@@ -228,9 +228,9 @@ class ShardPool(Executor):
                 "shard %d (incarnation %d) died (exit %s) while running "
                 "attempt %d" % (slot.index, incarnation, exitcode,
                                 pj.tries + 1),
-                None, now)
+                None)
 
-    def _watchdog_kill(self, slot, now):
+    def _watchdog_kill(self, slot):
         """Per-job deadline blown: kill the shard, fail the attempt."""
         pj = slot.job
         slot.job = None
@@ -243,42 +243,45 @@ class ShardPool(Executor):
             "killed and respawned"
             % (pj.tries + 1,
                resolve_job_timeout(self.job_timeout, pj.job[2])),
-            None, now)
+            None)
 
     # -- dispatch --------------------------------------------------------
 
-    def _next_ready(self, slot, now):
-        """Pop the job free shard ``slot`` runs next, or None.
+    def _next_ready(self, slot):
+        """Pop the job free shard ``slot`` runs next, or None when the
+        queue is empty.
 
-        Trace affinity, in order: a job on the trace the shard already
-        holds; else a job on a trace no other shard holds; else the
-        queue head.  Jobs still backing off after a failed attempt are
-        skipped.  Each step looks at whole lanes, never at every job.
+        Trace affinity, in order: the head of the lane on the trace the
+        shard already holds; else the head of a lane on a trace no other
+        shard holds; else the queue head.  A retry sits at the front of
+        its lane, so it goes out on the first free shard.
         """
-        held = {other.trace_key for other in self._slots if other is not slot}
-        order = [slot.trace_key] if slot.trace_key in self._lanes else []
-        order += [key for key in self._lanes if key not in held]
-        order += list(self._lanes)
-        for key in order:
-            for pj in self._lanes[key]:
-                if pj.next_start <= now:
-                    self._take(key, pj)
-                    return pj
-        return None
+        if not self._lanes:
+            return None
+        if slot.trace_key in self._lanes:
+            key = slot.trace_key
+        else:
+            held = {other.trace_key for other in self._slots
+                    if other is not slot}
+            key = next((key for key in self._lanes if key not in held),
+                       next(iter(self._lanes)))
+        pj = self._lanes[key][0]
+        self._take(key, pj)
+        return pj
 
     def _dispatch(self, slot, pj, now):
         try:
             slot.conn.send(("job", pj.item(True)))
         except (OSError, ValueError):
             self._enqueue(pj, front=True)
-            self._shard_died(slot, now)
+            self._shard_died(slot)
             return
         slot.job = pj
         slot.trace_key = trace_key(pj.job)
         timeout = resolve_job_timeout(self.job_timeout, pj.job[2])
         slot.deadline = now + timeout if timeout is not None else None
 
-    def _handle_message(self, slot, message, now):
+    def _handle_message(self, slot, message):
         pj = slot.job
         slot.job = None
         slot.deadline = None
@@ -287,7 +290,7 @@ class ShardPool(Executor):
         else:  # ("err", workload, config_name, detail, root_cause)
             detail, root_cause = message[3], message[4]
             self._fail_attempt(pj, classify_failure(detail, root_cause),
-                               detail, root_cause, now)
+                               detail, root_cause)
 
     # -- the supervisor loop ---------------------------------------------
 
@@ -330,7 +333,7 @@ class ShardPool(Executor):
                 for slot in self._slots:
                     if slot.process is None or slot.job is not None:
                         continue
-                    pj = self._next_ready(slot, now)
+                    pj = self._next_ready(slot)
                     if pj is None:
                         break
                     self._dispatch(slot, pj, now)
@@ -343,15 +346,15 @@ class ShardPool(Executor):
                 try:
                     message = ready.recv()
                 except (EOFError, OSError):
-                    self._shard_died(slot, time.monotonic())
+                    self._shard_died(slot)
                     continue
-                self._handle_message(slot, message, time.monotonic())
+                self._handle_message(slot, message)
             # The per-job watchdog: the one detector of a stuck shard.
             now = time.monotonic()
             for slot in self._slots:
                 if slot.job is not None and slot.deadline is not None \
                         and now >= slot.deadline:
-                    self._watchdog_kill(slot, now)
+                    self._watchdog_kill(slot)
 
     def _shutdown_shards(self):
         """Stop every shard: idle ones finish on ``("stop",)``; busy ones

@@ -93,8 +93,6 @@ SETTINGS = (
     _setting("REPRO_CHECKPOINT_DIR", str,
              os.path.join(_REPO, "benchmarks", ".checkpoints"),
              "warm-state checkpoint directory"),
-    _setting("REPRO_CHECKPOINTS", bool, True,
-             "use the checkpoint store (0 = re-warm every run)"),
     _setting("REPRO_TRACE_CACHE", int, 96,
              "trace-memo capacity in entries (0 = no memo); a sweep "
              "holds one trace whatever the size", lower=0),
@@ -117,8 +115,6 @@ SETTINGS = (
              lower=0.0),
     _setting("REPRO_JOB_RETRIES", int, 2,
              "extra attempts for a crashed or timed-out job", lower=0),
-    _setting("REPRO_RETRY_BACKOFF", float, 0.5,
-             "retry backoff base seconds, doubling per retry", lower=0.0),
     _setting("REPRO_DRAIN_TIMEOUT", float, 30.0,
              "seconds a SIGTERM drain waits for in-flight jobs", lower=0.0),
     # diagnostics
@@ -129,10 +125,6 @@ SETTINGS = (
              "fault-injection clauses (see repro.sim.faults)"),
     _setting("REPRO_TRACE", str, "",
              "event-trace JSONL path (1 = repro_trace.jsonl, 0 = off)"),
-    _setting("REPRO_TRACE_CYCLES", str, "",
-             "restrict the event trace to cycles A:B"),
-    _setting("REPRO_TRACE_FILTER", str, "",
-             "`loads` = per-instruction trace events for loads only"),
 )
 
 REGISTRY = {setting.name: setting for setting in SETTINGS}

@@ -77,10 +77,6 @@ class TraceBuilder(object):
             memory[base + 8 * current] = base + 8 * nxt
         return base + 8 * order[0]
 
-    def read_init(self, addr):
-        """Read the initial memory image (generation-time address math)."""
-        return self.memory.get(addr & ~7, 0)
-
     # ------------------------------------------------------------------
     # emission
 

@@ -6,7 +6,7 @@ The contract under test: restoring a checkpoint must leave a fresh core in
 including their RNG stream) and end to end (a restored run's measured
 counters equal a freshly warmed run's).  On top of that, the store itself:
 checksummed envelopes with classified corruption eviction, LRU pruning,
-the kill-switch, and the warm-once accounting — a 9-config timing sweep
+the storeless path, and the warm-once accounting — a 9-config timing sweep
 or the six-config RFP sweep performs one functional warm per workload, a
 repeat sweep zero — and the split into one shared hierarchy part and
 small RFP-table parts.
@@ -41,7 +41,6 @@ from repro.sim.checkpoint import (
     warm_fingerprint,
     warm_or_restore,
 )
-from repro.sim import settings
 from repro.sim.parallel import run_matrix
 from repro.sim.runner import SimResult, simulate_sampled
 from repro.workloads.suite import build_workload
@@ -396,24 +395,34 @@ class TestCheckpointStore:
         assert keys[1] + ".ckpt.json" not in remaining  # LRU after the touch
         assert keys[0] + ".ckpt.json" in remaining
 
-    def test_kill_switch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHECKPOINTS", raising=False)
-        assert settings.get("REPRO_CHECKPOINTS")
-        for value in ("0", "off", "false"):
-            monkeypatch.setenv("REPRO_CHECKPOINTS", value)
-            assert not settings.get("REPRO_CHECKPOINTS")
-            assert default_checkpoint_store() is None
-
     def test_disabled_store_is_bit_exact(self, tmp_path, monkeypatch):
-        """REPRO_CHECKPOINTS=0 must not change any result — restore is
-        bit-exact versus a fresh warm, so the switch is not fingerprinted."""
+        """A run without a store (``checkpoint_store=None``: every interval
+        warms functionally) equals a store-backed run — restore is
+        bit-exact versus a fresh warm, so the store is not fingerprinted."""
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
         with_store = simulate_sampled(WORKLOAD, quiet_config(), length=LENGTH,
                                       warmup=WARM, samples=3)
-        monkeypatch.setenv("REPRO_CHECKPOINTS", "0")
+        assert default_checkpoint_store().entry_paths()
         without = simulate_sampled(WORKLOAD, quiet_config(), length=LENGTH,
-                                   warmup=WARM, samples=3)
+                                   warmup=WARM, samples=3,
+                                   checkpoint_store=None)
         assert with_store.data == without.data
+
+    def test_sampled_matrix_cell_matches_a_storeless_run(self, tmp_path,
+                                                         monkeypatch):
+        """A sweep always goes through the store; each sampled cell still
+        equals a storeless simulate_sampled of the same plan."""
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
+        config = quiet_config(rfp={"enabled": True})
+        [block], _report = run_matrix(
+            [config], [WORKLOAD], LENGTH, WARM,
+            cache=ResultCache(str(tmp_path / "cache")), max_workers=1,
+            sampling={"samples": 3})
+        assert CheckpointStore(str(tmp_path / "ckpt")).entry_paths()
+        without = simulate_sampled(WORKLOAD, config, length=LENGTH,
+                                   warmup=WARM, samples=3,
+                                   checkpoint_store=None)
+        assert block[WORKLOAD].data == without.data
 
 
 # ---------------------------------------------------------------------------

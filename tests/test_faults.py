@@ -43,14 +43,13 @@ SCRUBBED = ("REPRO_FAULT", "REPRO_TRACE", "REPRO_JOB_TIMEOUT",
 
 @pytest.fixture(autouse=True)
 def resilience_env(monkeypatch):
-    """Fast backoff, no stray fault/trace state leaking between tests.
+    """No stray fault/trace state leaking between tests.
 
     Tests here assign ``os.environ["REPRO_FAULT"]`` directly (the engine
     and its fork-children read the real environment); monkeypatch only
     restores variables that existed before the test, so the teardown must
     scrub explicitly or a fault spec leaks into every later test file.
     """
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.01")
     for name in SCRUBBED:
         monkeypatch.delenv(name, raising=False)
     yield

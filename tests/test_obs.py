@@ -26,6 +26,7 @@ from repro.obs.export import (
     pipeline_view,
     read_jsonl,
     sort_events,
+    window_events,
     write_jsonl,
 )
 from repro.obs.metrics import Histogram, MetricsRegistry
@@ -105,22 +106,23 @@ class TestDisabledPath:
             assert trace_spec_from_env() is None
 
     def test_env_spec_variants(self, monkeypatch):
+        """A suite trace takes its path from REPRO_TRACE and records every
+        event: windows and filters belong to ``repro trace``."""
         monkeypatch.setenv("REPRO_TRACE", "1")
         assert trace_spec_from_env().path == "repro_trace.jsonl"
         monkeypatch.setenv("REPRO_TRACE", "/tmp/x.jsonl")
-        monkeypatch.setenv("REPRO_TRACE_CYCLES", "10:99")
-        monkeypatch.setenv("REPRO_TRACE_FILTER", "loads")
         spec = trace_spec_from_env()
         assert spec.path == "/tmp/x.jsonl"
-        assert spec.cycle_range == (10, 99)
-        assert spec.loads_only
+        assert not spec.loads_only
 
 
 class TestFilters:
     def test_cycle_window_bounds_events(self):
-        tracer, _ = traced_run(cycle_range=(240, 400))
-        assert tracer.events
-        assert all(240 <= e["cycle"] <= 400 for e in tracer.events)
+        tracer, _ = traced_run()
+        windowed = window_events(sort_events(tracer.events), (240, 400))
+        assert windowed
+        assert all(240 <= e["cycle"] <= 400 for e in windowed)
+        assert window_events(tracer.events, None) is tracer.events
 
     def test_loads_only_keeps_load_pipeline_events(self):
         tracer, _ = traced_run(loads_only=True)
@@ -129,12 +131,12 @@ class TestFilters:
         assert all(e["op"] == "load" for e in renames)
 
     def test_metrics_count_filtered_events(self):
-        """The cycle window filters the log, not the counters."""
-        windowed, _ = traced_run(cycle_range=(0, 10))
-        full, _ = traced_run()
-        assert (windowed.metrics.counters["events.commit"]
-                == full.metrics.counters["events.commit"])
-        assert len(windowed.events) < len(full.events)
+        """The cycle window filters the rendered log, not the counters:
+        the tracer counts every event it records."""
+        tracer, _ = traced_run()
+        commits = [e for e in tracer.events if e["ev"] == COMMIT]
+        assert tracer.metrics.counters["events.commit"] == len(commits)
+        assert len(window_events(tracer.events, (0, 10))) < len(tracer.events)
 
     def test_parse_cycle_range(self):
         assert parse_cycle_range("") is None

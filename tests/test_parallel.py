@@ -380,7 +380,6 @@ class TestTraceAffinity:
         memo holds at most one trace when any job or lane prewarm
         starts."""
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
-        monkeypatch.delenv("REPRO_CHECKPOINTS", raising=False)
         generated, memo_sizes, prewarms = [], [], []
         real_generate = suite.generate_trace
         real_run_job = parallel._run_job

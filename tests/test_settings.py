@@ -30,7 +30,6 @@ EXAMPLES = {
     "REPRO_FF": "0",
     "REPRO_CACHE_DIR": "elsewhere-cache",
     "REPRO_CHECKPOINT_DIR": "elsewhere-checkpoints",
-    "REPRO_CHECKPOINTS": "0",
     "REPRO_TRACE_CACHE": "3",
     "REPRO_BATCH_WARM": "1",
     "REPRO_BATCH_WIDTH": "4",
@@ -39,13 +38,10 @@ EXAMPLES = {
     "REPRO_PROGRESS": "1",
     "REPRO_JOB_TIMEOUT": "12",
     "REPRO_JOB_RETRIES": "5",
-    "REPRO_RETRY_BACKOFF": "0.1",
     "REPRO_DRAIN_TIMEOUT": "5",
     "REPRO_CHECK_INVARIANTS": "64",
     "REPRO_FAULT": "crash:job=99",
     "REPRO_TRACE": "trace.jsonl",
-    "REPRO_TRACE_CYCLES": "10:20",
-    "REPRO_TRACE_FILTER": "loads",
 }
 
 
@@ -139,3 +135,22 @@ class TestDeclaredOnce:
                                                 handle.read()))
         assert found <= set(settings.REGISTRY), sorted(
             found - set(settings.REGISTRY))
+
+    def test_every_name_set_in_ci_is_declared(self):
+        """A CI step that sets an undeclared REPRO_* name (a deleted
+        setting, a typo) is silently ignored by the program, so the
+        workflows may only set declared ones: YAML ``env:`` keys and
+        ``NAME=`` assignments in their scripts.  ``REPRO_EQUIV_ARTIFACTS``
+        is read by the equivalence tests, not the program."""
+        allowed = set(settings.REGISTRY) | {"REPRO_EQUIV_ARTIFACTS"}
+        workflows = os.path.join(ROOT, ".github", "workflows")
+        found = set()
+        for name in sorted(os.listdir(workflows)):
+            if name.endswith(".yml"):
+                with open(os.path.join(workflows, name)) as handle:
+                    text = handle.read()
+                found.update(re.findall(r"^\s*(REPRO_[A-Z_]+):", text,
+                                        re.MULTILINE))
+                found.update(re.findall(r"\b(REPRO_[A-Z_]+)=", text))
+        assert "REPRO_CACHE_DIR" in found  # the patterns still match
+        assert found <= allowed, sorted(found - allowed)

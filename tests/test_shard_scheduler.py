@@ -18,7 +18,9 @@ import pytest
 from conftest import quiet_config
 
 from repro.sim.cache import ResultCache
-from repro.sim.parallel import _PendingJob, run_jobs
+from repro.sim.parallel import (
+    CLASS_CRASH, SerialExecutor, _PendingJob, run_jobs,
+)
 from repro.sim.scheduler import ShardPool, _ShardSlot, trace_key
 
 WORKLOADS = ["spec06_bzip2", "spec06_mcf", "spec06_perlbench", "spec06_gcc"]
@@ -28,7 +30,6 @@ WARMUP = 200
 
 @pytest.fixture(autouse=True)
 def shard_env(monkeypatch):
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.01")
     for name in ("REPRO_FAULT", "REPRO_JOBS", "REPRO_JOB_TIMEOUT",
                  "REPRO_JOB_RETRIES"):
         monkeypatch.delenv(name, raising=False)
@@ -172,14 +173,33 @@ class TestLanesAndAdmission:
             pool._enqueue(pj)
         return pool
 
-    def test_backoff_job_is_skipped_until_eligible(self):
-        ready, backing_off = self._job(0), self._job(1)
-        backing_off.next_start = 10.0
-        pool = self._pool([backing_off, ready])
+    def test_requeued_retry_is_offered_on_the_same_pass(self):
+        """A failed attempt goes back to the front of its lane and the
+        next free shard takes it at once, ahead of the lane's rest."""
+        first, second = self._job(0, "spec06_mcf"), self._job(1, "spec06_mcf")
+        pool = self._pool([first, second])
         slot = pool._slots[0]
-        assert pool._next_ready(slot, 0.0) is ready
-        assert pool._next_ready(slot, 0.0) is None      # only ineligible left
-        assert pool._next_ready(slot, 11.0) is backing_off
+        assert pool._next_ready(slot) is first
+        pool._fail_attempt(first, CLASS_CRASH, "shard died", None)
+        assert first.tries == 1
+        assert pool._next_ready(slot) is first
+        assert pool._next_ready(slot) is second
+        assert pool._next_ready(slot) is None
+
+    def test_serial_executor_retries_a_crash_in_place_at_once(self,
+                                                             monkeypatch):
+        """The in-process executor reruns a crashed job straight away,
+        before the rest of its lane, without sleeping."""
+        first, second = self._job(0, "spec06_mcf"), self._job(1, "spec06_mcf")
+        order, slept = [], []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        os.environ["REPRO_FAULT"] = "crash:job=0:attempts=1"
+        SerialExecutor().execute(
+            [first, second],
+            on_success=lambda pj, data, seconds: order.append(("ok", pj)),
+            on_retry=lambda pj: order.append(("retry", pj)))
+        assert order == [("retry", first), ("ok", first), ("ok", second)]
+        assert slept == []
 
     def test_shards_stay_on_their_trace(self):
         """6 trace keys x 8 jobs on 2 shards, submitted config-major (the
@@ -197,7 +217,7 @@ class TestLanesAndAdmission:
         while pool._lanes:
             slot = slots[turn % 2]
             turn += 1
-            pj = pool._next_ready(slot, 0.0)
+            pj = pool._next_ready(slot)
             key = trace_key(pj.job)
             if key != slot.trace_key:
                 assert remaining.get(slot.trace_key, 0) == 0, (
@@ -214,8 +234,8 @@ class TestLanesAndAdmission:
                       self._job(2, "spec06_gcc"))
         pool = self._pool([a0, a1, b0], shards=2)
         first, second = pool._slots = [_ShardSlot(0), _ShardSlot(1)]
-        assert pool._next_ready(first, 0.0) is a0
+        assert pool._next_ready(first) is a0
         first.trace_key = trace_key(a0.job)
-        assert pool._next_ready(second, 0.0) is b0   # not a1: first holds it
+        assert pool._next_ready(second) is b0   # not a1: first holds it
         second.trace_key = trace_key(b0.job)
-        assert pool._next_ready(second, 0.0) is a1   # queue head, last resort
+        assert pool._next_ready(second) is a1   # queue head, last resort
