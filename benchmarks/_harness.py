@@ -19,7 +19,7 @@ import os
 
 from repro.core.config import baseline
 from repro.sim import settings
-from repro.sim.experiments import mean_fraction, run_suite, suite_speedup
+from repro.sim.experiments import mean_fraction, suite_speedup
 from repro.sim.parallel import run_matrix
 from repro.stats.report import format_table, geomean
 from repro.workloads.suite import workload_names
@@ -36,7 +36,7 @@ def rfp_baseline(**extra):
 def suite(config):
     """Cached (and parallel, see module docstring) run of the whole suite
     under ``config``."""
-    return run_suite(config)
+    return suite_matrix(config)[0]
 
 
 def suite_matrix(*configs):

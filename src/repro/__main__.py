@@ -146,7 +146,9 @@ def cmd_suite(args):
     config = _config_from_args(args)
     sampling = _sampling_from_args(args)
     names = workload_names()[: args.num] if args.num else workload_names()
-    base_config = baseline() if not args.core_2x else baseline_2x()
+    # Both sides of the ratio are measured the same way (--ff/--no-ff).
+    base_config = (baseline_2x if args.core_2x else baseline)(
+        fast_forward=config.fast_forward)
     print("Running %s workloads under %s..."
           % (args.num or "all", config.name))
     # One engine over the full (config x workload) matrix: the baseline and
@@ -316,7 +318,8 @@ def build_parser():
         p.add_argument("--ff", dest="fast_forward", action="store_true",
                        default=None,
                        help="functionally fast-forward the warmup window "
-                            "(default; two-speed simulation)")
+                            "(two-speed simulation; default unless "
+                            "REPRO_FF=0)")
         p.add_argument("--no-ff", dest="fast_forward", action="store_false",
                        help="simulate the warmup window in full detail")
         p.add_argument("--check-invariants", nargs="?", const=64, type=int,

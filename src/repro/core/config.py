@@ -9,6 +9,11 @@ Two reference configurations are provided:
 
 Every experiment in the evaluation is expressed as a delta over one of
 these via :func:`dataclasses.replace`-style copies (`CoreConfig.evolve`).
+
+A config is the whole of what a result depends on besides the workload,
+its trace window and the sampling plan.  The one setting that reaches into it is
+``REPRO_FF``: it is the default of :attr:`CoreConfig.fast_forward`, read
+once when a config is built.  Copies keep the value they were built with.
 """
 
 import dataclasses
@@ -66,6 +71,13 @@ class VPConfig:
     #: EPP-specific: Store Sequence Bloom Filter false-positive probability,
     #: causing load re-execution at retirement (paper §2.2).
     epp_ssbf_false_positive_rate: float = 0.02
+
+
+def _fast_forward_default():
+    # Imported here: the repro.sim package imports this module.
+    from repro.sim import settings
+
+    return settings.get("REPRO_FF")
 
 
 @dataclass
@@ -149,12 +161,8 @@ class CoreConfig:
     #: (:class:`repro.emu.warmup.FunctionalWarmer`) instead of the detailed
     #: core — the standard sampled-simulation methodology.  The measured
     #: region is always simulated in full detail; see EXPERIMENTS.md.
-    fast_forward: bool = True
-    #: Detailed instructions re-simulated between the functional warmup and
-    #: the measured region, so the pipeline-fill transient at the handoff is
-    #: excluded from measurement.  A warmup window no larger than this ramp
-    #: is simulated entirely in detail (fast-forward never engages).
-    ff_detail_ramp: int = 500
+    #: Defaults to ``REPRO_FF`` (on unless set to 0) at construction.
+    fast_forward: bool = field(default_factory=_fast_forward_default)
     #: Jump the detailed loop over provably idle cycles (ROB stalled on a
     #: long-latency miss, nothing can issue/dispatch/fetch) instead of
     #: spinning ``step()``.  Counter-exact: final stats are identical with
@@ -204,8 +212,6 @@ class CoreConfig:
             )
         if self.prf_entries <= 40:
             raise ValueError("physical register file too small")
-        if self.ff_detail_ramp < 0:
-            raise ValueError("ff_detail_ramp must be >= 0")
         for attr in ("fetch_width", "rename_width", "issue_width", "retire_width"):
             if getattr(self, attr) < 1:
                 raise ValueError("%s must be >= 1" % attr)

@@ -49,6 +49,7 @@ from repro.emu.warmup import note_warm_pass
 from repro.isa.opcodes import EVALUATORS, Op
 from repro.memory.tlb import PAGE_SHIFT
 from repro.sim import settings
+from repro.workloads.suite import TRACE_CACHE_ENTRIES
 
 try:  # numpy accelerates column building; the fallback is pure Python.
     import numpy as _np
@@ -269,20 +270,13 @@ _COLUMNS_CACHE = {}
 def columns_for(trace):
     """The (cached) :class:`TraceColumns` for ``trace``.
 
-    Bounded LRU keyed by trace identity: the capacity follows the same
-    ``REPRO_TRACE_CACHE`` budget as :func:`~repro.workloads.suite
-    .build_workload`'s trace memo, so a sweep visiting many distinct
-    (workload, length) traces holds at most budget-many decoded column
-    sets — previously the columns piggybacked on the trace objects and a
-    caller retaining traces retained every decode with them.  A trace
-    whose instruction list changed length since it was decoded is
-    re-decoded (its derived columns are stale); a budget of 0 disables
-    caching entirely, like the trace memo.
+    Bounded LRU keyed by trace identity: the capacity is the trace memo's
+    (:data:`~repro.workloads.suite.TRACE_CACHE_ENTRIES`), so a sweep
+    visiting many distinct (workload, length) traces holds at most that
+    many decoded column sets.  A trace whose instruction list changed
+    length since it was decoded is re-decoded (its derived columns are
+    stale).
     """
-    capacity = settings.get("REPRO_TRACE_CACHE")
-    if capacity <= 0:
-        _COLUMNS_CACHE.clear()
-        return TraceColumns(trace)
     key = id(trace)
     entry = _COLUMNS_CACHE.get(key)
     if entry is not None and entry[0] is trace \
@@ -293,7 +287,7 @@ def columns_for(trace):
         return entry[1]
     columns = TraceColumns(trace)
     _COLUMNS_CACHE[key] = (trace, columns)
-    while len(_COLUMNS_CACHE) > capacity:
+    while len(_COLUMNS_CACHE) > TRACE_CACHE_ENTRIES:
         del _COLUMNS_CACHE[next(iter(_COLUMNS_CACHE))]
     return columns
 

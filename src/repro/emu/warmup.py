@@ -28,7 +28,7 @@ pipeline events — dispatch-time inflight counters, validation outcomes —
 that do not exist functionally; the runner keeps VP configs full-detail)
 and transient micro-state such as MSHR occupancy or store-queue contents,
 which the detailed ramp re-establishes before measurement begins (see
-``CoreConfig.ff_detail_ramp``).
+:data:`repro.sim.sampling.FF_DETAIL_RAMP`).
 
 After :meth:`warm`, the core's committed memory image and architectural
 registers hold the warmed-up state and its fetch cursor points at the

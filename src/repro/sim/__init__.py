@@ -5,7 +5,7 @@ from repro.sim.cache import ResultCache, default_cache
 from repro.sim.defaults import DEFAULT_LENGTH, DEFAULT_WARMUP
 from repro.sim.oracle import oracle_config, ORACLE_MODES
 from repro.sim.parallel import TimingReport, run_jobs, run_matrix
-from repro.sim.experiments import run_suite, suite_speedup
+from repro.sim.experiments import suite_speedup
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -20,6 +20,5 @@ __all__ = [
     "TimingReport",
     "run_jobs",
     "run_matrix",
-    "run_suite",
     "suite_speedup",
 ]

@@ -32,19 +32,16 @@ CACHE_FORMAT = 3
 
 
 def config_fingerprint(config):
-    """Stable hash of the result schema version plus every field of a
-    CoreConfig (incl. nested rfp/vp).
+    """Stable hash of the result schema version, the cache format and
+    every field of a CoreConfig (incl. nested rfp/vp).
 
-    Settings flagged ``result_affecting`` in :mod:`repro.sim.settings`
-    (the ``REPRO_FF`` kill-switch) live outside the config dataclass, yet
-    change how results are produced — their effective values are mixed in
-    so, e.g., full-detail validation runs and two-speed runs can never
-    share cache entries."""
+    A result depends on the workload, the trace window, the sampling
+    spec (all named by the key) and this config alone, so no setting is
+    mixed in: the two-speed switch is the ``fast_forward`` field."""
     payload = {
         "schema": SCHEMA_VERSION,
         "cache_format": CACHE_FORMAT,
         "config": dataclasses.asdict(config),
-        "settings": settings.result_affecting(),
     }
     text = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

@@ -14,8 +14,9 @@ the detailed core.  Versus the original 12000/2000 defaults this is a
 10x longer warmup — the old 2000-instruction warmup left caches and
 predictors visibly cold, the dominant source of sampling error — and a
 2x longer measured window, while suite sweeps got *faster* because the
-warmup no longer pays detailed-core cost.  ``--no-ff`` (or
-``REPRO_FF=0``) simulates the whole trace in detail for validation runs.
+warmup no longer pays detailed-core cost.  A ``fast_forward=False``
+config (``--no-ff``) simulates the whole trace in detail for validation
+runs.
 """
 
 #: Trace length in instructions when neither the caller nor ``REPRO_LENGTH``

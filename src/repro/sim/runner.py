@@ -16,12 +16,13 @@ Two-speed execution: when ``config.fast_forward`` is on, most of the
 warmup window is executed by the in-order
 :class:`~repro.emu.warmup.FunctionalWarmer` (which warms caches, TLB,
 hit-miss predictor, RFP tables and the memory-dependence predictor), the
-detailed core re-simulates the last ``config.ff_detail_ramp`` warmup
-instructions to refill the pipeline, and only then does measurement start —
-at exactly the same instruction count as a full-detail run.  The plan
-runs value-predictor configs and ``REPRO_FF=0`` in full detail; so does a
-tracer (``REPRO_TRACE`` or an explicit one) or ``record_commits``, whose
-output must cover the whole trace.
+detailed core re-simulates the last
+:data:`~repro.sim.sampling.FF_DETAIL_RAMP` warmup instructions to refill
+the pipeline, and only then does measurement start — at exactly the same
+instruction count as a full-detail run.  The plan runs value-predictor
+configs and ``fast_forward=False`` configs in full detail; so does a
+tracer (``REPRO_TRACE`` or an explicit one), whose event log must cover
+the whole trace.
 """
 
 from repro.core.config import baseline
@@ -176,7 +177,6 @@ def simulate(
     config=None,
     length=DEFAULT_LENGTH,
     warmup=DEFAULT_WARMUP,
-    record_commits=False,
     max_cycles=None,
     tracer=None,
     check_invariants=None,
@@ -205,14 +205,12 @@ def simulate(
             tracer = env_spec.build_tracer()
     plan = SamplingPlan(config, len(trace), warmup, {"samples": 1})
     start = plan.starts[0]
-    # Commit logs and event traces must cover the whole trace.
-    ramp = start if record_commits or tracer is not None else plan.ramps[0]
-    core = OOOCore(trace, config, record_commits=record_commits, tracer=tracer,
+    # An event trace must cover the whole trace.
+    ramp = start if tracer is not None else plan.ramps[0]
+    core = OOOCore(trace, config, tracer=tracer,
                    check_invariants=check_invariants)
     result, _outcome = _run_window(core, name, category, start, plan.measure,
                                    ramp, None, max_cycles)
-    if record_commits:
-        result.data["committed"] = core.committed
     if tracer is not None:
         result.data["obs"] = tracer.metrics.snapshot()
     if env_spec is not None:

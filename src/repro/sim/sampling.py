@@ -11,11 +11,12 @@ This module is pure planning and arithmetic — no simulation:
 
 - :class:`SamplingPlan` places the intervals: systematic sampling with
   stride ``(length - warmup) // K``, each interval preceded by a detailed
-  pipeline-refill ramp (``config.ff_detail_ramp``) and reached by
+  pipeline-refill ramp (:data:`FF_DETAIL_RAMP`) and reached by
   functional fast-forward from instruction zero (restored from the
   checkpoint store when possible).  A one-sample plan is also the
   warmup split of every plain :func:`~repro.sim.runner.simulate` run, so
-  the effective-warmup clamp and fast-forward eligibility live only here.
+  the effective-warmup clamp and fast-forward eligibility live only here,
+  decided from the config alone (``config.fast_forward``).
 - :func:`sampling_applies` decides whether a sampled request is run as
   sampled at all (not for VP configs, not under tracing).
 - :func:`t_critical` / :func:`mean_ci` are a scipy-free Student-t: a
@@ -33,7 +34,11 @@ workers in ``repro.sim.parallel``.
 
 import math
 
-from repro.sim import settings
+#: Detailed instructions re-simulated between the functional warmup and
+#: the measured region, so the pipeline-fill transient at the handoff is
+#: excluded from measurement.  A warmup window no larger than this ramp is
+#: simulated entirely in detail (fast-forward never engages).
+FF_DETAIL_RAMP = 500
 
 #: Default relative CI half-width target for adaptive mode (1%).
 DEFAULT_CI_TARGET = 0.01
@@ -203,7 +208,7 @@ class SamplingPlan(object):
     instruction ``starts[i]``, reached by functionally fast-forwarding
     ``functionals[i]`` instructions (the checkpointable position) and
     then re-simulating a ``ramps[i]``-long detailed pipeline-refill ramp.
-    Fast-forward needs ``config.fast_forward``, ``REPRO_FF`` and
+    Fast-forward needs ``config.fast_forward`` and
     :func:`sampling_applies`; without it every ramp reaches back to
     instruction zero (full detail, no checkpoints).
 
@@ -226,11 +231,7 @@ class SamplingPlan(object):
                 "measured region (trace length %d, warmup %d)"
                 % (samples, length - warmup_effective, length, warmup)
             )
-        ff_ok = (
-            config.fast_forward
-            and sampling_applies(config, traced=False)
-            and settings.get("REPRO_FF")
-        )
+        ff_ok = config.fast_forward and sampling_applies(config, traced=False)
         self.samples = samples
         self.warmup_effective = warmup_effective
         self.stride = stride
@@ -240,7 +241,7 @@ class SamplingPlan(object):
         self.functionals = []
         for i in range(samples):
             start = warmup_effective + i * stride
-            ramp = min(config.ff_detail_ramp, start) if ff_ok else start
+            ramp = min(FF_DETAIL_RAMP, start) if ff_ok else start
             self.starts.append(start)
             self.ramps.append(ramp)
             self.functionals.append(start - ramp)

@@ -1,7 +1,7 @@
 """Every ``REPRO_*`` environment setting, declared once.
 
-Each :class:`Setting` names one knob with its type, default, lower bound,
-a ``result_affecting`` flag and a one-line description.  :func:`get` is
+Each :class:`Setting` names one knob with its type, default, lower bound
+and a one-line description.  :func:`get` is
 the only reader: it looks the value up in ``os.environ`` (or a given
 mapping) *at call time*, because tests ``monkeypatch`` the environment and
 the CLI sets ``REPRO_CHECK_INVARIANTS`` while it runs.
@@ -14,10 +14,10 @@ One policy for every knob:
 - a numeric value below the bound is clamped to it (``REPRO_JOBS=0``
   means one worker).
 
-Flags accept ``1/on/true/yes`` and ``0/off/false/no``.  The settings
-flagged ``result_affecting`` change how results are produced, so
-:func:`repro.sim.cache.config_fingerprint` mixes their effective values
-into every result-cache key (:func:`result_affecting`).
+Flags accept ``1/on/true/yes`` and ``0/off/false/no``.  No setting
+changes a result by itself: ``REPRO_FF`` is only the default of
+:attr:`repro.core.config.CoreConfig.fast_forward`, read when a config is
+built, so the result-cache key (the config fingerprint) covers it.
 """
 
 import multiprocessing
@@ -33,8 +33,7 @@ _FLAG_WORDS = {"1": True, "on": True, "true": True, "yes": True,
                "0": False, "off": False, "false": False, "no": False}
 
 
-class Setting(namedtuple("Setting", "name type default lower "
-                                    "result_affecting doc words")):
+class Setting(namedtuple("Setting", "name type default lower doc words")):
     """One declared knob.  ``default`` may be a callable (evaluated per
     read); ``words`` maps special spellings to values, e.g. ``all``."""
 
@@ -64,10 +63,8 @@ class Setting(namedtuple("Setting", "name type default lower "
         return self.default() if callable(self.default) else self.default
 
 
-def _setting(name, type_, default, doc, lower=None, result_affecting=False,
-             words=None):
-    return Setting(name, type_, default, lower, result_affecting, doc,
-                   words or {})
+def _setting(name, type_, default, doc, lower=None, words=None):
+    return Setting(name, type_, default, lower, doc, words or {})
 
 
 def _start_method():
@@ -84,8 +81,8 @@ SETTINGS = (
     _setting("REPRO_WARMUP", int, DEFAULT_WARMUP,
              "warmup instructions excluded from measurement", lower=0),
     _setting("REPRO_FF", bool, True,
-             "two-speed fast-forward of the warmup (0 = full detail)",
-             result_affecting=True),
+             "default of CoreConfig.fast_forward, the two-speed split of "
+             "the warmup (0 = full detail)"),
     # stores
     _setting("REPRO_CACHE_DIR", str,
              os.path.join(_REPO, "benchmarks", ".cache"),
@@ -93,9 +90,6 @@ SETTINGS = (
     _setting("REPRO_CHECKPOINT_DIR", str,
              os.path.join(_REPO, "benchmarks", ".checkpoints"),
              "warm-state checkpoint directory"),
-    _setting("REPRO_TRACE_CACHE", int, 96,
-             "trace-memo capacity in entries (0 = no memo); a sweep "
-             "holds one trace whatever the size", lower=0),
     # warming
     _setting("REPRO_BATCH_WARM", bool, False,
              "write missing checkpoints through the batched warmer"),
@@ -138,9 +132,3 @@ def get(name, environ=None):
     if text == "":
         return setting.default_value()
     return setting.parse(text)
-
-
-def result_affecting(environ=None):
-    """``{name: effective value}`` of every result-affecting setting."""
-    return {s.name: get(s.name, environ) for s in SETTINGS
-            if s.result_affecting}

@@ -20,7 +20,6 @@ spec17_xalancbmk and hadoop carry latency-critical chains (top gains).
 import hashlib
 from functools import lru_cache
 
-from repro.sim import settings
 from repro.workloads.generator import WorkloadProfile, generate_trace
 
 
@@ -200,18 +199,19 @@ def profile_for(name, length=20000):
     )
 
 
-@lru_cache(maxsize=settings.get("REPRO_TRACE_CACHE"))
-def build_workload(name, length=20000):
-    """Generate (and memoise) the trace for a suite workload.
+#: Capacity of the trace memo (and of the batched warmer's decoded-columns
+#: memo).  A sweep through :func:`repro.sim.parallel.run_jobs` needs one
+#: entry: both executors run it one trace lane at a time and clear the memo
+#: on every lane change (:meth:`repro.sim.parallel.Executor.hold_trace`).
+#: The rest serves direct callers that revisit traces; each trace holds
+#: ``length`` instruction objects, so the bound bounds their peak memory.
+TRACE_CACHE_ENTRIES = 96
 
-    A sweep through :func:`repro.sim.parallel.run_jobs` needs one entry:
-    both executors run it one trace lane at a time and clear this memo
-    on every lane change (:meth:`repro.sim.parallel.Executor.hold_trace`),
-    so each trace is built once and a sweep process holds one trace.
-    The capacity (``REPRO_TRACE_CACHE``, default 96) serves direct
-    callers that revisit traces; each trace holds ``length`` instruction
-    objects, so bounding the memo bounds their peak memory.
-    """
+
+@lru_cache(maxsize=TRACE_CACHE_ENTRIES)
+def build_workload(name, length=20000):
+    """Generate (and memoise, see :data:`TRACE_CACHE_ENTRIES`) the trace
+    for a suite workload; a sweep process holds one trace at a time."""
     return generate_trace(profile_for(name, length=length))
 
 

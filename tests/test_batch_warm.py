@@ -267,12 +267,13 @@ class TestEngineKnobs:
         assert columns_for(trace) is columns_for(trace)
 
     def test_columns_cache_bounded_by_trace_budget(self, monkeypatch):
-        """``columns_for`` evicts LRU entries past ``REPRO_TRACE_CACHE``."""
+        """``columns_for`` evicts LRU entries past the trace memo's
+        capacity (``TRACE_CACHE_ENTRIES``)."""
         from repro.emu import batch
         from repro.workloads.generator import generate_trace
         from repro.workloads.suite import profile_for
 
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "2")
+        monkeypatch.setattr(batch, "TRACE_CACHE_ENTRIES", 2)
         monkeypatch.setattr(batch, "_COLUMNS_CACHE", {})
         traces = [generate_trace(profile_for(name, length=400))
                   for name in ("spec06_gcc", "spec06_mcf", "tpce")]
@@ -283,15 +284,3 @@ class TestEngineKnobs:
         assert len(batch._COLUMNS_CACHE) == 2
         assert columns_for(traces[2]) is third  # still resident
         assert columns_for(traces[0]) is not first  # was evicted, re-decoded
-
-    def test_columns_cache_capacity_zero_disables(self, monkeypatch):
-        from repro.emu import batch
-        from repro.workloads.generator import generate_trace
-        from repro.workloads.suite import profile_for
-
-        monkeypatch.setattr(batch, "_COLUMNS_CACHE", {})
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-        trace = generate_trace(profile_for("spec06_gcc", length=400))
-        a = columns_for(trace)
-        assert columns_for(trace) is not a
-        assert not batch._COLUMNS_CACHE

@@ -18,7 +18,6 @@ from conftest import quiet_config
 from repro.core.config import baseline
 from repro.sim import cache as cache_mod
 from repro.sim.cache import ResultCache, config_fingerprint
-from repro.sim.experiments import run_suite
 from repro.sim.journal import encode_envelope
 from repro.sim import parallel, settings
 from repro.sim.parallel import TimingReport, WorkerError, run_jobs, run_matrix
@@ -44,13 +43,13 @@ def run_first(config, cache=None):
 
 class TestDeterminism:
     def test_parallel_matches_serial(self, tmp_path):
-        """run_suite on the shard pool and in-process: identical data."""
-        serial = run_suite(quiet_config(), workloads=WORKLOADS, length=LENGTH,
-                           warmup=WARMUP, jobs=1,
-                           cache=ResultCache(str(tmp_path / "serial")))
-        parallel = run_suite(quiet_config(), workloads=WORKLOADS, length=LENGTH,
-                             warmup=WARMUP, jobs=3,
-                             cache=ResultCache(str(tmp_path / "par")))
+        """run_matrix on the shard pool and in-process: identical data."""
+        (serial,), _ = run_matrix(
+            [quiet_config()], WORKLOADS, LENGTH, WARMUP, max_workers=1,
+            cache=ResultCache(str(tmp_path / "serial")))
+        (parallel,), _ = run_matrix(
+            [quiet_config()], WORKLOADS, LENGTH, WARMUP, max_workers=3,
+            cache=ResultCache(str(tmp_path / "par")))
         assert set(serial) == set(parallel)
         for name in WORKLOADS:
             assert serial[name].data == parallel[name].data

@@ -21,6 +21,7 @@ from repro.sim.cache import ResultCache
 from repro.sim.parallel import run_jobs, run_matrix
 from repro.sim.runner import simulate, simulate_interval, simulate_sampled
 from repro.sim.sampling import (
+    FF_DETAIL_RAMP,
     SamplingPlan,
     aggregate_intervals,
     mean_ci,
@@ -119,7 +120,7 @@ class TestSamplingPlan:
         plan = SamplingPlan(config, 40000, 20000, {"samples": 4})
         assert plan.stride == 5000
         assert plan.starts == [20000, 25000, 30000, 35000]
-        assert plan.ramps == [config.ff_detail_ramp] * 4
+        assert plan.ramps == [FF_DETAIL_RAMP] * 4
         assert plan.functionals == [19500, 24500, 29500, 34500]
         assert plan.measure == 5000
         assert plan.checkpoint_positions() == [19500, 24500, 29500, 34500]
@@ -143,9 +144,14 @@ class TestSamplingPlan:
             quiet_config(vp={"enabled": True, "kind": "eves"}), traced=False)
 
     def test_env_kill_switch_forces_full_detail(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FF", raising=False)
+        earlier = quiet_config()
         monkeypatch.setenv("REPRO_FF", "0")
         plan = SamplingPlan(quiet_config(), LENGTH, WARM, {"samples": 2})
         assert plan.functionals == [0, 0]
+        # The plan reads the config, built before the setting was set.
+        plan = SamplingPlan(earlier, LENGTH, WARM, {"samples": 2})
+        assert plan.ramps == [FF_DETAIL_RAMP] * 2
 
     def test_too_many_intervals_rejected(self):
         with pytest.raises(ValueError, match="cannot place"):

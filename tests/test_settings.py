@@ -1,7 +1,7 @@
 """The REPRO_* settings table (repro.sim.settings).
 
-One declaration per knob, one parsing policy, and the result-cache
-fingerprint derived from the ``result_affecting`` flags alone.
+One declaration per knob, one parsing policy, and a result-cache key
+that no setting moves once a config is built.
 """
 
 import os
@@ -30,7 +30,6 @@ EXAMPLES = {
     "REPRO_FF": "0",
     "REPRO_CACHE_DIR": "elsewhere-cache",
     "REPRO_CHECKPOINT_DIR": "elsewhere-checkpoints",
-    "REPRO_TRACE_CACHE": "3",
     "REPRO_BATCH_WARM": "1",
     "REPRO_BATCH_WIDTH": "4",
     "REPRO_JOBS": str((os.cpu_count() or 1) + 1),
@@ -95,26 +94,23 @@ class TestPolicy:
 class TestFingerprint:
     @hyp_settings(max_examples=25, deadline=None)
     @given(st.sets(st.sampled_from(sorted(EXAMPLES)), min_size=1))
-    def test_key_depends_only_on_result_affecting_settings(self, names):
+    def test_no_setting_moves_the_key_of_a_built_config(self, names):
+        """A result depends on the config alone: once a config is built,
+        no declared setting moves its result-cache key."""
         cache = ResultCache("unused")
-        key = cache.key("spec06_mcf", baseline(), 1000, 500)
+        config = baseline()
+        key = cache.key("spec06_mcf", config, 1000, 500)
         environ = {name: EXAMPLES[name] for name in names}
         saved = {name: os.environ.get(name) for name in names}
         os.environ.update(environ)
         try:
-            changed = cache.key("spec06_mcf", baseline(), 1000, 500) != key
+            assert cache.key("spec06_mcf", config, 1000, 500) == key
         finally:
             for name, value in saved.items():
                 if value is None:
                     os.environ.pop(name, None)
                 else:
                     os.environ[name] = value
-        flagged = any(settings.REGISTRY[name].result_affecting
-                      for name in names)
-        assert changed == flagged
-
-    def test_flagged_subset_is_the_ff_switch(self):
-        assert settings.result_affecting({}) == {"REPRO_FF": True}
 
 
 class TestDeclaredOnce:

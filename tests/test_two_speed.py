@@ -11,6 +11,8 @@ the two-speed engine (empty measurement window, enriched deadlock
 message) are covered at the bottom.
 """
 
+import json
+
 import pytest
 
 from conftest import LOAD, make_trace, quiet_config
@@ -21,7 +23,7 @@ from repro.emu.warmup import FunctionalWarmer
 from repro.sim.cache import config_fingerprint
 from repro.sim import settings
 from repro.sim.runner import SimResult, simulate
-from repro.sim.sampling import SamplingPlan
+from repro.sim.sampling import FF_DETAIL_RAMP, SamplingPlan
 from repro.workloads.suite import build_workload
 
 WORKLOAD = "spec06_mcf"
@@ -160,8 +162,8 @@ class TestFastForwardSplit:
     def test_default_split(self):
         config = quiet_config()
         functional, detailed = split(config, 40000, 20000)
-        assert (functional, detailed) == (20000 - config.ff_detail_ramp,
-                                          config.ff_detail_ramp)
+        assert (functional, detailed) == (20000 - FF_DETAIL_RAMP,
+                                          FF_DETAIL_RAMP)
 
     def test_warmup_clamped_to_half_the_trace(self):
         config = quiet_config()
@@ -181,6 +183,8 @@ class TestFastForwardSplit:
         assert split(config, 40000, 20000) == (0, 20000)
 
     def test_env_kill_switch(self, monkeypatch):
+        """``REPRO_FF`` is the default of ``fast_forward`` for configs
+        built while it is set."""
         for value in ("0", "off", "false"):
             monkeypatch.setenv("REPRO_FF", value)
             assert not settings.get("REPRO_FF")
@@ -191,11 +195,22 @@ class TestFastForwardSplit:
         assert settings.get("REPRO_FF")
 
     def test_kill_switch_changes_cache_fingerprint(self, monkeypatch):
-        config = quiet_config()
+        """A config built under ``REPRO_FF=0`` runs in full detail under
+        its own cache key; one built earlier keeps its value, and so do
+        its copies — the split reads the config, not the environment."""
         monkeypatch.delenv("REPRO_FF", raising=False)
-        on = config_fingerprint(config)
+        earlier = quiet_config()
+        key = config_fingerprint(earlier)
         monkeypatch.setenv("REPRO_FF", "0")
-        assert config_fingerprint(config) != on
+        built = quiet_config()
+        assert built.fast_forward is False
+        assert config_fingerprint(built) != key
+        assert split(built, 40000, 20000) == (0, 20000)
+        assert earlier.fast_forward is True
+        assert config_fingerprint(earlier) == key
+        assert split(earlier, 40000, 20000) == (20000 - FF_DETAIL_RAMP,
+                                                FF_DETAIL_RAMP)
+        assert earlier.evolve(rfp={"enabled": True}).fast_forward is True
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +222,8 @@ class TestTwoSpeedRuns:
         result = simulate(WORKLOAD, config, length=4000, warmup=2000)
         ff = result.data["fast_forward"]
         assert ff["enabled"]
-        assert ff["functional_instructions"] == 2000 - config.ff_detail_ramp
-        assert ff["detailed_warmup"] == config.ff_detail_ramp
+        assert ff["functional_instructions"] == 2000 - FF_DETAIL_RAMP
+        assert ff["detailed_warmup"] == FF_DETAIL_RAMP
         assert result.data["instructions"] == 2000
         full = simulate(WORKLOAD, quiet_config(fast_forward=False),
                         length=4000, warmup=2000)
@@ -221,6 +236,31 @@ class TestTwoSpeedRuns:
         result = simulate(WORKLOAD, quiet_config(), length=4000, warmup=2000)
         assert not result.data["fast_forward"]["enabled"]
         assert result.data["fast_forward"]["functional_instructions"] == 0
+        # The default config simulate() builds itself reads it too.
+        default = simulate(WORKLOAD, length=4000, warmup=2000)
+        assert not default.data["fast_forward"]["enabled"]
+
+    def test_suite_no_ff_measures_both_sides_in_full_detail(
+            self, tmp_path, monkeypatch, capsys):
+        """``repro suite --no-ff`` gives the baseline the feature config's
+        ``fast_forward``: a speedup is a ratio of two runs measured the
+        same way."""
+        from repro.__main__ import main
+        monkeypatch.delenv("REPRO_FF", raising=False)
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
+        out = tmp_path / "suite.json"
+        assert main(["suite", "-n", "1", "--rfp", "--no-ff", "--length",
+                     "2000", "--warmup", "1000", "--jobs", "1",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        payload = json.loads(out.read_text())
+        for side in ("baseline", "feature"):
+            [cell] = payload[side].values()
+            assert cell["fast_forward"] == {
+                "enabled": False, "functional_instructions": 0,
+                "detailed_warmup": 1000}
 
     def test_cli_flags_plumb_through(self):
         from repro.__main__ import _config_from_args, build_parser

@@ -177,57 +177,7 @@ class TestSuite:
 
 
 class TestTraceCacheBound:
-    """``REPRO_TRACE_CACHE`` bounds build_workload's lru_cache."""
+    """``TRACE_CACHE_ENTRIES`` bounds build_workload's lru_cache."""
 
     def test_default_capacity(self):
         assert build_workload.cache_info().maxsize == 96
-
-    def test_env_knob_sets_capacity_and_evicts(self):
-        # The knob is read at import time, so exercise it in a fresh
-        # interpreter: with a 2-entry bound, touching 3 workloads must
-        # evict the least recently used trace (identity changes on
-        # rebuild), while the default keeps all three resident.
-        import subprocess
-        import sys
-
-        program = (
-            "from repro.workloads.suite import build_workload\n"
-            "info = build_workload.cache_info()\n"
-            "assert info.maxsize == 2, info\n"
-            "a1 = build_workload('spec06_mcf', length=600)\n"
-            "build_workload('spec06_gcc', length=600)\n"
-            "build_workload('spec06_astar', length=600)  # evicts mcf\n"
-            "info = build_workload.cache_info()\n"
-            "assert info.currsize == 2, info\n"
-            "a2 = build_workload('spec06_mcf', length=600)\n"
-            "assert a2 is not a1\n"
-            "assert build_workload.cache_info().misses == 4\n"
-            "print('evicted')\n"
-        )
-        import os
-
-        env = dict(os.environ, REPRO_TRACE_CACHE="2")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in ("src", env.get("PYTHONPATH", "")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c", program],
-            capture_output=True, text=True, env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "evicted" in proc.stdout
-
-    def test_invalid_env_value_falls_back_to_default(self, monkeypatch):
-        # One settings policy: a malformed value names the knob, a value
-        # below the bound is clamped to it, unset means the default.
-        from repro.sim import settings
-
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "not-a-number")
-        with pytest.raises(ValueError, match="REPRO_TRACE_CACHE"):
-            settings.get("REPRO_TRACE_CACHE")
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "-5")
-        assert settings.get("REPRO_TRACE_CACHE") == 0
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-        assert settings.get("REPRO_TRACE_CACHE") == 0
-        monkeypatch.delenv("REPRO_TRACE_CACHE")
-        assert settings.get("REPRO_TRACE_CACHE") == 96
