@@ -11,6 +11,7 @@ file; ``-s`` shows one line per floor::
 """
 
 import functools
+import os
 import tempfile
 import time
 
@@ -21,9 +22,10 @@ from repro.core.core import OOOCore
 from repro.emu.batch import columns_for, warm_batch
 from repro.emu.warmup import FunctionalWarmer
 from repro.sim import settings
-from repro.sim.checkpoint import CheckpointStore
+from repro.sim.cache import ResultCache
 from repro.sim.defaults import DEFAULT_LENGTH, DEFAULT_WARMUP
-from repro.sim.runner import simulate, simulate_sampled
+from repro.sim.parallel import run_matrix
+from repro.sim.runner import simulate
 from repro.workloads.suite import build_workload, workload_names
 
 #: The validation subset of ``tests/test_engine_claims.py``.
@@ -97,17 +99,24 @@ def test_two_speed_floor(seconds):
     _check("two-speed vs full detail", full_s / two_s, MIN_TWO_SPEED_SPEEDUP)
 
 
-def test_sampled_checkpoint_hit_floor(seconds):
+def test_sampled_checkpoint_hit_floor(seconds, monkeypatch):
     hit_s = 0.0
     with tempfile.TemporaryDirectory() as tmp:
-        store = CheckpointStore(tmp)
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", os.path.join(tmp, "ckpt"))
+
+        def sampled(name):
+            # A fresh result cache per pass: the timed passes restore
+            # every interval from the store, not a cached result.
+            run_matrix([baseline()], [name], DEFAULT_LENGTH, DEFAULT_WARMUP,
+                       cache=ResultCache(tempfile.mkdtemp(dir=tmp)),
+                       max_workers=1,
+                       sampling={"samples": SAMPLES,
+                                 "interval_length": INTERVAL_LENGTH})
+
         for name in VALIDATION_WORKLOADS:
-            sampled = functools.partial(
-                simulate_sampled, name, baseline(), length=DEFAULT_LENGTH,
-                warmup=DEFAULT_WARMUP, samples=SAMPLES,
-                interval_length=INTERVAL_LENGTH, checkpoint_store=store)
-            sampled()  # cold: warms and fills the store
-            hit_s += _best_seconds([sampled], rounds=3)[0]
+            run = functools.partial(sampled, name)
+            run()  # cold: warms and fills the store
+            hit_s += _best_seconds([run], rounds=3)[0]
     _check("sampled (checkpoint hit) vs two-speed",
            sum(two_s for _, two_s in seconds.values()) / hit_s,
            MIN_SAMPLING_SPEEDUP)

@@ -33,7 +33,8 @@ from repro.sim.parallel import (
     format_failures,
     run_matrix,
 )
-from repro.sim.runner import simulate, simulate_sampled
+from repro.sim.runner import simulate
+from repro.sim.sampling import sampling_applies
 from repro.stats.report import format_ipc_ci, format_table
 from repro.workloads.suite import suite_table, workload_names
 
@@ -62,8 +63,6 @@ def _sampling_from_args(args):
     spec = {"samples": args.sample}
     if getattr(args, "interval_length", None) is not None:
         spec["interval_length"] = args.interval_length
-    if getattr(args, "ci_target", None) is not None:
-        spec["ci_target"] = args.ci_target
     if getattr(args, "confidence", None) is not None:
         spec["confidence"] = args.confidence
     return spec
@@ -74,10 +73,12 @@ def cmd_run(args):
     sampling = _sampling_from_args(args)
 
     if sampling is not None:
-        result = simulate_sampled(
-            args.workload, config, length=args.length, warmup=args.warmup,
-            batch_warm=getattr(args, "batch_warm", None), **sampling
-        )
+        # A sampled cell is a one-cell sweep: result cache, checkpoint
+        # store and REPRO_JOBS, exactly as in `repro suite --sample`.
+        (results,), _report = run_matrix(
+            [config], [args.workload], args.length, args.warmup,
+            sampling=sampling, batch_warm=args.batch_warm)
+        result = results[args.workload]
     else:
         result = simulate(args.workload, config, length=args.length,
                           warmup=args.warmup)
@@ -90,10 +91,6 @@ def cmd_run(args):
         ("cycles", str(result.data["cycles"])),
         ("instructions", str(result.data["instructions"])),
     ]
-    if "sampling" in result.data:
-        ci = result.data["ipc_ci"]
-        rows.append(("intervals", "%d of %d planned"
-                     % (ci["intervals_used"], ci["intervals_planned"])))
     if result.rfp is not None:
         rows += [
             ("RFP injected", "%.1f%% of loads" % (100 * result.rfp_fraction("injected"))),
@@ -146,9 +143,14 @@ def cmd_suite(args):
     config = _config_from_args(args)
     sampling = _sampling_from_args(args)
     names = workload_names()[: args.num] if args.num else workload_names()
-    # Both sides of the ratio are measured the same way (--ff/--no-ff).
+    # Both sides of the ratio are measured the same way (--ff/--no-ff).  A
+    # feature config sampling refuses (VP) runs its full window in full
+    # detail, so then the baseline does too.
+    split = sampling_applies(config, traced=False)
+    if not split:
+        sampling = None
     base_config = (baseline_2x if args.core_2x else baseline)(
-        fast_forward=config.fast_forward)
+        fast_forward=config.fast_forward and split)
     print("Running %s workloads under %s..."
           % (args.num or "all", config.name))
     # One engine over the full (config x workload) matrix: the baseline and
@@ -337,10 +339,6 @@ def build_parser():
                        metavar="N",
                        help="measured instructions per interval (default: "
                             "the full inter-interval stride)")
-        p.add_argument("--ci-target", type=float, default=None, metavar="P",
-                       help="adaptive early stop: finish once the CI "
-                            "half-width is below P x mean (e.g. 0.01 "
-                            "for 1%%)")
         p.add_argument("--confidence", type=float, default=None,
                        choices=[0.90, 0.95, 0.99],
                        help="confidence level for the IPC CI (default 0.95)")

@@ -37,9 +37,9 @@ a lane *materialises* its columns back into the core's scalar structures
 equivalence harness in ``tests/test_batch_warm.py`` and the CI
 ``batch-equivalence`` job enforce exactly that.
 
-``REPRO_BATCH_WARM=1`` turns the batched lane on in ``sim.parallel`` /
-``simulate_sampled`` (also ``--batch-warm`` on the CLI); ``REPRO_BATCH_WIDTH``
-caps how many lanes advance in one lockstep cohort (default 8).
+``REPRO_BATCH_WARM=1`` turns the batched lane on in ``sim.parallel`` (also
+``--batch-warm`` on the CLI); ``REPRO_BATCH_WIDTH`` caps how many lanes
+advance in one lockstep cohort (default 8).
 """
 
 from array import array

@@ -35,7 +35,6 @@ everywhere else:
 ``REPRO_CHECKPOINT_DIR`` overrides the store location (default
 ``<repo>/benchmarks/.checkpoints``).  Sweeps always use the store, like the
 result cache beside it; only a direct
-:func:`~repro.sim.runner.simulate_sampled` or
 :func:`~repro.sim.runner.simulate_interval` call can pass
 ``checkpoint_store=None`` and warm every interval.  Restore is
 bit-exact versus a fresh warm, so the store is *not* mixed into

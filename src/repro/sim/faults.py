@@ -17,9 +17,6 @@ variable — a comma-separated list of specs, each ``kind:param=value:...``:
 - ``corrupt_checkpoint:key=spec06_mcf`` — same, but aimed at the warm-state
   checkpoint store: the corrupted checkpoint is evicted and the workload is
   re-warmed functionally instead of restored.
-- ``rand:p=0.05:seed=7:modes=crash|hang`` — each (job, attempt) fails with
-  probability ``p``, chosen by a deterministic per-(seed, job, attempt)
-  stream so a given spec always injects the same faults.
 
 Shard-pool flavours (:mod:`repro.sim.scheduler`):
 
@@ -56,15 +53,13 @@ is set.
 
 import json
 import os
-import random
 import signal
 import time
 
 from repro.sim import settings
 
 _VALID_KINDS = ("crash", "hang", "corrupt_cache", "corrupt_checkpoint",
-                "rand", "kill_shard", "stop_shard", "torn_write",
-                "kill_commit")
+                "kill_shard", "stop_shard", "torn_write", "kill_commit")
 
 #: Kinds that never fire from fire_worker_faults (they have their own
 #: call sites in the journal and the shard scheduler).
@@ -133,22 +128,6 @@ def active_faults(environ=None):
     return parse_faults(settings.get("REPRO_FAULT", environ))
 
 
-def _rand_fires(spec, job_index, attempt):
-    """Deterministic coin flip for a ``rand`` spec at (job, attempt)."""
-    seed = int(spec.params.get("seed", "0"))
-    p = float(spec.params.get("p", "0.01"))
-    # One independent, reproducible stream per (seed, job, attempt): the
-    # same spec injects the same faults on every run and in any worker.
-    rng = random.Random(seed * 1000003 + job_index * 1009 + attempt)
-    return rng.random() < p
-
-
-def _rand_mode(spec, job_index, attempt):
-    modes = [m for m in spec.params.get("modes", "crash").split("|") if m]
-    rng = random.Random(job_index * 7919 + attempt * 13 + 1)
-    return modes[rng.randrange(len(modes))] if modes else "crash"
-
-
 def fire_worker_faults(job_index, attempt, in_child, environ=None):
     """Trigger any crash/hang fault aimed at (job_index, attempt).
 
@@ -162,18 +141,11 @@ def fire_worker_faults(job_index, attempt, in_child, environ=None):
         kind = spec.kind
         if kind in _NON_WORKER_KINDS:
             continue
-        if kind == "rand":
-            if not spec.attempt_allowed(attempt):
-                continue
-            if not _rand_fires(spec, job_index, attempt):
-                continue
-            kind = _rand_mode(spec, job_index, attempt)
-        else:
-            target = spec.params.get("job")
-            if target is None or int(target) != job_index:
-                continue
-            if not spec.attempt_allowed(attempt):
-                continue
+        target = spec.params.get("job")
+        if target is None or int(target) != job_index:
+            continue
+        if not spec.attempt_allowed(attempt):
+            continue
         if kind == "hang":
             time.sleep(float(spec.params.get("seconds", "3600")))
             # A watchdog kill never lets the sleep return; if it does

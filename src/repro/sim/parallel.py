@@ -633,8 +633,7 @@ def _plan(sweep, jobs):
 
     Sampling is silently dropped where
     :func:`~repro.sim.sampling.sampling_applies` refuses it (VP configs,
-    tracing): such a job runs the full window, as ``simulate_sampled``
-    does.
+    tracing): such a job runs the full window.
     """
     keys, unique = [], {}
     for job in jobs:
@@ -817,8 +816,7 @@ def _assemble(sweep, misses):
     """Merge per-job event logs and aggregate sampled cells.
 
     Both consume their parts in job / interval-index order, so the bytes
-    and the cell results are identical however many workers ran (a cell
-    equals a serial simulate_sampled that stopped at the same interval).
+    and the cell results are identical however many workers ran.
     """
     if sweep.trace_spec is not None and misses:
         with open(sweep.trace_spec.path, "wb") as merged:

@@ -7,10 +7,11 @@ architecture papers measure region IPC.
 
 How a run is split is decided only in :mod:`repro.sim.sampling`:
 :func:`simulate` runs the one-sample
-:class:`~repro.sim.sampling.SamplingPlan`, :func:`simulate_interval` one
-interval of a K-sample plan, and :func:`simulate_sampled` a K-sample plan
-it then aggregates.  One private tail, :func:`_run_window`, runs every
-window: warm or restore, detailed ramp, fetch limit, run, result.
+:class:`~repro.sim.sampling.SamplingPlan` and :func:`simulate_interval`
+one interval of a K-sample plan; a whole K-sample cell is a sweep job of
+:func:`repro.sim.parallel.run_jobs`, which runs and aggregates its
+intervals.  One private tail, :func:`_run_window`, runs every window:
+warm or restore, detailed ramp, fetch limit, run, result.
 
 Two-speed execution: when ``config.fast_forward`` is on, most of the
 warmup window is executed by the in-order
@@ -29,12 +30,8 @@ from repro.core.config import baseline
 from repro.core.core import OOOCore
 from repro.obs.export import sort_events, write_jsonl
 from repro.obs.tracer import trace_spec_from_env
-from repro.sim import settings
 from repro.sim.defaults import DEFAULT_LENGTH, DEFAULT_WARMUP
-from repro.sim.sampling import (
-    SamplingPlan, aggregate_intervals, ci_target_met, normalize_spec,
-    sampling_applies,
-)
+from repro.sim.sampling import SamplingPlan
 from repro.workloads.suite import build_workload, workload_category
 
 #: Result-schema / core-semantics version, mixed into every ResultCache
@@ -262,7 +259,7 @@ def simulate_interval(
     measure=None,
     ramp=0,
     index=0,
-    checkpoint_store="default",
+    checkpoint_store=None,
     max_cycles=None,
 ):
     """Simulate ONE sampling interval of ``workload`` under ``config``.
@@ -277,12 +274,10 @@ def simulate_interval(
     measured instructions — no mid-flight stop, identical commit timing to
     a longer run over the same prefix.
 
-    ``checkpoint_store`` is a :class:`~repro.sim.checkpoint.CheckpointStore`,
-    None (always warm functionally), or ``"default"`` for the shared store.
-    Returns a :class:`SimResult` whose data carries ``interval`` metadata.
+    ``checkpoint_store`` is a :class:`~repro.sim.checkpoint.CheckpointStore`
+    or None (always warm functionally: the storeless reference).  Returns
+    a :class:`SimResult` whose data carries ``interval`` metadata.
     """
-    from repro.sim import checkpoint
-
     config = config or baseline()
     trace, name, category = _resolve_trace(workload, length)
     if measure is None:
@@ -297,8 +292,6 @@ def simulate_interval(
             "detailed ramp %d does not fit before interval start %d"
             % (ramp, start)
         )
-    if checkpoint_store == "default":
-        checkpoint_store = checkpoint.default_checkpoint_store()
     result, outcome = _run_window(OOOCore(trace, config), name, category,
                                   start, measure, ramp, checkpoint_store,
                                   max_cycles)
@@ -311,92 +304,3 @@ def simulate_interval(
         "checkpoint": outcome,
     }
     return result
-
-
-def simulate_sampled(
-    workload,
-    config=None,
-    length=DEFAULT_LENGTH,
-    warmup=DEFAULT_WARMUP,
-    samples=10,
-    interval_length=None,
-    ci_target=None,
-    confidence=None,
-    min_samples=None,
-    checkpoint_store="default",
-    max_cycles=None,
-    batch_warm=None,
-):
-    """Estimate ``workload``'s IPC from ``samples`` short detailed intervals.
-
-    SMARTS-style sampled simulation: the measured region is covered by
-    ``samples`` systematically placed intervals (see
-    :class:`~repro.sim.sampling.SamplingPlan`), every interval boundary's
-    warm state comes from one shared functional pass through the checkpoint
-    store, and the reported IPC is the per-interval mean with a Student-t
-    confidence interval (``result.data["ipc_ci"]``).
-
-    Adaptive mode: with ``ci_target`` set (relative half-width, e.g. 0.01
-    for 1%), intervals are simulated in order and measurement stops as soon
-    as — after ``min_samples`` intervals — the CI is tight enough.  The
-    stopping rule is deterministic, so a parallel sweep that simulates all
-    intervals aggregates to the identical result.
-
-    With ``samples=1`` (and no ``interval_length``) the plan degenerates to
-    the standard two-speed single-window run and the result's measured
-    counters match :func:`simulate` exactly.
-
-    A request :func:`~repro.sim.sampling.sampling_applies` refuses (a
-    value-predictor config, or ``REPRO_TRACE`` set) returns the
-    full-window :func:`simulate` result instead — the same result, and
-    the same event log, that :func:`repro.sim.parallel.run_jobs` gives
-    the sampled job.
-
-    ``batch_warm`` routes the shared functional pass through the batched
-    SoA engine (:mod:`repro.emu.batch`) instead of the scalar warmer —
-    bit-exact, and faster whenever several positions (or, via
-    :func:`repro.sim.parallel.run_jobs`, several configs) share the trace.
-    ``None`` defers to ``REPRO_BATCH_WARM``.
-    """
-    from repro.sim import checkpoint
-
-    config = config or baseline()
-    if not sampling_applies(config, trace_spec_from_env() is not None):
-        return simulate(workload, config, length=length, warmup=warmup,
-                        max_cycles=max_cycles)
-    trace, name, _category = _resolve_trace(workload, length)
-    spec = {"samples": samples, "interval_length": interval_length,
-            "ci_target": ci_target}
-    if confidence is not None:
-        spec["confidence"] = confidence
-    if min_samples is not None:
-        spec["min_samples"] = min_samples
-    spec = normalize_spec(spec)
-    plan = SamplingPlan(config, len(trace), warmup, spec)
-    if checkpoint_store == "default":
-        checkpoint_store = checkpoint.default_checkpoint_store()
-    if batch_warm is None:
-        batch_warm = settings.get("REPRO_BATCH_WARM")
-    if checkpoint_store is not None:
-        checkpoint.ensure_checkpoints(
-            trace, name, config, len(trace), plan.checkpoint_positions(),
-            checkpoint_store,
-            engine="batch" if batch_warm else "scalar",
-        )
-
-    interval_datas = []
-    for i in range(plan.samples):
-        interval = simulate_interval(
-            trace,
-            config,
-            start=plan.starts[i],
-            measure=plan.measure,
-            ramp=plan.ramps[i],
-            index=i,
-            checkpoint_store=checkpoint_store,
-            max_cycles=max_cycles,
-        )
-        interval_datas.append(interval.data)
-        if ci_target_met([d["ipc"] for d in interval_datas], spec):
-            break
-    return SimResult(aggregate_intervals(interval_datas, spec))

@@ -4,8 +4,7 @@ Statistical sampling (Wunderlich et al., SMARTS) replaces one long detailed
 measurement window with ``K`` short detailed intervals separated by
 functional fast-forward gaps.  Per-interval IPCs are treated as a sample
 from the workload's phase distribution; the reported IPC is their mean with
-a Student-t confidence interval, and in adaptive mode measurement stops as
-soon as the CI half-width falls below a target fraction of the mean.
+a Student-t confidence interval over all ``K`` of them.
 
 This module is pure planning and arithmetic — no simulation:
 
@@ -23,13 +22,11 @@ This module is pure planning and arithmetic — no simulation:
   hardcoded two-sided critical-value table (the classic printed table) with
   conservative round-down for untabulated degrees of freedom.
 - :func:`aggregate_intervals` folds per-interval results into one
-  result-shaped dict carrying ``ipc_ci`` + ``intervals`` fields, applying
-  the adaptive early-stop rule deterministically (intervals are considered
-  in index order, so serial and parallel runs aggregate identically).
+  result-shaped dict carrying ``ipc_ci`` + ``intervals`` fields.
 
-The actual interval execution lives in ``repro.sim.runner`` (
-``simulate_interval`` / ``simulate_sampled``) and the fan-out across
-workers in ``repro.sim.parallel``.
+One interval runs in ``repro.sim.runner.simulate_interval``; a sampled
+cell is expanded into its intervals, run and aggregated only by
+``repro.sim.parallel.run_jobs``.
 """
 
 import math
@@ -40,12 +37,10 @@ import math
 #: simulated entirely in detail (fast-forward never engages).
 FF_DETAIL_RAMP = 500
 
-#: Default relative CI half-width target for adaptive mode (1%).
-DEFAULT_CI_TARGET = 0.01
 DEFAULT_CONFIDENCE = 0.95
-#: Adaptive mode never stops before this many intervals: a 2-sample CI is
-#: wildly unstable (t(1) = 12.7) and would stop on lucky pairs.
-DEFAULT_MIN_SAMPLES = 3
+
+#: The keys a sampling spec may carry.
+_SPEC_KEYS = ("samples", "interval_length", "confidence")
 
 # Two-sided Student-t critical values, indexed [confidence][df].  The
 # classic printed table: df 1..30 then 40/50/60/80/100/120.  For an
@@ -131,9 +126,13 @@ def normalize_spec(spec):
 
     A spec is a dict with ``samples`` (required, K >= 1) and optional
     ``interval_length`` (detailed instructions per interval; None = the
-    full stride), ``ci_target`` (relative half-width for adaptive early
-    stop; None = fixed-K), ``confidence`` and ``min_samples``.
+    full stride) and ``confidence``.  Any other key is an error, so a
+    stale field fails loudly instead of being ignored.
     """
+    unknown = sorted(set(spec) - set(_SPEC_KEYS))
+    if unknown:
+        raise ValueError("unknown sampling spec key(s): %s (allowed: %s)"
+                         % (", ".join(unknown), ", ".join(_SPEC_KEYS)))
     samples = int(spec["samples"])
     if samples < 1:
         raise ValueError("sampling needs samples >= 1, got %d" % samples)
@@ -144,27 +143,16 @@ def normalize_spec(spec):
             raise ValueError(
                 "interval_length must be >= 1, got %d" % interval_length
             )
-    ci_target = spec.get("ci_target")
-    if ci_target is not None:
-        ci_target = float(ci_target)
-        if not 0.0 < ci_target < 1.0:
-            raise ValueError(
-                "ci_target is a relative half-width in (0, 1), got %r"
-                % (ci_target,)
-            )
     confidence = float(spec.get("confidence", DEFAULT_CONFIDENCE))
     if confidence not in _T_TABLE:
         raise ValueError(
             "unsupported confidence level %r (tabulated: %s)"
             % (confidence, ", ".join("%.2f" % c for c in sorted(_T_TABLE)))
         )
-    min_samples = int(spec.get("min_samples", DEFAULT_MIN_SAMPLES))
     return {
         "samples": samples,
         "interval_length": interval_length,
-        "ci_target": ci_target,
         "confidence": confidence,
-        "min_samples": max(1, min_samples),
     }
 
 
@@ -173,15 +161,13 @@ def sampling_suffix(spec):
 
     Appended to the result cache's fingerprinted key so sampled and
     full-detail results for the same cell never collide, and specs that
-    aggregate differently (adaptive target, confidence) miss each other.
+    aggregate differently (confidence) miss each other.
     """
     spec = normalize_spec(spec)
-    return "-sK%d-n%s-t%s-c%s-m%d" % (
+    return "-sK%d-n%s-c%s" % (
         spec["samples"],
         spec["interval_length"] if spec["interval_length"] is not None else 0,
-        ("%g" % spec["ci_target"]) if spec["ci_target"] is not None else "off",
         "%g" % spec["confidence"],
-        spec["min_samples"],
     )
 
 
@@ -191,10 +177,10 @@ def sampling_applies(config, traced):
     Not for value-predictor configs (VP tables train on pipeline events
     the functional warmer does not model) and not when ``traced`` (the
     event log must cover the whole trace).  A refused request runs the
-    full window instead — :func:`~repro.sim.runner.simulate_sampled` and
-    :func:`~repro.sim.parallel.run_jobs` both ask here, so a sampled
-    ``run`` and a sampled ``suite`` cell give the same result.  The same
-    rule makes :class:`SamplingPlan` keep a VP config's warmup detailed.
+    full window instead; :func:`~repro.sim.parallel.run_jobs` asks here
+    for every sampled job, ``repro run --sample`` and ``repro suite
+    --sample`` alike.  The same rule makes :class:`SamplingPlan` keep a
+    VP config's warmup detailed.
     """
     return not (traced or config.vp.enabled)
 
@@ -251,28 +237,11 @@ class SamplingPlan(object):
         return sorted({f for f in self.functionals if f > 0})
 
 
-def ci_target_met(ipcs, spec):
-    """The deterministic adaptive-stop rule over per-interval ``ipcs``.
-
-    True when ``spec`` sets a ``ci_target``, at least ``min_samples``
-    intervals are in, and the CI half-width is at most ``ci_target`` times
-    the mean.  A serial run stops simulating on the first prefix that
-    meets it; aggregation truncates a run-them-all sweep to that prefix.
-    """
-    if spec["ci_target"] is None or len(ipcs) < spec["min_samples"]:
-        return False
-    mean, half = mean_ci(ipcs, spec["confidence"])
-    return half is not None and mean > 0 and half <= spec["ci_target"] * mean
-
-
-def aggregate_intervals(interval_datas, spec):
+def aggregate_intervals(datas, spec):
     """Fold per-interval result dicts into one sampled cell result.
 
-    ``interval_datas`` must be in interval-index order (each carries the
-    ``interval`` metadata attached by ``simulate_interval``).  Adaptive
-    mode (``ci_target`` set) keeps the shortest prefix that meets
-    :func:`ci_target_met`, so a serial early-stopped run and a parallel
-    run-them-all sweep aggregate to the identical result.
+    ``datas`` must be in interval-index order (each carries the
+    ``interval`` metadata attached by ``simulate_interval``).
 
     The aggregate is result-shaped (same keys a plain ``simulate`` result
     has) plus ``ipc_ci``, ``intervals`` and ``sampling`` fields.  Reported
@@ -280,15 +249,12 @@ def aggregate_intervals(interval_datas, spec):
     for a single interval equals instructions/cycles exactly.
     """
     spec = normalize_spec(spec)
-    if not interval_datas:
+    if not datas:
         raise ValueError("aggregate_intervals needs at least one interval")
-    ipcs = [d["ipc"] for d in interval_datas]
-    used = next((interval_datas[:k] for k in range(1, len(ipcs))
-                 if ci_target_met(ipcs[:k], spec)), interval_datas)
-    mean, half = mean_ci([d["ipc"] for d in used], spec["confidence"])
-    first = used[0]
-    cycles = sum(d["cycles"] for d in used)
-    instructions = sum(d["instructions"] for d in used)
+    mean, half = mean_ci([d["ipc"] for d in datas], spec["confidence"])
+    first = datas[0]
+    cycles = sum(d["cycles"] for d in datas)
+    instructions = sum(d["instructions"] for d in datas)
     stat_keys = list(first["stats"])
     data = {
         "workload": first["workload"],
@@ -298,35 +264,35 @@ def aggregate_intervals(interval_datas, spec):
         "instructions": instructions,
         "ipc": mean,
         "stats": {
-            key: sum(d["stats"].get(key, 0) for d in used)
+            key: sum(d["stats"].get(key, 0) for d in datas)
             for key in stat_keys
         },
         "loads_served": {
-            key: sum(d["loads_served"].get(key, 0) for d in used)
+            key: sum(d["loads_served"].get(key, 0) for d in datas)
             for key in first["loads_served"]
         },
-        "total_cycles": sum(d["total_cycles"] for d in used),
-        "total_instructions": sum(d["total_instructions"] for d in used),
+        "total_cycles": sum(d["total_cycles"] for d in datas),
+        "total_instructions": sum(d["total_instructions"] for d in datas),
     }
     if "rfp" in first:
         data["rfp"] = {
-            key: sum(d.get("rfp", {}).get(key, 0) for d in used)
+            key: sum(d.get("rfp", {}).get(key, 0) for d in datas)
             for key in first["rfp"]
         }
     data["fast_forward"] = {
         "enabled": any(
-            d.get("fast_forward", {}).get("enabled", False) for d in used
+            d.get("fast_forward", {}).get("enabled", False) for d in datas
         ),
         "functional_instructions": sum(
             d.get("fast_forward", {}).get("functional_instructions", 0)
-            for d in used
+            for d in datas
         ),
         "detailed_warmup": sum(
-            d.get("fast_forward", {}).get("detailed_warmup", 0) for d in used
+            d.get("fast_forward", {}).get("detailed_warmup", 0) for d in datas
         ),
     }
     data["idle_skipped_cycles"] = sum(
-        d.get("idle_skipped_cycles", 0) for d in used
+        d.get("idle_skipped_cycles", 0) for d in datas
     )
     data["ipc_ci"] = {
         "mean": mean,
@@ -334,9 +300,7 @@ def aggregate_intervals(interval_datas, spec):
         "relative_half_width": (half / mean) if half is not None and mean > 0
         else None,
         "confidence": spec["confidence"],
-        "intervals_used": len(used),
-        "intervals_planned": spec["samples"],
-        "ci_target": spec["ci_target"],
+        "intervals_used": len(datas),
     }
     data["intervals"] = [
         {
@@ -347,7 +311,7 @@ def aggregate_intervals(interval_datas, spec):
             "cycles": d["cycles"],
             "instructions": d["instructions"],
         }
-        for d in used
+        for d in datas
     ]
     data["sampling"] = dict(spec)
     return data

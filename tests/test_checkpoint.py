@@ -42,13 +42,36 @@ from repro.sim.checkpoint import (
     warm_or_restore,
 )
 from repro.sim.parallel import run_matrix
-from repro.sim.runner import SimResult, simulate_sampled
+from repro.sim.runner import SimResult, simulate_interval
+from repro.sim.sampling import SamplingPlan, aggregate_intervals
 from repro.workloads.suite import build_workload
 from test_two_speed import hierarchy_state, pt_state
 
 WORKLOAD = "spec06_mcf"
 LENGTH = 4000
 WARM = 2000
+
+
+def storeless(config, spec):
+    """The sampled cell of ``config`` with every interval warmed
+    functionally (no store): the reference a store-backed run must equal."""
+    plan = SamplingPlan(config, LENGTH, WARM, spec)
+    return aggregate_intervals([
+        simulate_interval(WORKLOAD, config, length=LENGTH,
+                          start=plan.starts[i], measure=plan.measure,
+                          ramp=plan.ramps[i], index=i,
+                          checkpoint_store=None).data
+        for i in range(plan.samples)], spec)
+
+
+def sampled_cell(tmp_path, config, spec, cache_name="cache"):
+    """One sampled cell through the sweep, on the store at
+    ``REPRO_CHECKPOINT_DIR`` and a result cache of its own."""
+    [block], _report = run_matrix(
+        [config], [WORKLOAD], LENGTH, WARM,
+        cache=ResultCache(str(tmp_path / cache_name)), max_workers=1,
+        sampling=spec)
+    return block[WORKLOAD]
 
 
 def fresh_and_restored(config, length=LENGTH, warm=WARM):
@@ -399,30 +422,20 @@ class TestCheckpointStore:
         """A run without a store (``checkpoint_store=None``: every interval
         warms functionally) equals a store-backed run — restore is
         bit-exact versus a fresh warm, so the store is not fingerprinted."""
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
-        with_store = simulate_sampled(WORKLOAD, quiet_config(), length=LENGTH,
-                                      warmup=WARM, samples=3)
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
+        with_store = sampled_cell(tmp_path, quiet_config(), {"samples": 3})
         assert default_checkpoint_store().entry_paths()
-        without = simulate_sampled(WORKLOAD, quiet_config(), length=LENGTH,
-                                   warmup=WARM, samples=3,
-                                   checkpoint_store=None)
-        assert with_store.data == without.data
+        assert with_store.data == storeless(quiet_config(), {"samples": 3})
 
     def test_sampled_matrix_cell_matches_a_storeless_run(self, tmp_path,
                                                          monkeypatch):
         """A sweep always goes through the store; each sampled cell still
-        equals a storeless simulate_sampled of the same plan."""
+        equals the storeless intervals of the same plan, aggregated."""
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
         config = quiet_config(rfp={"enabled": True})
-        [block], _report = run_matrix(
-            [config], [WORKLOAD], LENGTH, WARM,
-            cache=ResultCache(str(tmp_path / "cache")), max_workers=1,
-            sampling={"samples": 3})
+        cell = sampled_cell(tmp_path, config, {"samples": 3})
         assert CheckpointStore(str(tmp_path / "ckpt")).entry_paths()
-        without = simulate_sampled(WORKLOAD, config, length=LENGTH,
-                                   warmup=WARM, samples=3,
-                                   checkpoint_store=None)
-        assert block[WORKLOAD].data == without.data
+        assert cell.data == storeless(config, {"samples": 3})
 
 
 # ---------------------------------------------------------------------------
@@ -648,21 +661,19 @@ class TestSplitStore:
 
     def test_corrupt_rfp_part_rewarms_byte_identical(self, tmp_path,
                                                      monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
         config = quiet_config(rfp={"enabled": True})
-        clean = simulate_sampled(WORKLOAD, config, length=LENGTH,
-                                 warmup=WARM, samples=3)
-        store = CheckpointStore(str(tmp_path))
+        clean = sampled_cell(tmp_path, config, {"samples": 3})
+        store = CheckpointStore(str(tmp_path / "ckpt"))
         before = {}
         for path in store.entry_paths():
             with open(path) as handle:
                 before[path] = handle.read()
         rfp_path = [path for path in before if RFP_PART in path][-1]
         truncate(rfp_path)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         with pytest.warns(RuntimeWarning, match="re-warmed") as caught:
-            again = simulate_sampled(WORKLOAD, config, length=LENGTH,
-                                     warmup=WARM, samples=3)
+            again = sampled_cell(tmp_path, config, {"samples": 3},
+                                 cache_name="cache-again")
         assert len([w for w in caught if "re-warmed" in str(w.message)]) == 1
         assert again.data == clean.data
         after = {}
@@ -679,15 +690,14 @@ class TestSplitStore:
 class TestCheckpointFaultInjection:
     def test_corrupt_checkpoint_fault_recovers_with_identical_result(
             self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
         config = quiet_config()
-        clean = simulate_sampled(WORKLOAD, config, length=LENGTH,
-                                 warmup=WARM, samples=3)
+        clean = sampled_cell(tmp_path, config, {"samples": 3})
         monkeypatch.setenv("REPRO_FAULT",
                            "corrupt_checkpoint:key=%s" % WORKLOAD)
         with pytest.warns(RuntimeWarning, match="re-warmed"):
-            injected = simulate_sampled(WORKLOAD, config, length=LENGTH,
-                                        warmup=WARM, samples=3)
+            injected = sampled_cell(tmp_path, config, {"samples": 3},
+                                    cache_name="cache-again")
         assert injected.data == clean.data
 
     def test_flip_flavour_hits_checksum_classification(self, tmp_path,

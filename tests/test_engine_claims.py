@@ -7,16 +7,18 @@ engines' speed floors are same-machine timings and live in
 ``benchmarks/test_perf_smoke.py`` instead.
 
 One module-scoped fixture runs the validation subset three ways (full
-detail, two-speed, sampled into a fresh checkpoint store, then sampled
-again from it); each test checks one claim against those runs.
+detail, two-speed, a sampled sweep into a fresh checkpoint store, then the
+same sweep again from it with a fresh result cache); each test checks one
+claim against those runs.
 """
 
 import pytest
 
 from repro.core.config import baseline
-from repro.sim.checkpoint import CheckpointStore
+from repro.sim.cache import ResultCache
 from repro.sim.defaults import DEFAULT_LENGTH, DEFAULT_WARMUP
-from repro.sim.runner import simulate, simulate_sampled
+from repro.sim.parallel import run_matrix
+from repro.sim.runner import simulate
 
 #: A cross-section of the suite (OLTP, client, SPEC int/fp, Java
 #: middleware, analytics) whose fast-forwarded IPC matches full detail
@@ -44,26 +46,32 @@ INTERVAL_LENGTH = 800
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    store = CheckpointStore(str(tmp_path_factory.mktemp("checkpoints")))
     full_config = baseline(fast_forward=False, idle_skip=False)
-    runs = {}
-    for name in VALIDATION_WORKLOADS:
-        sampled = [
-            simulate_sampled(name, baseline(), length=DEFAULT_LENGTH,
-                             warmup=DEFAULT_WARMUP, samples=SAMPLES,
-                             interval_length=INTERVAL_LENGTH,
-                             checkpoint_store=store)
-            for _pass in ("cold", "checkpoint hit")
-        ]
-        runs[name] = {
+    # Each pass gets a fresh result cache, so the second one restores
+    # every interval from the store instead of reading cached results.
+    sampled = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CHECKPOINT_DIR",
+                     str(tmp_path_factory.mktemp("checkpoints")))
+        for pass_name in ("cold", "hit"):
+            (sampled[pass_name],), _report = run_matrix(
+                [baseline()], VALIDATION_WORKLOADS, DEFAULT_LENGTH,
+                DEFAULT_WARMUP,
+                cache=ResultCache(str(tmp_path_factory.mktemp(pass_name))),
+                max_workers=1,
+                sampling={"samples": SAMPLES,
+                          "interval_length": INTERVAL_LENGTH})
+    return {
+        name: {
             "full": simulate(name, full_config, length=DEFAULT_LENGTH,
                              warmup=DEFAULT_WARMUP),
             "two_speed": simulate(name, baseline(), length=DEFAULT_LENGTH,
                                   warmup=DEFAULT_WARMUP),
-            "sampled_cold": sampled[0],
-            "sampled_hit": sampled[1],
+            "sampled_cold": sampled["cold"][name],
+            "sampled_hit": sampled["hit"][name],
         }
-    return runs
+        for name in VALIDATION_WORKLOADS
+    }
 
 
 def test_two_speed_ipc_within_one_percent_of_full_detail(runs):

@@ -113,14 +113,6 @@ class TestFaultSpecs:
         assert faults.active_faults({}) == []
         assert faults.active_faults({"REPRO_FAULT": ""}) == []
 
-    def test_rand_mode_is_deterministic(self):
-        (spec,) = faults.parse_faults("rand:p=0.5:seed=7")
-        outcomes = [faults._rand_fires(spec, job, attempt)
-                    for job in range(20) for attempt in (1, 2)]
-        assert outcomes == [faults._rand_fires(spec, job, attempt)
-                            for job in range(20) for attempt in (1, 2)]
-        assert any(outcomes) and not all(outcomes)
-
     def test_fire_noop_without_env(self):
         faults.fire_worker_faults(0, 1, in_child=False, environ={})
 

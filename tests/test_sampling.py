@@ -3,10 +3,9 @@
 The contract under test: the scipy-free Student-t arithmetic matches the
 printed tables, the sampling plan degenerates to today's two-speed single
 window at ``--sample 1`` (measured counters *exactly* equal to
-``simulate``), adaptive early stop is a deterministic function of the
-interval IPC sequence (serial early-stopped == parallel run-them-all), and
-a sampled suite is byte-identical between ``--jobs 1`` and ``--jobs 4``
-even with the RFP tables' RNG streams in play.
+``simulate``), a sampled suite is byte-identical between ``--jobs 1`` and
+``--jobs 4`` even with the RFP tables' RNG streams in play, and a sampled
+``repro run`` is a one-cell sweep.
 """
 
 import json
@@ -19,7 +18,7 @@ from conftest import quiet_config
 from repro.core.config import baseline
 from repro.sim.cache import ResultCache
 from repro.sim.parallel import run_jobs, run_matrix
-from repro.sim.runner import simulate, simulate_interval, simulate_sampled
+from repro.sim.runner import simulate, simulate_interval
 from repro.sim.sampling import (
     FF_DETAIL_RAMP,
     SamplingPlan,
@@ -88,23 +87,26 @@ class TestSpec:
     def test_defaults(self):
         spec = normalize_spec({"samples": 8})
         assert spec == {"samples": 8, "interval_length": None,
-                        "ci_target": None, "confidence": 0.95,
-                        "min_samples": 3}
+                        "confidence": 0.95}
 
     def test_validation(self):
         with pytest.raises(ValueError, match="samples"):
             normalize_spec({"samples": 0})
         with pytest.raises(ValueError, match="interval_length"):
             normalize_spec({"samples": 2, "interval_length": 0})
-        with pytest.raises(ValueError, match="ci_target"):
-            normalize_spec({"samples": 2, "ci_target": 1.5})
         with pytest.raises(ValueError, match="confidence"):
             normalize_spec({"samples": 2, "confidence": 0.85})
+
+    @pytest.mark.parametrize("stale", ["target", "sample"])
+    def test_unknown_key_is_refused(self, stale):
+        """A field the spec no longer has fails loudly, not silently."""
+        with pytest.raises(ValueError, match="unknown sampling spec key"):
+            normalize_spec({"samples": 2, stale: 1})
 
     def test_suffix_is_distinct_and_filesystem_safe(self):
         a = sampling_suffix({"samples": 8})
         b = sampling_suffix({"samples": 8, "interval_length": 600})
-        c = sampling_suffix({"samples": 8, "ci_target": 0.01})
+        c = sampling_suffix({"samples": 8, "confidence": 0.99})
         assert len({a, b, c}) == 3
         for suffix in (a, b, c):
             assert "/" not in suffix and " " not in suffix
@@ -159,7 +161,7 @@ class TestSamplingPlan:
 
 
 # ---------------------------------------------------------------------------
-# aggregation and the adaptive stop
+# aggregation
 
 
 def interval_data(index, ipc, cycles=1000):
@@ -192,20 +194,6 @@ class TestAggregateIntervals:
             4.303 * 1.0 / math.sqrt(3))
         assert [iv["index"] for iv in out["intervals"]] == [0, 1, 2]
 
-    def test_adaptive_stop_is_prefix_deterministic(self):
-        """The rule consumes intervals in index order: aggregating the full
-        list and aggregating only the surviving prefix give the identical
-        result — which is why parallel run-everything and serial
-        early-stopped runs agree."""
-        ipcs = [1.0, 1.01, 0.99, 5.0, 0.1]
-        spec = {"samples": 5, "ci_target": 0.05}
-        datas = [interval_data(i, ipc) for i, ipc in enumerate(ipcs)]
-        full = aggregate_intervals(datas, spec)
-        assert full["ipc_ci"]["intervals_used"] == 3  # stopped before 5.0
-        assert full["ipc"] == pytest.approx(1.0, abs=0.01)
-        prefix = aggregate_intervals(datas[:3], spec)
-        assert full == prefix
-
     def test_single_interval_has_no_ci_width(self):
         out = aggregate_intervals([interval_data(0, 1.5)], {"samples": 1})
         assert out["ipc_ci"]["half_width"] is None
@@ -228,11 +216,12 @@ class TestSampledRuns:
     def test_sample_one_degenerates_to_simulate(self, tmp_path, monkeypatch):
         """--sample 1 must reproduce today's single-window result exactly:
         same measured cycles, instructions, per-counter stats."""
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
         config = quiet_config(rfp={"enabled": True})
         full = simulate(WORKLOAD, config, length=LENGTH, warmup=WARM)
-        sampled = simulate_sampled(WORKLOAD, config, length=LENGTH,
-                                   warmup=WARM, samples=1)
+        [sampled], _ = run_jobs(
+            [(WORKLOAD, config, LENGTH, WARM, {"samples": 1})],
+            cache=ResultCache(str(tmp_path / "cache")), max_workers=1)
         for key in ("ipc", "cycles", "instructions", "stats",
                     "loads_served", "rfp", "fast_forward"):
             assert sampled.data[key] == full.data[key], key
@@ -254,30 +243,6 @@ class TestSampledRuns:
         assert interval.data.pop("interval")["checkpoint"] == "off"
         full = simulate(WORKLOAD, config, length=LENGTH, warmup=WARM)
         assert interval.data == full.data
-
-    @pytest.mark.parametrize("ci_target, intervals_used", [
-        (0.2, 4),    # met after 4 of the 6 planned intervals
-        (0.01, 6),   # never met: every planned interval is used
-    ])
-    def test_adaptive_early_stop_is_deterministic(self, tmp_path,
-                                                  monkeypatch, ci_target,
-                                                  intervals_used):
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
-        config = quiet_config()
-        spec = dict(samples=6, interval_length=400, ci_target=ci_target)
-        once = simulate_sampled(WORKLOAD, config, length=LENGTH, warmup=WARM,
-                                **spec)
-        again = simulate_sampled(WORKLOAD, config, length=LENGTH, warmup=WARM,
-                                 **spec)
-        assert once.data == again.data
-        assert once.data["ipc_ci"]["intervals_used"] == intervals_used
-        # The parallel engine simulates every interval but aggregates with
-        # the same deterministic truncation rule.
-        (results,), _report = run_matrix(
-            [config], [WORKLOAD], LENGTH, WARM,
-            cache=ResultCache(str(tmp_path / "cache")), max_workers=2,
-            sampling=spec)
-        assert results[WORKLOAD].data == once.data
 
     def test_serial_and_parallel_runs_byte_identical(self, tmp_path,
                                                      monkeypatch):
@@ -329,8 +294,8 @@ class TestSampledRuns:
 
 class TestRefusedSampling:
     """A sampled request that ``sampling_applies`` refuses (a VP config, or
-    ``REPRO_TRACE`` set) runs the full window on every path: a sampled
-    ``repro run`` and a sampled ``repro suite`` cell agree byte for byte."""
+    ``REPRO_TRACE`` set) runs the full window: the sweep cell equals a
+    plain :func:`simulate` of it byte for byte, event log included."""
 
     VP = {"enabled": True, "kind": "eves"}
 
@@ -338,14 +303,11 @@ class TestRefusedSampling:
                                                          monkeypatch):
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
         config = baseline(vp=self.VP)
-        sampled = simulate_sampled(WORKLOAD, config, length=LENGTH,
-                                   warmup=WARM, samples=4)
         [swept], _ = run_jobs(
             [(WORKLOAD, config, LENGTH, WARM, {"samples": 4})],
             cache=ResultCache(str(tmp_path / "cache")), max_workers=1)
         full = simulate(WORKLOAD, config, length=LENGTH, warmup=WARM)
         assert "ipc_ci" not in full.data
-        assert json.dumps(sampled.data) == json.dumps(full.data)
         assert json.dumps(swept.data) == json.dumps(full.data)
 
     @pytest.mark.parametrize("vp", [False, True], ids=["baseline", "vp"])
@@ -355,12 +317,12 @@ class TestRefusedSampling:
         config = baseline(vp=self.VP) if vp else baseline()
         length, warmup = 2000, 1000
         logs, datas = {}, {}
-        for path in ("sampled", "swept"):
+        for path in ("full", "swept"):
             logs[path] = tmp_path / (path + ".jsonl")
             monkeypatch.setenv("REPRO_TRACE", str(logs[path]))
-            if path == "sampled":
-                result = simulate_sampled(WORKLOAD, config, length=length,
-                                          warmup=warmup, samples=4)
+            if path == "full":
+                result = simulate(WORKLOAD, config, length=length,
+                                  warmup=warmup)
             else:
                 [result], _ = run_jobs(
                     [(WORKLOAD, config, length, warmup, {"samples": 4})],
@@ -368,9 +330,9 @@ class TestRefusedSampling:
                     max_workers=1)
             assert "ipc_ci" not in result.data and "obs" in result.data
             datas[path] = json.dumps(result.data)
-        assert datas["sampled"] == datas["swept"]
-        assert logs["sampled"].stat().st_size > 0
-        assert logs["sampled"].read_bytes() == logs["swept"].read_bytes()
+        assert datas["full"] == datas["swept"]
+        assert logs["full"].stat().st_size > 0
+        assert logs["full"].read_bytes() == logs["swept"].read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +345,52 @@ class TestCLI:
         parser = build_parser()
         args = parser.parse_args(
             ["run", WORKLOAD, "--sample", "8", "--interval-length", "600",
-             "--ci-target", "0.01", "--confidence", "0.99"])
+             "--confidence", "0.99"])
         assert _sampling_from_args(args) == {
-            "samples": 8, "interval_length": 600, "ci_target": 0.01,
-            "confidence": 0.99}
+            "samples": 8, "interval_length": 600, "confidence": 0.99}
         bare = parser.parse_args(["run", WORKLOAD])
         assert _sampling_from_args(bare) is None
         suite = parser.parse_args(["suite", "--sample", "4"])
         assert _sampling_from_args(suite) == {"samples": 4}
 
     def test_run_command_prints_ci(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         from repro.__main__ import main
         code = main(["run", WORKLOAD, "--length", str(LENGTH),
                      "--warmup", str(WARM), "--sample", "3"])
         out = capsys.readouterr().out
         assert code == 0
         assert "±" in out and "95% CI, n=3" in out
-        assert "3 of 3 planned" in out
+
+    def test_sampled_run_is_a_sweep_cell(self, tmp_path, monkeypatch, capsys):
+        """``repro run --sample`` is a one-cell :func:`run_matrix` sweep: it
+        prints the sweep's IPC ± CI, and a repeat is a result-cache hit."""
+        from repro.__main__ import main
+        from repro.sim import parallel
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        argv = ["run", WORKLOAD, "--length", str(LENGTH),
+                "--warmup", str(WARM), "--sample", "3"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        (swept,), _ = run_matrix(
+            [baseline()], [WORKLOAD], LENGTH, WARM,
+            cache=ResultCache(str(tmp_path / "sweep-cache")), max_workers=1,
+            sampling={"samples": 3})
+        [ipc_row] = [line for line in first.splitlines()
+                     if line.split("|")[0].strip() == "IPC"]
+        assert ipc_row.split("|")[1].strip() == format_ipc_ci(
+            swept[WORKLOAD].data)
+
+        def no_simulation(_item):
+            raise AssertionError("a cached cell was simulated again")
+
+        monkeypatch.setattr(parallel, "_run_job", no_simulation)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        with pytest.raises(ValueError, match="unknown sampling spec key"):
+            run_matrix([baseline()], [WORKLOAD], LENGTH, WARM,
+                       cache=ResultCache(str(tmp_path / "sweep-cache")),
+                       max_workers=1, sampling={"samples": 3, "target": 0.2})

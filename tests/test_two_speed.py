@@ -262,6 +262,30 @@ class TestTwoSpeedRuns:
                 "enabled": False, "functional_instructions": 0,
                 "detailed_warmup": 1000}
 
+    @pytest.mark.parametrize("sample", [[], ["--sample", "2"]],
+                             ids=["full", "sampled"])
+    def test_suite_vp_measures_both_sides_in_full_detail(
+            self, tmp_path, monkeypatch, capsys, sample):
+        """A VP feature config runs its whole window in detail (sampling
+        refuses it), so ``repro suite --vp`` measures the baseline that
+        way too: no fast-forward and no sampling on either side."""
+        from repro.__main__ import main
+        monkeypatch.delenv("REPRO_FF", raising=False)
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
+        out = tmp_path / "suite.json"
+        assert main(["suite", "-n", "2", "--vp", "eves", "--length", "4000",
+                     "--warmup", "2000", "--jobs", "1", "--out", str(out)]
+                    + sample) == 0
+        capsys.readouterr()
+        payload = json.loads(out.read_text())
+        cells = [cell for side in ("baseline", "feature")
+                 for cell in payload[side].values()]
+        assert len(cells) == 4
+        assert {cell["fast_forward"]["enabled"] for cell in cells} == {False}
+        assert not any("ipc_ci" in cell for cell in cells)
+
     def test_cli_flags_plumb_through(self):
         from repro.__main__ import _config_from_args, build_parser
         parser = build_parser()
