@@ -199,7 +199,7 @@ def cmd_suite(args):
         print("wrote %s" % args.out)
     if report.drained:
         # SIGTERM graceful drain: in-flight chunks finished and were
-        # journaled, queued jobs were aborted into the manifest.
+        # cached, queued jobs were aborted into the manifest.
         print("suite: drained after SIGTERM (%d job(s) aborted)"
               % sum(1 for f in report.failures
                     if f.get("classification") == "aborted"),
@@ -423,10 +423,8 @@ def build_parser():
     chaos_parser.add_argument("--hangs", type=int, default=1,
                               help="stop_shard launches (a SIGSTOPped "
                                    "busy shard the watchdog must catch)")
-    chaos_parser.add_argument("--torn", type=int, default=1,
-                              help="torn_write launches")
     chaos_parser.add_argument("--sigkills", type=int, default=1,
-                              help="mid-commit SIGKILL launches")
+                              help="mid-write SIGKILL launches")
     chaos_parser.add_argument("--length", type=int, default=6000)
     chaos_parser.add_argument("--warmup", type=int, default=3000)
     chaos_parser.add_argument("--launch-timeout", type=float, default=300,

@@ -12,8 +12,8 @@ than silently-wrong answers.  ``repro cache-clear`` removes entries;
 ``repro cache-stats`` reports what is on disk.
 
 Storage: :class:`ResultCache` is an :class:`~repro.sim.journal.EnvelopeStore`
-— checksummed envelope files, journaled crash-safe writes, and eviction
-of corrupt entries (the job is then re-simulated).
+— checksummed envelope files, each written by one atomic replace, and
+eviction of corrupt entries (the job is then re-simulated).
 """
 
 import dataclasses

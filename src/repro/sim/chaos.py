@@ -2,9 +2,9 @@
 
 A reproduction pipeline that *tolerates* faults is only trustworthy if
 the tolerance is exercised the way real faults arrive — processes dying
-mid-commit, shards freezing silently, half-written journal lines — and if
-the recovered end state is **byte-identical** to a fault-free run, not
-merely "no exception".  This module runs that campaign:
+mid-write, shards freezing silently — and if the recovered end state is
+**byte-identical** to a fault-free run, not merely "no exception".  This
+module runs that campaign:
 
 1. **Reference launch** — the sweep (``--num`` workloads x 3 configs:
    baseline, baseline+RFP, baseline-2x, optionally interval-sampled)
@@ -13,17 +13,14 @@ merely "no exception".  This module runs that campaign:
    stores while a seeded schedule (:func:`build_schedule`, pure
    ``random.Random(seed)``) injects one fault per launch via
    ``REPRO_FAULT``: shard kills (``kill_shard``), SIGSTOPped busy shards
-   (``stop_shard``), torn store writes (``torn_write``), and a real
-   ``SIGKILL`` mid-journal-commit (``kill_commit`` — the launch is
-   *expected* to die; its exit code is asserted to be the signal).
-   A **journal-truncation** launch skips the sweep and instead vandalises
-   the write-ahead log directly: a dangling intent over a half-written
-   final file, an orphaned temp file, and a torn trailing half-line.
+   (``stop_shard``), and a real ``SIGKILL`` mid-store-write
+   (``kill_commit`` — the launch is *expected* to die; its exit code is
+   asserted to be the signal).
 3. **Recovery pass** — ``repro cache-stats`` + ``repro checkpoint stats``
-   open both stores, which replays the journal (evicting torn finals,
-   removing orphan temps) and validates every entry.  The acceptance bar
-   is ``corrupt evicted: 0`` in *both* stores: replay must have already
-   restored integrity, leaving validation nothing to clean up.
+   open both stores, which removes the temp files of dead writers and
+   validates every entry.  The acceptance bar is ``corrupt evicted: 0``
+   in *both* stores: an interrupted write must never leave a corrupt
+   entry behind.
 4. **Convergence launch** — the sweep runs once more, fault-free, over
    the recovered stores and must exit 0 with an ``--out`` file
    **byte-identical** to the reference (including an empty failure
@@ -46,27 +43,26 @@ import sys
 import time
 
 from repro.core.config import baseline, baseline_2x
-from repro.sim.journal import Journal, validate_envelope
+from repro.sim.journal import validate_envelope
 from repro.workloads.suite import workload_names
 
 #: Default campaign seed; CI pins its own so local replays match.
 DEFAULT_SEED = 20220618  # the paper's ISCA year+month, arbitrary but fixed
 
-#: Commit stages a seeded SIGKILL may target (see journal.JournaledDir).
-_COMMIT_STAGES = ("intent", "payload", "replace")
+#: Store-write steps a seeded SIGKILL may target (see journal.JournaledDir).
+_COMMIT_STAGES = ("payload", "replace")
 
 
-def build_schedule(seed, shards, kills=3, hangs=1, torn=1, sigkills=1,
-                   workloads=()):
+def build_schedule(seed, shards, kills=3, hangs=1, sigkills=1, workloads=()):
     """The deterministic fault schedule for one campaign.
 
     Pure function of its arguments (``random.Random(seed)``, no ambient
     entropy), so a failing CI run is replayed exactly by its seed.
-    Returns a list of launch dicts: ``kind``, the ``REPRO_FAULT`` spec
-    (absent for the direct journal-truncation launch), what to clear
-    from the store beforehand (``clear``: ``"all"`` keeps jobs flowing
-    through the shards; a workload-name needle forces just that cell's
-    re-commit), and ``expect_signal`` for launches that must die.
+    Returns a list of launch dicts: ``kind``, the ``REPRO_FAULT`` spec,
+    what to clear from the store beforehand (``clear``: ``"all"`` keeps
+    jobs flowing through the shards; a workload-name needle forces just
+    that cell's re-commit), and ``expect_signal`` for launches that must
+    die.
     """
     rng = random.Random(seed)
     workloads = list(workloads)
@@ -85,13 +81,6 @@ def build_schedule(seed, shards, kills=3, hangs=1, torn=1, sigkills=1,
                      % (rng.randrange(shards), rng.randint(1, 2)),
             "clear": "all",
         })
-    for _ in range(torn):
-        needle = rng.choice(workloads)
-        schedule.append({
-            "kind": "torn_write",
-            "fault": "torn_write:key=%s" % needle,
-            "clear": needle,
-        })
     for _ in range(sigkills):
         needle = rng.choice(workloads)
         schedule.append({
@@ -101,7 +90,6 @@ def build_schedule(seed, shards, kills=3, hangs=1, torn=1, sigkills=1,
             "clear": needle,
             "expect_signal": signal.SIGKILL,
         })
-    schedule.append({"kind": "journal_truncation"})
     return schedule
 
 
@@ -122,32 +110,6 @@ def _clear_entries(directory, needle):
         except OSError:
             pass
     return removed
-
-
-def _vandalise_journal(cache_dir):
-    """The journal-truncation fault: a crash frozen at its nastiest.
-
-    Leaves the chaos cache directory exactly as a ``kill -9`` between
-    intent and commit would: a fsync'd intent record whose final file is
-    a half-written (torn) envelope, the orphaned per-process temp file,
-    and a torn trailing half-line in the journal itself.  The next store
-    open must replay this to a clean state with zero corrupt entries.
-    """
-    os.makedirs(cache_dir, exist_ok=True)
-    key = "chaos-vandal-0-0-deadbeef"
-    final = key + ".json"
-    tmp = "%s.json.%d.tmp" % (key, os.getpid())
-    with open(os.path.join(cache_dir, final), "w") as handle:
-        handle.write('{"checksum": "feedface", "data": {"trunc')
-    with open(os.path.join(cache_dir, tmp), "w") as handle:
-        handle.write('{"half-written temp')
-    with open(os.path.join(cache_dir, Journal.FILENAME), "a") as handle:
-        handle.write(json.dumps({
-            "op": "intent", "seq": "%d.999" % os.getpid(), "key": key,
-            "file": final, "tmp": tmp, "checksum": "feedface",
-        }, sort_keys=True) + "\n")
-        handle.write('{"op": "intent", "seq": "torn')  # no newline: torn tail
-    return {"final": final, "tmp": tmp}
 
 
 def run_sweep(args):
@@ -284,13 +246,6 @@ class _Campaign(object):
     def _fault_launches(self, schedule):
         for index, launch in enumerate(schedule):
             label = "fault-%d-%s" % (index, launch["kind"])
-            if launch["kind"] == "journal_truncation":
-                planted = _vandalise_journal(self.chaos_cache)
-                self.incidents.append(
-                    {"launch": label, "fault": "direct journal vandalism",
-                     "planted": planted})
-                self._log("%s: planted dangling intent + torn tail" % label)
-                continue
             cleared = _clear_entries(self.chaos_cache, launch["clear"])
             expect = launch.get("expect_signal")
             self._log("%s: REPRO_FAULT=%s (cleared %d entr%s)%s"
@@ -304,8 +259,9 @@ class _Campaign(object):
                 expect_signal=expect, fault=launch["fault"])
 
     def _recover(self):
-        """Open both chaos stores via the maintenance CLI: replays the
-        journal, validates every entry, and must report zero corrupt."""
+        """Open both chaos stores via the maintenance CLI: removes dead
+        writers' temp files, validates every entry, and must report zero
+        corrupt."""
         self._log("recovery pass (cache-stats + checkpoint stats)")
         env = self._env(self.chaos_cache, self.chaos_ckpt)
         dirty = []
@@ -319,15 +275,12 @@ class _Campaign(object):
                 dirty.append("%s %d" % (label, count))
         if dirty:
             raise CampaignFailure(
-                "journal recovery left corrupt entries (expected 0): %s"
+                "recovery left corrupt entries (expected 0): %s"
                 % ", ".join(dirty))
 
     def _verify_stores(self):
-        """In-process audit of the chaos cache: journal at rest, no stray
-        temp files, every surviving entry a valid envelope."""
-        journal_path = os.path.join(self.chaos_cache, Journal.FILENAME)
-        if os.path.exists(journal_path) and os.path.getsize(journal_path):
-            raise CampaignFailure("journal not at rest after recovery")
+        """In-process audit of the chaos cache: no stray temp files, every
+        surviving entry a valid envelope."""
         strays = [name for name in os.listdir(self.chaos_cache)
                   if name.endswith(".tmp")]
         if strays:
@@ -343,7 +296,7 @@ class _Campaign(object):
         if invalid:
             raise CampaignFailure("corrupt cache entries survived recovery: "
                                   "%s" % invalid)
-        self._log("store audit: journal at rest, 0 strays, all entries valid")
+        self._log("store audit: 0 strays, all entries valid")
 
     def _converge(self):
         self._log("convergence sweep (fault-free, recovered stores)")
@@ -367,7 +320,7 @@ class _Campaign(object):
         os.makedirs(self.root, exist_ok=True)
         schedule = build_schedule(
             args.seed, args.shards, kills=args.kills, hangs=args.hangs,
-            torn=args.torn, sigkills=args.sigkills,
+            sigkills=args.sigkills,
             workloads=workload_names()[: args.num])
         self._log("seed %d: %d fault launches over %d workloads x 3 configs"
                   % (args.seed, len(schedule), args.num))

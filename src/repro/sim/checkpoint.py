@@ -395,7 +395,6 @@ class CheckpointStore(EnvelopeStore):
 
     def contains(self, key):
         """Presence probe (every part) without reading/validating."""
-        self._recover()
         return all(os.path.exists(self._path(part))
                    for part in self.parts(key) if part is not None)
 
@@ -515,8 +514,7 @@ def warm_or_restore(core, workload, config, length, functional, store):
     return "warmed"
 
 
-def ensure_checkpoints(trace, workload, config, length, positions, store,
-                       engine="scalar"):
+def ensure_checkpoints(trace, workload, config, length, positions, store):
     """Write every missing checkpoint among ``positions`` in ONE warm pass
     per hierarchy fingerprint.
 
@@ -536,10 +534,7 @@ def ensure_checkpoints(trace, workload, config, length, positions, store,
     re-written by the same pass.
 
     ``trace`` may be None; it is built lazily only if a warm is needed.
-    ``engine`` selects who performs the pass: ``"scalar"`` (the
-    :class:`FunctionalWarmer` loop below) or ``"batch"`` (the SoA engine in
-    :mod:`repro.emu.batch` — bit-exact with scalar; see
-    :func:`ensure_checkpoints_batch` for the multi-job form).
+    :func:`ensure_checkpoints_batch` is the batched multi-job form.
     Returns ``{position: "hit" | "warmed"}``; a position is a hit when
     every config's checkpoint there was already stored.
     """
@@ -551,16 +546,6 @@ def ensure_checkpoints(trace, workload, config, length, positions, store,
             warm_fingerprint(each), each)
     wanted = sorted({int(p) for p in positions if p > 0})
     outcome = dict.fromkeys(wanted, "hit")
-    if engine == "batch":
-        jobs = [(trace, workload, each, length, wanted)
-                for group in groups.values() for each in group.values()]
-        for job_outcome in ensure_checkpoints_batch(jobs, store):
-            outcome.update((position, "warmed")
-                           for position, how in job_outcome.items()
-                           if how == "warmed")
-        return outcome
-    if engine != "scalar":
-        raise ValueError("unknown warm engine %r" % (engine,))
     for group in groups.values():
         trace = _warm_pass(trace, workload, list(group.values()), length,
                            wanted, store, outcome)

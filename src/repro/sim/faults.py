@@ -2,10 +2,11 @@
 
 The recovery machinery in :mod:`repro.sim.parallel` (watchdog, retries,
 keep-going manifests) and :class:`repro.sim.journal.EnvelopeStore`
-(checksum eviction, journal replay) is itself code that can rot; this
-module makes every error path reachable on demand so CI exercises the
-recovery logic, not just the happy path.  Faults are requested through the ``REPRO_FAULT`` environment
-variable — a comma-separated list of specs, each ``kind:param=value:...``:
+(checksum eviction, the dead-writer temp sweep) is itself code that can
+rot; this module makes every error path reachable on demand so CI
+exercises the recovery logic, not just the happy path.  Faults are
+requested through the ``REPRO_FAULT`` environment variable — a
+comma-separated list of specs, each ``kind:param=value:...``:
 
 - ``crash:job=3`` — worker for job index 3 dies (hard ``os._exit`` in a
   child process, an :class:`InjectedCrash` exception in-process).
@@ -30,22 +31,20 @@ Shard-pool flavours (:mod:`repro.sim.scheduler`):
   pipe open, so only the job's watchdog deadline can catch it.
   ``attempts=K`` bounds the incarnation as for ``kill_shard``.
 
-Store-commit flavours (:mod:`repro.sim.journal`):
+Store-write flavour (:mod:`repro.sim.journal`):
 
-- ``torn_write:key=K`` — the next journaled commit whose key contains the
-  substring writes a half-truncated final file and *no* commit record
-  (modelling a crash between payload and rename), so journal replay must
-  evict it.  Fires once per matching spec per process.
-- ``kill_commit:key=K:at=intent|payload|replace`` — SIGKILL the process at
-  the named stage inside the commit sequence (after the intent record,
-  after the payload fsync, or after the atomic rename but before the
-  commit record), so recovery after a mid-commit death is provable.
+- ``kill_commit:key=K:at=payload|replace`` — SIGKILL the process at the
+  named step of a store write whose key contains the substring (after the
+  temp file is written, or after the atomic replace; default
+  ``replace``), so recovery after a mid-write death is provable.
 
 Any spec may add ``attempts=K`` to fire only on the first ``K`` attempts
 of a job (incarnations of a shard, matches of a commit key) — the
 standard way to test that a retry then *succeeds*.  The ``corrupt_cache``
-flavour accepts ``how=truncate|flip`` (truncated file vs a well-formed
-envelope whose payload no longer matches its checksum).
+and ``corrupt_checkpoint`` flavours accept ``how=truncate|flip``
+(truncated file, the default, vs a well-formed envelope whose payload no
+longer matches its checksum).  A spec that could never fire — an unknown
+kind, ``at=`` or ``how=`` — is a :class:`ValueError` naming the clause.
 
 Everything is off (and zero-cost: one env lookup) unless ``REPRO_FAULT``
 is set.
@@ -59,14 +58,22 @@ import time
 from repro.sim import settings
 
 _VALID_KINDS = ("crash", "hang", "corrupt_cache", "corrupt_checkpoint",
-                "kill_shard", "stop_shard", "torn_write", "kill_commit")
+                "kill_shard", "stop_shard", "kill_commit")
 
 #: Kinds that never fire from fire_worker_faults (they have their own
-#: call sites in the journal and the shard scheduler).
+#: call sites in the store and the shard scheduler).
 _NON_WORKER_KINDS = frozenset((
     "corrupt_cache", "corrupt_checkpoint",
-    "kill_shard", "stop_shard", "torn_write", "kill_commit",
+    "kill_shard", "stop_shard", "kill_commit",
 ))
+
+#: The values a parameter may take, per kind: anything else could never
+#: fire, so :func:`parse_faults` rejects it.
+_CHOICES = {
+    ("kill_commit", "at"): ("payload", "replace"),
+    ("corrupt_cache", "how"): ("truncate", "flip"),
+    ("corrupt_checkpoint", "how"): ("truncate", "flip"),
+}
 
 
 class InjectedFault(RuntimeError):
@@ -118,7 +125,15 @@ def parse_faults(text):
                     "(expected name=value)" % (field, clause)
                 )
             name, value = field.split("=", 1)
-            params[name.strip()] = value.strip()
+            name, value = name.strip(), value.strip()
+            choices = _CHOICES.get((kind, name))
+            if choices is not None and value not in choices:
+                raise ValueError(
+                    "fault parameter %s=%r in REPRO_FAULT clause %r can "
+                    "never fire (expected one of %s)"
+                    % (name, value, clause, ", ".join(choices))
+                )
+            params[name] = value
         specs.append(FaultSpec(kind, params))
     return specs
 
@@ -232,37 +247,15 @@ def shard_fault(shard_id, incarnation, environ=None):
 
 
 # ---------------------------------------------------------------------------
-# store-commit flavours (consumed by repro.sim.journal inside commits)
-
-_torn_fired = {}  # needle -> times fired in this process
-
-
-def torn_write_requested(key, environ=None):
-    """True when a ``torn_write`` fault targets this commit's ``key``.
-
-    Each matching spec fires ``attempts`` times (default 1) per process,
-    so the eventual re-commit of the same key lands intact.
-    """
-    for spec in active_faults(environ):
-        if spec.kind != "torn_write":
-            continue
-        needle = spec.params.get("key", "")
-        if needle not in key:
-            continue
-        limit = int(spec.params.get("attempts", "1"))
-        if _torn_fired.get(needle, 0) >= limit:
-            continue
-        _torn_fired[needle] = _torn_fired.get(needle, 0) + 1
-        return True
-    return False
+# store-write flavour (consumed by repro.sim.journal inside writes)
 
 
 def fire_commit_faults(key, stage, environ=None):
     """SIGKILL the process when a ``kill_commit`` fault targets this
-    commit ``key`` at this ``stage`` (``intent``/``payload``/``replace``).
+    write's ``key`` at this ``stage`` (``payload``/``replace``).
 
-    A real SIGKILL — no atexit, no finally blocks — so the journal replay
-    exercised afterwards is recovering from a genuine mid-commit death.
+    A real SIGKILL — no atexit, no finally blocks — so the recovery
+    exercised afterwards follows a genuine mid-write death.
     """
     for spec in active_faults(environ):
         if spec.kind != "kill_commit":

@@ -44,7 +44,7 @@ Resilience (the parent supervises every shard):
   re-run (``repro suite --resume``) simulates only the remainder.
 - **SIGTERM graceful drain**: a service manager's stop signal finishes
   the in-flight chunks (bounded by ``REPRO_DRAIN_TIMEOUT`` seconds),
-  journals their results to the cache, records every
+  writes their results to the cache, records every
   not-started or timed-out job as ``aborted`` in the manifest, and
   returns normally with ``report.drained`` set — the CLI maps that to
   exit code 4.
@@ -204,7 +204,7 @@ class TimingReport(object):
         #: the latter flagged ``recovered=True``.
         self.failures = failures if failures is not None else []
         #: True when a SIGTERM drain cut the run short: in-flight chunks
-        #: finished and were journaled, the rest is ``aborted`` in the
+        #: finished and were cached, the rest is ``aborted`` in the
         #: manifest, and the CLI exits 4.
         self.drained = drained
 

@@ -123,8 +123,8 @@ class TestSeededEquivalenceMatrix:
         mixed = CheckpointStore(str(tmp_path / "mixed"))
         ensure_checkpoints(trace, workload, config, LENGTH, BOUNDS[:1],
                            mixed)
-        outcome = ensure_checkpoints(trace, workload, config, LENGTH,
-                                     BOUNDS, mixed, engine="batch")
+        [outcome] = ensure_checkpoints_batch(
+            [(trace, workload, config, LENGTH, BOUNDS)], mixed)
         assert outcome == {BOUNDS[0]: "hit", BOUNDS[1]: "warmed",
                            BOUNDS[2]: "warmed"}
         for bound in BOUNDS[1:]:
@@ -138,8 +138,8 @@ class TestSeededEquivalenceMatrix:
         ensure_checkpoints_batch([(trace, workload, config, LENGTH, BOUNDS)],
                                  store)
         reset_warm_pass_count()
-        outcome = ensure_checkpoints(trace, workload, config, LENGTH,
-                                     BOUNDS, store, engine="batch")
+        [outcome] = ensure_checkpoints_batch(
+            [(trace, workload, config, LENGTH, BOUNDS)], store)
         assert outcome == {b: "hit" for b in BOUNDS}
         assert warm_pass_count() == 0
 
@@ -255,12 +255,6 @@ class TestEngineKnobs:
         assert not settings.get("REPRO_BATCH_WARM")
         monkeypatch.setenv("REPRO_BATCH_WIDTH", "17")
         assert settings.get("REPRO_BATCH_WIDTH") == 17
-
-    def test_unknown_engine_rejected(self, tmp_path):
-        store = CheckpointStore(str(tmp_path))
-        with pytest.raises(ValueError, match="unknown warm engine"):
-            ensure_checkpoints(None, "spec06_mcf", baseline(), LENGTH,
-                               BOUNDS, store, engine="vector")
 
     def test_columns_cached_on_trace(self):
         trace = build_workload("spec06_mcf", length=2000)

@@ -14,6 +14,8 @@ small RFP-table parts.
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -35,6 +37,7 @@ from repro.sim.checkpoint import (
     capture,
     default_checkpoint_store,
     ensure_checkpoints,
+    ensure_checkpoints_batch,
     hierarchy_fingerprint,
     restore,
     rfp_fingerprint,
@@ -371,7 +374,9 @@ class TestCheckpointStore:
         assert (stats["entries"], stats["corrupt_evicted"]) == (1, 1)
         assert stats["bytes"] == os.path.getsize(store._path(survivor))
         assert [e["key"] for e in store.pop_evictions()] == [key]
-        with open(path + ".123.tmp", "w") as handle:
+        writer = subprocess.Popen([sys.executable, "-c", "pass"])
+        writer.wait()  # a dead writer's temp file
+        with open("%s.%d.tmp" % (path, writer.pid), "w") as handle:
             handle.write("half-written")
         assert store.clear() == 2  # the survivor and the stray temp
         assert not [name for name in os.listdir(str(tmp_path))
@@ -630,10 +635,16 @@ class TestSplitStore:
         files = {}
         for engine in ("scalar", "batch"):
             store = CheckpointStore(str(tmp_path / engine))
-            outcome = ensure_checkpoints(None, WORKLOAD, RFP_VARIANTS[:4],
-                                         LENGTH, [1000, WARM], store,
-                                         engine=engine)
-            assert outcome == {1000: "warmed", WARM: "warmed"}
+            if engine == "scalar":
+                outcomes = [ensure_checkpoints(
+                    None, WORKLOAD, RFP_VARIANTS[:4], LENGTH, [1000, WARM],
+                    store)]
+            else:
+                outcomes = ensure_checkpoints_batch(
+                    [(None, WORKLOAD, config, LENGTH, [1000, WARM])
+                     for config in RFP_VARIANTS[:4]], store)
+            for outcome in outcomes:
+                assert outcome == {1000: "warmed", WARM: "warmed"}
             files[engine] = {}
             for path in store.entry_paths():
                 with open(path) as handle:

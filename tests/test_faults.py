@@ -124,19 +124,34 @@ class TestFaultSpecs:
 
 
 class TestShardFaultSpecs:
-    """The service-layer fault grammar: kill_shard, stop_shard,
-    torn_write and kill_commit (see README resilience docs)."""
+    """The service-layer fault grammar: kill_shard, stop_shard and
+    kill_commit (see README resilience docs)."""
 
     def test_parse_shard_kinds(self):
         specs = faults.parse_faults(
             "kill_shard:shard=1:after=2, stop_shard:shard=0:after=1, "
-            "torn_write:key=mcf, kill_commit:key=gcc:at=payload")
+            "kill_commit:key=gcc:at=payload, kill_commit:key=mcf")
         assert [s.kind for s in specs] == [
-            "kill_shard", "stop_shard", "torn_write", "kill_commit"]
+            "kill_shard", "stop_shard", "kill_commit", "kill_commit"]
 
     def test_retired_heartbeat_fault_is_an_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             faults.parse_faults("hang_heartbeat:shard=0:seconds=9")
+
+    def test_retired_torn_write_fault_is_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown fault kind 'torn_write'"):
+            faults.parse_faults("torn_write:key=mcf")
+
+    @pytest.mark.parametrize("clause", [
+        "kill_commit:key=mcf:at=intent",
+        "kill_commit:key=mcf:at=replce",
+        "corrupt_cache:key=mcf:how=zero",
+        "corrupt_checkpoint:key=mcf:how=Flip",
+    ])
+    def test_a_spec_that_can_never_fire_is_rejected(self, clause):
+        with pytest.raises(ValueError, match="can never fire") as info:
+            faults.parse_faults("crash:job=1, " + clause)
+        assert repr(clause) in str(info.value)
 
     def test_kill_shard_targets_shard_and_incarnation(self):
         env = {"REPRO_FAULT": "kill_shard:shard=1:after=2"}
@@ -159,25 +174,12 @@ class TestShardFaultSpecs:
         # A stop fault never fires as a job-level worker fault.
         faults.fire_worker_faults(0, 1, in_child=False, environ=env)
 
-    def test_torn_write_fires_attempts_times_per_process(self):
-        env = {"REPRO_FAULT": "torn_write:key=mcf:attempts=2"}
-        faults._torn_fired.clear()
-        try:
-            assert faults.torn_write_requested("spec06_mcf-1-2-x", environ=env)
-            assert faults.torn_write_requested("spec06_mcf-1-2-x", environ=env)
-            assert not faults.torn_write_requested("spec06_mcf-1-2-x",
-                                                   environ=env)  # budget spent
-            assert not faults.torn_write_requested("spec06_gcc-1-2-x",
-                                                   environ=env)  # no match
-        finally:
-            faults._torn_fired.clear()
-
     def test_kill_commit_is_noop_on_stage_or_key_miss(self):
-        env = {"REPRO_FAULT": "kill_commit:key=mcf:at=intent"}
+        env = {"REPRO_FAULT": "kill_commit:key=mcf:at=payload"}
         # Wrong stage / wrong key: must return, not SIGKILL the test run.
         faults.fire_commit_faults("spec06_mcf-1-2-x", "replace", environ=env)
-        faults.fire_commit_faults("spec06_gcc-1-2-x", "intent", environ=env)
-        faults.fire_commit_faults("anything", "intent", environ={})
+        faults.fire_commit_faults("spec06_gcc-1-2-x", "payload", environ=env)
+        faults.fire_commit_faults("anything", "payload", environ={})
 
 
 class TestKnobs:
@@ -450,7 +452,7 @@ class TestSigintResume:
 class TestSigtermDrain:
     def test_sigterm_drains_gracefully_with_exit_code_4(self, tmp_path):
         """Satellite: SIGTERM mid-suite finishes in-flight chunks,
-        journals their results, writes the manifest (aborted records),
+        caches their results, writes the manifest (aborted records),
         and exits with the documented drain code 4."""
         cache_dir = str(tmp_path / "cache")
         out_path = str(tmp_path / "out.json")
@@ -487,7 +489,7 @@ class TestSigtermDrain:
                 child.kill()
                 child.wait()
         assert child.returncode == 4  # documented drain exit code
-        # The three healthy chunks were finished and journaled.
+        # The three healthy chunks were finished and cached.
         cached = [name for name in os.listdir(cache_dir)
                   if name.endswith(".json")]
         assert len(cached) == 3

@@ -1,11 +1,11 @@
-"""Crash-safe journaled store: WAL replay, file locking, kill -9 commits.
+"""Crash-safe store writes: one temp file, one atomic replace.
 
-The contract under test: a ``kill -9`` at *any* instant of a store
-commit leaves the entry either fully written or cleanly recoverable —
-replay on the next open removes orphan temp files, evicts torn finals,
-keeps valid envelopes, and leaves the journal empty (at rest).  The
-inter-process file lock serializes writers and survives holder death via
-stale-PID takeover.
+The contract under test: a ``kill -9`` at either step of a store write
+leaves the entry either fully written or absent, never corrupt; the next
+store open (and ``stats`` / ``clear``) removes the temp files of dead
+writers and leaves a live writer's alone; and two processes writing the
+same keys at once leave the same bytes as one process would, with no
+lock.
 """
 
 import gc
@@ -14,17 +14,12 @@ import os
 import signal
 import subprocess
 import sys
-import time
 
 import pytest
 
-from repro.sim import faults
 from repro.sim.cache import ResultCache
 from repro.sim.journal import (
-    FileLock,
-    Journal,
     JournaledDir,
-    LockTimeout,
     encode_envelope,
     read_envelope,
     validate_envelope,
@@ -33,14 +28,15 @@ from repro.sim.journal import (
 SRC_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
+#: Files the journaled store of earlier versions left in a directory.
+RETIRED_FILES = ("journal.wal", ".lock")
+
 
 @pytest.fixture(autouse=True)
 def scrub_fault_env(monkeypatch):
     monkeypatch.delenv("REPRO_FAULT", raising=False)
-    faults._torn_fired.clear()
     yield
     os.environ.pop("REPRO_FAULT", None)
-    faults._torn_fired.clear()
 
 
 def write_entry(directory, key, data):
@@ -50,110 +46,16 @@ def write_entry(directory, key, data):
     return path
 
 
-class TestFileLock:
-    def test_acquire_creates_and_release_removes(self, tmp_path):
-        lock = FileLock(str(tmp_path / ".lock"))
-        with lock:
-            assert os.path.exists(str(tmp_path / ".lock"))
-        assert not os.path.exists(str(tmp_path / ".lock"))
-
-    def test_contention_times_out(self, tmp_path):
-        path = str(tmp_path / ".lock")
-        holder = FileLock(path)
-        holder.acquire()
-        try:
-            waiter = FileLock(path, timeout=0.2, poll_interval=0.01)
-            started = time.monotonic()
-            with pytest.raises(LockTimeout, match="held by"):
-                waiter.acquire()
-            assert time.monotonic() - started < 5
-        finally:
-            holder.release()
-
-    def test_stale_pid_is_taken_over(self, tmp_path):
-        path = str(tmp_path / ".lock")
-        # A lockfile owned by a process that no longer exists: pick a pid
-        # from a child that has already exited.
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()
-        with open(path, "w") as handle:
-            handle.write("%d\n" % child.pid)
-        lock = FileLock(path, timeout=5)
-        lock.acquire()  # must steal, not time out
-        lock.release()
-        assert not os.path.exists(path)
-
-    def test_live_pid_is_respected(self, tmp_path):
-        path = str(tmp_path / ".lock")
-        with open(path, "w") as handle:
-            handle.write("%d\n" % os.getpid())  # us: definitely alive
-        lock = FileLock(path, timeout=0.2, poll_interval=0.01)
-        with pytest.raises(LockTimeout):
-            lock.acquire()
+def dead_pid():
+    """The PID of a child that has exited and been reaped."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
 
 
-class TestJournalReplay:
-    def test_commit_truncates_to_at_rest(self, tmp_path):
-        journal = Journal(str(tmp_path))
-        seq = journal.begin("k1", "k1.json", "k1.json.tmp", "abcd")
-        assert journal.needs_replay()
-        journal.commit(seq)
-        assert not journal.needs_replay()
-        assert os.path.getsize(journal.path) == 0
-
-    def test_dangling_intent_removes_tmp_and_evicts_torn_final(
-            self, tmp_path):
-        directory = str(tmp_path)
-        journal = Journal(directory)
-        journal.begin("k1", "k1.json", "k1.json.tmp", "abcd")
-        with open(os.path.join(directory, "k1.json.tmp"), "w") as handle:
-            handle.write('{"half')
-        with open(os.path.join(directory, "k1.json"), "w") as handle:
-            handle.write('{"checksum": "abcd", "data": {"tor')
-        summary = journal.replay()
-        assert summary["pending"] == 1
-        assert summary["removed_tmp"] == 1
-        assert [e["key"] for e in summary["evicted"]] == ["k1"]
-        assert not os.path.exists(os.path.join(directory, "k1.json"))
-        assert not os.path.exists(os.path.join(directory, "k1.json.tmp"))
-        assert not journal.needs_replay()  # replay checkpoints the log
-
-    def test_valid_final_is_kept_old_or_new(self, tmp_path):
-        # Crash before os.replace: the final file is the *old* valid
-        # envelope and must survive replay untouched.
-        directory = str(tmp_path)
-        path = write_entry(directory, "k1", {"v": 1})
-        journal = Journal(directory)
-        journal.begin("k1", "k1.json", "k1.json.tmp", "different-checksum")
-        summary = journal.replay()
-        assert summary["kept"] == 1
-        assert summary["evicted"] == []
-        with open(path) as handle:
-            assert json.load(handle)["data"] == {"v": 1}
-
-    def test_torn_trailing_line_is_tolerated(self, tmp_path):
-        directory = str(tmp_path)
-        journal = Journal(directory)
-        seq = journal.begin("k1", "k1.json", "k1.json.tmp", "abcd")
-        journal.commit(seq)
-        with open(journal.path, "a") as handle:
-            handle.write('{"op": "intent", "seq": "torn')  # crash mid-append
-        summary = journal.replay()
-        assert summary["torn_tail"] is True
-        assert not journal.needs_replay()
-
-    def test_journaled_dir_recover_cheap_at_rest(self, tmp_path):
-        directory = str(tmp_path)
-        journaled = JournaledDir(directory)
-        journaled.commit("k1", os.path.join(directory, "k1.json"),
-                         *encode_envelope({"v": 1}))
-        assert journaled.recover() == []
-        # At rest: journal empty, no lock left behind, entry valid.
-        assert os.path.getsize(os.path.join(directory,
-                                            Journal.FILENAME)) == 0
-        assert not os.path.exists(os.path.join(directory,
-                                               JournaledDir.LOCK_FILENAME))
-        assert validate_envelope(os.path.join(directory, "k1.json")) is None
+def temp_names(directory):
+    return sorted(name for name in os.listdir(directory)
+                  if name.endswith(".tmp"))
 
 
 class TestValidateEnvelope:
@@ -181,7 +83,7 @@ class TestValidateEnvelope:
         directory = str(tmp_path)
         data = {"workload": "w", "ipc": 1.25, "nested": {"b": [1, 2], "a": None}}
         path = os.path.join(directory, "k1.json")
-        JournaledDir(directory).commit("k1", path, *encode_envelope(data))
+        JournaledDir().commit("k1", path, encode_envelope(data)[1])
         checksum, text = encode_envelope(data)
         with open(path, "rb") as handle:
             assert handle.read() == text.encode("utf-8")
@@ -234,30 +136,43 @@ class FakeResult(object):
         return self.data
 
 
-class TestCacheJournalIntegration:
-    def test_torn_write_fault_recovers_on_next_open(self, tmp_path):
+_KILL_COMMIT_CHILD = """\
+import sys
+sys.path.insert(0, %(src)r)
+from repro.sim.cache import ResultCache
+
+class R:
+    def __init__(self, data): self.data = data
+    def as_dict(self): return self.data
+
+cache = ResultCache(%(cache)r)
+cache.put("victim-key", R({"v": 42}))
+print("UNREACHABLE")
+"""
+
+
+class TestStaleTempSweep:
+    @pytest.mark.parametrize("when", ["open", "stats", "clear"])
+    def test_dead_writers_temp_is_removed_live_writers_kept(self, tmp_path,
+                                                           when):
         cache_dir = str(tmp_path)
-        cache = ResultCache(cache_dir)
-        cache.put("stable-key", FakeResult({"v": 1}))
-        os.environ["REPRO_FAULT"] = "torn_write:key=victim"
-        cache.put("victim-key", FakeResult({"v": 2}))
-        del os.environ["REPRO_FAULT"]
-        # The fault left a dangling intent + torn final behind.
-        journal_path = os.path.join(cache_dir, Journal.FILENAME)
-        assert os.path.getsize(journal_path) > 0
-        # A fresh open replays: torn final evicted, survivor intact, and
-        # the incident lands on the eviction log for the manifest.
-        fresh = ResultCache(cache_dir)
-        assert fresh.get("victim-key") is None
-        evictions = fresh.pop_evictions()
-        assert any(e["key"] == "victim-key" for e in evictions)
-        assert fresh.get("stable-key").data == {"v": 1}
-        assert os.path.getsize(journal_path) == 0
-        # The re-commit of the same key lands intact (attempts=1 spent).
-        os.environ["REPRO_FAULT"] = "torn_write:key=victim"
-        faults._torn_fired["victim"] = 1  # simulate the spent budget
-        fresh.put("victim-key", FakeResult({"v": 2}))
-        assert fresh.get("victim-key").data == {"v": 2}
+        kept = write_entry(cache_dir, "k1", {"v": 1})
+        dead = "k1.json.%d.tmp" % dead_pid()
+        live = "k1.json.%d.tmp" % os.getpid()
+        if when != "open":
+            cache = ResultCache(cache_dir)
+        for name in (dead, live):
+            with open(os.path.join(cache_dir, name), "w") as handle:
+                handle.write('{"half-written')
+        if when == "open":
+            ResultCache(cache_dir)
+        elif when == "stats":
+            stats = cache.stats()
+            assert (stats["entries"], stats["corrupt_evicted"]) == (1, 0)
+        else:
+            assert cache.clear() == 2  # the entry and the dead temp
+            assert not os.path.exists(kept)
+        assert temp_names(cache_dir) == [live]
 
 
 _KILL_COMMIT_CHILD = """\
@@ -276,10 +191,11 @@ print("UNREACHABLE")
 
 
 class TestKillCommitRecovery:
-    @pytest.mark.parametrize("stage", ["intent", "payload", "replace"])
+    @pytest.mark.parametrize("stage", ["payload", "replace"])
     def test_sigkill_mid_commit_is_recoverable(self, tmp_path, stage):
-        """kill -9 at each commit stage: the store is fully written or
-        cleanly recovered; never torn, never locked shut."""
+        """kill -9 at each write step: the entry is fully written or
+        absent, never corrupt, and the dead writer's temp file is gone
+        after the next open."""
         cache_dir = str(tmp_path)
         ResultCache(cache_dir).put("stable-key", FakeResult({"v": 1}))
         env = dict(os.environ)
@@ -290,25 +206,26 @@ class TestKillCommitRecovery:
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == -signal.SIGKILL
         assert "UNREACHABLE" not in proc.stdout
+        if stage == "payload":
+            # Killed between the temp write and the replace.
+            [temp] = temp_names(cache_dir)
+            assert temp.startswith("victim-key.json.")
         fresh = ResultCache(cache_dir)
+        assert temp_names(cache_dir) == []
         victim = fresh.get("victim-key")
         if stage == "replace":
-            # Killed after os.replace: the entry is fully written and
-            # replay keeps it (a valid envelope, commit record missing).
+            # Killed after os.replace: the entry is fully written.
             assert victim.data == {"v": 42}
         else:
             # Killed before the final file changed: entry simply absent.
             assert victim is None
-        # Zero corrupt entries either way, no strays, journal at rest,
-        # and the dead holder's lock was taken over.
+        # Zero corrupt entries either way, no journal or lock files, and
+        # the next write works.
         assert fresh.get("stable-key").data == {"v": 1}
-        assert [e for e in fresh.pop_evictions()
-                if "corrupt" in e.get("reason", "")] == []
-        assert not [name for name in os.listdir(cache_dir)
-                    if name.endswith(".tmp")]
-        assert os.path.getsize(os.path.join(cache_dir,
-                                            Journal.FILENAME)) == 0
-        fresh.put("after-key", FakeResult({"v": 7}))  # lock not wedged
+        assert fresh.pop_evictions() == []
+        assert not [name for name in RETIRED_FILES
+                    if os.path.exists(os.path.join(cache_dir, name))]
+        fresh.put("after-key", FakeResult({"v": 7}))
         assert fresh.get("after-key").data == {"v": 7}
 
 
@@ -322,28 +239,48 @@ class R:
     def as_dict(self): return self.data
 
 cache = ResultCache(%(cache)r)
-for i in range(20):
-    cache.put("w%(tag)s-%%d" %% i, R({"writer": %(tag)r, "i": i}))
+print("ready", flush=True)
+sys.stdin.read()  # start together
+for _ in range(%(rounds)d):
+    for i in range(20):
+        cache.put("key-%%d" %% i, R({"i": i, "pad": [i] * 2000}))
 """
 
 
+def fill(cache_dir, rounds):
+    """A child process that writes the same 20 keys ``rounds`` times once
+    its stdin closes."""
+    return subprocess.Popen(
+        [sys.executable, "-c", _CONCURRENT_CHILD
+         % {"src": SRC_DIR, "cache": cache_dir, "rounds": rounds}],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
 class TestConcurrentWriters:
-    def test_two_processes_share_one_journal(self, tmp_path):
-        cache_dir = str(tmp_path)
-        procs = [
-            subprocess.Popen(
-                [sys.executable, "-c", _CONCURRENT_CHILD
-                 % {"src": SRC_DIR, "cache": cache_dir, "tag": tag}],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-            for tag in ("a", "b")
-        ]
+    def test_two_processes_fill_the_same_keys(self, tmp_path):
+        """Two writers of the same keys at once need no lock: every entry
+        is byte-identical to a single-process fill."""
+        alone, shared = str(tmp_path / "alone"), str(tmp_path / "shared")
+        single = fill(alone, 1)
+        _, err = single.communicate(timeout=120)
+        assert single.returncode == 0, err.decode()
+        procs = [fill(shared, 25) for _ in range(2)]
         for proc in procs:
-            _, err = proc.communicate(timeout=120)
-            assert proc.returncode == 0, err.decode()
-        cache = ResultCache(cache_dir)
-        for tag in ("a", "b"):
-            for i in range(20):
-                assert cache.get("w%s-%d" % (tag, i)).data["i"] == i
+            assert proc.stdout.readline() == b"ready\n"
+        for proc in procs:
+            proc.stdin.close()
+        for proc in procs:
+            proc.wait(timeout=120)
+            assert proc.returncode == 0, proc.stderr.read().decode()
+        # The 20 entries and nothing else: no temp, lock or journal file.
+        assert sorted(os.listdir(shared)) == sorted(os.listdir(alone)) == \
+            sorted("key-%d.json" % i for i in range(20))
+        for name in os.listdir(alone):
+            with open(os.path.join(alone, name), "rb") as handle:
+                expected = handle.read()
+            with open(os.path.join(shared, name), "rb") as handle:
+                assert handle.read() == expected, name
+        cache = ResultCache(shared)
+        for i in range(20):
+            assert cache.get("key-%d" % i).data["i"] == i
         assert cache.pop_evictions() == []
-        assert os.path.getsize(os.path.join(cache_dir,
-                                            Journal.FILENAME)) == 0
