@@ -57,9 +57,8 @@ MIN_SERIAL_INSTR_PER_SECOND = 22661.0
 
 @pytest.fixture(autouse=True)
 def _unperturbed(monkeypatch):
-    """Time the engines' fast paths, not tracing, faults or checks."""
-    for name in ("REPRO_TRACE", "REPRO_FF", "REPRO_FAULT",
-                 "REPRO_CHECK_INVARIANTS"):
+    """Time the engines' fast paths, not faults or checks."""
+    for name in ("REPRO_FF", "REPRO_FAULT", "REPRO_CHECK_INVARIANTS"):
         monkeypatch.delenv(name, raising=False)
 
 

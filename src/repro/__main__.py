@@ -22,7 +22,7 @@ from repro.core.config import RFPConfig, baseline, baseline_2x
 from repro.obs.export import (
     dump_jsonl, pipeline_view, sort_events, window_events, write_jsonl,
 )
-from repro.obs.tracer import TraceSpec, parse_cycle_range
+from repro.obs.tracer import Tracer, parse_cycle_range
 from repro.rfp.storage import storage_report
 from repro.sim.cache import default_cache
 from repro.sim.checkpoint import CheckpointStore
@@ -111,8 +111,7 @@ def cmd_trace(args):
     # Collect the full event stream and window at render time, so the
     # pipeline view can still label rows whose rename fell outside the
     # requested cycle window.
-    spec = TraceSpec(args.out, loads_only=(args.filter == "loads"))
-    tracer = spec.build_tracer()
+    tracer = Tracer(loads_only=(args.filter == "loads"))
     result = simulate(args.workload, config, length=args.length,
                       warmup=args.warmup, tracer=tracer)
     events = sort_events(tracer.events)
@@ -146,7 +145,7 @@ def cmd_suite(args):
     # Both sides of the ratio are measured the same way (--ff/--no-ff).  A
     # feature config sampling refuses (VP) runs its full window in full
     # detail, so then the baseline does too.
-    split = sampling_applies(config, traced=False)
+    split = sampling_applies(config)
     if not split:
         sampling = None
     base_config = (baseline_2x if args.core_2x else baseline)(

@@ -18,8 +18,10 @@ Three pieces:
 - :mod:`~repro.obs.export` — a JSONL event log (deterministic bytes) and a
   Konata-style per-instruction pipeline text view.
 
-Enable via ``python -m repro trace <workload>`` or the ``REPRO_TRACE``
-environment knob (see :func:`~repro.obs.tracer.trace_spec_from_env`).
+A tracer is always explicit: ``python -m repro trace <workload>`` or
+``simulate(..., tracer=Tracer())``.  A sweep never traces, so no setting
+changes what it returns; to trace several cells, run ``repro trace``
+once per cell.
 """
 
 from repro.obs.events import EVENT_TYPES, STAGE_RANK
@@ -31,20 +33,18 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.tracer import TraceSpec, Tracer, parse_cycle_range, trace_spec_from_env
+from repro.obs.tracer import Tracer, parse_cycle_range
 
 __all__ = [
     "EVENT_TYPES",
     "STAGE_RANK",
     "Histogram",
     "MetricsRegistry",
-    "TraceSpec",
     "Tracer",
     "dump_jsonl",
     "parse_cycle_range",
     "pipeline_view",
     "read_jsonl",
     "sort_events",
-    "trace_spec_from_env",
     "write_jsonl",
 ]

@@ -25,7 +25,6 @@ produce no events — they have no seqnum to key by.
 
 from repro.obs import events as E
 from repro.obs.metrics import MetricsRegistry
-from repro.sim import settings
 
 
 def parse_cycle_range(text):
@@ -44,39 +43,6 @@ def parse_cycle_range(text):
     if hi is not None and hi < lo:
         raise ValueError("cycle range %r is empty" % text)
     return (lo, hi)
-
-
-class TraceSpec(object):
-    """Where and what to trace, as resolved from the environment or CLI."""
-
-    __slots__ = ("path", "loads_only")
-
-    def __init__(self, path, loads_only=False):
-        self.path = path
-        self.loads_only = loads_only
-
-    def build_tracer(self):
-        return Tracer(metrics=MetricsRegistry(), loads_only=self.loads_only)
-
-    def __repr__(self):
-        return "<TraceSpec path=%r loads_only=%r>" % (self.path,
-                                                      self.loads_only)
-
-
-def trace_spec_from_env(environ=None):
-    """Resolve the ``REPRO_TRACE`` knob into a :class:`TraceSpec` or None.
-
-    - ``REPRO_TRACE`` unset, empty, or ``0``: tracing disabled.
-    - ``REPRO_TRACE=1``: enabled, JSONL written to ``repro_trace.jsonl``.
-    - ``REPRO_TRACE=<path>``: enabled, JSONL written to ``<path>``.
-
-    A suite trace records every event of every job; ``repro trace
-    --cycles/--filter`` windows and filters a single run.
-    """
-    value = settings.get("REPRO_TRACE", environ)
-    if value in ("", "0"):
-        return None
-    return TraceSpec("repro_trace.jsonl" if value == "1" else value)
 
 
 class Tracer(object):

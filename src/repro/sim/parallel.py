@@ -4,8 +4,11 @@ Per-(workload, config) simulations are embarrassingly parallel — nothing is
 shared between two runs except the on-disk result cache.  :func:`run_jobs`
 is a short driver over module-level stages that share one ``_Sweep``
 state object: plan (normalise, key, dedup) -> lookup (result cache,
-interval expansion) -> execute (per-lane checkpoint prewarm, jobs) ->
-assemble (trace merge, sampled cells) -> report.  The execute stage
+interval expansion) -> execute (per-lane checkpoint prewarm, jobs,
+sampled cells aggregated as their last interval lands) -> report.  A
+sweep returns and caches exactly the cells it was asked for: a sampled
+cell's intervals are jobs in memory, never result-cache entries.  The
+execute stage
 hands the misses to one of two :class:`Executor` implementations — the
 in-process :class:`SerialExecutor` (one worker: the serial reference
 path) or the supervised shard pool of :mod:`repro.sim.scheduler` —
@@ -19,9 +22,10 @@ parent process:
   by the cache and re-simulated here);
 - duplicate in-flight keys are deduplicated before submission (two figures
   asking for the same (workload, config, length, warmup) share one run);
-- shards return plain result dicts over a pipe; the parent writes them to
-  the cache **incrementally**, so concurrent shards never race on disk
-  and an interrupted run keeps everything already finished.
+- shards return plain result dicts over a pipe; the parent writes each
+  cell to the cache **incrementally** (a sampled cell once its last
+  interval lands), so concurrent shards never race on disk and an
+  interrupted run keeps every cell already finished.
 
 Resilience (the parent supervises every shard):
 
@@ -40,11 +44,11 @@ Resilience (the parent supervises every shard):
   down.
 - **SIGINT-safe finalization**: Ctrl-C sets a flag, busy shards are
   terminated, and ``KeyboardInterrupt`` is re-raised *after* the orderly
-  shutdown — every completed job is already committed to the cache, so a
+  shutdown — every completed cell is already committed to the cache, so a
   re-run (``repro suite --resume``) simulates only the remainder.
 - **SIGTERM graceful drain**: a service manager's stop signal finishes
   the in-flight chunks (bounded by ``REPRO_DRAIN_TIMEOUT`` seconds),
-  writes their results to the cache, records every
+  writes the cells they complete to the cache, records every
   not-started or timed-out job as ``aborted`` in the manifest, and
   returns normally with ``report.drained`` set — the CLI maps that to
   exit code 4.
@@ -65,23 +69,18 @@ simulation is seeded purely by (workload name, config), and the returned
 mapping is assembled in job order, not completion order.
 """
 
-import os
-import shutil
 import signal
 import sys
-import tempfile
 import threading
 import time
 import traceback
 from collections import deque
 
-from repro.obs.export import sort_events, write_jsonl
-from repro.obs.tracer import trace_spec_from_env
 from repro.sim import faults, settings
 from repro.sim.cache import default_cache
 from repro.sim.checkpoint import (
-    CheckpointStore, default_checkpoint_store, ensure_checkpoints,
-    ensure_checkpoints_batch, warm_fingerprint,
+    default_checkpoint_store, ensure_checkpoints, ensure_checkpoints_batch,
+    warm_fingerprint,
 )
 from repro.sim.runner import SimResult, simulate, simulate_interval
 from repro.sim.sampling import (
@@ -270,45 +269,32 @@ def format_failures(failures):
 def _run_job(item):
     """Worker body: simulate one job.
 
-    ``item`` is ``(key, job, trace_path, job_index, attempt, in_child)``.
+    ``item`` is ``(key, job, job_index, attempt, in_child)``.
     Module-level (not a closure) so it can be pickled by reference under
     the ``spawn`` start method; the serial executor and every shard look
     it up on this module at call time.  Returns the JSON-friendly result payload —
     never a :class:`SimResult` — to keep the IPC surface minimal.
-
-    When ``trace_path`` is set (REPRO_TRACE enabled), the worker attaches a
-    tracer and streams the job's sorted event log to that per-job file; the
-    parent merges the files in job order after the run drains.  Failures
-    are re-raised as :class:`WorkerError` carrying the (workload, config)
-    key plus the worker-side traceback and root exception class.
+    Failures are re-raised as :class:`WorkerError` carrying the
+    (workload, config) key plus the worker-side traceback and root
+    exception class.
     """
-    key, job, trace_path = item[:3]
-    workload, config, length, warmup = job[:4]
-    sampling = job[4] if len(job) > 4 else None
-    job_index, attempt, in_child = item[3:]
+    key, job, job_index, attempt, in_child = item
+    workload, config, length, warmup, sampling = job
     started = time.perf_counter()
     try:
         faults.fire_worker_faults(job_index, attempt, in_child)
         if sampling is not None:
-            # One measurement interval of a sampled cell.  The worker
-            # builds its own store handle from the directory in the spec
-            # (a plain string, so the payload pickles under spawn).
+            # One measurement interval of a sampled cell, restored through
+            # this process's one handle on the checkpoint store.
             interval = sampling["interval"]
             result = simulate_interval(
                 workload, config, length=length,
                 start=interval["start"], measure=interval["measure"],
                 ramp=interval["ramp"], index=interval["index"],
-                checkpoint_store=CheckpointStore(sampling["checkpoint_dir"]),
+                checkpoint_store=default_checkpoint_store(),
             )
-            return key, result.data, time.perf_counter() - started
-        tracer = None
-        if trace_path is not None:
-            spec = trace_spec_from_env()
-            tracer = spec.build_tracer() if spec is not None else None
-        result = simulate(workload, config, length=length, warmup=warmup,
-                          tracer=tracer)
-        if tracer is not None:
-            write_jsonl(sort_events(tracer.events), trace_path)
+        else:
+            result = simulate(workload, config, length=length, warmup=warmup)
     except Exception as exc:
         name = workload if isinstance(workload, str) else workload.name
         raise WorkerError(name, config.name, traceback.format_exc(),
@@ -319,14 +305,13 @@ def _run_job(item):
 class _PendingJob(object):
     """Supervisor-side state for one deduplicated cache miss."""
 
-    __slots__ = ("key", "job", "index", "trace_path", "tries", "last_class",
-                 "last_detail", "last_root", "corrupt_record")
+    __slots__ = ("key", "job", "index", "tries", "last_class", "last_detail",
+                 "last_root", "corrupt_record")
 
-    def __init__(self, key, job, index, trace_path):
+    def __init__(self, key, job, index):
         self.key = key
         self.job = job
         self.index = index
-        self.trace_path = trace_path
         self.tries = 0          # completed (failed) attempts so far
         self.last_class = None
         self.last_detail = None
@@ -344,8 +329,7 @@ class _PendingJob(object):
 
     def item(self, in_child):
         """The :func:`_run_job` payload for this job's next attempt."""
-        return (self.key, self.job, self.trace_path, self.index,
-                self.tries + 1, in_child)
+        return (self.key, self.job, self.index, self.tries + 1, in_child)
 
 
 class _SignalGuard(object):
@@ -573,16 +557,14 @@ class _Sweep(object):
     def __init__(self, cache, progress):
         self.cache = cache
         self.progress = progress
-        # REPRO_TRACE: bypass the result cache so every job actually
-        # simulates (a cache hit would silently produce no events), making
-        # the merged event log a pure function of the job list.
-        self.trace_spec = trace_spec_from_env()
         self.total = 0           # progress denominator (interval units)
         self.done = 0
         self.cache_hits = 0
         self.deduplicated = 0
         self.by_key = {}         # key -> SimResult (None = failed)
         self.cells = {}          # sampled cell key -> (spec, interval keys)
+        self.cell_of = {}        # interval key -> its sampled cell's key
+        self.jobs = {}           # key -> _PendingJob of every miss
         self.failures = []       # the failure manifest
         self.drained = False
 
@@ -595,19 +577,35 @@ class _Sweep(object):
 
     def on_success(self, pj, data, seconds):
         result = SimResult(data)
-        if self.trace_spec is None:
-            self.cache.put(pj.key, result)  # parent-only, incremental commit
         self.by_key[pj.key] = result
-        if pj.corrupt_record is not None:
-            pj.corrupt_record["recovered"] = True
-            pj.corrupt_record["attempts"] = pj.tries + 1
         if pj.tries:
             # Recovered after failed attempts: an incident worth a record,
             # but not a terminal failure.
             self.failures.append(_incident(
                 pj.workload_name, pj.config_name, pj.index, pj.last_class,
                 pj.tries + 1, True, pj.last_detail, pj.last_root))
+        cell_key = self.cell_of.get(pj.key)
+        if cell_key is None:
+            self._commit(pj.key, result, pj)
+        else:
+            # A sampled cell is aggregated, in interval-index order, and
+            # committed the moment its last interval lands.
+            spec, interval_keys = self.cells[cell_key]
+            parts = [self.by_key.get(key) for key in interval_keys]
+            if all(part is not None for part in parts):
+                self._commit(cell_key, SimResult(aggregate_intervals(
+                    [part.data for part in parts], spec)),
+                    self.jobs[interval_keys[0]])
         self.tick(data["workload"], data["config"], seconds, "run")
+
+    def _commit(self, key, result, pj):
+        """Cache one finished cell (parent-only, incremental); a corrupt
+        entry evicted for it, recorded on ``pj``, is now recovered."""
+        self.cache.put(key, result)
+        self.by_key[key] = result
+        if pj.corrupt_record is not None:
+            pj.corrupt_record["recovered"] = True
+            pj.corrupt_record["attempts"] = pj.tries + 1
 
     def on_terminal(self, pj):
         self._failed(pj, pj.last_class, pj.last_detail, pj.last_root)
@@ -632,15 +630,14 @@ def _plan(sweep, jobs):
     every job in order, and each distinct key's first job.
 
     Sampling is silently dropped where
-    :func:`~repro.sim.sampling.sampling_applies` refuses it (VP configs,
-    tracing): such a job runs the full window.
+    :func:`~repro.sim.sampling.sampling_applies` refuses it (VP configs):
+    such a job runs the full window.
     """
     keys, unique = [], {}
     for job in jobs:
         workload, config, length, warmup = job[:4]
         spec = job[4] if len(job) > 4 else None
-        if spec is not None and not sampling_applies(
-                config, sweep.trace_spec is not None):
+        if spec is not None and not sampling_applies(config):
             spec = None
         if spec is not None:
             spec = normalize_spec(spec)
@@ -654,22 +651,22 @@ def _plan(sweep, jobs):
     return keys, unique
 
 
-def _lookup(sweep, keys, unique, store):
+def _lookup(sweep, keys, unique):
     """Serve what the result cache holds, and expand each sampled miss
     into its interval jobs.  Returns ``(misses, prewarm)``: the pending
     jobs, and per trace lane (:func:`trace_key`) the checkpoint
     positions to warm per (workload, trace, length, warm fingerprint).
 
-    Each interval is an independently schedulable, independently cached
-    job keyed ``<cell-key>-iNNN``; the cell's aggregate is assembled after
-    the fan-out drains.  ``total`` grows so the progress denominator
-    counts interval units, not cells.
+    Each interval is an independently schedulable job keyed
+    ``<cell-key>-iNNN`` in memory only: the result cache holds cells,
+    never intervals.  ``total`` grows so the progress denominator counts
+    interval units, not cells.
     """
     cache = sweep.cache
     cache.pop_evictions()  # stale incidents from earlier runs are not ours
     pending = {}
     for key, job in unique.items():
-        cached = cache.get(key) if sweep.trace_spec is None else None
+        cached = cache.get(key)
         if cached is None:
             pending[key] = job
             continue
@@ -695,11 +692,7 @@ def _lookup(sweep, keys, unique, store):
         interval_keys = [key + "-i%03d" % i for i in range(plan.samples)]
         sweep.total += plan.samples - 1  # the cell becomes its intervals
         for i, interval_key in enumerate(interval_keys):
-            cached = cache.get(interval_key)
-            if cached is not None:
-                sweep.by_key[interval_key] = cached
-                sweep.tick(workload, config.name, 0.0, "cache")
-                continue
+            sweep.cell_of[interval_key] = key
             work[interval_key] = (workload, config, length, warmup, {
                 "interval": {
                     "index": i,
@@ -707,7 +700,6 @@ def _lookup(sweep, keys, unique, store):
                     "measure": plan.measure,
                     "ramp": plan.ramps[i],
                 },
-                "checkpoint_dir": store.directory,
             })
             if plan.functionals[i] > 0:
                 name = workload if isinstance(workload, str) else workload.name
@@ -719,13 +711,17 @@ def _lookup(sweep, keys, unique, store):
                 positions.add(plan.functionals[i])
         sweep.cells[key] = (spec, interval_keys)
 
-    misses = [_PendingJob(key, job, index, None)
+    misses = [_PendingJob(key, job, index)
               for index, (key, job) in enumerate(work.items())]
-    # Corrupt entries evicted by the lookups above: record the incident,
-    # flip it to recovered once the re-simulation lands.
-    by_key = {pj.key: pj for pj in misses}
+    sweep.jobs = {pj.key: pj for pj in misses}
+    # Corrupt entries evicted by the lookups above: record the incident
+    # (a sampled cell's on its first interval job) and flip it to
+    # recovered once the re-simulated cell commits.
     for incident in cache.pop_evictions():
-        pj = by_key.get(incident["key"])
+        key = incident["key"]
+        if key in sweep.cells:
+            key = sweep.cells[key][1][0]
+        pj = sweep.jobs.get(key)
         if pj is not None:
             pj.corrupt_record = _incident(
                 pj.workload_name, pj.config_name, pj.index,
@@ -812,28 +808,6 @@ def _execute(sweep, misses, on_lane, max_workers, job_timeout, retries,
     return workers
 
 
-def _assemble(sweep, misses):
-    """Merge per-job event logs and aggregate sampled cells.
-
-    Both consume their parts in job / interval-index order, so the bytes
-    and the cell results are identical however many workers ran.
-    """
-    if sweep.trace_spec is not None and misses:
-        with open(sweep.trace_spec.path, "wb") as merged:
-            for pj in misses:
-                if os.path.exists(pj.trace_path):
-                    with open(pj.trace_path, "rb") as part:
-                        shutil.copyfileobj(part, merged)
-    for cell_key, (spec, interval_keys) in sweep.cells.items():
-        datas = [sweep.by_key.get(key) for key in interval_keys]
-        if any(result is None for result in datas):
-            sweep.by_key[cell_key] = None  # an interval failed terminally
-            continue
-        result = SimResult(aggregate_intervals([r.data for r in datas], spec))
-        sweep.cache.put(cell_key, result)
-        sweep.by_key[cell_key] = result
-
-
 def _report(sweep, misses, workers, wall_seconds):
     # Prewarm incidents (job index -1) are recorded lane by lane; order
     # them by workload so the manifest does not depend on lane order.
@@ -863,14 +837,16 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
              batch_warm=None):
     """Run (workload, config, length, warmup[, sampling]) jobs through the
     result cache and an executor: plan, lookup, execute (prewarming each
-    trace lane's checkpoints), assemble, report.
+    trace lane's checkpoints, committing each cell as it completes),
+    report.
 
     Args:
         jobs: sequence of ``(workload, config, length, warmup)`` tuples,
             optionally with a fifth interval-sampling spec.
         cache: a :class:`~repro.sim.cache.ResultCache`; defaults to the
-            shared on-disk cache.  Completed jobs are committed to it
-            incrementally, so an interrupted run resumes where it stopped.
+            shared on-disk cache.  Completed cells (a sampled one once
+            all its intervals land) are committed to it incrementally, so
+            an interrupted run resumes where it stopped.
         max_workers: worker cap (None = ``REPRO_JOBS``).  Above one,
             misses run on a :class:`repro.sim.scheduler.ShardPool`;
             otherwise on the in-process :class:`SerialExecutor`.
@@ -903,24 +879,15 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
     sweep = _Sweep(cache if cache is not None else default_cache(), progress)
     keys, unique = _plan(sweep, jobs)
     store = default_checkpoint_store()
-    misses, prewarm = _lookup(sweep, keys, unique, store)
-    trace_dir = None
-    if sweep.trace_spec is not None and misses:
-        trace_dir = tempfile.mkdtemp(prefix="repro-trace-")
-        for pj in misses:
-            pj.trace_path = os.path.join(trace_dir, "job-%06d.jsonl" % pj.index)
-    try:
-        workers = _execute(
-            sweep, misses,
-            lambda key: _prewarm(sweep, store, prewarm.get(key), batch_warm),
-            max_workers, job_timeout, retries, keep_going)
-        _assemble(sweep, misses)
-    finally:
-        if trace_dir is not None:
-            shutil.rmtree(trace_dir, ignore_errors=True)
+    misses, prewarm = _lookup(sweep, keys, unique)
+    workers = _execute(
+        sweep, misses,
+        lambda key: _prewarm(sweep, store, prewarm.get(key), batch_warm),
+        max_workers, job_timeout, retries, keep_going)
     report = _report(sweep, misses, workers,
                      time.perf_counter() - started)
-    # Job order, not completion order: deterministic output.
+    # Job order, not completion order: deterministic output.  A failed
+    # job, or a sampled cell one of whose intervals failed, is None.
     return [sweep.by_key.get(key) for key in keys], report
 
 

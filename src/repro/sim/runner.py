@@ -21,15 +21,12 @@ detailed core re-simulates the last
 :data:`~repro.sim.sampling.FF_DETAIL_RAMP` warmup instructions to refill
 the pipeline, and only then does measurement start — at exactly the same
 instruction count as a full-detail run.  The plan runs value-predictor
-configs and ``fast_forward=False`` configs in full detail; so does a
-tracer (``REPRO_TRACE`` or an explicit one), whose event log must cover
-the whole trace.
+configs and ``fast_forward=False`` configs in full detail; so does a run
+given a tracer, whose event log must cover the whole trace.
 """
 
 from repro.core.config import baseline
 from repro.core.core import OOOCore
-from repro.obs.export import sort_events, write_jsonl
-from repro.obs.tracer import trace_spec_from_env
 from repro.sim.defaults import DEFAULT_LENGTH, DEFAULT_WARMUP
 from repro.sim.sampling import SamplingPlan
 from repro.workloads.suite import build_workload, workload_category
@@ -182,11 +179,9 @@ def simulate(
 
     Returns a :class:`SimResult` measured over the post-warmup window.
 
-    Tracing: pass an explicit :class:`~repro.obs.tracer.Tracer` to collect
-    events yourself (the ``trace`` CLI and the parallel engine do), or set
-    ``REPRO_TRACE=<path>`` to have this function attach one and write the
-    sorted JSONL event log to ``<path>`` when the run drains.  Either way
-    the metrics snapshot lands in ``result.data["obs"]``.
+    Tracing: pass a :class:`~repro.obs.tracer.Tracer` to collect the
+    run's events (``repro trace`` does); its metrics snapshot lands in
+    ``result.data["obs"]``.  Nothing attaches one implicitly.
 
     Invariant net: ``check_invariants`` is a sweep interval in cycles for
     :mod:`repro.core.invariants` (0 disables; None defers to
@@ -195,11 +190,6 @@ def simulate(
     """
     config = config or baseline()
     trace, name, category = _resolve_trace(workload, length)
-    env_spec = None
-    if tracer is None:
-        env_spec = trace_spec_from_env()
-        if env_spec is not None:
-            tracer = env_spec.build_tracer()
     plan = SamplingPlan(config, len(trace), warmup, {"samples": 1})
     start = plan.starts[0]
     # An event trace must cover the whole trace.
@@ -210,8 +200,6 @@ def simulate(
                                    ramp, None, max_cycles)
     if tracer is not None:
         result.data["obs"] = tracer.metrics.snapshot()
-    if env_spec is not None:
-        write_jsonl(sort_events(tracer.events), env_spec.path)
     return result
 
 

@@ -17,7 +17,7 @@ This module is pure planning and arithmetic — no simulation:
   the effective-warmup clamp and fast-forward eligibility live only here,
   decided from the config alone (``config.fast_forward``).
 - :func:`sampling_applies` decides whether a sampled request is run as
-  sampled at all (not for VP configs, not under tracing).
+  sampled at all (not for VP configs).
 - :func:`t_critical` / :func:`mean_ci` are a scipy-free Student-t: a
   hardcoded two-sided critical-value table (the classic printed table) with
   conservative round-down for untabulated degrees of freedom.
@@ -26,7 +26,8 @@ This module is pure planning and arithmetic — no simulation:
 
 One interval runs in ``repro.sim.runner.simulate_interval``; a sampled
 cell is expanded into its intervals, run and aggregated only by
-``repro.sim.parallel.run_jobs``.
+``repro.sim.parallel.run_jobs``, which caches the aggregated cell and
+never an interval.
 """
 
 import math
@@ -171,18 +172,17 @@ def sampling_suffix(spec):
     )
 
 
-def sampling_applies(config, traced):
+def sampling_applies(config):
     """Whether a sampled request for ``config`` is run as sampled.
 
-    Not for value-predictor configs (VP tables train on pipeline events
-    the functional warmer does not model) and not when ``traced`` (the
-    event log must cover the whole trace).  A refused request runs the
+    Not for value-predictor configs: VP tables train on pipeline events
+    the functional warmer does not model.  A refused request runs the
     full window instead; :func:`~repro.sim.parallel.run_jobs` asks here
     for every sampled job, ``repro run --sample`` and ``repro suite
     --sample`` alike.  The same rule makes :class:`SamplingPlan` keep a
     VP config's warmup detailed.
     """
-    return not (traced or config.vp.enabled)
+    return not config.vp.enabled
 
 
 class SamplingPlan(object):
@@ -217,7 +217,7 @@ class SamplingPlan(object):
                 "measured region (trace length %d, warmup %d)"
                 % (samples, length - warmup_effective, length, warmup)
             )
-        ff_ok = config.fast_forward and sampling_applies(config, traced=False)
+        ff_ok = config.fast_forward and sampling_applies(config)
         self.samples = samples
         self.warmup_effective = warmup_effective
         self.stride = stride

@@ -117,8 +117,6 @@ SETTINGS = (
              words={"off": 0, "false": 0}),
     _setting("REPRO_FAULT", str, "",
              "fault-injection clauses (see repro.sim.faults)"),
-    _setting("REPRO_TRACE", str, "",
-             "event-trace JSONL path (1 = repro_trace.jsonl, 0 = off)"),
 )
 
 REGISTRY = {setting.name: setting for setting in SETTINGS}

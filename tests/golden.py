@@ -11,8 +11,9 @@ that moves any simulated number shows up as a named cell.
 Two grids, one per cost tier:
 
 - ``quick``: 4 workloads at length 8000 / warmup 1000 (32 cells), plus
-  the sha256 of the ``REPRO_TRACE`` JSONL event stream of two of its
-  cells.  Checked by ``tests/test_golden.py``.
+  the sha256 of the JSONL event stream (a
+  :class:`~repro.obs.tracer.Tracer`'s sorted events, the bytes ``repro
+  trace --format jsonl -o`` writes) of two of its cells.  Checked by ``tests/test_golden.py``.
 - ``suite``: all 65 workloads at length 40000 / warmup 20000 (520
   cells).  Checked in CI.
 
@@ -111,20 +112,21 @@ def cell_digests(name, jobs=1):
 
 
 def traced_digests():
-    """sha256 of the ``REPRO_TRACE`` JSONL stream of the traced quick cells."""
+    """sha256 of the JSONL event stream of the traced quick cells."""
+    from repro.obs.export import dump_jsonl, sort_events
+    from repro.obs.tracer import Tracer
     from repro.sim.runner import simulate
 
     names, length, warmup = grid("quick")
     by_name = {config.name: config for config in configs()}
     out = {}
-    with tempfile.TemporaryDirectory(prefix="repro-golden-") as tmp:
-        path = os.path.join(tmp, "trace.jsonl")
-        with mock.patch.dict(os.environ, REPRO_TRACE=path):
-            for config_name in TRACED_CONFIGS:
-                simulate(names[0], by_name[config_name], length=length, warmup=warmup)
-                with open(path, "rb") as handle:
-                    digest = hashlib.sha256(handle.read()).hexdigest()
-                out["%s/%s" % (config_name, names[0])] = digest
+    for config_name in TRACED_CONFIGS:
+        tracer = Tracer()
+        simulate(names[0], by_name[config_name], length=length, warmup=warmup,
+                 tracer=tracer)
+        text = dump_jsonl(sort_events(tracer.events))
+        out["%s/%s" % (config_name, names[0])] = hashlib.sha256(
+            text.encode("utf-8")).hexdigest()
     return out
 
 

@@ -9,6 +9,7 @@ SIGINT-interrupted runs that resume from the incremental cache.
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import pytest
 
 from conftest import quiet_config
 
-from repro.sim import faults
+from repro.sim import faults, parallel
 from repro.sim.cache import ResultCache
 from repro.sim.parallel import (
     WorkerError,
@@ -28,6 +29,7 @@ from repro.sim.parallel import (
     run_jobs,
     run_matrix,
 )
+from repro.sim.sampling import sampling_suffix
 
 WORKLOADS = ["spec06_bzip2", "spec06_mcf", "spec06_perlbench", "spec06_gcc"]
 LENGTH = 1200
@@ -37,13 +39,12 @@ SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
                        "src")
 
 
-SCRUBBED = ("REPRO_FAULT", "REPRO_TRACE", "REPRO_JOB_TIMEOUT",
-            "REPRO_JOB_RETRIES")
+SCRUBBED = ("REPRO_FAULT", "REPRO_JOB_TIMEOUT", "REPRO_JOB_RETRIES")
 
 
 @pytest.fixture(autouse=True)
 def resilience_env(monkeypatch):
-    """No stray fault/trace state leaking between tests.
+    """No stray fault state leaking between tests.
 
     Tests here assign ``os.environ["REPRO_FAULT"]`` directly (the engine
     and its fork-children read the real environment); monkeypatch only
@@ -339,6 +340,75 @@ class TestCorruptCacheInjection:
                                  keep_going=True)
         (incident,) = report.failures
         assert incident["detail"].startswith("checksum mismatch")
+
+    @pytest.mark.parametrize("max_workers", EXECUTORS)
+    def test_corrupt_sampled_cell_is_in_the_manifest(self, tmp_path,
+                                                     monkeypatch, max_workers):
+        """A corrupt sampled-cell entry is evicted and its intervals are
+        re-simulated; like a full-window cell, the manifest records a
+        recovered ``corrupt_cache`` incident (on the cell's first
+        interval job)."""
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
+        cache = ResultCache(str(tmp_path / "cache"))
+        config = quiet_config()
+        job = [("spec06_mcf", config, 3000, 1000, {"samples": 2})]
+        (first,), _ = run_jobs(job, cache=cache, max_workers=max_workers)
+        # Only the cell entry may serve the re-run.
+        for path in cache.entry_paths():
+            if re.search(r"-i\d{3}", os.path.basename(path)):
+                os.remove(path)
+        os.environ["REPRO_FAULT"] = "corrupt_cache:key=spec06_mcf"
+        with pytest.warns(RuntimeWarning, match="spec06_mcf"):
+            (again,), report = run_jobs(job, cache=cache,
+                                        max_workers=max_workers,
+                                        keep_going=True)
+        assert report.cache_hits == 0 and report.jobs_simulated == 2
+        assert report.jobs_failed == 0
+        assert manifest(report) == [{
+            "workload": "spec06_mcf", "config": config.name, "job_index": 0,
+            "classification": "corrupt_cache", "attempts": 1,
+            "recovered": True}]
+        assert again.data == first.data
+
+
+class TestSampledResume:
+    @pytest.mark.parametrize("max_workers", EXECUTORS)
+    def test_a_terminal_interval_loses_only_its_cell(self, tmp_path,
+                                                     monkeypatch, max_workers):
+        """Sampled cells commit one by one: a terminally crashed interval
+        keeps its own cell out of the cache and no other, and a re-run
+        simulates exactly that cell's K intervals."""
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
+        cache = ResultCache(str(tmp_path / "cache"))
+        spec = {"samples": 2}
+        names = WORKLOADS[:3]
+        jobs = [(name, quiet_config(), 3000, 1000, spec) for name in names]
+        keys = [cache.key(name, quiet_config(), 3000, 1000)
+                + sampling_suffix(spec) for name in names]
+        # Miss indexes run cell by cell: job 3 is cell 1's second interval.
+        os.environ["REPRO_FAULT"] = "crash:job=3"
+        results, report = run_jobs(jobs, cache=cache, max_workers=max_workers,
+                                   retries=0, keep_going=True)
+        assert results[1] is None
+        assert results[0] is not None and results[2] is not None
+        assert report.jobs_failed == 1
+        assert [cache.get(key) is not None for key in keys] == [
+            True, False, True]
+        assert len(cache.entry_paths()) == 2
+        del os.environ["REPRO_FAULT"]
+        ran = []
+        real_run_job = parallel._run_job
+
+        def run_job(item):
+            ran.append(item[0])
+            return real_run_job(item)
+
+        monkeypatch.setattr(parallel, "_run_job", run_job)
+        rerun, report = run_jobs(jobs, cache=cache, max_workers=1)
+        assert report.cache_hits == 2 and report.jobs_simulated == 2
+        assert ran == [keys[1] + "-i000", keys[1] + "-i001"]
+        assert all(result is not None for result in rerun)
+        assert rerun[0].data == results[0].data
 
 
 class TestMatrixAcceptance:

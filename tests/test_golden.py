@@ -10,9 +10,9 @@ import pytest
 
 import golden
 
-#: Knobs that change results (or, for REPRO_TRACE, force full-detail
-#: runs); the goldens describe the default engine, so none may leak in.
-RESULT_KNOBS = ("REPRO_FF", "REPRO_TRACE", "REPRO_FAULT")
+#: Knobs that change results; the goldens describe the default engine,
+#: so none may leak in.
+RESULT_KNOBS = ("REPRO_FF", "REPRO_FAULT")
 
 
 @pytest.fixture

@@ -30,7 +30,7 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.tracer import TraceSpec, parse_cycle_range, trace_spec_from_env
+from repro.obs.tracer import Tracer, parse_cycle_range
 from repro.sim.runner import simulate
 
 WORKLOAD = "spec06_mcf"
@@ -41,8 +41,8 @@ def rfp_config():
     return quiet_config(rfp={"enabled": True})
 
 
-def traced_run(config=None, **spec_kwargs):
-    tracer = TraceSpec(None, **spec_kwargs).build_tracer()
+def traced_run(config=None, **tracer_kwargs):
+    tracer = Tracer(**tracer_kwargs)
     result = simulate(WORKLOAD, config or rfp_config(), length=LENGTH,
                       warmup=0, tracer=tracer)
     return tracer, result
@@ -96,24 +96,6 @@ class TestDisabledPath:
         assert data.pop("fast_forward")["enabled"] is False
         assert plain_data == data
         assert "obs" not in plain.data
-
-    def test_disabled_env_spec_is_none(self, monkeypatch):
-        for value in (None, "", "0"):
-            if value is None:
-                monkeypatch.delenv("REPRO_TRACE", raising=False)
-            else:
-                monkeypatch.setenv("REPRO_TRACE", value)
-            assert trace_spec_from_env() is None
-
-    def test_env_spec_variants(self, monkeypatch):
-        """A suite trace takes its path from REPRO_TRACE and records every
-        event: windows and filters belong to ``repro trace``."""
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        assert trace_spec_from_env().path == "repro_trace.jsonl"
-        monkeypatch.setenv("REPRO_TRACE", "/tmp/x.jsonl")
-        spec = trace_spec_from_env()
-        assert spec.path == "/tmp/x.jsonl"
-        assert not spec.loads_only
 
 
 class TestFilters:

@@ -417,51 +417,25 @@ class TestTraceAffinity:
             assert max(memo_sizes) <= 1, (mode, memo_sizes)
         assert sorted(set(prewarms)) == sorted(WORKLOADS)  # prewarm ran
 
+    def test_serial_sampled_sweep_opens_one_checkpoint_store(self, tmp_path,
+                                                             monkeypatch):
+        """Every interval job restores through the process's one store
+        handle: a serial sampled sweep builds at most one CheckpointStore
+        (each build lists the store directory)."""
+        from repro.sim.checkpoint import CheckpointStore
 
-class TestTraceMerge:
-    def _trace(self, tmp_path, monkeypatch, workers, tag):
-        path = str(tmp_path / ("trace-%s.jsonl" % tag))
-        monkeypatch.setenv("REPRO_TRACE", path)
-        run_jobs(small_jobs(), cache=ResultCache(str(tmp_path / tag)),
-                 max_workers=workers)
-        monkeypatch.delenv("REPRO_TRACE")
-        with open(path, "rb") as handle:
-            return handle.read()
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
+        opened = []
+        real_init = CheckpointStore.__init__
 
-    def test_trace_byte_identical_serial_vs_parallel(self, tmp_path,
-                                                     monkeypatch):
-        serial = self._trace(tmp_path, monkeypatch, 1, "serial")
-        parallel = self._trace(tmp_path, monkeypatch, 3, "par")
-        assert serial and serial == parallel
+        def init(self, *args, **kwargs):
+            opened.append(args)
+            real_init(self, *args, **kwargs)
 
-    def test_trace_bypasses_result_cache(self, tmp_path, monkeypatch):
-        """A warm cache must not swallow events: tracing runs every job."""
-        cache = ResultCache(str(tmp_path / "warm"))
-        run_jobs(small_jobs(), cache=cache, max_workers=1)   # warm it up
-        path = str(tmp_path / "trace.jsonl")
-        monkeypatch.setenv("REPRO_TRACE", path)
-        _, report = run_jobs(small_jobs(), cache=cache, max_workers=1)
-        assert report.cache_hits == 0
-        assert report.jobs_simulated == len(WORKLOADS)
-        with open(path) as handle:
-            assert handle.readline().startswith('{"')
-
-    def test_traced_results_match_untraced(self, tmp_path, monkeypatch):
-        untraced, _ = run_jobs(small_jobs(),
-                               cache=ResultCache(str(tmp_path / "a")),
-                               max_workers=1)
-        monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "t.jsonl"))
-        traced, _ = run_jobs(small_jobs(),
-                             cache=ResultCache(str(tmp_path / "b")),
-                             max_workers=1)
-        for before, after in zip(untraced, traced):
-            data = dict(after.data)
-            assert data.pop("obs", None) is not None
-            # Tracing forces full-detail execution; compare everything but
-            # the execution-mode metadata (measured stats must be equal).
-            plain_data = dict(before.data)
-            assert plain_data.pop("idle_skipped_cycles") >= 0
-            assert data.pop("idle_skipped_cycles") == 0
-            plain_data.pop("fast_forward")
-            data.pop("fast_forward")
-            assert plain_data == data
+        monkeypatch.setattr(CheckpointStore, "__init__", init)
+        _, report = run_matrix(
+            [quiet_config(), quiet_config(rfp={"enabled": True})],
+            WORKLOADS[:2], 4000, 1000, cache=ResultCache(str(tmp_path / "c")),
+            max_workers=1, sampling={"samples": 3})
+        assert report.jobs_simulated == 12 and report.jobs_failed == 0
+        assert len(opened) <= 1, opened

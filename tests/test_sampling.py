@@ -10,6 +10,7 @@ window at ``--sample 1`` (measured counters *exactly* equal to
 
 import json
 import math
+import re
 
 import pytest
 
@@ -140,10 +141,9 @@ class TestSamplingPlan:
         assert plan.checkpoint_positions() == []
 
     def test_sampling_applies(self):
-        assert sampling_applies(quiet_config(), traced=False)
-        assert not sampling_applies(quiet_config(), traced=True)
+        assert sampling_applies(quiet_config())
         assert not sampling_applies(
-            quiet_config(vp={"enabled": True, "kind": "eves"}), traced=False)
+            quiet_config(vp={"enabled": True, "kind": "eves"}))
 
     def test_env_kill_switch_forces_full_detail(self, monkeypatch):
         monkeypatch.delenv("REPRO_FF", raising=False)
@@ -265,8 +265,8 @@ class TestSampledRuns:
 
     def test_cache_keys_carry_sampling_suffix(self, tmp_path, monkeypatch):
         """Sampled and full-detail results for the same cell never collide:
-        the cell key carries the spec suffix and intervals are cached
-        individually under ``-iNNN`` keys."""
+        the cell key carries the spec suffix.  The cache holds the two
+        cells and nothing else: intervals are never cached."""
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
         cache = ResultCache(str(tmp_path / "cache"))
         config = quiet_config()
@@ -274,11 +274,11 @@ class TestSampledRuns:
                 (WORKLOAD, config, LENGTH, WARM)]
         (sampled, plain), report = run_jobs(jobs, cache=cache, max_workers=1)
         assert "ipc_ci" in sampled.data and "ipc_ci" not in plain.data
+        assert report.jobs_simulated == 3  # two intervals, one full window
         names = [p.split("/")[-1] for p in cache.entry_paths()]
-        assert any("-sK2-" in n and "-i000" in n for n in names)
-        assert any("-sK2-" in n and "-i001" in n for n in names)
-        assert any("-sK2-" in n and "-i" not in n.split("-sK2-")[1]
-                   for n in names)  # the aggregated cell entry
+        assert len(names) == 2
+        assert not [n for n in names if re.search(r"-i\d{3}", n)]
+        assert len([n for n in names if "-sK2-" in n]) == 1
 
     def test_vp_config_silently_runs_full_detail(self, tmp_path):
         config = quiet_config(vp={"enabled": True, "kind": "eves"})
@@ -293,9 +293,9 @@ class TestSampledRuns:
 
 
 class TestRefusedSampling:
-    """A sampled request that ``sampling_applies`` refuses (a VP config, or
-    ``REPRO_TRACE`` set) runs the full window: the sweep cell equals a
-    plain :func:`simulate` of it byte for byte, event log included."""
+    """A sampled request that ``sampling_applies`` refuses (a VP config)
+    runs the full window: the sweep cell equals a plain :func:`simulate`
+    of it byte for byte."""
 
     VP = {"enabled": True, "kind": "eves"}
 
@@ -309,30 +309,6 @@ class TestRefusedSampling:
         full = simulate(WORKLOAD, config, length=LENGTH, warmup=WARM)
         assert "ipc_ci" not in full.data
         assert json.dumps(swept.data) == json.dumps(full.data)
-
-    @pytest.mark.parametrize("vp", [False, True], ids=["baseline", "vp"])
-    def test_traced_request_writes_the_run_jobs_event_log(
-            self, tmp_path, monkeypatch, vp):
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
-        config = baseline(vp=self.VP) if vp else baseline()
-        length, warmup = 2000, 1000
-        logs, datas = {}, {}
-        for path in ("full", "swept"):
-            logs[path] = tmp_path / (path + ".jsonl")
-            monkeypatch.setenv("REPRO_TRACE", str(logs[path]))
-            if path == "full":
-                result = simulate(WORKLOAD, config, length=length,
-                                  warmup=warmup)
-            else:
-                [result], _ = run_jobs(
-                    [(WORKLOAD, config, length, warmup, {"samples": 4})],
-                    cache=ResultCache(str(tmp_path / "cache")),
-                    max_workers=1)
-            assert "ipc_ci" not in result.data and "obs" in result.data
-            datas[path] = json.dumps(result.data)
-        assert datas["full"] == datas["swept"]
-        assert logs["full"].stat().st_size > 0
-        assert logs["full"].read_bytes() == logs["swept"].read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ EXAMPLES = {
     "REPRO_DRAIN_TIMEOUT": "5",
     "REPRO_CHECK_INVARIANTS": "64",
     "REPRO_FAULT": "crash:job=99",
-    "REPRO_TRACE": "trace.jsonl",
 }
 
 

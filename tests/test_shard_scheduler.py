@@ -131,7 +131,7 @@ class TestShardSupervision:
         pool = ShardPool(1, keep_going=True, retries=retries)
         pj = _PendingJob(
             "k0", (WORKLOADS[0], quiet_config(), LENGTH, WARMUP, None),
-            0, None)
+            0)
         done = []
         with deadline(60):
             pool.execute([pj], on_success=lambda p, d, s: done.append(d),
@@ -165,7 +165,7 @@ class TestLanesAndAdmission:
         name = name or WORKLOADS[index % len(WORKLOADS)]
         return _PendingJob(
             "k%d" % index, (name, quiet_config(), length, WARMUP, None),
-            index, None)
+            index)
 
     def _pool(self, jobs, shards=1):
         pool = ShardPool(shards)

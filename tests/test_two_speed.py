@@ -247,7 +247,6 @@ class TestTwoSpeedRuns:
         same way."""
         from repro.__main__ import main
         monkeypatch.delenv("REPRO_FF", raising=False)
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
         out = tmp_path / "suite.json"
@@ -271,7 +270,6 @@ class TestTwoSpeedRuns:
         way too: no fast-forward and no sampling on either side."""
         from repro.__main__ import main
         monkeypatch.delenv("REPRO_FF", raising=False)
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
         out = tmp_path / "suite.json"
