@@ -94,7 +94,6 @@ class OOOCore(object):
         if tracer is not None:
             self.frontend.tracer = tracer
             self.rs.tracer = tracer
-            self.rob.tracer = tracer
             self.sq.tracer = tracer
             if self.rfp is not None:
                 self.rfp.tracer = tracer
@@ -152,8 +151,9 @@ class OOOCore(object):
         # Idle-cycle skipping is counter-exact but invisible to the event
         # stream, so tracing forces full stepping.
         idle_skip = self.config.idle_skip and self.tracer is None
-        # ``frontend.drained`` chains two properties; this loop tests it
-        # every cycle, so read the cursor/buffer internals directly (both
+        # The pipeline has drained once the cursor is exhausted and the
+        # fetch buffer and ROB are empty; this loop tests that every
+        # cycle, so read the cursor/buffer internals directly (both
         # objects are mutated in place, never rebound).
         cursor = frontend.cursor
         fetch_buffer = frontend.buffer
@@ -382,9 +382,8 @@ class OOOCore(object):
         cycle = self.cycle
         if self.tracer is not None:
             self.tracer.now = cycle
-        # -- ports.begin_cycle (inlined: runs every cycle) -------------
+        # -- reset this cycle's L1 port grants --------------------------
         ports = self.ports
-        ports._cycle = cycle
         ports._demand_used = 0
         ports._rfp_dedicated_used = 0
         ports._rfp_shared_used = 0
@@ -428,10 +427,13 @@ class OOOCore(object):
     def _commit(self, cycle):
         """Retire up to ``retire_width`` completed instructions.
 
-        Per-instruction bookkeeping (the old ``_commit_one``) is inlined
-        into the retire loop — commit runs once per committed instruction,
-        so the shared locals are hoisted out of it, and the hoists
-        themselves are skipped entirely on cycles with nothing to retire.
+        This loop is the one implementation of retirement bookkeeping:
+        freeing the overwritten register, unlinking a retiring load from
+        the LQ, memory-dependence decay, PT/VP training and the store's
+        write to memory and the L1.  It runs once per committed
+        instruction, so the shared locals are hoisted out of it, and the
+        hoists themselves are skipped entirely on cycles with nothing to
+        retire.
         """
         sq = self.sq
         if sq.senior:
@@ -473,7 +475,7 @@ class OOOCore(object):
                 tracer.commit(cycle, dyn)
             dest_preg = dyn.dest_preg
             if dest_preg is not None:
-                # -- rename.commit_free --------------------------------
+                # -- free the overwritten mapping ----------------------
                 free_list.append(dyn.prev_preg)
                 if preg_producer is not None and preg_producer.get(dest_preg) is dyn:
                     del preg_producer[dest_preg]
@@ -489,7 +491,7 @@ class OOOCore(object):
                         del lst[i]
                         if not lst:
                             del lq._executed[dyn.word_addr]
-                # -- md.train_commit -----------------------------------
+                # -- memory-dependence decay ---------------------------
                 tick = md._commit_tick + 1
                 md._commit_tick = tick
                 if tick % md.decay_period == 0:
@@ -529,13 +531,13 @@ class OOOCore(object):
     def _dispatch(self, cycle):
         """Rename + allocate up to ``rename_width`` instructions.
 
-        This is the hottest per-instruction loop in the simulator, so the
-        single-step helpers it used to call (``frontend.head_ready``,
-        ``rename.rename_sources``/``allocate_dest``, ``rob.allocate``,
-        ``rs.allocate`` and the scheduler's initial ``_evaluate`` parking)
-        are inlined here verbatim; each inline site names the method it
-        mirrors.  The local hoists below only pay off when something can
-        actually dispatch, so empty/stalled-buffer cycles bail first.
+        This is the hottest per-instruction loop in the simulator and the
+        one implementation of dispatch: it takes the frontend buffer's
+        head, renames sources and destination, and allocates the ROB, RS
+        and LQ entries by writing those structures directly (the RS
+        parking block is :meth:`ReservationStation._evaluate` inlined).
+        The local hoists below only pay off when something can actually
+        dispatch, so empty/stalled-buffer cycles bail first.
         """
         frontend = self.frontend
         buffer = frontend.buffer
@@ -551,7 +553,7 @@ class OOOCore(object):
         seq = self.next_seq
         dispatched = 0
         while dispatched < width:
-            # -- frontend.head_ready -----------------------------------
+            # -- frontend buffer head ----------------------------------
             if not buffer:
                 break
             ready_at, instr = buffer[0]
@@ -578,7 +580,7 @@ class OOOCore(object):
             buffer.popleft()
             dyn = DynInstr(instr, seq, cycle)
             seq += 1
-            # -- rename.rename_sources ---------------------------------
+            # -- rename sources ----------------------------------------
             asrcs = instr.srcs
             n = len(asrcs)
             if n == 2:
@@ -590,7 +592,7 @@ class OOOCore(object):
             else:
                 src_pregs = tuple(rat[r] for r in asrcs)
             dyn.src_pregs = src_pregs
-            # -- rename.allocate_dest (incl. prf.mark_pending) ---------
+            # -- rename the destination; its register is pending -------
             if dst is not None:
                 new_preg = free_list.pop()
                 dyn.dest_preg = new_preg
@@ -599,12 +601,16 @@ class OOOCore(object):
                 ready_cycle[new_preg] = INFINITY
                 prf_value[new_preg] = 0
                 if waiters[new_preg]:
+                    # A register only re-enters the free list once every
+                    # consumer of its previous life has issued or been
+                    # squashed, so a leftover subscription here is dead
+                    # weight from a squash.
                     waiters[new_preg] = []
-            # -- rob.allocate ------------------------------------------
+            # -- ROB entry ---------------------------------------------
             if tracer is not None:
                 tracer.sample_rob(len(rob_entries))
             rob_entries.append(dyn)
-            # -- rs.allocate (incl. the initial _evaluate parking) -----
+            # -- RS entry, parked by the rule of rs._evaluate ----------
             dyn.in_rs = True
             rs_entries.append(dyn)
             rs.live += 1
@@ -637,7 +643,7 @@ class OOOCore(object):
                     if producer is not None and producer.is_load:
                         rfp.mark_critical(producer.pc)
             if is_load:
-                # -- lq.allocate ---------------------------------------
+                # -- LQ entry ------------------------------------------
                 dyn.in_lq = True
                 lq_entries.append(dyn)
                 predicted = False
@@ -684,8 +690,8 @@ class OOOCore(object):
             return self._issue_load(dyn, cycle)
         if dyn.is_store:
             return self._issue_store(dyn, cycle)
-        # ALU/branch path: operand reads and :meth:`_finish` are inlined
-        # (this runs once per non-memory instruction).
+        # ALU/branch path: operand reads and completion are written out
+        # here (this runs once per non-memory instruction).
         instr = dyn.instr
         prf = self.prf
         prf_value = prf.value
@@ -701,7 +707,7 @@ class OOOCore(object):
             srcs = tuple(prf_value[p] for p in src_pregs)
         value = dyn.evaluator(srcs, instr.imm)
         complete = cycle + dyn.latency
-        # -- _finish ---------------------------------------------------
+        # -- complete: write the result and wake its consumers ---------
         dyn.state = D.COMPLETED
         dyn.issue_cycle = cycle
         dyn.complete_cycle = complete
@@ -731,13 +737,13 @@ class OOOCore(object):
     def _issue_load(self, dyn, cycle):
         """Issue one demand load.
 
-        Loads are the biggest slice of the dispatched mix, so the helpers
-        on the common path (memory-dependence gate, store-forward probe,
-        port claim, hit-miss predict/train, and
-        :meth:`MemoryHierarchy.l1_hit`) are inlined; each block names the
-        method it mirrors.  The other hierarchy shapes (DTLB miss, L1
-        miss, a fill of this very line in flight) fall back to the full
-        :meth:`MemoryHierarchy.load`.
+        Loads are the biggest slice of the dispatched mix, so the common
+        path is written out here: the memory-dependence gate, the
+        store-forward probe, the demand port claim, the hit-miss predict
+        and train, and the L1-hit fast path.  Where a block repeats a
+        method the RFP engine also calls, it names that method.  The other
+        hierarchy shapes (DTLB miss, L1 miss, a fill of this very line in
+        flight) fall back to the full :meth:`MemoryHierarchy.load`.
         """
         pc = dyn.pc
         sq = self.sq
@@ -822,14 +828,11 @@ class OOOCore(object):
             self._finish_load(dyn, cycle, cycle + 1, value)
             return True
 
-        # ---- normal demand path (ports.claim_demand inlined) -----------
+        # ---- normal demand path: claim an L1 load port ----------------
         ports = self.ports
-        if ports._demand_used < ports.num_ports:
-            ports._demand_used += 1
-            ports.demand_grants += 1
-        else:
-            ports.demand_denies += 1
+        if ports._demand_used >= ports.num_ports:
             return False
+        ports._demand_used += 1
         if rfp is not None and dyn.rfp_state == D.RFP_QUEUED:
             rfp.note_load_issued_first(dyn)
         if store is not None:
@@ -841,7 +844,7 @@ class OOOCore(object):
             if self.vp is not None:
                 self.vp.note_forwarded(pc)
         else:
-            # -- hit_miss.predict --------------------------------------
+            # -- hit-miss prediction -----------------------------------
             hm = self.hit_miss
             if hm is not None:
                 hm.predictions += 1
@@ -904,8 +907,8 @@ class OOOCore(object):
         return True
 
     def _issue_store(self, dyn, cycle):
-        """Store execution; operand reads, :meth:`_finish` and
-        ``sq.note_executed`` are inlined."""
+        """Store execution: operand reads, completion, entry into the SQ
+        forwarding index and the ordering-violation check."""
         prf = self.prf
         prf_value = prf.value
         src_pregs = dyn.src_pregs
@@ -918,7 +921,7 @@ class OOOCore(object):
             srcs = tuple(prf_value[p] for p in src_pregs)
         value = dyn.evaluator(srcs, dyn.instr.imm)
         complete = cycle + 1
-        # -- _finish ---------------------------------------------------
+        # -- complete: write the result and wake its consumers ---------
         dyn.state = D.COMPLETED
         dyn.issue_cycle = cycle
         dyn.complete_cycle = complete
@@ -936,7 +939,7 @@ class OOOCore(object):
         self.stats.issued += 1
         if self.tracer is not None:
             self.tracer.complete(dyn, cycle, complete)
-        # -- sq.note_executed ------------------------------------------
+        # -- executed: the store's data is now forwardable -------------
         insort(self.sq._executed.setdefault(dyn.word_addr, []), (dyn.seq, dyn))
         violator = self.lq.oldest_violation(dyn)
         if violator is not None:
@@ -944,31 +947,10 @@ class OOOCore(object):
             self._flush_md(violator, cycle)
         return True
 
-    def _finish(self, dyn, cycle, complete, value, write_reg=True):
-        dyn.state = D.COMPLETED
-        dyn.issue_cycle = cycle
-        dyn.complete_cycle = complete
-        dyn.value = value
-        preg = dyn.dest_preg
-        if write_reg and preg is not None:
-            # -- prf.write (inlined: one call per issued instruction) --
-            prf = self.prf
-            prf.value[preg] = value
-            prf.ready_cycle[preg] = complete
-            waiters = prf.waiters
-            if waiters is not None:
-                woken = waiters[preg]
-                if woken:
-                    waiters[preg] = []
-                    self.rs.wake_consumers(woken)
-        self.stats.issued += 1
-        if self.tracer is not None:
-            self.tracer.complete(dyn, cycle, complete)
-
     def _finish_load(self, dyn, cycle, complete, value):
-        """Load completion: :meth:`_finish` and ``lq.note_executed`` are
-        inlined (one call per executed load), preserving their exact
-        side-effect order."""
+        """Load completion (one call per executed load): VP validation, the
+        result write that wakes consumers, and entry into the LQ
+        violation index."""
         vp_predicted = dyn.vp_predicted
         vp_correct = True
         if vp_predicted and self.vp is not None:
@@ -982,7 +964,7 @@ class OOOCore(object):
         # dispatch+1; re-writing it with the (later) load completion would
         # wrongly delay dependents.
         if preg is not None and not (vp_predicted and vp_correct):
-            # -- prf.write ---------------------------------------------
+            # -- prf.write (inlined) -----------------------------------
             prf = self.prf
             prf.value[preg] = value
             prf.ready_cycle[preg] = complete
@@ -996,7 +978,7 @@ class OOOCore(object):
         stats.issued += 1
         if self.tracer is not None:
             self.tracer.complete(dyn, cycle, complete)
-        # -- lq.note_executed ------------------------------------------
+        # -- executed: the load is now checkable for violations ---------
         insort(self.lq._executed.setdefault(dyn.word_addr, []), (dyn.seq, dyn))
         if vp_predicted and not vp_correct:
             self.events.schedule(complete, ("vp_flush", dyn))

@@ -20,7 +20,11 @@ PATH_MASK = 0xFFFF
 
 
 class Frontend(object):
-    """Fetches trace instructions into a small decoded-uop buffer."""
+    """Fetches trace instructions into a small decoded-uop buffer.
+
+    ``buffer`` holds ``(ready_at, instr)`` pairs in program order; the
+    core's dispatch loop takes its head once ``ready_at`` has passed.
+    """
 
     def __init__(self, config, trace):
         self.config = config
@@ -45,10 +49,6 @@ class Frontend(object):
             self.buffer_capacity, self.cursor, self.cursor._instructions,
         )
 
-    @property
-    def drained(self):
-        return self.cursor.exhausted and not self.buffer
-
     def fetch(self, cycle, on_fetch=None):
         """Fetch up to ``fetch_width`` instructions this cycle.
 
@@ -57,9 +57,9 @@ class Frontend(object):
         """
         if self.blocked_branch_index is not None or cycle < self.stall_until:
             return 0
-        # Inlined cursor.peek()/next(): this loop runs every busy cycle.
-        # ``cursor.index`` is re-read per iteration in case a fetch hook
-        # ever rewinds the cursor mid-fetch.
+        # The cursor is read and advanced in place: this loop runs every
+        # busy cycle.  ``cursor.index`` is re-read per iteration in case a
+        # fetch hook ever rewinds the cursor mid-fetch.
         (fetch_width, frontend_latency, buffer, capacity, cursor,
          instructions) = self._fetch_inv
         # The fetch limit is read per call (not hoisted into _fetch_inv):
@@ -91,16 +91,6 @@ class Frontend(object):
                     self.blocked_branch_index = instr.index
                     break
         return fetched
-
-    def head_ready(self, cycle):
-        """The next decoded instruction ready to dispatch, or None."""
-        if not self.buffer:
-            return None
-        ready_at, instr = self.buffer[0]
-        return instr if ready_at <= cycle else None
-
-    def pop(self):
-        return self.buffer.popleft()[1]
 
     def branch_resolved(self, instr_index, cycle):
         """A mispredicted branch resolved; resume fetch after the redirect.

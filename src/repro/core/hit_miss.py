@@ -12,6 +12,8 @@ class HitMissPredictor(object):
 
     Counter semantics: >= 2 predicts hit.  Initialised to 3 (strongly hit),
     matching the empirical prior that ~93% of loads hit the L1 (Fig. 2).
+    The core's demand-load issue predicts (counting ``predictions``) and
+    trains the table in place; the RFP engine trains via :meth:`train`.
     """
 
     def __init__(self, num_entries=1024):
@@ -22,11 +24,6 @@ class HitMissPredictor(object):
 
     def _index(self, pc):
         return (pc >> 2) % self.num_entries
-
-    def predict(self, pc):
-        """Return True if the load at ``pc`` is predicted to hit the L1."""
-        self.predictions += 1
-        return self.table[self._index(pc)] >= 2
 
     def probe(self, pc):
         """Prediction without statistics (side consumers, e.g. VP gating)."""

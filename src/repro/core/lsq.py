@@ -23,12 +23,16 @@ incremental:
   of unexecuted store seqs (invalidated entries are popped lazily — a
   store's state says whether its heap entry still counts).
 
-The core reports executions via :meth:`StoreQueue.note_executed` /
-:meth:`LoadQueue.note_executed`; results are identical to the full walks.
+The core's stage loops fill these structures directly: dispatch appends
+a load to ``LoadQueue.entries`` (a store goes through
+:meth:`StoreQueue.allocate`), a store or load enters its queue's
+``_executed`` index the cycle it completes, and commit unlinks a retiring
+load and decays the dependence predictor.  Results are identical to the
+full walks.
 """
 
 import heapq
-from bisect import bisect_left, insort
+from bisect import bisect_left
 
 from repro.core import dyninstr as D
 
@@ -45,7 +49,12 @@ def _index_drop(index, dyn):
 
 
 class MemDepPredictor(object):
-    """PC-indexed conflict predictor with probabilistic decay."""
+    """PC-indexed conflict predictor with periodic decay.
+
+    The core's commit loop counts retiring loads in ``_commit_tick`` and
+    decrements the entry of every ``decay_period``-th one, so stale
+    conflict predictions expire.
+    """
 
     def __init__(self, num_entries=4096, decay_period=64):
         self.num_entries = num_entries
@@ -65,14 +74,6 @@ class MemDepPredictor(object):
         """A load at ``pc`` consumed stale data; predict conflicts hard."""
         self.table[self._index(pc)] = 3
         self.violations += 1
-
-    def train_commit(self, pc):
-        """Periodic decay so stale conflict predictions expire."""
-        self._commit_tick += 1
-        if self._commit_tick % self.decay_period == 0:
-            index = self._index(pc)
-            if self.table[index] > 0:
-                self.table[index] -= 1
 
 
 class StoreQueue(object):
@@ -113,11 +114,6 @@ class StoreQueue(object):
             self._unexecuted = unexecuted
         self.entries.append(dyn)
         heapq.heappush(unexecuted, (dyn.seq, dyn))
-
-    def note_executed(self, dyn):
-        """The core executed ``dyn``: its address is now known and its data
-        is forwardable.  Must be called the cycle the store completes."""
-        insort(self._executed.setdefault(dyn.word_addr, []), (dyn.seq, dyn))
 
     def remove(self, dyn):
         self.entries.remove(dyn)
@@ -189,15 +185,6 @@ class LoadQueue(object):
     @property
     def full(self):
         return len(self.entries) >= self.num_entries
-
-    def allocate(self, dyn):
-        dyn.in_lq = True
-        self.entries.append(dyn)
-
-    def note_executed(self, dyn):
-        """The core executed ``dyn``; it is now checkable for ordering
-        violations.  Must be called the cycle the load completes."""
-        insort(self._executed.setdefault(dyn.word_addr, []), (dyn.seq, dyn))
 
     def remove(self, dyn):
         self.entries.remove(dyn)

@@ -36,17 +36,6 @@ class PhysicalRegisterFile(object):
         self.scheduler = scheduler
         self.waiters = [[] for _ in range(self.num_entries)]
 
-    def mark_pending(self, preg):
-        """Mark a newly allocated register as not yet produced."""
-        self.ready_cycle[preg] = INFINITY
-        self.value[preg] = 0
-        waiters = self.waiters
-        if waiters is not None and waiters[preg]:
-            # A register only re-enters the free list once every consumer
-            # of its previous life has issued or been squashed, so any
-            # leftover subscription here is dead weight from a squash.
-            waiters[preg] = []
-
     def write(self, preg, value, ready_cycle):
         self.value[preg] = value
         self.ready_cycle[preg] = ready_cycle
@@ -57,9 +46,6 @@ class PhysicalRegisterFile(object):
                 waiters[preg] = []
                 self.scheduler.wake_consumers(woken)
 
-    def is_ready(self, preg, cycle):
-        return self.ready_cycle[preg] <= cycle
-
     def read(self, preg):
         return self.value[preg]
 
@@ -67,6 +53,8 @@ class PhysicalRegisterFile(object):
 class RenameUnit(object):
     """RAT + free list over a :class:`PhysicalRegisterFile`.
 
+    The core's dispatch loop renames in place (it pops ``free_list`` and
+    rewrites ``rat``) and its commit loop frees the overwritten mapping.
     Squash support: every rename records the previous mapping; the core
     walks squashed instructions youngest-first calling :meth:`unmap`.
     """
@@ -80,37 +68,6 @@ class RenameUnit(object):
         self.free_list = list(range(num_arch_regs, prf.num_entries))
         for preg in range(num_arch_regs):
             self.prf.write(preg, 0, 0)
-
-    @property
-    def free_count(self):
-        return len(self.free_list)
-
-    def lookup(self, arch_reg):
-        """Current physical mapping of an architectural register."""
-        return self.rat[arch_reg]
-
-    def rename_sources(self, arch_regs):
-        """Map a tuple of architectural sources to physical registers."""
-        rat = self.rat
-        return tuple(rat[reg] for reg in arch_regs)
-
-    def allocate_dest(self, arch_reg):
-        """Allocate a new physical register for ``arch_reg``.
-
-        Returns ``(new_preg, previous_preg)``; the caller stores
-        ``previous_preg`` for commit-time freeing and squash-time restore.
-        Raises IndexError when the free list is empty (caller must check
-        :attr:`free_count` first).
-        """
-        new_preg = self.free_list.pop()
-        previous = self.rat[arch_reg]
-        self.rat[arch_reg] = new_preg
-        self.prf.mark_pending(new_preg)
-        return new_preg, previous
-
-    def commit_free(self, previous_preg):
-        """Free the overwritten mapping once the overwriting instr commits."""
-        self.free_list.append(previous_preg)
 
     def unmap(self, arch_reg, new_preg, previous_preg):
         """Undo a rename during a squash (youngest-first order required)."""

@@ -9,31 +9,10 @@ class ReorderBuffer(object):
     def __init__(self, num_entries):
         self.num_entries = num_entries
         self.entries = deque()
-        #: Observability hook; set by the core when tracing is enabled.
-        self.tracer = None
 
     @property
     def full(self):
         return len(self.entries) >= self.num_entries
-
-    @property
-    def occupancy(self):
-        return len(self.entries)
-
-    def allocate(self, dyn):
-        if self.full:
-            raise RuntimeError("ROB overflow")
-        if self.tracer is not None:
-            self.tracer.sample_rob(len(self.entries))
-        self.entries.append(dyn)
-
-    def head(self):
-        """Oldest in-flight instruction, or None."""
-        return self.entries[0] if self.entries else None
-
-    def retire_head(self):
-        """Pop and return the oldest instruction."""
-        return self.entries.popleft()
 
     def squash_younger_than(self, seq, inclusive=False):
         """Remove and yield (youngest first) entries with ``seq`` greater
@@ -49,13 +28,6 @@ class ReorderBuffer(object):
             else:
                 break
         return squashed
-
-    def find(self, seq):
-        """Linear lookup by sequence number (test/debug helper)."""
-        for dyn in self.entries:
-            if dyn.seq == seq:
-                return dyn
-        return None
 
     def __iter__(self):
         return iter(self.entries)

@@ -107,14 +107,6 @@ class ReservationStation(object):
     def occupancy(self):
         return self.live
 
-    def allocate(self, dyn):
-        if self.live >= self._rs_entries:
-            raise RuntimeError("RS overflow")
-        dyn.in_rs = True
-        self.live += 1
-        self.entries.append(dyn)
-        self._evaluate(dyn)
-
     def discard(self, dyn):
         """Remove an entry if present (squash path)."""
         if dyn.in_rs:

@@ -1280,11 +1280,11 @@ def _advance_predictors(lane, start, end):
             tid = pt_tids[lp]
             addr = l_addrs[lp]
             if pt_present[tid]:
-                # on_allocate finds the entry (inflight 0->1), on_commit
-                # returns it to 0; neither draws from the RNG nor touches
-                # the PAT, so both are pure no-ops here.  train()'s
-                # per-call ``trainings`` increment is bulk-added after the
-                # loop (one per load).
+                # on_allocate finds the entry (inflight 0->1), the commit
+                # step of train() returns it to 0; neither draws from the
+                # RNG nor touches the PAT, so both are pure no-ops here.
+                # train()'s per-call ``trainings`` increment is bulk-added
+                # after the loop (one per load).
                 pointer = pt_patptr[tid]
                 if pat_on:
                     if pointer >= 0:

@@ -19,7 +19,8 @@ exactly the structures whose state carries into measured-region timing:
   commit stage uses, so stride/confidence state *and* the probabilistic
   confidence counter's RNG stream stay aligned with a detailed run over
   the same region;
-- **memory-dependence predictor** decay (``train_commit``);
+- **memory-dependence predictor** decay, the same per-load tick the
+  core's commit loop keeps;
 - **branch path history**, the only branch-predictor state the trace-driven
   frontend keeps.
 
@@ -49,12 +50,6 @@ _warm_passes = 0
 def warm_pass_count():
     """Functional warm passes performed by this process so far."""
     return _warm_passes
-
-
-def reset_warm_pass_count():
-    """Zero the warm-pass counter (test/benchmark bookkeeping)."""
-    global _warm_passes
-    _warm_passes = 0
 
 
 def note_warm_pass():
@@ -186,7 +181,7 @@ class FunctionalWarmer(ArchEmulator):
                             hm_table[index] = counter + 1
                     elif counter > 0:
                         hm_table[index] = counter - 1
-                # -- md.train_commit (tick kept in a local) ------------
+                # -- memory-dependence decay (tick kept in a local) ----
                 md_tick += 1
                 if md_tick % md_decay == 0:
                     index = (pc >> 2) % md_entries

@@ -87,21 +87,6 @@ def is_branch(op):
     return op == Op.BRANCH
 
 
-def is_alu(op):
-    """Return True for single-cycle integer opcodes."""
-    return op in _ALU_OPS
-
-
-def is_mul(op):
-    """Return True for opcodes executed on the multiply/divide port."""
-    return op in _MUL_OPS
-
-
-def is_fp(op):
-    """Return True for opcodes executed on the FP/vector ports."""
-    return op in _FP_OPS
-
-
 def port_class(op):
     """Map an opcode to the functional-unit class that executes it.
 

@@ -23,10 +23,6 @@ class ArchRegisters(object):
     def write(self, index, value):
         self.values[index] = value
 
-    def snapshot(self):
-        """Return a copy of the current architectural values."""
-        return list(self.values)
-
     def __eq__(self, other):
         if isinstance(other, ArchRegisters):
             return self.values == other.values

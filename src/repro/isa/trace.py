@@ -40,28 +40,6 @@ class Trace(object):
     def load_count(self):
         return sum(1 for i in self.instructions if i.is_load)
 
-    @property
-    def store_count(self):
-        return sum(1 for i in self.instructions if i.is_store)
-
-    @property
-    def branch_count(self):
-        return sum(1 for i in self.instructions if i.is_branch)
-
-    def mix_summary(self):
-        """Return a dict of opcode-class fractions, for reporting."""
-        total = len(self.instructions) or 1
-        loads = self.load_count
-        stores = self.store_count
-        branches = self.branch_count
-        other = total - loads - stores - branches
-        return {
-            "loads": loads / total,
-            "stores": stores / total,
-            "branches": branches / total,
-            "compute": other / total,
-        }
-
     def __repr__(self):
         return "<Trace %s: %d instrs, %d loads>" % (
             self.name,
@@ -81,8 +59,8 @@ class TraceCursor(object):
 
     def __init__(self, trace):
         self.trace = trace
-        #: Cached instruction list + length: peek()/exhausted run every
-        #: cycle of the simulation's fetch stage.
+        #: Cached instruction list + length: the frontend's fetch loop
+        #: reads the list and advances ``index`` in place every busy cycle.
         self._instructions = trace.instructions
         self._length = len(trace.instructions)
         self.index = 0
@@ -96,22 +74,6 @@ class TraceCursor(object):
     @property
     def exhausted(self):
         return self.index >= self.limit
-
-    def peek(self):
-        """Return the next instruction without consuming it, or None."""
-        index = self.index
-        if index >= self.limit:
-            return None
-        return self._instructions[index]
-
-    def next(self):
-        """Consume and return the next instruction, or None when exhausted."""
-        index = self.index
-        if index >= self.limit:
-            return None
-        instr = self._instructions[index]
-        self.index = index + 1
-        return instr
 
     def rewind(self, index):
         """Reset the cursor so the next fetch returns instruction ``index``."""

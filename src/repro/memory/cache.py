@@ -76,10 +76,6 @@ class Cache(object):
         self.sets = [dict() for _ in range(self.num_sets)]
         self.stats = CacheStats()
 
-    def line_addr(self, addr):
-        """Return the line address (full address >> line shift)."""
-        return addr >> self.line_shift
-
     def lookup(self, line):
         """Probe for a line; updates LRU and hit/miss stats.
 
@@ -125,18 +121,6 @@ class Cache(object):
             cache_set[line] = True
             return True
         return False
-
-    def invalidate(self, line):
-        """Drop a line if present; returns True if it was present."""
-        cache_set = self.sets[line & self.set_mask]
-        if line in cache_set:
-            del cache_set[line]
-            return True
-        return False
-
-    def occupancy(self):
-        """Total number of valid lines currently resident."""
-        return sum(len(s) for s in self.sets)
 
     def __repr__(self):
         return "<Cache %s %dKB %d-way>" % (

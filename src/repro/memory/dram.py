@@ -39,9 +39,6 @@ class DRAM(object):
         self._next_free = issue + self.service_interval
         return int(issue) + self.latency
 
-    def reset(self):
-        self._next_free = 0.0
-
     def __repr__(self):
         return "<DRAM latency=%d, %.1f cycles/fill>" % (
             self.latency,

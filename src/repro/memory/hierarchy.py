@@ -321,11 +321,6 @@ class MemoryHierarchy(object):
     # ------------------------------------------------------------------
     # reporting
 
-    def load_distribution(self):
-        """Fractions of loads served per level (the paper's Fig. 2)."""
-        total = sum(self.loads_served.values()) or 1
-        return {level: count / total for level, count in self.loads_served.items()}
-
     def stats_dict(self):
         return {
             "l1": self.l1.stats.as_dict(),

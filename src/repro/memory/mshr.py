@@ -28,7 +28,7 @@ class MSHRFile(object):
         # line -> fill completion cycle
         self.inflight = {}
         #: Earliest fill time in ``inflight`` (infinity when empty); only
-        #: :meth:`expire`, :meth:`allocate` and :meth:`reset` move it.
+        #: :meth:`expire` and :meth:`allocate` move it.
         self.next_fill = INFINITY
         self.mshr_hits = 0
         self.allocations = 0
@@ -89,10 +89,6 @@ class MSHRFile(object):
     @property
     def occupancy(self):
         return len(self.inflight)
-
-    def reset(self):
-        self.inflight.clear()
-        self.next_fill = INFINITY
 
     def __repr__(self):
         return "<MSHRFile %d/%d inflight>" % (len(self.inflight), self.num_entries)

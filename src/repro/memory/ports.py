@@ -10,9 +10,11 @@ half are *dedicated* to RFP; the arbiter supports both shapes.
 class LoadPortArbiter(object):
     """Tracks L1 load-port grants within a single cycle.
 
-    The core calls :meth:`begin_cycle` once per cycle, then demand loads
-    claim ports via :meth:`claim_demand` and the RFP engine claims leftovers
-    via :meth:`claim_rfp`.
+    The core's cycle step zeroes the three per-cycle counters, its demand
+    load issue takes a port by bumping ``_demand_used`` while it is below
+    ``num_ports``, and the RFP engine (and the DLVP probe) claim what is
+    left via :meth:`claim_rfp`.  Demand loads issue before the RFP pump
+    within a cycle, which gives them the higher priority.
 
     Args:
         num_ports: ports usable by demand loads.
@@ -25,34 +27,9 @@ class LoadPortArbiter(object):
         self.num_ports = num_ports
         self.rfp_dedicated_ports = rfp_dedicated_ports
         self.rfp_shares_demand_ports = rfp_shares_demand_ports
-        self._cycle = -1
         self._demand_used = 0
         self._rfp_dedicated_used = 0
         self._rfp_shared_used = 0
-        self.demand_grants = 0
-        self.rfp_grants = 0
-        self.demand_denies = 0
-        self.rfp_denies = 0
-
-    def begin_cycle(self, cycle):
-        """Reset per-cycle grant counters."""
-        self._cycle = cycle
-        self._demand_used = 0
-        self._rfp_dedicated_used = 0
-        self._rfp_shared_used = 0
-
-    def claim_demand(self):
-        """Try to grant a demand load a port this cycle."""
-        if self._demand_used < self.num_ports:
-            self._demand_used += 1
-            self.demand_grants += 1
-            return True
-        self.demand_denies += 1
-        return False
-
-    def free_demand_ports(self):
-        """Demand ports not claimed so far this cycle."""
-        return self.num_ports - self._demand_used
 
     def claim_rfp(self):
         """Try to grant an RFP request a port this cycle.
@@ -63,25 +40,13 @@ class LoadPortArbiter(object):
         """
         if self._rfp_dedicated_used < self.rfp_dedicated_ports:
             self._rfp_dedicated_used += 1
-            self.rfp_grants += 1
             return True
         if self.rfp_shares_demand_ports:
             shared_free = self.num_ports - self._demand_used - self._rfp_shared_used
             if shared_free > 0:
                 self._rfp_shared_used += 1
-                self.rfp_grants += 1
                 return True
-        self.rfp_denies += 1
         return False
-
-    def utilization(self):
-        """Return (demand grants, rfp grants, denials) counters as a dict."""
-        return {
-            "demand_grants": self.demand_grants,
-            "rfp_grants": self.rfp_grants,
-            "demand_denies": self.demand_denies,
-            "rfp_denies": self.rfp_denies,
-        }
 
     def __repr__(self):
         return "<LoadPortArbiter %d demand + %d dedicated RFP>" % (

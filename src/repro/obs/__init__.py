@@ -28,7 +28,6 @@ from repro.obs.events import EVENT_TYPES, STAGE_RANK
 from repro.obs.export import (
     dump_jsonl,
     pipeline_view,
-    read_jsonl,
     sort_events,
     write_jsonl,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "dump_jsonl",
     "parse_cycle_range",
     "pipeline_view",
-    "read_jsonl",
     "sort_events",
     "write_jsonl",
 ]

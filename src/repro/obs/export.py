@@ -100,16 +100,6 @@ def write_jsonl(events, path):
         handle.write(dump_jsonl(events))
 
 
-def read_jsonl(path):
-    events = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
-    return events
-
-
 def _group_by_seq(events):
     by_seq = {}
     for event in events:

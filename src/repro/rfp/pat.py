@@ -38,15 +38,6 @@ class PageAddressTable(object):
     def _set_of(self, page):
         return page % self.num_sets
 
-    def find(self, page):
-        """Return the pointer for ``page`` if resident, else None."""
-        set_index = self._set_of(page)
-        ways = self.ways[set_index]
-        for way, resident in enumerate(ways):
-            if resident == page:
-                return (set_index, way)
-        return None
-
     def insert(self, page):
         """Ensure ``page`` is resident; return its pointer.
 

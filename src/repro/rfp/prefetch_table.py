@@ -128,9 +128,9 @@ class PrefetchTable(object):
     def train(self, pc, addr, commit=False):
         """Train the table with a retiring load's (pc, address).
 
-        ``commit=True`` first applies :meth:`on_commit` for the same load
-        on the same set/tag lookup — the retirement protocol of the core
-        and the functional warmer, which always run the two back to back.
+        ``commit=True`` first retires the load's inflight instance (the
+        counter :meth:`on_allocate` raised) on the same set/tag lookup —
+        the retirement protocol of the core and the functional warmer.
         Runs once per retiring load, so the lookup and
         :meth:`_read_address` are inlined.
         """
@@ -223,12 +223,6 @@ class PrefetchTable(object):
         if predicted < 0:
             return False, None
         return True, predicted
-
-    def on_commit(self, pc):
-        """Decrement the inflight counter at load commit."""
-        entry = self.lookup(pc)
-        if entry is not None and entry.inflight > 0:
-            entry.inflight -= 1
 
     def on_squash(self, pc):
         """Decrement the inflight counter for a squashed load."""

@@ -62,7 +62,9 @@ def build_schedule(seed, shards, kills=3, hangs=1, sigkills=1, workloads=()):
     what to clear from the store beforehand (``clear``: ``"all"`` keeps
     jobs flowing through the shards; a workload-name needle forces just
     that cell's re-commit), and ``expect_signal`` for launches that must
-    die.
+    die.  The ``kill_commit`` launches take the store-write stages in
+    turn, starting at ``payload``, so any two of them kill a writer in
+    both windows; only their needles are drawn.
     """
     rng = random.Random(seed)
     workloads = list(workloads)
@@ -81,12 +83,12 @@ def build_schedule(seed, shards, kills=3, hangs=1, sigkills=1, workloads=()):
                      % (rng.randrange(shards), rng.randint(1, 2)),
             "clear": "all",
         })
-    for _ in range(sigkills):
+    for i in range(sigkills):
         needle = rng.choice(workloads)
         schedule.append({
             "kind": "kill_commit",
             "fault": "kill_commit:key=%s:at=%s"
-                     % (needle, rng.choice(_COMMIT_STAGES)),
+                     % (needle, _COMMIT_STAGES[i % len(_COMMIT_STAGES)]),
             "clear": needle,
             "expect_signal": signal.SIGKILL,
         })

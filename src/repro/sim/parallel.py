@@ -272,41 +272,50 @@ def _run_job(item):
     ``item`` is ``(key, job, job_index, attempt, in_child)``.
     Module-level (not a closure) so it can be pickled by reference under
     the ``spawn`` start method; the serial executor and every shard look
-    it up on this module at call time.  Returns the JSON-friendly result payload —
-    never a :class:`SimResult` — to keep the IPC surface minimal.
-    Failures are re-raised as :class:`WorkerError` carrying the
-    (workload, config) key plus the worker-side traceback and root
-    exception class.
+    it up on this module at call time.  Returns ``(key, data, seconds,
+    evictions)``: the JSON-friendly result payload — never a
+    :class:`SimResult` — to keep the IPC surface minimal, and the corrupt
+    checkpoints this job evicted and re-warmed (``{"key", "reason"}``
+    incidents from the store's eviction log), which the sweep records in
+    its failure manifest.  Failures are re-raised as :class:`WorkerError`
+    carrying the (workload, config) key plus the worker-side traceback
+    and root exception class.
     """
     key, job, job_index, attempt, in_child = item
     workload, config, length, warmup, sampling = job
     started = time.perf_counter()
+    evictions = []
     try:
         faults.fire_worker_faults(job_index, attempt, in_child)
         if sampling is not None:
             # One measurement interval of a sampled cell, restored through
             # this process's one handle on the checkpoint store.
             interval = sampling["interval"]
-            result = simulate_interval(
-                workload, config, length=length,
-                start=interval["start"], measure=interval["measure"],
-                ramp=interval["ramp"], index=interval["index"],
-                checkpoint_store=default_checkpoint_store(),
-            )
+            store = default_checkpoint_store()
+            try:
+                result = simulate_interval(
+                    workload, config, length=length,
+                    start=interval["start"], measure=interval["measure"],
+                    ramp=interval["ramp"], index=interval["index"],
+                    checkpoint_store=store,
+                )
+            finally:
+                # Drained whatever the outcome, so a failed attempt's
+                # evictions are never charged to a later job.
+                evictions = store.pop_evictions()
         else:
             result = simulate(workload, config, length=length, warmup=warmup)
     except Exception as exc:
-        name = workload if isinstance(workload, str) else workload.name
-        raise WorkerError(name, config.name, traceback.format_exc(),
+        raise WorkerError(workload, config.name, traceback.format_exc(),
                           root_cause=type(exc).__name__)
-    return key, result.data, time.perf_counter() - started
+    return key, result.data, time.perf_counter() - started, evictions
 
 
 class _PendingJob(object):
     """Supervisor-side state for one deduplicated cache miss."""
 
     __slots__ = ("key", "job", "index", "tries", "last_class", "last_detail",
-                 "last_root", "corrupt_record")
+                 "last_root", "corrupt_record", "evictions")
 
     def __init__(self, key, job, index):
         self.key = key
@@ -317,11 +326,12 @@ class _PendingJob(object):
         self.last_detail = None
         self.last_root = None
         self.corrupt_record = None  # manifest entry for a cache eviction
+        #: Checkpoint evictions its successful attempt reported.
+        self.evictions = ()
 
     @property
     def workload_name(self):
-        workload = self.job[0]
-        return workload if isinstance(workload, str) else workload.name
+        return self.job[0]
 
     @property
     def config_name(self):
@@ -393,9 +403,7 @@ def _incident(workload, config_name, job_index, classification, attempts,
 
 def trace_key(job):
     """The ``(workload name, length)`` trace a job runs on: its lane."""
-    workload = job[0]
-    name = workload if isinstance(workload, str) else workload.name
-    return name, job[2]
+    return job[0], job[2]
 
 
 class Executor(object):
@@ -539,7 +547,7 @@ class SerialExecutor(Executor):
             try:
                 # Looked up per call: a wrapper installed on the module
                 # attribute must see every job.
-                _key, data, seconds = _run_job(pj.item(False))
+                _key, data, seconds, pj.evictions = _run_job(pj.item(False))
             except WorkerError as err:
                 self._fail_attempt(pj, classify_failure(err.detail,
                                                         err.root_cause),
@@ -584,6 +592,13 @@ class _Sweep(object):
             self.failures.append(_incident(
                 pj.workload_name, pj.config_name, pj.index, pj.last_class,
                 pj.tries + 1, True, pj.last_detail, pj.last_root))
+        for incident in pj.evictions:
+            # A corrupt checkpoint the job met on restore: evicted and
+            # re-warmed in place, so the result is unaffected.
+            self.failures.append(_incident(
+                pj.workload_name, pj.config_name, pj.index,
+                CLASS_CORRUPT_CHECKPOINT, pj.tries + 1, True,
+                incident["reason"]))
         cell_key = self.cell_of.get(pj.key)
         if cell_key is None:
             self._commit(pj.key, result, pj)
@@ -629,13 +644,17 @@ def _plan(sweep, jobs):
     key them, and deduplicate.  Returns ``(keys, unique)``: the key of
     every job in order, and each distinct key's first job.
 
-    Sampling is silently dropped where
+    A job's workload is a suite workload name; each process builds the
+    trace from it.  Sampling is silently dropped where
     :func:`~repro.sim.sampling.sampling_applies` refuses it (VP configs):
     such a job runs the full window.
     """
     keys, unique = [], {}
     for job in jobs:
         workload, config, length, warmup = job[:4]
+        if not isinstance(workload, str):
+            raise TypeError("run_jobs takes workload names, not %r"
+                            % (workload,))
         spec = job[4] if len(job) > 4 else None
         if spec is not None and not sampling_applies(config):
             spec = None
@@ -655,7 +674,7 @@ def _lookup(sweep, keys, unique):
     """Serve what the result cache holds, and expand each sampled miss
     into its interval jobs.  Returns ``(misses, prewarm)``: the pending
     jobs, and per trace lane (:func:`trace_key`) the checkpoint
-    positions to warm per (workload, trace, length, warm fingerprint).
+    positions to warm per (workload, length, warm fingerprint).
 
     Each interval is an independently schedulable job keyed
     ``<cell-key>-iNNN`` in memory only: the result cache holds cells,
@@ -680,15 +699,14 @@ def _lookup(sweep, keys, unique):
         seen.add(key)
 
     work = {}     # key -> 5-tuple job
-    prewarm = {}  # lane -> {(name, trace-or-None, length):
+    prewarm = {}  # lane -> {(name, length):
     #                         ({warm fingerprint: config}, positions)}
     for key, job in pending.items():
         workload, config, length, warmup, spec = job
         if spec is None:
             work[key] = job
             continue
-        trace_length = length if isinstance(workload, str) else len(workload)
-        plan = SamplingPlan(config, trace_length, warmup, spec)
+        plan = SamplingPlan(config, length, warmup, spec)
         interval_keys = [key + "-i%03d" % i for i in range(plan.samples)]
         sweep.total += plan.samples - 1  # the cell becomes its intervals
         for i, interval_key in enumerate(interval_keys):
@@ -702,11 +720,9 @@ def _lookup(sweep, keys, unique):
                 },
             })
             if plan.functionals[i] > 0:
-                name = workload if isinstance(workload, str) else workload.name
-                trace = None if isinstance(workload, str) else workload
                 configs, positions = prewarm.setdefault(
                     trace_key(job), {}).setdefault(
-                    (name, trace, trace_length), ({}, set()))
+                    (workload, length), ({}, set()))
                 configs.setdefault(warm_fingerprint(config), config)
                 positions.add(plan.functionals[i])
         sweep.cells[key] = (spec, interval_keys)
@@ -751,27 +767,28 @@ def _prewarm(sweep, store, groups, batch_warm):
     if not groups:
         return
     store.pop_evictions()
-    ordered = sorted(groups.items(), key=lambda item: (item[0][0], item[0][2]))
-    # Module attributes, looked up per call like _run_job.
+    ordered = sorted(groups.items())
+    # Module attributes, looked up per call like _run_job.  The trace
+    # argument is None: a warm builds it only if a position is missing.
     if batch_warm:
         ensure_checkpoints_batch(
-            [(trace, name, config, trace_length, sorted(positions))
-             for (name, trace, trace_length), (configs, positions) in ordered
+            [(None, name, config, length, sorted(positions))
+             for (name, length), (configs, positions) in ordered
              for config in configs.values()],
             store,
         )
     else:
-        for (name, trace, trace_length), (configs, positions) in ordered:
-            ensure_checkpoints(trace, name, list(configs.values()),
-                               trace_length, sorted(positions), store)
+        for (name, length), (configs, positions) in ordered:
+            ensure_checkpoints(None, name, list(configs.values()),
+                               length, sorted(positions), store)
     incidents = store.pop_evictions()
     if not incidents:
         return
     owner = {}  # part key -> (workload, config name), first config wins
-    for (name, _trace, trace_length), (configs, positions) in ordered:
+    for (name, length), (configs, positions) in ordered:
         for config in configs.values():
             for position in positions:
-                for part in store.parts(store.key(name, config, trace_length,
+                for part in store.parts(store.key(name, config, length,
                                                   position)):
                     owner.setdefault(part, (name, config.name))
     for incident in incidents:
@@ -841,8 +858,8 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
     report.
 
     Args:
-        jobs: sequence of ``(workload, config, length, warmup)`` tuples,
-            optionally with a fifth interval-sampling spec.
+        jobs: sequence of ``(workload name, config, length, warmup)``
+            tuples, optionally with a fifth interval-sampling spec.
         cache: a :class:`~repro.sim.cache.ResultCache`; defaults to the
             shared on-disk cache.  Completed cells (a sampled one once
             all its intervals land) are committed to it incrementally, so

@@ -10,7 +10,7 @@ long-lived **shard** processes otherwise.  The pool has three parts:
   :func:`repro.sim.parallel._run_job`, looked up on the module at call
   time so a wrapper installed on that attribute (the perf harness's span
   hook) sees every job.  The wire protocol is ``("job", item)`` /
-  ``("stop",)`` down and ``("ok", key, data, seconds)`` /
+  ``("stop",)`` down and ``("ok", key, data, seconds, evictions)`` /
   ``("err", workload, config_name, detail, root_cause)`` up.
 - **Trace affinity** (:meth:`ShardPool._next_ready`): the queue is the
   :class:`~repro.sim.parallel.Executor` lane queue, one lane per trace
@@ -65,8 +65,8 @@ def _shard_main(shard_id, incarnation, conn, parent_fd=None):
     """Shard child body: loop ``recv job -> run -> send``.
 
     The parent sends ``("job", item)`` or ``("stop",)``; the shard answers
-    every job with ``("ok", key, data, seconds)`` or ``("err", workload,
-    config_name, detail, root_cause)``.
+    every job with ``("ok", key, data, seconds, evictions)`` or
+    ``("err", workload, config_name, detail, root_cause)``.
 
     Fault hooks fire at job receipt once enough jobs have finished:
     ``kill_shard`` hard-exits, so the supervisor sees pipe EOF;
@@ -109,8 +109,8 @@ def _shard_main(shard_id, incarnation, conn, parent_fd=None):
             try:
                 # Looked up per call, never bound at import: a wrapper
                 # installed on the module attribute must see every job.
-                key, data, seconds = parallel._run_job(item)
-                conn.send(("ok", key, data, seconds))
+                key, data, seconds, evictions = parallel._run_job(item)
+                conn.send(("ok", key, data, seconds, evictions))
             except WorkerError as err:
                 conn.send(("err", err.workload, err.config_name,
                            err.detail, err.root_cause))
@@ -286,6 +286,7 @@ class ShardPool(Executor):
         slot.job = None
         slot.deadline = None
         if message[0] == "ok":
+            pj.evictions = message[4]
             self._on_success(pj, message[2], message[3])
         else:  # ("err", workload, config_name, detail, root_cause)
             detail, root_cause = message[3], message[4]

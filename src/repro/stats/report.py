@@ -26,11 +26,6 @@ def speedup(new_ipc, base_ipc):
     return new_ipc / base_ipc
 
 
-def percent(ratio):
-    """Format a 1.031-style ratio as '+3.1%'."""
-    return "%+.2f%%" % ((ratio - 1.0) * 100.0)
-
-
 def format_ipc_ci(data, digits=3):
     """Render a result's IPC, with its confidence interval when sampled.
 

@@ -92,16 +92,6 @@ class TraceBuilder(object):
             Instruction(pc, Op.STORE, srcs=(data_src,) + tuple(addr_srcs), addr=addr)
         )
 
-    def alu(self, pc, op, dst, srcs, imm=0):
-        return self.emit(Instruction(pc, op, dst=dst, srcs=srcs, imm=imm))
-
-    def branch(self, pc, src, taken, mispredicted=False):
-        return self.emit(
-            Instruction(
-                pc, Op.BRANCH, srcs=(src,), taken=taken, mispredicted=mispredicted
-            )
-        )
-
     def build(self):
         return Trace(
             self.instructions,

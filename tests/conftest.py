@@ -6,6 +6,7 @@ from repro.core.config import baseline
 from repro.core.core import OOOCore
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
+from repro.emu.warmup import warm_pass_count
 from repro.isa.trace import Trace
 
 
@@ -26,6 +27,13 @@ def quiet_config(**overrides):
     overrides.setdefault("l2_prefetcher_enabled", False)
     overrides.setdefault("l1_next_line_prefetch", False)
     return baseline(**overrides)
+
+
+def warm_passes():
+    """Count the functional warm passes made after this call; the
+    underlying counter is process-wide."""
+    start = warm_pass_count()
+    return lambda: warm_pass_count() - start
 
 
 def loads_of(core):

@@ -21,17 +21,15 @@ import os
 
 import pytest
 
+from conftest import warm_passes
+
 from repro.core.config import baseline
 from repro.core.core import OOOCore
 from repro.emu.batch import (
     columns_for,
     warm_batch,
 )
-from repro.emu.warmup import (
-    FunctionalWarmer,
-    reset_warm_pass_count,
-    warm_pass_count,
-)
+from repro.emu.warmup import FunctionalWarmer
 from repro.sim.checkpoint import (
     CheckpointStore,
     capture,
@@ -137,11 +135,11 @@ class TestSeededEquivalenceMatrix:
         store = CheckpointStore(str(tmp_path))
         ensure_checkpoints_batch([(trace, workload, config, LENGTH, BOUNDS)],
                                  store)
-        reset_warm_pass_count()
+        passes = warm_passes()
         [outcome] = ensure_checkpoints_batch(
             [(trace, workload, config, LENGTH, BOUNDS)], store)
         assert outcome == {b: "hit" for b in BOUNDS}
-        assert warm_pass_count() == 0
+        assert passes() == 0
 
     def test_batch_ticks_one_warm_pass_per_lane(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
@@ -149,9 +147,9 @@ class TestSeededEquivalenceMatrix:
         for workload, config in SEEDED_PAIRS[:3]:
             trace = build_workload(workload, length=LENGTH)
             jobs.append((trace, workload, config, LENGTH, [BOUNDS[0]]))
-        reset_warm_pass_count()
+        passes = warm_passes()
         warm_batch(jobs, store=store)
-        assert warm_pass_count() == 3
+        assert passes() == 3
 
 
 class TestLockstepSweep:

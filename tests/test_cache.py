@@ -30,10 +30,11 @@ class TestGeometry:
             Cache(512, 2, 48)
 
     def test_line_addr(self):
+        """Callers form line addresses as ``addr >> line_shift``."""
         cache = small_cache()
-        assert cache.line_addr(0) == 0
-        assert cache.line_addr(63) == 0
-        assert cache.line_addr(64) == 1
+        assert 0 >> cache.line_shift == 0
+        assert 63 >> cache.line_shift == 0
+        assert 64 >> cache.line_shift == 1
 
 
 class TestLookupFill:
@@ -88,18 +89,16 @@ class TestLookupFill:
         assert cache.mark_dirty(0)
         assert not cache.mark_dirty(99)
 
-    def test_invalidate(self):
-        cache = small_cache()
-        cache.fill(0)
-        assert cache.invalidate(0)
-        assert not cache.invalidate(0)
-        assert not cache.contains(0)
-
     def test_occupancy(self):
+        """Eight lines fill the 4 sets x 2 ways without an eviction."""
         cache = small_cache()
         for line in range(8):
             cache.fill(line)
-        assert cache.occupancy() == 8
+        assert sum(len(lines) for lines in cache.sets) == 8
+        assert cache.stats.evictions == 0
+        cache.fill(8)
+        assert sum(len(lines) for lines in cache.sets) == 8
+        assert cache.stats.evictions == 1
 
     def test_prefetch_fill_counted(self):
         cache = small_cache()

@@ -52,6 +52,16 @@ class TestSchedule:
         assert all(launch["expect_signal"] == signal.SIGKILL
                    for launch in sigkill)
 
+    @pytest.mark.parametrize("seed", [1, 11, 20220618, 31337])
+    def test_two_sigkills_cover_both_write_windows(self, seed):
+        """Whatever the seed, two ``kill_commit`` launches kill one writer
+        between its temp write and the replace and one at the replace."""
+        schedule = build_schedule(
+            seed, shards=3, kills=0, hangs=0, sigkills=2,
+            workloads=["spec06_mcf", "spec06_gcc", "spec06_bzip2"])
+        stages = [launch["fault"].rsplit(":at=", 1)[1] for launch in schedule]
+        assert stages == ["payload", "replace"]
+
 
 class TestCampaign:
     def test_recovery_fails_on_a_corrupt_cache_count(self, tmp_path,

@@ -16,19 +16,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from conftest import quiet_config
+from conftest import quiet_config, warm_passes
 
 from repro.__main__ import main
 from repro.core.config import RFPConfig, baseline, baseline_2x
 from repro.core.core import OOOCore
-from repro.emu.warmup import (
-    FunctionalWarmer,
-    reset_warm_pass_count,
-    warm_pass_count,
-)
+from repro.emu.warmup import FunctionalWarmer
 from repro.sim.cache import ResultCache
 from repro.sim.checkpoint import (
     RFP_PART,
@@ -67,14 +64,30 @@ def storeless(config, spec):
         for i in range(plan.samples)], spec)
 
 
-def sampled_cell(tmp_path, config, spec, cache_name="cache"):
+def sampled_cell(tmp_path, config, spec, cache_name="cache", max_workers=1):
     """One sampled cell through the sweep, on the store at
-    ``REPRO_CHECKPOINT_DIR`` and a result cache of its own."""
-    [block], _report = run_matrix(
+    ``REPRO_CHECKPOINT_DIR`` and a result cache of its own; returns the
+    cell and the sweep's report."""
+    [block], report = run_matrix(
         [config], [WORKLOAD], LENGTH, WARM,
-        cache=ResultCache(str(tmp_path / cache_name)), max_workers=1,
-        sampling=spec)
-    return block[WORKLOAD]
+        cache=ResultCache(str(tmp_path / cache_name)),
+        max_workers=max_workers, sampling=spec)
+    return block[WORKLOAD], report
+
+
+def rewarm_warnings(run):
+    """Call ``run()``; return its result and the "re-warmed" warnings the
+    calling process saw (a shard warns in its own process, not here)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run()
+    return result, [w for w in caught if "re-warmed" in str(w.message)]
+
+
+def checkpoint_incidents(report):
+    """The failure manifest's checkpoint records, minus their details."""
+    return [(r["classification"], r["workload"], r["config"], r["attempts"],
+             r["recovered"]) for r in report.failures]
 
 
 def fresh_and_restored(config, length=LENGTH, warm=WARM):
@@ -428,7 +441,7 @@ class TestCheckpointStore:
         warms functionally) equals a store-backed run — restore is
         bit-exact versus a fresh warm, so the store is not fingerprinted."""
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
-        with_store = sampled_cell(tmp_path, quiet_config(), {"samples": 3})
+        with_store, _ = sampled_cell(tmp_path, quiet_config(), {"samples": 3})
         assert default_checkpoint_store().entry_paths()
         assert with_store.data == storeless(quiet_config(), {"samples": 3})
 
@@ -438,7 +451,7 @@ class TestCheckpointStore:
         equals the storeless intervals of the same plan, aggregated."""
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
         config = quiet_config(rfp={"enabled": True})
-        cell = sampled_cell(tmp_path, config, {"samples": 3})
+        cell, _ = sampled_cell(tmp_path, config, {"samples": 3})
         assert CheckpointStore(str(tmp_path / "ckpt")).entry_paths()
         assert cell.data == storeless(config, {"samples": 3})
 
@@ -451,17 +464,17 @@ class TestWarmOnce:
     def test_ensure_checkpoints_is_one_pass(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
         config = quiet_config()
-        reset_warm_pass_count()
+        passes = warm_passes()
         outcome = ensure_checkpoints(None, WORKLOAD, config, LENGTH,
                                      [1000, 2000, 3000], store)
         assert outcome == {1000: "warmed", 2000: "warmed", 3000: "warmed"}
-        assert warm_pass_count() == 1
+        assert passes() == 1
         # All present: zero warms, pure probes.
-        reset_warm_pass_count()
+        passes = warm_passes()
         outcome = ensure_checkpoints(None, WORKLOAD, config, LENGTH,
                                      [1000, 2000, 3000], store)
         assert outcome == {1000: "hit", 2000: "hit", 3000: "hit"}
-        assert warm_pass_count() == 0
+        assert passes() == 0
 
     def test_partial_store_resumes_from_deepest_prefix_hit(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
@@ -472,11 +485,11 @@ class TestWarmOnce:
                                         3000))) as handle:
             before = handle.read()
         os.remove(store._path(store.key(WORKLOAD, config, LENGTH, 3000)))
-        reset_warm_pass_count()
+        passes = warm_passes()
         outcome = ensure_checkpoints(None, WORKLOAD, config, LENGTH,
                                      [1000, 2000, 3000], store)
         assert outcome == {1000: "hit", 2000: "hit", 3000: "warmed"}
-        assert warm_pass_count() == 1
+        assert passes() == 1
         # Resuming from the 2000-checkpoint re-derives the identical bytes.
         with open(store._path(store.key(WORKLOAD, config, LENGTH,
                                         3000))) as handle:
@@ -495,20 +508,20 @@ class TestWarmOnce:
         assert len(fingerprints) == 1
         workloads = [WORKLOAD, "tpce"]
         sampling = {"samples": 3}
-        reset_warm_pass_count()
+        passes = warm_passes()
         per_config, _report = run_matrix(
             configs, workloads, LENGTH, WARM, cache=cache, max_workers=1,
             sampling=sampling)
         assert all(len(block) == len(workloads) for block in per_config)
-        assert warm_pass_count() == len(workloads)
+        assert passes() == len(workloads)
         # Repeat sweep: interval results come from the result cache and
         # warm state from the checkpoint store — zero functional warms.
-        reset_warm_pass_count()
+        passes = warm_passes()
         repeat, _report = run_matrix(
             configs, workloads, LENGTH, WARM,
             cache=ResultCache(str(tmp_path / "cache2")), max_workers=1,
             sampling=sampling)
-        assert warm_pass_count() == 0
+        assert passes() == 0
         for block_a, block_b in zip(per_config, repeat):
             for name in workloads:
                 assert block_a[name].data == block_b[name].data
@@ -528,12 +541,12 @@ class TestWarmOnce:
             before = handle.read()
         os.remove(paths[3000])
         truncate(paths[2000])
-        reset_warm_pass_count()
+        passes = warm_passes()
         with pytest.warns(RuntimeWarning, match="re-warmed"):
             outcome = ensure_checkpoints(None, WORKLOAD, config, LENGTH,
                                          positions, store)
         assert outcome == {1000: "hit", 2000: "warmed", 3000: "warmed"}
-        assert warm_pass_count() == 1
+        assert passes() == 1
         assert all(store.contains(store.key(WORKLOAD, config, LENGTH, p))
                    for p in positions)
         with open(paths[2000]) as handle:
@@ -561,21 +574,21 @@ class TestWarmOnce:
         assert len({warm_fingerprint(c) for c in configs}) == 3
         workloads = [WORKLOAD, "tpce"]
         sampling = {"samples": 2}
-        reset_warm_pass_count()
+        passes = warm_passes()
         per_config, _report = run_matrix(
             configs, workloads, LENGTH, WARM,
             cache=ResultCache(str(tmp_path / "cache")), max_workers=1,
             sampling=sampling)
-        assert warm_pass_count() == len(workloads)
+        assert passes() == len(workloads)
         stats = CheckpointStore(str(tmp_path / "ckpt")).stats()
         assert stats["hierarchy_entries"] == 2 * len(workloads)
         assert stats["rfp_entries"] == 2 * stats["hierarchy_entries"]
-        reset_warm_pass_count()
+        passes = warm_passes()
         repeat, _report = run_matrix(
             configs, workloads, LENGTH, WARM,
             cache=ResultCache(str(tmp_path / "cache2")), max_workers=1,
             sampling=sampling)
-        assert warm_pass_count() == 0
+        assert passes() == 0
         for block_a, block_b in zip(per_config, repeat):
             for name in workloads:
                 assert block_a[name].data == block_b[name].data
@@ -590,10 +603,10 @@ class TestSplitStore:
         """One pass over every ``RFP_VARIANTS`` config; each restored core
         captures the same JSON as a core warmed alone."""
         store = CheckpointStore(str(tmp_path))
-        reset_warm_pass_count()
+        passes = warm_passes()
         ensure_checkpoints(None, WORKLOAD, RFP_VARIANTS, LENGTH, [1000, WARM],
                            store)
-        assert warm_pass_count() == 1
+        assert passes() == 1
         trace = build_workload(WORKLOAD, length=LENGTH)
         for config in RFP_VARIANTS:
             alone = OOOCore(trace, config)
@@ -616,9 +629,9 @@ class TestSplitStore:
             quiet_config(name="small-l1-rfp", l1_size=24 * 1024,
                          rfp={"enabled": True}),
         ]
-        reset_warm_pass_count()
+        passes = warm_passes()
         ensure_checkpoints(None, WORKLOAD, configs, LENGTH, positions, store)
-        assert warm_pass_count() == 2  # one pass per cache geometry
+        assert passes() == 2  # one pass per cache geometry
         names = sorted(os.path.basename(path)
                        for path in store.entry_paths())
         hierarchy = [name for name in names if RFP_PART not in name]
@@ -670,11 +683,15 @@ class TestSplitStore:
             assert rows[label + " parts"] == "%d (%.1f KB)" % (
                 count, stats[kind + "_bytes"] / 1024.0)
 
+    @pytest.mark.parametrize("max_workers", [1, 2])
     def test_corrupt_rfp_part_rewarms_byte_identical(self, tmp_path,
-                                                     monkeypatch):
+                                                     monkeypatch, max_workers):
+        """A part already corrupt on disk when the sweep starts is met by
+        the interval job that restores it: evicted, re-warmed, and
+        recorded in the manifest as one recovered incident."""
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
         config = quiet_config(rfp={"enabled": True})
-        clean = sampled_cell(tmp_path, config, {"samples": 3})
+        clean, _ = sampled_cell(tmp_path, config, {"samples": 3})
         store = CheckpointStore(str(tmp_path / "ckpt"))
         before = {}
         for path in store.entry_paths():
@@ -682,10 +699,14 @@ class TestSplitStore:
                 before[path] = handle.read()
         rfp_path = [path for path in before if RFP_PART in path][-1]
         truncate(rfp_path)
-        with pytest.warns(RuntimeWarning, match="re-warmed") as caught:
-            again = sampled_cell(tmp_path, config, {"samples": 3},
-                                 cache_name="cache-again")
-        assert len([w for w in caught if "re-warmed" in str(w.message)]) == 1
+        (again, report), rewarmed = rewarm_warnings(
+            lambda: sampled_cell(tmp_path, config, {"samples": 3},
+                                 cache_name="cache-again",
+                                 max_workers=max_workers))
+        assert len(rewarmed) == (1 if max_workers == 1 else 0)
+        assert checkpoint_incidents(report) == [
+            ("corrupt_checkpoint", WORKLOAD, config.name, 1, True)]
+        assert report.jobs_failed == 0
         assert again.data == clean.data
         after = {}
         for path in store.entry_paths():
@@ -699,16 +720,26 @@ class TestSplitStore:
 
 
 class TestCheckpointFaultInjection:
+    @pytest.mark.parametrize("max_workers", [1, 2])
     def test_corrupt_checkpoint_fault_recovers_with_identical_result(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, max_workers):
+        """The fault corrupts each checkpoint as its interval job reads it:
+        one recovered incident per checkpoint, results unchanged."""
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
         config = quiet_config()
-        clean = sampled_cell(tmp_path, config, {"samples": 3})
+        clean, _ = sampled_cell(tmp_path, config, {"samples": 3})
+        checkpoints = len(CheckpointStore(str(tmp_path / "ckpt")).entry_paths())
+        assert checkpoints > 0
         monkeypatch.setenv("REPRO_FAULT",
                            "corrupt_checkpoint:key=%s" % WORKLOAD)
-        with pytest.warns(RuntimeWarning, match="re-warmed"):
-            injected = sampled_cell(tmp_path, config, {"samples": 3},
-                                    cache_name="cache-again")
+        (injected, report), rewarmed = rewarm_warnings(
+            lambda: sampled_cell(tmp_path, config, {"samples": 3},
+                                 cache_name="cache-again",
+                                 max_workers=max_workers))
+        assert len(rewarmed) == (checkpoints if max_workers == 1 else 0)
+        assert checkpoint_incidents(report) == checkpoints * [
+            ("corrupt_checkpoint", WORKLOAD, config.name, 1, True)]
+        assert report.jobs_failed == 0
         assert injected.data == clean.data
 
     def test_flip_flavour_hits_checksum_classification(self, tmp_path,

@@ -1,6 +1,6 @@
 """Frontend fetch/stall/rewind behaviour and the hit-miss predictor."""
 
-from conftest import ADD, BR, make_trace
+from conftest import ADD, BR, LOAD, make_trace, quiet_config, run_core
 
 from repro.core.frontend import Frontend
 from repro.core.hit_miss import HitMissPredictor
@@ -16,18 +16,17 @@ class TestFrontend:
         assert fe.fetch(0) == config.fetch_width
 
     def test_frontend_latency(self, config):
+        """A uop fetched at cycle 0 may dispatch ``frontend_latency`` later."""
         fe = Frontend(config, simple_trace())
         fe.fetch(0)
-        assert fe.head_ready(config.frontend_latency - 1) is None
-        assert fe.head_ready(config.frontend_latency) is not None
+        assert {ready_at for ready_at, _ in fe.buffer} == {config.frontend_latency}
 
     def test_pop_in_order(self, config):
         fe = Frontend(config, simple_trace())
         fe.fetch(0)
-        ready = config.frontend_latency
-        first = fe.head_ready(ready)
-        assert fe.pop() is first
-        assert fe.head_ready(ready).index == first.index + 1
+        fe.fetch(1)
+        indexes = [instr.index for _, instr in fe.buffer]
+        assert indexes == list(range(2 * config.fetch_width))
 
     def test_buffer_capacity_bounds_runahead(self, config):
         fe = Frontend(config, simple_trace(n=200))
@@ -101,24 +100,23 @@ class TestFrontend:
         assert seen == [0, 1, 2]
 
     def test_drained(self, config):
+        """A finished run leaves the cursor exhausted and the buffer empty."""
         fe = Frontend(config, simple_trace(n=2))
-        assert not fe.drained
-        fe.fetch(0)
-        fe.pop()
-        fe.pop()
-        assert fe.drained
+        assert not fe.cursor.exhausted
+        frontend = run_core(simple_trace(n=2), config).frontend
+        assert frontend.cursor.exhausted and not frontend.buffer
 
 
 class TestHitMissPredictor:
     def test_initially_predicts_hit(self):
         hm = HitMissPredictor(64)
-        assert hm.predict(0x400)
+        assert hm.probe(0x400)
 
     def test_learns_misses(self):
         hm = HitMissPredictor(64)
         for _ in range(4):
             hm.train(0x400, hit=False)
-        assert not hm.predict(0x400)
+        assert not hm.probe(0x400)
 
     def test_relearns_hits(self):
         hm = HitMissPredictor(64)
@@ -126,12 +124,15 @@ class TestHitMissPredictor:
             hm.train(0x400, hit=False)
         for _ in range(4):
             hm.train(0x400, hit=True)
-        assert hm.predict(0x400)
+        assert hm.probe(0x400)
 
     def test_mispredict_rate(self):
-        hm = HitMissPredictor(64)
-        hm.predict(0x400)
-        hm.train(0x400, hit=False)  # predicted hit, was miss
+        """The core's load issue counts the prediction; a cold load is
+        predicted to hit and misses."""
+        core = run_core(make_trace([LOAD(0x400, 1, 0x8000)]),
+                        quiet_config(hit_miss_predictor=True))
+        hm = core.hit_miss
+        assert hm.predictions == 1
         assert hm.mispredicts == 1
         assert hm.mispredict_rate == 1.0
 
@@ -139,4 +140,4 @@ class TestHitMissPredictor:
         hm = HitMissPredictor(64)
         for _ in range(4):
             hm.train(0x400, hit=False)
-        assert hm.predict(0x404)
+        assert hm.probe(0x404)

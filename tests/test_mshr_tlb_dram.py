@@ -40,10 +40,13 @@ class TestMSHR:
         assert mshr.full_stalls == 1
 
     def test_occupancy_and_reset(self):
+        """An entry holds its slot until its fill lands."""
         mshr = MSHRFile(4)
         mshr.allocate(1, 0, 100)
         assert mshr.occupancy == 1
-        mshr.reset()
+        mshr.expire(99)
+        assert mshr.occupancy == 1
+        mshr.expire(100)
         assert mshr.occupancy == 0
 
 
@@ -57,7 +60,7 @@ class TestMSHR:
         assert mshr.occupancy == 2
         mshr.expire(60)
         assert mshr.inflight == {1: 100} and mshr.next_fill == 100
-        mshr.reset()
+        mshr.expire(100)
         assert mshr.next_fill == float("inf")
 
 
@@ -98,9 +101,6 @@ class NaiveMSHR(object):
         self.allocations += 1
         return fill_time
 
-    def reset(self):
-        self.inflight.clear()
-
 
 MSHR_OPS = st.lists(
     st.one_of(
@@ -112,7 +112,6 @@ MSHR_OPS = st.lists(
         ),
         st.tuples(st.just("probe"), st.integers(0, 12), st.integers(0, 300)),
         st.tuples(st.just("expire"), st.integers(0, 300)),
-        st.tuples(st.just("reset")),
     ),
     max_size=60,
 )
@@ -134,12 +133,9 @@ class TestMSHRBound:
                 assert got == naive.allocate(line, cycle, cycle + delta)
             elif op[0] == "probe":
                 assert fast.probe(op[1], op[2]) == naive.probe(op[1], op[2])
-            elif op[0] == "expire":
+            else:
                 fast.expire(op[1])
                 naive.expire(op[1])
-            else:
-                fast.reset()
-                naive.reset()
             assert list(fast.inflight.items()) == list(naive.inflight.items())
             assert fast.next_fill == min(fast.inflight.values(), default=float("inf"))
             assert (fast.mshr_hits, fast.allocations, fast.full_stalls) == (

@@ -24,7 +24,6 @@ from repro.obs.events import (
 from repro.obs.export import (
     dump_jsonl,
     pipeline_view,
-    read_jsonl,
     sort_events,
     window_events,
     write_jsonl,
@@ -39,6 +38,12 @@ LENGTH = 3000
 
 def rfp_config():
     return quiet_config(rfp={"enabled": True})
+
+
+def read_events(path):
+    """Parse a JSONL event file, one event per non-blank line."""
+    with open(path) as handle:
+        return [json.loads(line) for line in handle if line.strip()]
 
 
 def traced_run(config=None, **tracer_kwargs):
@@ -137,7 +142,7 @@ class TestJsonl:
         events = sort_events(tracer.events)
         path = str(tmp_path / "events.jsonl")
         write_jsonl(events, path)
-        assert read_jsonl(path) == events
+        assert read_events(path) == events
 
     def test_dump_is_deterministic_and_key_sorted(self):
         tracer, _ = traced_run()
@@ -228,7 +233,7 @@ class TestTraceCli:
         code, out = self.run_cli(capsys, "--format", "jsonl", "-o", path)
         assert code == 0
         assert path in out
-        assert read_jsonl(path)
+        assert read_events(path)
 
 
 class TestPipelineView:

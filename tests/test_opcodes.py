@@ -8,12 +8,9 @@ from repro.isa.opcodes import (
     Op,
     OP_LATENCY,
     evaluate,
-    is_alu,
     is_branch,
-    is_fp,
     is_load,
     is_mem,
-    is_mul,
     is_store,
     port_class,
 )
@@ -33,12 +30,13 @@ class TestClassification:
 
     def test_alu_ops(self):
         for op in (Op.ADD, Op.SUB, Op.AND, Op.OR, Op.XOR, Op.SHL, Op.SHR, Op.MOV, Op.NOP):
-            assert is_alu(op)
-        assert not is_alu(Op.MUL)
+            assert port_class(op) == "alu"
+        assert port_class(Op.MUL) != "alu"
 
     def test_mul_and_fp(self):
-        assert is_mul(Op.MUL) and is_mul(Op.DIV)
-        assert is_fp(Op.FPADD) and is_fp(Op.FPMUL) and is_fp(Op.FMA)
+        assert port_class(Op.MUL) == port_class(Op.DIV) == "mul"
+        for op in (Op.FPADD, Op.FPMUL, Op.FMA):
+            assert port_class(op) == "fp"
 
     def test_port_class_total(self):
         for op in Op:

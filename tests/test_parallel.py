@@ -151,6 +151,12 @@ class TestDedupAndCache:
             assert set(results) == set(WORKLOADS)
         assert report.jobs_total == 2 * len(WORKLOADS)
 
+    def test_a_trace_object_is_rejected(self, tmp_path):
+        trace = suite.build_workload(WORKLOADS[0], length=LENGTH)
+        with pytest.raises(TypeError, match="workload names"):
+            run_jobs([(trace, quiet_config(), LENGTH, WARMUP)],
+                     cache=ResultCache(str(tmp_path)), max_workers=1)
+
 
 class TestCorruptedCache:
     def test_corrupted_entry_is_evicted_and_rewritten(self, tmp_path):

@@ -1,73 +1,85 @@
-"""L1 port arbitration and the L2 page streamer."""
+"""L1 port arbitration and the L2 page streamer.
 
+Demand loads take their ports inside the core's load issue; the arbiter
+tests below set the demand count directly (:func:`arbiter`) and check
+what RFP requests may still claim.
+"""
+
+from conftest import LOAD, make_trace, quiet_config
+
+from repro.core.core import OOOCore
 from repro.memory.ports import LoadPortArbiter
 from repro.memory.prefetcher import L2StridePrefetcher
 
 
+def arbiter(demand_used=0, **kwargs):
+    """An arbiter part-way through a cycle in which ``demand_used`` demand
+    loads already took a port."""
+    ports = LoadPortArbiter(**kwargs)
+    ports._demand_used = demand_used
+    return ports
+
+
 class TestLoadPortArbiter:
     def test_demand_limit(self):
-        ports = LoadPortArbiter(num_ports=2)
-        ports.begin_cycle(0)
-        assert ports.claim_demand()
-        assert ports.claim_demand()
-        assert not ports.claim_demand()
-        assert ports.demand_denies == 1
+        """No cycle grants more demand ports than exist, and a burst of
+        independent loads does fill them."""
+        trace = make_trace([LOAD(0x400 + 4 * k, 1 + k % 8, 0x1000 + 8 * k)
+                            for k in range(12)])
+        core = OOOCore(trace, quiet_config(load_ports=2))
+        used = []
+        while core.stats.instructions < 12:
+            core.step()
+            used.append(core.ports._demand_used)
+        assert max(used) == 2
+        assert sum(used) == 12
 
     def test_rfp_uses_leftovers(self):
-        ports = LoadPortArbiter(num_ports=2)
-        ports.begin_cycle(0)
-        ports.claim_demand()
+        ports = arbiter(demand_used=1, num_ports=2)
         assert ports.claim_rfp()     # one demand port left
         assert not ports.claim_rfp() # now exhausted
 
     def test_rfp_cannot_displace_demand(self):
-        ports = LoadPortArbiter(num_ports=1)
-        ports.begin_cycle(0)
+        ports = arbiter(num_ports=1)
         assert ports.claim_rfp()
         # In this model order demand claims happen first within a cycle;
         # RFP leftovers are what is left after demand ran.
         assert not ports.claim_rfp()
+        assert not arbiter(demand_used=1, num_ports=1).claim_rfp()
 
     def test_begin_cycle_resets(self):
-        ports = LoadPortArbiter(num_ports=1)
-        ports.begin_cycle(0)
-        ports.claim_demand()
-        ports.begin_cycle(1)
-        assert ports.claim_demand()
+        """Each core cycle starts with every port free again."""
+        core = OOOCore(make_trace([]), quiet_config())
+        ports = core.ports
+        ports._demand_used = 2
+        ports._rfp_dedicated_used = 1
+        ports._rfp_shared_used = 1
+        core.step()
+        assert (ports._demand_used, ports._rfp_dedicated_used,
+                ports._rfp_shared_used) == (0, 0, 0)
 
     def test_dedicated_rfp_ports(self):
-        ports = LoadPortArbiter(num_ports=2, rfp_dedicated_ports=2,
-                                rfp_shares_demand_ports=False)
-        ports.begin_cycle(0)
-        ports.claim_demand()
-        ports.claim_demand()
+        ports = arbiter(demand_used=2, num_ports=2, rfp_dedicated_ports=2,
+                        rfp_shares_demand_ports=False)
         assert ports.claim_rfp()
         assert ports.claim_rfp()
         assert not ports.claim_rfp()  # no sharing
 
     def test_dedicated_first_then_shared(self):
-        ports = LoadPortArbiter(num_ports=2, rfp_dedicated_ports=1)
-        ports.begin_cycle(0)
+        ports = arbiter(num_ports=2, rfp_dedicated_ports=1)
         assert ports.claim_rfp()  # dedicated
         assert ports.claim_rfp()  # shared leftover
         assert ports.claim_rfp()  # second shared leftover
         assert not ports.claim_rfp()
 
     def test_free_demand_ports(self):
-        ports = LoadPortArbiter(num_ports=2)
-        ports.begin_cycle(0)
-        assert ports.free_demand_ports() == 2
-        ports.claim_demand()
-        assert ports.free_demand_ports() == 1
-
-    def test_utilization_dict(self):
-        ports = LoadPortArbiter(num_ports=1)
-        ports.begin_cycle(0)
-        ports.claim_demand()
-        ports.claim_rfp()
-        util = ports.utilization()
-        assert util["demand_grants"] == 1
-        assert util["rfp_denies"] == 1
+        """RFP may take exactly the demand ports left free this cycle."""
+        for demand_used in range(3):
+            ports = arbiter(demand_used=demand_used, num_ports=2)
+            grants = 0
+            while ports.claim_rfp():
+                grants += 1
+            assert grants == 2 - demand_used
 
 
 class TestL2Streamer:

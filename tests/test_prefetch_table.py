@@ -91,7 +91,7 @@ class TestPrediction:
         pt = self._confident_pt()
         pt.on_allocate(PC)
         pt.on_allocate(PC)
-        pt.on_commit(PC)
+        pt.train(PC, 0x1020, commit=True)  # the first instance retires
         assert pt.lookup(PC).inflight == 1
 
     def test_squash_decrements(self):
@@ -107,8 +107,7 @@ class TestPrediction:
         for _ in range(5):
             pt.on_allocate(PC)   # five instances dispatch before any retires
         for _ in range(5):
-            pt.on_commit(PC)
-            pt.train(PC, 0x1000)
+            pt.train(PC, 0x1000, commit=True)
         assert pt.lookup(PC).inflight == 0
 
     def test_inflight_saturates(self):
@@ -164,13 +163,13 @@ class TestPATIntegration:
         eligible, predicted = pt.on_allocate(PC)
         if eligible:
             assert (predicted >> 12) != page  # stale -> wrong page
-        pt.on_commit(PC)
         # Misprediction drops confidence; retirement training relearns the
         # page (and re-inserts it into the PAT).
         pt.on_misprediction(PC, 0x10030)
         assert pt.lookup(PC).confidence == 0
         for k in range(6, 10):
-            pt.train(PC, 0x10000 + 8 * k)
+            # The first retirement is the instance allocated above.
+            pt.train(PC, 0x10000 + 8 * k, commit=k == 6)
         eligible, predicted = pt.on_allocate(PC)
         assert eligible and (predicted >> 12) == page
 
@@ -179,7 +178,6 @@ class TestPAT:
     def test_insert_and_find(self):
         pat = PageAddressTable(8, 2)
         pointer = pat.insert(0x123)
-        assert pat.find(0x123) == pointer
         assert pat.dereference(pointer) == 0x123
 
     def test_duplicate_insert_same_pointer(self):
@@ -194,7 +192,7 @@ class TestPAT:
         pat.insert(0)           # refresh page 0
         p3 = pat.insert(2)      # evicts page 1
         assert pat.dereference(p2) == 2  # stale pointer sees the new page
-        assert pat.find(1) is None
+        assert not any(1 in ways for ways in pat.ways)
         assert pat.evictions == 1
 
     def test_split_join_roundtrip(self):

@@ -30,8 +30,7 @@ class TestInflightSkewRegression:
         assert pt.lookup(PC).inflight == 40
         # Retire them all, training along the way.
         for k in range(40):
-            pt.on_commit(PC)
-            pt.train(PC, 0x1000 + 8 * k)
+            pt.train(PC, 0x1000 + 8 * k, commit=True)
         assert pt.lookup(PC).inflight == 0
 
     def test_steady_state_prediction_is_exact(self):
@@ -45,8 +44,7 @@ class TestInflightSkewRegression:
         # Warm confidence.
         for k in range(8):
             pt.on_allocate(PC)
-            pt.on_commit(PC)
-            pt.train(PC, addr_of(k))
+            pt.train(PC, addr_of(k), commit=True)
         next_alloc = 8
         next_commit = 8
         # Fill a window.
@@ -57,8 +55,7 @@ class TestInflightSkewRegression:
             next_alloc += 1
         # Steady state: one commit, one alloc, repeatedly.
         for _ in range(200):
-            pt.on_commit(PC)
-            pt.train(PC, addr_of(next_commit))
+            pt.train(PC, addr_of(next_commit), commit=True)
             next_commit += 1
             eligible, predicted = pt.on_allocate(PC)
             assert eligible
@@ -78,8 +75,7 @@ class TestMispredictionSyncRegression:
         addr_of = lambda i: 0x3000 + 8 * i
         for k in range(8):
             pt.on_allocate(PC)
-            pt.on_commit(PC)
-            pt.train(PC, addr_of(k))
+            pt.train(PC, addr_of(k), commit=True)
         # Several instances in flight; a misprediction is reported with an
         # issuing instance's address (which is ahead of the retired base).
         for _ in range(10):
@@ -89,8 +85,7 @@ class TestMispredictionSyncRegression:
         assert pt.lookup(PC).confidence == 0
         # ...and once training catches up, predictions are exact again.
         for k in range(8, 18):
-            pt.on_commit(PC)
-            pt.train(PC, addr_of(k))
+            pt.train(PC, addr_of(k), commit=True)
         eligible, predicted = pt.on_allocate(PC)
         assert eligible and predicted == addr_of(18)
 
@@ -111,8 +106,7 @@ def test_prediction_exactness_property(window, stride, warm):
     addr_of = lambda i: base + stride * i
     for k in range(warm):
         pt.on_allocate(PC)
-        pt.on_commit(PC)
-        pt.train(PC, addr_of(k))
+        pt.train(PC, addr_of(k), commit=True)
     # Open a window of `window` outstanding instances.
     predicted_for = {}
     index = warm
@@ -123,8 +117,7 @@ def test_prediction_exactness_property(window, stride, warm):
     # Drain in order.
     commit = warm
     for _ in range(window):
-        pt.on_commit(PC)
-        pt.train(PC, addr_of(commit))
+        pt.train(PC, addr_of(commit), commit=True)
         commit += 1
     for i, predicted in predicted_for.items():
         if predicted is not None:

@@ -1,13 +1,24 @@
-"""Register renaming (RAT/free list/PRF) and reorder buffer."""
+"""Register renaming (RAT/free list/PRF) and reorder buffer.
+
+Renaming and ROB allocation happen inside the core's dispatch loop, and
+freeing inside its commit loop, so those steps are checked by driving an
+:class:`OOOCore`.  The squash-side API (``unmap``, ``squash_younger_than``)
+is checked directly, on state set up by :func:`rename_dest`, which remaps a
+register the way dispatch does.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import ADD, make_trace, quiet_config, run_core
+
+from repro.core.core import OOOCore
 from repro.core.dyninstr import DynInstr
 from repro.core.rename import INFINITY, PhysicalRegisterFile, RenameUnit
 from repro.core.rob import ReorderBuffer
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
+from repro.isa.registers import NUM_ARCH_REGS
 
 
 def make_rename(arch=8, prf_size=32):
@@ -15,62 +26,79 @@ def make_rename(arch=8, prf_size=32):
     return RenameUnit(arch, prf), prf
 
 
+def rename_dest(rename, arch):
+    """Remap ``arch`` to a fresh register as the core's dispatch does;
+    returns ``(new, previous)``."""
+    new = rename.free_list.pop()
+    previous = rename.rat[arch]
+    rename.rat[arch] = new
+    return new, previous
+
+
+def dispatched_core(instrs):
+    """A core stepped until every instruction of ``instrs`` has dispatched
+    (none can have issued yet: select waits out the scheduling pipe)."""
+    core = OOOCore(make_trace(instrs), quiet_config())
+    while core.next_seq < len(instrs):
+        core.step()
+    return core
+
+
 class TestPRF:
     def test_pending_not_ready(self):
-        prf = PhysicalRegisterFile(8)
-        prf.mark_pending(3)
-        assert not prf.is_ready(3, 10_000)
-        assert prf.ready_cycle[3] == INFINITY
+        """Dispatch marks a renamed destination pending until it is written."""
+        core = dispatched_core([ADD(0x10, 3)])
+        dyn = core.rob.entries[0]
+        assert core.prf.ready_cycle[dyn.dest_preg] == INFINITY
 
     def test_write_sets_value_and_time(self):
         prf = PhysicalRegisterFile(8)
         prf.write(2, 99, 7)
         assert prf.read(2) == 99
-        assert not prf.is_ready(2, 6)
-        assert prf.is_ready(2, 7)
+        assert prf.ready_cycle[2] == 7
 
 
 class TestRename:
     def test_initial_identity_mapping(self):
         rename, _ = make_rename()
-        for r in range(8):
-            assert rename.lookup(r) == r
+        assert rename.rat == list(range(8))
 
     def test_allocate_moves_mapping(self):
-        rename, _ = make_rename()
-        new, prev = rename.allocate_dest(3)
-        assert prev == 3
-        assert rename.lookup(3) == new
-        assert new >= 8
+        core = dispatched_core([ADD(0x10, 3)])
+        dyn = core.rob.entries[0]
+        assert dyn.prev_preg == 3
+        assert core.rename.rat[3] == dyn.dest_preg
+        assert dyn.dest_preg >= NUM_ARCH_REGS
 
     def test_rename_sources(self):
-        rename, _ = make_rename()
-        new, _ = rename.allocate_dest(1)
-        assert rename.rename_sources((0, 1)) == (0, new)
+        core = dispatched_core([ADD(0x10, 1), ADD(0x14, 2, srcs=(0, 1))])
+        first, second = core.rob.entries
+        assert second.src_pregs == (0, first.dest_preg)
 
     def test_free_count_decreases(self):
-        rename, _ = make_rename()
-        before = rename.free_count
-        rename.allocate_dest(0)
-        assert rename.free_count == before - 1
+        before = len(OOOCore(make_trace([]), quiet_config()).rename.free_list)
+        core = dispatched_core([ADD(0x10, 0)])
+        assert len(core.rename.free_list) == before - 1
 
     def test_commit_free_recycles(self):
-        rename, _ = make_rename()
-        _, prev = rename.allocate_dest(0)
-        before = rename.free_count
-        rename.commit_free(prev)
-        assert rename.free_count == before + 1
+        """Commit returns the overwritten mapping to the free list."""
+        before = len(OOOCore(make_trace([]), quiet_config()).rename.free_list)
+        core = run_core(make_trace([ADD(0x10, 0), ADD(0x14, 0)]))
+        assert len(core.rename.free_list) == before
+        assert 0 in core.rename.free_list
+        assert core.rename.rat[0] >= NUM_ARCH_REGS
 
     def test_unmap_restores(self):
         rename, _ = make_rename()
-        new, prev = rename.allocate_dest(5)
+        new, prev = rename_dest(rename, 5)
         rename.unmap(5, new, prev)
-        assert rename.lookup(5) == prev
+        assert rename.rat[5] == prev
+        assert rename.free_list[-1] == new
 
     def test_unmap_order_violation_raises(self):
         rename, _ = make_rename()
-        n1, p1 = rename.allocate_dest(5)
-        n2, p2 = rename.allocate_dest(5)
+        n1, p1 = rename_dest(rename, 5)
+        rename_dest(rename, 5)
         with pytest.raises(RuntimeError):
             rename.unmap(5, n1, p1)  # must unmap n2 first
 
@@ -80,7 +108,7 @@ class TestRename:
 
     def test_architectural_values(self):
         rename, prf = make_rename()
-        new, _ = rename.allocate_dest(2)
+        new, _ = rename_dest(rename, 2)
         prf.write(new, 777, 0)
         assert rename.architectural_values()[2] == 777
 
@@ -94,13 +122,13 @@ def test_rename_free_list_integrity(ops):
     live = []       # (arch, new, prev) renames not yet committed/squashed
     for action, arch in ops:
         if action == "alloc":
-            if rename.free_count == 0:
+            if not rename.free_list:
                 continue
-            new, prev = rename.allocate_dest(arch)
+            new, prev = rename_dest(rename, arch)
             live.append((arch, new, prev))
         elif action == "commit" and live:
             _, _, prev = live.pop(0)  # commit oldest
-            rename.commit_free(prev)
+            rename.free_list.append(prev)
         elif action == "squash" and live:
             a, new, prev = live.pop()  # squash youngest
             rename.unmap(a, new, prev)
@@ -119,47 +147,38 @@ def test_rename_free_list_integrity(ops):
 
 
 class TestROB:
-    def _dyn(self, seq):
-        return DynInstr(Instruction(0x10, Op.ADD, dst=1), seq, 0)
+    def _rob(self, capacity, count):
+        rob = ReorderBuffer(capacity)
+        rob.entries.extend(
+            DynInstr(Instruction(0x10, Op.ADD, dst=1), seq, 0)
+            for seq in range(count)
+        )
+        return rob
 
     def test_fifo_retire(self):
-        rob = ReorderBuffer(4)
-        a, b = self._dyn(0), self._dyn(1)
-        rob.allocate(a)
-        rob.allocate(b)
-        assert rob.head() is a
-        assert rob.retire_head() is a
-        assert rob.head() is b
+        """The commit loop retires the ROB head first: program order."""
+        instrs = [ADD(0x10 + 4 * k, k % 4, imm=k) for k in range(6)]
+        core = run_core(make_trace(instrs), record_commits=True)
+        assert [index for index, _ in core.committed] == list(range(6))
+        assert not core.rob.entries
 
     def test_full(self):
-        rob = ReorderBuffer(1)
-        rob.allocate(self._dyn(0))
-        assert rob.full
-        with pytest.raises(RuntimeError):
-            rob.allocate(self._dyn(1))
+        assert not self._rob(2, 1).full
+        assert self._rob(2, 2).full
 
     def test_squash_exclusive(self):
-        rob = ReorderBuffer(8)
-        dyns = [self._dyn(i) for i in range(5)]
-        for d in dyns:
-            rob.allocate(d)
+        rob = self._rob(8, 5)
         squashed = rob.squash_younger_than(2)
         assert [d.seq for d in squashed] == [4, 3]
         assert len(rob) == 3
 
     def test_squash_inclusive(self):
-        rob = ReorderBuffer(8)
-        for i in range(5):
-            rob.allocate(self._dyn(i))
+        rob = self._rob(8, 5)
         squashed = rob.squash_younger_than(2, inclusive=True)
         assert [d.seq for d in squashed] == [4, 3, 2]
 
-    def test_find(self):
-        rob = ReorderBuffer(8)
-        d = self._dyn(3)
-        rob.allocate(d)
-        assert rob.find(3) is d
-        assert rob.find(99) is None
-
     def test_empty_head(self):
-        assert ReorderBuffer(4).head() is None
+        """An empty ROB is not full and a squash finds nothing to remove."""
+        rob = ReorderBuffer(4)
+        assert not rob.full
+        assert rob.squash_younger_than(-1) == []

@@ -1,5 +1,7 @@
 """RFP engine mechanics: queue, arbitration, store handling, bit timing."""
 
+from bisect import insort
+
 from conftest import quiet_config
 
 from repro.core import dyninstr as D
@@ -45,11 +47,23 @@ class Harness(object):
         if executed:
             dyn.state = D.COMPLETED
             dyn.value = value
-            self.sq.note_executed(dyn)
+            self.execute_store(dyn)
         return dyn
 
+    def execute_store(self, dyn):
+        """Enter an executed store into the SQ forwarding index, as the
+        core's store issue does."""
+        insort(self.sq._executed.setdefault(dyn.word_addr, []), (dyn.seq, dyn))
+
+    def new_cycle(self, demand_used=0):
+        """Start a cycle in which ``demand_used`` demand loads took a port
+        (the core resets the arbiter at the top of each step)."""
+        self.ports._demand_used = demand_used
+        self.ports._rfp_dedicated_used = 0
+        self.ports._rfp_shared_used = 0
+
     def cycle(self, cycle):
-        self.ports.begin_cycle(cycle)
+        self.new_cycle()
         self.engine.step(cycle)
 
     def warm_tlb(self, addr):
@@ -151,9 +165,7 @@ class TestExecution:
         h.warm_tlb(0x10030)
         dyn = h.load(pc)
         h.engine.on_load_dispatch(dyn, 0)
-        h.ports.begin_cycle(1)
-        for _ in range(h.config.load_ports):
-            h.ports.claim_demand()
+        h.new_cycle(demand_used=h.config.load_ports)
         h.engine.step(1)
         assert dyn.rfp_state == D.RFP_QUEUED  # waits at lowest priority
         h.cycle(2)
@@ -185,7 +197,7 @@ class TestStoreHandling:
         assert dyn.rfp_state == D.RFP_QUEUED
         assert h.engine.stats.blocked_cycles >= 1
         store.state = D.COMPLETED  # store executes
-        h.sq.note_executed(store)
+        h.execute_store(store)
         h.cycle(2)
         assert dyn.rfp_state == D.RFP_INFLIGHT
 

@@ -1,9 +1,14 @@
-"""Reservation-station select discipline and replay-debt accounting."""
+"""Reservation-station select discipline and replay-debt accounting.
+
+The core's dispatch loop allocates RS entries in place; :func:`allocate`
+and :func:`pending` set up the same state here so select, wakeup and
+replay can be driven one cycle at a time.
+"""
 
 from conftest import quiet_config
 
 from repro.core.dyninstr import DynInstr
-from repro.core.rename import PhysicalRegisterFile
+from repro.core.rename import INFINITY, PhysicalRegisterFile
 from repro.core.scheduler import ReservationStation
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
@@ -13,6 +18,19 @@ def make_rs(**overrides):
     config = quiet_config(**overrides)
     prf = PhysicalRegisterFile(config.prf_entries)
     return ReservationStation(config, prf), prf, config
+
+
+def allocate(rs, dyn):
+    """Enter ``dyn`` into the window and park it, as dispatch does."""
+    dyn.in_rs = True
+    rs.entries.append(dyn)
+    rs.live += 1
+    rs._evaluate(dyn)
+
+
+def pending(prf, preg):
+    """Mark ``preg`` as written by a producer that has not executed yet."""
+    prf.ready_cycle[preg] = INFINITY
 
 
 def dyn_of(op, seq, srcs=(), dispatch_cycle=0):
@@ -27,7 +45,7 @@ class TestSelect:
         the window RFP exploits (paper §3)."""
         rs, prf, config = make_rs()
         d = dyn_of(Op.ADD, 0, dispatch_cycle=0)
-        rs.allocate(d)
+        allocate(rs, d)
         issued = []
         rs._select_event(config.sched_latency - 1, lambda dyn, cycle: issued.append(dyn) or True)
         assert not issued
@@ -36,9 +54,9 @@ class TestSelect:
 
     def test_not_ready_source_blocks(self):
         rs, prf, config = make_rs()
-        prf.mark_pending(7)
+        pending(prf, 7)
         d = dyn_of(Op.ADD, 0, srcs=(7,))
-        rs.allocate(d)
+        allocate(rs, d)
         rs._select_event(100, lambda dyn, cycle: True)
         assert rs.occupancy == 1
         prf.write(7, 1, 100)
@@ -49,7 +67,7 @@ class TestSelect:
         rs, prf, config = make_rs()
         prf.write(7, 1, ready_cycle=50)
         d = dyn_of(Op.ADD, 0, srcs=(7,))
-        rs.allocate(d)
+        allocate(rs, d)
         rs._select_event(49, lambda dyn, cycle: True)
         assert rs.occupancy == 1
         rs._select_event(50, lambda dyn, cycle: True)
@@ -58,7 +76,7 @@ class TestSelect:
     def test_issue_width_cap(self):
         rs, prf, config = make_rs(issue_width=2)
         for k in range(5):
-            rs.allocate(dyn_of(Op.ADD, k))
+            allocate(rs, dyn_of(Op.ADD, k))
         issued = rs._select_event(100, lambda dyn, cycle: True)
         assert issued == 2
         assert rs.occupancy == 3
@@ -67,8 +85,8 @@ class TestSelect:
         rs, prf, config = make_rs(issue_width=1)
         young = dyn_of(Op.ADD, 5)
         old = dyn_of(Op.ADD, 1)
-        rs.allocate(old)
-        rs.allocate(young)
+        allocate(rs, old)
+        allocate(rs, young)
         picked = []
         rs._select_event(100, lambda dyn, cycle: picked.append(dyn.seq) or True)
         assert picked == [1]
@@ -76,13 +94,13 @@ class TestSelect:
     def test_fu_class_budget(self):
         rs, prf, config = make_rs(mul_units=1)
         for k in range(3):
-            rs.allocate(dyn_of(Op.MUL, k))
+            allocate(rs, dyn_of(Op.MUL, k))
         issued = rs._select_event(100, lambda dyn, cycle: True)
         assert issued == 1
 
     def test_callback_false_keeps_entry(self):
         rs, prf, config = make_rs()
-        rs.allocate(dyn_of(Op.LOAD, 0))
+        allocate(rs, dyn_of(Op.LOAD, 0))
         rs._select_event(100, lambda dyn, cycle: False)
         assert rs.occupancy == 1
 
@@ -90,8 +108,8 @@ class TestSelect:
         rs, prf, config = make_rs(issue_width=2)
         blocked = dyn_of(Op.LOAD, 0)
         ok = dyn_of(Op.ADD, 1)
-        rs.allocate(blocked)
-        rs.allocate(ok)
+        allocate(rs, blocked)
+        allocate(rs, ok)
         picked = []
         rs._select_event(100, lambda dyn, cycle: (dyn is ok) and (picked.append(dyn.seq) or True))
         assert picked == [1]
@@ -99,7 +117,7 @@ class TestSelect:
     def test_full_and_discard(self):
         rs, prf, config = make_rs(rs_entries=1)
         d = dyn_of(Op.ADD, 0)
-        rs.allocate(d)
+        allocate(rs, d)
         assert rs.full
         rs.discard(d)
         assert rs.occupancy == 0
@@ -109,10 +127,10 @@ class TestSelect:
 class TestReplayDebt:
     def test_charge_counts_consumers(self):
         rs, prf, config = make_rs()
-        prf.mark_pending(9)
-        rs.allocate(dyn_of(Op.ADD, 0, srcs=(9,)))
-        rs.allocate(dyn_of(Op.ADD, 1, srcs=(9,)))
-        rs.allocate(dyn_of(Op.ADD, 2, srcs=(3,)))
+        pending(prf, 9)
+        allocate(rs, dyn_of(Op.ADD, 0, srcs=(9,)))
+        allocate(rs, dyn_of(Op.ADD, 1, srcs=(9,)))
+        allocate(rs, dyn_of(Op.ADD, 2, srcs=(3,)))
         assert rs.charge_replays(9) == 2
         assert rs.replay_debt == 2
 
@@ -120,7 +138,7 @@ class TestReplayDebt:
         rs, prf, config = make_rs(issue_width=3)
         rs.replay_debt = 2
         for k in range(3):
-            rs.allocate(dyn_of(Op.ADD, k))
+            allocate(rs, dyn_of(Op.ADD, k))
         issued = rs._select_event(100, lambda dyn, cycle: True)
         assert issued == 3          # 2 replays + 1 real
         assert rs.occupancy == 2    # only one real instruction left
@@ -129,7 +147,7 @@ class TestReplayDebt:
     def test_debt_larger_than_width(self):
         rs, prf, config = make_rs(issue_width=2)
         rs.replay_debt = 5
-        rs.allocate(dyn_of(Op.ADD, 0))
+        allocate(rs, dyn_of(Op.ADD, 0))
         issued = rs._select_event(100, lambda dyn, cycle: True)
         assert issued == 2
         assert rs.replay_debt == 3
@@ -153,9 +171,9 @@ class TestLoadHeap:
         loads are never offered to ``try_issue``."""
         rs, prf, config = make_rs(issue_width=6, load_ports=2)
         for k in range(4):
-            rs.allocate(dyn_of(Op.LOAD, k))
-        rs.allocate(dyn_of(Op.ADD, 4))
-        rs.allocate(dyn_of(Op.ADD, 5))
+            allocate(rs, dyn_of(Op.LOAD, k))
+        allocate(rs, dyn_of(Op.ADD, 4))
+        allocate(rs, dyn_of(Op.ADD, 5))
         calls = []
         assert rs._select_event(100, recorder(calls)) == 4
         assert calls == [(0, True), (1, True), (4, False), (5, False)]
@@ -164,7 +182,7 @@ class TestLoadHeap:
     def test_deferred_loads_issue_oldest_first_later(self):
         rs, prf, config = make_rs(issue_width=4, load_ports=2)
         for k in range(5):
-            rs.allocate(dyn_of(Op.LOAD, k))
+            allocate(rs, dyn_of(Op.LOAD, k))
         order = []
         for cycle in (100, 101, 102):
             calls = []
@@ -180,7 +198,7 @@ class TestLoadHeap:
         does not spend budget and competes again next cycle."""
         rs, prf, config = make_rs(issue_width=4, load_ports=2)
         for k in range(3):
-            rs.allocate(dyn_of(Op.LOAD, k))
+            allocate(rs, dyn_of(Op.LOAD, k))
         calls = []
         rs._select_event(100, recorder(calls, accept=lambda d: d.seq != 0))
         assert [seq for seq, _ in calls] == [0, 1, 2]
@@ -189,8 +207,8 @@ class TestLoadHeap:
     def test_dedicated_rfp_ports_widen_the_budget(self):
         rs, prf, config = make_rs(issue_width=6, load_ports=2, rfp_dedicated_ports=1)
         for k in range(5):
-            rs.allocate(dyn_of(Op.LOAD, k))
-        rs.allocate(dyn_of(Op.ADD, 5))
+            allocate(rs, dyn_of(Op.LOAD, k))
+        allocate(rs, dyn_of(Op.ADD, 5))
         calls = []
         rs._select_event(100, recorder(calls))
         assert [seq for seq, _ in calls] == [0, 1, 2, 5]
@@ -198,7 +216,7 @@ class TestLoadHeap:
     def test_merge_is_oldest_first_across_heaps(self):
         rs, prf, config = make_rs(issue_width=8)
         for k, op in enumerate((Op.ADD, Op.LOAD, Op.ADD, Op.LOAD, Op.ADD)):
-            rs.allocate(dyn_of(op, k))
+            allocate(rs, dyn_of(op, k))
         calls = []
         rs._select_event(100, recorder(calls))
         assert [seq for seq, _ in calls] == [0, 1, 2, 3, 4]
@@ -213,7 +231,7 @@ class TestWheelDrain:
         prf.write(7, 1, ready_cycle=50)
         d = dyn_of(Op.ADD, 0, srcs=(7,))
         rs._select_event(10, recorder([]))
-        rs.allocate(d)
+        allocate(rs, d)
         assert rs.wheel.slots == {50: [d]}
         prf.write(7, 2, ready_cycle=60)  # e.g. a VP validation rewrite
         calls = []
@@ -231,8 +249,8 @@ class TestWheelDrain:
         prf.write(7, 1, ready_cycle=50)
         old = dyn_of(Op.ADD, 0)
         stale = dyn_of(Op.LOAD, 1, srcs=(7,))
-        rs.allocate(old)  # wheel slot 13
-        rs.allocate(stale)  # wheel slot 50
+        allocate(rs, old)  # wheel slot 13
+        allocate(rs, stale)  # wheel slot 50
         prf.write(7, 2, ready_cycle=70)
         rs._select_event(49, recorder([], accept=lambda d: False))  # old stays ready
         calls = []

@@ -12,7 +12,7 @@ from repro.sim.cache import ResultCache, config_fingerprint
 from repro.sim.experiments import suite_speedup
 from repro.sim.parallel import run_jobs
 from repro.sim.runner import SimResult, simulate
-from repro.stats.report import format_table, geomean, percent, speedup
+from repro.stats.report import format_table, geomean, speedup
 
 
 class TestConfig:
@@ -116,9 +116,6 @@ class TestReport:
         assert speedup(2.0, 1.0) == 2.0
         with pytest.raises(ValueError):
             speedup(1.0, 0.0)
-
-    def test_percent(self):
-        assert percent(1.031) == "+3.10%"
 
     @staticmethod
     def results(ipcs, categories):
