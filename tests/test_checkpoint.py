@@ -683,12 +683,21 @@ class TestSplitStore:
             assert rows[label + " parts"] == "%d (%.1f KB)" % (
                 count, stats[kind + "_bytes"] / 1024.0)
 
-    @pytest.mark.parametrize("max_workers", [1, 2])
     def test_corrupt_rfp_part_rewarms_byte_identical(self, tmp_path,
-                                                     monkeypatch, max_workers):
+                                                     monkeypatch):
         """A part already corrupt on disk when the sweep starts is met by
         the interval job that restores it: evicted, re-warmed, and
         recorded in the manifest as one recovered incident."""
+        self.check_corrupt_rfp_part_rewarms(tmp_path, monkeypatch, 1)
+
+    def test_corrupt_rfp_part_rewarms_byte_identical_sharded(
+            self, tmp_path, monkeypatch):
+        """As above, with the job in a shard: its eviction reaches the
+        parent's manifest through the shard pipe."""
+        self.check_corrupt_rfp_part_rewarms(tmp_path, monkeypatch, 2)
+
+    @staticmethod
+    def check_corrupt_rfp_part_rewarms(tmp_path, monkeypatch, max_workers):
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
         config = quiet_config(rfp={"enabled": True})
         clean, _ = sampled_cell(tmp_path, config, {"samples": 3})
