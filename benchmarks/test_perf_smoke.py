@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.config import baseline
 from repro.core.core import OOOCore
-from repro.emu.batch import columns_for, warm_batch
+from repro.emu.batch import warm_batch
 from repro.emu.warmup import FunctionalWarmer
 from repro.sim import settings
 from repro.sim.cache import ResultCache
@@ -128,8 +128,6 @@ def test_batched_warm_floor():
              for i in range(8)]
     traces = [build_workload(name, length=DEFAULT_LENGTH)
               for name in VALIDATION_WORKLOADS]
-    for trace in traces:
-        columns_for(trace)  # cached on the trace, as in a real sweep
 
     scalar_s, batched_s = _best_seconds([
         lambda: [FunctionalWarmer(OOOCore(t, sweep[0])).warm(DEFAULT_LENGTH)

@@ -34,6 +34,7 @@ from repro.core.rob import ReorderBuffer
 from repro.core.scheduler import ReservationStation
 from repro.core.wheel import TimingWheel
 from repro.isa.registers import NUM_ARCH_REGS
+from repro.isa.trace import MISPREDICTED
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.ports import LoadPortArbiter
 from repro.rfp.engine import RFPEngine
@@ -64,7 +65,7 @@ class OOOCore(object):
         self.tracer = tracer
         self.hierarchy = MemoryHierarchy(config)
         #: Committed memory state; stores write here at retirement.
-        self.memory = dict(trace.memory_image)
+        self.memory = trace.initial_memory()
         self.prf = PhysicalRegisterFile(config.prf_entries)
         self.rename = RenameUnit(NUM_ARCH_REGS, self.prf)
         self.rob = ReorderBuffer(config.rob_entries)
@@ -129,7 +130,8 @@ class OOOCore(object):
             self.prf.value, self.prf.waiters, self.prf, self.lq.entries,
             self.lq.num_entries, self.sq, self.rfp, self.vp, self.hit_miss,
             self.preg_producer, self.tracer, config.rename_width,
-            heapq.heappush, track_critical,
+            heapq.heappush, track_critical, trace.statics, trace.sids,
+            trace.addrs, trace.flags,
         )
         self._commit_inv = (
             self.stats, self.rob.entries, config.retire_width, self.vp,
@@ -317,21 +319,22 @@ class OOOCore(object):
         # -- dispatch ---------------------------------------------------
         stall_attr = None
         if frontend.buffer:
-            ready_at, instr = frontend.buffer[0]
+            ready_at, index = frontend.buffer[0]
+            static = self.trace.statics[self.trace.sids[index]]
             if ready_at > cycle:
                 candidates.append(ready_at)
             elif self.rob.full:
                 stall_attr = "stall_rob"
             elif self.rs.full:
                 stall_attr = "stall_rs"
-            elif instr.is_load and self.lq.full:
+            elif static.is_load and self.lq.full:
                 stall_attr = "stall_lq"
-            elif instr.is_store and self.sq.full(cycle):
+            elif static.is_store and self.sq.full(cycle):
                 stall_attr = "stall_sq"
                 if self.sq.senior:
                     # A senior store releasing its slot unblocks dispatch.
                     candidates.append(min(self.sq.senior))
-            elif instr.dst is not None and not self.rename.free_list:
+            elif static.dst is not None and not self.rename.free_list:
                 stall_attr = "stall_prf"
             else:
                 return None  # dispatch succeeds next cycle
@@ -402,9 +405,11 @@ class OOOCore(object):
             self.frontend.fetch(cycle)
         self.cycle = cycle + 1
 
-    def _fetch_hook(self, instr, cycle, path_history):
+    def _fetch_hook(self, index, cycle, path_history):
+        trace = self.trace
         self.vp.on_fetch(
-            instr, cycle, self.ports, self.hierarchy, self.memory, path_history
+            trace.statics[trace.sids[index]], index, cycle, self.ports,
+            self.hierarchy, self.memory, path_history
         )
 
     # ==================================================================
@@ -415,7 +420,7 @@ class OOOCore(object):
             if dyn.state == D.SQUASHED:
                 continue
             if kind == "branch":
-                self.frontend.branch_resolved(dyn.instr.index, cycle)
+                self.frontend.branch_resolved(dyn.index, cycle)
             elif kind == "vp_flush":
                 self._flush_vp(dyn, cycle)
             else:
@@ -470,7 +475,6 @@ class OOOCore(object):
             rob_entries.popleft()
             dyn = head
             stats.instructions += 1
-            instr = dyn.instr
             if tracer is not None:
                 tracer.commit(cycle, dyn)
             dest_preg = dyn.dest_preg
@@ -504,7 +508,7 @@ class OOOCore(object):
                 if vp is not None:
                     vp.on_load_commit(dyn, path)
                 if record_commits:
-                    self.committed.append((instr.index, dyn.value))
+                    self.committed.append((dyn.index, dyn.value))
             elif dyn.is_store:
                 stats.stores += 1
                 memory[dyn.word_addr] = dyn.value
@@ -513,10 +517,10 @@ class OOOCore(object):
             else:
                 if dyn.is_branch:
                     stats.branches += 1
-                    if instr.mispredicted:
+                    if dyn.flags & MISPREDICTED:
                         stats.branch_mispredicts += 1
                 if record_commits and dest_preg is not None:
-                    self.committed.append((instr.index, dyn.value))
+                    self.committed.append((dyn.index, dyn.value))
             if (
                 self.warmup_instructions
                 and stats.instructions == self.warmup_instructions
@@ -547,7 +551,8 @@ class OOOCore(object):
          min_delay, rs_ready, rs_ready_loads, wheel_slots, wheel_cycles,
          rat, free_list, ready_cycle, prf_value, waiters, prf, lq_entries,
          lq_capacity, sq, rfp, vp, hit_miss, preg_producer, tracer, width,
-         heappush, track_critical) = self._dispatch_inv
+         heappush, track_critical, statics, sids, addrs,
+         flags) = self._dispatch_inv
         rs_entries = rs.entries
         rs_now = rs.now
         seq = self.next_seq
@@ -556,7 +561,7 @@ class OOOCore(object):
             # -- frontend buffer head ----------------------------------
             if not buffer:
                 break
-            ready_at, instr = buffer[0]
+            ready_at, index = buffer[0]
             if ready_at > cycle:
                 break
             if len(rob_entries) >= rob_capacity:
@@ -565,23 +570,25 @@ class OOOCore(object):
             if rs.live >= rs_capacity:
                 stats.stall_rs += 1
                 break
-            is_load = instr.is_load
-            is_store = instr.is_store
+            static = statics[sids[index]]
+            is_load = static.is_load
+            is_store = static.is_store
             if is_load and len(lq_entries) >= lq_capacity:
                 stats.stall_lq += 1
                 break
             if is_store and sq.full(cycle):
                 stats.stall_sq += 1
                 break
-            dst = instr.dst
+            dst = static.dst
             if dst is not None and not free_list:
                 stats.stall_prf += 1
                 break
             buffer.popleft()
-            dyn = DynInstr(instr, seq, cycle)
+            dyn = DynInstr(static, index, addrs[index], flags[index], seq,
+                           cycle)
             seq += 1
             # -- rename sources ----------------------------------------
-            asrcs = instr.srcs
+            asrcs = static.srcs
             n = len(asrcs)
             if n == 2:
                 src_pregs = (rat[asrcs[0]], rat[asrcs[1]])
@@ -635,7 +642,7 @@ class OOOCore(object):
                     else:
                         wheel_slots[wake] = [dyn]
                         heappush(wheel_cycles, wake)
-            if track_critical and (is_load or instr.is_branch):
+            if track_critical and (is_load or static.is_branch):
                 # Criticality extension: remember load PCs feeding address
                 # computations or branch conditions.
                 for preg in src_pregs:
@@ -659,7 +666,7 @@ class OOOCore(object):
                         dyn, cycle, frontend.path_history
                     )
                     if predicted and hit_miss is not None \
-                            and not hit_miss.probe(instr.pc):
+                            and not hit_miss.probe(static.pc):
                         predicted = False
                     if predicted:
                         dyn.vp_predicted = True
@@ -692,7 +699,6 @@ class OOOCore(object):
             return self._issue_store(dyn, cycle)
         # ALU/branch path: operand reads and completion are written out
         # here (this runs once per non-memory instruction).
-        instr = dyn.instr
         prf = self.prf
         prf_value = prf.value
         src_pregs = dyn.src_pregs
@@ -705,7 +711,7 @@ class OOOCore(object):
             srcs = ()
         else:
             srcs = tuple(prf_value[p] for p in src_pregs)
-        value = dyn.evaluator(srcs, instr.imm)
+        value = dyn.evaluator(srcs, dyn.static.imm)
         complete = cycle + dyn.latency
         # -- complete: write the result and wake its consumers ---------
         dyn.state = D.COMPLETED
@@ -725,7 +731,7 @@ class OOOCore(object):
         self.stats.issued += 1
         if self.tracer is not None:
             self.tracer.complete(dyn, cycle, complete)
-        if dyn.is_branch and instr.mispredicted:
+        if dyn.is_branch and dyn.flags & MISPREDICTED:
             self.events.schedule(complete, ("branch", dyn))
         return True
 
@@ -919,7 +925,7 @@ class OOOCore(object):
             srcs = (prf_value[src_pregs[0]],)
         else:
             srcs = tuple(prf_value[p] for p in src_pregs)
-        value = dyn.evaluator(srcs, dyn.instr.imm)
+        value = dyn.evaluator(srcs, dyn.static.imm)
         complete = cycle + 1
         # -- complete: write the result and wake its consumers ---------
         dyn.state = D.COMPLETED
@@ -997,7 +1003,7 @@ class OOOCore(object):
             if tracer is not None:
                 tracer.squash(dyn, reason)
             if dyn.dest_preg is not None:
-                self.rename.unmap(dyn.instr.dst, dyn.dest_preg, dyn.prev_preg)
+                self.rename.unmap(dyn.static.dst, dyn.dest_preg, dyn.prev_preg)
                 if self.preg_producer.get(dyn.dest_preg) is dyn:
                     del self.preg_producer[dyn.dest_preg]
             self.rs.discard(dyn)
@@ -1016,7 +1022,7 @@ class OOOCore(object):
         self.stats.md_flushes += 1
         self._squash_younger(load_dyn.seq, inclusive=True, reason="md_flush")
         self.frontend.flush_rewind(
-            load_dyn.instr.index, cycle + self.config.md_flush_penalty
+            load_dyn.index, cycle + self.config.md_flush_penalty
         )
 
     def _flush_vp(self, load_dyn, cycle):
@@ -1028,7 +1034,7 @@ class OOOCore(object):
         self.stats.vp_flushes += 1
         self._squash_younger(load_dyn.seq, inclusive=False, reason="vp_flush")
         self.frontend.flush_rewind(
-            load_dyn.instr.index + 1, cycle + self.config.vp.flush_penalty
+            load_dyn.index + 1, cycle + self.config.vp.flush_penalty
         )
 
     # ==================================================================

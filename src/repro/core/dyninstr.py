@@ -1,19 +1,18 @@
 """The in-flight dynamic instruction record.
 
-A :class:`DynInstr` wraps a trace :class:`~repro.isa.instruction.Instruction`
-with everything the pipeline tracks about its in-flight life: renamed
-registers, issue/complete times, RFP prefetch state, and value-prediction
-state.  Plain attributes with ``__slots__`` keep the per-instruction cost
-low — the simulator allocates one of these per dispatched instruction.
+A :class:`DynInstr` pairs a trace's
+:class:`~repro.isa.instruction.StaticInstr` with the per-instance facts
+(trace index, effective address, flag byte) and everything the pipeline
+tracks about its in-flight life: renamed registers, issue/complete times,
+RFP prefetch state, and value-prediction state.  Plain attributes with
+``__slots__`` keep the per-instruction cost low — the simulator allocates
+one of these per dispatched instruction.
 
-Frequently read facts about the underlying static instruction (``is_load``,
-``pc``, ``word_addr``, ...) are snapshotted into plain slots at construction
-instead of being exposed as properties: the scheduler and LSQ read them
-millions of times per run, and a slot load is several times cheaper than a
-property call.
+Frequently read facts about the static instruction (``is_load``, ``pc``,
+``latency``, ...) are copied into plain slots at construction instead of
+being read through ``static``: the scheduler and LSQ read them millions of
+times per run, and a slot load is cheaper than an attribute chain.
 """
-
-from repro.isa.opcodes import EVALUATORS, OP_LATENCY, port_class
 
 # Instruction lifecycle states.
 SQUASHED = -1
@@ -29,32 +28,14 @@ RFP_DROPPED = 3    # packet cancelled (load won the race / TLB miss / squash)
 RFP_USED = 4       # load consumed the prefetched data (useful)
 RFP_WRONG = 5      # prefetched address mismatched; load re-accessed the L1
 
-#: Opcode -> scheduler functional-unit class, with branches folded onto the
-#: ALU ports (they execute there).  Precomputed once so the per-dispatch
-#: cost is a single dict lookup.
-_FU_CLASS = {}
-
-#: Functional-unit class -> dense index into the scheduler's per-cycle
-#: budget vector (order matters: it must match ReservationStation's
-#: ``_budget_list``).
-FU_INDEX = {"alu": 0, "mul": 1, "fp": 2, "load": 3, "store": 4}
-
-
-def _fu_class_for(op):
-    fu = _FU_CLASS.get(op)
-    if fu is None:
-        fu = port_class(op)
-        if fu == "branch":
-            fu = "alu"
-        _FU_CLASS[op] = fu
-    return fu
-
 
 class DynInstr(object):
     """One dispatched instruction flowing through the OOO window."""
 
     __slots__ = (
-        "instr",
+        "static",
+        "index",
+        "flags",
         "seq",
         "state",
         "dest_preg",
@@ -66,7 +47,8 @@ class DynInstr(object):
         "value",
         "served_level",
         "forward_src_seq",
-        # static-instruction snapshot (set once at construction)
+        # static-instruction facts (copied once at construction) and the
+        # per-instance address
         "is_load",
         "is_store",
         "is_branch",
@@ -98,8 +80,10 @@ class DynInstr(object):
         "md_waited",
     )
 
-    def __init__(self, instr, seq, dispatch_cycle):
-        self.instr = instr
+    def __init__(self, static, index, addr, flags, seq, dispatch_cycle):
+        self.static = static
+        self.index = index
+        self.flags = flags
         self.seq = seq
         self.state = DISPATCHED
         self.dest_preg = None
@@ -111,20 +95,15 @@ class DynInstr(object):
         self.value = 0
         self.served_level = None
         self.forward_src_seq = None
-        snap = instr._static
-        if snap is None:
-            addr = instr.addr
-            op = instr.op
-            fu = _fu_class_for(op)
+        self.pc = static.pc
+        (self.is_load, self.is_store, self.is_branch, self.fu_class,
+         self.fu_idx, self.latency, self.evaluator) = static.facts
+        if static.is_mem:
+            self.addr = addr
             # The 8-byte-aligned word_addr is what store/load matching uses.
-            snap = instr._static = (
-                instr.is_load, instr.is_store, instr.is_branch, instr.pc,
-                addr, addr & ~7 if addr is not None else None,
-                fu, FU_INDEX[fu], OP_LATENCY[op], EVALUATORS.get(op),
-            )
-        (self.is_load, self.is_store, self.is_branch, self.pc,
-         self.addr, self.word_addr, self.fu_class, self.fu_idx,
-         self.latency, self.evaluator) = snap
+            self.word_addr = addr & ~7
+        else:
+            self.addr = self.word_addr = None
         self.in_rs = False
         self.in_lq = False
         self.in_sq = False
@@ -141,4 +120,5 @@ class DynInstr(object):
         self.md_waited = False
 
     def __repr__(self):
-        return "<DynInstr seq=%d %r state=%d>" % (self.seq, self.instr, self.state)
+        return "<DynInstr seq=%d #%d %r state=%d>" % (
+            self.seq, self.index, self.static, self.state)

@@ -14,7 +14,7 @@ the trace cursor and restart fetch from the faulting instruction.
 
 from collections import deque
 
-from repro.isa.trace import TraceCursor
+from repro.isa.trace import MISPREDICTED, TAKEN, TraceCursor
 
 PATH_MASK = 0xFFFF
 
@@ -22,8 +22,9 @@ PATH_MASK = 0xFFFF
 class Frontend(object):
     """Fetches trace instructions into a small decoded-uop buffer.
 
-    ``buffer`` holds ``(ready_at, instr)`` pairs in program order; the
-    core's dispatch loop takes its head once ``ready_at`` has passed.
+    ``buffer`` holds ``(ready_at, index)`` pairs in program order, where
+    ``index`` is the trace position; the core's dispatch loop takes its
+    head once ``ready_at`` has passed.
     """
 
     def __init__(self, config, trace):
@@ -46,14 +47,16 @@ class Frontend(object):
         #: cursor objects are mutated in place, never rebound).
         self._fetch_inv = (
             self.fetch_width, self.frontend_latency, self.buffer,
-            self.buffer_capacity, self.cursor, self.cursor._instructions,
+            self.buffer_capacity, self.cursor, trace.flags,
         )
 
     def fetch(self, cycle, on_fetch=None):
         """Fetch up to ``fetch_width`` instructions this cycle.
 
-        ``on_fetch(instr, cycle, path_history)`` is invoked per instruction
+        ``on_fetch(index, cycle, path_history)`` is invoked per instruction
         (the DLVP-family predictors hook their fetch-time probes here).
+        Only the trace's flag byte is read: it marks branches and their
+        direction and misprediction.
         """
         if self.blocked_branch_index is not None or cycle < self.stall_until:
             return 0
@@ -61,7 +64,7 @@ class Frontend(object):
         # busy cycle.  ``cursor.index`` is re-read per iteration in case a
         # fetch hook ever rewinds the cursor mid-fetch.
         (fetch_width, frontend_latency, buffer, capacity, cursor,
-         instructions) = self._fetch_inv
+         flags) = self._fetch_inv
         # The fetch limit is read per call (not hoisted into _fetch_inv):
         # the sampling runner assigns cursor.limit after construction.
         length = cursor.limit
@@ -74,21 +77,21 @@ class Frontend(object):
             index = cursor.index
             if index >= length:
                 break
-            instr = instructions[index]
             cursor.index = index + 1
-            buffer.append((ready_at, instr))
+            buffer.append((ready_at, index))
             if tracer is not None:
-                tracer.note_fetch(cycle, instr)
+                tracer.note_fetch(cycle, index)
             if on_fetch is not None:
-                on_fetch(instr, cycle, self.path_history)
+                on_fetch(index, cycle, self.path_history)
             fetched += 1
             self.fetched += 1
-            if instr.is_branch:
+            flag = flags[index]
+            if flag:  # a branch
                 self.path_history = (
-                    (self.path_history << 1) | (1 if instr.taken else 0)
+                    (self.path_history << 1) | (1 if flag & TAKEN else 0)
                 ) & PATH_MASK
-                if instr.mispredicted:
-                    self.blocked_branch_index = instr.index
+                if flag & MISPREDICTED:
+                    self.blocked_branch_index = index
                     break
         return fetched
 

@@ -48,9 +48,10 @@ import heapq
 from repro.core import dyninstr as D
 from repro.core.rename import INFINITY
 from repro.core.wheel import TimingWheel
+from repro.isa.instruction import FU_INDEX
 
 #: Budget index of the load class, whose ready entries have their own heap.
-LOAD_FU = D.FU_INDEX["load"]
+LOAD_FU = FU_INDEX["load"]
 
 
 class ReservationStation(object):
@@ -68,7 +69,7 @@ class ReservationStation(object):
         self.replay_issues_total = 0
         #: Observability hook; set by the core when tracing is enabled.
         self.tracer = None
-        #: Per-cycle FU budget, indexed by D.FU_INDEX (config is immutable
+        #: Per-cycle FU budget, indexed by FU_INDEX (config is immutable
         #: for a run); select copies it with a slice.
         self._budget_list = [
             config.alu_units, config.mul_units, config.fp_units,

@@ -1,21 +1,24 @@
 """Batched structure-of-arrays functional warming.
 
 The scalar :class:`~repro.emu.warmup.FunctionalWarmer` pays the full Python
-object tax once per instruction: an ``Instruction`` attribute walk, a method
-call or three into the PT/PAT, and dict traffic for every cache probe.  This
-module removes that tax in two steps:
+object tax once per instruction: a method call or three into the PT/PAT,
+and dict traffic for every cache probe.  This module removes that tax in
+two steps:
 
-1. **Structure of arrays.**  The trace is decoded once into flat columns
-   (:class:`TraceColumns`: opcode/dst/imm columns plus compact per-memory-op
-   pc/address/line/page/path columns, with per-geometry derived columns for
-   predictor indices), and every warm-state structure the warmer mutates —
-   cache and DTLB tag+LRU state, hit-miss and memory-dependence counters,
-   the RFP Prefetch Table, the Page Address Table and the branch path
-   history — lives in flat list/``bytearray`` columns indexed by a global
-   (set, way) slot or a dense per-trace entry id instead of nested objects.
-   LRU order is a monotonic stamp column; the scalar dicts' insertion order
-   is recovered by sorting a set's valid slots by stamp at materialisation
-   time.
+1. **Structure of arrays.**  The trace is already columnar (a static
+   table plus per-instruction id/address/flag arrays, see
+   :class:`~repro.isa.trace.Trace`), and the kernels read it directly: the
+   architectural pass walks a chunk of the arrays and records the chunk's
+   memory-op and load columns (:class:`_Chunk`) for the cache and
+   predictor passes; predictor slots that depend only on the PC
+   (hit-miss, memory-dependence, PT entry) are per-static tables.  Every
+   warm-state structure the warmer mutates — cache and DTLB tag+LRU
+   state, hit-miss and memory-dependence counters, the RFP Prefetch Table,
+   the Page Address Table and the branch path history — lives in flat
+   list/``bytearray`` columns indexed by a global (set, way) slot or a
+   dense per-trace entry id instead of nested objects.  LRU order is a
+   monotonic stamp column; the scalar dicts' insertion order is recovered
+   by sorting a set's valid slots by stamp at materialisation time.
 
 2. **Lockstep lanes with shared cohorts.**  :class:`BatchWarmEngine`
    advances N lanes — N workloads, or N sweep configs sharing one trace —
@@ -27,7 +30,7 @@ module removes that tax in two steps:
    no feedback from predictor state into cache contents, so the cohort's
    cache walk records each load's pre-fill L1 outcome into a shared hit
    buffer and every lane then runs only its private predictor pass
-   (hit-miss, MD decay, PT/PAT/context) over the load-only columns.  An
+   (hit-miss, MD decay, PT/PAT/context) over the chunk's loads.  An
    8-config timing sweep pays one cache walk, not eight.
 
 The scalar warmer remains the bit-exact oracle: at every requested boundary
@@ -42,254 +45,37 @@ equivalence harness in ``tests/test_batch_warm.py`` and the CI
 advance in one lockstep cohort (default 8).
 """
 
-from array import array
-
 from repro.core.frontend import PATH_MASK
 from repro.emu.warmup import note_warm_pass
-from repro.isa.opcodes import EVALUATORS, Op
+from repro.isa.trace import TAKEN
 from repro.memory.tlb import PAGE_SHIFT
 from repro.sim import settings
-from repro.workloads.suite import TRACE_CACHE_ENTRIES
 
-try:  # numpy accelerates column building; the fallback is pure Python.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
-
-_LOAD = int(Op.LOAD)
-_STORE = int(Op.STORE)
-_BRANCH = int(Op.BRANCH)
 _GOLDEN = 0x9E3779B1
 _PAGE_MASK = (1 << PAGE_SHIFT) - 1
-_HISTORY_BITS = PATH_MASK.bit_length()
 
 #: Instructions each lane advances per interpreter dispatch.
 DEFAULT_CHUNK = 4096
 
 
-# ---------------------------------------------------------------------------
-# trace columns
+class _Chunk(object):
+    """The memory-op and load columns of one advanced chunk of a trace.
 
-
-def _path_column(n, branch_flags, takens):
-    """``path[i]`` = branch path history *before* instruction ``i``.
-
-    The history is a pure function of the trace (loads and ALU ops never
-    touch it), so the whole column is precomputed once: with numpy, the
-    16-bit window over the branch-outcome bit stream is assembled with one
-    shifted OR per history bit.
-    """
-    if _np is not None:
-        flags = _np.frombuffer(bytes(branch_flags), dtype=_np.uint8)
-        outcomes = _np.frombuffer(bytes(takens), dtype=_np.uint8)[flags == 1]
-        nb = int(outcomes.shape[0])
-        window = _np.zeros(nb + 1, dtype=_np.uint32)
-        stream = outcomes.astype(_np.uint32)
-        for bit in range(_HISTORY_BITS):
-            if nb - bit <= 0:
-                break
-            window[bit + 1:] |= stream[: nb - bit] << bit
-        window &= PATH_MASK
-        # branches-before-instruction-i, then one gather.
-        before = _np.zeros(n + 1, dtype=_np.int64)
-        _np.cumsum(flags.astype(_np.int64), out=before[1:])
-        return array("H", window[before].tolist())
-    path = array("H", bytes(2 * (n + 1)))
-    value = 0
-    for i in range(n):
-        path[i] = value
-        if branch_flags[i]:
-            value = ((value << 1) | takens[i]) & PATH_MASK
-    path[n] = value
-    return path
-
-
-class TraceColumns(object):
-    """Flat per-trace columns consumed by the batched warm kernels.
-
-    Full-length columns (``ops``/``dsts``/``imms``/``srcs``/``evals``) feed
-    the architectural kernel; the compact ``m_*`` columns hold one entry per
-    memory op and feed the table kernel, indexed through ``mem_pos`` (count
-    of memory ops preceding each instruction).  Hot read-mostly columns are
-    plain lists — a list read returns the already-boxed int, where an
-    ``array`` read allocates a fresh ``PyLong`` on every access — while the
-    write-never byte-sized columns stay packed.  Geometry-dependent index
-    columns (cache line, predictor slot, PT entry id, context hash) are
-    derived lazily per configuration and cached.
+    Built by :func:`_advance_arch` from the trace arrays: ``mem_addrs`` /
+    ``mem_stores`` list every memory op in program order for the cache
+    pass; ``load_sids`` / ``load_addrs`` / ``load_paths`` (branch path
+    history before the load) list the loads for the predictor passes.
     """
 
-    __slots__ = (
-        "n", "ops", "dsts", "imms", "srcs", "evals", "path",
-        "mem_pos", "m_store", "s_pos", "m_pcs", "m_addrs", "m_aligned",
-        "m_pages", "m_offsets", "m_path", "_derived",
-    )
+    __slots__ = ("mem_addrs", "mem_stores", "load_sids", "load_addrs",
+                 "load_paths")
 
-    def __init__(self, trace):
-        instructions = trace.instructions
-        n = len(instructions)
-        self.n = n
-        self.ops = bytearray(n)
-        self.dsts = array("b", bytes(n))
-        self.imms = [0] * n
-        self.srcs = [()] * n
-        self.evals = [None] * n
-        self.mem_pos = [0] * (n + 1)
-        branch_flags = bytearray(n)
-        takens = bytearray(n)
-        m_store = bytearray()
-        s_pos = [0]
-        m_pcs, m_addrs, m_aligned = [], [], []
-        m_pages, m_offsets = [], []
-        evaluators = EVALUATORS
-        mem_index = []
-        k = 0
-        stores = 0
-        for i, instr in enumerate(instructions):
-            op = int(instr.op)
-            self.ops[i] = op
-            self.dsts[i] = instr.dst if instr.dst is not None else -1
-            self.imms[i] = instr.imm
-            self.srcs[i] = instr.srcs
-            self.evals[i] = evaluators.get(instr.op)
-            self.mem_pos[i] = k
-            if op == _LOAD or op == _STORE:
-                addr = instr.addr
-                if op == _STORE:
-                    m_store.append(1)
-                    stores += 1
-                else:
-                    m_store.append(0)
-                s_pos.append(stores)
-                m_pcs.append(instr.pc)
-                m_addrs.append(addr)
-                m_aligned.append(addr & ~7)
-                m_pages.append(addr >> PAGE_SHIFT)
-                m_offsets.append(addr & _PAGE_MASK)
-                mem_index.append(i)
-                k += 1
-            elif op == _BRANCH:
-                branch_flags[i] = 1
-                takens[i] = 1 if instr.taken else 0
-        self.mem_pos[n] = k
-        self.m_store = m_store
-        self.s_pos = s_pos
-        self.m_pcs = m_pcs
-        self.m_addrs = m_addrs
-        self.m_aligned = m_aligned
-        self.m_pages = m_pages
-        self.m_offsets = m_offsets
-        self.path = _path_column(n, branch_flags, takens)
-        path = self.path
-        self.m_path = [path[i] for i in mem_index]
-        self._derived = {}
-
-    # -- geometry-derived columns ---------------------------------------
-
-    def lines(self, line_shift):
-        key = ("lines", line_shift)
-        column = self._derived.get(key)
-        if column is None:
-            column = [a >> line_shift for a in self.m_addrs]
-            self._derived[key] = column
-        return column
-
-    def loads(self):
-        """Load-only pc/addr/page/offset/path columns.
-
-        Predictor training (hit-miss, MD, PT/PAT, context) only ever
-        observes loads, so the predictor kernels iterate these compacted
-        columns instead of skipping stores per memory op."""
-        bundle = self._derived.get("loads")
-        if bundle is None:
-            st = self.m_store
-            bundle = (
-                [v for v, s in zip(self.m_pcs, st) if not s],
-                [v for v, s in zip(self.m_addrs, st) if not s],
-                [v for v, s in zip(self.m_pages, st) if not s],
-                [v for v, s in zip(self.m_offsets, st) if not s],
-                [v for v, s in zip(self.m_path, st) if not s],
-            )
-            self._derived["loads"] = bundle
-        return bundle
-
-    def loads_index(self, num_entries):
-        """``(pc >> 2) % num_entries`` per load (hit-miss / MD slot)."""
-        key = ("lidx", num_entries)
-        column = self._derived.get(key)
-        if column is None:
-            l_pcs = self.loads()[0]
-            column = [(pc >> 2) % num_entries for pc in l_pcs]
-            self._derived[key] = column
-        return column
-
-    def pt_ids(self, num_sets):
-        """Dense PT entry ids per load, plus the static (set, tag) of each
-        id.  Two PCs aliasing to the same (set, tag) share an id,
-        mirroring the scalar table exactly."""
-        key = ("pt", num_sets)
-        cached = self._derived.get(key)
-        if cached is None:
-            by_key = {}
-            tid_sets, tid_tags = [], []
-            column = []
-            for pc in self.loads()[0]:
-                word = pc >> 2
-                slot = (word % num_sets, word & 0xFFFF)
-                tid = by_key.get(slot)
-                if tid is None:
-                    tid = len(tid_sets)
-                    by_key[slot] = tid
-                    tid_sets.append(slot[0])
-                    tid_tags.append(slot[1])
-                column.append(tid)
-            cached = (column, tid_sets, tid_tags, by_key)
-            self._derived[key] = cached
-        return cached
-
-    def context_index(self, num_entries, history_mask):
-        """Context-prefetcher hash per load (path is trace-pure)."""
-        key = ("ctx", num_entries, history_mask)
-        column = self._derived.get(key)
-        if column is None:
-            l = self.loads()
-            column = [
-                (((pc >> 2) ^ ((path & history_mask) * _GOLDEN))
-                 % num_entries)
-                for pc, path in zip(l[0], l[4])
-            ]
-            self._derived[key] = column
-        return column
-
-
-#: Decoded-columns memo: id(trace) -> (trace, TraceColumns).  Keeping the
-#: trace object in the value pins its identity, so a recycled ``id`` can
-#: never alias a dead trace's columns.  Insertion order is LRU order.
-_COLUMNS_CACHE = {}
-
-
-def columns_for(trace):
-    """The (cached) :class:`TraceColumns` for ``trace``.
-
-    Bounded LRU keyed by trace identity: the capacity is the trace memo's
-    (:data:`~repro.workloads.suite.TRACE_CACHE_ENTRIES`), so a sweep
-    visiting many distinct (workload, length) traces holds at most that
-    many decoded column sets.  A trace whose instruction list changed
-    length since it was decoded is re-decoded (its derived columns are
-    stale).
-    """
-    key = id(trace)
-    entry = _COLUMNS_CACHE.get(key)
-    if entry is not None and entry[0] is trace \
-            and entry[1].n == len(trace.instructions):
-        # LRU touch: re-insert at the back of the iteration order.
-        del _COLUMNS_CACHE[key]
-        _COLUMNS_CACHE[key] = entry
-        return entry[1]
-    columns = TraceColumns(trace)
-    _COLUMNS_CACHE[key] = (trace, columns)
-    while len(_COLUMNS_CACHE) > TRACE_CACHE_ENTRIES:
-        del _COLUMNS_CACHE[next(iter(_COLUMNS_CACHE))]
-    return columns
+    def __init__(self):
+        self.mem_addrs = []
+        self.mem_stores = bytearray()
+        self.load_sids = []
+        self.load_addrs = []
+        self.load_paths = []
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +184,9 @@ class _CacheState(object):
 
     One instance advances once per chunk regardless of how many lanes in
     the trace group share its cache geometry; ``hit_buf`` records the
-    pre-fill L1 presence outcome of every load so each lane's predictor
-    pass can train against the exact hit/miss stream the scalar warmer
-    would have observed.
+    pre-fill L1 presence outcome of every load of the chunk so each lane's
+    predictor pass can train against the exact hit/miss stream the scalar
+    warmer would have observed.
     """
 
     __slots__ = ("dtlb", "l1", "l2", "llc", "line_shift", "next_line",
@@ -408,7 +194,7 @@ class _CacheState(object):
                  "pf_cap", "pf_issued", "pf_trainings", "tick", "hit_buf",
                  "dumps")
 
-    def __init__(self, hierarchy, columns):
+    def __init__(self, hierarchy):
         tick = 0
         dtlb = hierarchy.dtlb
         self.dtlb = _CacheColumns(dtlb.num_sets, dtlb.assoc, dtlb.set_mask)
@@ -436,7 +222,7 @@ class _CacheState(object):
             self.pf_trainings = prefetcher.trainings
         else:
             self.pf_pages = None
-        self.hit_buf = bytearray(len(columns.loads()[0]))
+        self.hit_buf = bytearray()
         #: Per-set dicts of the DTLB, L1, L2 and LLC as of the last
         #: advance, built by the first lane that materialises them and
         #: reused by the rest of the cohort (None: not built yet).
@@ -489,27 +275,28 @@ class _LaneState(object):
     """One lane's warm-table state in column form.
 
     Holds references to the lane's throwaway :class:`~repro.core.core.OOOCore`
-    (the materialisation target), its geometry-derived trace columns, and
-    every mutable warm structure as flat columns.
+    (the materialisation target), its per-static predictor slots (indexed
+    by static id), and every mutable warm structure as flat columns.
     """
 
     __slots__ = (
         "core", "config", "workload", "length", "positions", "outcome",
-        "missing", "columns", "cache",
+        "missing", "statics", "cache",
         "hm_table", "hm_mispredicts", "hm_index",
         "md_table", "md_decay", "md_tick", "md_index",
         "pt_on", "pt_conf", "pt_util", "pt_stride", "pt_base",
         "pt_patptr", "pt_pageoff", "pt_present", "pt_order",
-        "pt_tids", "pt_tid_sets", "pt_tid_tags", "pt_tid_index",
+        "pt_tids", "pt_tid_sets", "pt_tid_tags",
         "pt_assoc", "pt_num_sets", "pt_conf_max", "pt_util_max",
         "pt_stride_limit", "pt_inc_prob", "pt_rng",
         "pt_trainings", "pt_allocations", "pt_evictions", "pt_saturations",
         "pat_on", "pat_pages", "pat_stamp", "pat_nsets", "pat_assoc",
         "pat_insertions", "pat_evictions", "pat_tick",
-        "ctx_on", "ctx_table", "ctx_index", "ctx_conf_max", "ctx_trainings",
+        "ctx_on", "ctx_table", "ctx_entries", "ctx_history_mask",
+        "ctx_conf_max", "ctx_trainings",
     )
 
-    def __init__(self, core, columns, workload, length, positions, outcome,
+    def __init__(self, core, workload, length, positions, outcome,
                  cache_state):
         self.core = core
         self.config = core.config
@@ -518,7 +305,7 @@ class _LaneState(object):
         self.positions = positions
         self.outcome = outcome
         self.missing = [p for p in positions if outcome.get(p) != "hit"]
-        self.columns = columns
+        self.statics = core.trace.statics
         self.cache = cache_state
         self.load_from_core()
 
@@ -529,20 +316,19 @@ class _LaneState(object):
         structures — a fresh core or one a checkpoint was just restored
         onto.  Cache-side state lives in the shared :class:`_CacheState`."""
         core = self.core
-        columns = self.columns
         hit_miss = core.hit_miss
         if hit_miss is not None:
             # The scalar table is already a flat int column; share it.
             self.hm_table = hit_miss.table
             self.hm_mispredicts = hit_miss.mispredicts
-            self.hm_index = columns.loads_index(hit_miss.num_entries)
+            self.hm_index = self._pc_slots(hit_miss.num_entries)
         else:
             self.hm_table = None
         md = core.md
         self.md_table = md.table
         self.md_decay = md.decay_period
         self.md_tick = md._commit_tick
-        self.md_index = columns.loads_index(md.num_entries)
+        self.md_index = self._pc_slots(md.num_entries)
         rfp = core.rfp
         self.pt_on = rfp is not None
         self.ctx_on = self.pt_on and rfp.context is not None
@@ -555,18 +341,36 @@ class _LaneState(object):
                         entry.confidence]
                 for index, entry in context.table.items()
             }
-            self.ctx_index = columns.context_index(context.num_entries,
-                                                   context.history_mask)
+            self.ctx_entries = context.num_entries
+            self.ctx_history_mask = context.history_mask
             self.ctx_conf_max = context.confidence_max
             self.ctx_trainings = context.trainings
 
+    def _pc_slots(self, num_entries):
+        """``(pc >> 2) % num_entries`` per static id (hit-miss / MD slot)."""
+        return [(static.pc >> 2) % num_entries for static in self.statics]
+
     def _load_pt(self, pt):
-        columns = self.columns
-        tids, tid_sets, tid_tags, tid_index = columns.pt_ids(pt.num_sets)
+        # Dense PT entry ids per static load, plus the (set, tag) of each
+        # id.  Two PCs aliasing to the same (set, tag) share an id,
+        # mirroring the scalar table exactly.
+        num_sets = pt.num_sets
+        tid_index = {}
+        tid_sets, tid_tags = [], []
+        tids = []
+        for static in self.statics:
+            word = static.pc >> 2
+            slot = (word % num_sets, word & 0xFFFF)
+            tid = tid_index.get(slot)
+            if tid is None and static.is_load:
+                tid = len(tid_sets)
+                tid_index[slot] = tid
+                tid_sets.append(slot[0])
+                tid_tags.append(slot[1])
+            tids.append(tid)
         self.pt_tids = tids
         self.pt_tid_sets = tid_sets
         self.pt_tid_tags = tid_tags
-        self.pt_tid_index = tid_index
         ntids = len(tid_sets)
         self.pt_present = bytearray(ntids)
         self.pt_conf = bytearray(ntids)
@@ -695,29 +499,37 @@ class _LaneState(object):
 # kernels
 
 
-def _advance_arch(regs, memory, columns, start, end):
-    """Architectural execution of ``[start, end)`` over the flat columns.
+def _advance_arch(group, start, end):
+    """Architectural execution of ``[start, end)`` off the trace arrays.
 
     Mirrors the scalar warmer's value semantics exactly (same evaluator
-    functions, same source-tuple shapes); branch path history is *not*
-    tracked here — it is a precomputed column.
+    functions, same source-tuple shapes) and its branch path history, and
+    returns the chunk's memory-op and load columns (:class:`_Chunk`).
     """
-    ops = columns.ops
-    dsts = columns.dsts
-    imms = columns.imms
-    srcs_column = columns.srcs
-    evals = columns.evals
-    aligned = columns.m_aligned
+    trace = group.trace
+    statics = trace.statics
+    regs = group.regs
+    memory = group.memory
     memory_get = memory.get
-    k = columns.mem_pos[start]
-    value = 0
-    for i in range(start, end):
-        op = ops[i]
-        if op == _LOAD:
-            value = memory_get(aligned[k], 0)
-            k += 1
+    path = group.path
+    chunk = _Chunk()
+    mem_append = chunk.mem_addrs.append
+    store_append = chunk.mem_stores.append
+    sid_append = chunk.load_sids.append
+    addr_append = chunk.load_addrs.append
+    path_append = chunk.load_paths.append
+    for sid, addr, flag in zip(trace.sids[start:end], trace.addrs[start:end],
+                               trace.flags[start:end]):
+        static = statics[sid]
+        if static.is_load:
+            value = memory_get(addr & ~7, 0)
+            mem_append(addr)
+            store_append(0)
+            sid_append(sid)
+            addr_append(addr)
+            path_append(path)
         else:
-            s = srcs_column[i]
+            s = static.srcs
             n = len(s)
             if n == 2:
                 operands = (regs[s[0]], regs[s[1]])
@@ -727,40 +539,40 @@ def _advance_arch(regs, memory, columns, start, end):
                 operands = ()
             else:
                 operands = [regs[r] for r in s]
-            value = evals[i](operands, imms[i])
-            if op == _STORE:
-                memory[aligned[k]] = value
-                k += 1
-        d = dsts[i]
-        if d >= 0:
+            value = static.evaluator(operands, static.imm)
+            if static.is_store:
+                memory[addr & ~7] = value
+                mem_append(addr)
+                store_append(1)
+            elif flag:  # a branch
+                path = ((path << 1) | (1 if flag & TAKEN else 0)) & PATH_MASK
+        d = static.dst
+        if d is not None:
             regs[d] = value
+    group.path = path
+    return chunk
 
 
-def _advance_caches(cs, columns, start, end):
-    """Warm one cache cohort over the memory ops in ``[start, end)``.
+def _advance_caches(cs, chunk):
+    """Warm one cache cohort over the memory ops of ``chunk``.
 
     This is the cache half of the scalar warmer's ``warm_load`` /
     ``warm_store`` — DTLB lookup+fill, L1/L2/LLC probes and inward fills,
     the L2 streamer and the next-line prefetch — fully inlined over the
-    columns, with every LRU touch in scalar order.  The pre-fill L1
-    presence outcome of each load is recorded in ``cs.hit_buf`` for the
+    chunk's columns, with every LRU touch in scalar order.  The pre-fill
+    L1 presence outcome of each load is recorded in ``cs.hit_buf`` for the
     lanes' predictor passes.  Hit counters that increment on every access
     (DTLB/L1) are reconstructed per chunk from the memory-op count
     instead of being incremented per access.
     """
     cs.dumps = None  # the state moves on: the materialised view is stale
-    k0 = columns.mem_pos[start]
-    k1 = columns.mem_pos[end]
-    if k0 == k1:
+    hit_buf = cs.hit_buf = bytearray()
+    hit_append = hit_buf.append
+    mem_ops = len(chunk.mem_addrs)
+    if not mem_ops:
         return
-    m_store = columns.m_store
-    m_addrs = columns.m_addrs
-    m_pages = columns.m_pages
-    m_lines = columns.lines(cs.line_shift)
-    mem_ops = k1 - k0
+    line_shift = cs.line_shift
     tick = cs.tick
-    hit_buf = cs.hit_buf
-    lp = k0 - columns.s_pos[k0]
 
     dtlb = cs.dtlb
     d_map = dtlb.map
@@ -806,9 +618,9 @@ def _advance_caches(cs, columns, start, end):
         pf_cap = cs.pf_cap
         pf_issued, pf_trainings = cs.pf_issued, cs.pf_trainings
 
-    for k in range(k0, k1):
-        page = m_pages[k]
-        line = m_lines[k]
+    for addr, is_store in zip(chunk.mem_addrs, chunk.mem_stores):
+        page = addr >> PAGE_SHIFT
+        line = addr >> line_shift
         # ---- DTLB lookup with fill (shared by loads and stores) --------
         slot = d_map_get(page)
         if slot is not None:
@@ -838,7 +650,7 @@ def _advance_caches(cs, columns, start, end):
 
         # ---- L1 lookup -------------------------------------------------
         slot = l1_map_get(line)
-        if m_store[k]:
+        if is_store:
             # ======== warm_store ========================================
             if slot is not None:
                 l1_dirty[slot] = 1
@@ -935,11 +747,9 @@ def _advance_caches(cs, columns, start, end):
         if slot is not None:
             l1_stamp[slot] = tick
             tick += 1
-            hit_buf[lp] = 1
-            lp += 1
+            hit_append(1)
             continue
-        hit_buf[lp] = 0
-        lp += 1
+        hit_append(0)
         l1_misses += 1
         # L2 lookup; the LLC only on an L2 miss; DRAM fills the LLC.
         w = l2_map_get(line)
@@ -1182,31 +992,21 @@ def _advance_caches(cs, columns, start, end):
         cs.pf_issued, cs.pf_trainings = pf_issued, pf_trainings
 
 
-def _advance_predictors(lane, start, end):
-    """Train one lane's predictors over the loads in ``[start, end)``.
+def _advance_predictors(lane, chunk):
+    """Train one lane's predictors over the loads of ``chunk``.
 
     The hit-miss predictor, MD decay, the PT allocate->commit->train
     protocol (with the PAT) and the context prefetcher — the scalar
-    warmer's per-load training calls — inlined over the load-only
+    warmer's per-load training calls — inlined over the chunk's load
     columns, reading the hit/miss stream the lane's cache cohort
     recorded in ``hit_buf``.  Every counter and RNG draw happens in
     scalar order; per-call counters that tick on every load (PT/context
     ``trainings``, the MD tick) are bulk-added per chunk.
     """
-    columns = lane.columns
-    k0 = columns.mem_pos[start]
-    k1 = columns.mem_pos[end]
-    p0 = k0 - columns.s_pos[k0]
-    p1 = k1 - columns.s_pos[k1]
-    if p0 == p1:
+    load_ops = len(chunk.load_sids)
+    if not load_ops:
         return
-    load_ops = p1 - p0
-    hit_buf = lane.cache.hit_buf
-    l_bundle = columns.loads()
-    l_pcs = l_bundle[0]
-    l_addrs = l_bundle[1]
-    l_pages = l_bundle[2]
-    l_offsets = l_bundle[3]
+    statics = lane.statics
 
     hm_table = lane.hm_table
     hm_on = hm_table is not None
@@ -1249,15 +1049,15 @@ def _advance_predictors(lane, start, end):
     if ctx_on:
         ctx_table = lane.ctx_table
         ctx_table_get = ctx_table.get
-        ctx_index = lane.ctx_index
+        ctx_entries = lane.ctx_entries
+        ctx_history_mask = lane.ctx_history_mask
         ctx_conf_max = lane.ctx_conf_max
 
-    for lp in range(p0, p1):
-        hit = hit_buf[lp]
-
+    for sid, addr, path, hit in zip(chunk.load_sids, chunk.load_addrs,
+                                    chunk.load_paths, lane.cache.hit_buf):
         # ---- hit-miss predictor training -------------------------------
         if hm_on:
-            index = hm_index[lp]
+            index = hm_index[sid]
             counter = hm_table[index]
             if (counter >= 2) != hit:
                 hm_mispredicts += 1
@@ -1271,14 +1071,13 @@ def _advance_predictors(lane, start, end):
         md_left -= 1
         if md_left == 0:
             md_left = md_decay
-            index = md_index[lp]
+            index = md_index[sid]
             if md_table[index] > 0:
                 md_table[index] -= 1
 
         # ---- PT allocate -> commit -> train -----------------------------
         if pt_on:
-            tid = pt_tids[lp]
-            addr = l_addrs[lp]
+            tid = pt_tids[sid]
             if pt_present[tid]:
                 # on_allocate finds the entry (inflight 0->1), the commit
                 # step of train() returns it to 0; neither draws from the
@@ -1346,7 +1145,7 @@ def _advance_predictors(lane, start, end):
             # _record_address: PAT insert (find+touch or LRU evict) or the
             # full base address when the PAT optimisation is off.
             if pat_on:
-                page = l_pages[lp]
+                page = addr >> PAGE_SHIFT
                 # ``pat_page`` is bound whenever ``pointer >= 0`` (both the
                 # fast path above and the allocate path, which resets the
                 # pointer to -1).
@@ -1373,15 +1172,15 @@ def _advance_predictors(lane, start, end):
                     pat_stamp[w] = pat_tick
                     pat_tick += 1
                     pt_patptr[tid] = w
-                pt_pageoff[tid] = l_offsets[lp]
+                pt_pageoff[tid] = addr & _PAGE_MASK
             else:
                 pt_base[tid] = addr
 
         # ---- context prefetcher training --------------------------------
         if ctx_on:
-            pc = l_pcs[lp]
-            addr = l_addrs[lp]
-            index = ctx_index[lp]
+            pc = statics[sid].pc
+            index = (((pc >> 2) ^ ((path & ctx_history_mask) * _GOLDEN))
+                     % ctx_entries)
             entry = ctx_table_get(index)
             if entry is None or entry[0] != pc:
                 ctx_table[index] = [pc, addr, 0, 0]
@@ -1419,20 +1218,23 @@ def _advance_predictors(lane, start, end):
 class _TraceGroup(object):
     """Lanes sharing one trace, advancing in lockstep.
 
-    The group owns the single architectural execution (registers + memory,
-    through a :class:`FunctionalWarmer` shim shared by every capture) and
-    the sorted union of the lanes' checkpoint boundaries.
+    The group owns the single architectural execution (registers, memory
+    and branch path history, through a :class:`FunctionalWarmer` shim
+    shared by every capture) and the sorted union of the lanes' checkpoint
+    boundaries.
     """
 
-    def __init__(self, trace, columns, lanes, cache_states, start, warmer):
+    def __init__(self, trace, lanes, cache_states, start, warmer):
         self.trace = trace
-        self.columns = columns
         self.lanes = lanes
         self.cache_states = cache_states
         self.position = start
         self.warmer = warmer
         self.regs = warmer.registers.values
         self.memory = warmer.memory
+        #: Path history before instruction ``position``: the lead core's
+        #: (zero, or restored from the resume checkpoint).
+        self.path = lanes[0].core.frontend.path_history
         boundaries = sorted({p for lane in lanes for p in lane.missing
                              if p > start})
         self.boundaries = boundaries
@@ -1450,17 +1252,16 @@ class _TraceGroup(object):
         end = self.position + chunk
         if end > target:
             end = target
-        _advance_arch(self.regs, self.memory, self.columns,
-                      self.position, end)
+        chunk = _advance_arch(self, self.position, end)
         for cache_state in self.cache_states:
-            _advance_caches(cache_state, self.columns, self.position, end)
+            _advance_caches(cache_state, chunk)
         for lane in self.lanes:
-            _advance_predictors(lane, self.position, end)
+            _advance_predictors(lane, chunk)
         self.position = end
         if end == target:
             self.boundaries.pop(0)
             self.warmer.warmed = end
-            path = self.columns.path[end]
+            path = self.path
             if store is not None:
                 from repro.sim import checkpoint as _checkpoint
 
@@ -1483,7 +1284,7 @@ class _TraceGroup(object):
         as :meth:`FunctionalWarmer.warm` would: structures written back,
         path history set, rename seeded, fetch cursor at the boundary."""
         position = self.position
-        path = self.columns.path[position]
+        path = self.path
         regs = self.regs
         for lane in self.lanes:
             lane.materialize()
@@ -1554,7 +1355,6 @@ class BatchWarmEngine(object):
             trace = traces.get(key)
             if trace is None:
                 trace = build_workload(name, length=length)
-            columns = columns_for(trace)
             members = needs_warm[key]
             # Resume only when every lane can restore at one common depth;
             # otherwise warm the whole group from instruction zero.
@@ -1590,9 +1390,9 @@ class BatchWarmEngine(object):
                 geometry = _cache_key(config)
                 cache_state = cache_states.get(geometry)
                 if cache_state is None:
-                    cache_state = _CacheState(core.hierarchy, columns)
+                    cache_state = _CacheState(core.hierarchy)
                     cache_states[geometry] = cache_state
-                lanes.append(_LaneState(core, columns, name, length,
+                lanes.append(_LaneState(core, name, length,
                                         wanted, outcomes[index],
                                         cache_state))
                 note_warm_pass()
@@ -1602,7 +1402,7 @@ class BatchWarmEngine(object):
                 warmer.registers.values[:] = states[0]["registers"]
             for lane in lanes:
                 lane.core.memory = warmer.memory
-            groups.append(_TraceGroup(trace, columns, lanes,
+            groups.append(_TraceGroup(trace, lanes,
                                       list(cache_states.values()),
                                       resume_at, warmer))
 

@@ -1,6 +1,6 @@
 """In-order architectural emulator used as a correctness oracle."""
 
-from repro.isa.opcodes import Op, evaluate
+from repro.isa.opcodes import evaluate
 from repro.isa.registers import ArchRegisters
 
 
@@ -14,34 +14,35 @@ class ArchEmulator(object):
             program order (used to validate the core's load resolution).
     """
 
-    def __init__(self, trace):
+    def __init__(self, trace, memory=None):
         self.trace = trace
         self.registers = ArchRegisters()
-        self.memory = dict(trace.memory_image)
+        self.memory = memory if memory is not None else trace.initial_memory()
         self.load_values = []
         self.store_values = []
 
-    def step(self, instr):
-        """Execute one instruction architecturally."""
-        srcs = tuple(self.registers.read(r) for r in instr.srcs)
-        if instr.op == Op.LOAD:
-            value = self.memory.get(instr.addr & ~7, 0)
+    def step(self, static, addr):
+        """Execute one instance of ``static`` (effective address ``addr``)
+        architecturally."""
+        srcs = tuple(self.registers.read(r) for r in static.srcs)
+        if static.is_load:
+            value = self.memory.get(addr & ~7, 0)
             self.load_values.append(value)
-        elif instr.op == Op.STORE:
-            value = evaluate(instr.op, srcs, instr.imm)
-            self.memory[instr.addr & ~7] = value
+        elif static.is_store:
+            value = evaluate(static.op, srcs, static.imm)
+            self.memory[addr & ~7] = value
             self.store_values.append(value)
         else:
-            value = evaluate(instr.op, srcs, instr.imm)
-        if instr.dst is not None:
-            self.registers.write(instr.dst, value)
+            value = evaluate(static.op, srcs, static.imm)
+        if static.dst is not None:
+            self.registers.write(static.dst, value)
         return value
 
     def run(self, limit=None):
         """Execute the whole trace (or the first ``limit`` instructions)."""
-        instructions = self.trace.instructions
-        if limit is not None:
-            instructions = instructions[:limit]
-        for instr in instructions:
-            self.step(instr)
+        trace = self.trace
+        statics = trace.statics
+        stop = len(trace) if limit is None else limit
+        for sid, addr in zip(trace.sids[:stop], trace.addrs[:stop]):
+            self.step(statics[sid], addr)
         return self

@@ -38,7 +38,7 @@ boundary, so ``core.run()`` simulates only the remaining instructions.
 
 from repro.core.frontend import PATH_MASK
 from repro.emu.emulator import ArchEmulator
-from repro.isa.opcodes import EVALUATORS, Op
+from repro.isa.trace import TAKEN
 
 #: Process-wide count of functional warm passes (warmer instances that
 #: actually executed instructions).  The checkpoint layer's "warm once,
@@ -68,8 +68,8 @@ class FunctionalWarmer(ArchEmulator):
     """Warms one :class:`~repro.core.core.OOOCore`'s structures in place.
 
     The warmer shares the core's committed-memory dict (the core's private
-    copy — never the trace's lru_cache-shared ``memory_image``), so stores
-    executed functionally are visible to detailed-region loads.
+    copy of the trace's initial image), so stores executed functionally
+    are visible to detailed-region loads.
 
     ``rfps`` lists the :class:`~repro.rfp.engine.RFPEngine` objects whose
     PT/PAT/context tables the pass trains; the default is the core's own
@@ -79,9 +79,8 @@ class FunctionalWarmer(ArchEmulator):
     """
 
     def __init__(self, core, rfps=None):
-        super().__init__(core.trace)
+        super().__init__(core.trace, core.memory)
         self.core = core
-        self.memory = core.memory
         if rfps is None:
             rfps = [core.rfp] if core.rfp is not None else []
         self.rfps = rfps
@@ -145,15 +144,16 @@ class FunctionalWarmer(ArchEmulator):
         md_entries = md.num_entries
         md_decay = md.decay_period
         md_tick = md._commit_tick
-        evaluators = EVALUATORS
-        LOAD, STORE = Op.LOAD, Op.STORE
-        for instr in self.trace.instructions[start: count]:
-            op = instr.op
-            if op == LOAD:
-                addr = instr.addr
+        trace = self.trace
+        statics = trace.statics
+        for sid, addr, flag in zip(trace.sids[start: count],
+                                   trace.addrs[start: count],
+                                   trace.flags[start: count]):
+            static = statics[sid]
+            if static.is_load:
                 value = memory_get(addr & ~7, 0)
                 loads_append(value)
-                pc = instr.pc
+                pc = static.pc
                 # -- hierarchy.warm_load (fast path) -------------------
                 page = addr >> 12
                 tlb_set = dtlb_sets[page & dtlb_mask]
@@ -192,8 +192,8 @@ class FunctionalWarmer(ArchEmulator):
                     train(pc, addr, True)
                     if context_train is not None:
                         context_train(pc, frontend.path_history, addr)
-            elif op == STORE:
-                s = instr.srcs
+            elif static.is_store:
+                s = static.srcs
                 n = len(s)
                 if n == 2:
                     srcs = (regs[s[0]], regs[s[1]])
@@ -201,12 +201,12 @@ class FunctionalWarmer(ArchEmulator):
                     srcs = (regs[s[0]],)
                 else:
                     srcs = [regs[r] for r in s]
-                value = evaluators[op](srcs, instr.imm)
-                memory[instr.addr & ~7] = value
+                value = static.evaluator(srcs, static.imm)
+                memory[addr & ~7] = value
                 stores_append(value)
-                warm_store(instr.addr)
+                warm_store(addr)
             else:
-                s = instr.srcs
+                s = static.srcs
                 n = len(s)
                 if n == 2:
                     srcs = (regs[s[0]], regs[s[1]])
@@ -216,15 +216,16 @@ class FunctionalWarmer(ArchEmulator):
                     srcs = ()
                 else:
                     srcs = [regs[r] for r in s]
-                value = evaluators[op](srcs, instr.imm)
-                if instr.is_branch:
+                value = static.evaluator(srcs, static.imm)
+                if flag:  # a branch
                     frontend.path_history = (
-                        (frontend.path_history << 1) | (1 if instr.taken else 0)
+                        (frontend.path_history << 1) | (1 if flag & TAKEN else 0)
                     ) & PATH_MASK
-            if instr.dst is not None:
-                regs[instr.dst] = value
+            dst = static.dst
+            if dst is not None:
+                regs[dst] = value
         md._commit_tick = md_tick
-        self.warmed = max(start, min(count, len(self.trace.instructions)))
+        self.warmed = max(start, min(count, len(trace)))
         core.rename.seed_architectural(
             [regs[reg] for reg in range(len(core.rename.rat))]
         )

@@ -1,13 +1,73 @@
-"""The dynamic instruction record that flows through the pipeline."""
+"""Instruction records: the interned static record and the dynamic view.
 
-from repro.isa.opcodes import Op
+A trace stores each distinct static instruction once, as a
+:class:`StaticInstr`, and per dynamic instance only what varies: the
+static id, the effective address and a flag byte (see
+:class:`~repro.isa.trace.Trace`).  :class:`Instruction` is the whole
+dynamic record as one object; hand-written traces are built from it and
+``trace[i]`` returns one, but the simulator never allocates it.
+"""
 
-# Hoisted: the constructor runs once per generated trace instruction.
+from repro.isa.opcodes import EVALUATORS, OP_LATENCY, Op, port_class
+
+# Hoisted: the constructors run once per static or per test instruction.
 _LOAD, _STORE, _BRANCH = Op.LOAD, Op.STORE, Op.BRANCH
+
+#: Functional-unit class -> dense index into the scheduler's per-cycle
+#: budget vector (order matters: it must match ReservationStation's
+#: ``_budget_list``).
+FU_INDEX = {"alu": 0, "mul": 1, "fp": 2, "load": 3, "store": 4}
+
+
+def _op_facts(op):
+    fu = port_class(op)
+    if fu == "branch":
+        fu = "alu"  # branches execute on the ALU ports
+    return (op == _LOAD, op == _STORE, op == _BRANCH, fu, FU_INDEX[fu],
+            OP_LATENCY[op], EVALUATORS.get(op))
+
+
+#: Opcode -> ``(is_load, is_store, is_branch, fu_class, fu_idx, latency,
+#: evaluator)``, the facts dispatch reads per dynamic instance, in the
+#: order :class:`~repro.core.dyninstr.DynInstr` unpacks them.  One tuple
+#: per opcode, shared by every static record of that opcode.
+OP_FACTS = {op: _op_facts(op) for op in Op}
+
+
+class StaticInstr(object):
+    """One static instruction of a trace, interned by the trace builder.
+
+    Holds the encoding (``pc``, ``op``, ``dst``, ``srcs``, ``imm``) and
+    the facts dispatch reads per dynamic instance: the opcode class, the
+    scheduler FU class and its budget index, the execution latency and the
+    value function (``facts``, the opcode's :data:`OP_FACTS` entry).
+    ``sid`` is the record's position in its trace's static table.
+    """
+
+    __slots__ = (
+        "sid", "pc", "op", "dst", "srcs", "imm",
+        "is_load", "is_store", "is_mem", "is_branch",
+        "fu_class", "fu_idx", "latency", "evaluator", "facts",
+    )
+
+    def __init__(self, sid, pc, op, dst=None, srcs=(), imm=0):
+        self.sid = sid
+        self.pc = pc
+        self.op = op
+        self.dst = dst
+        self.srcs = srcs
+        self.imm = imm
+        self.facts = facts = OP_FACTS[op]
+        (self.is_load, self.is_store, self.is_branch, self.fu_class,
+         self.fu_idx, self.latency, self.evaluator) = facts
+        self.is_mem = self.is_load or self.is_store
+
+    def __repr__(self):
+        return "<Static #%d pc=%#x %s>" % (self.sid, self.pc, self.op.name)
 
 
 class Instruction(object):
-    """One dynamic instruction in a trace.
+    """One dynamic instruction as a single record.
 
     The model is execution driven for *values* (loads/stores move real data
     through the memory image; ALU ops compute real results) and trace driven
@@ -25,57 +85,24 @@ class Instruction(object):
             *data* source is listed first and address sources follow.
         imm: immediate operand.
         addr: effective virtual address for memory ops, else ``None``.
-        size: access size in bytes for memory ops.
         taken: branch direction (branches only).
         mispredicted: True if the frontend mispredicts this branch.
-        index: position in the trace; assigned by :class:`~repro.isa.trace.Trace`.
+        index: position in the trace (``-1`` until read back from one).
     """
 
     __slots__ = (
-        "pc",
-        "op",
-        "dst",
-        "srcs",
-        "imm",
-        "addr",
-        "size",
-        "taken",
-        "mispredicted",
-        "index",
-        # Opcode-class facts, precomputed here because the frontend, the
-        # dispatch stage, and the tracer read them once per dynamic
-        # instruction — an attribute load is several times cheaper than a
-        # property call.
-        "is_load",
-        "is_store",
-        "is_mem",
-        "is_branch",
-        # Lazily-filled static snapshot (is_load, is_store, is_branch, pc,
-        # addr, word_addr, fu_class, latency) shared by every DynInstr
-        # wrapping this instruction; a pure function of the fields above, so
-        # caching it on the (trace-shared) instruction is idempotent.
-        "_static",
+        "pc", "op", "dst", "srcs", "imm", "addr", "taken", "mispredicted",
+        "index", "is_load", "is_store", "is_mem", "is_branch",
     )
 
-    def __init__(
-        self,
-        pc,
-        op,
-        dst=None,
-        srcs=(),
-        imm=0,
-        addr=None,
-        size=8,
-        taken=False,
-        mispredicted=False,
-    ):
+    def __init__(self, pc, op, dst=None, srcs=(), imm=0, addr=None,
+                 taken=False, mispredicted=False):
         self.pc = pc
         self.op = op
         self.dst = dst
         self.srcs = srcs if type(srcs) is tuple else tuple(srcs)
         self.imm = imm
         self.addr = addr
-        self.size = size
         self.taken = taken
         self.mispredicted = mispredicted
         self.index = -1
@@ -83,7 +110,6 @@ class Instruction(object):
         self.is_store = is_store = op == _STORE
         self.is_mem = is_load or is_store
         self.is_branch = op == _BRANCH
-        self._static = None
 
     def __repr__(self):
         parts = ["pc=%#x" % self.pc, self.op.name]

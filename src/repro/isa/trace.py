@@ -1,11 +1,24 @@
-"""Trace container and the rewindable fetch cursor.
+"""Columnar trace container and the rewindable fetch cursor.
 
-A :class:`Trace` is the unit of work the simulator consumes: a list of
-dynamic instructions plus the initial memory image they execute against.
+A :class:`Trace` is the unit of work the simulator consumes.  A workload
+repeats a few dozen static instructions tens of thousands of times, so the
+trace keeps one :class:`~repro.isa.instruction.StaticInstr` per distinct
+static instruction and, per dynamic instance, only what varies: its
+static id, its effective address and a flag byte, in three arrays indexed
+by trace position (11 bytes per instruction).  The initial memory image
+is two parallel 8-byte arrays.
+
 The :class:`TraceCursor` is the frontend's view of the trace; it supports
 rewinding to an arbitrary instruction index, which is how memory-ordering
 and value-misprediction flushes restart execution from the offending load.
 """
+
+from repro.isa.instruction import Instruction
+
+#: Bits of a trace's per-instruction flag byte.  Only branches carry any:
+#: ``BRANCH`` marks one, so the frontend updates path history from this
+#: byte alone.
+BRANCH, TAKEN, MISPREDICTED = 1, 2, 4
 
 
 class Trace(object):
@@ -14,36 +27,71 @@ class Trace(object):
     Attributes:
         name: workload name (e.g. ``"spec06_mcf"``).
         category: workload category (e.g. ``"ISPEC06"``).
-        instructions: list of :class:`~repro.isa.instruction.Instruction`.
-        memory_image: dict mapping 8-byte-aligned virtual address -> initial
-            64-bit value.  Addresses absent from the image read as zero.
+        statics: list of :class:`~repro.isa.instruction.StaticInstr`,
+            indexed by static id.
+        sids: ``array('H')`` of static ids, one per dynamic instruction
+            (``array('I')`` past 65,536 statics).
+        addrs: ``array('Q')`` of effective addresses (0 for non-memory ops).
+        flags: ``bytearray`` of :data:`BRANCH` | :data:`TAKEN` |
+            :data:`MISPREDICTED` bits.
+        image_addrs, image_values: ``array('Q')`` columns of the initial
+            memory image (8-byte-aligned address -> 64-bit value), in the
+            order the builder first wrote each address.  Addresses absent
+            from the image read as zero.
+
+    ``Trace(instructions, memory_image)`` encodes a list of
+    :class:`~repro.isa.instruction.Instruction` records through
+    :class:`~repro.workloads.builder.TraceBuilder`, the one writer of
+    these columns; ``trace[i]`` reads one back as a fresh record.
     """
 
-    def __init__(self, instructions, memory_image=None, name="trace", category=""):
-        self.name = name
-        self.category = category
-        self.instructions = list(instructions)
-        self.memory_image = dict(memory_image or {})
-        for index, instr in enumerate(self.instructions):
-            instr.index = index
+    __slots__ = ("name", "category", "statics", "sids", "addrs", "flags",
+                 "image_addrs", "image_values")
+
+    def __init__(self, instructions=(), memory_image=None, name="trace",
+                 category=""):
+        # Imported here: the builder module imports this one.
+        from repro.workloads.builder import TraceBuilder
+
+        builder = TraceBuilder(name, category)
+        builder.memory.update(memory_image or {})
+        for instr in instructions:
+            builder.emit(instr)
+        builder.finish(self)
 
     def __len__(self):
-        return len(self.instructions)
+        return len(self.sids)
 
     def __getitem__(self, index):
-        return self.instructions[index]
+        index = range(len(self.sids))[index]
+        static = self.statics[self.sids[index]]
+        flags = self.flags[index]
+        instr = Instruction(
+            static.pc, static.op, dst=static.dst, srcs=static.srcs,
+            imm=static.imm,
+            addr=self.addrs[index] if static.is_mem else None,
+            taken=bool(flags & TAKEN), mispredicted=bool(flags & MISPREDICTED),
+        )
+        instr.index = index
+        return instr
 
     def __iter__(self):
-        return iter(self.instructions)
+        for index in range(len(self.sids)):
+            yield self[index]
+
+    def initial_memory(self):
+        """A fresh dict of the initial memory image, in image order."""
+        return dict(zip(self.image_addrs, self.image_values))
 
     @property
     def load_count(self):
-        return sum(1 for i in self.instructions if i.is_load)
+        statics = self.statics
+        return sum(1 for sid in self.sids if statics[sid].is_load)
 
     def __repr__(self):
         return "<Trace %s: %d instrs, %d loads>" % (
             self.name,
-            len(self.instructions),
+            len(self.sids),
             self.load_count,
         )
 
@@ -59,10 +107,7 @@ class TraceCursor(object):
 
     def __init__(self, trace):
         self.trace = trace
-        #: Cached instruction list + length: the frontend's fetch loop
-        #: reads the list and advances ``index`` in place every busy cycle.
-        self._instructions = trace.instructions
-        self._length = len(trace.instructions)
+        self._length = len(trace)
         self.index = 0
         #: Fetch limit (exclusive): instructions at or past this index are
         #: never fetched.  Defaults to the trace length; the interval

@@ -18,25 +18,6 @@ class CacheStats(object):
         self.fills = 0
         self.prefetch_fills = 0
 
-    @property
-    def accesses(self):
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self):
-        total = self.accesses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self):
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "fills": self.fills,
-            "prefetch_fills": self.prefetch_fills,
-            "hit_rate": self.hit_rate,
-        }
-
     def __repr__(self):
         return "<CacheStats hits=%d misses=%d>" % (self.hits, self.misses)
 

@@ -318,20 +318,6 @@ class MemoryHierarchy(object):
         self.l1.fill(line, dirty=True)
         return complete
 
-    # ------------------------------------------------------------------
-    # reporting
-
-    def stats_dict(self):
-        return {
-            "l1": self.l1.stats.as_dict(),
-            "l2": self.l2.stats.as_dict(),
-            "llc": self.llc.stats.as_dict(),
-            "loads_served": dict(self.loads_served),
-            "dtlb_hit_rate": self.dtlb.hit_rate,
-            "mshr_hits": self.mshr.mshr_hits,
-            "dram_accesses": self.dram.accesses,
-        }
-
     def __repr__(self):
         return "<MemoryHierarchy L1=%dKB L2=%dKB LLC=%dKB>" % (
             self.l1.size_bytes // 1024,

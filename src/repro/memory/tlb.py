@@ -58,10 +58,5 @@ class DTLB(object):
         page = addr >> PAGE_SHIFT
         return page in self.sets[page & self.set_mask]
 
-    @property
-    def hit_rate(self):
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def __repr__(self):
         return "<DTLB %d-entry %d-way>" % (self.num_entries, self.assoc)

@@ -95,10 +95,10 @@ class Tracer(object):
     # ------------------------------------------------------------------
     # frontend
 
-    def note_fetch(self, cycle, instr):
+    def note_fetch(self, cycle, index):
         """Remember when a trace index was (last) fetched; the event itself
         is emitted at dispatch, once the instruction has a seqnum."""
-        self._fetch_cycles[instr.index] = cycle
+        self._fetch_cycles[index] = cycle
 
     # ------------------------------------------------------------------
     # per-instruction pipeline stages
@@ -106,19 +106,20 @@ class Tracer(object):
     def dispatch(self, cycle, dyn):
         if not self._wants(dyn):
             return
-        instr = dyn.instr
+        static = dyn.static
+        index = dyn.index
         seq = dyn.seq
-        fetch_cycle = self._fetch_cycles.get(instr.index)
+        fetch_cycle = self._fetch_cycles.get(index)
         if fetch_cycle is not None:
-            self._emit(fetch_cycle, seq, E.FETCH, {"index": instr.index})
+            self._emit(fetch_cycle, seq, E.FETCH, {"index": index})
         self._emit(
             cycle,
             seq,
             E.RENAME,
             {
-                "pc": instr.pc,
-                "op": instr.op.name.lower(),
-                "index": instr.index,
+                "pc": static.pc,
+                "op": static.op.name.lower(),
+                "index": index,
                 "dest_preg": -1 if dyn.dest_preg is None else dyn.dest_preg,
             },
         )

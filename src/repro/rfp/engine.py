@@ -64,9 +64,6 @@ class RFPStats(object):
     def as_dict(self):
         return {name: getattr(self, name) for name in RFP_STAT_FIELDS}
 
-    def coverage(self, total_loads):
-        return self.useful / total_loads if total_loads else 0.0
-
 
 class _Packet(object):
     __slots__ = ("dyn", "predicted_addr", "enqueue_cycle")

@@ -189,6 +189,27 @@ def _pt_load(pt, dump):
     pt._rng.setstate((version, tuple(internal), gauss))
 
 
+def _memory_delta(memory, trace):
+    """``[addr, value]`` for every word of ``memory`` that differs from
+    ``trace``'s initial image, in ``memory``'s order.
+
+    A core's memory starts as :meth:`~repro.isa.trace.Trace.initial_memory`
+    and only ever gains keys, so its first entries are the image's, in
+    image order, and every later entry is a word the image lacks.
+    """
+    items = iter(memory.items())
+    delta = []
+    for image_addr, image_value, (addr, value) in zip(
+            trace.image_addrs, trace.image_values, items):
+        if addr != image_addr:
+            raise RuntimeError("committed memory of %r is not in trace image "
+                               "order at %#x" % (trace.name, addr))
+        if value != image_value:
+            delta.append([addr, value])
+    delta.extend([addr, value] for addr, value in items)
+    return delta
+
+
 def capture(core, warmer):
     """Serialize ``core``'s post-warm state into a JSON-friendly dict.
 
@@ -196,7 +217,6 @@ def capture(core, warmer):
     its register file and instruction position are part of the snapshot.
     """
     trace = core.trace
-    image_get = trace.memory_image.get
     hierarchy = core.hierarchy
     dtlb = hierarchy.dtlb
     state = {
@@ -204,10 +224,7 @@ def capture(core, warmer):
         "length": len(trace),
         "functional": warmer.warmed,
         "registers": list(warmer.registers.values),
-        "memory": [
-            [addr, value] for addr, value in core.memory.items()
-            if image_get(addr) != value
-        ],
+        "memory": _memory_delta(core.memory, trace),
         "path_history": core.frontend.path_history,
         "hierarchy": {
             "l1": _cache_dump(hierarchy.l1),

@@ -8,8 +8,6 @@ per-instruction costs, and splits the path's length by contributor, which
 reproduces the figure's argument quantitatively.
 """
 
-from repro.isa.opcodes import OP_LATENCY
-
 
 def analyze_critical_path(trace, level_latency, load_levels=None):
     """Longest dataflow path through ``trace``.
@@ -26,25 +24,27 @@ def analyze_critical_path(trace, level_latency, load_levels=None):
     indices on the critical path, oldest first).
     """
     load_levels = load_levels or {}
+    statics = trace.statics
     last_writer = {}        # arch reg -> index of producing instruction
     longest = [0] * len(trace)   # path length ending at instruction i
     parent = [None] * len(trace)
-    for i, instr in enumerate(trace.instructions):
+    for i, sid in enumerate(trace.sids):
+        static = statics[sid]
         best_dep = 0
         best_parent = None
-        for reg in instr.srcs:
+        for reg in static.srcs:
             producer = last_writer.get(reg)
             if producer is not None and longest[producer] > best_dep:
                 best_dep = longest[producer]
                 best_parent = producer
-        if instr.is_load:
+        if static.is_load:
             cost = level_latency[load_levels.get(i, "L1")]
         else:
-            cost = OP_LATENCY[instr.op]
+            cost = static.latency
         longest[i] = best_dep + cost
         parent[i] = best_parent
-        if instr.dst is not None:
-            last_writer[instr.dst] = i
+        if static.dst is not None:
+            last_writer[static.dst] = i
 
     if not longest:
         return {"length": 0, "by_level": {}, "compute_cycles": 0, "path": []}
@@ -59,12 +59,12 @@ def analyze_critical_path(trace, level_latency, load_levels=None):
     by_level = {}
     compute_cycles = 0
     for i in path:
-        instr = trace.instructions[i]
-        if instr.is_load:
+        static = statics[trace.sids[i]]
+        if static.is_load:
             level = load_levels.get(i, "L1")
             by_level[level] = by_level.get(level, 0) + level_latency[level]
         else:
-            compute_cycles += OP_LATENCY[instr.op]
+            compute_cycles += static.latency
     return {
         "length": longest[tail],
         "by_level": by_level,

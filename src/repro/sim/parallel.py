@@ -102,7 +102,7 @@ CLASS_ABORTED = "aborted"          # graceful drain stopped it (not a failure)
 RETRYABLE = frozenset((CLASS_CRASH, CLASS_TIMEOUT))
 
 #: Failure-manifest schema version, carried as ``manifest_version`` in
-#: ``TimingReport.as_dict()`` and in every ``--out`` payload so archived
+#: every ``--out`` payload and chaos-campaign report so archived
 #: manifests are self-describing.  v1: the implicit pre-versioned schema
 #: (crash/timeout/deadlock/corrupt_*/error records).  v2: adds the field
 #: itself, the ``aborted`` classification (SIGTERM drain), and the
@@ -212,12 +212,6 @@ class TimingReport(object):
         if self.wall_seconds <= 0:
             return 0.0
         return self.instructions_simulated / self.wall_seconds
-
-    def as_dict(self):
-        data = {name: getattr(self, name) for name in self.__slots__}
-        data["instructions_per_second"] = self.instructions_per_second
-        data["manifest_version"] = MANIFEST_VERSION
-        return data
 
     def format(self):
         lines = [

@@ -53,22 +53,10 @@ class SimStats(object):
     def ipc(self):
         return self.instructions / self.cycles if self.cycles else 0.0
 
-    @property
-    def avg_load_latency(self):
-        if not self.load_latency_count:
-            return 0.0
-        return self.load_latency_sum / self.load_latency_count
-
     def counters(self):
         """Raw counter values only (no derived metrics) — the snapshot the
         warmup-window measurement subtracts."""
         return {name: getattr(self, name) for name in SIM_STAT_FIELDS}
-
-    def as_dict(self):
-        data = self.counters()
-        data["ipc"] = self.ipc
-        data["avg_load_latency"] = self.avg_load_latency
-        return data
 
     def __repr__(self):
         return "<SimStats ipc=%.3f cycles=%d instrs=%d>" % (

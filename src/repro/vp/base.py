@@ -58,8 +58,10 @@ class ValuePredictor(object):
         self.blacklist = {}
 
     # -- fetch stage (address predictors probe the cache here) ----------
-    def on_fetch(self, instr, cycle, ports, hierarchy, memory_image, path):
-        """Called for every fetched load before it reaches rename."""
+    def on_fetch(self, static, index, cycle, ports, hierarchy, memory_image,
+                 path):
+        """Called for every fetched instruction (``static`` at trace
+        position ``index``) before it reaches rename."""
 
     # -- dispatch stage ---------------------------------------------------
     def on_load_dispatch(self, dyn, cycle, path):

@@ -22,15 +22,17 @@ class CompositePredictor(ValuePredictor):
         self.eves_used = 0
         self.dlvp_used = 0
 
-    def on_fetch(self, instr, cycle, ports, hierarchy, memory_image, path):
-        self.dlvp.on_fetch(instr, cycle, ports, hierarchy, memory_image, path)
+    def on_fetch(self, static, index, cycle, ports, hierarchy, memory_image,
+                 path):
+        self.dlvp.on_fetch(static, index, cycle, ports, hierarchy,
+                           memory_image, path)
 
     def on_load_dispatch(self, dyn, cycle, path):
         predicted, value = self.eves.on_load_dispatch(dyn, cycle, path)
         if predicted:
             self.eves_used += 1
             # Discard any pending probe; EVES wins the fusion.
-            self.dlvp.pending_probes.pop(dyn.instr.index, None)
+            self.dlvp.pending_probes.pop(dyn.index, None)
             return True, value
         predicted, value = self.dlvp.on_load_dispatch(dyn, cycle, path)
         if predicted:

@@ -83,20 +83,21 @@ class DLVPPredictor(ValuePredictor):
 
     # ------------------------------------------------------------------
 
-    def on_fetch(self, instr, cycle, ports, hierarchy, memory_image, path):
-        if not instr.is_load:
+    def on_fetch(self, static, index, cycle, ports, hierarchy, memory_image,
+                 path):
+        if not static.is_load:
             return
         self.loads_seen += 1
-        entry = self._entry(instr.pc, path)
+        entry = self._entry(static.pc, path)
         if entry is None or not entry.valid:
             return
         self.ap_predictable += 1
         if not entry.confidence.saturated:
             return
         self.ap_high_conf += 1
-        if self.is_blacklisted(instr.pc):
+        if self.is_blacklisted(static.pc):
             return
-        if (instr.pc >> 2) % self.nofwd_entries in self.nofwd:
+        if (static.pc >> 2) % self.nofwd_entries in self.nofwd:
             return
         self.aphc_nofwd += 1
         if not ports.claim_rfp():
@@ -107,15 +108,15 @@ class DLVPPredictor(ValuePredictor):
             return
         self.probed += 1
         result = hierarchy.load(
-            predicted, instr.pc, cycle, fill_tlb=False, count_distribution=False
+            predicted, static.pc, cycle, fill_tlb=False, count_distribution=False
         )
         value = memory_image.get(predicted & ~7, 0)
-        self.pending_probes[instr.index] = _Probe(result.complete, value, predicted)
+        self.pending_probes[index] = _Probe(result.complete, value, predicted)
 
     def on_load_dispatch(self, dyn, cycle, path):
         entry = self._entry(dyn.pc, path, create=True)
         entry.inflight += 1
-        probe = self.pending_probes.pop(dyn.instr.index, None)
+        probe = self.pending_probes.pop(dyn.index, None)
         if probe is None:
             return False, 0
         if probe.complete_cycle > cycle:
@@ -153,7 +154,7 @@ class DLVPPredictor(ValuePredictor):
         # conservatively repaired only when the same table entry is found.
         if entry is not None and entry.inflight > 0:
             entry.inflight -= 1
-        self.pending_probes.pop(dyn.instr.index, None)
+        self.pending_probes.pop(dyn.index, None)
 
     def waterfall(self):
         """Fig. 16's coverage waterfall, as fractions of all loads."""

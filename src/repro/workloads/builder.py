@@ -1,10 +1,10 @@
-"""Trace construction helpers: PC/region allocation and memory init."""
+"""The trace writer: static interning, PC/region allocation, memory init."""
 
 import random
+from array import array
 
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Op
-from repro.isa.trace import Trace
+from repro.isa.instruction import StaticInstr
+from repro.isa.trace import BRANCH, MISPREDICTED, TAKEN, Trace
 
 CODE_BASE = 0x400000
 HEAP_BASE = 0x10000000
@@ -12,19 +12,25 @@ MASK64 = (1 << 64) - 1
 
 
 class TraceBuilder(object):
-    """Accumulates instructions and the initial memory image.
+    """Writes a :class:`~repro.isa.trace.Trace`'s columns and memory image.
 
-    Kernels allocate static PCs and data regions once at construction and
-    then emit dynamic instances; the builder owns the global address space
-    so concurrently interleaved kernels never collide.
+    Kernels allocate static PCs, static records and data regions once at
+    construction and then append dynamic instances; the builder owns the
+    global address space so concurrently interleaved kernels never
+    collide.  ``memory`` is a plain dict while the kernels read and write
+    it, and becomes the trace's two image columns in :meth:`finish`.
     """
 
     def __init__(self, name="trace", category="", seed=0):
         self.name = name
         self.category = category
         self.rng = random.Random(seed)
-        self.instructions = []
         self.memory = {}
+        self.statics = []
+        self._interned = {}
+        self.sids = array("H")
+        self.addrs = array("Q")
+        self.flags = bytearray()
         self._next_pc = CODE_BASE
         self._next_addr = HEAP_BASE
 
@@ -80,22 +86,49 @@ class TraceBuilder(object):
     # ------------------------------------------------------------------
     # emission
 
+    def static(self, pc, op, dst=None, srcs=(), imm=0):
+        """The interned :class:`StaticInstr` for this encoding."""
+        key = (pc, op, dst, srcs, imm)
+        static = self._interned.get(key)
+        if static is None:
+            static = StaticInstr(len(self.statics), pc, op, dst, srcs, imm)
+            self.statics.append(static)
+            self._interned[key] = static
+        return static
+
+    def append(self, static, addr=0, flags=0):
+        """Append one dynamic instance of ``static``: its effective address
+        (memory ops) or its :data:`~repro.isa.trace.BRANCH` flag byte."""
+        try:
+            self.sids.append(static.sid)
+        except OverflowError:  # past 65,536 statics: widen the id column
+            self.sids = array("I", self.sids)
+            self.sids.append(static.sid)
+        self.addrs.append(addr)
+        self.flags.append(flags)
+
     def emit(self, instr):
-        self.instructions.append(instr)
-        return instr
+        """Append one :class:`~repro.isa.instruction.Instruction` record."""
+        static = self.static(instr.pc, instr.op, instr.dst, instr.srcs,
+                             instr.imm)
+        flags = 0
+        if static.is_branch:
+            flags = (BRANCH | (TAKEN if instr.taken else 0)
+                     | (MISPREDICTED if instr.mispredicted else 0))
+        addr = instr.addr if static.is_mem else None
+        self.append(static, addr or 0, flags)
 
-    def load(self, pc, dst, addr, srcs=()):
-        return self.emit(Instruction(pc, Op.LOAD, dst=dst, srcs=srcs, addr=addr))
-
-    def store(self, pc, data_src, addr, addr_srcs=()):
-        return self.emit(
-            Instruction(pc, Op.STORE, srcs=(data_src,) + tuple(addr_srcs), addr=addr)
-        )
+    def finish(self, trace):
+        """Hand the columns to ``trace`` (no copy) and return it."""
+        trace.name = self.name
+        trace.category = self.category
+        trace.statics = self.statics
+        trace.sids = self.sids
+        trace.addrs = self.addrs
+        trace.flags = self.flags
+        trace.image_addrs = array("Q", self.memory.keys())
+        trace.image_values = array("Q", self.memory.values())
+        return trace
 
     def build(self):
-        return Trace(
-            self.instructions,
-            memory_image=self.memory,
-            name=self.name,
-            category=self.category,
-        )
+        return self.finish(Trace.__new__(Trace))

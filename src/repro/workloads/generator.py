@@ -4,8 +4,9 @@ A :class:`WorkloadProfile` describes a workload as a weighted mixture of
 micro-kernels plus locality/branch parameters.  :func:`generate_trace`
 instantiates one kernel object per concurrent slot (so static PCs stay
 stable across the whole trace — predictors can train) and interleaves
-their instruction streams round-robin, giving the OOO core independent
-chains to overlap, then returns the finished
+their instruction streams round-robin into one
+:class:`~repro.workloads.builder.TraceBuilder`, giving the OOO core
+independent chains to overlap, then returns the finished columnar
 :class:`~repro.isa.trace.Trace`.
 
 Determinism: everything derives from the profile's seed, so the same
@@ -144,14 +145,14 @@ def generate_trace(profile):
         raise ValueError("profile %r produced no kernels" % profile.name)
 
     generators = [k.run(profile.chunk_iters) for k in kernels]
-    emit = builder.instructions.append  # builder.emit, without the call
+    append = builder.append
     width = len(generators)
     slot = 0
     for _ in range(profile.length):
-        instr = next(generators[slot], None)
-        if instr is None:
+        item = next(generators[slot], None)
+        if item is None:
             generators[slot] = kernels[slot].run(profile.chunk_iters)
-            instr = next(generators[slot])
-        emit(instr)
+            item = next(generators[slot])
+        append(*item)
         slot = (slot + 1) % width
     return builder.build()

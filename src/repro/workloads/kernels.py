@@ -2,7 +2,10 @@
 
 Each kernel owns its static code (fixed PCs, so predictors see stable
 static loads), its data regions, and a dedicated set of architectural
-registers.  ``run(iters)`` yields dynamic instructions; the generator
+registers.  Each kernel interns its static instructions once, in
+``_setup``; ``run(iters)`` yields ``(static, addr, flags)`` triples, one
+per dynamic instruction (``addr`` for memory ops, the
+:data:`~repro.isa.trace.BRANCH` flag byte for branches, else 0); the generator
 interleaves several kernels round-robin to create ILP across chains, the
 way real workloads mix independent computation.
 
@@ -24,17 +27,18 @@ CopyStreamKernel     strided load+store streaming
 ===================  ========================================================
 """
 
-from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
+from repro.isa.trace import BRANCH as _BR, MISPREDICTED, TAKEN
 
 MASK64 = (1 << 64) - 1
 
-# Opcode members bound once: reading an IntEnum member off its class costs
-# several times a global read on CPython 3.11, and every yielded
-# instruction names one.
 ADD, SUB, XOR, MOV = Op.ADD, Op.SUB, Op.XOR, Op.MOV
 FPADD, FPMUL, FMA = Op.FPADD, Op.FPMUL, Op.FMA
 LOAD, STORE, BRANCH = Op.LOAD, Op.STORE, Op.BRANCH
+
+#: Flag bytes of a taken loop branch, predicted and mispredicted.
+_LOOP_TAKEN = _BR | TAKEN
+_LOOP_MISPREDICTED = _BR | TAKEN | MISPREDICTED
 
 
 class KernelBase(object):
@@ -59,13 +63,12 @@ class KernelBase(object):
     def _setup(self):
         raise NotImplementedError
 
-    def _loop_branch(self, pc, src):
-        """Loop-closing branch; mispredicts at the configured rate
+    def _loop_branch(self, static):
+        """Loop-closing taken branch; mispredicts at the configured rate
         (loop exits, data-dependent trip counts)."""
-        mispredicted = self.rng.random() < self.mispredict_rate
-        return Instruction(
-            pc, BRANCH, srcs=(src,), taken=True, mispredicted=mispredicted
-        )
+        if self.rng.random() < self.mispredict_rate:
+            return static, 0, _LOOP_MISPREDICTED
+        return static, 0, _LOOP_TAKEN
 
     def run(self, iters):
         raise NotImplementedError
@@ -88,17 +91,22 @@ class StridedSumKernel(KernelBase):
     def _setup(self):
         self.base = self.builder.alloc_region(self.region_words)
         self.builder.init_arith(self.base, self.region_words, start=3, delta=7)
-        self.pcs = self.builder.alloc_pcs(3)
+        pc_load, pc_add, pc_branch = self.builder.alloc_pcs(3)
+        r_val, r_acc, r_idx = self.regs[:3]
+        static = self.builder.static
+        self.statics = (
+            static(pc_load, LOAD, r_val, (r_idx,)),
+            static(pc_add, ADD, r_acc, (r_acc, r_val)),
+            static(pc_branch, BRANCH, srcs=(r_acc,)),
+        )
 
     def run(self, iters):
-        r_val, r_acc, r_idx = self.regs[:3]
-        pc_load, pc_add, pc_branch = self.pcs
+        s_load, s_add, s_branch = self.statics
         for _ in range(iters):
-            addr = self.base + 8 * self.position
-            yield Instruction(pc_load, LOAD, dst=r_val, srcs=(r_idx,), addr=addr)
-            yield Instruction(pc_add, ADD, dst=r_acc, srcs=(r_acc, r_val))
+            yield s_load, self.base + 8 * self.position, 0
+            yield s_add, 0, 0
             if self._iteration % self.loop_len == self.loop_len - 1:
-                yield self._loop_branch(pc_branch, r_acc)
+                yield self._loop_branch(s_branch)
             self._advance(self.stride_words)
 
 
@@ -122,21 +130,30 @@ class PointerChaseKernel(KernelBase):
         self.current = self.builder.init_permutation_chain(
             self.base, self.region_words
         )
-        self.pcs = self.builder.alloc_pcs(4)
+        pc_load, pc_add, pc_branch, self.pc_root = self.builder.alloc_pcs(4)
+        r_ptr, r_acc, _ = self.regs[:3]
+        static = self.builder.static
+        self.statics = (
+            static(pc_load, LOAD, r_ptr, (r_ptr,)),
+            static(pc_add, XOR, r_acc, (r_acc, r_ptr)),
+            static(pc_branch, BRANCH, srcs=(r_ptr,)),
+        )
 
     def run(self, iters):
-        r_ptr, r_acc, _ = self.regs[:3]
-        pc_load, pc_add, pc_branch, pc_root = self.pcs
+        s_load, s_xor, s_branch = self.statics
+        r_ptr = self.regs[0]
+        static = self.builder.static
         memory = self.builder.memory
         for _ in range(iters):
             addr = self.current
             if self._iteration % self.chain_len == 0:
-                yield Instruction(pc_root, MOV, dst=r_ptr, imm=addr)
-            yield Instruction(pc_load, LOAD, dst=r_ptr, srcs=(r_ptr,), addr=addr)
+                # The root's immediate is its address: one static per root.
+                yield static(self.pc_root, MOV, r_ptr, imm=addr), 0, 0
+            yield s_load, addr, 0
             self.current = memory[addr & ~7]
-            yield Instruction(pc_add, XOR, dst=r_acc, srcs=(r_acc, r_ptr))
+            yield s_xor, 0, 0
             if self._iteration % self.loop_len == self.loop_len - 1:
-                yield self._loop_branch(pc_branch, r_ptr)
+                yield self._loop_branch(s_branch)
             self._advance()
 
 
@@ -171,20 +188,28 @@ class SequentialChaseKernel(KernelBase):
         for i in range(words):
             nxt = (i + self.stride_words) % words
             memory[self.base + 8 * i] = self.base + 8 * nxt
-        self.pcs = self.builder.alloc_pcs(4)
+        pc_load, pc_add, pc_branch, self.pc_root = self.builder.alloc_pcs(4)
+        r_ptr, r_acc, _ = self.regs[:3]
+        static = self.builder.static
+        self.statics = (
+            static(pc_load, LOAD, r_ptr, (r_ptr,)),
+            static(pc_add, ADD, r_acc, (r_acc, r_ptr)),
+            static(pc_branch, BRANCH, srcs=(r_ptr,)),
+        )
 
     def run(self, iters):
-        r_ptr, r_acc, _ = self.regs[:3]
-        pc_load, pc_add, pc_branch, pc_root = self.pcs
+        s_load, s_add, s_branch = self.statics
+        r_ptr = self.regs[0]
+        static = self.builder.static
         for _ in range(iters):
             addr = self.base + 8 * self.position
             if self._iteration % self.chain_len == 0:
                 # Fresh root pointer: breaks the load-to-load dependence.
-                yield Instruction(pc_root, MOV, dst=r_ptr, imm=addr)
-            yield Instruction(pc_load, LOAD, dst=r_ptr, srcs=(r_ptr,), addr=addr)
-            yield Instruction(pc_add, ADD, dst=r_acc, srcs=(r_acc, r_ptr))
+                yield static(self.pc_root, MOV, r_ptr, imm=addr), 0, 0
+            yield s_load, addr, 0
+            yield s_add, 0, 0
             if self._iteration % self.loop_len == self.loop_len - 1:
-                yield self._loop_branch(pc_branch, r_ptr)
+                yield self._loop_branch(s_branch)
             self._advance(self.stride_words)
 
 
@@ -199,27 +224,31 @@ class StencilKernel(KernelBase):
         self.src = self.builder.alloc_region(words + 2)
         self.dst = self.builder.alloc_region(words)
         self.builder.init_arith(self.src, words + 2, start=11, delta=3)
-        self.pcs = self.builder.alloc_pcs(7)
+        pcs = self.builder.alloc_pcs(7)
+        r_a, r_b, r_c, r_t, r_u, _ = self.regs[:6]
+        static = self.builder.static
+        self.statics = (
+            static(pcs[0], LOAD, r_a),
+            static(pcs[1], LOAD, r_b),
+            static(pcs[2], LOAD, r_c),
+            static(pcs[3], FPADD, r_t, (r_a, r_b)),
+            static(pcs[4], FPADD, r_u, (r_t, r_c)),
+            static(pcs[5], STORE, srcs=(r_u,)),
+            static(pcs[6], BRANCH, srcs=(r_u,)),
+        )
 
     def run(self, iters):
-        r_a, r_b, r_c, r_t, r_u, _ = self.regs[:6]
-        pcs = self.pcs
+        s_a, s_b, s_c, s_add1, s_add2, s_store, s_branch = self.statics
         for _ in range(iters):
             i = self.position
-            yield Instruction(pcs[0], LOAD, dst=r_a, srcs=(), addr=self.src + 8 * i)
-            yield Instruction(
-                pcs[1], LOAD, dst=r_b, srcs=(), addr=self.src + 8 * (i + 1)
-            )
-            yield Instruction(
-                pcs[2], LOAD, dst=r_c, srcs=(), addr=self.src + 8 * (i + 2)
-            )
-            yield Instruction(pcs[3], FPADD, dst=r_t, srcs=(r_a, r_b))
-            yield Instruction(pcs[4], FPADD, dst=r_u, srcs=(r_t, r_c))
-            yield Instruction(
-                pcs[5], STORE, srcs=(r_u,), addr=self.dst + 8 * i
-            )
+            yield s_a, self.src + 8 * i, 0
+            yield s_b, self.src + 8 * (i + 1), 0
+            yield s_c, self.src + 8 * (i + 2), 0
+            yield s_add1, 0, 0
+            yield s_add2, 0, 0
+            yield s_store, self.dst + 8 * i, 0
             if self._iteration % self.loop_len == self.loop_len - 1:
-                yield self._loop_branch(pcs[6], r_u)
+                yield self._loop_branch(s_branch)
             self._advance()
 
 
@@ -242,12 +271,20 @@ class HashLookupKernel(KernelBase):
 
     def _setup(self):
         self.base = self.builder.alloc_region(self.region_words)
-        self.pcs = self.builder.alloc_pcs(5)
+        pcs = self.builder.alloc_pcs(5)
         self.hot_words = min(self.hot_words, self.region_words)
+        r_key, r_hash, r_val, r_acc = self.regs[:4]
+        static = self.builder.static
+        self.statics = (
+            static(pcs[0], ADD, r_key, (r_key,), 0x9E37),
+            static(pcs[1], XOR, r_hash, (r_key,), 0x85EB),
+            static(pcs[2], LOAD, r_val, (r_hash,)),
+            static(pcs[3], ADD, r_acc, (r_acc, r_val)),
+            static(pcs[4], BRANCH, srcs=(r_val,)),
+        )
 
     def run(self, iters):
-        r_key, r_hash, r_val, r_acc = self.regs[:4]
-        pcs = self.pcs
+        s_key, s_hash, s_load, s_acc, s_branch = self.statics
         rng = self.rng
         memory = self.builder.memory
         for _ in range(iters):
@@ -262,19 +299,17 @@ class HashLookupKernel(KernelBase):
             # The probe address derives from the key stream only (a 1-cycle
             # chain), so independent probes overlap — hash tables have high
             # memory-level parallelism, unlike pointer chasing.
-            yield Instruction(pcs[0], ADD, dst=r_key, srcs=(r_key,), imm=0x9E37)
-            yield Instruction(pcs[1], XOR, dst=r_hash, srcs=(r_key,), imm=0x85EB)
-            yield Instruction(pcs[2], LOAD, dst=r_val, srcs=(r_hash,), addr=slot_addr)
-            yield Instruction(pcs[3], ADD, dst=r_acc, srcs=(r_acc, r_val))
+            yield s_key, 0, 0
+            yield s_hash, 0, 0
+            yield s_load, slot_addr, 0
+            yield s_acc, 0, 0
             if self._iteration % 4 == 3:
-                mispredicted = rng.random() < max(0.05, self.mispredict_rate)
-                yield Instruction(
-                    pcs[4],
-                    BRANCH,
-                    srcs=(r_val,),
-                    taken=bool(rng.getrandbits(1)),
-                    mispredicted=mispredicted,
-                )
+                flags = _BR
+                if rng.random() < max(0.05, self.mispredict_rate):
+                    flags |= MISPREDICTED
+                if rng.getrandbits(1):
+                    flags |= TAKEN
+                yield s_branch, 0, flags
             self._advance()
 
 
@@ -299,23 +334,31 @@ class StoreForwardKernel(KernelBase):
     def _setup(self):
         self.base = self.builder.alloc_region(self.buffer_words)
         self.builder.init_const(self.base, self.buffer_words, 1)
-        self.pcs = self.builder.alloc_pcs(4 + self.gap_ops)
+        pcs = self.builder.alloc_pcs(4 + self.gap_ops)
+        r_v, r_acc, r_tmp, _ = self.regs[:4]
+        gap = self.gap_ops
+        static = self.builder.static
+        self.statics = (
+            static(pcs[0], ADD, r_v, (r_v,), 13),
+            static(pcs[1], STORE, srcs=(r_v,)),
+            tuple(static(pcs[2 + g], ADD, r_tmp, (r_tmp,), 1)
+                  for g in range(gap)),
+            static(pcs[2 + gap], LOAD, r_acc),
+            static(pcs[3 + gap], BRANCH, srcs=(r_acc,)),
+        )
 
     def run(self, iters):
-        r_v, r_acc, r_tmp, _ = self.regs[:4]
-        pcs = self.pcs
+        s_add, s_store, s_gaps, s_load, s_branch = self.statics
         for _ in range(iters):
             slot = self.position % self.buffer_words
             addr = self.base + 8 * slot
-            yield Instruction(pcs[0], ADD, dst=r_v, srcs=(r_v,), imm=13)
-            yield Instruction(pcs[1], STORE, srcs=(r_v,), addr=addr)
-            for g in range(self.gap_ops):
-                yield Instruction(pcs[2 + g], ADD, dst=r_tmp, srcs=(r_tmp,), imm=1)
-            yield Instruction(
-                pcs[2 + self.gap_ops], LOAD, dst=r_acc, srcs=(), addr=addr
-            )
+            yield s_add, 0, 0
+            yield s_store, addr, 0
+            for s_gap in s_gaps:
+                yield s_gap, 0, 0
+            yield s_load, addr, 0
             if self._iteration % self.loop_len == self.loop_len - 1:
-                yield self._loop_branch(pcs[3 + self.gap_ops], r_acc)
+                yield self._loop_branch(s_branch)
             self._advance()
 
 
@@ -332,25 +375,29 @@ class BranchyReduceKernel(KernelBase):
     def _setup(self):
         self.base = self.builder.alloc_region(self.region_words)
         self.builder.init_random(self.base, self.region_words)
-        self.pcs = self.builder.alloc_pcs(4)
+        pcs = self.builder.alloc_pcs(4)
+        r_val, r_acc, _ = self.regs[:3]
+        static = self.builder.static
+        self.statics = (
+            static(pcs[0], LOAD, r_val),
+            static(pcs[1], BRANCH, srcs=(r_val,)),
+            static(pcs[2], ADD, r_acc, (r_acc, r_val)),
+            static(pcs[3], SUB, r_acc, (r_acc, r_val)),
+        )
 
     def run(self, iters):
-        r_val, r_acc, _ = self.regs[:3]
-        pcs = self.pcs
+        s_load, s_branch, s_add, s_sub = self.statics
         rng = self.rng
         memory = self.builder.memory
         for _ in range(iters):
             addr = self.base + 8 * self.position
-            yield Instruction(pcs[0], LOAD, dst=r_val, srcs=(), addr=addr)
-            taken = bool(memory[addr & ~7] & 1)
-            mispredicted = rng.random() < self.branch_mispredict
-            yield Instruction(
-                pcs[1], BRANCH, srcs=(r_val,), taken=taken, mispredicted=mispredicted
-            )
-            if taken:
-                yield Instruction(pcs[2], ADD, dst=r_acc, srcs=(r_acc, r_val))
-            else:
-                yield Instruction(pcs[3], SUB, dst=r_acc, srcs=(r_acc, r_val))
+            yield s_load, addr, 0
+            taken = memory[addr & ~7] & 1
+            flags = _BR | TAKEN if taken else _BR
+            if rng.random() < self.branch_mispredict:
+                flags |= MISPREDICTED
+            yield s_branch, 0, flags
+            yield (s_add if taken else s_sub), 0, 0
             self._advance()
 
 
@@ -368,19 +415,27 @@ class MatmulTileKernel(KernelBase):
         self.b = self.builder.alloc_region(words)
         self.builder.init_arith(self.a, words, start=1, delta=2)
         self.builder.init_arith(self.b, words, start=5, delta=1)
-        self.pcs = self.builder.alloc_pcs(5)
+        pcs = self.builder.alloc_pcs(5)
+        r_a, r_b, r_acc, r_acc2, _ = self.regs[:5]
+        static = self.builder.static
+        self.statics = (
+            static(pcs[0], LOAD, r_a),
+            static(pcs[1], LOAD, r_b),
+            static(pcs[2], FMA, r_acc, (r_a, r_b, r_acc)),
+            static(pcs[3], FPMUL, r_acc2, (r_acc2, r_a)),
+            static(pcs[4], BRANCH, srcs=(r_acc,)),
+        )
 
     def run(self, iters):
-        r_a, r_b, r_acc, r_acc2, _ = self.regs[:5]
-        pcs = self.pcs
+        s_a, s_b, s_fma, s_mul, s_branch = self.statics
         for _ in range(iters):
             i = self.position
-            yield Instruction(pcs[0], LOAD, dst=r_a, srcs=(), addr=self.a + 8 * i)
-            yield Instruction(pcs[1], LOAD, dst=r_b, srcs=(), addr=self.b + 8 * i)
-            yield Instruction(pcs[2], FMA, dst=r_acc, srcs=(r_a, r_b, r_acc))
-            yield Instruction(pcs[3], FPMUL, dst=r_acc2, srcs=(r_acc2, r_a))
+            yield s_a, self.a + 8 * i, 0
+            yield s_b, self.b + 8 * i, 0
+            yield s_fma, 0, 0
+            yield s_mul, 0, 0
             if self._iteration % self.loop_len == self.loop_len - 1:
-                yield self._loop_branch(pcs[4], r_acc)
+                yield self._loop_branch(s_branch)
             self._advance()
 
 
@@ -398,11 +453,18 @@ class IndirectGatherKernel(KernelBase):
     def _setup(self):
         self.index_base = self.builder.alloc_region(self.region_words)
         self.target_base = self.builder.alloc_region(self.target_words)
-        self.pcs = self.builder.alloc_pcs(4)
+        pcs = self.builder.alloc_pcs(4)
+        r_idx, r_val, r_acc, _ = self.regs[:4]
+        static = self.builder.static
+        self.statics = (
+            static(pcs[0], LOAD, r_idx),
+            static(pcs[1], LOAD, r_val, (r_idx,)),
+            static(pcs[2], ADD, r_acc, (r_acc, r_val)),
+            static(pcs[3], BRANCH, srcs=(r_acc,)),
+        )
 
     def run(self, iters):
-        r_idx, r_val, r_acc, _ = self.regs[:4]
-        pcs = self.pcs
+        s_index, s_gather, s_add, s_branch = self.statics
         memory = self.builder.memory
         rng = self.rng
         for _ in range(iters):
@@ -410,17 +472,15 @@ class IndirectGatherKernel(KernelBase):
             if index_addr not in memory:
                 # Lazy init: index words hold random offsets into the target.
                 memory[index_addr] = rng.randrange(self.target_words)
-            yield Instruction(pcs[0], LOAD, dst=r_idx, srcs=(), addr=index_addr)
+            yield s_index, index_addr, 0
             offset = memory[index_addr & ~7] % self.target_words
             target_addr = self.target_base + 8 * offset
             if target_addr not in memory:
                 memory[target_addr] = (17 + 5 * offset) & MASK64
-            yield Instruction(
-                pcs[1], LOAD, dst=r_val, srcs=(r_idx,), addr=target_addr
-            )
-            yield Instruction(pcs[2], ADD, dst=r_acc, srcs=(r_acc, r_val))
+            yield s_gather, target_addr, 0
+            yield s_add, 0, 0
             if self._iteration % self.loop_len == self.loop_len - 1:
-                yield self._loop_branch(pcs[3], r_acc)
+                yield self._loop_branch(s_branch)
             self._advance()
 
 
@@ -434,16 +494,22 @@ class ConstantPollKernel(KernelBase):
     def _setup(self):
         self.base = self.builder.alloc_region(8)
         self.builder.init_const(self.base, 8, 42)
-        self.pcs = self.builder.alloc_pcs(3)
+        pcs = self.builder.alloc_pcs(3)
+        r_flag, r_acc, _ = self.regs[:3]
+        static = self.builder.static
+        self.statics = (
+            static(pcs[0], LOAD, r_flag),
+            static(pcs[1], ADD, r_acc, (r_acc, r_flag)),
+            static(pcs[2], BRANCH, srcs=(r_flag,)),
+        )
 
     def run(self, iters):
-        r_flag, r_acc, _ = self.regs[:3]
-        pcs = self.pcs
+        s_load, s_add, s_branch = self.statics
         for _ in range(iters):
-            yield Instruction(pcs[0], LOAD, dst=r_flag, srcs=(), addr=self.base)
-            yield Instruction(pcs[1], ADD, dst=r_acc, srcs=(r_acc, r_flag))
+            yield s_load, self.base, 0
+            yield s_add, 0, 0
             if self._iteration % self.loop_len == self.loop_len - 1:
-                yield self._loop_branch(pcs[2], r_flag)
+                yield self._loop_branch(s_branch)
             self._advance()
 
 
@@ -458,18 +524,25 @@ class CopyStreamKernel(KernelBase):
         self.src = self.builder.alloc_region(words)
         self.dst = self.builder.alloc_region(words)
         self.builder.init_arith(self.src, words, start=23, delta=9)
-        self.pcs = self.builder.alloc_pcs(4)
+        pcs = self.builder.alloc_pcs(4)
+        r_val, r_acc, _ = self.regs[:3]
+        static = self.builder.static
+        self.statics = (
+            static(pcs[0], LOAD, r_val),
+            static(pcs[1], STORE, srcs=(r_val,)),
+            static(pcs[2], ADD, r_acc, (r_acc,), 1),
+            static(pcs[3], BRANCH, srcs=(r_acc,)),
+        )
 
     def run(self, iters):
-        r_val, r_acc, _ = self.regs[:3]
-        pcs = self.pcs
+        s_load, s_store, s_add, s_branch = self.statics
         for _ in range(iters):
             i = self.position
-            yield Instruction(pcs[0], LOAD, dst=r_val, srcs=(), addr=self.src + 8 * i)
-            yield Instruction(pcs[1], STORE, srcs=(r_val,), addr=self.dst + 8 * i)
-            yield Instruction(pcs[2], ADD, dst=r_acc, srcs=(r_acc,), imm=1)
+            yield s_load, self.src + 8 * i, 0
+            yield s_store, self.dst + 8 * i, 0
+            yield s_add, 0, 0
             if self._iteration % self.loop_len == self.loop_len - 1:
-                yield self._loop_branch(pcs[3], r_acc)
+                yield self._loop_branch(s_branch)
             self._advance()
 
 

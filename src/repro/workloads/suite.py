@@ -199,13 +199,15 @@ def profile_for(name, length=20000):
     )
 
 
-#: Capacity of the trace memo (and of the batched warmer's decoded-columns
-#: memo).  A sweep through :func:`repro.sim.parallel.run_jobs` needs one
-#: entry: both executors run it one trace lane at a time and clear the memo
-#: on every lane change (:meth:`repro.sim.parallel.Executor.hold_trace`).
-#: The rest serves direct callers that revisit traces; each trace holds
-#: ``length`` instruction objects, so the bound bounds their peak memory.
-TRACE_CACHE_ENTRIES = 96
+#: Capacity of the trace memo.  A sweep through
+#: :func:`repro.sim.parallel.run_jobs` needs one entry: both executors run
+#: it one trace lane at a time and clear the memo on every lane change
+#: (:meth:`repro.sim.parallel.Executor.hold_trace`).  The rest serves
+#: direct callers that revisit traces, such as the examples, which loop a
+#: handful of workloads once per config.  A columnar trace holds 11 bytes
+#: per instruction plus 16 per initial memory word, about 0.5-0.8 MB at
+#: length 40,000, so a full memo holds at most about 13 MB at that length.
+TRACE_CACHE_ENTRIES = 16
 
 
 @lru_cache(maxsize=TRACE_CACHE_ENTRIES)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import baseline
 from repro.core.core import OOOCore
+from repro.core.dyninstr import DynInstr
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.emu.warmup import warm_pass_count
@@ -12,6 +13,14 @@ from repro.isa.trace import Trace
 
 def make_trace(instrs, memory=None, name="test"):
     return Trace(list(instrs), memory_image=memory or {}, name=name, category="T")
+
+
+def dyn_of(instr, seq=0, dispatch_cycle=0):
+    """A DynInstr for one Instruction record, as dispatch builds it from a
+    one-instruction trace."""
+    trace = Trace([instr])
+    return DynInstr(trace.statics[0], 0, trace.addrs[0], trace.flags[0], seq,
+                    dispatch_cycle)
 
 
 def run_core(trace, config=None, **core_kwargs):

@@ -25,10 +25,7 @@ from conftest import warm_passes
 
 from repro.core.config import baseline
 from repro.core.core import OOOCore
-from repro.emu.batch import (
-    columns_for,
-    warm_batch,
-)
+from repro.emu.batch import warm_batch
 from repro.emu.warmup import FunctionalWarmer
 from repro.sim.checkpoint import (
     CheckpointStore,
@@ -253,26 +250,3 @@ class TestEngineKnobs:
         assert not settings.get("REPRO_BATCH_WARM")
         monkeypatch.setenv("REPRO_BATCH_WIDTH", "17")
         assert settings.get("REPRO_BATCH_WIDTH") == 17
-
-    def test_columns_cached_on_trace(self):
-        trace = build_workload("spec06_mcf", length=2000)
-        assert columns_for(trace) is columns_for(trace)
-
-    def test_columns_cache_bounded_by_trace_budget(self, monkeypatch):
-        """``columns_for`` evicts LRU entries past the trace memo's
-        capacity (``TRACE_CACHE_ENTRIES``)."""
-        from repro.emu import batch
-        from repro.workloads.generator import generate_trace
-        from repro.workloads.suite import profile_for
-
-        monkeypatch.setattr(batch, "TRACE_CACHE_ENTRIES", 2)
-        monkeypatch.setattr(batch, "_COLUMNS_CACHE", {})
-        traces = [generate_trace(profile_for(name, length=400))
-                  for name in ("spec06_gcc", "spec06_mcf", "tpce")]
-        first = columns_for(traces[0])
-        assert columns_for(traces[0]) is first  # hit
-        columns_for(traces[1])
-        third = columns_for(traces[2])          # evicts traces[0]
-        assert len(batch._COLUMNS_CACHE) == 2
-        assert columns_for(traces[2]) is third  # still resident
-        assert columns_for(traces[0]) is not first  # was evicted, re-decoded

@@ -1,11 +1,10 @@
 """Edge cases: DynInstr helpers, hierarchy corners, oracle interactions,
 and cross-cutting statistics coherence on real workloads."""
 
-from conftest import quiet_config, run_core
+from conftest import LOAD, dyn_of, make_trace, quiet_config, run_core
 
 from repro.core import dyninstr as D
 from repro.core.config import baseline
-from repro.core.dyninstr import DynInstr
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.memory.hierarchy import MemoryHierarchy
@@ -14,23 +13,23 @@ from repro.workloads.suite import build_workload
 
 class TestDynInstr:
     def test_word_addr_alignment(self):
-        dyn = DynInstr(Instruction(0x10, Op.LOAD, dst=1, addr=0x1003), 0, 0)
+        dyn = dyn_of(Instruction(0x10, Op.LOAD, dst=1, addr=0x1003), 0, 0)
         assert dyn.word_addr == 0x1000
 
     def test_word_addr_none_for_alu(self):
-        dyn = DynInstr(Instruction(0x10, Op.ADD, dst=1), 0, 0)
+        dyn = dyn_of(Instruction(0x10, Op.ADD, dst=1), 0, 0)
         assert dyn.word_addr is None
 
     def test_initial_state(self):
-        dyn = DynInstr(Instruction(0x10, Op.LOAD, dst=1, addr=0x1000), 3, 7)
+        dyn = dyn_of(Instruction(0x10, Op.LOAD, dst=1, addr=0x1000), 3, 7)
         assert dyn.state == D.DISPATCHED
         assert dyn.rfp_state == D.RFP_NONE
         assert dyn.seq == 3 and dyn.dispatch_cycle == 7
 
     def test_kind_properties(self):
-        load = DynInstr(Instruction(0x10, Op.LOAD, dst=1, addr=0), 0, 0)
-        store = DynInstr(Instruction(0x10, Op.STORE, srcs=(1,), addr=0), 0, 0)
-        branch = DynInstr(Instruction(0x10, Op.BRANCH, srcs=(1,)), 0, 0)
+        load = dyn_of(Instruction(0x10, Op.LOAD, dst=1, addr=0), 0, 0)
+        store = dyn_of(Instruction(0x10, Op.STORE, srcs=(1,), addr=0), 0, 0)
+        branch = dyn_of(Instruction(0x10, Op.BRANCH, srcs=(1,)), 0, 0)
         assert load.is_load and store.is_store and branch.is_branch
 
 
@@ -65,10 +64,14 @@ class TestHierarchyEdges:
         assert hierarchy.probe_level(0x7000) == "L1"
 
     def test_stats_dict_keys(self):
-        hierarchy = MemoryHierarchy(quiet_config())
-        stats = hierarchy.stats_dict()
-        for key in ("l1", "l2", "llc", "loads_served", "dtlb_hit_rate"):
-            assert key in stats
+        """A core's counter snapshot (what a result is measured from)
+        carries the hierarchy's per-level load counts."""
+        core = run_core(make_trace([LOAD(0x10, dst=1, addr=0x1000)]))
+        snapshot = core.snapshot_counters()
+        for key in ("cycle", "stats", "loads_served"):
+            assert key in snapshot
+        assert snapshot["loads_served"] == dict(core.hierarchy.loads_served)
+        assert sum(snapshot["loads_served"].values()) == 1
 
 
 class TestStatsCoherence:

@@ -119,8 +119,8 @@ def test_committed_load_values_match_emulator():
     emu = ArchEmulator(trace).run()
     # core.committed holds (trace_index, value) for committed loads in
     # commit order == program order.
-    load_indices = [i for i, instr in enumerate(trace.instructions) if instr.is_load]
+    load_indices = [i for i, instr in enumerate(trace) if instr.is_load]
     committed_loads = [(i, v) for i, v in core.committed
-                       if trace.instructions[i].is_load]
+                       if trace[i].is_load]
     assert [v for _, v in committed_loads] == emu.load_values
     assert [i for i, _ in committed_loads] == load_indices

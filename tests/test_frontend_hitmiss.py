@@ -25,7 +25,7 @@ class TestFrontend:
         fe = Frontend(config, simple_trace())
         fe.fetch(0)
         fe.fetch(1)
-        indexes = [instr.index for _, instr in fe.buffer]
+        indexes = [index for _, index in fe.buffer]
         assert indexes == list(range(2 * config.fetch_width))
 
     def test_buffer_capacity_bounds_runahead(self, config):
@@ -71,7 +71,7 @@ class TestFrontend:
         assert not fe.buffer
         assert fe.fetch(49) == 0
         fe.fetch(50)
-        assert fe.buffer[0][1].index == 2
+        assert fe.buffer[0][1] == 2
 
     def test_rewind_clears_branch_block(self, config):
         trace = make_trace([
@@ -96,7 +96,7 @@ class TestFrontend:
     def test_on_fetch_hook_called(self, config):
         seen = []
         fe = Frontend(config, simple_trace(n=3))
-        fe.fetch(0, on_fetch=lambda instr, cycle, path: seen.append(instr.index))
+        fe.fetch(0, on_fetch=lambda index, cycle, path: seen.append(index))
         assert seen == [0, 1, 2]
 
     def test_drained(self, config):

@@ -9,7 +9,8 @@ from repro.core.config import baseline
 from repro.rfp.engine import RFPStats
 from repro.sim import experiments, settings
 from repro.sim.oracle import oracle_config
-from repro.stats.counters import SimStats
+from repro.sim.runner import SimResult
+from repro.stats.counters import SIM_STAT_FIELDS, SimStats
 from repro.vp.base import ConfidenceCounter, ValuePredictor
 from repro.workloads.suite import workload_names
 
@@ -90,22 +91,31 @@ class TestSimStats:
         assert SimStats().ipc == 0.0
 
     def test_avg_load_latency(self):
+        """The load-latency sum and count reach the counter snapshot a
+        result's average load latency is computed from."""
         stats = SimStats()
         stats.load_latency_sum = 50
         stats.load_latency_count = 10
-        assert stats.avg_load_latency == 5.0
+        counters = stats.counters()
+        assert counters["load_latency_sum"] / counters["load_latency_count"] \
+            == 5.0
 
     def test_as_dict_has_derived_fields(self):
-        data = SimStats().as_dict()
-        assert "ipc" in data and "avg_load_latency" in data
+        """The snapshot holds every raw counter and no derived metric."""
+        data = SimStats().counters()
+        assert set(data) == set(SIM_STAT_FIELDS)
+        assert "ipc" not in data
 
 
 class TestRFPStats:
     def test_coverage(self):
         stats = RFPStats()
         stats.useful = 5
-        assert stats.coverage(10) == 0.5
-        assert stats.coverage(0) == 0.0
+        rfp = stats.as_dict()
+        assert SimResult({"stats": {"loads": 10}, "rfp": rfp}).coverage == 0.5
+        assert SimResult({"stats": {"loads": 10}}).coverage == 0.0
+        empty = RFPStats().as_dict()
+        assert SimResult({"stats": {"loads": 0}, "rfp": empty}).coverage == 0.0
 
     def test_as_dict_roundtrip(self):
         stats = RFPStats()

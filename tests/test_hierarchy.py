@@ -4,12 +4,11 @@ import copy
 
 import pytest
 
-from conftest import LOAD, make_trace, quiet_config
+from conftest import LOAD, dyn_of, make_trace, quiet_config
 
 from repro.core import dyninstr as D
 from repro.core.config import baseline
 from repro.core.core import OOOCore
-from repro.core.dyninstr import DynInstr
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.rfp.engine import _Packet
 from repro.sim.oracle import ORACLE_MODES, oracle_config
@@ -150,6 +149,11 @@ class TestL2PrefetcherIntegration:
         assert hierarchy.probe_level(ahead) in ("L2", "L1")
 
 
+def _counters(stats):
+    return (stats.hits, stats.misses, stats.evictions, stats.fills,
+            stats.prefetch_fills)
+
+
 def _memory_state(hierarchy):
     """Everything a load or store commit may touch, LRU order included."""
     mshr = hierarchy.mshr
@@ -157,8 +161,8 @@ def _memory_state(hierarchy):
         "dtlb": [list(s) for s in hierarchy.dtlb.sets],
         "dtlb_counts": (hierarchy.dtlb.hits, hierarchy.dtlb.misses),
         "l1": [list(s.items()) for s in hierarchy.l1.sets],
-        "l1_stats": hierarchy.l1.stats.as_dict(),
-        "l2_stats": hierarchy.l2.stats.as_dict(),
+        "l1_stats": _counters(hierarchy.l1.stats),
+        "l2_stats": _counters(hierarchy.l2.stats),
         "loads_served": dict(hierarchy.loads_served),
         "store_accesses": hierarchy.store_accesses,
         "mshr": (list(mshr.inflight.items()), mshr.next_fill, mshr.mshr_hits,
@@ -201,7 +205,7 @@ class TestFastPaths:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_demand_load(self, case):
         core, reference, cycle = self._setup([LOAD(0x40, dst=1, addr=self.ADDR)], case)
-        dyn = DynInstr(core.trace.instructions[0], 0, 0)
+        dyn = dyn_of(core.trace[0])
         assert core._issue_load(dyn, cycle)
         expected = reference.load(self.ADDR, 0x40, cycle)
         assert (dyn.complete_cycle, dyn.served_level) == tuple(expected)
@@ -215,7 +219,7 @@ class TestFastPaths:
         core, reference, cycle = self._setup(
             [LOAD(0x40, dst=1, addr=self.ADDR)], case, rfp={"enabled": True}
         )
-        dyn = DynInstr(core.trace.instructions[0], 0, 0)
+        dyn = dyn_of(core.trace[0])
         dyn.rfp_state = D.RFP_QUEUED
         core.rfp.queue.append(_Packet(dyn, self.ADDR, 0))
         core.rfp.step(cycle)

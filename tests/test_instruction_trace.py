@@ -61,7 +61,7 @@ class TestTrace:
         image = {0x100: 7}
         trace = Trace([], memory_image=image)
         image[0x100] = 9
-        assert trace.memory_image[0x100] == 7
+        assert trace.initial_memory()[0x100] == 7
 
 
 class TestTraceCursor:
@@ -72,7 +72,7 @@ class TestTraceCursor:
         while not frontend.cursor.exhausted:
             assert frontend.fetch(cycle) > 0
             cycle += 1
-        assert [instr.index for _, instr in frontend.buffer] == list(range(6))
+        assert [index for _, index in frontend.buffer] == list(range(6))
         assert frontend.fetch(cycle) == 0
 
     def test_rewind(self):

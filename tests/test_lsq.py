@@ -2,18 +2,17 @@
 
 from bisect import insort
 
-from conftest import LOAD, make_trace, quiet_config
+from conftest import LOAD, dyn_of, make_trace, quiet_config
 
 from repro.core import dyninstr as D
 from repro.core.core import OOOCore
-from repro.core.dyninstr import DynInstr
 from repro.core.lsq import LoadQueue, MemDepPredictor, StoreQueue
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 
 
 def store_dyn(seq, addr, value=0, executed=True):
-    dyn = DynInstr(Instruction(0x100 + seq, Op.STORE, srcs=(1,), addr=addr), seq, 0)
+    dyn = dyn_of(Instruction(0x100 + seq, Op.STORE, srcs=(1,), addr=addr), seq, 0)
     if executed:
         dyn.state = D.COMPLETED
         dyn.value = value
@@ -21,7 +20,7 @@ def store_dyn(seq, addr, value=0, executed=True):
 
 
 def load_dyn(seq, addr, executed=False, forward_src=None):
-    dyn = DynInstr(Instruction(0x200 + seq, Op.LOAD, dst=1, addr=addr), seq, 0)
+    dyn = dyn_of(Instruction(0x200 + seq, Op.LOAD, dst=1, addr=addr), seq, 0)
     if executed:
         dyn.state = D.COMPLETED
     dyn.forward_src_seq = forward_src

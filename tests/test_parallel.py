@@ -271,9 +271,7 @@ class TestKnobs:
         text = report.format()
         assert "10 jobs" in text and "4 workers" in text
         assert report.instructions_per_second == pytest.approx(60000.0)
-        data = report.as_dict()
-        assert data["cache_hits"] == 3
-        assert data["instructions_per_second"] == pytest.approx(60000.0)
+        assert "3 cache hits" in text and "120000 instructions" in text
 
 
 class TestCacheMaintenance:

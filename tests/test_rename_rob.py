@@ -10,10 +10,9 @@ register the way dispatch does.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ADD, make_trace, quiet_config, run_core
+from conftest import ADD, dyn_of, make_trace, quiet_config, run_core
 
 from repro.core.core import OOOCore
-from repro.core.dyninstr import DynInstr
 from repro.core.rename import INFINITY, PhysicalRegisterFile, RenameUnit
 from repro.core.rob import ReorderBuffer
 from repro.isa.instruction import Instruction
@@ -150,7 +149,7 @@ class TestROB:
     def _rob(self, capacity, count):
         rob = ReorderBuffer(capacity)
         rob.entries.extend(
-            DynInstr(Instruction(0x10, Op.ADD, dst=1), seq, 0)
+            dyn_of(Instruction(0x10, Op.ADD, dst=1), seq, 0)
             for seq in range(count)
         )
         return rob

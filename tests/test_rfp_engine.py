@@ -2,14 +2,14 @@
 
 from bisect import insort
 
-from conftest import quiet_config
+from conftest import dyn_of, quiet_config
 
 from repro.core import dyninstr as D
-from repro.core.dyninstr import DynInstr
 from repro.core.lsq import MemDepPredictor, StoreQueue
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.ports import LoadPortArbiter
 from repro.rfp.engine import RFPEngine
+from repro.sim.runner import SimResult
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 
@@ -34,15 +34,15 @@ class Harness(object):
 
     def load(self, pc=0x400010, addr=0x10030, dispatch_cycle=0):
         self.seq += 1
-        dyn = DynInstr(Instruction(pc, Op.LOAD, dst=1, addr=addr),
-                       self.seq, dispatch_cycle)
+        dyn = dyn_of(Instruction(pc, Op.LOAD, dst=1, addr=addr),
+                     self.seq, dispatch_cycle)
         dyn.dest_preg = 100 + self.seq
         return dyn
 
     def store(self, addr, value=0, executed=True):
         self.seq += 1
-        dyn = DynInstr(Instruction(0x500, Op.STORE, srcs=(1,), addr=addr),
-                       self.seq, 0)
+        dyn = dyn_of(Instruction(0x500, Op.STORE, srcs=(1,), addr=addr),
+                     self.seq, 0)
         self.sq.allocate(dyn)
         if executed:
             dyn.state = D.COMPLETED
@@ -244,6 +244,11 @@ class TestStatsAccounting:
         assert h.engine.stats.wrong_addr == 1
 
     def test_coverage_fraction(self):
+        """One useful prefetch over four committed loads is 25% coverage,
+        the fraction ``SimResult.coverage`` reports."""
         h = Harness()
         h.engine.record_useful(h.load(), True)
-        assert h.engine.stats.coverage(4) == 0.25
+        assert h.engine.stats.useful == 1
+        result = SimResult({"stats": {"loads": 4},
+                            "rfp": h.engine.stats.as_dict()})
+        assert result.coverage == 0.25

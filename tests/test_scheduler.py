@@ -5,9 +5,8 @@ and :func:`pending` set up the same state here so select, wakeup and
 replay can be driven one cycle at a time.
 """
 
-from conftest import quiet_config
+from conftest import dyn_of as encode_dyn, quiet_config
 
-from repro.core.dyninstr import DynInstr
 from repro.core.rename import INFINITY, PhysicalRegisterFile
 from repro.core.scheduler import ReservationStation
 from repro.isa.instruction import Instruction
@@ -34,7 +33,8 @@ def pending(prf, preg):
 
 
 def dyn_of(op, seq, srcs=(), dispatch_cycle=0):
-    d = DynInstr(Instruction(0x10 + 4 * seq, op, dst=1, srcs=()), seq, dispatch_cycle)
+    d = encode_dyn(Instruction(0x10 + 4 * seq, op, dst=1, srcs=()), seq,
+                   dispatch_cycle)
     d.src_pregs = tuple(srcs)
     return d
 

@@ -81,7 +81,7 @@ def pt_state(pt):
 def detailed_and_warmed(trace, n, config):
     """Run the first ``n`` instructions detailed (as their own trace) and
     functionally warmed (on the full trace), returning both cores."""
-    prefix = make_trace(trace.instructions[:n], memory=dict(trace.memory_image),
+    prefix = make_trace(list(trace)[:n], memory=trace.initial_memory(),
                         name="prefix")
     detailed = OOOCore(prefix, config)
     detailed.run()

@@ -13,6 +13,7 @@ from repro.workloads.generator import (
 from repro.workloads.kernels import KERNEL_TYPES
 from repro.workloads.suite import (
     CATEGORIES,
+    TRACE_CACHE_ENTRIES,
     WORKLOADS,
     build_workload,
     profile_for,
@@ -66,23 +67,26 @@ class TestKernels:
         b = TraceBuilder(seed=7)
         cls = KERNEL_TYPES[name]
         kernel = cls(b, list(range(1, 1 + cls.REG_COUNT)), region_words=256)
-        instrs = list(kernel.run(50))
-        assert instrs
-        for instr in instrs:
-            if instr.is_mem:
-                assert instr.addr is not None and instr.addr >= 0
-            for r in instr.srcs:
+        items = list(kernel.run(50))
+        assert items
+        for static, addr, flags in items:
+            if static.is_mem:
+                assert addr >= 0
+            else:
+                assert addr == 0
+            assert bool(flags) == static.is_branch
+            for r in static.srcs:
                 assert 0 <= r < NUM_ARCH_REGS
-            if instr.dst is not None:
-                assert 0 <= instr.dst < NUM_ARCH_REGS
+            if static.dst is not None:
+                assert 0 <= static.dst < NUM_ARCH_REGS
 
     @pytest.mark.parametrize("name", sorted(KERNEL_TYPES))
     def test_kernel_reuses_static_pcs(self, name):
         b = TraceBuilder(seed=7)
         cls = KERNEL_TYPES[name]
         kernel = cls(b, list(range(1, 1 + cls.REG_COUNT)), region_words=256)
-        pcs_first = {i.pc for i in kernel.run(30)}
-        pcs_second = {i.pc for i in kernel.run(30)}
+        pcs_first = {static.pc for static, _, _ in kernel.run(30)}
+        pcs_second = {static.pc for static, _, _ in kernel.run(30)}
         assert pcs_second <= pcs_first | pcs_second
         assert pcs_first & pcs_second, "restarting must reuse static code"
 
@@ -90,9 +94,9 @@ class TestKernels:
         b = TraceBuilder(seed=7)
         cls = KERNEL_TYPES["sequential_chase"]
         kernel = cls(b, [1, 2, 3], region_words=64, stride_words=1, chain_len=8)
-        loads = [i for i in kernel.run(20) if i.is_load]
-        for load in loads:
-            value = b.memory[load.addr & ~7]
+        loads = [addr for static, addr, _ in kernel.run(20) if static.is_load]
+        for addr in loads:
+            value = b.memory[addr & ~7]
             assert value >= kernel.base
 
     def test_hash_lookup_hot_skew(self):
@@ -100,9 +104,9 @@ class TestKernels:
         cls = KERNEL_TYPES["hash_lookup"]
         kernel = cls(b, [1, 2, 3, 4], region_words=100_000,
                      hot_prob=0.9, hot_words=64)
-        loads = [i for i in kernel.run(400) if i.is_load]
+        loads = [addr for static, addr, _ in kernel.run(400) if static.is_load]
         hot_limit = kernel.base + 8 * 64
-        hot = sum(1 for l in loads if l.addr < hot_limit)
+        hot = sum(1 for addr in loads if addr < hot_limit)
         assert hot > 0.7 * len(loads)
 
 
@@ -112,7 +116,9 @@ class TestGenerator:
         a = generate_trace(p)
         b = generate_trace(p)
         assert [repr(i) for i in a] == [repr(i) for i in b]
-        assert a.memory_image == b.memory_image
+        assert a.flags == b.flags
+        assert list(a.initial_memory().items()) == \
+            list(b.initial_memory().items())
 
     def test_length_respected(self):
         p = WorkloadProfile(name="d", category="T", seed=5, length=777)
@@ -179,4 +185,4 @@ class TestTraceCacheBound:
     """``TRACE_CACHE_ENTRIES`` bounds build_workload's lru_cache."""
 
     def test_default_capacity(self):
-        assert build_workload.cache_info().maxsize == 96
+        assert build_workload.cache_info().maxsize == TRACE_CACHE_ENTRIES == 16
