@@ -715,7 +715,6 @@ class OOOCore(object):
         complete = cycle + dyn.latency
         # -- complete: write the result and wake its consumers ---------
         dyn.state = D.COMPLETED
-        dyn.issue_cycle = cycle
         dyn.complete_cycle = complete
         dyn.value = value
         preg = dyn.dest_preg
@@ -758,7 +757,6 @@ class OOOCore(object):
         if md.table[(pc >> 2) % md.num_entries] >= 2 and sq.has_older_unexecuted(
             dyn.seq
         ):
-            dyn.md_waited = True
             return False
         word = dyn.word_addr
         # -- sq.older_executed_match -----------------------------------
@@ -929,7 +927,6 @@ class OOOCore(object):
         complete = cycle + 1
         # -- complete: write the result and wake its consumers ---------
         dyn.state = D.COMPLETED
-        dyn.issue_cycle = cycle
         dyn.complete_cycle = complete
         dyn.value = value
         preg = dyn.dest_preg
@@ -962,7 +959,6 @@ class OOOCore(object):
         if vp_predicted and self.vp is not None:
             vp_correct = self.vp.validate(dyn, value)
         dyn.state = D.COMPLETED
-        dyn.issue_cycle = cycle
         dyn.complete_cycle = complete
         dyn.value = value
         preg = dyn.dest_preg

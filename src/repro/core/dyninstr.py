@@ -42,7 +42,6 @@ class DynInstr(object):
         "prev_preg",
         "src_pregs",
         "dispatch_cycle",
-        "issue_cycle",
         "complete_cycle",
         "value",
         "served_level",
@@ -75,9 +74,7 @@ class DynInstr(object):
         # value/address prediction state
         "vp_predicted",
         "vp_value",
-        "vp_addr_predicted",
         "vp_probe_value",
-        "md_waited",
     )
 
     def __init__(self, static, index, addr, flags, seq, dispatch_cycle):
@@ -90,7 +87,6 @@ class DynInstr(object):
         self.prev_preg = None
         self.src_pregs = ()
         self.dispatch_cycle = dispatch_cycle
-        self.issue_cycle = -1
         self.complete_cycle = -1
         self.value = 0
         self.served_level = None
@@ -115,9 +111,7 @@ class DynInstr(object):
         self.rfp_full_hide = False
         self.vp_predicted = False
         self.vp_value = 0
-        self.vp_addr_predicted = None
         self.vp_probe_value = None
-        self.md_waited = False
 
     def __repr__(self):
         return "<DynInstr seq=%d #%d %r state=%d>" % (

@@ -41,9 +41,12 @@ bit-exact versus a fresh warm, so the store is *not* mixed into
 result fingerprints.
 """
 
+import base64
 import hashlib
 import json
 import os
+import struct
+from itertools import chain, compress, count
 
 from repro.emu.warmup import FunctionalWarmer
 from repro.sim import settings
@@ -54,8 +57,10 @@ from repro.sim.runner import SCHEMA_VERSION
 #: layout or checksum change turns old entries into misses, not wrong warm
 #: state or eviction warnings.  2: the checksum hashes the payload bytes.
 #: 3: a checkpoint is a hierarchy part plus an RFP part, and the MD table
-#: is stored sparsely.
-CHECKPOINT_FORMAT = 3
+#: is stored sparsely.  4: caches and the DTLB are flat line lists, the
+#: memory delta and streamer pages flat rows, the hit-miss table a digit
+#: string and the PT's RNG state base64.
+CHECKPOINT_FORMAT = 4
 
 #: CoreConfig fields the functional warmer's behaviour depends on.  Timing
 #: parameters (latencies, widths, queue depths) are deliberately absent:
@@ -131,20 +136,33 @@ def warm_fingerprint(config):
 
 
 def _cache_dump(cache):
-    """Per-set (line, dirty) pairs in LRU order plus the stat counters."""
+    """The cache's lines set after set, in LRU order within a set (a
+    line's set is ``line & set_mask``), the positions of its dirty lines
+    in that list, and the stat counters."""
     stats = cache.stats
     return {
-        "sets": [list(map(list, cache_set.items())) for cache_set in cache.sets],
+        "lines": list(chain.from_iterable(cache.sets)),
+        "dirty": list(compress(count(), chain.from_iterable(
+            map(dict.values, cache.sets)))),
         "stats": [stats.hits, stats.misses, stats.evictions, stats.fills,
                   stats.prefetch_fills],
     }
 
 
+def _sets_load(sets, mask, lines, value):
+    """Refill per-set dicts from a set-after-set list of ``lines``."""
+    for entries in sets:
+        entries.clear()
+    for line in lines:
+        sets[line & mask][line] = value
+
+
 def _cache_load(cache, dump):
-    for cache_set, pairs in zip(cache.sets, dump["sets"]):
-        cache_set.clear()
-        for line, dirty in pairs:
-            cache_set[line] = dirty
+    sets, mask, lines = cache.sets, cache.set_mask, dump["lines"]
+    _sets_load(sets, mask, lines, False)
+    for position in dump["dirty"]:
+        line = lines[position]
+        sets[line & mask][line] = True
     stats = cache.stats
     (stats.hits, stats.misses, stats.evictions, stats.fills,
      stats.prefetch_fills) = dump["stats"]
@@ -162,11 +180,14 @@ def _pt_dump(pt):
             for tag, entry in pt_set.items()
         ])
     version, internal, gauss = pt._rng.getstate()
+    # The Mersenne Twister state is 625 32-bit words: base64 of their
+    # fixed-width bytes is less than half their decimal text.
+    words = struct.pack("<%dI" % len(internal), *internal)
     return {
         "sets": sets,
         "counters": [pt.trainings, pt.allocations, pt.evictions,
                      pt.confidence_saturations],
-        "rng": [version, list(internal), gauss],
+        "rng": [version, base64.b64encode(words).decode("ascii"), gauss],
     }
 
 
@@ -185,13 +206,15 @@ def _pt_load(pt, dump):
             pt_set[tag] = entry
     (pt.trainings, pt.allocations, pt.evictions,
      pt.confidence_saturations) = dump["counters"]
-    version, internal, gauss = dump["rng"]
-    pt._rng.setstate((version, tuple(internal), gauss))
+    version, packed, gauss = dump["rng"]
+    words = base64.b64decode(packed)
+    pt._rng.setstate(
+        (version, struct.unpack("<%dI" % (len(words) // 4), words), gauss))
 
 
 def _memory_delta(memory, trace):
-    """``[addr, value]`` for every word of ``memory`` that differs from
-    ``trace``'s initial image, in ``memory``'s order.
+    """``[addr, value, ...]``, flat, for every word of ``memory`` that
+    differs from ``trace``'s initial image, in ``memory``'s order.
 
     A core's memory starts as :meth:`~repro.isa.trace.Trace.initial_memory`
     and only ever gains keys, so its first entries are the image's, in
@@ -205,8 +228,8 @@ def _memory_delta(memory, trace):
             raise RuntimeError("committed memory of %r is not in trace image "
                                "order at %#x" % (trace.name, addr))
         if value != image_value:
-            delta.append([addr, value])
-    delta.extend([addr, value] for addr, value in items)
+            delta += (addr, value)
+    delta.extend(chain.from_iterable(items))
     return delta
 
 
@@ -231,7 +254,8 @@ def capture(core, warmer):
             "l2": _cache_dump(hierarchy.l2),
             "llc": _cache_dump(hierarchy.llc),
             "dtlb": {
-                "sets": [list(tlb_set.keys()) for tlb_set in dtlb.sets],
+                # Set after set, in LRU order, like a cache's lines.
+                "pages": list(chain.from_iterable(dtlb.sets)),
                 "hits": dtlb.hits,
                 "misses": dtlb.misses,
             },
@@ -248,17 +272,20 @@ def capture(core, warmer):
     prefetcher = hierarchy.l2_prefetcher
     if prefetcher is not None:
         state["hierarchy"]["l2_prefetcher"] = {
+            # [page, min_line, max_line, fwd_score, bwd_score, ...] in LRU
+            # order.
             "pages": [
-                [page, [entry.min_line, entry.max_line,
-                        entry.fwd_score, entry.bwd_score]]
-                for page, entry in prefetcher.pages.items()
+                field for page, entry in prefetcher.pages.items()
+                for field in (page, entry.min_line, entry.max_line,
+                              entry.fwd_score, entry.bwd_score)
             ],
             "issued": prefetcher.issued,
             "trainings": prefetcher.trainings,
         }
     if core.hit_miss is not None:
         state["hit_miss"] = {
-            "table": list(core.hit_miss.table),
+            # One digit per 2-bit counter.
+            "table": "".join(map(str, core.hit_miss.table)),
             "predictions": core.hit_miss.predictions,
             "mispredicts": core.hit_miss.mispredicts,
         }
@@ -325,18 +352,15 @@ def restore(core, state):
             "checkpoint for a %d-instruction trace restored onto a "
             "%d-instruction trace" % (state["length"], len(core.trace))
         )
-    for addr, value in state["memory"]:
-        core.memory[addr] = value
+    memory = state["memory"]
+    core.memory.update(zip(memory[::2], memory[1::2]))
     hierarchy = core.hierarchy
     dumped = state["hierarchy"]
     _cache_load(hierarchy.l1, dumped["l1"])
     _cache_load(hierarchy.l2, dumped["l2"])
     _cache_load(hierarchy.llc, dumped["llc"])
     dtlb = hierarchy.dtlb
-    for tlb_set, pages in zip(dtlb.sets, dumped["dtlb"]["sets"]):
-        tlb_set.clear()
-        for page in pages:
-            tlb_set[page] = True
+    _sets_load(dtlb.sets, dtlb.set_mask, dumped["dtlb"]["pages"], True)
     dtlb.hits = dumped["dtlb"]["hits"]
     dtlb.misses = dumped["dtlb"]["misses"]
     prefetcher = hierarchy.l2_prefetcher
@@ -344,15 +368,16 @@ def restore(core, state):
         from repro.memory.prefetcher import _PageEntry
 
         prefetcher.pages.clear()
-        for page, fields in dumped["l2_prefetcher"]["pages"]:
+        fields = dumped["l2_prefetcher"]["pages"]
+        for row in range(0, len(fields), 5):
             entry = _PageEntry(0)
             (entry.min_line, entry.max_line,
-             entry.fwd_score, entry.bwd_score) = fields
-            prefetcher.pages[page] = entry
+             entry.fwd_score, entry.bwd_score) = fields[row + 1:row + 5]
+            prefetcher.pages[fields[row]] = entry
         prefetcher.issued = dumped["l2_prefetcher"]["issued"]
         prefetcher.trainings = dumped["l2_prefetcher"]["trainings"]
     if core.hit_miss is not None and "hit_miss" in state:
-        core.hit_miss.table[:] = state["hit_miss"]["table"]
+        core.hit_miss.table[:] = map(int, state["hit_miss"]["table"])
         core.hit_miss.predictions = state["hit_miss"]["predictions"]
         core.hit_miss.mispredicts = state["hit_miss"]["mispredicts"]
     md_table = core.md.table

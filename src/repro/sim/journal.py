@@ -7,10 +7,12 @@ class, :class:`EnvelopeStore`: a directory of checksummed
 - :func:`encode_envelope` / :func:`read_envelope` — the one codec both
   stores write and read through.  A file is exactly the text
   ``{"checksum": "<hex>", "data": <payload>}`` where ``<payload>`` is one
-  ``json.dumps`` of the data and ``<hex>`` is the first 16 hex digits of
-  the sha256 of those payload bytes.  A read hashes the ``data`` bytes as
-  they sit on disk, so any byte edit — whitespace included — is a
-  checksum mismatch; nothing is re-serialised to check it.  The read
+  compact ``json.dumps`` of the data (``separators=(",", ":")``) and
+  ``<hex>`` is the first 16 hex digits of the sha256 of those payload
+  bytes.  A read hashes the ``data`` bytes as they sit on disk, so any
+  byte edit — whitespace included — is a checksum mismatch; nothing is
+  re-serialised to check it, and an entry written with the older spaced
+  separators still validates.  The read
   pauses cyclic GC around ``json.loads`` (the decoded JSON is acyclic and
   a checkpoint decodes into tens of thousands of small lists) and puts
   the caller's GC state back afterwards.
@@ -116,7 +118,7 @@ def encode_envelope(data):
 
     ``text`` is written verbatim; ``checksum`` hashes its payload bytes.
     """
-    payload = json.dumps(data)
+    payload = json.dumps(data, separators=(",", ":"))
     checksum = _digest(payload.encode("utf-8"))
     return checksum, _head(checksum) + payload + "}"
 

@@ -35,12 +35,11 @@ class _AddrEntry(object):
 
 
 class _Probe(object):
-    __slots__ = ("complete_cycle", "value", "addr")
+    __slots__ = ("complete_cycle", "value")
 
-    def __init__(self, complete_cycle, value, addr):
+    def __init__(self, complete_cycle, value):
         self.complete_cycle = complete_cycle
         self.value = value
-        self.addr = addr
 
 
 class DLVPPredictor(ValuePredictor):
@@ -111,7 +110,7 @@ class DLVPPredictor(ValuePredictor):
             predicted, static.pc, cycle, fill_tlb=False, count_distribution=False
         )
         value = memory_image.get(predicted & ~7, 0)
-        self.pending_probes[index] = _Probe(result.complete, value, predicted)
+        self.pending_probes[index] = _Probe(result.complete, value)
 
     def on_load_dispatch(self, dyn, cycle, path):
         entry = self._entry(dyn.pc, path, create=True)
@@ -122,7 +121,6 @@ class DLVPPredictor(ValuePredictor):
         if probe.complete_cycle > cycle:
             return False, 0  # the uop-cache frontend left no run-ahead
         self.probe_timely += 1
-        dyn.vp_addr_predicted = probe.addr
         return True, probe.value
 
     def note_forwarded(self, pc):

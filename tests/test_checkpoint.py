@@ -460,6 +460,19 @@ class TestCheckpointStore:
 # warm-once accounting
 
 
+def sweep6_configs():
+    """The benchmark's six paper configs (``benchmarks/perf`` ``sweep6``)."""
+    rfp = {"enabled": True}
+    return [
+        baseline(name="baseline"),
+        baseline(name="rfp", rfp=rfp),
+        baseline(name="rfp-ded2", rfp=rfp, rfp_dedicated_ports=2),
+        baseline(name="rfp-pt256", rfp={"enabled": True, "pt_entries": 256}),
+        baseline_2x(name="baseline-2x"),
+        baseline_2x(name="baseline-2x-rfp", rfp=rfp),
+    ]
+
+
 class TestWarmOnce:
     def test_ensure_checkpoints_is_one_pass(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
@@ -560,16 +573,7 @@ class TestWarmOnce:
         workload, with two RFP parts (default and 256-entry PT) beside
         each hierarchy part — and a repeat sweep warms zero times."""
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
-        rfp = {"enabled": True}
-        configs = [
-            baseline(name="baseline"),
-            baseline(name="rfp", rfp=rfp),
-            baseline(name="rfp-ded2", rfp=rfp, rfp_dedicated_ports=2),
-            baseline(name="rfp-pt256", rfp={"enabled": True,
-                                            "pt_entries": 256}),
-            baseline_2x(name="baseline-2x"),
-            baseline_2x(name="baseline-2x-rfp", rfp=rfp),
-        ]
+        configs = sweep6_configs()
         assert len({hierarchy_fingerprint(c) for c in configs}) == 1
         assert len({warm_fingerprint(c) for c in configs}) == 3
         workloads = [WORKLOAD, "tpce"]
@@ -664,6 +668,28 @@ class TestSplitStore:
                     files[engine][os.path.basename(path)] = handle.read()
         assert len(files["scalar"]) == 2 * 4  # 1 hierarchy + 3 RFP parts
         assert files["batch"] == files["scalar"]
+
+    def test_parts_fit_their_size_budget(self, tmp_path):
+        """spec06_gcc at 40k/20k under the benchmark's sampling plan (K=4,
+        N=800) and six configs: every hierarchy part fits in 64 KB and
+        every RFP part in 5 KB.  The per-set pair layout of format 3
+        wrote parts of up to 122 KB and 9.0 KB."""
+        store = CheckpointStore(str(tmp_path))
+        configs = sweep6_configs()
+        plan = SamplingPlan(configs[0], 40000, 20000,
+                            {"samples": 4, "interval_length": 800})
+        positions = plan.checkpoint_positions()
+        assert positions == [19500, 24500, 29500, 34500]
+        ensure_checkpoints(None, "spec06_gcc", configs, 40000, positions,
+                           store)
+        sizes = {os.path.basename(path): os.path.getsize(path)
+                 for path in store.entry_paths()}
+        hierarchy = [size for name, size in sizes.items()
+                     if RFP_PART not in name]
+        rfp = [size for name, size in sizes.items() if RFP_PART in name]
+        assert (len(hierarchy), len(rfp)) == (4, 8)
+        assert max(hierarchy) <= 64 * 1024, sizes
+        assert max(rfp) <= 5 * 1024, sizes
 
     def test_stats_split_by_part_kind(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))

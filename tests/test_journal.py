@@ -96,9 +96,9 @@ class TestValidateEnvelope:
         path = write_entry(str(tmp_path), "k1", {"a": 1, "b": [1, 2]})
         with open(path) as handle:
             text = handle.read()
-        assert '"b": [1, 2]' in text
+        assert '"b":[1,2]' in text
         with open(path, "w") as handle:
-            handle.write(text.replace('"b": [1, 2]', '"b": [1,  2]'))
+            handle.write(text.replace('"b":[1,2]', '"b":[1, 2]'))
         with open(path) as handle:
             assert json.load(handle)["data"] == {"a": 1, "b": [1, 2]}
         assert validate_envelope(path) == \
