@@ -158,7 +158,7 @@ def cmd_suite(args):
         [base_config, config], names, args.length, args.warmup,
         max_workers=args.jobs, job_timeout=args.job_timeout,
         retries=args.retries, keep_going=args.keep_going,
-        sampling=sampling, batch_warm=getattr(args, "batch_warm", None),
+        sampling=sampling, batch_warm=getattr(args, "batch_warm", False),
     )
     _, per_cat, overall = suite_speedup(feature, base)
     rows = [(cat, "%+.2f%%" % ((v - 1) * 100)) for cat, v in per_cat.items()]
@@ -196,14 +196,6 @@ def cmd_suite(args):
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print("wrote %s" % args.out)
-    if report.drained:
-        # SIGTERM graceful drain: in-flight chunks finished and were
-        # cached, queued jobs were aborted into the manifest.
-        print("suite: drained after SIGTERM (%d job(s) aborted)"
-              % sum(1 for f in report.failures
-                    if f.get("classification") == "aborted"),
-              file=sys.stderr)
-        return 4
     return 3 if report.jobs_failed else 0
 
 
@@ -341,12 +333,12 @@ def build_parser():
         p.add_argument("--confidence", type=float, default=None,
                        choices=[0.90, 0.95, 0.99],
                        help="confidence level for the IPC CI (default 0.95)")
-        p.add_argument("--batch-warm", action="store_true", default=None,
+        p.add_argument("--batch-warm", action="store_true",
                        help="write missing interval checkpoints through "
                             "the batched SoA warm engine (one lockstep "
                             "pass per trace instead of one scalar pass "
                             "per config; bit-exact with the scalar "
-                            "warmer).  Default: REPRO_BATCH_WARM")
+                            "warmer)")
 
     run_parser = sub.add_parser("run", help="simulate one workload")
     run_parser.add_argument("workload")

@@ -43,9 +43,5 @@ class HitMissPredictor(object):
             if counter > 0:
                 self.table[index] = counter - 1
 
-    @property
-    def mispredict_rate(self):
-        return self.mispredicts / self.predictions if self.predictions else 0.0
-
     def __repr__(self):
         return "<HitMissPredictor %d entries>" % self.num_entries

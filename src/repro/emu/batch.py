@@ -40,22 +40,24 @@ a lane *materialises* its columns back into the core's scalar structures
 equivalence harness in ``tests/test_batch_warm.py`` and the CI
 ``batch-equivalence`` job enforce exactly that.
 
-``REPRO_BATCH_WARM=1`` turns the batched lane on in ``sim.parallel`` (also
-``--batch-warm`` on the CLI); ``REPRO_BATCH_WIDTH`` caps how many lanes
-advance in one lockstep cohort (default 8).
+``run_jobs(batch_warm=True)`` (``--batch-warm`` on the CLI) turns the
+batched lane on in ``sim.parallel``; ``width`` caps how many lanes advance
+in one lockstep cohort (default :data:`DEFAULT_WIDTH`).
 """
 
 from repro.core.frontend import PATH_MASK
 from repro.emu.warmup import note_warm_pass
 from repro.isa.trace import TAKEN
 from repro.memory.tlb import PAGE_SHIFT
-from repro.sim import settings
 
 _GOLDEN = 0x9E3779B1
 _PAGE_MASK = (1 << PAGE_SHIFT) - 1
 
 #: Instructions each lane advances per interpreter dispatch.
 DEFAULT_CHUNK = 4096
+
+#: Lanes per lockstep cohort.
+DEFAULT_WIDTH = 8
 
 
 class _Chunk(object):
@@ -1307,14 +1309,14 @@ class BatchWarmEngine(object):
         store: a :class:`~repro.sim.checkpoint.CheckpointStore`, or None to
             warm without serializing (cores are left materialised at the
             deepest position — useful for benchmarks and in-place warming).
-        width: lanes per lockstep cohort (default ``REPRO_BATCH_WIDTH``/8).
+        width: lanes per lockstep cohort (default :data:`DEFAULT_WIDTH`).
         chunk: instructions per lane per dispatch.
     """
 
     def __init__(self, jobs, store=None, width=None, chunk=None):
         self.jobs = list(jobs)
         self.store = store
-        self.width = width if width and width > 0 else settings.get("REPRO_BATCH_WIDTH")
+        self.width = width if width and width > 0 else DEFAULT_WIDTH
         self.chunk = chunk if chunk and chunk > 0 else DEFAULT_CHUNK
 
     def run(self):

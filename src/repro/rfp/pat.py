@@ -73,11 +73,6 @@ class PageAddressTable(object):
         return self.ways[set_index][way]
 
     @staticmethod
-    def split(addr):
-        """Split an address into (page, offset)."""
-        return addr >> PAGE_SHIFT, addr & PAGE_MASK
-
-    @staticmethod
     def join(page, offset):
         return (page << PAGE_SHIFT) | offset
 

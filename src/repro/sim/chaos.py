@@ -120,7 +120,7 @@ def run_sweep(args):
     Runs the campaign's (workload x 3-config) matrix through the shard
     pool and writes a stable JSON dump (sorted keys, indent 2) for the
     byte-compare.  Exit codes mirror ``repro suite``: 0 clean, 3 when a
-    job failed terminally, 4 after a SIGTERM drain.
+    job failed terminally.
     """
     from repro.sim.parallel import MANIFEST_VERSION, run_matrix
 
@@ -144,8 +144,6 @@ def run_sweep(args):
         with open(args.out, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    if report.drained:
-        return 4
     return 3 if report.jobs_failed else 0
 
 

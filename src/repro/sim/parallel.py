@@ -42,16 +42,12 @@ Resilience (the parent supervises every shard):
   ``error``, attempts, traceback detail) and its result slot is ``None``;
   the default re-raises a :class:`WorkerError` after shutting the shards
   down.
-- **SIGINT-safe finalization**: Ctrl-C sets a flag, busy shards are
-  terminated, and ``KeyboardInterrupt`` is re-raised *after* the orderly
-  shutdown — every completed cell is already committed to the cache, so a
-  re-run (``repro suite --resume``) simulates only the remainder.
-- **SIGTERM graceful drain**: a service manager's stop signal finishes
-  the in-flight chunks (bounded by ``REPRO_DRAIN_TIMEOUT`` seconds),
-  writes the cells they complete to the cache, records every
-  not-started or timed-out job as ``aborted`` in the manifest, and
-  returns normally with ``report.drained`` set — the CLI maps that to
-  exit code 4.
+- **Stopping**: every completed cell is already committed to the cache,
+  so a stopped run loses only its unfinished jobs and a re-run
+  (``repro suite --resume``) simulates only the remainder.  The serial
+  executor keeps the default actions of SIGINT and SIGTERM; the shard
+  pool stops its shards first and then re-delivers the signal (see
+  :mod:`repro.sim.scheduler`).
 - **Fault injection**: :mod:`repro.sim.faults` (``REPRO_FAULT``) drives
   every one of these paths deterministically in CI.
 
@@ -61,7 +57,7 @@ method (macOS / Windows); on platforms that offer ``fork`` it is used by
 default because shard start-up is substantially cheaper.
 
 Every ``REPRO_*`` setting the engine reads (worker count, start method,
-progress, watchdog, retries, drain) is declared in
+progress, watchdog, retries) is declared in
 :mod:`repro.sim.settings` and listed in the README's settings table.
 
 Results are deterministic and byte-identical to serial execution: each
@@ -69,9 +65,7 @@ simulation is seeded purely by (workload name, config), and the returned
 mapping is assembled in job order, not completion order.
 """
 
-import signal
 import sys
-import threading
 import time
 import traceback
 from collections import deque
@@ -96,7 +90,6 @@ CLASS_DEADLOCK = "deadlock"        # the core's own deadlock detector fired
 CLASS_CORRUPT_CACHE = "corrupt_cache"  # checksum eviction forced a re-run
 CLASS_CORRUPT_CHECKPOINT = "corrupt_checkpoint"  # warm state re-derived
 CLASS_ERROR = "error"              # deterministic Python exception
-CLASS_ABORTED = "aborted"          # graceful drain stopped it (not a failure)
 
 #: Only failures that a fresh worker might not reproduce are retried.
 RETRYABLE = frozenset((CLASS_CRASH, CLASS_TIMEOUT))
@@ -106,8 +99,9 @@ RETRYABLE = frozenset((CLASS_CRASH, CLASS_TIMEOUT))
 #: manifests are self-describing.  v1: the implicit pre-versioned schema
 #: (crash/timeout/deadlock/corrupt_*/error records).  v2: adds the field
 #: itself, the ``aborted`` classification (SIGTERM drain), and the
-#: report's ``drained`` flag.
-MANIFEST_VERSION = 2
+#: report's ``drained`` flag.  v3: the drain, its ``aborted`` class and
+#: the ``drained`` flag are gone again.
+MANIFEST_VERSION = 3
 
 
 class WorkerError(RuntimeError):
@@ -182,13 +176,11 @@ class TimingReport(object):
         "instructions_simulated",
         "jobs_failed",
         "failures",
-        "drained",
     )
 
     def __init__(self, wall_seconds, jobs_total, jobs_simulated,
                  jobs_deduplicated, cache_hits, workers,
-                 instructions_simulated, jobs_failed=0, failures=None,
-                 drained=False):
+                 instructions_simulated, jobs_failed=0, failures=None):
         self.wall_seconds = wall_seconds
         self.jobs_total = jobs_total
         self.jobs_simulated = jobs_simulated
@@ -202,10 +194,6 @@ class TimingReport(object):
         #: recovered ones (successful retries, corrupt-cache evictions),
         #: the latter flagged ``recovered=True``.
         self.failures = failures if failures is not None else []
-        #: True when a SIGTERM drain cut the run short: in-flight chunks
-        #: finished and were cached, the rest is ``aborted`` in the
-        #: manifest, and the CLI exits 4.
-        self.drained = drained
 
     @property
     def instructions_per_second(self):
@@ -230,11 +218,6 @@ class TimingReport(object):
             lines.append(
                 "  %d job%s failed terminally (see the failure manifest)"
                 % (self.jobs_failed, "" if self.jobs_failed == 1 else "s")
-            )
-        if self.drained:
-            lines.append(
-                "  run drained on SIGTERM: in-flight chunks finished and "
-                "committed, the rest is marked aborted in the manifest"
             )
         return "\n".join(lines)
 
@@ -336,50 +319,6 @@ class _PendingJob(object):
         return (self.key, self.job, self.index, self.tries + 1, in_child)
 
 
-class _SignalGuard(object):
-    """Turn SIGINT/SIGTERM into flags so run_jobs controls the shutdown.
-
-    SIGINT (``triggered``) means abort now: busy shards are terminated
-    and ``KeyboardInterrupt`` re-raised after the orderly shutdown.
-    SIGTERM (``draining``) means graceful drain: stop launching, let
-    in-flight chunks finish (bounded by ``REPRO_DRAIN_TIMEOUT``), commit
-    their results, mark the rest ``aborted``, and return normally.
-
-    Only installs handlers in the main thread of the main interpreter
-    (``signal.signal`` raises ValueError elsewhere); otherwise the flags
-    simply never trip and Python's default behaviour applies.
-    """
-
-    def __init__(self, sigint=True):
-        self.triggered = False
-        self.draining = False
-        self._sigint = sigint
-        self._previous = {}
-
-    def __enter__(self):
-        if threading.current_thread() is threading.main_thread():
-            try:
-                if self._sigint:
-                    self._previous[signal.SIGINT] = signal.signal(
-                        signal.SIGINT, self._handle_int)
-                self._previous[signal.SIGTERM] = signal.signal(
-                    signal.SIGTERM, self._handle_term)
-            except ValueError:
-                pass
-        return self
-
-    def _handle_int(self, _signum, _frame):
-        self.triggered = True
-
-    def _handle_term(self, _signum, _frame):
-        self.draining = True
-
-    def __exit__(self, *_exc_info):
-        for signum, previous in self._previous.items():
-            signal.signal(signum, previous)
-        return False
-
-
 def _incident(workload, config_name, job_index, classification, attempts,
               recovered, detail, root_cause=None):
     """One failure-manifest record; every incident is built here."""
@@ -405,21 +344,16 @@ class Executor(object):
     queue, the one-resident-trace rule and the retry decision for a
     failed attempt (:meth:`_fail_attempt`).
 
-    ``execute(pending, guard, on_success, on_terminal, on_aborted,
-    on_retry, on_lane)`` runs every pending job to completion, firing the
-    callbacks in the caller's thread, and raises the terminal
-    :class:`WorkerError` when ``keep_going`` is off.  ``on_lane(key)``
-    fires once per trace lane before any of its jobs run (the sweep's
-    checkpoint prewarm).  ``traps_sigint`` says whether the executor
-    wants SIGINT turned into a flag (the pool must stop its shards
-    first) or left to raise in place.
+    ``execute(pending, on_success, on_terminal, on_retry, on_lane)``
+    runs every pending job to completion, firing the callbacks in the
+    caller's thread, and raises the terminal :class:`WorkerError` when
+    ``keep_going`` is off.  ``on_lane(key)`` fires once per trace lane
+    before any of its jobs run (the sweep's checkpoint prewarm).
 
     The queue is one lane per :func:`trace_key`, keys in first-queued
     order; a key leaves the map when its lane empties.  A process that
     runs jobs holds one trace at a time (:meth:`hold_trace`).
     """
-
-    traps_sigint = True
 
     def __init__(self, retries=None, keep_going=False):
         self.retries = (settings.get("REPRO_JOB_RETRIES") if retries is None
@@ -428,7 +362,6 @@ class Executor(object):
         self._fatal = None
         self._on_success = None
         self._on_terminal = None
-        self._on_aborted = None
         self._on_retry = None
         self._on_lane = None
         #: trace key -> deque of queued jobs.
@@ -436,10 +369,9 @@ class Executor(object):
         #: The trace key this process last entered (see :meth:`hold_trace`).
         self._resident = None
 
-    def _bind(self, on_success, on_terminal, on_aborted, on_retry, on_lane):
+    def _bind(self, on_success, on_terminal, on_retry, on_lane):
         self._on_success = on_success
         self._on_terminal = on_terminal
-        self._on_aborted = on_aborted
         self._on_retry = on_retry
         self._on_lane = on_lane
 
@@ -495,17 +427,6 @@ class Executor(object):
             self._fatal = WorkerError(pj.workload_name, pj.config_name,
                                       detail, root_cause)
 
-    def _abort_queued(self):
-        """A SIGTERM drain reached every queued job before its next
-        attempt."""
-        for lane in self._lanes.values():
-            for pj in lane:
-                self._on_aborted(
-                    pj, "SIGTERM drain: job never started" if pj.tries == 0
-                    else "SIGTERM drain: retry abandoned after attempt %d"
-                    % pj.tries)
-        self._lanes.clear()
-
 
 class SerialExecutor(Executor):
     """The in-process executor: identical results, no supervisor.
@@ -516,22 +437,17 @@ class SerialExecutor(Executor):
     the caller's process holds one trace plus one core.  Crashes injected
     here raise InjectedCrash (never ``os._exit``) and are retried in
     place at once.  There is no watchdog — a hang hangs the caller,
-    which is the serial contract — and SIGINT keeps its default
-    immediate ``KeyboardInterrupt``.  A SIGTERM drain
-    lets the in-flight job finish and commit; the rest is aborted.
+    which is the serial contract — and SIGINT and SIGTERM keep their
+    default actions: there is no child to stop, and every finished cell
+    is already cached.
     """
 
-    traps_sigint = False
-
-    def execute(self, pending, guard=None, on_success=None, on_terminal=None,
-                on_aborted=None, on_retry=None, on_lane=None):
-        self._bind(on_success, on_terminal, on_aborted, on_retry, on_lane)
+    def execute(self, pending, on_success=None, on_terminal=None,
+                on_retry=None, on_lane=None):
+        self._bind(on_success, on_terminal, on_retry, on_lane)
         for pj in pending:
             self._enqueue(pj)
         while self._lanes:
-            if guard is not None and guard.draining:
-                self._abort_queued()
-                break
             key = (self._resident if self._resident in self._lanes
                    else next(iter(self._lanes)))
             if key != self._resident:
@@ -568,7 +484,6 @@ class _Sweep(object):
         self.cell_of = {}        # interval key -> its sampled cell's key
         self.jobs = {}           # key -> _PendingJob of every miss
         self.failures = []       # the failure manifest
-        self.drained = False
 
     def tick(self, workload, config_name, seconds, source):
         if source != "retry":
@@ -616,19 +531,13 @@ class _Sweep(object):
             pj.corrupt_record["recovered"] = True
             pj.corrupt_record["attempts"] = pj.tries + 1
 
-    def on_terminal(self, pj):
-        self._failed(pj, pj.last_class, pj.last_detail, pj.last_root)
-
-    def on_aborted(self, pj, detail):
-        self._failed(pj, CLASS_ABORTED, detail, None)
-
     def on_retry(self, pj):
         self.tick(pj.workload_name, pj.config_name, 0.0, "retry")
 
-    def _failed(self, pj, classification, detail, root_cause):
+    def on_terminal(self, pj):
         self.failures.append(_incident(
-            pj.workload_name, pj.config_name, pj.index, classification,
-            pj.tries, False, detail, root_cause))
+            pj.workload_name, pj.config_name, pj.index, pj.last_class,
+            pj.tries, False, pj.last_detail, pj.last_root))
         self.by_key[pj.key] = None
         self.tick(pj.workload_name, pj.config_name, 0.0, "fail")
 
@@ -794,9 +703,8 @@ def _prewarm(sweep, store, groups, batch_warm):
 
 def _execute(sweep, misses, on_lane, max_workers, job_timeout, retries,
              keep_going):
-    """Run the misses in-process (one worker) or on the shard pool, with
-    SIGINT/SIGTERM turned into an orderly stop or drain; ``on_lane(key)``
-    prewarms a trace lane.  Returns the worker count."""
+    """Run the misses in-process (one worker) or on the shard pool;
+    ``on_lane(key)`` prewarms a trace lane.  Returns the worker count."""
     if max_workers is None:
         max_workers = settings.get("REPRO_JOBS")
     workers = max(1, min(max_workers, len(misses)))
@@ -808,14 +716,9 @@ def _execute(sweep, misses, on_lane, max_workers, job_timeout, retries,
                              retries=retries, keep_going=keep_going)
     else:
         executor = SerialExecutor(retries=retries, keep_going=keep_going)
-    with _SignalGuard(sigint=executor.traps_sigint) as guard:
-        executor.execute(misses, guard, on_success=sweep.on_success,
-                         on_terminal=sweep.on_terminal,
-                         on_aborted=sweep.on_aborted,
-                         on_retry=sweep.on_retry, on_lane=on_lane)
-        sweep.drained = guard.draining
-        if guard.triggered:
-            raise KeyboardInterrupt
+    executor.execute(misses, on_success=sweep.on_success,
+                     on_terminal=sweep.on_terminal, on_retry=sweep.on_retry,
+                     on_lane=on_lane)
     return workers
 
 
@@ -836,16 +739,14 @@ def _report(sweep, misses, workers, wall_seconds):
             sweep.by_key[pj.key].data["total_instructions"]
             for pj in misses if sweep.by_key.get(pj.key) is not None),
         jobs_failed=sum(1 for r in sweep.failures if not r["recovered"]
-                        and r["classification"] not in (CLASS_CORRUPT_CACHE,
-                                                        CLASS_ABORTED)),
+                        and r["classification"] != CLASS_CORRUPT_CACHE),
         failures=sweep.failures,
-        drained=sweep.drained,
     )
 
 
 def run_jobs(jobs, cache=None, max_workers=None, progress=None,
              job_timeout=None, retries=None, keep_going=False,
-             batch_warm=None):
+             batch_warm=False):
     """Run (workload, config, length, warmup[, sampling]) jobs through the
     result cache and an executor: plan, lookup, execute (prewarming each
     trace lane's checkpoints, committing each cell as it completes),
@@ -874,7 +775,7 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
         keep_going: record terminal failures in the report's manifest and
             return ``None`` in their result slots instead of raising.
         batch_warm: prewarm through the batched SoA engine, bit-exact with
-            the scalar prewarm (None = ``REPRO_BATCH_WARM``).
+            the scalar prewarm.
 
     Returns:
         ``(results, report)`` — ``results`` is a list of
@@ -885,8 +786,6 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
     started = time.perf_counter()
     if progress is None and settings.get("REPRO_PROGRESS"):
         progress = _stderr_progress
-    if batch_warm is None:
-        batch_warm = settings.get("REPRO_BATCH_WARM")
     sweep = _Sweep(cache if cache is not None else default_cache(), progress)
     keys, unique = _plan(sweep, jobs)
     store = default_checkpoint_store()
@@ -905,7 +804,7 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
 def run_matrix(configs, workloads, length, warmup,
                cache=None, max_workers=None, progress=None,
                job_timeout=None, retries=None, keep_going=False,
-               sampling=None, batch_warm=None):
+               sampling=None, batch_warm=False):
     """Fan the full (config x workload) cross-product through one engine.
 
     Submitting every cell at once keeps all workers busy across config

@@ -3,7 +3,7 @@
 :func:`repro.sim.parallel.run_jobs` runs its cache misses in-process when
 one worker suffices (the serial reference path) and through a
 :class:`ShardPool` of ``REPRO_JOBS`` / ``--jobs`` / ``max_workers``
-long-lived **shard** processes otherwise.  The pool has three parts:
+long-lived **shard** processes otherwise.  The pool has four parts:
 
 - **Shards** (:func:`_shard_main`): long-lived children that loop
   ``recv job -> run -> send result``.  Each job runs through
@@ -34,6 +34,17 @@ long-lived **shard** processes otherwise.  The pool has three parts:
   :meth:`repro.sim.parallel.Executor._fail_attempt` the serial executor
   uses too, so results and manifests match it, and a shard that dies
   on every incarnation is bounded by ``REPRO_JOB_RETRIES`` alone.
+- **Stopping** (:meth:`ShardPool.execute`): the pool is the one executor
+  with children to stop, so it alone traps SIGINT and SIGTERM, into one
+  flag, around its lane prewarm, spawn and run loop.  On the flag the
+  loop stops, every shard is stopped (a busy one killed), the previous
+  handlers come back and the signal is re-delivered: SIGINT surfaces as
+  ``KeyboardInterrupt`` and SIGTERM ends the process (or runs the
+  caller's own handler).  A signal the caller ignores stays ignored.
+  Finished cells are already cached, so ``--resume`` runs only the rest.
+  If the supervisor itself is killed, each shard sees EOF on its pipe
+  when it next reads it and exits; no shard holds a sibling's pipe open
+  (see :func:`_shard_main`).
 
 Fault injection (``REPRO_FAULT``): ``crash``/``hang`` target jobs by
 index as on the serial path (a crash hard-exits the shard), and
@@ -61,7 +72,7 @@ from repro.sim.parallel import (
 _TICK = 0.05
 
 
-def _shard_main(shard_id, incarnation, conn, parent_fd=None):
+def _shard_main(shard_id, incarnation, conn, parent_fds=()):
     """Shard child body: loop ``recv job -> run -> send``.
 
     The parent sends ``("job", item)`` or ``("stop",)``; the shard answers
@@ -73,18 +84,19 @@ def _shard_main(shard_id, incarnation, conn, parent_fd=None):
     ``stop_shard`` sends the shard ``SIGSTOP``, so only the job's
     watchdog deadline can catch it.
     """
-    if parent_fd is not None:
-        # Fork start method: this child inherited a copy of its own
-        # pipe's *parent* end.  Close it, or the child would hold its
-        # peer open and never see EOF when the supervisor dies (e.g. a
-        # kill -9 mid-commit), leaving an orphan shard blocked in recv.
+    for fd in parent_fds:
+        # Fork start method: this child inherited a copy of the *parent*
+        # end of its own pipe and of every live sibling's.  Close them,
+        # or a shard would hold its own or a sibling's peer open, and
+        # neither would see EOF when the supervisor dies (e.g. a kill -9
+        # mid-commit): orphan shards blocked in recv for ever.
         try:
-            os.close(parent_fd)
+            os.close(fd)
         except OSError:
             pass
     # The supervisor owns shutdown.  A terminal Ctrl-C reaches the whole
     # process group, but only the supervisor acts on it; and a fork child
-    # inherits the supervisor's flag-setting SIGTERM handler, which would
+    # inherits the supervisor's flag-setting SIGTERM trap, which would
     # leave a SIGTERMed shard running.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -157,6 +169,8 @@ class ShardPool(Executor):
         self.events = []
         self._ctx = multiprocessing.get_context(settings.get("REPRO_MP_START"))
         self._slots = [_ShardSlot(i) for i in range(self.shards)]
+        #: The stop signal caught while :meth:`execute` ran, if any.
+        self._stop_signal = None
 
     def _event(self, kind, slot, **extra):
         record = {"event": kind, "shard": slot.index,
@@ -169,14 +183,18 @@ class ShardPool(Executor):
     def _spawn(self, slot):
         slot.incarnation += 1
         parent_conn, child_conn = self._ctx.Pipe()
-        # Under fork the child inherits our parent_conn fd; hand it the
-        # number so it can close the copy (see _shard_main).  Under spawn
-        # nothing is inherited and fd numbers don't transfer: pass None.
-        parent_fd = (parent_conn.fileno()
-                     if self._ctx.get_start_method() == "fork" else None)
+        # Under fork the child inherits the parent end of its own pipe and
+        # of every live sibling's; hand it the numbers so it can close the
+        # copies (see _shard_main).  Under spawn nothing is inherited and
+        # fd numbers don't transfer: pass none.
+        parent_fds = ()
+        if self._ctx.get_start_method() == "fork":
+            parent_fds = [parent_conn.fileno()] + [
+                other.conn.fileno() for other in self._slots
+                if other.conn is not None]
         process = self._ctx.Process(
             target=_shard_main,
-            args=(slot.index, slot.incarnation, child_conn, parent_fd),
+            args=(slot.index, slot.incarnation, child_conn, parent_fds),
             daemon=True,
         )
         process.start()
@@ -298,36 +316,15 @@ class ShardPool(Executor):
     def _busy_slots(self):
         return [slot for slot in self._slots if slot.job is not None]
 
-    def _run_loop(self, guard):
-        drain_deadline = None
-        while self._fatal is None:
-            if guard is not None and guard.triggered:
-                break
-            now = time.monotonic()
-            draining = guard is not None and guard.draining
-            if draining:
-                if drain_deadline is None:
-                    drain_timeout = settings.get("REPRO_DRAIN_TIMEOUT")
-                    drain_deadline = now + drain_timeout
-                self._abort_queued()
-                busy = self._busy_slots()
-                if not busy:
-                    break
-                if now >= drain_deadline:
-                    for slot in busy:
-                        pj = slot.job
-                        slot.job = None
-                        self._kill_slot(slot)
-                        self._on_aborted(
-                            pj, "SIGTERM drain: in-flight chunk exceeded "
-                            "the %.1fs drain deadline; shard killed"
-                            % drain_timeout)
-                    break
+    def _run_loop(self):
+        while self._fatal is None and self._stop_signal is None:
             if not self._lanes and not self._busy_slots():
                 break
+            now = time.monotonic()
             if self._lanes:
-                # Respawn dead shards, then hand every free shard its
-                # next job.
+                # Spawn missing shards (every one on the first pass, a
+                # dead one later), then hand every free shard its next
+                # job.
                 for slot in self._slots:
                     if slot.process is None:
                         self._spawn(slot)
@@ -359,7 +356,7 @@ class ShardPool(Executor):
 
     def _shutdown_shards(self):
         """Stop every shard: idle ones finish on ``("stop",)``; busy ones
-        (an early exit on SIGINT or a fatal failure) are killed."""
+        (an early exit on a stop signal or a fatal failure) are killed."""
         for slot in self._slots:
             if slot.process is None:
                 continue
@@ -377,35 +374,59 @@ class ShardPool(Executor):
             slot.process.join(max(0.0, deadline - time.monotonic()))
             self._kill_slot(slot)
 
-    def execute(self, pending, guard=None, on_success=None, on_terminal=None,
-                on_aborted=None, on_retry=None, on_lane=None):
+    def _trap(self, signum, _frame):
+        self._stop_signal = signum
+
+    def _trap_stop_signals(self):
+        """Turn each stop signal into the one flag; returns the handlers
+        replaced.  A signal the caller ignores (a background job's SIGINT)
+        or whose handler Python cannot restore is left alone, and outside
+        the main thread ``signal.signal`` refuses, so nothing is trapped."""
+        previous = {}
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            handler = signal.getsignal(signum)
+            if handler in (None, signal.SIG_IGN):
+                continue
+            try:
+                signal.signal(signum, self._trap)
+            except ValueError:
+                break
+            previous[signum] = handler
+        return previous
+
+    def execute(self, pending, on_success=None, on_terminal=None,
+                on_retry=None, on_lane=None):
         """Run ``pending`` jobs (pending-job protocol objects) to
         completion, firing the completion callbacks in this thread.
         ``on_lane`` fires for every lane, one resident trace at a time,
         before any shard starts.
 
         Raises the terminal :class:`WorkerError` after shutting the
-        shards down when ``keep_going`` is False; with a ``guard``,
-        honours SIGINT (stop now; the caller re-raises
-        ``KeyboardInterrupt``) and SIGTERM (graceful drain — in-flight
-        chunks finish, queued jobs abort).
+        shards down when ``keep_going`` is False.  A SIGINT or SIGTERM
+        stops the run: the shards are shut down, the caller's handlers
+        restored and the signal re-delivered to them.
         """
-        self._bind(on_success, on_terminal, on_aborted, on_retry, on_lane)
+        self._bind(on_success, on_terminal, on_retry, on_lane)
         pending = list(pending)
         for pj in pending:
             self._enqueue(pj)
-        for key in list(self._lanes):
-            if guard is not None and (guard.triggered or guard.draining):
-                break  # the run loop stops or drains at once
-            self._enter_lane(key)
-        # Never hold more shards than jobs: trim the pool so the respawn
-        # path can't resurrect slots the workload cannot use.
-        self._slots = self._slots[: max(1, min(self.shards, len(pending)))]
-        for slot in self._slots:
-            self._spawn(slot)
+        previous = self._trap_stop_signals()
         try:
-            self._run_loop(guard)
+            for key in list(self._lanes):
+                if self._stop_signal is not None:
+                    break
+                self._enter_lane(key)
+            # Never hold more shards than jobs: trim the pool so the
+            # respawn path can't resurrect slots the workload cannot use.
+            # The run loop's first pass spawns them.
+            self._slots = self._slots[: max(1, min(self.shards,
+                                                   len(pending)))]
+            self._run_loop()
         finally:
             self._shutdown_shards()
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)
+        if self._stop_signal is not None:
+            signal.raise_signal(self._stop_signal)
         if self._fatal is not None:
             raise self._fatal

@@ -90,11 +90,6 @@ SETTINGS = (
     _setting("REPRO_CHECKPOINT_DIR", str,
              os.path.join(_REPO, "benchmarks", ".checkpoints"),
              "warm-state checkpoint directory"),
-    # warming
-    _setting("REPRO_BATCH_WARM", bool, False,
-             "write missing checkpoints through the batched warmer"),
-    _setting("REPRO_BATCH_WIDTH", int, 8,
-             "lanes per lockstep cohort of the batched warmer", lower=1),
     # execution
     _setting("REPRO_JOBS", int, lambda: os.cpu_count() or 1,
              "worker count, the shard-pool width (default: CPU count)",
@@ -109,8 +104,6 @@ SETTINGS = (
              lower=0.0),
     _setting("REPRO_JOB_RETRIES", int, 2,
              "extra attempts for a crashed or timed-out job", lower=0),
-    _setting("REPRO_DRAIN_TIMEOUT", float, 30.0,
-             "seconds a SIGTERM drain waits for in-flight jobs", lower=0.0),
     # diagnostics
     _setting("REPRO_CHECK_INVARIANTS", int, 0,
              "invariant-net sweep interval in cycles (0 = off)", lower=0,

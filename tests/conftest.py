@@ -1,5 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
+import os
+
 import pytest
 
 from repro.core.config import baseline
@@ -43,6 +45,30 @@ def warm_passes():
     underlying counter is process-wide."""
     start = warm_pass_count()
     return lambda: warm_pass_count() - start
+
+
+def session_processes(sid):
+    """``{pid: state}`` of every live (not zombie) process in session
+    ``sid``, read from ``/proc``; ``T`` is a stopped one."""
+    found = {}
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open("/proc/%s/stat" % name) as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # exited meanwhile
+        # "pid (comm) state ppid pgrp session ...": comm may hold spaces.
+        state, _ppid, _pgrp, session = stat[stat.rindex(")") + 2:].split()[:4]
+        if int(session) == sid and state not in ("Z", "X"):
+            found[int(name)] = state
+    return found
+
+
+#: Tests that read :func:`session_processes` need Linux's ``/proc``.
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc"),
+                                reason="reads processes from /proc")
 
 
 def loads_of(core):

@@ -33,7 +33,6 @@ from repro.sim.checkpoint import (
     ensure_checkpoints,
     ensure_checkpoints_batch,
 )
-from repro.sim import settings
 from repro.workloads.suite import build_workload
 
 LENGTH = 6000
@@ -237,16 +236,3 @@ class TestParallelBatchLane:
         for name in scalar_files:
             assert (scalar_dir / name).read_bytes() == \
                 (batch_dir / name).read_bytes(), name
-
-
-class TestEngineKnobs:
-    def test_env_gates(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_WARM", raising=False)
-        assert not settings.get("REPRO_BATCH_WARM")
-        for value in ("1", "on", "true"):
-            monkeypatch.setenv("REPRO_BATCH_WARM", value)
-            assert settings.get("REPRO_BATCH_WARM")
-        monkeypatch.setenv("REPRO_BATCH_WARM", "0")
-        assert not settings.get("REPRO_BATCH_WARM")
-        monkeypatch.setenv("REPRO_BATCH_WIDTH", "17")
-        assert settings.get("REPRO_BATCH_WIDTH") == 17

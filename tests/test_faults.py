@@ -4,10 +4,9 @@ Every recovery path in the parallel engine is driven deterministically via
 ``REPRO_FAULT``: injected crashes (retryable, then terminal), hangs killed
 by the watchdog, corrupt cache entries evicted and re-simulated, the
 keep-going failure manifest over a 2-config x 4-workload matrix, and
-SIGINT-interrupted runs that resume from the incremental cache.
+SIGINT- or SIGTERM-stopped runs that resume from the incremental cache.
 """
 
-import json
 import os
 import re
 import signal
@@ -17,7 +16,7 @@ import time
 
 import pytest
 
-from conftest import quiet_config
+from conftest import needs_proc, quiet_config, session_processes
 
 from repro.sim import faults, parallel
 from repro.sim.cache import ResultCache
@@ -453,37 +452,46 @@ class TestMatrixAcceptance:
             assert set(results) == set(WORKLOADS)
 
 
-_SIGINT_CHILD = """\
+_INTERRUPT_CHILD = """\
+import signal
 import sys
 sys.path.insert(0, %(src)r)
 from repro.core.config import baseline
 from repro.sim.cache import ResultCache
 from repro.sim.parallel import run_jobs
 
+# A terminal's default actions, even when the tests run as a background
+# job (which starts with SIGINT ignored).
+signal.signal(signal.SIGINT, signal.default_int_handler)
+signal.signal(signal.SIGTERM, signal.SIG_DFL)
 config = baseline(l2_prefetcher_enabled=False, l1_next_line_prefetch=False)
 jobs = [(name, config, %(length)d, %(warmup)d) for name in %(workloads)r]
-print("READY", flush=True)
 run_jobs(jobs, cache=ResultCache(%(cache)r), max_workers=4, job_timeout=0)
 """
 
 
 class TestSigintResume:
-    def test_interrupt_preserves_finished_jobs_and_resume_skips_them(
-            self, tmp_path):
-        """Satellite: SIGINT a 4-job suite mid-run; completed jobs are in
-        the cache and a resume run simulates only the remainder."""
+    @needs_proc
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                             ids=["SIGINT", "SIGTERM"])
+    def test_stop_keeps_finished_jobs_and_resume_skips_them(self, tmp_path,
+                                                            signum):
+        """SIGINT or SIGTERM a 4-shard sweep mid-run: it dies of the
+        signal with no process left behind, the finished jobs are in the
+        cache, and a resume simulates only the remainder."""
         cache_dir = str(tmp_path / "cache")
-        script = _SIGINT_CHILD % {
+        script = _INTERRUPT_CHILD % {
             "src": SRC_DIR, "length": LENGTH, "warmup": WARMUP,
             "workloads": WORKLOADS, "cache": cache_dir,
         }
         env = dict(os.environ)
         # The last job hangs forever and the watchdog is off, so the run
-        # can only end via our SIGINT.
+        # can only end via our signal.
         env["REPRO_FAULT"] = "hang:job=3:seconds=600"
         child = subprocess.Popen([sys.executable, "-c", script], env=env,
                                  stdout=subprocess.PIPE,
-                                 stderr=subprocess.PIPE)
+                                 stderr=subprocess.PIPE,
+                                 start_new_session=True)
         try:
             # Wait until the three healthy jobs are committed to the cache.
             deadline = time.monotonic() + 60
@@ -496,15 +504,23 @@ class TestSigintResume:
                     break
                 time.sleep(0.05)
             assert child.poll() is None, (
-                "run finished before SIGINT could be delivered:\n%s"
+                "run finished before the signal could be delivered:\n%s"
                 % child.communicate()[1].decode())
-            child.send_signal(signal.SIGINT)
+            child.send_signal(signum)
             child.wait(timeout=30)
+            # The pool stopped and reaped every shard before it died.
+            assert session_processes(child.pid) == {}
         finally:
             if child.poll() is None:
                 child.kill()
                 child.wait()
-        assert child.returncode != 0  # KeyboardInterrupt surfaced
+            try:
+                os.killpg(child.pid, signal.SIGKILL)
+            except OSError:
+                pass  # nothing left in the session
+        # Re-delivered after the shutdown: KeyboardInterrupt for SIGINT,
+        # the default action for SIGTERM; both end the process by it.
+        assert child.returncode == -signum
         # The three completed jobs were committed incrementally.
         cached = [name for name in os.listdir(cache_dir)
                   if name.endswith(".json")]
@@ -517,59 +533,3 @@ class TestSigintResume:
         assert report.cache_hits == 3
         assert report.jobs_simulated == 1
         assert all(r is not None for r in results)
-
-
-class TestSigtermDrain:
-    def test_sigterm_drains_gracefully_with_exit_code_4(self, tmp_path):
-        """Satellite: SIGTERM mid-suite finishes in-flight chunks,
-        caches their results, writes the manifest (aborted records),
-        and exits with the documented drain code 4."""
-        cache_dir = str(tmp_path / "cache")
-        out_path = str(tmp_path / "out.json")
-        env = dict(os.environ)
-        env["REPRO_CACHE_DIR"] = cache_dir
-        # Job 3 hangs forever with the watchdog off: the run can only end
-        # via our SIGTERM, and the hung chunk must be aborted at the
-        # (tight) drain deadline rather than waited on.
-        env["REPRO_FAULT"] = "hang:job=3:seconds=600"
-        env["REPRO_DRAIN_TIMEOUT"] = "2"
-        child = subprocess.Popen(
-            [sys.executable, "-m", "repro", "suite", "-n", "2", "-j", "4",
-             "--length", str(LENGTH), "--warmup", str(WARMUP), "--rfp",
-             "--keep-going", "--job-timeout", "0", "--out", out_path],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        try:
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                done = ([name for name in os.listdir(cache_dir)
-                         if name.endswith(".json")]
-                        if os.path.isdir(cache_dir) else [])
-                if len(done) >= 3:
-                    break
-                if child.poll() is not None:
-                    break
-                time.sleep(0.05)
-            assert child.poll() is None, (
-                "run finished before SIGTERM could be delivered:\n%s"
-                % child.communicate()[1].decode())
-            child.send_signal(signal.SIGTERM)
-            child.wait(timeout=30)
-        finally:
-            if child.poll() is None:
-                child.kill()
-                child.wait()
-        assert child.returncode == 4  # documented drain exit code
-        # The three healthy chunks were finished and cached.
-        cached = [name for name in os.listdir(cache_dir)
-                  if name.endswith(".json")]
-        assert len(cached) == 3
-        with open(out_path) as handle:
-            payload = json.load(handle)
-        assert payload["manifest_version"] >= 2
-        aborted = [f for f in payload["failures"]
-                   if f["classification"] == "aborted"]
-        assert aborted and "SIGTERM drain" in aborted[0]["detail"]
-        # Aborted chunks are not "failed" jobs: the drain exit code (4)
-        # carries the signal, so the payload stays resumable as-is.
-        assert all(f["classification"] in ("aborted",)
-                   for f in payload["failures"])

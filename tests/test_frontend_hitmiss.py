@@ -134,7 +134,7 @@ class TestHitMissPredictor:
         hm = core.hit_miss
         assert hm.predictions == 1
         assert hm.mispredicts == 1
-        assert hm.mispredict_rate == 1.0
+        assert hm.mispredicts / hm.predictions == 1.0
 
     def test_distinct_pcs(self):
         hm = HitMissPredictor(64)

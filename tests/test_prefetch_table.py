@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rfp.pat import PageAddressTable
+from repro.rfp.pat import PAGE_MASK, PAGE_SHIFT, PageAddressTable
 from repro.rfp.prefetch_table import PrefetchTable
 
 
@@ -197,7 +197,7 @@ class TestPAT:
 
     def test_split_join_roundtrip(self):
         addr = 0xDEADBEEF
-        page, offset = PageAddressTable.split(addr)
+        page, offset = addr >> PAGE_SHIFT, addr & PAGE_MASK
         assert PageAddressTable.join(page, offset) == addr
 
     def test_bad_geometry(self):

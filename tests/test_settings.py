@@ -30,14 +30,11 @@ EXAMPLES = {
     "REPRO_FF": "0",
     "REPRO_CACHE_DIR": "elsewhere-cache",
     "REPRO_CHECKPOINT_DIR": "elsewhere-checkpoints",
-    "REPRO_BATCH_WARM": "1",
-    "REPRO_BATCH_WIDTH": "4",
     "REPRO_JOBS": str((os.cpu_count() or 1) + 1),
     "REPRO_MP_START": _other_start_method(),
     "REPRO_PROGRESS": "1",
     "REPRO_JOB_TIMEOUT": "12",
     "REPRO_JOB_RETRIES": "5",
-    "REPRO_DRAIN_TIMEOUT": "5",
     "REPRO_CHECK_INVARIANTS": "64",
     "REPRO_FAULT": "crash:job=99",
 }

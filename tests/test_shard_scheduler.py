@@ -3,19 +3,22 @@
 Byte-identity with the serial in-process engine is the core contract —
 results must not depend on how many shards ran them — plus trace-affine
 dispatch and the supervision paths: shard death recovery, the per-job
-watchdog catching a frozen shard, and the job-retry cap bounding a shard
-that dies on every incarnation.
+watchdog catching a frozen shard, the job-retry cap bounding a shard
+that dies on every incarnation, and shards exiting when the supervisor
+is killed.
 """
 
 import contextlib
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
-from conftest import quiet_config
+from conftest import needs_proc, quiet_config, session_processes
 
 from repro.sim.cache import ResultCache
 from repro.sim.parallel import (
@@ -26,6 +29,8 @@ from repro.sim.scheduler import ShardPool, _ShardSlot, trace_key
 WORKLOADS = ["spec06_bzip2", "spec06_mcf", "spec06_perlbench", "spec06_gcc"]
 LENGTH = 1200
 WARMUP = 200
+SRC_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture(autouse=True)
@@ -71,7 +76,6 @@ class TestShardEngineEquivalence:
         assert payload(got) == payload(ref)
         assert report.workers == 2
         assert report.jobs_failed == 0
-        assert report.drained is False
 
     def test_env_routes_through_shards(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "2")
@@ -91,6 +95,19 @@ class TestShardEngineEquivalence:
         got, _ = run_jobs(jobs, cache=ResultCache(str(tmp_path / "b")),
                           max_workers=2)
         assert payload(got) == payload(ref)
+
+
+_SUPERVISOR_CHILD = """\
+import sys
+sys.path.insert(0, %(src)r)
+from repro.core.config import baseline
+from repro.sim.cache import ResultCache
+from repro.sim.parallel import run_jobs
+
+config = baseline(l2_prefetcher_enabled=False, l1_next_line_prefetch=False)
+jobs = [(name, config, %(length)d, %(warmup)d) for name in %(workloads)r]
+run_jobs(jobs, cache=ResultCache(%(cache)r), max_workers=4, job_timeout=0)
+"""
 
 
 class TestShardSupervision:
@@ -136,13 +153,68 @@ class TestShardSupervision:
         with deadline(60):
             pool.execute([pj], on_success=lambda p, d, s: done.append(d),
                          on_terminal=lambda p: done.append(None),
-                         on_aborted=lambda p, detail: done.append(None),
                          on_retry=lambda p: None)
-        assert done == [None]  # terminal, not aborted or succeeded
+        assert done == [None]  # terminal, not succeeded
         assert pj.tries == retries + 1
         assert pj.last_class == "crash"
         deaths = [e for e in pool.events if e["event"] == "shard_died"]
         assert len(deaths) == retries + 1
+
+    @needs_proc
+    def test_killed_supervisor_leaves_only_the_stopped_shard(self, tmp_path):
+        """SIGKILL the supervisor while its last-forked shard is stopped:
+        no shard holds a sibling's pipe open, so every other shard sees
+        EOF and exits, and only the stopped one is left."""
+        cache_dir = str(tmp_path / "cache")
+        script = _SUPERVISOR_CHILD % {
+            "src": SRC_DIR, "length": LENGTH, "warmup": WARMUP,
+            "workloads": WORKLOADS, "cache": cache_dir,
+        }
+        # Shard 3 stops on its first job; with the watchdog off nothing
+        # catches it, so the sweep waits on it for ever.
+        env = dict(os.environ, REPRO_FAULT="stop_shard:shard=3:after=0")
+        child = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                 stdout=subprocess.DEVNULL,
+                                 stderr=subprocess.PIPE,
+                                 start_new_session=True)
+        try:
+            deadline_at = time.monotonic() + 60
+            while time.monotonic() < deadline_at and child.poll() is None:
+                if os.path.isdir(cache_dir) and len(
+                        [name for name in os.listdir(cache_dir)
+                         if name.endswith(".json")]) >= 3:
+                    break
+                time.sleep(0.05)
+            assert child.poll() is None, (
+                "run finished before the supervisor could be killed:\n%s"
+                % child.communicate()[1].decode())
+            child.kill()
+            child.wait()
+            deadline_at = time.monotonic() + 5
+            left = session_processes(child.pid)
+            while len(left) > 1 and time.monotonic() < deadline_at:
+                time.sleep(0.1)
+                left = session_processes(child.pid)
+            assert sorted(left.values()) == ["T"], left
+        finally:
+            try:
+                os.killpg(child.pid, signal.SIGKILL)
+            except OSError:
+                pass  # nothing left in the session
+
+    def test_an_ignored_stop_signal_stays_ignored(self):
+        """A background job starts with SIGINT ignored: the pool traps
+        only SIGTERM then, so a stray SIGINT cannot stop the sweep."""
+        previous = {signum: signal.getsignal(signum)
+                    for signum in (signal.SIGINT, signal.SIGTERM)}
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            replaced = ShardPool(2)._trap_stop_signals()
+            assert list(replaced) == [signal.SIGTERM]
+            assert signal.getsignal(signal.SIGINT) == signal.SIG_IGN
+        finally:
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)
 
     def test_kill_slot_reaps_a_stopped_shard_with_one_sigkill(self):
         pool = ShardPool(1)
