@@ -3,7 +3,7 @@
 Twelve benchmark experiments share a common baseline over 65 workloads;
 re-simulating it per figure would dominate wall-clock.  Results are keyed
 by (workload, trace length, warmup, schema + config fingerprint) and stored
-as JSON under ``REPRO_CACHE_DIR`` (default ``<repo>/benchmarks/.cache``).
+as compressed JSON under ``REPRO_CACHE_DIR`` (default ``<repo>/benchmarks/.cache``).
 
 Versioning: :data:`~repro.sim.runner.SCHEMA_VERSION` is mixed into every
 fingerprint, so results written by an older simulator (different
@@ -25,10 +25,11 @@ from repro.sim.journal import EnvelopeStore
 from repro.sim.runner import SCHEMA_VERSION, SimResult
 
 #: On-disk envelope version.  Mixed into every fingerprint so entries
-#: written in an older format (pre-checksum, or checksummed over canonical
-#: JSON rather than the payload bytes) become cache misses (and are then
+#: written in an older format (pre-checksum, checksummed over canonical
+#: JSON rather than the payload bytes, or the text envelopes before the
+#: binary header and zlib payload of 4) become cache misses (and are then
 #: simply unreferenced files) instead of eviction warnings on every read.
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 
 def config_fingerprint(config):
@@ -48,7 +49,7 @@ def config_fingerprint(config):
 
 
 class ResultCache(EnvelopeStore):
-    """JSON-file-per-result cache."""
+    """One envelope file per result."""
 
     SUFFIX = ".json"
     DIR_SETTING = "REPRO_CACHE_DIR"

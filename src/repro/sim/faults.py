@@ -43,14 +43,14 @@ of a job (incarnations of a shard, matches of a commit key) — the
 standard way to test that a retry then *succeeds*.  The ``corrupt_cache``
 and ``corrupt_checkpoint`` flavours accept ``how=truncate|flip``
 (truncated file, the default, vs a well-formed envelope whose payload no
-longer matches its checksum).  A spec that could never fire — an unknown
-kind, ``at=`` or ``how=`` — is a :class:`ValueError` naming the clause.
+longer matches its checksum, :func:`flip_envelope_field`).  A spec that
+could never fire — an unknown kind, ``at=`` or ``how=`` — is a
+:class:`ValueError` naming the clause.
 
 Everything is off (and zero-cost: one env lookup) unless ``REPRO_FAULT``
 is set.
 """
 
-import json
 import os
 import signal
 import time
@@ -200,18 +200,7 @@ def corrupt_envelope_file(kind, flip_field, key, path, environ=None):
         _corrupted_paths.add(path)
         how = spec.params.get("how", "truncate")
         if how == "flip":
-            # Well-formed JSON whose payload no longer matches its
-            # checksum — exercises the checksum-mismatch classification.
-            with open(path) as handle:
-                envelope = json.load(handle)
-            if isinstance(envelope, dict) and isinstance(
-                envelope.get("data"), dict
-            ):
-                envelope["data"][flip_field] = (
-                    envelope["data"].get(flip_field, 0) + 1
-                )
-            with open(path, "w") as handle:
-                json.dump(envelope, handle)
+            flip_envelope_field(path, flip_field)
         else:
             with open(path, "rb") as handle:
                 blob = handle.read()
@@ -219,6 +208,18 @@ def corrupt_envelope_file(kind, flip_field, key, path, environ=None):
                 handle.write(blob[: max(1, len(blob) // 2)])
         return how
     return None
+
+
+def flip_envelope_field(path, field):
+    """Add one to ``field`` of the valid envelope at ``path``, keeping its
+    old checksum: a well-formed entry whose payload no longer matches its
+    checksum, which exercises the checksum-mismatch classification."""
+    # Imported here: the store module imports this one.
+    from repro.sim.journal import read_envelope, replace_payload
+
+    data = read_envelope(path)[1]
+    data[field] = data.get(field, 0) + 1
+    replace_payload(path, data)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ changes a result by itself: ``REPRO_FF`` is only the default of
 built, so the result-cache key (the config fingerprint) covers it.
 """
 
-import multiprocessing
 import os
 from collections import namedtuple
 
@@ -68,6 +67,9 @@ def _setting(name, type_, default, doc, lower=None, words=None):
 
 
 def _start_method():
+    # Imported here: a serial run never loads multiprocessing.
+    import multiprocessing
+
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 

@@ -9,16 +9,23 @@ lock.
 """
 
 import gc
+import hashlib
 import json
 import os
 import signal
 import subprocess
 import sys
+import zlib
 
 import pytest
 
 from repro.sim.cache import ResultCache
+from repro.sim.checkpoint import CheckpointStore
+from repro.sim.faults import flip_envelope_field
 from repro.sim.journal import (
+    ENVELOPE_FORMAT,
+    HEADER_LEN,
+    MAGIC,
     JournaledDir,
     encode_envelope,
     read_envelope,
@@ -41,9 +48,19 @@ def scrub_fault_env(monkeypatch):
 
 def write_entry(directory, key, data):
     path = os.path.join(directory, key + ".json")
-    with open(path, "w") as handle:
+    with open(path, "wb") as handle:
         handle.write(encode_envelope(data)[1])
     return path
+
+
+def read_bytes(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def write_bytes(path, blob):
+    with open(path, "wb") as handle:
+        handle.write(blob)
 
 
 def dead_pid():
@@ -72,43 +89,74 @@ class TestValidateEnvelope:
             json.dump({"v": 1}, handle)
         assert "envelope" in validate_envelope(legacy)
         altered = write_entry(directory, "altered", {"v": 1})
-        with open(altered) as handle:
-            env = json.load(handle)
-        env["data"]["v"] = 2
-        with open(altered, "w") as handle:
-            json.dump(env, handle)
+        flip_envelope_field(altered, "v")
         assert "checksum mismatch" in validate_envelope(altered)
+        torn_binary = write_entry(directory, "torn_binary", {"v": [1] * 99})
+        write_bytes(torn_binary, read_bytes(torn_binary)[:-8])
+        assert "unreadable" in validate_envelope(torn_binary)
+        short = write_entry(directory, "short", {"v": 1})
+        write_bytes(short, read_bytes(short)[:HEADER_LEN - 3])
+        assert "unreadable" in validate_envelope(short)
 
     def test_committed_bytes_are_the_encoded_text(self, tmp_path):
         directory = str(tmp_path)
         data = {"workload": "w", "ipc": 1.25, "nested": {"b": [1, 2], "a": None}}
         path = os.path.join(directory, "k1.json")
         JournaledDir().commit("k1", path, encode_envelope(data)[1])
-        checksum, text = encode_envelope(data)
-        with open(path, "rb") as handle:
-            assert handle.read() == text.encode("utf-8")
-        with open(path) as handle:
-            assert json.load(handle) == {"checksum": checksum, "data": data}
+        checksum, blob = encode_envelope(data)
+        raw = read_bytes(path)
+        assert raw == blob
+        # The header: magic, format byte, checksum of the stored payload.
+        assert raw[:HEADER_LEN] == \
+            MAGIC + bytes((ENVELOPE_FORMAT,)) + checksum.encode("ascii")
+        payload = raw[HEADER_LEN:]
+        assert hashlib.sha256(payload).hexdigest()[:16] == checksum
+        # The payload: the compact JSON of the data, zlib-compressed.
+        assert zlib.decompress(payload) == \
+            json.dumps(data, separators=(",", ":")).encode("ascii")
         assert read_envelope(path) == (None, data)
 
     def test_whitespace_only_edit_is_a_checksum_mismatch(self, tmp_path):
-        # Still valid JSON with an equal payload: only the bytes differ.
+        # A one-byte edit of the stored payload, caught by the checksum
+        # before anything is decompressed.
         path = write_entry(str(tmp_path), "k1", {"a": 1, "b": [1, 2]})
-        with open(path) as handle:
-            text = handle.read()
-        assert '"b":[1,2]' in text
-        with open(path, "w") as handle:
-            handle.write(text.replace('"b":[1,2]', '"b":[1, 2]'))
-        with open(path) as handle:
-            assert json.load(handle)["data"] == {"a": 1, "b": [1, 2]}
+        raw = read_bytes(path)
+        assert json.loads(zlib.decompress(raw[HEADER_LEN:])) == \
+            {"a": 1, "b": [1, 2]}
+        write_bytes(path, raw[:-1] + bytes((raw[-1] ^ 1,)))
         assert validate_envelope(path) == \
             "checksum mismatch (payload altered on disk)"
 
+    def test_text_envelope_at_a_live_key_is_never_served(self, tmp_path):
+        """An entry of the text format (checkpoint format 4 and before)
+        left at a key path is evicted as not an envelope by ``get`` and by
+        ``stats``, never returned."""
+        store = CheckpointStore(str(tmp_path))
+        data = {"functional": 500, "lines": [1, 2, 3]}
+        payload = json.dumps(data, separators=(",", ":"))
+        text = '{"checksum": "%s", "data": %s}' % (
+            hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16], payload)
+        for reader in ("get", "stats"):
+            with open(store._path("w-1000-500-abc"), "w") as handle:
+                handle.write(text)
+            with pytest.warns(RuntimeWarning, match="re-warmed"):
+                if reader == "get":
+                    assert store.get("w-1000-500-abc") is None
+                else:
+                    assert store.stats()["corrupt_evicted"] == 1
+            assert store.entry_paths() == []
+            assert store.pop_evictions() == [
+                {"key": "w-1000-500-abc",
+                 "reason": "not a checksummed checkpoint envelope"}]
+
     def test_read_restores_the_callers_gc_state(self, tmp_path):
         good = write_entry(str(tmp_path), "good", {"v": [[1], [2]]})
+        # A checksummed payload that decompresses to torn JSON.
         torn = os.path.join(str(tmp_path), "torn.json")
-        with open(torn, "w") as handle:
-            handle.write('{"checksum": "x", "data": {"tor')
+        payload = zlib.compress(b'{"v": [[1], [2')
+        write_bytes(torn, MAGIC + bytes((ENVELOPE_FORMAT,))
+                    + hashlib.sha256(payload).hexdigest()[:16].encode("ascii")
+                    + payload)
         was_enabled = gc.isenabled()
         try:
             gc.enable()
@@ -140,6 +188,7 @@ _KILL_COMMIT_CHILD = """\
 import sys
 sys.path.insert(0, %(src)r)
 from repro.sim.cache import ResultCache
+from repro.sim.checkpoint import CheckpointStore
 
 class R:
     def __init__(self, data): self.data = data
@@ -179,6 +228,7 @@ _KILL_COMMIT_CHILD = """\
 import sys
 sys.path.insert(0, %(src)r)
 from repro.sim.cache import ResultCache
+from repro.sim.checkpoint import CheckpointStore
 
 class R:
     def __init__(self, data): self.data = data
@@ -233,6 +283,7 @@ _CONCURRENT_CHILD = """\
 import sys
 sys.path.insert(0, %(src)r)
 from repro.sim.cache import ResultCache
+from repro.sim.checkpoint import CheckpointStore
 
 class R:
     def __init__(self, data): self.data = data

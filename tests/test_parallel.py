@@ -10,6 +10,8 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -18,11 +20,15 @@ from conftest import quiet_config
 from repro.core.config import baseline
 from repro.sim import cache as cache_mod
 from repro.sim.cache import ResultCache, config_fingerprint
-from repro.sim.journal import encode_envelope
+from repro.sim.faults import flip_envelope_field
+from repro.sim.journal import HEADER_LEN, encode_envelope, read_envelope
 from repro.sim import parallel, settings
 from repro.sim.parallel import TimingReport, WorkerError, run_jobs, run_matrix
 from repro.sim.sampling import SamplingPlan
 from repro.workloads import suite
+
+SRC_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 WORKLOADS = ["spec06_bzip2", "spec06_mcf", "spec06_perlbench"]
 LENGTH = 1200
@@ -63,8 +69,8 @@ class TestDeterminism:
         files2 = sorted(os.listdir(d2))
         assert files1 == files2 and files1
         for name in files1:
-            with open(os.path.join(d1, name)) as h1, \
-                    open(os.path.join(d2, name)) as h2:
+            with open(os.path.join(d1, name), "rb") as h1, \
+                    open(os.path.join(d2, name), "rb") as h2:
                 assert h1.read() == h2.read()
 
     @pytest.mark.parametrize("warmup", [WARMUP, LENGTH // 2],
@@ -175,12 +181,13 @@ class TestCorruptedCache:
         ]
         again = run_first(config, cache)
         assert again.data == good.data
-        with open(path) as handle:
-            envelope = json.load(handle)  # safely rewritten, checksummed
-        assert envelope["data"] == good.data
-        assert envelope["checksum"] == encode_envelope(good.data)[0]
-        with open(path) as handle:
-            assert handle.read() == encode_envelope(good.data)[1]
+        # Safely rewritten, checksummed.
+        assert read_envelope(path) == (None, good.data)
+        checksum, blob = encode_envelope(good.data)
+        with open(path, "rb") as handle:
+            written = handle.read()
+        assert written[:HEADER_LEN].endswith(checksum.encode("ascii"))
+        assert written == blob
 
     def test_checksum_mismatch_is_evicted(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -188,11 +195,7 @@ class TestCorruptedCache:
         run_first(config, cache)
         key = cache.key(WORKLOADS[0], config, LENGTH, WARMUP)
         path = cache._path(key)
-        with open(path) as handle:
-            envelope = json.load(handle)
-        envelope["data"]["ipc"] += 1.0  # silent payload corruption
-        with open(path, "w") as handle:
-            json.dump(envelope, handle)
+        flip_envelope_field(path, "ipc")  # silent payload corruption
         with pytest.warns(RuntimeWarning, match="checksum mismatch"):
             assert cache.get(key) is None
         assert cache.pop_evictions()[0]["reason"].startswith("checksum")
@@ -225,8 +228,7 @@ class TestCorruptedCache:
         assert all(r["recovered"] for r in report.failures)
         assert report.jobs_failed == 0
         for key, result in zip(keys, results):
-            with open(cache._path(key)) as handle:
-                assert json.load(handle)["data"] == result.data
+            assert read_envelope(cache._path(key)) == (None, result.data)
 
     def test_put_tmp_file_is_per_process(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -262,6 +264,29 @@ class TestKnobs:
         assert settings.get("REPRO_MP_START") == "spawn"
         monkeypatch.delenv("REPRO_MP_START")
         assert settings.get("REPRO_MP_START") in ("fork", "spawn")
+
+    def test_serial_run_loads_no_multiprocessing(self, tmp_path):
+        """A one-cell serial sweep in a fresh interpreter never imports
+        ``multiprocessing``: only the shard pool needs it."""
+        child = (
+            "import sys\n"
+            "from repro.core.config import baseline\n"
+            "from repro.sim.parallel import run_matrix\n"
+            "(results,), report = run_matrix([baseline(name='b')], "
+            "[%r], %d, %d, max_workers=1)\n"
+            "assert report.jobs_simulated == 1, report.format()\n"
+            "print(sorted(name for name in sys.modules "
+            "if name.split('.')[0] == 'multiprocessing'))\n"
+            % (WORKLOADS[0], LENGTH, WARMUP))
+        env = {name: value for name, value in os.environ.items()
+               if not name.startswith("REPRO_")}
+        env.update(PYTHONPATH=SRC_DIR,
+                   REPRO_CACHE_DIR=str(tmp_path / "cache"),
+                   REPRO_CHECKPOINT_DIR=str(tmp_path / "ckpt"))
+        proc = subprocess.run([sys.executable, "-c", child], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_timing_report_format(self):
         report = TimingReport(wall_seconds=2.0, jobs_total=10,
@@ -317,8 +342,8 @@ class TestCacheMaintenance:
         good = run_first(quiet_config())
         bad_key = cache.key(WORKLOADS[1], quiet_config(), LENGTH, WARMUP)
         cache.put(bad_key, good)
-        with open(cache._path(bad_key), "a") as handle:
-            handle.write(" ")  # one byte appended: still valid JSON
+        with open(cache._path(bad_key), "ab") as handle:
+            handle.write(b" ")  # one byte appended after a whole stream
         with pytest.warns(RuntimeWarning, match="checksum mismatch"):
             assert main(["cache-stats"]) == 0
         out = capsys.readouterr().out
