@@ -35,7 +35,7 @@ two steps:
 
 The scalar warmer remains the bit-exact oracle: at every requested boundary
 a lane *materialises* its columns back into the core's scalar structures
-(dicts in true LRU insertion order, counters, the PT's RNG stream) so that
+(dicts in true LRU insertion order, counters, the PT's RNG draw count) so that
 :func:`repro.sim.checkpoint.capture` emits byte-identical payloads.  The
 equivalence harness in ``tests/test_batch_warm.py`` and the CI
 ``batch-equivalence`` job enforce exactly that.
@@ -292,6 +292,7 @@ class _LaneState(object):
         "pt_assoc", "pt_num_sets", "pt_conf_max", "pt_util_max",
         "pt_stride_limit", "pt_inc_prob", "pt_rng",
         "pt_trainings", "pt_allocations", "pt_evictions", "pt_saturations",
+        "pt_draws",
         "pat_on", "pat_pages", "pat_stamp", "pat_nsets", "pat_assoc",
         "pat_insertions", "pat_evictions", "pat_tick",
         "ctx_on", "ctx_table", "ctx_entries", "ctx_history_mask",
@@ -393,6 +394,7 @@ class _LaneState(object):
         self.pt_allocations = pt.allocations
         self.pt_evictions = pt.evictions
         self.pt_saturations = pt.confidence_saturations
+        self.pt_draws = pt.draws
         for set_index, pt_set in enumerate(pt.sets):
             for tag, entry in pt_set.items():
                 tid = tid_index.get((set_index, tag))
@@ -472,6 +474,7 @@ class _LaneState(object):
         pt.allocations = self.pt_allocations
         pt.evictions = self.pt_evictions
         pt.confidence_saturations = self.pt_saturations
+        pt.draws = self.pt_draws
         if self.pat_on:
             pat = pt.pat
             nsets, assoc = self.pat_nsets, self.pat_assoc
@@ -1040,6 +1043,7 @@ def _advance_predictors(lane, chunk):
         pt_allocations = lane.pt_allocations
         pt_evictions = lane.pt_evictions
         pt_saturations = lane.pt_saturations
+        pt_draws = lane.pt_draws
         pat_on = lane.pat_on
         if pat_on:
             pat_pages, pat_stamp = lane.pat_pages, lane.pat_stamp
@@ -1106,6 +1110,7 @@ def _advance_predictors(lane, chunk):
                             < stride_limit):
                         confidence = pt_conf[tid]
                         if confidence < conf_max:
+                            pt_draws += 1
                             if rng_random() < inc_prob:
                                 confidence += 1
                                 pt_conf[tid] = confidence
@@ -1205,6 +1210,7 @@ def _advance_predictors(lane, chunk):
         lane.pt_allocations = pt_allocations
         lane.pt_evictions = pt_evictions
         lane.pt_saturations = pt_saturations
+        lane.pt_draws = pt_draws
         if pat_on:
             lane.pat_insertions = pat_insertions
             lane.pat_evictions = pat_evictions

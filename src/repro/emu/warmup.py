@@ -14,11 +14,10 @@ exactly the structures whose state carries into measured-region timing:
   next-line prefetch) without MSHR/DRAM timing state;
 - **hit-miss predictor** counters, trained with the pre-fill presence
   outcome of each load;
-- **RFP Prefetch Table / PAT**, driven through the same
-  allocate -> commit -> train protocol per load that the detailed core's
-  commit stage uses, so stride/confidence state *and* the probabilistic
-  confidence counter's RNG stream stay aligned with a detailed run over
-  the same region;
+- **RFP Prefetch Table / PAT**, trained at each load's retirement as
+  the detailed core's commit stage does, so stride/confidence state
+  *and* the probabilistic confidence counter's RNG stream stay aligned
+  with a detailed run over the same region;
 - **memory-dependence predictor** decay, the same per-load tick the
   core's commit loop keeps;
 - **branch path history**, the only branch-predictor state the trace-driven
@@ -108,8 +107,12 @@ class FunctionalWarmer(ArchEmulator):
             _warm_passes += 1
         core = self.core
         hit_miss = core.hit_miss
+        # No ``pt.on_allocate`` before each train: every warm inflight
+        # counter is 0, so the retirement step of ``train(..., True)``
+        # undoes the allocate's increment, its prediction would be
+        # discarded, and ``train`` allocates a missing entry itself.
         trainers = [
-            (rfp.pt.on_allocate, rfp.pt.train,
+            (rfp.pt.train,
              rfp.context.train if rfp.context is not None else None)
             for rfp in self.rfps
         ]
@@ -187,8 +190,7 @@ class FunctionalWarmer(ArchEmulator):
                     index = (pc >> 2) % md_entries
                     if md_table[index] > 0:
                         md_table[index] -= 1
-                for on_allocate, train, context_train in trainers:
-                    on_allocate(pc)
+                for train, context_train in trainers:
                     train(pc, addr, True)
                     if context_train is not None:
                         context_train(pc, frontend.path_history, addr)

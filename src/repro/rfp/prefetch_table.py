@@ -63,6 +63,10 @@ class PrefetchTable(object):
         inflight_bits: inflight counter width (saturates).
         pat: a :class:`PageAddressTable`, or None to store full addresses.
         seed: RNG seed for the probabilistic confidence increments.
+
+    ``draws`` counts the RNG's draws since it was seeded: with ``seed`` it
+    is the whole RNG state a checkpoint stores
+    (:func:`repro.sim.checkpoint.replay_draws` replays it).
     """
 
     def __init__(
@@ -88,7 +92,9 @@ class PrefetchTable(object):
         self.stride_limit = 1 << (stride_bits - 1)
         self.inflight_max = (1 << inflight_bits) - 1
         self.pat = pat
+        self.seed = seed
         self._rng = random.Random(seed)
+        self.draws = 0
         # sets[i]: {tag: PTEntry}, insertion order tracks LRU within ties.
         self.sets = [dict() for _ in range(self.num_sets)]
         self.trainings = 0
@@ -161,6 +167,7 @@ class PrefetchTable(object):
             limit = self.stride_limit
             if new_stride == entry.stride and -limit <= new_stride < limit:
                 if entry.confidence < self.confidence_max:
+                    self.draws += 1
                     if self._rng.random() < self.confidence_increment_prob:
                         entry.confidence += 1
                         if entry.confidence == self.confidence_max:

@@ -11,7 +11,7 @@ everywhere else:
 - :func:`capture` serializes everything the warmer mutates — cache/DTLB
   contents *and* counters, the L2 streamer, the hit-miss and
   memory-dependence predictors, the RFP PT/PAT/context tables including the
-  probabilistic confidence counter's RNG stream, branch path history,
+  probabilistic confidence counter's RNG draw count, branch path history,
   architectural registers, and the committed-memory delta over the trace
   image — into a JSON-friendly dict whose long integer columns are packed
   (:func:`_pack`).
@@ -24,7 +24,7 @@ everywhere else:
   respects: a **hierarchy part** (everything but the RFP tables; it
   depends only on :data:`WARM_CONFIG_FIELDS`, see
   :func:`hierarchy_fingerprint`) and, for an RFP config, an **RFP part**
-  (the PT/PAT/context tables and the PT's RNG; it depends only on
+  (the PT/PAT/context tables and the PT's RNG draw count; it depends only on
   :data:`WARM_RFP_FIELDS` plus ``seed``, see :func:`rfp_fingerprint`).
   Every config of a sweep that shares the cache geometry shares one
   hierarchy part per position, and :func:`ensure_checkpoints` writes all
@@ -64,8 +64,10 @@ from repro.sim.runner import SCHEMA_VERSION
 #: string and the PT's RNG state base64.  5: those lines, dirty positions,
 #: pages, streamer rows and memory delta, and the RNG state, are packed
 #: columns (:func:`_pack`), inside the binary, zlib-compressed envelope of
-#: :mod:`repro.sim.journal`.
-CHECKPOINT_FORMAT = 5
+#: :mod:`repro.sim.journal`.  6: a packed column holds byte planes, the
+#: memory delta is an address column and a value column, and the PT's RNG
+#: state is its draw count (:func:`replay_draws`).
+CHECKPOINT_FORMAT = 6
 
 #: CoreConfig fields the functional warmer's behaviour depends on.  Timing
 #: parameters (latencies, widths, queue depths) are deliberately absent:
@@ -145,23 +147,52 @@ _SWAP = sys.byteorder == "big"
 def _pack(values):
     """A list of non-negative integers as one string: the typecode ``I``
     when every value fits in 32 bits, else ``Q``, then the base64 of the
-    values as a little-endian :class:`array.array` of that typecode.
-    Decoding it (:func:`_unpack`) is one ``frombytes`` and one
-    ``tolist``, faster than parsing the decimal list, and the text is
-    shorter."""
+    values' little-endian bytes as byte planes: every value's first byte,
+    then every value's second byte, and so on.  The high planes of a
+    column of similar values are long runs of a few bytes, which the
+    store's zlib compresses well; interleaved words hide those runs.
+    Decoding it (:func:`_unpack`) is one slice assignment per plane, one
+    ``frombytes`` and one ``tolist``, faster than parsing the decimal
+    list."""
     column = array("I" if max(values, default=0) < 1 << 32 else "Q", values)
     if _SWAP:
         column.byteswap()
-    return column.typecode + base64.b64encode(column).decode("ascii")
+    raw = column.tobytes()
+    width = column.itemsize
+    planes = b"".join(raw[plane::width] for plane in range(width))
+    return column.typecode + base64.b64encode(planes).decode("ascii")
 
 
 def _unpack(packed):
     """The list of integers :func:`_pack` encoded into ``packed``."""
     column = array(packed[0])
-    column.frombytes(base64.b64decode(packed[1:]))
+    planes = memoryview(base64.b64decode(packed[1:]))
+    width = column.itemsize
+    size = len(planes) // width
+    raw = bytearray(len(planes))
+    for plane in range(width):
+        raw[plane::width] = planes[plane * size:(plane + 1) * size]
+    column.frombytes(raw)
     if _SWAP:
         column.byteswap()
     return column.tolist()
+
+
+#: Draws replayed per ``getrandbits`` call by :func:`replay_draws`.
+_DRAW_CHUNK = 1024
+
+
+def replay_draws(rng, draws):
+    """Advance the :class:`random.Random` ``rng`` exactly as ``draws``
+    calls of ``rng.random()`` would.  CPython's ``random()`` takes two
+    32-bit Mersenne Twister outputs and ``getrandbits(64 * k)`` takes
+    ``2 * k`` in one C call, so the jump costs a fraction of the calls;
+    chunks of :data:`_DRAW_CHUNK` draws keep each throw-away integer
+    small."""
+    while draws > 0:
+        chunk = min(draws, _DRAW_CHUNK)
+        rng.getrandbits(64 * chunk)
+        draws -= chunk
 
 
 def _cache_dump(cache):
@@ -179,9 +210,8 @@ def _cache_dump(cache):
 
 
 def _sets_load(sets, mask, lines, value):
-    """Refill per-set dicts from a set-after-set list of ``lines``."""
-    for entries in sets:
-        entries.clear()
+    """Fill a fresh structure's empty per-set dicts from a set-after-set
+    list of ``lines``."""
     for line in lines:
         sets[line & mask][line] = value
 
@@ -208,13 +238,12 @@ def _pt_dump(pt):
                    entry.page_offset]]
             for tag, entry in pt_set.items()
         ])
-    version, internal, gauss = pt._rng.getstate()
     return {
         "sets": sets,
         "counters": [pt.trainings, pt.allocations, pt.evictions,
                      pt.confidence_saturations],
-        # The Mersenne Twister state: 625 32-bit words.
-        "rng": [version, _pack(list(internal)), gauss],
+        # With the PT's seed, its RNG's draw count is its whole state.
+        "rng": pt.draws,
     }
 
 
@@ -222,7 +251,6 @@ def _pt_load(pt, dump):
     from repro.rfp.prefetch_table import PTEntry
 
     for pt_set, pairs in zip(pt.sets, dump["sets"]):
-        pt_set.clear()
         for tag, fields in pairs:
             entry = PTEntry(tag)
             (entry.confidence, entry.utility, entry.stride, entry.inflight,
@@ -233,12 +261,13 @@ def _pt_load(pt, dump):
             pt_set[tag] = entry
     (pt.trainings, pt.allocations, pt.evictions,
      pt.confidence_saturations) = dump["counters"]
-    version, packed, gauss = dump["rng"]
-    pt._rng.setstate((version, tuple(_unpack(packed)), gauss))
+    pt._rng.seed(pt.seed)
+    pt.draws = dump["rng"]
+    replay_draws(pt._rng, pt.draws)
 
 
 def _memory_delta(memory, trace):
-    """``[addr, value, ...]``, flat and packed, for every word of
+    """``[addresses, values]``, two packed columns, of every word of
     ``memory`` that differs from ``trace``'s initial image, in
     ``memory``'s order.
 
@@ -247,16 +276,19 @@ def _memory_delta(memory, trace):
     image order, and every later entry is a word the image lacks.
     """
     items = iter(memory.items())
-    delta = []
+    addrs, values = [], []
     for image_addr, image_value, (addr, value) in zip(
             trace.image_addrs, trace.image_values, items):
         if addr != image_addr:
             raise RuntimeError("committed memory of %r is not in trace image "
                                "order at %#x" % (trace.name, addr))
         if value != image_value:
-            delta += (addr, value)
-    delta.extend(chain.from_iterable(items))
-    return _pack(delta)
+            addrs.append(addr)
+            values.append(value)
+    for addr, value in items:
+        addrs.append(addr)
+        values.append(value)
+    return [_pack(addrs), _pack(values)]
 
 
 def capture(core, warmer):
@@ -322,7 +354,7 @@ def capture(core, warmer):
 
 def _rfp_dump(rfp):
     """The ``"rfp"`` entry of a :func:`capture` dict: the PT (with its RNG
-    stream), PAT and context tables of one RFP engine."""
+    draw count), PAT and context tables of one RFP engine."""
     dump = {"pt": _pt_dump(rfp.pt)}
     if rfp.pat is not None:
         dump["pat"] = {
@@ -356,7 +388,6 @@ def _rfp_load(rfp, dump):
         from repro.rfp.context import _ContextEntry
 
         context = rfp.context
-        context.table.clear()
         for index, fields in dump["context"]["table"]:
             entry = _ContextEntry(fields[0], fields[1])
             entry.stride, entry.confidence = fields[2], fields[3]
@@ -368,7 +399,10 @@ def _rfp_load(rfp, dump):
 def restore(core, state):
     """Apply a :func:`capture` dict onto a freshly constructed core.
 
-    Leaves ``core`` exactly as a functional warm over the first
+    ``core`` must be fresh: the per-set dicts, the streamer, the MD table
+    and the RFP tables are filled, not cleared first, so state left over
+    from an earlier run would survive the restore.  Leaves ``core``
+    exactly as a functional warm over the first
     ``state["functional"]`` instructions would: fetch cursor at the
     boundary, rename unit seeded with the warmed register values, every
     warmed structure (contents and counters) restored.  Returns ``core``.
@@ -378,8 +412,8 @@ def restore(core, state):
             "checkpoint for a %d-instruction trace restored onto a "
             "%d-instruction trace" % (state["length"], len(core.trace))
         )
-    memory = _unpack(state["memory"])
-    core.memory.update(zip(memory[::2], memory[1::2]))
+    addrs, values = state["memory"]
+    core.memory.update(zip(_unpack(addrs), _unpack(values)))
     hierarchy = core.hierarchy
     dumped = state["hierarchy"]
     _cache_load(hierarchy.l1, dumped["l1"])
@@ -394,7 +428,6 @@ def restore(core, state):
     if prefetcher is not None and "l2_prefetcher" in dumped:
         from repro.memory.prefetcher import _PageEntry
 
-        prefetcher.pages.clear()
         fields = _unpack(dumped["l2_prefetcher"]["pages"])
         for row in range(0, len(fields), 5):
             entry = _PageEntry(0)
@@ -408,7 +441,6 @@ def restore(core, state):
         core.hit_miss.predictions = state["hit_miss"]["predictions"]
         core.hit_miss.mispredicts = state["hit_miss"]["mispredicts"]
     md_table = core.md.table
-    md_table[:] = [0] * len(md_table)
     for index, counter in state["md"]["table"]:
         md_table[index] = counter
     core.md._commit_tick = state["md"]["commit_tick"]

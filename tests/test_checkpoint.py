@@ -12,8 +12,10 @@ repeat sweep zero — and the split into one shared hierarchy part and
 small RFP-table parts.
 """
 
+import base64
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -27,6 +29,7 @@ from repro.core.config import RFPConfig, baseline, baseline_2x
 from repro.core.core import OOOCore
 from repro.emu.warmup import FunctionalWarmer
 from repro.sim.cache import ResultCache
+from repro.sim import checkpoint
 from repro.sim.checkpoint import (
     RFP_PART,
     WARM_RFP_FIELDS,
@@ -36,6 +39,7 @@ from repro.sim.checkpoint import (
     ensure_checkpoints,
     ensure_checkpoints_batch,
     hierarchy_fingerprint,
+    replay_draws,
     restore,
     rfp_fingerprint,
     warm_fingerprint,
@@ -92,10 +96,10 @@ def checkpoint_incidents(report):
              r["recovered"]) for r in report.failures]
 
 
-def fresh_and_restored(config, length=LENGTH, warm=WARM):
+def fresh_and_restored(config, length=LENGTH, warm=WARM, workload=WORKLOAD):
     """A functionally warmed core and a second core restored from its
     checkpoint; bit-exactness means every compared component is equal."""
-    trace = build_workload(WORKLOAD, length=length)
+    trace = build_workload(workload, length=length)
     warmed = OOOCore(trace, config)
     warmer = FunctionalWarmer(warmed).warm(warm)
     state = json.loads(json.dumps(capture(warmed, warmer)))  # disk round-trip
@@ -163,6 +167,21 @@ class TestRestoreBitExact:
         assert [restored.rfp.pt._rng.random() for _ in range(5)] == [
             warmed.rfp.pt._rng.random() for _ in range(5)]
 
+    def test_pt_rng_comes_back_from_its_draw_count(self):
+        """A checkpoint stores the PT's RNG as a draw count.  With Fig. 17's
+        4-bit confidence counter, a spec06_gcc warm to 20,000 draws
+        thousands of times, so the restore's replay spans several chunks
+        and must land on the warmed RNG's exact state."""
+        config = quiet_config(rfp={"enabled": True, "confidence_bits": 4})
+        warmed, restored = fresh_and_restored(
+            config, length=40000, warm=20000, workload="spec06_gcc")
+        warmed_pt, restored_pt = warmed.rfp.pt, restored.rfp.pt
+        assert warmed_pt.draws > 2 * checkpoint._DRAW_CHUNK
+        assert restored_pt.draws == warmed_pt.draws
+        assert restored_pt._rng.getstate() == warmed_pt._rng.getstate()
+        assert [restored_pt._rng.random() for _ in range(1000)] == [
+            warmed_pt._rng.random() for _ in range(1000)]
+
     def test_context_prefetcher(self):
         config = quiet_config(
             rfp={"enabled": True, "context_enabled": True})
@@ -211,6 +230,45 @@ class TestRestoreBitExact:
                         quiet_config())
         with pytest.raises(ValueError, match="restored onto"):
             restore(other, state)
+
+
+# ---------------------------------------------------------------------------
+# encodings
+
+
+@pytest.mark.parametrize("draws", [0, 1, 1023, 1024, 1025, 5000])
+def test_replayed_draws_equal_random_calls(draws):
+    """The CPython behaviour a restore relies on: ``draws`` calls of
+    ``random()`` and :func:`replay_draws`'s chunked ``getrandbits`` jump
+    leave a Mersenne Twister in the same state."""
+    called, replayed = random.Random(0xC0FFEE), random.Random(0xC0FFEE)
+    for _ in range(draws):
+        called.random()
+    replay_draws(replayed, draws)
+    assert replayed.getstate() == called.getstate()
+
+
+class TestPackedColumns:
+    @pytest.mark.parametrize("values, typecode", [
+        ([], "I"),
+        ([0, 1, 0xFFFFFFFF, 0x12345678] * 3, "I"),
+        ([0, 1 << 32, 0xFFFFFFFFFFFFFFFF, 0x0123456789ABCDEF, 7], "Q"),
+    ])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_round_trip(self, monkeypatch, values, typecode, swap):
+        """Both typecodes and an empty column round-trip, also through
+        the byte swap a big-endian host takes."""
+        monkeypatch.setattr(checkpoint, "_SWAP", swap)
+        packed = checkpoint._pack(values)
+        assert packed[0] == typecode
+        assert checkpoint._unpack(packed) == values
+
+    def test_columns_are_little_endian_byte_planes(self):
+        """All first bytes, then all second bytes, and so on, on any
+        host byte order."""
+        planes = bytes([1, 5, 2, 6, 3, 7, 4, 8])
+        assert checkpoint._pack([0x04030201, 0x08070605]) == (
+            "I" + base64.b64encode(planes).decode("ascii"))
 
 
 # ---------------------------------------------------------------------------
@@ -692,10 +750,11 @@ class TestSplitStore:
 
     def test_parts_fit_their_size_budget(self, tmp_path):
         """spec06_gcc at 40k/20k under the benchmark's sampling plan (K=4,
-        N=800) and six configs: every hierarchy part fits in 24 KB and
-        every RFP part in 3.5 KB.  The per-set pair layout of format 3
+        N=800) and six configs: every hierarchy part fits in 9 KB and
+        every RFP part in 0.5 KB.  The per-set pair layout of format 3
         wrote parts of up to 122 KB and 9.0 KB, the plain-JSON columns of
-        format 4 up to 60.2 KB and 4.65 KB."""
+        format 4 up to 60.2 KB and 4.65 KB, the packed columns and the
+        whole RNG state of format 5 up to 18.4 KB and 2.93 KB."""
         store = CheckpointStore(str(tmp_path))
         configs = sweep6_configs()
         plan = SamplingPlan(configs[0], 40000, 20000,
@@ -710,8 +769,8 @@ class TestSplitStore:
                      if RFP_PART not in name]
         rfp = [size for name, size in sizes.items() if RFP_PART in name]
         assert (len(hierarchy), len(rfp)) == (4, 8)
-        assert max(hierarchy) <= 24 * 1024, sizes
-        assert max(rfp) <= 3.5 * 1024, sizes
+        assert max(hierarchy) <= 9 * 1024, sizes
+        assert max(rfp) <= 0.5 * 1024, sizes
 
     def test_stats_split_by_part_kind(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
@@ -721,9 +780,8 @@ class TestSplitStore:
         stats = store.stats()
         assert (stats["hierarchy_entries"], stats["rfp_entries"]) == (1, 2)
         assert stats["hierarchy_bytes"] + stats["rfp_bytes"] == stats["bytes"]
-        # Each kind's bytes are its own files' (an RFP part, mostly the
-        # PT's incompressible RNG state, is no longer smaller than a
-        # compressed hierarchy part of this short trace).
+        assert stats["rfp_bytes"] < stats["hierarchy_bytes"]
+        # Each kind's bytes are its own files'.
         for kind in ("hierarchy", "rfp"):
             assert stats[kind + "_bytes"] == sum(
                 os.path.getsize(path) for path in store.entry_paths()
