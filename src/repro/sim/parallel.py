@@ -1,21 +1,23 @@
 """The sweep pipeline: every suite run goes through :func:`run_jobs`.
 
-Per-(workload, config) simulations are embarrassingly parallel — nothing is
-shared between two runs except the on-disk result cache.  :func:`run_jobs`
-is a short driver over module-level stages that share one ``_Sweep``
-state object: plan (normalise, key, dedup) -> lookup (result cache,
-interval expansion) -> execute (per-lane checkpoint prewarm, jobs,
-sampled cells aggregated as their last interval lands) -> report.  A
-sweep returns and caches exactly the cells it was asked for: a sampled
-cell's intervals are jobs in memory, never result-cache entries.  The
-execute stage
-hands the misses to one of two :class:`Executor` implementations — the
-in-process :class:`SerialExecutor` (one worker: the serial reference
-path) or the supervised shard pool of :mod:`repro.sim.scheduler` —
-which share one lane queue keyed by trace, one resident-trace rule
+Per-(workload, config) simulations are embarrassingly parallel — nothing
+is shared between two runs except the on-disk result cache.
+:func:`run_jobs` is a short driver over module-level stages that share
+one ``_Sweep`` state object: plan (normalise, key, dedup) -> lookup
+(result cache, interval expansion) -> execute (jobs, each trace lane's
+checkpoint warm pass inside the lane's first interval job on whichever
+process runs it, sampled cells aggregated as their last interval lands)
+-> report.  A sweep returns and caches exactly the cells it was asked
+for: a sampled cell's intervals are jobs in memory, never result-cache
+entries.  The execute stage hands the misses to one of two
+:class:`Executor` implementations — the in-process
+:class:`SerialExecutor` (one worker: the serial reference path) or the
+supervised shard pool of :mod:`repro.sim.scheduler` — which share one
+lane queue keyed by trace, one resident-trace rule
 (:meth:`Executor.hold_trace`) and one retry decision
 (:meth:`Executor._fail_attempt`).  Every cache interaction stays in the
 parent process:
+
 
 - the parent checks the :class:`~repro.sim.cache.ResultCache` first, so
   workers only ever simulate genuine misses (corrupt entries are evicted
@@ -249,14 +251,18 @@ def _run_job(item):
     ``item`` is ``(key, job, job_index, attempt, in_child)``.
     Module-level (not a closure) so it can be pickled by reference under
     the ``spawn`` start method; the serial executor and every shard look
-    it up on this module at call time.  Returns ``(key, data, seconds,
-    evictions)``: the JSON-friendly result payload — never a
-    :class:`SimResult` — to keep the IPC surface minimal, and the corrupt
-    checkpoints this job evicted and re-warmed (``{"key", "reason"}``
-    incidents from the store's eviction log), which the sweep records in
-    its failure manifest.  Failures are re-raised as :class:`WorkerError`
-    carrying the (workload, config) key plus the worker-side traceback
-    and root exception class.
+    it up on this module at call time.  The first interval job of a
+    trace lane first runs the lane's warm pass (its sampling dict's
+    ``"warm"`` entry, see :func:`_lookup`) on whichever process runs the
+    job, so the pass has the job's watchdog, retries and manifest.
+    Returns ``(key, data, seconds, evictions)``: the JSON-friendly result
+    payload — never a :class:`SimResult` — to keep the IPC surface
+    minimal, and the corrupt checkpoints this job (warm pass included)
+    evicted and re-warmed (``{"key", "reason"}`` incidents from the
+    store's eviction log), which the sweep records in its failure
+    manifest.  Failures are re-raised as :class:`WorkerError` carrying
+    the (workload, config) key plus the worker-side traceback and root
+    exception class.
     """
     key, job, job_index, attempt, in_child = item
     workload, config, length, warmup, sampling = job
@@ -270,6 +276,18 @@ def _run_job(item):
             interval = sampling["interval"]
             store = default_checkpoint_store()
             try:
+                if "warm" in sampling:
+                    # The lane's first interval job: write every checkpoint
+                    # the lane restores (see _lookup).  Module attributes,
+                    # looked up per call like _run_job.
+                    configs, positions, batch_warm = sampling["warm"]
+                    if batch_warm:
+                        ensure_checkpoints_batch(
+                            [(None, workload, each, length, positions)
+                             for each in configs], store)
+                    else:
+                        ensure_checkpoints(None, workload, configs, length,
+                                           positions, store)
                 result = simulate_interval(
                     workload, config, length=length,
                     start=interval["start"], measure=interval["measure"],
@@ -344,11 +362,10 @@ class Executor(object):
     queue, the one-resident-trace rule and the retry decision for a
     failed attempt (:meth:`_fail_attempt`).
 
-    ``execute(pending, on_success, on_terminal, on_retry, on_lane)``
-    runs every pending job to completion, firing the callbacks in the
-    caller's thread, and raises the terminal :class:`WorkerError` when
-    ``keep_going`` is off.  ``on_lane(key)`` fires once per trace lane
-    before any of its jobs run (the sweep's checkpoint prewarm).
+    ``execute(pending, on_success, on_terminal, on_retry)`` runs every
+    pending job to completion, firing the callbacks in the caller's
+    thread, and raises the terminal :class:`WorkerError` when
+    ``keep_going`` is off.
 
     The queue is one lane per :func:`trace_key`, keys in first-queued
     order; a key leaves the map when its lane empties.  A process that
@@ -363,17 +380,13 @@ class Executor(object):
         self._on_success = None
         self._on_terminal = None
         self._on_retry = None
-        self._on_lane = None
         #: trace key -> deque of queued jobs.
         self._lanes = {}
-        #: The trace key this process last entered (see :meth:`hold_trace`).
-        self._resident = None
 
-    def _bind(self, on_success, on_terminal, on_retry, on_lane):
+    def _bind(self, on_success, on_terminal, on_retry):
         self._on_success = on_success
         self._on_terminal = on_terminal
         self._on_retry = on_retry
-        self._on_lane = on_lane
 
     @staticmethod
     def hold_trace(resident, key):
@@ -385,11 +398,6 @@ class Executor(object):
         if resident is not None and key != resident:
             build_workload.cache_clear()
         return key
-
-    def _enter_lane(self, key):
-        self._resident = self.hold_trace(self._resident, key)
-        if self._on_lane is not None:
-            self._on_lane(key)
 
     def _enqueue(self, pj, front=False):
         lane = self._lanes.setdefault(trace_key(pj.job), deque())
@@ -432,26 +440,26 @@ class SerialExecutor(Executor):
     """The in-process executor: identical results, no supervisor.
 
     Trace-affine like a shard: it runs one lane to completion before
-    entering the next, prewarms each lane (``on_lane``) just before its
-    first job, and drops the ``build_workload`` memo on a lane change, so
-    the caller's process holds one trace plus one core.  Crashes injected
-    here raise InjectedCrash (never ``os._exit``) and are retried in
-    place at once.  There is no watchdog — a hang hangs the caller,
-    which is the serial contract — and SIGINT and SIGTERM keep their
-    default actions: there is no child to stop, and every finished cell
-    is already cached.
+    entering the next (so a lane's warm pass, in its first interval job,
+    runs before the lane's other jobs) and drops the ``build_workload``
+    memo on a lane change, so the caller's process holds one trace plus
+    one core.  Crashes injected here raise InjectedCrash (never
+    ``os._exit``) and are retried in place at once.  There is no
+    watchdog — a hang hangs the caller, which is the serial contract —
+    and SIGINT and SIGTERM keep their default actions: there is no child
+    to stop, and every finished cell is already cached.
     """
 
     def execute(self, pending, on_success=None, on_terminal=None,
-                on_retry=None, on_lane=None):
-        self._bind(on_success, on_terminal, on_retry, on_lane)
+                on_retry=None):
+        self._bind(on_success, on_terminal, on_retry)
         for pj in pending:
             self._enqueue(pj)
+        resident = None  # the trace key of the lane being run
         while self._lanes:
-            key = (self._resident if self._resident in self._lanes
+            key = (resident if resident in self._lanes
                    else next(iter(self._lanes)))
-            if key != self._resident:
-                self._enter_lane(key)
+            resident = self.hold_trace(resident, key)
             pj = self._lanes[key][0]
             self._take(key, pj)
             try:
@@ -573,16 +581,23 @@ def _plan(sweep, jobs):
     return keys, unique
 
 
-def _lookup(sweep, keys, unique):
+def _lookup(sweep, keys, unique, batch_warm):
     """Serve what the result cache holds, and expand each sampled miss
-    into its interval jobs.  Returns ``(misses, prewarm)``: the pending
-    jobs, and per trace lane (:func:`trace_key`) the checkpoint
-    positions to warm per (workload, length, warm fingerprint).
+    into its interval jobs.  Returns the pending jobs.
 
     Each interval is an independently schedulable job keyed
     ``<cell-key>-iNNN`` in memory only: the result cache holds cells,
     never intervals.  ``total`` grows so the progress denominator counts
     interval units, not cells.
+
+    The first interval job of each trace lane (:func:`trace_key`) that
+    restores a checkpoint carries the lane's warm pass in its sampling
+    dict, ``"warm": (configs, positions, batch_warm)``: one config per
+    warm fingerprint, every position the lane's intervals restore.
+    :func:`ensure_checkpoints` makes it one resumable functional pass
+    per hierarchy fingerprint, so a repeat sweep warms nothing.  An
+    interval that another shard starts while its lane's warm still runs
+    warms its own position (same bytes), as any store miss does.
     """
     cache = sweep.cache
     cache.pop_evictions()  # stale incidents from earlier runs are not ours
@@ -601,9 +616,9 @@ def _lookup(sweep, keys, unique):
             sweep.tick(unique[key][0], unique[key][1].name, 0.0, "dedup")
         seen.add(key)
 
-    work = {}     # key -> 5-tuple job
-    prewarm = {}  # lane -> {(name, length):
-    #                         ({warm fingerprint: config}, positions)}
+    work = {}   # key -> 5-tuple job
+    warms = {}  # lane -> (its first interval's sampling dict,
+    #                      {warm fingerprint: config}, positions)
     for key, job in pending.items():
         workload, config, length, warmup, spec = job
         if spec is None:
@@ -614,21 +629,25 @@ def _lookup(sweep, keys, unique):
         sweep.total += plan.samples - 1  # the cell becomes its intervals
         for i, interval_key in enumerate(interval_keys):
             sweep.cell_of[interval_key] = key
-            work[interval_key] = (workload, config, length, warmup, {
+            sampling = {
                 "interval": {
                     "index": i,
                     "start": plan.starts[i],
                     "measure": plan.measure,
                     "ramp": plan.ramps[i],
                 },
-            })
+            }
+            work[interval_key] = (workload, config, length, warmup, sampling)
+            _, configs, positions = warms.setdefault(
+                trace_key(job), (sampling, {}, set()))
             if plan.functionals[i] > 0:
-                configs, positions = prewarm.setdefault(
-                    trace_key(job), {}).setdefault(
-                    (workload, length), ({}, set()))
                 configs.setdefault(warm_fingerprint(config), config)
                 positions.add(plan.functionals[i])
         sweep.cells[key] = (spec, interval_keys)
+    for sampling, configs, positions in warms.values():
+        if positions:
+            sampling["warm"] = (list(configs.values()), sorted(positions),
+                                batch_warm)
 
     misses = [_PendingJob(key, job, index)
               for index, (key, job) in enumerate(work.items())]
@@ -646,65 +665,12 @@ def _lookup(sweep, keys, unique):
                 pj.workload_name, pj.config_name, pj.index,
                 CLASS_CORRUPT_CACHE, 0, False, incident["reason"])
             sweep.failures.append(pj.corrupt_record)
-    return misses, prewarm
+    return misses
 
 
-def _prewarm(sweep, store, groups, batch_warm):
-    """Warm one trace lane before its jobs run, so jobs only ever restore.
-
-    Each (workload, length) group makes ONE resumable functional pass per
-    hierarchy fingerprint (:func:`ensure_checkpoints` with every config of
-    the group): the pass walks the cache hierarchy once, trains every
-    distinct RFP table set alongside, and writes each missing hierarchy
-    and RFP part at every position any config's intervals need.  A
-    sweep whose configs share the cache geometry warms each workload
-    once, a repeat sweep zero times.  A corrupt checkpoint met on the
-    way is evicted, re-warmed on the spot and recorded as a recovered
-    incident against the config whose part it was.  The executor calls
-    this per lane (``on_lane``): the serial one just before the lane's
-    first job, the shard pool for every lane before fan-out.
-
-    ``batch_warm`` makes every config one lane of a single batched SoA
-    engine run (:mod:`repro.emu.batch`) instead.
-    """
-    if not groups:
-        return
-    store.pop_evictions()
-    ordered = sorted(groups.items())
-    # Module attributes, looked up per call like _run_job.  The trace
-    # argument is None: a warm builds it only if a position is missing.
-    if batch_warm:
-        ensure_checkpoints_batch(
-            [(None, name, config, length, sorted(positions))
-             for (name, length), (configs, positions) in ordered
-             for config in configs.values()],
-            store,
-        )
-    else:
-        for (name, length), (configs, positions) in ordered:
-            ensure_checkpoints(None, name, list(configs.values()),
-                               length, sorted(positions), store)
-    incidents = store.pop_evictions()
-    if not incidents:
-        return
-    owner = {}  # part key -> (workload, config name), first config wins
-    for (name, length), (configs, positions) in ordered:
-        for config in configs.values():
-            for position in positions:
-                for part in store.parts(store.key(name, config, length,
-                                                  position)):
-                    owner.setdefault(part, (name, config.name))
-    for incident in incidents:
-        name, config_name = owner.get(incident["key"], ("?", "?"))
-        sweep.failures.append(_incident(
-            name, config_name, -1, CLASS_CORRUPT_CHECKPOINT, 1, True,
-            incident["reason"]))
-
-
-def _execute(sweep, misses, on_lane, max_workers, job_timeout, retries,
-             keep_going):
-    """Run the misses in-process (one worker) or on the shard pool;
-    ``on_lane(key)`` prewarms a trace lane.  Returns the worker count."""
+def _execute(sweep, misses, max_workers, job_timeout, retries, keep_going):
+    """Run the misses in-process (one worker) or on the shard pool.
+    Returns the worker count."""
     if max_workers is None:
         max_workers = settings.get("REPRO_JOBS")
     workers = max(1, min(max_workers, len(misses)))
@@ -717,17 +683,13 @@ def _execute(sweep, misses, on_lane, max_workers, job_timeout, retries,
     else:
         executor = SerialExecutor(retries=retries, keep_going=keep_going)
     executor.execute(misses, on_success=sweep.on_success,
-                     on_terminal=sweep.on_terminal, on_retry=sweep.on_retry,
-                     on_lane=on_lane)
+                     on_terminal=sweep.on_terminal, on_retry=sweep.on_retry)
     return workers
 
 
 def _report(sweep, misses, workers, wall_seconds):
-    # Prewarm incidents (job index -1) are recorded lane by lane; order
-    # them by workload so the manifest does not depend on lane order.
-    sweep.failures.sort(key=lambda record: (
-        record["job_index"], record["recovered"],
-        record["workload"] if record["job_index"] < 0 else ""))
+    sweep.failures.sort(key=lambda record: (record["job_index"],
+                                            record["recovered"]))
     return TimingReport(
         wall_seconds=wall_seconds,
         jobs_total=sweep.total,
@@ -748,9 +710,9 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
              job_timeout=None, retries=None, keep_going=False,
              batch_warm=False):
     """Run (workload, config, length, warmup[, sampling]) jobs through the
-    result cache and an executor: plan, lookup, execute (prewarming each
-    trace lane's checkpoints, committing each cell as it completes),
-    report.
+    result cache and an executor: plan, lookup, execute (each trace
+    lane's warm pass inside its first interval job, each cell committed
+    as it completes), report.
 
     Args:
         jobs: sequence of ``(workload name, config, length, warmup)``
@@ -774,8 +736,8 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
             retried.
         keep_going: record terminal failures in the report's manifest and
             return ``None`` in their result slots instead of raising.
-        batch_warm: prewarm through the batched SoA engine, bit-exact with
-            the scalar prewarm.
+        batch_warm: run each lane's warm pass through the batched SoA
+            engine, bit-exact with the scalar warm pass.
 
     Returns:
         ``(results, report)`` — ``results`` is a list of
@@ -788,12 +750,9 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
         progress = _stderr_progress
     sweep = _Sweep(cache if cache is not None else default_cache(), progress)
     keys, unique = _plan(sweep, jobs)
-    store = default_checkpoint_store()
-    misses, prewarm = _lookup(sweep, keys, unique)
-    workers = _execute(
-        sweep, misses,
-        lambda key: _prewarm(sweep, store, prewarm.get(key), batch_warm),
-        max_workers, job_timeout, retries, keep_going)
+    misses = _lookup(sweep, keys, unique, batch_warm)
+    workers = _execute(sweep, misses, max_workers, job_timeout, retries,
+                       keep_going)
     report = _report(sweep, misses, workers,
                      time.perf_counter() - started)
     # Job order, not completion order: deterministic output.  A failed

@@ -20,9 +20,9 @@ long-lived **shard** processes otherwise.  The pool has four parts:
   rule, :meth:`~repro.sim.parallel.Executor.hold_trace`: it drops its
   ``build_workload`` memo when the trace key of its next job differs
   from the last one.  A sweep of C configs x K intervals over W
-  workloads therefore builds about W traces, not C x K x W.  The parent
-  prewarms every lane's checkpoints before fan-out, under the same rule,
-  so it too holds one trace at a time.
+  workloads therefore builds about W traces, not C x K x W.  A lane's
+  warm pass runs inside its first interval job, on the shard that takes
+  that job; the parent builds no trace and warms nothing.
 - **Supervision** (:class:`ShardPool`): a selector loop over all shard
   pipes, with two liveness signals.  A job that outlives its watchdog
   deadline (see :func:`repro.sim.parallel.resolve_job_timeout`) has its
@@ -36,9 +36,9 @@ long-lived **shard** processes otherwise.  The pool has four parts:
   on every incarnation is bounded by ``REPRO_JOB_RETRIES`` alone.
 - **Stopping** (:meth:`ShardPool.execute`): the pool is the one executor
   with children to stop, so it alone traps SIGINT and SIGTERM, into one
-  flag, around its lane prewarm, spawn and run loop.  On the flag the
-  loop stops, every shard is stopped (a busy one killed), the previous
-  handlers come back and the signal is re-delivered: SIGINT surfaces as
+  flag, around its spawn and run loop.  On the flag the loop stops,
+  every shard is stopped (a busy one killed), the previous handlers
+  come back and the signal is re-delivered: SIGINT surfaces as
   ``KeyboardInterrupt`` and SIGTERM ends the process (or runs the
   caller's own handler).  A signal the caller ignores stays ignored.
   Finished cells are already cached, so ``--resume`` runs only the rest.
@@ -395,27 +395,21 @@ class ShardPool(Executor):
         return previous
 
     def execute(self, pending, on_success=None, on_terminal=None,
-                on_retry=None, on_lane=None):
+                on_retry=None):
         """Run ``pending`` jobs (pending-job protocol objects) to
         completion, firing the completion callbacks in this thread.
-        ``on_lane`` fires for every lane, one resident trace at a time,
-        before any shard starts.
 
         Raises the terminal :class:`WorkerError` after shutting the
         shards down when ``keep_going`` is False.  A SIGINT or SIGTERM
         stops the run: the shards are shut down, the caller's handlers
         restored and the signal re-delivered to them.
         """
-        self._bind(on_success, on_terminal, on_retry, on_lane)
+        self._bind(on_success, on_terminal, on_retry)
         pending = list(pending)
         for pj in pending:
             self._enqueue(pj)
         previous = self._trap_stop_signals()
         try:
-            for key in list(self._lanes):
-                if self._stop_signal is not None:
-                    break
-                self._enter_lane(key)
             # Never hold more shards than jobs: trim the pool so the
             # respawn path can't resurrect slots the workload cannot use.
             # The run loop's first pass spawns them.

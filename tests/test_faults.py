@@ -7,6 +7,7 @@ keep-going failure manifest over a 2-config x 4-workload matrix, and
 SIGINT- or SIGTERM-stopped runs that resume from the incremental cache.
 """
 
+import json
 import os
 import re
 import signal
@@ -368,6 +369,67 @@ class TestCorruptCacheInjection:
             "classification": "corrupt_cache", "attempts": 1,
             "recovered": True}]
         assert again.data == first.data
+
+
+class TestWarmPassCrash:
+    def test_crash_in_a_lane_warm_is_retried(self, tmp_path, monkeypatch):
+        """A crash inside a lane's warm pass is a crash of the interval job
+        that runs it: retried, recorded as one recovered ``crash``
+        incident, and the results and checkpoint parts are byte-identical
+        to a clean run's on both executors."""
+        monkeypatch.setenv("REPRO_MP_START", "fork")  # shards inherit hooks
+        configs = [quiet_config(), quiet_config(rfp={"enabled": True})]
+        names = WORKLOADS[:2]
+
+        def sweep(label, max_workers):
+            ckpt = tmp_path / ("ckpt-" + label)
+            monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(ckpt))
+            per_config, report = run_matrix(
+                configs, names, 3000, 1000,
+                cache=ResultCache(str(tmp_path / ("cache-" + label))),
+                max_workers=max_workers, retries=1, keep_going=True,
+                sampling={"samples": 2})
+            results = [json.dumps({name: result.data for name, result
+                                   in results.items()}, sort_keys=True)
+                       for results in per_config]
+            parts = {}
+            for path in sorted(ckpt.iterdir()):
+                parts[path.name] = path.read_bytes()
+            return results, parts, report
+
+        clean_results, clean_parts, _ = sweep("clean", 1)
+        assert clean_parts
+        real_ensure = parallel.ensure_checkpoints
+
+        def ensure(trace, workload, *args):
+            # The first warm of the first lane crashes, once per sweep:
+            # the marker file is shared with forked shards.
+            if workload == names[0]:
+                try:
+                    os.close(os.open(str(marker),
+                                     os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+                except FileExistsError:
+                    pass
+                else:
+                    raise faults.InjectedCrash("crash in a lane warm")
+            return real_ensure(trace, workload, *args)
+
+        monkeypatch.setattr(parallel, "ensure_checkpoints", ensure)
+        manifests = []
+        for max_workers in EXECUTORS:
+            marker = tmp_path / ("fired-%d" % max_workers)
+            results, parts, report = sweep(str(max_workers), max_workers)
+            assert marker.exists()
+            assert report.jobs_failed == 0
+            (incident,) = report.failures
+            assert incident["classification"] == "crash"
+            assert incident["recovered"] is True
+            assert incident["attempts"] == 2
+            assert incident["workload"] == names[0]
+            assert results == clean_results
+            assert parts == clean_parts
+            manifests.append(manifest(report))
+        assert manifests[0] == manifests[1]
 
 
 class TestSampledResume:

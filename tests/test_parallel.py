@@ -405,8 +405,8 @@ class TestTraceAffinity:
     def test_serial_sweep_holds_one_trace(self, tmp_path, monkeypatch):
         """A config-major 2-config x 3-workload matrix, full-window and
         sampled: each trace is generated once per mode, and the trace
-        memo holds at most one trace when any job or lane prewarm
-        starts."""
+        memo holds at most one trace when any job starts, or any lane's
+        warm pass, which runs inside the lane's first interval job."""
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
         generated, memo_sizes, prewarms = [], [], []
         real_generate = suite.generate_trace
@@ -468,3 +468,56 @@ class TestTraceAffinity:
             max_workers=1, sampling={"samples": 3})
         assert report.jobs_simulated == 12 and report.jobs_failed == 0
         assert len(opened) <= 1, opened
+
+    def test_pool_parent_builds_no_trace_and_warms_nothing(self, tmp_path,
+                                                           monkeypatch):
+        """A cold sampled sweep on two shards: every trace build and
+        functional warm pass runs in a shard, none in the parent (a
+        lane's warm runs inside its first interval job), and the results
+        equal the in-process run's."""
+        from repro.emu.warmup import FunctionalWarmer
+
+        monkeypatch.setenv("REPRO_MP_START", "fork")  # shards inherit hooks
+        calls = tmp_path / "calls"
+        real_generate = suite.generate_trace
+        real_warm = FunctionalWarmer.warm
+
+        def record(kind):
+            with open(str(calls), "a") as handle:
+                handle.write("%s %d\n" % (kind, os.getpid()))
+
+        def generate(profile):
+            record("generate_trace")
+            return real_generate(profile)
+
+        def warm(self, *args, **kwargs):
+            record("warm")
+            return real_warm(self, *args, **kwargs)
+
+        monkeypatch.setattr(suite, "generate_trace", generate)
+        monkeypatch.setattr(FunctionalWarmer, "warm", warm)
+        configs = [quiet_config(), quiet_config(rfp={"enabled": True})]
+        runs = {}
+        for max_workers in (2, 1):
+            monkeypatch.setenv("REPRO_CHECKPOINT_DIR",
+                               str(tmp_path / ("ckpt%d" % max_workers)))
+            suite.build_workload.cache_clear()
+            if calls.exists():
+                calls.unlink()
+            per_config, report = run_matrix(
+                configs, WORKLOADS, 4000, 1000,
+                cache=ResultCache(str(tmp_path / ("c%d" % max_workers))),
+                max_workers=max_workers, sampling={"samples": 2})
+            assert report.workers == max_workers and report.jobs_failed == 0
+            runs[max_workers] = [{name: result.data for name, result
+                                  in results.items()}
+                                 for results in per_config]
+            if max_workers == 2:
+                pids = [line.split() for line in calls.read_text().split("\n")
+                        if line]
+                kinds = {kind for kind, _ in pids}
+                assert kinds == {"generate_trace", "warm"}, kinds
+                parent = [kind for kind, pid in pids
+                          if int(pid) == os.getpid()]
+                assert parent == [], parent
+        assert runs[2] == runs[1]
