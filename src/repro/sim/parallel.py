@@ -487,11 +487,14 @@ class _Sweep(object):
         self.done = 0
         self.cache_hits = 0
         self.deduplicated = 0
-        self.by_key = {}         # key -> SimResult (None = failed)
+        # key -> SimResult (None = failed): cells, and the landed
+        # intervals of sampled cells not committed yet.
+        self.by_key = {}
         self.cells = {}          # sampled cell key -> (spec, interval keys)
         self.cell_of = {}        # interval key -> its sampled cell's key
         self.jobs = {}           # key -> _PendingJob of every miss
         self.failures = []       # the failure manifest
+        self.instructions = 0    # detailed instructions of every success
 
     def tick(self, workload, config_name, seconds, source):
         if source != "retry":
@@ -502,7 +505,7 @@ class _Sweep(object):
 
     def on_success(self, pj, data, seconds):
         result = SimResult(data)
-        self.by_key[pj.key] = result
+        self.instructions += data["total_instructions"]
         if pj.tries:
             # Recovered after failed attempts: an incident worth a record,
             # but not a terminal failure.
@@ -521,10 +524,14 @@ class _Sweep(object):
             self._commit(pj.key, result, pj)
         else:
             # A sampled cell is aggregated, in interval-index order, and
-            # committed the moment its last interval lands.
+            # committed the moment its last interval lands; its interval
+            # results are dropped then.
+            self.by_key[pj.key] = result
             spec, interval_keys = self.cells[cell_key]
             parts = [self.by_key.get(key) for key in interval_keys]
             if all(part is not None for part in parts):
+                for key in interval_keys:
+                    del self.by_key[key]
                 self._commit(cell_key, SimResult(aggregate_intervals(
                     [part.data for part in parts], spec)),
                     self.jobs[interval_keys[0]])
@@ -697,9 +704,7 @@ def _report(sweep, misses, workers, wall_seconds):
         jobs_deduplicated=sweep.deduplicated,
         cache_hits=sweep.cache_hits,
         workers=workers if misses else 0,
-        instructions_simulated=sum(
-            sweep.by_key[pj.key].data["total_instructions"]
-            for pj in misses if sweep.by_key.get(pj.key) is not None),
+        instructions_simulated=sweep.instructions,
         jobs_failed=sum(1 for r in sweep.failures if not r["recovered"]
                         and r["classification"] != CLASS_CORRUPT_CACHE),
         failures=sweep.failures,
@@ -713,6 +718,11 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
     result cache and an executor: plan, lookup, execute (each trace
     lane's warm pass inside its first interval job, each cell committed
     as it completes), report.
+
+    The parent holds cell results, plus the landed intervals of sampled
+    cells not yet committed: a cell's interval results are dropped when
+    it commits (a cell with a failed interval keeps them), so its memory
+    grows with cells, not interval jobs.
 
     Args:
         jobs: sequence of ``(workload name, config, length, warmup)``

@@ -6,6 +6,8 @@ entries treated as misses and safely rewritten, and schema-versioned cache
 keys.
 """
 
+import collections
+import gc
 import json
 import multiprocessing
 import os
@@ -24,6 +26,7 @@ from repro.sim.faults import flip_envelope_field
 from repro.sim.journal import HEADER_LEN, encode_envelope, read_envelope
 from repro.sim import parallel, settings
 from repro.sim.parallel import TimingReport, WorkerError, run_jobs, run_matrix
+from repro.sim.runner import SimResult
 from repro.sim.sampling import SamplingPlan
 from repro.workloads import suite
 
@@ -521,3 +524,102 @@ class TestTraceAffinity:
                           if int(pid) == os.getpid()]
                 assert parent == [], parent
         assert runs[2] == runs[1]
+
+
+class TestParentMemory:
+    """The sweep parent holds cells, not interval results: a sampled
+    cell's intervals are dropped when it commits."""
+
+    CONFIGS = (quiet_config(), quiet_config(name="rfp", rfp={"enabled": True}))
+    SAMPLES = 4
+
+    @pytest.fixture(autouse=True)
+    def fork_pool(self, monkeypatch):
+        monkeypatch.setenv("REPRO_MP_START", "fork")  # shards inherit hooks
+        self.monkeypatch = monkeypatch
+
+    def sweep(self, tmp_path, tag, max_workers, **kwargs):
+        """A 2-config x 2-workload, K=4 sampled matrix on empty stores."""
+        self.monkeypatch.setenv("REPRO_CHECKPOINT_DIR",
+                                str(tmp_path / ("ckpt-" + tag)))
+        return run_matrix(
+            self.CONFIGS, WORKLOADS[:2], 4000, 1000,
+            cache=ResultCache(str(tmp_path / ("cache-" + tag))),
+            max_workers=max_workers, sampling={"samples": self.SAMPLES},
+            **kwargs)
+
+    def interval_instructions(self, config):
+        """Detailed instructions of each interval of one cell: its ramp
+        plus the measured window."""
+        plan = SamplingPlan(config, 4000, 1000, {"samples": self.SAMPLES})
+        return [ramp + plan.measure for ramp in plan.ramps]
+
+    def test_parent_drops_interval_results_of_committed_cells(
+            self, tmp_path, monkeypatch):
+        """After every success the parent reports, no live interval
+        result belongs to a cell all of whose intervals have landed, on
+        both executors; the results equal an unobserved run's."""
+        real_on_success = parallel._Sweep.on_success
+        landed = collections.Counter()
+        held, stale = [], []
+
+        def on_success(sweep, pj, data, seconds):
+            real_on_success(sweep, pj, data, seconds)
+            cell = (data["workload"], data["config"])
+            landed[cell] += 1
+            live = [(result.data["workload"], result.data["config"])
+                    for result in gc.get_objects()
+                    if isinstance(result, SimResult)
+                    and "interval" in result.data]
+            held.append(len(live))
+            stale.extend(cell for cell in live
+                         if landed[cell] == self.SAMPLES)
+
+        def datas(per_config):
+            return [{name: result.data for name, result in results.items()}
+                    for results in per_config]
+
+        (expected, _) = self.sweep(tmp_path, "plain", 1)
+        monkeypatch.setattr(parallel._Sweep, "on_success", on_success)
+        for max_workers in (1, 2):
+            landed.clear()
+            del held[:], stale[:]
+            per_config, report = self.sweep(tmp_path, str(max_workers),
+                                            max_workers)
+            assert report.workers == max_workers and report.jobs_failed == 0
+            assert len(held) == report.jobs_simulated == 16
+            assert max(held) > 0  # the scan sees pending intervals
+            assert held[-1] == 0 and stale == [], (max_workers, stale)
+            assert datas(per_config) == datas(expected)
+
+    def test_sampled_instructions_simulated(self, tmp_path):
+        """The report counts the detailed instructions of every interval:
+        each one's ramp plus its measured window."""
+        total = sum(sum(self.interval_instructions(config)) * 2
+                    for config in self.CONFIGS)
+        for max_workers in (1, 2):
+            _, report = self.sweep(tmp_path, str(max_workers), max_workers)
+            assert report.jobs_simulated == 16 and report.jobs_failed == 0
+            assert report.instructions_simulated == total, max_workers
+
+    @pytest.mark.parametrize("fault, lost", [
+        ("crash:job=5:attempts=1", 0), ("crash:job=5", 1)],
+        ids=["retried", "terminal"])
+    def test_crashed_interval_counts_once_or_not_at_all(self, tmp_path,
+                                                         fault, lost):
+        """Job 5 is the second interval of (first config, second
+        workload).  Retried after one crash, it counts once; failed
+        terminally, its cell is absent and the report counts every
+        interval but that one."""
+        self.monkeypatch.setenv("REPRO_FAULT", fault)
+        total = sum(sum(self.interval_instructions(config)) * 2
+                    for config in self.CONFIGS)
+        total -= lost * self.interval_instructions(self.CONFIGS[0])[1]
+        for max_workers in (1, 2):
+            per_config, report = self.sweep(
+                tmp_path, str(max_workers), max_workers, retries=1,
+                keep_going=True)
+            assert report.jobs_failed == lost
+            assert sorted(per_config[0]) == WORKLOADS[:2 - lost]
+            assert sorted(per_config[1]) == WORKLOADS[:2]
+            assert report.instructions_simulated == total, max_workers
