@@ -34,7 +34,7 @@ from repro.core.rob import ReorderBuffer
 from repro.core.scheduler import ReservationStation
 from repro.core.wheel import TimingWheel
 from repro.isa.registers import NUM_ARCH_REGS
-from repro.isa.trace import MISPREDICTED
+from repro.isa.trace import MISPREDICTED, resident_image
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.ports import LoadPortArbiter
 from repro.rfp.engine import RFPEngine
@@ -64,8 +64,12 @@ class OOOCore(object):
         #: path costs one pointer test per hook site.
         self.tracer = tracer
         self.hierarchy = MemoryHierarchy(config)
-        #: Committed memory state; stores write here at retirement.
-        self.memory = trace.initial_memory()
+        #: Committed memory is this dict of the core's own writes (stores
+        #: write here at retirement; a restore or warm pass fills it) over
+        #: ``image``, the trace's read-only initial image shared by every
+        #: core of the process.  :meth:`committed_word` reads the two.
+        self.image = resident_image(trace)
+        self.memory = {}
         self.prf = PhysicalRegisterFile(config.prf_entries)
         self.rename = RenameUnit(NUM_ARCH_REGS, self.prf)
         self.rob = ReorderBuffer(config.rob_entries)
@@ -137,7 +141,7 @@ class OOOCore(object):
             self.stats, self.rob.entries, config.retire_width, self.vp,
             self.rfp, self.tracer, self.rename.free_list,
             self.preg_producer if track_critical else None, record_commits,
-            self.lq, self.md, self.frontend, self.memory, self.hierarchy,
+            self.lq, self.md, self.frontend, self.hierarchy,
         )
 
     # ==================================================================
@@ -409,8 +413,14 @@ class OOOCore(object):
         trace = self.trace
         self.vp.on_fetch(
             trace.statics[trace.sids[index]], index, cycle, self.ports,
-            self.hierarchy, self.memory, path_history
+            self.hierarchy, self.committed_word, path_history
         )
+
+    def committed_word(self, word):
+        """The committed value of the 8-byte word at ``word``: the core's
+        own write, else the initial image's value, else zero."""
+        value = self.memory.get(word)
+        return self.image.get(word, 0) if value is None else value
 
     # ==================================================================
     # events
@@ -452,8 +462,9 @@ class OOOCore(object):
             return 0
         retired = 0
         (stats, _rob_entries, retire_width, vp, rfp, tracer, free_list,
-         preg_producer, record_commits, lq, md, frontend, memory,
+         preg_producer, record_commits, lq, md, frontend,
          hierarchy) = self._commit_inv
+        memory = self.memory
         COMPLETED = D.COMPLETED
         while retired < retire_width:
             head = rob_entries[0] if rob_entries else None
@@ -737,7 +748,7 @@ class OOOCore(object):
     def _resolve_load_value(self, dyn, store):
         if store is not None:
             return store.value
-        return self.memory.get(dyn.word_addr, 0)
+        return self.committed_word(dyn.word_addr)
 
     def _issue_load(self, dyn, cycle):
         """Issue one demand load.
@@ -906,7 +917,10 @@ class OOOCore(object):
                     # Conservative wakeup: dependents re-traverse the
                     # scheduling pipe after data returns.
                     complete += self.config.sched_latency
-            value = self.memory.get(word, 0)
+            # -- committed_word ------------------------------------------
+            value = self.memory.get(word)
+            if value is None:
+                value = self.image.get(word, 0)
         self._finish_load(dyn, cycle, complete, value)
         return True
 

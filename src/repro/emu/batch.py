@@ -48,6 +48,7 @@ in one lockstep cohort (default :data:`DEFAULT_WIDTH`).
 from repro.core.frontend import PATH_MASK
 from repro.emu.warmup import note_warm_pass
 from repro.isa.trace import TAKEN
+from repro.memory.cache import EMPTY_SET
 from repro.memory.tlb import PAGE_SHIFT
 
 _GOLDEN = 0x9E3779B1
@@ -250,9 +251,10 @@ class _CacheState(object):
         for cache, columns, sets in ((hierarchy.l1, self.l1, dumps[1]),
                                      (hierarchy.l2, self.l2, dumps[2]),
                                      (hierarchy.llc, self.llc, dumps[3])):
-            for cache_set, entries in zip(cache.sets, sets):
-                cache_set.clear()
-                cache_set.update(entries)
+            # A lane gets its own copy of every filled set; an empty one
+            # stays (or becomes again) the shared empty set.
+            cache.sets[:] = [entries.copy() if entries else EMPTY_SET
+                             for entries in sets]
             stats = cache.stats
             stats.hits = columns.hits
             stats.misses = columns.misses
@@ -516,6 +518,7 @@ def _advance_arch(group, start, end):
     regs = group.regs
     memory = group.memory
     memory_get = memory.get
+    image_get = group.image.get
     path = group.path
     chunk = _Chunk()
     mem_append = chunk.mem_addrs.append
@@ -527,7 +530,9 @@ def _advance_arch(group, start, end):
                                trace.flags[start:end]):
         static = statics[sid]
         if static.is_load:
-            value = memory_get(addr & ~7, 0)
+            value = memory_get(addr & ~7)
+            if value is None:
+                value = image_get(addr & ~7, 0)
             mem_append(addr)
             store_append(0)
             sid_append(sid)
@@ -1240,6 +1245,7 @@ class _TraceGroup(object):
         self.warmer = warmer
         self.regs = warmer.registers.values
         self.memory = warmer.memory
+        self.image = warmer.core.image
         #: Path history before instruction ``position``: the lead core's
         #: (zero, or restored from the resume checkpoint).
         self.path = lanes[0].core.frontend.path_history
@@ -1390,6 +1396,10 @@ class BatchWarmEngine(object):
             for position, (index, wanted, missing) in enumerate(members):
                 config = self.jobs[index][2]
                 core = OOOCore(trace, config)
+                if lanes:
+                    # One architectural execution: every lane's committed
+                    # writes are the lead's.
+                    core.memory = lanes[0].core.memory
                 if states is not None:
                     _checkpoint.restore(core, states[position])
                 # Lanes whose configs agree on every cache-relevant field
@@ -1408,8 +1418,6 @@ class BatchWarmEngine(object):
             warmer.warmed = resume_at
             if states is not None:
                 warmer.registers.values[:] = states[0]["registers"]
-            for lane in lanes:
-                lane.core.memory = warmer.memory
             groups.append(_TraceGroup(trace, lanes,
                                       list(cache_states.values()),
                                       resume_at, warmer))

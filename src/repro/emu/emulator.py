@@ -7,6 +7,9 @@ from repro.isa.registers import ArchRegisters
 class ArchEmulator(object):
     """Executes a trace sequentially with architectural semantics.
 
+    The oracle keeps its own full copy of the trace's initial image, so
+    it shares nothing with the cores it checks.
+
     Attributes after :meth:`run`:
         registers: final :class:`~repro.isa.registers.ArchRegisters`.
         memory: final memory image (8-byte-aligned address -> value).
@@ -14,10 +17,10 @@ class ArchEmulator(object):
             program order (used to validate the core's load resolution).
     """
 
-    def __init__(self, trace, memory=None):
+    def __init__(self, trace):
         self.trace = trace
         self.registers = ArchRegisters()
-        self.memory = memory if memory is not None else trace.initial_memory()
+        self.memory = trace.initial_memory()
         self.load_values = []
         self.store_values = []
 

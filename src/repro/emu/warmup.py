@@ -30,13 +30,13 @@ and transient micro-state such as MSHR occupancy or store-queue contents,
 which the detailed ramp re-establishes before measurement begins (see
 :data:`repro.sim.sampling.FF_DETAIL_RAMP`).
 
-After :meth:`warm`, the core's committed memory image and architectural
+After :meth:`warm`, the core's committed writes and architectural
 registers hold the warmed-up state and its fetch cursor points at the
 boundary, so ``core.run()`` simulates only the remaining instructions.
 """
 
 from repro.core.frontend import PATH_MASK
-from repro.emu.emulator import ArchEmulator
+from repro.isa.registers import ArchRegisters
 from repro.isa.trace import TAKEN
 
 #: Process-wide count of functional warm passes (warmer instances that
@@ -63,12 +63,16 @@ def note_warm_pass():
     _warm_passes += 1
 
 
-class FunctionalWarmer(ArchEmulator):
+class FunctionalWarmer(object):
     """Warms one :class:`~repro.core.core.OOOCore`'s structures in place.
 
-    The warmer shares the core's committed-memory dict (the core's private
-    copy of the trace's initial image), so stores executed functionally
-    are visible to detailed-region loads.
+    The warmer executes with the architectural semantics of
+    :class:`~repro.emu.emulator.ArchEmulator` (``registers``,
+    ``load_values`` and ``store_values`` mean the same) but over the
+    core's committed memory: its stores go into the core's writes dict
+    (``memory``, shared), so detailed-region loads see them, and a load
+    reads that dict first, then the trace's shared initial image
+    (``core.image``).  It never copies the image.
 
     ``rfps`` lists the :class:`~repro.rfp.engine.RFPEngine` objects whose
     PT/PAT/context tables the pass trains; the default is the core's own
@@ -78,8 +82,12 @@ class FunctionalWarmer(ArchEmulator):
     """
 
     def __init__(self, core, rfps=None):
-        super().__init__(core.trace, core.memory)
+        self.trace = core.trace
         self.core = core
+        self.registers = ArchRegisters()
+        self.memory = core.memory
+        self.load_values = []
+        self.store_values = []
         if rfps is None:
             rfps = [core.rfp] if core.rfp is not None else []
         self.rfps = rfps
@@ -93,7 +101,7 @@ class FunctionalWarmer(ArchEmulator):
 
         Returns self.  The core's fetch cursor is left at ``count``; its
         rename unit maps the warmed register values; ``core.memory``
-        reflects every store in the region.
+        holds every store in the region.
 
         Resumable: a second call with a larger ``count`` continues from
         where the previous call stopped (instructions are never replayed),
@@ -123,6 +131,7 @@ class FunctionalWarmer(ArchEmulator):
         regs = self.registers.values
         memory = self.memory
         memory_get = memory.get
+        image_get = core.image.get
         loads_append = self.load_values.append
         stores_append = self.store_values.append
         hierarchy = core.hierarchy
@@ -154,7 +163,9 @@ class FunctionalWarmer(ArchEmulator):
                                    trace.flags[start: count]):
             static = statics[sid]
             if static.is_load:
-                value = memory_get(addr & ~7, 0)
+                value = memory_get(addr & ~7)
+                if value is None:
+                    value = image_get(addr & ~7, 0)
                 loads_append(value)
                 pc = static.pc
                 # -- hierarchy.warm_load (fast path) -------------------

@@ -5,13 +5,17 @@ repeats a few dozen static instructions tens of thousands of times, so the
 trace keeps one :class:`~repro.isa.instruction.StaticInstr` per distinct
 static instruction and, per dynamic instance, only what varies: its
 static id, its effective address and a flag byte, in three arrays indexed
-by trace position (11 bytes per instruction).  The initial memory image
-is two parallel 8-byte arrays.
+by trace position (7 bytes per instruction while every address fits in
+32 bits).  The initial memory image stays two compact parallel columns;
+:func:`resident_image` expands it into a dict once per process, for
+every core built on the trace to read.
 
 The :class:`TraceCursor` is the frontend's view of the trace; it supports
 rewinding to an arbitrary instruction index, which is how memory-ordering
 and value-misprediction flushes restart execution from the offending load.
 """
+
+from functools import lru_cache
 
 from repro.isa.instruction import Instruction
 
@@ -31,13 +35,18 @@ class Trace(object):
             indexed by static id.
         sids: ``array('H')`` of static ids, one per dynamic instruction
             (``array('I')`` past 65,536 statics).
-        addrs: ``array('Q')`` of effective addresses (0 for non-memory ops).
+        addrs: ``array('I')`` of effective addresses (0 for non-memory
+            ops; ``array('Q')`` once an address reaches 2**32).
         flags: ``bytearray`` of :data:`BRANCH` | :data:`TAKEN` |
             :data:`MISPREDICTED` bits.
-        image_addrs, image_values: ``array('Q')`` columns of the initial
-            memory image (8-byte-aligned address -> 64-bit value), in the
-            order the builder first wrote each address.  Addresses absent
-            from the image read as zero.
+        image_addrs, image_values: columns of the initial memory image
+            (8-byte-aligned address -> 64-bit value), in the order the
+            builder first wrote each address; ``image_addrs`` is
+            ``array('I')`` like ``addrs`` (``'Q'`` past 32 bits),
+            ``image_values`` ``array('Q')``.  Addresses absent from the
+            image read as zero.  Nothing expands the image onto the
+            trace: :meth:`initial_memory` returns a private copy and
+            :func:`resident_image` the process's one shared copy.
 
     ``Trace(instructions, memory_image)`` encodes a list of
     :class:`~repro.isa.instruction.Instruction` records through
@@ -94,6 +103,21 @@ class Trace(object):
             len(self.sids),
             self.load_count,
         )
+
+
+@lru_cache(maxsize=1)
+def resident_image(trace):
+    """The initial memory image of ``trace`` as a dict, in image order,
+    shared read-only by every core, warmer and checkpoint restore of the
+    process: a core's committed memory is a dict of its own writes over
+    this image.
+
+    A process holds one expanded image: asking for another trace's
+    replaces it, and ``resident_image.cache_clear()`` drops it (the sweep
+    executors do when they move to another trace).  Callers must never
+    write to the returned dict.
+    """
+    return trace.initial_memory()
 
 
 class TraceCursor(object):

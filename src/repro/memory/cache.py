@@ -6,6 +6,32 @@ path a couple of dict operations per access.
 """
 
 
+class _EmptySet(dict):
+    """The read-only empty set every cache set starts as (:data:`EMPTY_SET`).
+
+    A cache set is made on its first fill: :meth:`Cache.fill` and the
+    loaders that restore or adopt a whole cache replace this one shared
+    object in the set's slot.  Any write that bypasses them raises
+    instead of filling every untouched set at once.  A deep copy of a
+    cache keeps sharing it.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("an untouched cache set is the shared read-only "
+                        "EMPTY_SET; fill the set through Cache.fill")
+
+    __setitem__ = __ior__ = setdefault = update = _read_only
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+#: The shared empty set (see :class:`_EmptySet`).
+EMPTY_SET = _EmptySet()
+
+
 class CacheStats(object):
     """Hit/miss counters for one cache level."""
 
@@ -27,7 +53,9 @@ class Cache(object):
 
     Lines are identified by line address (``addr >> line_shift``).  Each set
     is an ordered dict from tag to a per-line record; ordering encodes
-    recency (last item = most recently used).
+    recency (last item = most recently used).  A set no line has entered
+    is the shared :data:`EMPTY_SET`, so a fresh cache costs one list slot
+    per set; :meth:`fill` makes the set's own dict.
 
     Args:
         size_bytes: total capacity.
@@ -53,8 +81,9 @@ class Cache(object):
         if self.num_sets & (self.num_sets - 1):
             raise ValueError("number of sets must be a power of two")
         self.set_mask = self.num_sets - 1
-        # One dict per set: {tag: dirty_bool}, insertion order = LRU order.
-        self.sets = [dict() for _ in range(self.num_sets)]
+        # One dict per set: {tag: dirty_bool}, insertion order = LRU order;
+        # EMPTY_SET until the set's first fill.
+        self.sets = [EMPTY_SET] * self.num_sets
         self.stats = CacheStats()
 
     def lookup(self, line):
@@ -81,6 +110,8 @@ class Cache(object):
         Returns the evicted ``(line, dirty)`` pair, or ``None``.
         """
         cache_set = self.sets[line & self.set_mask]
+        if cache_set is EMPTY_SET:
+            cache_set = self.sets[line & self.set_mask] = {}
         victim = None
         if line in cache_set:
             # Refill of a present line: merge dirty bit, refresh recency.

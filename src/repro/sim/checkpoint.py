@@ -51,6 +51,7 @@ from array import array
 from itertools import chain, compress, count
 
 from repro.emu.warmup import FunctionalWarmer
+from repro.memory.cache import EMPTY_SET
 from repro.sim import settings
 from repro.sim.journal import EnvelopeStore
 from repro.sim.runner import SCHEMA_VERSION
@@ -210,10 +211,15 @@ def _cache_dump(cache):
 
 
 def _sets_load(sets, mask, lines, value):
-    """Fill a fresh structure's empty per-set dicts from a set-after-set
-    list of ``lines``."""
+    """Fill a fresh structure's sets from a set-after-set list of
+    ``lines``: a cache set is made at its first line, and one no line
+    lands in stays the shared :data:`~repro.memory.cache.EMPTY_SET`."""
     for line in lines:
-        sets[line & mask][line] = value
+        index = line & mask
+        target = sets[index]
+        if target is EMPTY_SET:
+            target = sets[index] = {}
+        target[line] = value
 
 
 def _cache_load(cache, dump):
@@ -266,28 +272,21 @@ def _pt_load(pt, dump):
     replay_draws(pt._rng, pt.draws)
 
 
-def _memory_delta(memory, trace):
-    """``[addresses, values]``, two packed columns, of every word of
-    ``memory`` that differs from ``trace``'s initial image, in
-    ``memory``'s order.
-
-    A core's memory starts as :meth:`~repro.isa.trace.Trace.initial_memory`
-    and only ever gains keys, so its first entries are the image's, in
-    image order, and every later entry is a word the image lacks.
-    """
-    items = iter(memory.items())
+def _memory_delta(writes, image):
+    """``[addresses, values]``, two packed columns, of every committed
+    word that differs from the initial ``image``: the image words
+    ``writes`` changed, in image order, then the words the image lacks,
+    in the order they were first written (``writes`` order)."""
     addrs, values = [], []
-    for image_addr, image_value, (addr, value) in zip(
-            trace.image_addrs, trace.image_values, items):
-        if addr != image_addr:
-            raise RuntimeError("committed memory of %r is not in trace image "
-                               "order at %#x" % (trace.name, addr))
-        if value != image_value:
+    for addr in filter(writes.__contains__, image):
+        value = writes[addr]
+        if value != image[addr]:
             addrs.append(addr)
             values.append(value)
-    for addr, value in items:
-        addrs.append(addr)
-        values.append(value)
+    for addr, value in writes.items():
+        if addr not in image:
+            addrs.append(addr)
+            values.append(value)
     return [_pack(addrs), _pack(values)]
 
 
@@ -296,6 +295,9 @@ def capture(core, warmer):
 
     ``warmer`` is the :class:`FunctionalWarmer` that produced the state;
     its register file and instruction position are part of the snapshot.
+    Committed memory is stored as its delta over the trace's initial
+    image (:func:`_memory_delta` of the core's writes over
+    ``core.image``), never as the image itself.
     """
     trace = core.trace
     hierarchy = core.hierarchy
@@ -305,7 +307,7 @@ def capture(core, warmer):
         "length": len(trace),
         "functional": warmer.warmed,
         "registers": list(warmer.registers.values),
-        "memory": _memory_delta(core.memory, trace),
+        "memory": _memory_delta(core.memory, core.image),
         "path_history": core.frontend.path_history,
         "hierarchy": {
             "l1": _cache_dump(hierarchy.l1),
@@ -399,9 +401,12 @@ def _rfp_load(rfp, dump):
 def restore(core, state):
     """Apply a :func:`capture` dict onto a freshly constructed core.
 
-    ``core`` must be fresh: the per-set dicts, the streamer, the MD table
-    and the RFP tables are filled, not cleared first, so state left over
-    from an earlier run would survive the restore.  Leaves ``core``
+    ``core`` must be fresh: its empty committed-writes dict receives the
+    memory delta, and the streamer, the MD table and the RFP tables are
+    filled, not cleared first, so state left over from an earlier run
+    would survive the restore; a cache set is made when its first
+    restored line lands, and every other cache set stays the shared
+    empty one.  Leaves ``core``
     exactly as a functional warm over the first
     ``state["functional"]`` instructions would: fetch cursor at the
     boundary, rename unit seeded with the warmed register values, every

@@ -72,6 +72,7 @@ import time
 import traceback
 from collections import deque
 
+from repro.isa.trace import resident_image
 from repro.sim import faults, settings
 from repro.sim.cache import default_cache
 from repro.sim.checkpoint import (
@@ -392,11 +393,13 @@ class Executor(object):
     def hold_trace(resident, key):
         """The one-resident-trace rule: a process moving from trace
         ``resident`` to a different trace ``key`` drops its
-        ``build_workload`` memo, so it holds one trace plus one core
-        however many traces it visits.  Returns ``key``, the new
-        resident."""
+        ``build_workload`` memo and the trace's expanded memory image
+        (:func:`~repro.isa.trace.resident_image`), so it holds one trace,
+        one image and one core however many traces it visits.  Returns
+        ``key``, the new resident."""
         if resident is not None and key != resident:
             build_workload.cache_clear()
+            resident_image.cache_clear()
         return key
 
     def _enqueue(self, pj, front=False):

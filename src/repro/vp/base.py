@@ -58,10 +58,11 @@ class ValuePredictor(object):
         self.blacklist = {}
 
     # -- fetch stage (address predictors probe the cache here) ----------
-    def on_fetch(self, static, index, cycle, ports, hierarchy, memory_image,
+    def on_fetch(self, static, index, cycle, ports, hierarchy, read_word,
                  path):
         """Called for every fetched instruction (``static`` at trace
-        position ``index``) before it reaches rename."""
+        position ``index``) before it reaches rename.  ``read_word(addr)``
+        returns the committed value of an 8-byte-aligned word."""
 
     # -- dispatch stage ---------------------------------------------------
     def on_load_dispatch(self, dyn, cycle, path):

@@ -22,10 +22,10 @@ class CompositePredictor(ValuePredictor):
         self.eves_used = 0
         self.dlvp_used = 0
 
-    def on_fetch(self, static, index, cycle, ports, hierarchy, memory_image,
+    def on_fetch(self, static, index, cycle, ports, hierarchy, read_word,
                  path):
         self.dlvp.on_fetch(static, index, cycle, ports, hierarchy,
-                           memory_image, path)
+                           read_word, path)
 
     def on_load_dispatch(self, dyn, cycle, path):
         predicted, value = self.eves.on_load_dispatch(dyn, cycle, path)

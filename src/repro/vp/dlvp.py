@@ -15,9 +15,10 @@ every stage of that waterfall:
 5. *Probe timely* — the probed data must arrive before the load allocates;
    with a 5-cycle L1 and a ~4-cycle uop-cache frontend, only ~11% make it.
 
-The probe reads *committed* memory state: in-flight stores are invisible to
-a fetch-time probe, so a store committing between probe and execution shows
-up as a value mismatch at validation and costs a flush.
+The probe reads *committed* memory state (``read_word``, the core's
+:meth:`~repro.core.core.OOOCore.committed_word`): in-flight stores are
+invisible to a fetch-time probe, so a store committing between probe and
+execution shows up as a value mismatch at validation and costs a flush.
 """
 
 from repro.vp.base import ConfidenceCounter, ValuePredictor
@@ -82,7 +83,7 @@ class DLVPPredictor(ValuePredictor):
 
     # ------------------------------------------------------------------
 
-    def on_fetch(self, static, index, cycle, ports, hierarchy, memory_image,
+    def on_fetch(self, static, index, cycle, ports, hierarchy, read_word,
                  path):
         if not static.is_load:
             return
@@ -109,7 +110,7 @@ class DLVPPredictor(ValuePredictor):
         result = hierarchy.load(
             predicted, static.pc, cycle, fill_tlb=False, count_distribution=False
         )
-        value = memory_image.get(predicted & ~7, 0)
+        value = read_word(predicted & ~7)
         self.pending_probes[index] = _Probe(result.complete, value)
 
     def on_load_dispatch(self, dyn, cycle, path):

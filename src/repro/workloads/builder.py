@@ -29,7 +29,7 @@ class TraceBuilder(object):
         self.statics = []
         self._interned = {}
         self.sids = array("H")
-        self.addrs = array("Q")
+        self.addrs = array("I")
         self.flags = bytearray()
         self._next_pc = CODE_BASE
         self._next_addr = HEAP_BASE
@@ -104,7 +104,11 @@ class TraceBuilder(object):
         except OverflowError:  # past 65,536 statics: widen the id column
             self.sids = array("I", self.sids)
             self.sids.append(static.sid)
-        self.addrs.append(addr)
+        try:
+            self.addrs.append(addr)
+        except OverflowError:  # an address of 2**32 or more: widen
+            self.addrs = array("Q", self.addrs)
+            self.addrs.append(addr)
         self.flags.append(flags)
 
     def emit(self, instr):
@@ -119,14 +123,23 @@ class TraceBuilder(object):
         self.append(static, addr or 0, flags)
 
     def finish(self, trace):
-        """Hand the columns to ``trace`` (no copy) and return it."""
+        """Hand the columns to ``trace`` (no copy) and return it.
+
+        The memory image becomes two compact columns: addresses as
+        ``array('I')`` while every one fits in 32 bits (``'Q'``
+        otherwise, like :attr:`addrs`), values as ``array('Q')``.  The
+        dict is not kept: cores read the image through
+        :func:`~repro.isa.trace.resident_image`."""
         trace.name = self.name
         trace.category = self.category
         trace.statics = self.statics
         trace.sids = self.sids
         trace.addrs = self.addrs
         trace.flags = self.flags
-        trace.image_addrs = array("Q", self.memory.keys())
+        try:
+            trace.image_addrs = array("I", self.memory.keys())
+        except OverflowError:
+            trace.image_addrs = array("Q", self.memory.keys())
         trace.image_values = array("Q", self.memory.values())
         return trace
 

@@ -204,9 +204,11 @@ def profile_for(name, length=20000):
 #: it one trace lane at a time and clear the memo on every lane change
 #: (:meth:`repro.sim.parallel.Executor.hold_trace`).  The rest serves
 #: direct callers that revisit traces, such as the examples, which loop a
-#: handful of workloads once per config.  A columnar trace holds 11 bytes
-#: per instruction plus 16 per initial memory word, about 0.5-0.8 MB at
-#: length 40,000, so a full memo holds at most about 13 MB at that length.
+#: handful of workloads once per config.  A columnar trace holds 7 bytes
+#: per instruction plus 12 per initial memory word, about 0.4-0.7 MB at
+#: length 40,000, so a full memo holds at most about 11 MB at that length.
+#: The memo does not hold expanded images: a process expands one at a
+#: time (:func:`repro.isa.trace.resident_image`).
 TRACE_CACHE_ENTRIES = 16
 
 

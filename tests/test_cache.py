@@ -3,13 +3,36 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memory.cache import Cache
+from repro.memory.cache import EMPTY_SET, Cache
 from repro.sim.checkpoint import _cache_dump
 
 
 def small_cache():
     # 4 sets x 2 ways x 64B lines.
     return Cache(512, 2, 64, name="tiny")
+
+
+class TestUntouchedSets:
+    def test_fresh_sets_are_the_shared_empty_set(self):
+        cache = Cache(48 * 1024, 12, 64)
+        assert all(cache_set is EMPTY_SET for cache_set in cache.sets)
+
+    def test_direct_write_raises(self):
+        cache = small_cache()
+        for write in (lambda s: s.__setitem__(5, False),
+                      lambda s: s.update({5: False}),
+                      lambda s: s.setdefault(5, False)):
+            with pytest.raises(TypeError):
+                write(cache.sets[1])
+        assert not EMPTY_SET
+
+    def test_fill_makes_only_its_own_set(self):
+        cache = small_cache()
+        cache.fill(5)
+        assert cache.sets[1] == {5: False}
+        assert [s is EMPTY_SET for s in cache.sets] == [True, False,
+                                                         True, True]
+        assert cache.lookup(5) and not cache.lookup(4)
 
 
 class TestGeometry:

@@ -28,10 +28,13 @@ from repro.__main__ import main
 from repro.core.config import RFPConfig, baseline, baseline_2x
 from repro.core.core import OOOCore
 from repro.emu.warmup import FunctionalWarmer
+from repro.memory.cache import EMPTY_SET
 from repro.sim.cache import ResultCache
 from repro.sim import checkpoint
 from repro.sim.checkpoint import (
     RFP_PART,
+    _memory_delta,
+    _unpack,
     WARM_RFP_FIELDS,
     CheckpointStore,
     capture,
@@ -197,11 +200,34 @@ class TestRestoreBitExact:
 
     def test_architectural_state_and_cursor(self):
         warmed, restored = fresh_and_restored(quiet_config())
-        assert restored.memory == warmed.memory
+        # The same committed words (writes over the shared image), though
+        # the restored writes hold only the words that differ.
+        assert ({**restored.image, **restored.memory}
+                == {**warmed.image, **warmed.memory})
         assert restored.rename.architectural_values() == \
             warmed.rename.architectural_values()
         assert restored.frontend.path_history == warmed.frontend.path_history
         assert restored.frontend.cursor.index == WARM
+
+    def test_restore_makes_only_the_restored_sets(self):
+        warmed, restored = fresh_and_restored(baseline())
+        for level in ("l1", "l2", "llc"):
+            made = [cache_set is not EMPTY_SET for cache_set
+                    in getattr(restored.hierarchy, level).sets]
+            filled = [bool(cache_set) for cache_set
+                      in getattr(warmed.hierarchy, level).sets]
+            assert made == filled, level
+        assert EMPTY_SET in restored.hierarchy.llc.sets
+
+    def test_memory_delta_order(self):
+        """Changed image words in image order, then words the image lacks
+        in first-write order; a word written back to its image value, or
+        never written, is not in the delta."""
+        image = {0x100: 1, 0x108: 2, 0x110: 3, 0x118: 4}
+        writes = {0x900: 0, 0x110: 30, 0x108: 2, 0x100: 10, 0x800: 5}
+        addrs, values = _memory_delta(writes, image)
+        assert _unpack(addrs) == [0x100, 0x110, 0x900, 0x800]
+        assert _unpack(values) == [10, 30, 0, 5]
 
     def test_restored_run_equals_fresh_run(self, tmp_path):
         """End to end: a run whose warm state came from the store measures

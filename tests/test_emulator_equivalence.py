@@ -21,9 +21,11 @@ def assert_equivalent(trace, config):
     core.run()
     emu = ArchEmulator(trace).run()
     assert core.architectural_registers() == emu.registers.values
-    # Committed memory must match for every address either side touched.
-    for addr in set(core.memory) | set(emu.memory):
-        assert core.memory.get(addr, 0) == emu.memory.get(addr, 0), hex(addr)
+    # Committed memory (the core's writes over the shared initial image)
+    # must match for every address either side touched.
+    committed = {**core.image, **core.memory}
+    for addr in set(committed) | set(emu.memory):
+        assert committed.get(addr, 0) == emu.memory.get(addr, 0), hex(addr)
     assert core.stats.instructions == len(trace)
 
 

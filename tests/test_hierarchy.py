@@ -9,6 +9,7 @@ from conftest import LOAD, dyn_of, make_trace, quiet_config
 from repro.core import dyninstr as D
 from repro.core.config import baseline
 from repro.core.core import OOOCore
+from repro.memory.cache import EMPTY_SET
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.rfp.engine import _Packet
 from repro.sim.oracle import ORACLE_MODES, oracle_config
@@ -17,6 +18,16 @@ from repro.sim.oracle import ORACLE_MODES, oracle_config
 @pytest.fixture
 def hierarchy():
     return MemoryHierarchy(baseline(l2_prefetcher_enabled=False))
+
+
+def test_deep_copy_shares_the_empty_set(hierarchy):
+    clone = copy.deepcopy(hierarchy)
+    for level in ("l1", "l2", "llc"):
+        assert all(cache_set is EMPTY_SET
+                   for cache_set in getattr(clone, level).sets), level
+    clone.load(0x10000, 0x400, 0)
+    line = 0x10000 >> hierarchy.llc.line_shift
+    assert clone.llc.contains(line) and not hierarchy.llc.contains(line)
 
 
 class TestLoadPath:

@@ -57,6 +57,19 @@ class TestTrace:
         assert trace.load_count == 1
         assert "6 instrs, 1 loads" in repr(trace)
 
+    def test_addresses_widen_past_32_bits(self):
+        """Address columns start 4 bytes wide and widen, exactly, at the
+        first address of 2**32 or more."""
+        narrow = make_trace()
+        assert narrow.addrs.typecode == narrow.image_addrs.typecode == "I"
+        far = (1 << 32) + 0x108
+        instrs = [Instruction(0x1000, Op.LOAD, dst=1, addr=0x100),
+                  Instruction(0x1004, Op.LOAD, dst=2, addr=far)]
+        trace = Trace(instrs, memory_image={0x100: 7, far: 9})
+        assert trace.addrs.typecode == trace.image_addrs.typecode == "Q"
+        assert [instr.addr for instr in trace] == [0x100, far]
+        assert trace.initial_memory() == {0x100: 7, far: 9}
+
     def test_memory_image_copied(self):
         image = {0x100: 7}
         trace = Trace([], memory_image=image)

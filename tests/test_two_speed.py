@@ -141,7 +141,8 @@ class TestWarmEquivalence:
         assert warmer.registers.values == emu.registers.values
         assert warmer.load_values == emu.load_values
         assert warmer.store_values == emu.store_values
-        assert core.memory == emu.memory
+        # The core's writes over the shared image are the oracle's memory.
+        assert {**core.image, **core.memory} == emu.memory
         # The fetch cursor sits at the warmup boundary.
         assert core.frontend.cursor.index == n
 

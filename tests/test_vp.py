@@ -136,6 +136,27 @@ class TestDLVPWaterfall:
         assert not vp.validate(FakeDyn(), 2)
         assert vp.blacklist[0x123] > 0
 
+    def test_probe_reads_committed_memory(self):
+        """The fetch probe reads a committed store over an image word,
+        and the image's value of a word nothing wrote."""
+        written, untouched = 0x5000, 0x5008
+        trace = make_trace([LOAD(0x800, dst=1, addr=written),
+                            LOAD(0x804, dst=2, addr=untouched)],
+                           memory={written: 5, untouched: 7})
+        core = OOOCore(trace, vp_config("dlvp"))
+        core.memory[written] = 99  # a committed store
+        vp = core.vp
+        for index, addr in enumerate((written, untouched)):
+            entry = vp._entry(trace[index].pc, 0, create=True)
+            entry.valid, entry.last_addr, entry.stride = True, addr, 0
+            while not entry.confidence.saturated:
+                entry.confidence.strengthen()
+            core._fetch_hook(index, 0, 0)
+        assert vp.probed == 2
+        assert vp.pending_probes[0].value == 99
+        assert vp.pending_probes[1].value == 7
+        assert core.image[written] == 5  # the shared image is untouched
+
     def test_nofwd_filter(self):
         vp = DLVPPredictor(vp_config("dlvp"))
         vp.note_forwarded(0x800)
