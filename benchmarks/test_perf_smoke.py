@@ -18,9 +18,6 @@ import time
 import pytest
 
 from repro.core.config import baseline
-from repro.core.core import OOOCore
-from repro.emu.batch import warm_batch
-from repro.emu.warmup import FunctionalWarmer
 from repro.sim import settings
 from repro.sim.cache import ResultCache
 from repro.sim.defaults import DEFAULT_LENGTH, DEFAULT_WARMUP
@@ -42,11 +39,6 @@ MIN_TWO_SPEED_SPEEDUP = 1.8
 #: of that must show up as wall clock once the checkpoints are warm.
 SAMPLES, INTERVAL_LENGTH = 4, 800
 MIN_SAMPLING_SPEEDUP = 2.0
-
-#: Batched functional warming (:mod:`repro.emu.batch`) at width 8, the
-#: 8-config sweep shape it is built for, vs the scalar warmer.  This
-#: floor goes when ``emu/batch.py`` does.
-MIN_BATCH_WARM_SPEEDUP = 3.0
 
 #: Serial instr/s over pre-built traces: 0.2x the 113,305 recorded at the
 #: shipped defaults on the development machine, the effective floor of the
@@ -119,26 +111,6 @@ def test_sampled_checkpoint_hit_floor(seconds, monkeypatch):
     _check("sampled (checkpoint hit) vs two-speed",
            sum(two_s for _, two_s in seconds.values()) / hit_s,
            MIN_SAMPLING_SPEEDUP)
-
-
-def test_batched_warm_floor():
-    sweep = [baseline().evolve(name="bw%d" % i, rfp={"enabled": True},
-                               hit_miss_entries=512 << (i % 4),
-                               rfp_dedicated_ports=i // 4)
-             for i in range(8)]
-    traces = [build_workload(name, length=DEFAULT_LENGTH)
-              for name in VALIDATION_WORKLOADS]
-
-    scalar_s, batched_s = _best_seconds([
-        lambda: [FunctionalWarmer(OOOCore(t, sweep[0])).warm(DEFAULT_LENGTH)
-                 for t in traces],
-        lambda: [warm_batch([(trace, trace.name, config, DEFAULT_LENGTH,
-                              [DEFAULT_LENGTH]) for config in sweep],
-                            store=None, width=8) for trace in traces],
-    ], rounds=3)
-    # Instructions per second: the batched pass warms 8 configs per trace.
-    _check("batched warm (w8) vs scalar", 8 * scalar_s / batched_s,
-           MIN_BATCH_WARM_SPEEDUP)
 
 
 def test_serial_floor():

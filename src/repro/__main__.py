@@ -77,7 +77,7 @@ def cmd_run(args):
         # store and REPRO_JOBS, exactly as in `repro suite --sample`.
         (results,), _report = run_matrix(
             [config], [args.workload], args.length, args.warmup,
-            sampling=sampling, batch_warm=args.batch_warm)
+            sampling=sampling)
         result = results[args.workload]
     else:
         result = simulate(args.workload, config, length=args.length,
@@ -158,7 +158,7 @@ def cmd_suite(args):
         [base_config, config], names, args.length, args.warmup,
         max_workers=args.jobs, job_timeout=args.job_timeout,
         retries=args.retries, keep_going=args.keep_going,
-        sampling=sampling, batch_warm=getattr(args, "batch_warm", False),
+        sampling=sampling,
     )
     _, per_cat, overall = suite_speedup(feature, base)
     rows = [(cat, "%+.2f%%" % ((v - 1) * 100)) for cat, v in per_cat.items()]
@@ -333,12 +333,6 @@ def build_parser():
         p.add_argument("--confidence", type=float, default=None,
                        choices=[0.90, 0.95, 0.99],
                        help="confidence level for the IPC CI (default 0.95)")
-        p.add_argument("--batch-warm", action="store_true",
-                       help="write missing interval checkpoints through "
-                            "the batched SoA warm engine (one lockstep "
-                            "pass per trace instead of one scalar pass "
-                            "per config; bit-exact with the scalar "
-                            "warmer)")
 
     run_parser = sub.add_parser("run", help="simulate one workload")
     run_parser.add_argument("workload")

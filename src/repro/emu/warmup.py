@@ -47,32 +47,24 @@ _warm_passes = 0
 
 
 def warm_pass_count():
-    """Functional warm passes performed by this process so far."""
+    """Functional warm passes performed by this process so far: one per
+    :class:`FunctionalWarmer` that executed an instruction."""
     return _warm_passes
-
-
-def note_warm_pass():
-    """Count one functional warm pass performed outside this class.
-
-    The batched structure-of-arrays engine (:mod:`repro.emu.batch`) warms
-    lanes without instantiating a :class:`FunctionalWarmer` per lane; it
-    ticks the same counter so the checkpoint layer's "warm once, measure
-    many" accounting holds whichever engine performed the pass.
-    """
-    global _warm_passes
-    _warm_passes += 1
 
 
 class FunctionalWarmer(object):
     """Warms one :class:`~repro.core.core.OOOCore`'s structures in place.
 
     The warmer executes with the architectural semantics of
-    :class:`~repro.emu.emulator.ArchEmulator` (``registers``,
-    ``load_values`` and ``store_values`` mean the same) but over the
-    core's committed memory: its stores go into the core's writes dict
-    (``memory``, shared), so detailed-region loads see them, and a load
-    reads that dict first, then the trace's shared initial image
-    (``core.image``).  It never copies the image.
+    :class:`~repro.emu.emulator.ArchEmulator` (``registers`` means the
+    same) but over the core's committed memory: its stores go into the
+    core's writes dict (``memory``, shared), so detailed-region loads see
+    them, and a load reads that dict first, then the trace's shared
+    initial image (``core.image``).  It never copies the image, and it
+    keeps no per-instruction record: a load's value lands only in its
+    destination register, a store's only in ``memory``.  It is the one
+    functional warmer; :func:`repro.sim.checkpoint.ensure_checkpoints`
+    runs it once per hierarchy fingerprint to write a sweep's warm state.
 
     ``rfps`` lists the :class:`~repro.rfp.engine.RFPEngine` objects whose
     PT/PAT/context tables the pass trains; the default is the core's own
@@ -86,8 +78,6 @@ class FunctionalWarmer(object):
         self.core = core
         self.registers = ArchRegisters()
         self.memory = core.memory
-        self.load_values = []
-        self.store_values = []
         if rfps is None:
             rfps = [core.rfp] if core.rfp is not None else []
         self.rfps = rfps
@@ -132,8 +122,6 @@ class FunctionalWarmer(object):
         memory = self.memory
         memory_get = memory.get
         image_get = core.image.get
-        loads_append = self.load_values.append
-        stores_append = self.store_values.append
         hierarchy = core.hierarchy
         warm_load = hierarchy.warm_load
         warm_store = hierarchy.warm_store
@@ -166,7 +154,6 @@ class FunctionalWarmer(object):
                 value = memory_get(addr & ~7)
                 if value is None:
                     value = image_get(addr & ~7, 0)
-                loads_append(value)
                 pc = static.pc
                 # -- hierarchy.warm_load (fast path) -------------------
                 page = addr >> 12
@@ -216,7 +203,6 @@ class FunctionalWarmer(object):
                     srcs = [regs[r] for r in s]
                 value = static.evaluator(srcs, static.imm)
                 memory[addr & ~7] = value
-                stores_append(value)
                 warm_store(addr)
             else:
                 s = static.srcs

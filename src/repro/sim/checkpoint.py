@@ -640,9 +640,10 @@ def ensure_checkpoints(trace, workload, config, length, positions, store):
     re-written by the same pass.
 
     ``trace`` may be None; it is built lazily only if a warm is needed.
-    :func:`ensure_checkpoints_batch` is the batched multi-job form.
-    Returns ``{position: "hit" | "warmed"}``; a position is a hit when
-    every config's checkpoint there was already stored.
+    Every sampled sweep's lane warm runs through here
+    (:func:`repro.sim.parallel._run_job`).  Returns ``{position: "hit" |
+    "warmed"}``; a position is a hit when every config's checkpoint there
+    was already stored.
     """
     configs = config if isinstance(config, (list, tuple)) else [config]
     # One config per distinct warm state, grouped by hierarchy part.
@@ -713,18 +714,14 @@ def _warm_pass(trace, workload, configs, length, wanted, store, outcome):
     return trace
 
 
-def ensure_checkpoints_batch(jobs, store, width=None, chunk=None):
-    """Batched :func:`ensure_checkpoints`: N warm jobs, one SoA engine run.
+def ensure_checkpoints_batch(jobs, store):
+    """Run each ``(trace_or_None, workload, config, length, positions)``
+    job through :func:`ensure_checkpoints`; return one ``{position:
+    "hit" | "warmed"}`` dict per job, in job order.
 
-    ``jobs`` is a list of ``(trace_or_None, workload, config, length,
-    positions)`` tuples.  Jobs that share a ``(workload, length)`` trace —
-    a config sweep — advance through it in lockstep, and lanes whose
-    configs agree on every cache-relevant field additionally share a
-    single cache/DTLB advance (functional warming has no feedback from
-    predictor state into cache contents, so the split is exact).  Emits
-    byte-identical checkpoint payloads to the scalar path; returns one
-    ``{position: "hit" | "warmed"}`` dict per job, in job order.
+    A shim: it exists only because ``benchmarks/perf/spans.py`` wraps it
+    (as ``repro.sim.parallel.ensure_checkpoints_batch`` and
+    ``repro.emu.batch.warm_batch``), and it goes with ROADMAP item 1(a).
+    No code under ``src/`` calls it.
     """
-    from repro.emu.batch import warm_batch
-
-    return warm_batch(jobs, store=store, width=width, chunk=chunk)
+    return [ensure_checkpoints(*job, store) for job in jobs]

@@ -76,9 +76,11 @@ from repro.isa.trace import resident_image
 from repro.sim import faults, settings
 from repro.sim.cache import default_cache
 from repro.sim.checkpoint import (
-    default_checkpoint_store, ensure_checkpoints, ensure_checkpoints_batch,
-    warm_fingerprint,
+    default_checkpoint_store, ensure_checkpoints, warm_fingerprint,
 )
+# A span target of benchmarks/perf/spans.py ("parallel.prewarm"), kept
+# until ROADMAP item 1(a); nothing here calls it.
+from repro.sim.checkpoint import ensure_checkpoints_batch  # noqa: F401
 from repro.sim.runner import SimResult, simulate, simulate_interval
 from repro.sim.sampling import (
     SamplingPlan, aggregate_intervals, normalize_spec, sampling_applies,
@@ -281,14 +283,9 @@ def _run_job(item):
                     # The lane's first interval job: write every checkpoint
                     # the lane restores (see _lookup).  Module attributes,
                     # looked up per call like _run_job.
-                    configs, positions, batch_warm = sampling["warm"]
-                    if batch_warm:
-                        ensure_checkpoints_batch(
-                            [(None, workload, each, length, positions)
-                             for each in configs], store)
-                    else:
-                        ensure_checkpoints(None, workload, configs, length,
-                                           positions, store)
+                    configs, positions = sampling["warm"]
+                    ensure_checkpoints(None, workload, configs, length,
+                                       positions, store)
                 result = simulate_interval(
                     workload, config, length=length,
                     start=interval["start"], measure=interval["measure"],
@@ -591,7 +588,7 @@ def _plan(sweep, jobs):
     return keys, unique
 
 
-def _lookup(sweep, keys, unique, batch_warm):
+def _lookup(sweep, keys, unique):
     """Serve what the result cache holds, and expand each sampled miss
     into its interval jobs.  Returns the pending jobs.
 
@@ -602,10 +599,11 @@ def _lookup(sweep, keys, unique, batch_warm):
 
     The first interval job of each trace lane (:func:`trace_key`) that
     restores a checkpoint carries the lane's warm pass in its sampling
-    dict, ``"warm": (configs, positions, batch_warm)``: one config per
+    dict, ``"warm": (configs, positions)``: one config per
     warm fingerprint, every position the lane's intervals restore.
-    :func:`ensure_checkpoints` makes it one resumable functional pass
-    per hierarchy fingerprint, so a repeat sweep warms nothing.  An
+    :func:`ensure_checkpoints`, the one warm path, makes it one resumable
+    scalar functional pass per hierarchy fingerprint, so a repeat sweep
+    warms nothing.  An
     interval that another shard starts while its lane's warm still runs
     warms its own position (same bytes), as any store miss does.
     """
@@ -656,8 +654,7 @@ def _lookup(sweep, keys, unique, batch_warm):
         sweep.cells[key] = (spec, interval_keys)
     for sampling, configs, positions in warms.values():
         if positions:
-            sampling["warm"] = (list(configs.values()), sorted(positions),
-                                batch_warm)
+            sampling["warm"] = (list(configs.values()), sorted(positions))
 
     misses = [_PendingJob(key, job, index)
               for index, (key, job) in enumerate(work.items())]
@@ -715,8 +712,7 @@ def _report(sweep, misses, workers, wall_seconds):
 
 
 def run_jobs(jobs, cache=None, max_workers=None, progress=None,
-             job_timeout=None, retries=None, keep_going=False,
-             batch_warm=False):
+             job_timeout=None, retries=None, keep_going=False):
     """Run (workload, config, length, warmup[, sampling]) jobs through the
     result cache and an executor: plan, lookup, execute (each trace
     lane's warm pass inside its first interval job, each cell committed
@@ -749,8 +745,6 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
             retried.
         keep_going: record terminal failures in the report's manifest and
             return ``None`` in their result slots instead of raising.
-        batch_warm: run each lane's warm pass through the batched SoA
-            engine, bit-exact with the scalar warm pass.
 
     Returns:
         ``(results, report)`` — ``results`` is a list of
@@ -763,7 +757,7 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
         progress = _stderr_progress
     sweep = _Sweep(cache if cache is not None else default_cache(), progress)
     keys, unique = _plan(sweep, jobs)
-    misses = _lookup(sweep, keys, unique, batch_warm)
+    misses = _lookup(sweep, keys, unique)
     workers = _execute(sweep, misses, max_workers, job_timeout, retries,
                        keep_going)
     report = _report(sweep, misses, workers,
@@ -776,7 +770,7 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
 def run_matrix(configs, workloads, length, warmup,
                cache=None, max_workers=None, progress=None,
                job_timeout=None, retries=None, keep_going=False,
-               sampling=None, batch_warm=False):
+               sampling=None):
     """Fan the full (config x workload) cross-product through one engine.
 
     Submitting every cell at once keeps all workers busy across config
@@ -801,8 +795,7 @@ def run_matrix(configs, workloads, length, warmup,
     ]
     results, report = run_jobs(jobs, cache=cache, max_workers=max_workers,
                                progress=progress, job_timeout=job_timeout,
-                               retries=retries, keep_going=keep_going,
-                               batch_warm=batch_warm)
+                               retries=retries, keep_going=keep_going)
     per_config = []
     for i in range(len(configs)):
         chunk = results[i * len(workloads):(i + 1) * len(workloads)]

@@ -590,6 +590,32 @@ class TestWarmOnce:
                                         3000)), "rb") as handle:
             assert handle.read() == before
 
+    def test_rfp_prefix_resumes_byte_identical(self, tmp_path):
+        """A store holding only the shallowest position is completed by
+        one pass that restores every RFP table set (PT and context) from
+        its parts and writes deeper parts byte-identical to a fill from
+        scratch."""
+        configs = [RFP_VARIANTS[1], RFP_VARIANTS[-2]]  # default, context
+        positions = [1000, 2000, 3000]
+        oracle = CheckpointStore(str(tmp_path / "oracle"))
+        ensure_checkpoints(None, WORKLOAD, configs, LENGTH, positions, oracle)
+        prefix = CheckpointStore(str(tmp_path / "prefix"))
+        ensure_checkpoints(None, WORKLOAD, configs, LENGTH, positions[:1],
+                           prefix)
+        passes = warm_passes()
+        outcome = ensure_checkpoints(None, WORKLOAD, configs, LENGTH,
+                                     positions, prefix)
+        assert outcome == {1000: "hit", 2000: "warmed", 3000: "warmed"}
+        assert passes() == 1
+        names = sorted(os.path.basename(p) for p in oracle.entry_paths())
+        assert len(names) == 3 * len(positions)
+        assert names == sorted(os.path.basename(p)
+                               for p in prefix.entry_paths())
+        for name in names:
+            with open(os.path.join(oracle.directory, name), "rb") as a, \
+                    open(os.path.join(prefix.directory, name), "rb") as b:
+                assert a.read() == b.read(), name
+
     def test_nine_config_sweep_warms_each_workload_once(self, tmp_path,
                                                         monkeypatch):
         """The acceptance sweep: nine configs differing only in timing
@@ -731,9 +757,20 @@ class TestSplitStore:
         assert len(names) - len(hierarchy) == 3 * len(positions)
 
     def test_batch_engine_writes_the_same_parts(self, tmp_path):
+        """``ensure_checkpoints_batch`` (also ``repro.emu.batch.warm_batch``
+        and ``repro.sim.parallel.ensure_checkpoints_batch``, the names the
+        perf harness wraps) writes the parts one shared
+        :func:`ensure_checkpoints` pass writes, warming once per job and
+        returning one outcome per job, in job order."""
+        from repro.emu.batch import warm_batch
+        from repro.sim import parallel
+
+        assert warm_batch is ensure_checkpoints_batch
+        assert parallel.ensure_checkpoints_batch is ensure_checkpoints_batch
         files = {}
         for engine in ("scalar", "batch"):
             store = CheckpointStore(str(tmp_path / engine))
+            passes = warm_passes()
             if engine == "scalar":
                 outcomes = [ensure_checkpoints(
                     None, WORKLOAD, RFP_VARIANTS[:4], LENGTH, [1000, WARM],
@@ -742,8 +779,11 @@ class TestSplitStore:
                 outcomes = ensure_checkpoints_batch(
                     [(None, WORKLOAD, config, LENGTH, [1000, WARM])
                      for config in RFP_VARIANTS[:4]], store)
-            for outcome in outcomes:
-                assert outcome == {1000: "warmed", WARM: "warmed"}
+            # One shared pass, or one pass per job: each job's RFP part
+            # is missing when its turn comes.
+            assert passes() == len(outcomes)
+            assert outcomes == [{1000: "warmed", WARM: "warmed"}] * (
+                1 if engine == "scalar" else 4)
             files[engine] = {}
             for path in store.entry_paths():
                 with open(path, "rb") as handle:

@@ -133,16 +133,29 @@ class TestWarmEquivalence:
             assert pat_w.lru == pat_d.lru
 
     def test_architectural_state_matches_emulator(self):
+        """Warm in lockstep with the oracle, one instruction at a time:
+        the registers match after every instruction (every load writes a
+        destination register, so this checks each load value), and the
+        core's writes over the shared image match the oracle's memory
+        after every store."""
         trace = build_workload(WORKLOAD, length=3000)
         n = 2000
         core = OOOCore(trace, quiet_config())
-        warmer = FunctionalWarmer(core).warm(n)
-        emu = ArchEmulator(trace).run(limit=n)
-        assert warmer.registers.values == emu.registers.values
-        assert warmer.load_values == emu.load_values
-        assert warmer.store_values == emu.store_values
-        # The core's writes over the shared image are the oracle's memory.
-        assert {**core.image, **core.memory} == emu.memory
+        warmer = FunctionalWarmer(core)
+        emu = ArchEmulator(trace)
+        loads = stores = 0
+        for i, (sid, addr) in enumerate(zip(trace.sids[:n], trace.addrs[:n])):
+            static = trace.statics[sid]
+            emu.step(static, addr)
+            warmer.warm(i + 1)
+            assert warmer.registers.values == emu.registers.values, i
+            if static.is_load:
+                assert static.dst is not None, i
+                loads += 1
+            if static.is_store:
+                assert {**core.image, **core.memory} == emu.memory, i
+                stores += 1
+        assert loads and stores
         # The fetch cursor sits at the warmup boundary.
         assert core.frontend.cursor.index == n
 
